@@ -2,11 +2,14 @@
 
 #include <algorithm>
 #include <limits>
-#include <queue>
 #include <stdexcept>
 #include <utility>
 
 namespace dyncdn::net {
+
+namespace {
+constexpr std::int64_t kUnreached = std::numeric_limits<std::int64_t>::max();
+}  // namespace
 
 void Network::set_shards(std::vector<sim::Simulator*> sims) {
   if (!nodes_.empty()) {
@@ -34,7 +37,8 @@ Node& Network::add_node(const std::string& name, GeoPoint location,
   nodes_.push_back(std::make_unique<Node>(*this, id, name, location,
                                           shard_simulator(shard), shard));
   by_name_.emplace(name, id);
-  routes_dirty_ = true;
+  adjacency_.resize(nodes_.size() + 1);
+  routes_.resize(nodes_.size() + 1);
   return *nodes_.back();
 }
 
@@ -73,13 +77,11 @@ void Network::connect(Node& a, Node& b, const LinkConfig& a_to_b,
       min_cross_delay_ = std::min(min_cross_delay_, cfg.propagation_delay);
     }
     all_links_.push_back(link.get());
-    const std::uint32_t fid = from.id().value();
-    if (adjacency_.size() <= fid) adjacency_.resize(fid + 1);
-    adjacency_[fid].push_back(Edge{to.id(), std::move(link)});
+    adjacency_[from.id().value()].push_back(Edge{to.id(), std::move(link)});
   };
   make_edge(a, b, a_to_b);
   make_edge(b, a, b_to_a);
-  routes_dirty_ = true;
+  ++topology_epoch_;
 }
 
 std::size_t Network::flush_mailboxes() {
@@ -128,46 +130,54 @@ bool Network::mailboxes_empty() const {
   return true;
 }
 
-void Network::compute_routes() {
+void Network::build_row(std::uint32_t src) {
   const std::size_t stride = nodes_.size() + 1;
-  next_hop_stride_ = stride;
-  next_hop_.assign(stride * stride, nullptr);
-  if (adjacency_.size() < stride) adjacency_.resize(stride);
-  constexpr std::int64_t kUnreached = std::numeric_limits<std::int64_t>::max();
-  // Dijkstra from every node, cost = propagation delay in ns. The dist row
-  // and the binary heap are member scratch; the first-link row is written
-  // straight into the next-hop matrix.
-  for (const auto& src_node : nodes_) {
-    const std::uint32_t src = src_node->id().value();
-    dijkstra_dist_.assign(stride, kUnreached);
-    dijkstra_heap_.clear();
-    Link** first_link = next_hop_.data() + src * stride;
-    dijkstra_dist_[src] = 0;
-    dijkstra_heap_.emplace_back(0, src);
-    while (!dijkstra_heap_.empty()) {
-      std::pop_heap(dijkstra_heap_.begin(), dijkstra_heap_.end(),
-                    std::greater<>());
-      const auto [d, u] = dijkstra_heap_.back();
-      dijkstra_heap_.pop_back();
-      if (d > dijkstra_dist_[u]) continue;
-      for (const Edge& e : adjacency_[u]) {
-        const std::uint32_t v = e.to.value();
-        const std::int64_t nd = d + e.link->config().propagation_delay.ns();
-        if (nd < dijkstra_dist_[v]) {
-          dijkstra_dist_[v] = nd;
-          first_link[v] = (u == src) ? e.link.get() : first_link[u];
-          dijkstra_heap_.emplace_back(nd, v);
-          std::push_heap(dijkstra_heap_.begin(), dijkstra_heap_.end(),
-                         std::greater<>());
-        }
+  RouteRow& row = routes_[src];
+  row.epoch = topology_epoch_;
+  row.by_dst.assign(stride, nullptr);
+  Link** first_link = row.by_dst.data();
+  dijkstra_dist_.assign(stride, kUnreached);
+  dijkstra_heap_.clear();
+  dijkstra_dist_[src] = 0;
+  dijkstra_heap_.emplace_back(0, src);
+  while (!dijkstra_heap_.empty()) {
+    std::pop_heap(dijkstra_heap_.begin(), dijkstra_heap_.end(),
+                  std::greater<>());
+    const auto [d, u] = dijkstra_heap_.back();
+    dijkstra_heap_.pop_back();
+    if (d > dijkstra_dist_[u]) continue;
+    // Edge order plus the strict `<` decide ties: of several equal-delay
+    // paths, the one relaxed first keeps its first link.
+    for (const Edge& e : adjacency_[u]) {
+      const std::uint32_t v = e.to.value();
+      const std::int64_t nd = d + e.link->config().propagation_delay.ns();
+      if (nd < dijkstra_dist_[v]) {
+        dijkstra_dist_[v] = nd;
+        first_link[v] = (u == src) ? e.link.get() : first_link[u];
+        dijkstra_heap_.emplace_back(nd, v);
+        std::push_heap(dijkstra_heap_.begin(), dijkstra_heap_.end(),
+                       std::greater<>());
       }
     }
   }
-  routes_dirty_ = false;
+}
+
+const std::vector<Link*>& Network::routes_from(std::uint32_t src) {
+  RouteRow& row = routes_[src];
+  if (row.epoch != topology_epoch_) build_row(src);
+  return row.by_dst;
+}
+
+void Network::compute_routes() {
+  for (std::uint32_t src = 1; src <= nodes_.size(); ++src) build_row(src);
+}
+
+void Network::prepare_run() {
+  if (shard_count() == 1) return;
+  for (std::uint32_t src = 1; src <= nodes_.size(); ++src) routes_from(src);
 }
 
 void Network::route(NodeId from, PacketPtr packet) {
-  if (routes_dirty_) compute_routes();
   Node& src = node(from);
   ++routed_by_shard_[src.shard()];
   // Ids are issued per source node ((node << 40) | seq) so serial and
@@ -177,12 +187,9 @@ void Network::route(NodeId from, PacketPtr packet) {
     src.deliver(packet);
     return;
   }
-  const std::uint32_t dst = packet->dst.value();
-  if (from.value() < next_hop_stride_ && dst < next_hop_stride_) {
-    if (Link* link = next_hop_[from.value() * next_hop_stride_ + dst]) {
-      link->transmit(std::move(packet));
-      return;
-    }
+  if (Link* link = first_hop_link(from, packet->dst)) {
+    link->transmit(std::move(packet));
+    return;
   }
   ++no_route_by_shard_[src.shard()];
 }
@@ -227,39 +234,20 @@ Node* Network::find_node(const std::string& name) {
   return &node(it->second);
 }
 
-sim::SimTime Network::path_delay(NodeId a, NodeId b) const {
+sim::SimTime Network::path_delay(NodeId a, NodeId b) {
   if (a == b) return sim::SimTime::zero();
-  // Re-run a tiny Dijkstra; only used in setup/analysis, not on hot paths
-  // (const, so it keeps its own scratch rather than the members).
-  constexpr std::int64_t kUnreached = std::numeric_limits<std::int64_t>::max();
-  std::vector<std::int64_t> dist(nodes_.size() + 1, kUnreached);
-  using QE = std::pair<std::int64_t, std::uint32_t>;
-  std::priority_queue<QE, std::vector<QE>, std::greater<>> pq;
-  dist[a.value()] = 0;
-  pq.emplace(0, a.value());
-  while (!pq.empty()) {
-    const auto [d, u] = pq.top();
-    pq.pop();
-    if (u == b.value()) return sim::SimTime::nanoseconds(d);
-    if (d > dist[u]) continue;
-    if (u >= adjacency_.size()) continue;
-    for (const Edge& e : adjacency_[u]) {
-      const std::int64_t nd = d + e.link->config().propagation_delay.ns();
-      if (nd < dist[e.to.value()]) {
-        dist[e.to.value()] = nd;
-        pq.emplace(nd, e.to.value());
-      }
-    }
+  build_row(node(a).id().value());
+  const std::size_t dst = b.value();
+  if (dst >= dijkstra_dist_.size() || dijkstra_dist_[dst] == kUnreached) {
+    return sim::SimTime::infinity();
   }
-  return sim::SimTime::infinity();
+  return sim::SimTime::nanoseconds(dijkstra_dist_[dst]);
 }
 
 Link* Network::first_hop_link(NodeId a, NodeId b) {
-  if (routes_dirty_) compute_routes();
-  if (a.value() >= next_hop_stride_ || b.value() >= next_hop_stride_) {
-    return nullptr;
-  }
-  return next_hop_[a.value() * next_hop_stride_ + b.value()];
+  if (a.value() == 0 || a.value() > nodes_.size()) return nullptr;
+  const std::vector<Link*>& row = routes_from(a.value());
+  return b.value() < row.size() ? row[b.value()] : nullptr;
 }
 
 LinkStats Network::aggregate_link_stats() const {

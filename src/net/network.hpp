@@ -1,6 +1,10 @@
-// The Network owns nodes and links, computes static shortest-path routes,
-// and moves packets hop by hop. Topologies here are small (star/tree), but
-// routing is a full Dijkstra so arbitrary graphs work.
+// The Network owns nodes and links and moves packets hop by hop along
+// static shortest-propagation-delay routes. Routes are kept per source: the
+// first packet a node sends or forwards runs one single-source Dijkstra
+// over the current topology and caches that node's next-hop row, and
+// connect() marks every row stale. A replica that drives a few dozen of
+// its few hundred nodes builds only those rows, yet any graph routes
+// exactly as an all-pairs table would route it.
 #pragma once
 
 #include <cstdint>
@@ -50,8 +54,9 @@ class Network {
   void connect(Node& a, Node& b, const LinkConfig& a_to_b,
                const LinkConfig& b_to_a);
 
-  /// Recompute routing tables. Called automatically on first send after a
-  /// topology change; exposed for tests.
+  /// Rebuild every source's next-hop row now: the eager all-pairs pass.
+  /// Routing never needs it, since rows are built on first use; it exists
+  /// to time the all-pairs cost and to check lazy rows against it.
   void compute_routes();
 
   /// Route a packet from `from` towards packet->dst. Drops (with a counter)
@@ -80,12 +85,11 @@ class Network {
   /// windows degenerate and the runner must fall back to serial order.
   sim::SimTime cross_shard_lookahead() const { return min_cross_delay_; }
 
-  /// Refresh routing tables if the topology changed. The shard runner
-  /// calls this before spawning workers: route() must never recompute
-  /// lazily while shards execute in parallel.
-  void prepare_run() {
-    if (routes_dirty_) compute_routes();
-  }
+  /// Build every stale next-hop row of a sharded network. The shard runner
+  /// calls this before spawning workers: route() must never build a row
+  /// while shards execute in parallel. A serial network keeps building
+  /// rows lazily.
+  void prepare_run();
 
   /// Window-barrier drain: schedule every staged cross-shard packet on its
   /// destination shard at its recorded arrival time. Packets drain sorted
@@ -113,9 +117,11 @@ class Network {
 
   /// One-way shortest-path propagation delay between two nodes (sum of link
   /// propagation delays; ignores bandwidth). Infinity if unreachable.
-  sim::SimTime path_delay(NodeId a, NodeId b) const;
+  /// Rebuilds `a`'s row, so never call it while shard workers run.
+  sim::SimTime path_delay(NodeId a, NodeId b);
 
   /// Link carrying traffic from `a` on the first hop toward `b`, or null.
+  /// Builds `a`'s row first if the topology changed since it was built.
   Link* first_hop_link(NodeId a, NodeId b);
 
  private:
@@ -123,6 +129,21 @@ class Network {
     NodeId to;
     std::unique_ptr<Link> link;
   };
+
+  /// Next-hop row of one source node: by_dst[d] is the link that carries
+  /// its traffic toward node id d (null = no route). Valid while `epoch`
+  /// equals topology_epoch_. A valid row may be shorter than the node
+  /// count: nodes added since it was built have no links, so no route.
+  struct RouteRow {
+    std::uint64_t epoch = 0;
+    std::vector<Link*> by_dst;
+  };
+
+  /// `src`'s row, rebuilt first if the topology changed since it was built.
+  const std::vector<Link*>& routes_from(std::uint32_t src);
+  /// Single-source Dijkstra from `src` (cost = propagation delay in ns):
+  /// rewrites its row and leaves the distances in dijkstra_dist_.
+  void build_row(std::uint32_t src);
 
   /// Staged cross-shard packets for one directed link, in transmit order.
   struct Mailbox {
@@ -153,28 +174,26 @@ class Network {
   std::vector<sim::Simulator*> shard_sims_;  // empty = serial (base only)
   std::vector<std::unique_ptr<Node>> nodes_;  // index = id - 1
   std::unordered_map<std::string, NodeId> by_name_;
-  /// Outgoing edges indexed by node id value (ids are 1-based; slot 0 is
-  /// unused). Dense: node ids are issued contiguously by add_node().
+  /// Outgoing edges and next-hop rows, both indexed by node id value (ids
+  /// are 1-based; slot 0 is unused). Dense: node ids are issued
+  /// contiguously by add_node().
   std::vector<std::vector<Edge>> adjacency_;
+  std::vector<RouteRow> routes_;
+  /// Bumped by connect(): every row built before is stale. add_node()
+  /// leaves it alone, because a node without links adds no path.
+  std::uint64_t topology_epoch_ = 1;
   /// Every directed link in creation order — the flat iteration order for
   /// aggregate_link_stats(), which runs on the per-tick sampling path.
   std::vector<const Link*> all_links_;
-  /// Flat next-hop matrix: next_hop_[src * stride + dst] is the link that
-  /// carries traffic from src toward dst (null = no route), with
-  /// stride = nodes_.size() + 1. Rebuilt wholesale by compute_routes();
-  /// route() is then one multiply-add and a load.
-  std::vector<Link*> next_hop_;
-  std::size_t next_hop_stride_ = 0;
-  /// Dijkstra scratch reused across sources and recomputes, so a route
-  /// rebuild allocates nothing at steady state. compute_routes() never
-  /// runs concurrently with itself (prepare_run() precedes shard workers).
+  /// Dijkstra scratch reused across rows, so a rebuild allocates nothing
+  /// at steady state. Rows are built only on the thread that owns a serial
+  /// network, or by prepare_run() before shard workers start.
   std::vector<std::int64_t> dijkstra_dist_;
   std::vector<std::pair<std::int64_t, std::uint32_t>> dijkstra_heap_;
   /// One mailbox per cross-shard directed link, in creation order.
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
   std::vector<ShardArrivals> arrivals_by_shard_;
   sim::SimTime min_cross_delay_ = sim::SimTime::infinity();
-  bool routes_dirty_ = true;
   /// Indexed by the source node's shard: parallel route() calls from
   /// different shards each mutate their own slot, never a shared word.
   std::vector<std::uint64_t> no_route_by_shard_ = {0};

@@ -1,6 +1,6 @@
 #include "parallel/replica.hpp"
 
-#include <cstdlib>
+#include "sim/parse.hpp"
 
 namespace dyncdn::parallel {
 
@@ -25,30 +25,21 @@ std::uint64_t replica_seed(std::uint64_t base_seed,
 
 std::size_t resolve_threads(const ExecutorConfig& config) {
   if (config.threads > 0) return config.threads;
-  if (const char* env = std::getenv("DYNCDN_THREADS")) {
-    const long v = std::strtol(env, nullptr, 10);
-    if (v > 0) return static_cast<std::size_t>(v);
-  }
+  if (const auto v = sim::env_uint("DYNCDN_THREADS"); v && *v > 0) return *v;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? hw : 1;
 }
 
 std::size_t resolve_grain(const ExecutorConfig& config) {
   if (config.grain > 0) return config.grain;
-  if (const char* env = std::getenv("DYNCDN_GRAIN")) {
-    const long v = std::strtol(env, nullptr, 10);
-    if (v > 0) return static_cast<std::size_t>(v);
-  }
+  if (const auto v = sim::env_uint("DYNCDN_GRAIN"); v && *v > 0) return *v;
   return 1;
 }
 
 bool grain_is_auto(const ExecutorConfig& config) {
   if (config.grain > 0) return false;
-  if (const char* env = std::getenv("DYNCDN_GRAIN")) {
-    const long v = std::strtol(env, nullptr, 10);
-    if (v > 0) return false;
-  }
-  return true;
+  const auto v = sim::env_uint("DYNCDN_GRAIN");
+  return !v || *v == 0;
 }
 
 }  // namespace dyncdn::parallel

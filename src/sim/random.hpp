@@ -7,7 +7,9 @@
 // a tap to one link does not perturb the draws seen by another.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
+#include <optional>
 #include <random>
 #include <string>
 #include <string_view>
@@ -18,23 +20,29 @@ namespace dyncdn::sim {
 
 /// One independent random stream. Thin wrapper over std::mt19937_64 with the
 /// distribution draws the simulator needs, expressed in domain units.
+///
+/// The engine is seeded on the first draw, not at construction: filling
+/// its 312-word state is what a stream costs, and most streams a scenario
+/// creates (the loss streams of lossless links and of links nothing sends
+/// on) are never drawn from. A copy taken before the first draw replays
+/// the original.
 class RngStream {
  public:
-  explicit RngStream(std::uint64_t seed) : engine_(seed) {}
+  explicit RngStream(std::uint64_t seed) : seed_(seed) {}
 
   /// Uniform real in [0, 1).
   double uniform01() {
-    return std::uniform_real_distribution<double>(0.0, 1.0)(engine_);
+    return std::uniform_real_distribution<double>(0.0, 1.0)(engine());
   }
 
   /// Uniform real in [lo, hi).
   double uniform(double lo, double hi) {
-    return std::uniform_real_distribution<double>(lo, hi)(engine_);
+    return std::uniform_real_distribution<double>(lo, hi)(engine());
   }
 
   /// Uniform integer in [lo, hi] inclusive.
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi) {
-    return std::uniform_int_distribution<std::int64_t>(lo, hi)(engine_);
+    return std::uniform_int_distribution<std::int64_t>(lo, hi)(engine());
   }
 
   /// Bernoulli trial with success probability p.
@@ -42,19 +50,20 @@ class RngStream {
 
   /// Normal draw (mean, stddev).
   double normal(double mean, double stddev) {
-    return std::normal_distribution<double>(mean, stddev)(engine_);
+    return std::normal_distribution<double>(mean, stddev)(engine());
   }
 
   /// Lognormal draw parameterized by the *resulting* median and a
   /// multiplicative sigma (sigma of the underlying normal). Used for server
   /// processing-time variability, which is right-skewed in practice.
   double lognormal_median(double median, double sigma) {
-    return std::lognormal_distribution<double>(std::log(median), sigma)(engine_);
+    return std::lognormal_distribution<double>(std::log(median),
+                                               sigma)(engine());
   }
 
   /// Exponential draw with the given mean.
   double exponential(double mean) {
-    return std::exponential_distribution<double>(1.0 / mean)(engine_);
+    return std::exponential_distribution<double>(1.0 / mean)(engine());
   }
 
   /// Pareto draw with scale xm and shape alpha (heavy-tailed sizes).
@@ -75,10 +84,14 @@ class RngStream {
     return SimTime::from_milliseconds(lognormal_median(median_ms, sigma));
   }
 
-  std::mt19937_64& engine() { return engine_; }
+  std::mt19937_64& engine() {
+    if (!engine_) engine_.emplace(seed_);
+    return *engine_;
+  }
 
  private:
-  std::mt19937_64 engine_;
+  std::uint64_t seed_;
+  std::optional<std::mt19937_64> engine_;
 };
 
 /// Derives independent named streams from one experiment seed via

@@ -7,6 +7,8 @@
 #include <filesystem>
 #include <stdexcept>
 
+#include "sim/parse.hpp"
+
 #if defined(__unix__) || defined(__APPLE__)
 #include <unistd.h>
 #endif
@@ -17,10 +19,8 @@ namespace {
 
 std::size_t resolve_sim_shards(std::size_t requested) {
   if (requested > 0) return requested;
-  if (const char* env = std::getenv("DYNCDN_SIM_SHARDS")) {
-    char* end = nullptr;
-    const unsigned long v = std::strtoul(env, &end, 10);
-    if (end != env && v > 0) return static_cast<std::size_t>(v);
+  if (const auto v = sim::env_uint("DYNCDN_SIM_SHARDS"); v && *v > 0) {
+    return *v;
   }
   return 1;
 }
@@ -28,7 +28,7 @@ std::size_t resolve_sim_shards(std::size_t requested) {
 std::size_t resolve_capture_budget(std::size_t requested) {
   if (requested > 0) return requested;
   if (const char* env = std::getenv("DYNCDN_CAPTURE_BUDGET")) {
-    if (const auto v = parse_byte_size(env); v && *v > 0) return *v;
+    if (const auto v = sim::parse_byte_size(env); v && *v > 0) return *v;
   }
   return 0;
 }
@@ -53,25 +53,6 @@ std::string make_temp_spill_dir() {
 }
 
 }  // namespace
-
-std::optional<std::size_t> parse_byte_size(std::string_view text) {
-  if (text.empty()) return std::nullopt;
-  char* end = nullptr;
-  const std::string s(text);
-  const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  if (end == s.c_str()) return std::nullopt;
-  std::size_t mult = 1;
-  if (*end != '\0') {
-    switch (*end) {
-      case 'k': case 'K': mult = 1024ull; break;
-      case 'm': case 'M': mult = 1024ull * 1024; break;
-      case 'g': case 'G': mult = 1024ull * 1024 * 1024; break;
-      default: return std::nullopt;
-    }
-    if (end[1] != '\0') return std::nullopt;
-  }
-  return static_cast<std::size_t>(v) * mult;
-}
 
 Scenario::Scenario(ScenarioOptions options) : options_(std::move(options)) {
   const std::size_t shards = resolve_sim_shards(options_.sim_shards);
@@ -428,18 +409,6 @@ void Scenario::connect_client_to_fe(std::size_t client_index,
   network_->connect(*c.node, *fe.node,
                     client_access_link(c.vantage, fe.location));
   client_fe_links_.push_back(key);
-}
-
-void Scenario::connect_client_to_be(std::size_t client_index) {
-  if (std::find(client_be_links_.begin(), client_be_links_.end(),
-                client_index) != client_be_links_.end()) {
-    return;
-  }
-  Client& c = clients_.at(client_index);
-  network_->connect(
-      *c.node, *be_node_,
-      client_access_link(c.vantage, options_.profile.be_location));
-  client_be_links_.push_back(client_index);
 }
 
 net::Endpoint Scenario::default_fe_endpoint(std::size_t client_index) const {

@@ -9,7 +9,6 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "analysis/streaming.hpp"
@@ -29,11 +28,6 @@
 #include "testbed/planetlab.hpp"
 
 namespace dyncdn::testbed {
-
-/// Parse a byte count with an optional k/m/g (or K/M/G) binary suffix,
-/// e.g. "65536", "64k", "2M". Used by --capture-budget and the
-/// DYNCDN_CAPTURE_BUDGET environment variable. nullopt on malformed input.
-std::optional<std::size_t> parse_byte_size(std::string_view text);
 
 struct ScenarioOptions {
   cdn::ServiceProfile profile;
@@ -181,9 +175,6 @@ class Scenario {
   /// querying a fixed, possibly non-default FE).
   void connect_client_to_fe(std::size_t client_index, std::size_t fe_index);
 
-  /// Ensure a direct client<->BE link (the no-FE baseline).
-  void connect_client_to_be(std::size_t client_index);
-
   /// Run the simulation until the FE fleet's persistent BE connections are
   /// established and warmed. Call before submitting measured queries.
   void warm_up(sim::SimTime duration = sim::SimTime::seconds(5));
@@ -327,7 +318,6 @@ class Scenario {
   std::vector<Client> clients_;
   /// (client, fe) pairs already linked.
   std::vector<std::pair<std::size_t, std::size_t>> client_fe_links_;
-  std::vector<std::size_t> client_be_links_;
 };
 
 }  // namespace dyncdn::testbed

@@ -2,6 +2,12 @@
 // (delay, serialization, queuing), routing and geo math.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <iterator>
+#include <queue>
+#include <random>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "net/geo.hpp"
@@ -403,6 +409,206 @@ TEST(Network, SelfAddressedPacketDeliversLocally) {
   a.send(make_packet(a.id(), a.id(), 10));
   simulator.run();
   EXPECT_TRUE(got);
+}
+
+// ---------------------------------------------------------------------------
+// Routing against an all-pairs reference
+// ---------------------------------------------------------------------------
+
+/// The test's own copy of a topology: every directed edge, per source node
+/// in connect() order. Each direction of each link carries a unique tag in
+/// LinkConfig::queue_capacity, which no routing decision reads, so the link
+/// a route picks can be named.
+struct RefEdge {
+  std::uint32_t to;
+  std::int64_t delay_ns;
+  std::size_t tag;
+};
+using RefGraph = std::vector<std::vector<RefEdge>>;  // by node id
+
+struct RefRoute {
+  std::int64_t delay_ns = -1;  // -1 = unreachable
+  std::size_t first_tag = 0;   // tag of the first link, 0 = none
+};
+
+/// All-pairs Dijkstra over `g`, breaking ties as routing must: nodes settle
+/// in (delay, id) order and relax their edges in connect() order under a
+/// strict `<`, so of several equal-delay paths the first found keeps its
+/// first link.
+std::vector<std::vector<RefRoute>> all_pairs_routes(const RefGraph& g) {
+  std::vector<std::vector<RefRoute>> all(g.size(),
+                                         std::vector<RefRoute>(g.size()));
+  using Entry = std::pair<std::int64_t, std::uint32_t>;
+  for (std::uint32_t src = 1; src < g.size(); ++src) {
+    std::vector<RefRoute>& row = all[src];
+    std::priority_queue<Entry, std::vector<Entry>, std::greater<>> queue;
+    row[src].delay_ns = 0;
+    queue.emplace(0, src);
+    while (!queue.empty()) {
+      const auto [d, u] = queue.top();
+      queue.pop();
+      if (d > row[u].delay_ns) continue;
+      for (const RefEdge& e : g[u]) {
+        RefRoute& r = row[e.to];
+        if (r.delay_ns < 0 || d + e.delay_ns < r.delay_ns) {
+          r.delay_ns = d + e.delay_ns;
+          r.first_tag = u == src ? e.tag : row[u].first_tag;
+          queue.emplace(r.delay_ns, e.to);
+        }
+      }
+    }
+  }
+  return all;
+}
+
+TEST(NetworkRouting, LazyRowsMatchAllPairsReference) {
+  constexpr std::size_t kTagBase = 1000;
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    std::mt19937_64 rng(seed);
+    sim::Simulator simulator;
+    Network network(simulator);
+    RefGraph ref(1);               // slot 0: no node has id 0
+    std::vector<Node*> nodes;      // every node, by id - 1
+    std::vector<Node*> linkable;   // the nodes random links may join
+    std::vector<std::uint32_t> far_end;  // tag - kTagBase -> link's dst id
+    SimTime arrived = SimTime::infinity();
+
+    const auto add_node = [&](bool island) -> Node& {
+      Node& n = network.add_node("n" + std::to_string(nodes.size() + 1));
+      n.set_receive_handler(
+          [&](const PacketPtr&) { arrived = simulator.now(); });
+      nodes.push_back(&n);
+      if (!island) linkable.push_back(&n);
+      ref.emplace_back();
+      return n;
+    };
+    const auto direction = [&](Node& from, Node& to, std::int64_t ms) {
+      LinkConfig cfg;
+      cfg.propagation_delay = SimTime::milliseconds(ms);
+      cfg.bandwidth_bps = 0;  // arrival time = sum of propagation delays
+      cfg.queue_capacity = kTagBase + far_end.size();
+      far_end.push_back(to.id().value());
+      ref[from.id().value()].push_back(RefEdge{
+          to.id().value(), cfg.propagation_delay.ns(), cfg.queue_capacity});
+      return cfg;
+    };
+    const auto link = [&](Node& a, Node& b, std::int64_t ab_ms,
+                          std::int64_t ba_ms) {
+      const LinkConfig ab = direction(a, b, ab_ms);
+      const LinkConfig ba = direction(b, a, ba_ms);
+      network.connect(a, b, ab, ba);
+      return ab.queue_capacity;
+    };
+    const auto random_delay_ms = [&] {
+      constexpr std::int64_t kDelays[] = {0, 1, 1, 2, 3, 5};  // ties, zeros
+      return kDelays[rng() % std::size(kDelays)];
+    };
+    const auto any_linkable = [&]() -> Node& {
+      return *linkable[rng() % linkable.size()];
+    };
+
+    // Every ordered pair: first the links route() would take (rows it built
+    // lazily, or rebuilds now if stale), then the path delays.
+    const auto check_every_pair = [&](const char* when) {
+      SCOPED_TRACE(when);
+      const auto expect = all_pairs_routes(ref);
+      for (Node* a : nodes) {
+        for (Node* b : nodes) {
+          if (a == b) continue;
+          const Link* hop = network.first_hop_link(a->id(), b->id());
+          ASSERT_EQ(hop ? hop->config().queue_capacity : 0,
+                    expect[a->id().value()][b->id().value()].first_tag)
+              << a->name() << " -> " << b->name();
+        }
+      }
+      for (Node* a : nodes) {
+        for (Node* b : nodes) {
+          if (a == b) continue;
+          const std::int64_t want =
+              expect[a->id().value()][b->id().value()].delay_ns;
+          const SimTime got = network.path_delay(a->id(), b->id());
+          if (want < 0) {
+            EXPECT_TRUE(got.is_infinite()) << a->name() << " -> " << b->name();
+          } else {
+            EXPECT_EQ(got.ns(), want) << a->name() << " -> " << b->name();
+          }
+        }
+      }
+    };
+
+    // Packets between random pairs: each arrives after exactly the
+    // reference delay, or is a no-route drop at its source. Pairs whose
+    // reference hop-by-hop walk would circle a zero-delay loop get none.
+    const auto route_packets = [&](int count) {
+      const auto expect = all_pairs_routes(ref);
+      const auto walk_arrives = [&](std::uint32_t at, std::uint32_t dst) {
+        for (std::size_t hops = 0; hops <= nodes.size(); ++hops) {
+          if (at == dst) return true;
+          at = far_end[expect[at][dst].first_tag - kTagBase];
+        }
+        return false;
+      };
+      for (int k = 0; k < count; ++k) {
+        Node& a = *nodes[rng() % nodes.size()];
+        Node& b = *nodes[rng() % nodes.size()];
+        if (&a == &b) continue;
+        const std::int64_t want =
+            expect[a.id().value()][b.id().value()].delay_ns;
+        if (want >= 0 && !walk_arrives(a.id().value(), b.id().value())) {
+          continue;
+        }
+        const std::uint64_t drops = network.no_route_drops();
+        const SimTime sent = simulator.now();
+        arrived = SimTime::infinity();
+        a.send(make_packet(a.id(), b.id(), 10));
+        // One delivery event per hop, so a routing loop cannot hang the test.
+        simulator.run_steps(nodes.size());
+        ASSERT_TRUE(simulator.idle())
+            << "routing loop " << a.name() << " -> " << b.name();
+        if (want < 0) {
+          EXPECT_EQ(network.no_route_drops(), drops + 1);
+          EXPECT_TRUE(arrived.is_infinite());
+        } else {
+          EXPECT_EQ((arrived - sent).ns(), want)
+              << a.name() << " -> " << b.name();
+        }
+      }
+    };
+
+    for (int phase = 0; phase < 4; ++phase) {
+      // Grow the graph: random links with tied and zero delays, parallel
+      // links (the previous pair again), asymmetric directions.
+      for (int k = 0; k < 4; ++k) add_node(false);
+      Node* a = nullptr;
+      Node* b = nullptr;
+      for (int k = 0; k < 10; ++k) {
+        if (a == nullptr || rng() % 4 != 0) {
+          a = &any_linkable();
+          b = &any_linkable();
+        }
+        if (a != b) link(*a, *b, random_delay_ms(), random_delay_ms());
+      }
+      // A direct link slower than a two-hop detour, the shape of
+      // client -> fe-far in bench/ext_dns_resolution.
+      Node& x = any_linkable();
+      Node& relay = add_node(false);
+      Node& y = add_node(false);
+      link(x, y, 9, 9);
+      const std::size_t x_to_relay = link(x, relay, 2, 2);
+      link(relay, y, 3, 3);
+      route_packets(30);
+      const Link* detour = network.first_hop_link(x.id(), y.id());
+      ASSERT_NE(detour, nullptr);
+      EXPECT_EQ(detour->config().queue_capacity, x_to_relay);
+      // An island: add_node() alone must leave every route as it was.
+      add_node(true);
+      route_packets(30);
+      check_every_pair("lazy rows");
+    }
+    network.compute_routes();
+    check_every_pair("after the eager all-rows pass");
+  }
 }
 
 TEST(Geo, HaversineKnownDistance) {

@@ -4,10 +4,12 @@
 // single-shard plan reproduces the legacy serial path bit-for-bit.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "obs/export_chrome.hpp"
@@ -196,6 +198,33 @@ TEST(ReplicaExecutor, PinnedGrainNeverTunes) {
   unsetenv("DYNCDN_GRAIN");
   EXPECT_FALSE(from_env.auto_grain());
   EXPECT_EQ(from_env.grain(), 3u);
+}
+
+TEST(ReplicaExecutor, MalformedEnvIsRejectedNotDefaulted) {
+  for (const char* bad :
+       {"", "abc", "4x", "-2", "1.5", "99999999999999999999"}) {
+    SCOPED_TRACE(std::string("value '") + bad + "'");
+    setenv("DYNCDN_THREADS", bad, 1);
+    EXPECT_THROW(parallel::resolve_threads({}), std::invalid_argument);
+    EXPECT_THROW(parallel::ReplicaExecutor({0, 1}), std::invalid_argument);
+    EXPECT_EQ(parallel::resolve_threads({3, 0}), 3u);  // option wins unread
+    unsetenv("DYNCDN_THREADS");
+    setenv("DYNCDN_GRAIN", bad, 1);
+    EXPECT_THROW(parallel::resolve_grain({}), std::invalid_argument);
+    EXPECT_THROW(parallel::grain_is_auto({}), std::invalid_argument);
+    EXPECT_EQ(parallel::resolve_grain({1, 5}), 5u);
+    unsetenv("DYNCDN_GRAIN");
+  }
+  setenv("DYNCDN_THREADS", "3", 1);
+  EXPECT_EQ(parallel::resolve_threads({}), 3u);
+  setenv("DYNCDN_THREADS", "0", 1);  // 0 = unset: the hardware default
+  unsetenv("DYNCDN_GRAIN");
+  EXPECT_EQ(parallel::resolve_threads({}),
+            std::max(1u, std::thread::hardware_concurrency()));
+  unsetenv("DYNCDN_THREADS");
+  setenv("DYNCDN_GRAIN", "0", 1);  // 0 = unset: auto-tuning
+  EXPECT_TRUE(parallel::grain_is_auto({}));
+  unsetenv("DYNCDN_GRAIN");
 }
 
 TEST(ReplicaExecutor, SkewedWorkloadMatchesSerialResults) {

@@ -1,10 +1,18 @@
 // Unit tests for the discrete-event kernel: SimTime arithmetic, event
-// ordering and cancellation, run loops, and RNG determinism.
+// ordering and cancellation, run loops, RNG determinism, and the strict
+// number parsing of outside input.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdlib>
+#include <limits>
+#include <random>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "sim/event_queue.hpp"
+#include "sim/parse.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
 #include "sim/time.hpp"
@@ -289,6 +297,106 @@ TEST(Rng, NormalMsClampsAtFloor) {
   for (int i = 0; i < 1000; ++i) {
     EXPECT_GE(s.normal_ms(1.0, 10.0, 0.5), SimTime::from_milliseconds(0.5));
   }
+}
+
+TEST(Rng, LazilySeededStreamMatchesEagerEngine) {
+  // Each draw helper, from a fresh stream, against the same distribution
+  // over an engine seeded at construction.
+  constexpr std::uint64_t kSeed = 0x5eed5eed5eedULL;
+  using Engine = std::mt19937_64;
+  const auto same = [](auto draw, auto reference) {
+    RngStream lazy(kSeed);
+    Engine eager(kSeed);
+    for (int i = 0; i < 64; ++i) ASSERT_EQ(draw(lazy), reference(eager)) << i;
+  };
+  same([](RngStream& s) { return s.engine()(); },
+       [](Engine& e) { return e(); });
+  same([](RngStream& s) { return s.uniform01(); },
+       [](Engine& e) {
+         return std::uniform_real_distribution<double>(0.0, 1.0)(e);
+       });
+  same([](RngStream& s) { return s.uniform(-3.0, 7.0); },
+       [](Engine& e) {
+         return std::uniform_real_distribution<double>(-3.0, 7.0)(e);
+       });
+  same([](RngStream& s) { return s.uniform_int(-5, 1000); },
+       [](Engine& e) {
+         return std::uniform_int_distribution<std::int64_t>(-5, 1000)(e);
+       });
+  same([](RngStream& s) { return s.chance(0.3); },
+       [](Engine& e) {
+         return std::uniform_real_distribution<double>(0.0, 1.0)(e) < 0.3;
+       });
+  same([](RngStream& s) { return s.normal(10.0, 2.0); },
+       [](Engine& e) {
+         return std::normal_distribution<double>(10.0, 2.0)(e);
+       });
+  same([](RngStream& s) { return s.lognormal_median(20.0, 0.5); },
+       [](Engine& e) {
+         return std::lognormal_distribution<double>(std::log(20.0), 0.5)(e);
+       });
+  same([](RngStream& s) { return s.exponential(4.0); },
+       [](Engine& e) {
+         return std::exponential_distribution<double>(1.0 / 4.0)(e);
+       });
+  same([](RngStream& s) { return s.pareto(2.0, 1.5); },
+       [](Engine& e) {
+         const double u =
+             1.0 - std::uniform_real_distribution<double>(0.0, 1.0)(e);
+         return 2.0 / std::pow(u, 1.0 / 1.5);
+       });
+  same([](RngStream& s) { return s.normal_ms(5.0, 3.0, 1.0).ns(); },
+       [](Engine& e) {
+         const double v = std::normal_distribution<double>(5.0, 3.0)(e);
+         return SimTime::from_milliseconds(v < 1.0 ? 1.0 : v).ns();
+       });
+  same([](RngStream& s) { return s.lognormal_ms(8.0, 0.4).ns(); },
+       [](Engine& e) {
+         return SimTime::from_milliseconds(
+                    std::lognormal_distribution<double>(std::log(8.0),
+                                                        0.4)(e))
+             .ns();
+       });
+}
+
+TEST(Rng, CopyBeforeFirstDrawReplaysTheOriginal) {
+  RngStream original = RngFactory(42).stream("copy");
+  RngStream copy = original;  // nothing drawn yet: the engine is unseeded
+  std::vector<double> a, b;
+  for (int i = 0; i < 32; ++i) a.push_back(original.uniform01());
+  for (int i = 0; i < 32; ++i) b.push_back(copy.uniform01());
+  EXPECT_EQ(a, b);
+  RngStream midway = original;  // a seeded engine copies its position
+  EXPECT_EQ(midway.uniform01(), original.uniform01());
+}
+
+TEST(Parse, UintAcceptsWholeNumbersOnly) {
+  EXPECT_EQ(parse_uint("0"), 0u);
+  EXPECT_EQ(parse_uint("007"), 7u);
+  EXPECT_EQ(parse_uint("18446744073709551615"),
+            std::numeric_limits<std::uint64_t>::max());
+  for (const char* bad : {"", "abc", "4x", "x4", "-1", "+1", " 1", "1 ", "0x10",
+                          "1.5", "18446744073709551616"}) {
+    EXPECT_FALSE(parse_uint(bad).has_value()) << "'" << bad << "'";
+  }
+}
+
+TEST(Parse, EnvUintThrowsOnMalformedValues) {
+  constexpr const char* kVar = "DYNCDN_PARSE_TEST_VALUE";
+  unsetenv(kVar);
+  EXPECT_FALSE(env_uint(kVar).has_value());
+  setenv(kVar, "12", 1);
+  EXPECT_EQ(env_uint(kVar), 12u);
+  for (const char* bad : {"", "abc", "12abc", "-3"}) {
+    setenv(kVar, bad, 1);
+    try {
+      env_uint(kVar);
+      ADD_FAILURE() << "accepted '" << bad << "'";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(kVar), std::string::npos);
+    }
+  }
+  unsetenv(kVar);
 }
 
 }  // namespace

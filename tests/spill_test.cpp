@@ -23,6 +23,7 @@
 #include "obs/export_chrome.hpp"
 #include "obs/export_prometheus.hpp"
 #include "search/keywords.hpp"
+#include "sim/parse.hpp"
 #include "tcp/stack.hpp"
 #include "testbed/experiment.hpp"
 #include "testbed/parallel_experiment.hpp"
@@ -425,7 +426,7 @@ TEST(SpillRecorder, ClearResetsSpilledState) {
 // ---------------------------------------------------------------------------
 
 TEST(SpillScenario, ParseByteSizeSuffixes) {
-  using testbed::parse_byte_size;
+  using sim::parse_byte_size;
   EXPECT_EQ(parse_byte_size("0"), std::size_t{0});
   EXPECT_EQ(parse_byte_size("1024"), std::size_t{1024});
   EXPECT_EQ(parse_byte_size("4k"), std::size_t{4096});
@@ -436,6 +437,9 @@ TEST(SpillScenario, ParseByteSizeSuffixes) {
   EXPECT_FALSE(parse_byte_size("k").has_value());
   EXPECT_FALSE(parse_byte_size("12x").has_value());
   EXPECT_FALSE(parse_byte_size("1kb").has_value());
+  EXPECT_FALSE(parse_byte_size("-1").has_value());
+  EXPECT_FALSE(parse_byte_size(" 64k").has_value());
+  EXPECT_FALSE(parse_byte_size("17179869184G").has_value());  // 2^64 bytes
 }
 
 testbed::ScenarioOptions spill_scenario(std::size_t budget,

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <map>
+#include <stdexcept>
 
 #include "stats/descriptive.hpp"
 
@@ -144,6 +146,15 @@ TEST(Scenario, WirelessVantagePointsGetLossyAccessLinks) {
                          [&](const cdn::QueryResult& r) { result = r; });
   s.run();
   EXPECT_FALSE(result.failed) << result.failure_reason;
+}
+
+TEST(Scenario, MalformedSimShardsEnvIsRejected) {
+  setenv("DYNCDN_SIM_SHARDS", "two", 1);
+  EXPECT_THROW(Scenario{small_options(cdn::google_like_profile(), 2)},
+               std::invalid_argument);
+  unsetenv("DYNCDN_SIM_SHARDS");
+  const Scenario serial(small_options(cdn::google_like_profile(), 2));
+  EXPECT_EQ(serial.shard_count(), 1u);
 }
 
 TEST(Scenario, BuildsFullTopology) {

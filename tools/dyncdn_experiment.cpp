@@ -18,6 +18,7 @@
 #include <filesystem>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -27,6 +28,7 @@
 #include "obs/export_prometheus.hpp"
 #include "obs/memory.hpp"
 #include "search/keywords.hpp"
+#include "sim/parse.hpp"
 #include "testbed/parallel_experiment.hpp"
 #include "testbed/scenario.hpp"
 
@@ -115,6 +117,19 @@ void usage() {
       "x 3)\n");
 }
 
+/// Store the whole number `text` in `out`, or report the flag and fail.
+template <class T>
+bool whole_number(const char* flag, const std::string& text, T& out) {
+  const std::optional<std::uint64_t> v = sim::parse_uint(text);
+  if (!v) {
+    std::fprintf(stderr, "bad %s value '%s': expected a whole number\n", flag,
+                 text.c_str());
+    return false;
+  }
+  out = static_cast<T>(*v);
+  return true;
+}
+
 std::optional<CliOptions> parse_args(int argc, char** argv) {
   CliOptions opt;
   for (int i = 1; i < argc; ++i) {
@@ -131,24 +146,21 @@ std::optional<CliOptions> parse_args(int argc, char** argv) {
     } else if (auto v = value("--service=")) {
       opt.service = *v;
     } else if (auto v = value("--clients=")) {
-      opt.clients = static_cast<std::size_t>(std::strtoull(v->c_str(),
-                                                           nullptr, 10));
+      if (!whole_number("--clients", *v, opt.clients)) return std::nullopt;
     } else if (auto v = value("--reps=")) {
-      opt.reps = static_cast<std::size_t>(std::strtoull(v->c_str(), nullptr,
-                                                        10));
+      if (!whole_number("--reps", *v, opt.reps)) return std::nullopt;
     } else if (auto v = value("--seed=")) {
-      opt.seed = std::strtoull(v->c_str(), nullptr, 10);
+      if (!whole_number("--seed", *v, opt.seed)) return std::nullopt;
     } else if (auto v = value("--save-traces=")) {
       opt.save_traces = *v;
     } else if (auto v = value("--threads=")) {
-      opt.threads = static_cast<std::size_t>(std::strtoull(v->c_str(),
-                                                           nullptr, 10));
+      if (!whole_number("--threads", *v, opt.threads)) return std::nullopt;
     } else if (auto v = value("--shards-per-scenario=")) {
-      opt.sim_shards = static_cast<std::size_t>(std::strtoull(v->c_str(),
-                                                              nullptr, 10));
+      if (!whole_number("--shards-per-scenario", *v, opt.sim_shards)) {
+        return std::nullopt;
+      }
     } else if (auto v = value("--shards=")) {
-      opt.shards = static_cast<std::size_t>(std::strtoull(v->c_str(),
-                                                          nullptr, 10));
+      if (!whole_number("--shards", *v, opt.shards)) return std::nullopt;
     } else if (auto v = value("--trace-out=")) {
       opt.trace_out = *v;
     } else if (auto v = value("--metrics-out=")) {
@@ -166,7 +178,7 @@ std::optional<CliOptions> parse_args(int argc, char** argv) {
     } else if (auto v = value("--slow-threshold=")) {
       opt.slow_threshold_ms = std::strtod(v->c_str(), nullptr);
     } else if (auto v = value("--capture-budget=")) {
-      const auto bytes = testbed::parse_byte_size(*v);
+      const auto bytes = sim::parse_byte_size(*v);
       if (!bytes) {
         std::fprintf(stderr, "bad --capture-budget value: %s\n", v->c_str());
         return std::nullopt;
@@ -573,8 +585,14 @@ int run_factoring(const CliOptions& cli) {
 int main(int argc, char** argv) {
   const auto cli = parse_args(argc, argv);
   if (!cli) return 2;
-  if (cli->experiment == "fixed-fe") return run_measurement(*cli, true);
-  if (cli->experiment == "default-fe") return run_measurement(*cli, false);
-  if (cli->experiment == "caching") return run_caching(*cli);
-  return run_factoring(*cli);
+  try {
+    if (cli->experiment == "fixed-fe") return run_measurement(*cli, true);
+    if (cli->experiment == "default-fe") return run_measurement(*cli, false);
+    if (cli->experiment == "caching") return run_caching(*cli);
+    return run_factoring(*cli);
+  } catch (const std::exception& e) {
+    // E.g. a malformed DYNCDN_THREADS or DYNCDN_SIM_SHARDS.
+    std::fprintf(stderr, "dyncdn_experiment: %s\n", e.what());
+    return 1;
+  }
 }
