@@ -15,9 +15,7 @@
 #include <string>
 #include <string_view>
 
-#include "analysis/boundary.hpp"
-#include "analysis/reassembly.hpp"
-#include "analysis/timeline.hpp"
+#include "analysis/streaming.hpp"
 #include "capture/serialize.hpp"
 #include "capture/spill.hpp"
 #include "core/inference.hpp"
@@ -81,18 +79,13 @@ int main(int argc, char** argv) {
   std::printf("stage 2: loaded %zu packets (node %u)\n", trace.size(),
               trace.node().value());
 
-  // Content analysis: reassemble every response and find the common prefix.
-  const capture::PacketTrace service = trace.filter_remote_port(80);
-  std::vector<std::string> responses;
-  for (const net::FlowId& flow : service.flows()) {
-    auto stream =
-        analysis::reassemble(service, flow, capture::Direction::kReceived);
-    if (!stream.empty()) responses.push_back(stream.bytes());
-  }
-  const std::size_t boundary = analysis::common_prefix_boundary(responses);
+  // Content analysis: replay the trace through the analyzer's boundary
+  // probe, which finds the common prefix of the responses.
+  const analysis::ProbedBoundary probed = analysis::probe_boundary(trace, 80);
+  const std::size_t boundary = probed.boundary;
   std::printf("content analysis: %zu responses, static portion = %zu "
               "bytes\n",
-              responses.size(), boundary);
+              probed.responses, boundary);
 
   // Timeline extraction + inference.
   const auto timelines = analysis::extract_all_timelines(trace, 80, boundary);

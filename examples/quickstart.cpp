@@ -5,7 +5,6 @@
 //   $ ./examples/quickstart
 #include <cstdio>
 
-#include "analysis/boundary.hpp"
 #include "analysis/timeline.hpp"
 #include "core/inference.hpp"
 #include "core/timings.hpp"

@@ -18,14 +18,6 @@ std::size_t common_prefix_boundary(std::span<const std::string> responses) {
   return prefix;
 }
 
-std::size_t common_prefix_boundary(
-    std::span<const ReassembledStream> streams) {
-  std::vector<std::string> bodies;
-  bodies.reserve(streams.size());
-  for (const ReassembledStream& s : streams) bodies.push_back(s.bytes());
-  return common_prefix_boundary(bodies);
-}
-
 std::vector<EventCluster> temporal_clusters(const ReassembledStream& stream,
                                             sim::SimTime min_gap) {
   std::vector<EventCluster> clusters;

@@ -4,8 +4,8 @@
 // analysis across responses to *different* queries: bytes common to every
 // response (HTTP header, HTML head, CSS, menu bar) are static; everything
 // after the first divergence is dynamic. It cross-checks with temporal
-// clustering of packet events (Fig. 4). Both techniques are implemented
-// here, operating only on captured data.
+// clustering of packet events (Fig. 4). Both techniques operate only on
+// captured data.
 #pragma once
 
 #include <cstddef>
@@ -21,11 +21,10 @@ namespace dyncdn::analysis {
 /// Longest common prefix (in bytes) across response bodies of different
 /// queries. Returns 0 for fewer than two streams. With responses to
 /// distinct keywords, this is the static-portion length (including the
-/// HTTP header block).
+/// HTTP header block). Discovery itself runs StreamingAnalyzer's boundary
+/// probe (analysis/streaming.hpp), which computes this without retaining
+/// whole responses; this plain form is its reference in tests.
 std::size_t common_prefix_boundary(std::span<const std::string> responses);
-
-/// Convenience overload for reassembled streams.
-std::size_t common_prefix_boundary(std::span<const ReassembledStream> streams);
 
 /// A temporal cluster of packet arrivals (Fig. 4's visual groupings).
 struct EventCluster {

@@ -26,9 +26,8 @@ StreamingTimeline::StreamingTimeline(const net::FlowId& flow) {
 void StreamingTimeline::observe(const capture::PacketRecord& r) {
   const bool sent = r.direction == capture::Direction::kSent;
 
-  // Control-plane events: this chain must stay a verbatim mirror of
-  // timeline_from_conn() — same conditions, same else-if exclusivity — or
-  // streaming results drift from the post-hoc path.
+  // Control-plane events: the first SYN sent, SYN-ACK received, request
+  // payload sent and server ACK of that payload, each taken once.
   if (sent && r.tcp.flags.syn && !saw_syn_) {
     tl_.tb = r.timestamp;
     client_iss_ = r.tcp.seq;
@@ -46,8 +45,8 @@ void StreamingTimeline::observe(const capture::PacketRecord& r) {
     saw_t2_ = true;
   }
 
-  // Received-side stream state, mirroring reassemble(): the normalizer is
-  // the *last* received SYN seq (+1), falling back to the minimum data
+  // Received-side stream state, normalized as reassemble() does: the base
+  // is the *last* received SYN seq (+1), falling back to the minimum data
   // seq; segments are kept raw because the base is only final at the end.
   if (!sent) {
     if (r.tcp.flags.syn) rcv_iss_ = r.tcp.seq;
@@ -73,7 +72,7 @@ QueryTimeline StreamingTimeline::finalize(std::size_t boundary) const {
     return tl;
   }
 
-  // Normalize segments exactly as reassemble() would over the full trace.
+  // Normalize the segments against the now-final stream base.
   std::vector<ReassembledStream::Segment> segments;
   if (min_data_seq_) {
     const std::uint64_t base = rcv_iss_ ? *rcv_iss_ + 1 : *min_data_seq_;
@@ -125,7 +124,7 @@ void StreamingAnalyzer::on_packet(const capture::PacketRecord& record) {
 
   if (!slot.live) {
     // Flow already collapsed online. Teardown ACKs are inert by
-    // construction; anything else would have changed the post-hoc result.
+    // construction; anything else might have changed a replay's result.
     if (!is_pure_ack(record)) ++late_packets_;
     return;
   }
@@ -214,7 +213,10 @@ void StreamingAnalyzer::begin_boundary_probe() {
 std::size_t StreamingAnalyzer::probe_flows() const {
   std::size_t n = 0;
   for (const ProbeFlow& f : probe_flows_) {
-    if (f.full_length > 0 || !f.pending.empty()) ++n;
+    const bool pending_payload =
+        std::any_of(f.pending.begin(), f.pending.end(),
+                    [](const auto& p) { return !p.bytes.empty(); });
+    if (f.has_payload || pending_payload) ++n;
   }
   return n;
 }
@@ -283,10 +285,12 @@ void StreamingAnalyzer::apply_probe_segment(
   if (seq < base) return;  // pre-data sequence space (SYN)
   const std::size_t offset = static_cast<std::size_t>(seq - base);
   pf.full_length = std::max(pf.full_length, offset + payload_size);
-  if (payload.empty() || offset >= probe_cap_) return;
+  if (payload.empty()) return;
+  pf.has_payload = true;
+  if (offset >= probe_cap_) return;
 
-  // Mirror reassemble()'s overwrite-copy, clipped to the shared cap: gaps
-  // are '\0' filler until (and unless) a retransmission covers them.
+  // Overwrite-copy like reassemble(), clipped to the shared cap: gaps are
+  // '\0' filler until (and unless) a retransmission covers them.
   const std::size_t end = std::min(offset + payload.size(), probe_cap_);
   if (pf.bytes.size() < end) pf.bytes.resize(end, '\0');
   std::copy(payload.begin(),
@@ -380,10 +384,11 @@ std::size_t StreamingAnalyzer::finish_boundary_probe() {
   // Exact final scan over the settled buffers. Unlike the incremental
   // pass this includes '\0' gap filler, exactly as common_prefix_boundary
   // would see it in a fully reassembled string; and the reference is the
-  // first *non-empty* stream, matching the post-hoc responses vector.
+  // first stream that carried payload bytes. Headers-only streams are no
+  // responses to compare: without them there is no boundary.
   std::vector<const ProbeFlow*> nonempty;
   for (const ProbeFlow& f : probe_flows_) {
-    if (f.full_length > 0) nonempty.push_back(&f);
+    if (f.has_payload) nonempty.push_back(&f);
   }
   std::size_t boundary = 0;
   if (nonempty.size() >= 2) {
@@ -414,6 +419,17 @@ void StreamingAnalyzer::reset_probe() {
   probe_arena_.reset();
   probe_cap_ = std::numeric_limits<std::size_t>::max();
   probing_ = false;
+}
+
+ProbedBoundary probe_boundary(const capture::PacketTrace& trace,
+                              net::Port server_port) {
+  StreamingAnalyzer analyzer(server_port);
+  analyzer.begin_boundary_probe();
+  capture::replay(trace, analyzer);
+  ProbedBoundary out;
+  out.responses = analyzer.probe_flows();
+  out.boundary = analyzer.finish_boundary_probe();
+  return out;
 }
 
 }  // namespace dyncdn::analysis

@@ -1,24 +1,25 @@
-// Online (streaming) timeline extraction.
+// Fig.-2 timeline and boundary reduction: the one reducer.
 //
-// The post-hoc pipeline retains every PacketRecord of a campaign and
-// reduces traces to Fig.-2 timelines afterwards, so memory grows with
-// total packets. The streaming pipeline reduces each flow *as packets are
-// captured*: a StreamingTimeline keeps only the control-event state machine
-// plus the received-side segment list (seq, length, timestamp — never
-// payload bytes), and once the static/dynamic boundary is known a finished
-// flow is collapsed to its QueryTimeline the moment its teardown is
-// observed. Campaign memory becomes O(in-flight flows), not O(packets).
+// StreamingAnalyzer is the only code that turns captured packets into
+// QueryTimelines or a static/dynamic boundary. A StreamingTimeline keeps
+// per flow only the control-event state machine plus the received-side
+// segment list (seq, length, timestamp — never payload bytes), so analysis
+// memory is O(in-flight flows), not O(packets). Both campaign modes run it:
 //
-// Equivalence contract: for any capture, drain() must produce timelines
-// byte-identical to extract_all_timelines() over the retained trace —
-// including invalid_reason strings and the order of validity checks. The
-// implementation guarantees this by construction: the per-packet control
-// scan mirrors timeline_from_conn's else-if chain exactly, segment
-// normalization mirrors reassemble() (base = last received SYN seq + 1,
-// else min data seq; seq < base skipped), and the response-data events are
-// computed by the very same finish_timeline_from_stream() the post-hoc
-// path uses. Tests in tests/streaming_test.cpp enforce tolerance-0
-// equality on out-of-order, retransmitted and interleaved inputs.
+//   live streaming (ScenarioOptions::stream_analysis) attaches it to a
+//     recorder and sets the boundary right after discovery, so each flow
+//     collapses to its QueryTimeline the moment its teardown is captured;
+//   replay (capture mode, extract_all_timelines, trace_inspect, the
+//     examples) feeds a retained capture, in capture order, to a fresh
+//     analyzer that learns the boundary only at drain(), so every flow
+//     collapses at drain() after all of its packets.
+//
+// The two agree unless the live analyzer reports late_packets(): a packet
+// other than a pure ACK that reached a flow after it collapsed (e.g. a
+// retransmission after both FINs, which lossy or reordering paths
+// produce). Such a packet can move te, t4 or t5 in a replay but not live.
+// Choosing one te rule for those retransmissions changes results, so it is
+// left to its own change.
 #pragma once
 
 #include <cstdint>
@@ -41,8 +42,7 @@ namespace dyncdn::analysis {
 /// Incremental Fig.-2 timeline builder for one TCP flow.
 ///
 /// Feed it every packet of the flow in capture order via observe(); call
-/// finalize() once (teardown seen, or at drain time) to obtain the same
-/// QueryTimeline the post-hoc extract_timeline() would produce.
+/// finalize() (teardown seen, or at drain time) to obtain its QueryTimeline.
 class StreamingTimeline {
  public:
   explicit StreamingTimeline(const net::FlowId& flow);
@@ -83,8 +83,7 @@ class StreamingTimeline {
 };
 
 /// Multi-flow streaming analyzer: a capture::PacketSink that groups packets
-/// by connection (first-appearance order, matching split_by_flow) and
-/// emits QueryTimelines online.
+/// by connection (first-appearance order) and emits QueryTimelines.
 ///
 /// Boundary lifecycle: until set_boundary() is called, completed flows stay
 /// buffered (their timeline depends on the static/dynamic split). After
@@ -92,7 +91,7 @@ class StreamingTimeline {
 /// every flow collapses to its timeline at teardown. drain() returns all
 /// timelines in first-appearance flow order and resets the flow table; the
 /// boundary persists across drains (multi-phase experiments reuse it) and
-/// is only cleared by on_clear(), which mirrors TraceRecorder::clear().
+/// is only cleared by on_clear(), which TraceRecorder::clear() forwards.
 class StreamingAnalyzer final : public capture::PacketSink {
  public:
   explicit StreamingAnalyzer(net::Port server_port);
@@ -112,8 +111,7 @@ class StreamingAnalyzer final : public capture::PacketSink {
   bool has_boundary() const { return boundary_.has_value(); }
 
   /// Finalize every remaining flow and return all timelines in
-  /// first-appearance order (identical to extract_all_timelines over the
-  /// equivalent retained trace). Resets the flow table; keeps the boundary.
+  /// first-appearance order. Resets the flow table; keeps the boundary.
   std::vector<QueryTimeline> drain(std::size_t boundary);
 
   /// Deterministic live footprint (builders + buffered timelines).
@@ -131,23 +129,24 @@ class StreamingAnalyzer final : public capture::PacketSink {
   ///
   /// While a probe is active, packets do NOT feed the timeline flow table —
   /// probe traffic must never surface in drain(). finish_boundary_probe()
-  /// returns the longest common prefix across all non-empty response
-  /// streams, byte-identical to common_prefix_boundary() over the fully
-  /// reassembled responses (including '\0' gap filler), or 0 when fewer
-  /// than two streams carried data. Requires payload capture upstream.
+  /// returns the longest common prefix across all response streams whose
+  /// data carried payload bytes, equal to common_prefix_boundary() over
+  /// the fully reassembled responses (including '\0' gap filler), or 0
+  /// when fewer than two did (a headers-only capture has no boundary).
   void begin_boundary_probe();
   std::size_t finish_boundary_probe();
   bool probing() const { return probing_; }
-  /// Response streams with data seen by the active probe (the equivalent of
-  /// the post-hoc path's non-empty reassembled-responses count).
+  /// Response streams seen by the active probe whose data carried payload
+  /// bytes (the responses finish_boundary_probe() compares).
   std::size_t probe_flows() const;
 
   /// Flows collapsed online (at teardown, before drain).
   std::uint64_t timelines_emitted_online() const { return emitted_online_; }
 
   /// Non-trivial packets (anything but a pure ACK) that arrived for a flow
-  /// already collapsed online. Always 0 in correct operation; a nonzero
-  /// value means the streaming result may diverge from post-hoc analysis.
+  /// already collapsed online. A nonzero value means a replay of the same
+  /// capture may give a different timeline for that flow (see the top of
+  /// this file); a replay, which collapses only at drain(), reports 0.
   std::uint64_t late_packets() const { return late_packets_; }
 
   net::Port server_port() const { return server_port_; }
@@ -159,8 +158,8 @@ class StreamingAnalyzer final : public capture::PacketSink {
     std::optional<QueryTimeline> done;
   };
 
-  /// One response stream under boundary probing: a clipped mirror of what
-  /// reassemble() would build, plus the bookkeeping needed to compare it
+  /// One response stream under boundary probing: a clipped copy of the
+  /// reassembled response, plus the bookkeeping needed to compare it
   /// incrementally against the reference flow.
   struct ProbeFlow {
     net::FlowId flow;
@@ -180,6 +179,7 @@ class StreamingAnalyzer final : public capture::PacketSink {
     std::vector<std::pair<std::size_t, std::size_t>> covered;  // merged
     std::size_t contig = 0;       // covered prefix is [0, contig)
     std::size_t full_length = 0;  // unclipped stream length
+    bool has_payload = false;     // some data segment carried bytes
     std::size_t cmp = 0;          // bytes matched against flow 0 so far
     std::optional<std::size_t> mismatch;  // first divergence vs flow 0
   };
@@ -225,5 +225,16 @@ class StreamingAnalyzer final : public capture::PacketSink {
   std::uint64_t emitted_online_ = 0;
   std::uint64_t late_packets_ = 0;
 };
+
+/// Content-analysis boundary of a retained capture.
+struct ProbedBoundary {
+  std::size_t boundary = 0;   // 0 when fewer than two responses qualify
+  std::size_t responses = 0;  // responses whose data carried payload bytes
+};
+
+/// Replay `trace` in capture order through a fresh analyzer's boundary
+/// probe: the offline form of testbed::discover_boundary.
+ProbedBoundary probe_boundary(const capture::PacketTrace& trace,
+                              net::Port server_port);
 
 }  // namespace dyncdn::analysis

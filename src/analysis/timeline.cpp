@@ -1,6 +1,9 @@
 #include "analysis/timeline.hpp"
 
 #include <cstdio>
+#include <utility>
+
+#include "analysis/streaming.hpp"
 
 namespace dyncdn::analysis {
 
@@ -17,62 +20,17 @@ std::string QueryTimeline::to_string() const {
   return buf;
 }
 
-namespace {
-
-/// Timeline extraction over a trace already reduced to one connection.
-QueryTimeline timeline_from_conn(const capture::PacketTrace& conn,
-                                 const net::FlowId& flow,
-                                 std::size_t boundary) {
-  QueryTimeline tl;
-  tl.flow = flow;
-  tl.boundary = boundary;
-
-  if (conn.empty()) {
-    tl.invalid_reason = "no packets for flow";
-    return tl;
-  }
-
-  // --- control-plane events -----------------------------------------------
-  bool saw_syn = false, saw_synack = false, saw_t1 = false, saw_t2 = false;
-  std::optional<std::uint64_t> client_iss;
-  for (const auto& r : conn.records()) {
-    const bool sent = r.direction == capture::Direction::kSent;
-    if (sent && r.tcp.flags.syn && !saw_syn) {
-      tl.tb = r.timestamp;
-      client_iss = r.tcp.seq;
-      saw_syn = true;
-    } else if (!sent && r.tcp.flags.syn && r.tcp.flags.ack && !saw_synack) {
-      tl.t_synack = r.timestamp;
-      saw_synack = true;
-    } else if (sent && r.payload_size > 0 && !saw_t1) {
-      tl.t1 = r.timestamp;  // the GET
-      saw_t1 = true;
-    } else if (!sent && saw_t1 && !saw_t2 && r.tcp.flags.ack && client_iss &&
-               r.tcp.ack > *client_iss + 1) {
-      // First packet from the server acknowledging request payload.
-      tl.t2 = r.timestamp;
-      saw_t2 = true;
-    }
-  }
-
-  if (!saw_syn || !saw_synack || !saw_t1 || !saw_t2) {
-    tl.invalid_reason = "incomplete handshake/request events";
-    return tl;
-  }
-
-  // --- response data events ------------------------------------------------
-  const ReassembledStream stream =
-      reassemble(conn, flow, capture::Direction::kReceived);
-  finish_timeline_from_stream(tl, stream, boundary);
-  return tl;
-}
-
-}  // namespace
-
 QueryTimeline extract_timeline(const capture::PacketTrace& trace,
                                const net::FlowId& flow,
                                std::size_t boundary) {
-  return timeline_from_conn(trace.filter_flow(flow), flow, boundary);
+  std::vector<QueryTimeline> timelines = extract_all_timelines(
+      trace.filter_flow(flow), flow.remote.port, boundary);
+  if (!timelines.empty()) return std::move(timelines.front());
+  QueryTimeline tl;
+  tl.flow = flow;
+  tl.boundary = boundary;
+  tl.invalid_reason = "no packets for flow";
+  return tl;
 }
 
 void finish_timeline_from_stream(QueryTimeline& tl,
@@ -132,14 +90,9 @@ void finish_timeline_from_stream(QueryTimeline& tl,
 std::vector<QueryTimeline> extract_all_timelines(
     const capture::PacketTrace& trace, net::Port server_port,
     std::size_t boundary) {
-  // One grouping pass instead of a full-trace rescan per flow: with Q
-  // queries in a client's capture the old shape was O(Q^2) record visits,
-  // which dominated campaign analysis time.
-  std::vector<QueryTimeline> out;
-  for (const auto& [flow, conn] : trace.split_by_flow(server_port)) {
-    out.push_back(timeline_from_conn(conn, flow, boundary));
-  }
-  return out;
+  StreamingAnalyzer analyzer(server_port);
+  capture::replay(trace, analyzer);
+  return analyzer.drain(boundary);
 }
 
 }  // namespace dyncdn::analysis

@@ -44,16 +44,17 @@ struct QueryTimeline {
   std::string to_string() const;
 };
 
-/// Extract the timeline for `flow` from a client-side trace, splitting the
-/// response at `boundary` stream bytes (from common_prefix_boundary()).
-/// The trace must contain the connection's handshake and data packets.
+/// Extract the timeline for `flow` (from the capture node's perspective)
+/// from a client-side trace, splitting the response at `boundary` stream
+/// bytes (from boundary discovery). The trace must contain the
+/// connection's handshake and data packets.
 QueryTimeline extract_timeline(const capture::PacketTrace& trace,
                                const net::FlowId& flow, std::size_t boundary);
 
 /// Fill the response-data events (t3, t4, t5, te) of `tl` from an
 /// already-reassembled receive stream, including the packet-granularity
 /// boundary snap, and set `tl.valid`. The control events (tb, t_synack,
-/// t1, t2) must already be set by the caller. Shared by extract_timeline
+/// t1, t2) must already be set by the caller. Shared by StreamingTimeline
 /// and the span-based reconstruction in the observability tooling, so both
 /// paths agree bit-for-bit.
 void finish_timeline_from_stream(QueryTimeline& tl,
@@ -61,7 +62,9 @@ void finish_timeline_from_stream(QueryTimeline& tl,
                                  std::size_t boundary);
 
 /// Extract timelines for every flow in the trace towards `server_port`
-/// (one per query connection), e.g. all port-80 connections of a node.
+/// (one per query connection, in first-appearance order), e.g. all port-80
+/// connections of a node. A replay of the trace through a fresh
+/// StreamingAnalyzer that learns the boundary at drain().
 std::vector<QueryTimeline> extract_all_timelines(
     const capture::PacketTrace& trace, net::Port server_port,
     std::size_t boundary);

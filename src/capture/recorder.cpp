@@ -4,6 +4,13 @@
 
 namespace dyncdn::capture {
 
+void replay(const PacketTrace& trace, PacketSink& sink) {
+  for (const PacketRecordView v : trace.records()) {
+    sink.on_packet(PacketRecord{v.timestamp, v.direction, v.src, v.dst, v.tcp,
+                                v.payload_size, v.payload});
+  }
+}
+
 TraceRecorder::TraceRecorder(net::Node& node, sim::Simulator& simulator,
                              RecorderOptions options)
     : simulator_(simulator), options_(options), trace_(node.id()) {
@@ -29,13 +36,13 @@ void TraceRecorder::set_spill(SpillWriter* spill, std::size_t budget_bytes) {
   spill_budget_ = spill != nullptr ? budget_bytes : 0;
 }
 
-PacketTrace TraceRecorder::full_trace() {
-  if (spill_ == nullptr || !has_spilled_) return trace_;
-  spill_->finish();
-  SpillReader reader(spill_->path());
-  PacketTrace full = reader.read_all();
-  for (const auto& r : trace_.records()) full.add(r);
-  return full;
+void TraceRecorder::replay(PacketSink& sink) {
+  if (spill_ != nullptr && has_spilled_) {
+    spill_->finish();
+    SpillReader(spill_->path()).for_each_record(
+        [&sink](const PacketRecord& r) { sink.on_packet(r); });
+  }
+  capture::replay(trace_, sink);
 }
 
 void TraceRecorder::record(Direction direction, const net::PacketPtr& packet) {

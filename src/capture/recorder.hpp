@@ -31,6 +31,10 @@ class PacketSink {
   virtual void on_clear() = 0;
 };
 
+/// Feed every record of `trace` to `sink` in capture order: an offline
+/// replay of a retained capture.
+void replay(const PacketTrace& trace, PacketSink& sink);
+
 struct RecorderOptions {
   /// Retain full payload bytes (needed for content analysis). Headers-only
   /// captures are cheaper for long load experiments.
@@ -92,11 +96,11 @@ class TraceRecorder {
   /// last clear() (i.e. trace() alone is an incomplete view).
   bool has_spilled() const { return has_spilled_; }
 
-  /// The complete capture: the spilled prefix reloaded from disk followed
-  /// by the in-memory tail. Finalizes the spill file (further capture
-  /// requires clear(), which restarts it). When nothing has spilled this
-  /// is simply a copy of trace().
-  PacketTrace full_trace();
+  /// Feed the complete capture to `sink` in capture order: the spilled
+  /// prefix read back from disk, then the in-memory tail. Finalizes the
+  /// spill file (further capture requires clear(), which restarts it).
+  /// When nothing has spilled this replays trace() alone.
+  void replay(PacketSink& sink);
 
   /// High-water mark of trace_.retained_bytes() across the recorder's
   /// lifetime (clear() does not rewind it) — the deterministic measure of

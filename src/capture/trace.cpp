@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "mem/flat_table.hpp"
-
 namespace dyncdn::capture {
 
 net::FlowId flow_at_capture(Direction direction, net::NodeId src,
@@ -54,21 +52,6 @@ PacketTrace PacketTrace::filter_remote_port(net::Port port) const {
   return filter([&](const PacketRecordView& r) {
     return r.flow_at_capture_node().remote.port == port;
   });
-}
-
-std::vector<std::pair<net::FlowId, PacketTrace>> PacketTrace::split_by_flow(
-    std::optional<net::Port> remote_port) const {
-  std::vector<std::pair<net::FlowId, PacketTrace>> out;
-  mem::FlatMap<net::FlowId, std::size_t> index;
-  for (std::size_t i = 0; i < size(); ++i) {
-    const PacketRecordView r = view(i);
-    const net::FlowId f = r.flow_at_capture_node();
-    if (remote_port && f.remote.port != *remote_port) continue;
-    const auto [slot, inserted] = index.try_emplace(f, out.size());
-    if (inserted) out.emplace_back(f, PacketTrace(node_));
-    out[*slot].second.add(r);
-  }
-  return out;
 }
 
 std::vector<net::FlowId> PacketTrace::flows() const {

@@ -18,7 +18,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -202,14 +201,6 @@ class PacketTrace {
   /// Records whose remote endpoint uses the given port (e.g. 80 selects
   /// all web traffic regardless of ephemeral client port).
   PacketTrace filter_remote_port(net::Port port) const;
-
-  /// All records grouped by connection (flow keyed from the capture node's
-  /// perspective), in order of first appearance, built in one pass.
-  /// Optionally keeps only flows whose remote endpoint uses `remote_port`.
-  /// Per-connection analysis over a long trace should prefer this to
-  /// filter_flow() per flow, which rescans the whole trace each time.
-  std::vector<std::pair<net::FlowId, PacketTrace>> split_by_flow(
-      std::optional<net::Port> remote_port = std::nullopt) const;
 
   /// Distinct flows present, keyed from the capture node's perspective,
   /// in order of first appearance.

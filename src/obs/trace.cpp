@@ -4,17 +4,7 @@
 #include <unordered_map>
 #include <utility>
 
-#include "obs/ring.hpp"
-
 namespace dyncdn::obs {
-
-TraceSession::TraceSession(std::size_t ring_capacity_bytes) {
-  if (ring_capacity_bytes > 0) {
-    ring_ = std::make_unique<RingBuffer>(ring_capacity_bytes);
-  }
-}
-
-TraceSession::~TraceSession() = default;
 
 SpanId TraceSession::begin_span(sim::SimTime at, std::string_view name,
                                 std::string_view category, SpanId parent) {
@@ -35,7 +25,6 @@ void TraceSession::end_span(SpanId id, sim::SimTime at) {
   if (span == nullptr || !span->open) return;
   span->end = at;
   span->open = false;
-  if (ring_) ring_->append(*span);
 }
 
 void TraceSession::add_arg(SpanId id, std::string_view key,

@@ -20,7 +20,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -28,8 +27,6 @@
 #include "sim/time.hpp"
 
 namespace dyncdn::obs {
-
-class RingBuffer;
 
 using SpanId = std::uint64_t;  // 0 = "no span"
 inline constexpr SpanId kNoSpan = 0;
@@ -89,10 +86,7 @@ struct SpanRecord {
 
 class TraceSession {
  public:
-  // ring_capacity_bytes > 0 additionally feeds every closed span into a
-  // bounded binary flight recorder (see ring.hpp).
-  explicit TraceSession(std::size_t ring_capacity_bytes = 0);
-  ~TraceSession();
+  TraceSession() = default;
 
   TraceSession(const TraceSession&) = delete;
   TraceSession& operator=(const TraceSession&) = delete;
@@ -136,8 +130,6 @@ class TraceSession {
   // keeps the merged list deterministic at any thread count.
   void absorb_shard(TraceSession& other);
 
-  RingBuffer* ring() const { return ring_.get(); }
-
  private:
   SpanRecord* find_mutable(SpanId id);
 
@@ -145,7 +137,6 @@ class TraceSession {
   SpanId id_base_ = 0;
   SpanId next_id_ = 1;
   std::vector<SpanRecord> spans_;
-  std::unique_ptr<RingBuffer> ring_;
 };
 
 /// Fixed-width (20-digit zero-padded) decimal encoding of a span id for

@@ -1,11 +1,10 @@
 #include "testbed/experiment.hpp"
 
+#include <memory>
 #include <stdexcept>
 
-#include "analysis/boundary.hpp"
-#include "analysis/reassembly.hpp"
 #include "analysis/span_attribution.hpp"
-#include "analysis/timeline.hpp"
+#include "analysis/streaming.hpp"
 
 namespace dyncdn::testbed {
 
@@ -19,26 +18,19 @@ std::vector<core::QueryTimings> analyze_client_trace(Scenario::Client& client,
     throw std::logic_error("experiment requires capture_clients=true");
   }
   if (client.analyzer) {
-    // Streaming path: flows were reduced online; drain returns the same
-    // timelines extract_all_timelines would produce, in the same order.
-    // No recorder->clear() here — the trace buffer is empty (retention is
-    // off) and clearing would also reset the analyzer's boundary, which
-    // multi-phase experiments reuse.
+    // Streaming mode: flows were reduced online. No recorder->clear() here
+    // — the trace buffer is empty (retention is off) and clearing would
+    // also reset the analyzer's boundary, which multi-phase experiments
+    // reuse.
     return core::timings_from_timelines(client.analyzer->drain(boundary));
   }
-  // Budgeted capture may have spilled the trace prefix to disk;
-  // full_trace() reloads it and appends the in-memory tail, so the
-  // analysis input is identical to an unbudgeted capture.
-  const auto timelines = [&] {
-    if (client.recorder->has_spilled()) {
-      const capture::PacketTrace full = client.recorder->full_trace();
-      return analysis::extract_all_timelines(full, kServicePort, boundary);
-    }
-    return analysis::extract_all_timelines(client.recorder->trace(),
-                                           kServicePort, boundary);
-  }();
+  // Capture mode: replay the whole capture (any spilled prefix, then the
+  // in-memory tail) through a fresh analyzer that learns the boundary at
+  // drain().
+  analysis::StreamingAnalyzer analyzer(kServicePort);
+  client.recorder->replay(analyzer);
   client.recorder->clear();
-  return core::timings_from_timelines(timelines);
+  return core::timings_from_timelines(analyzer.drain(boundary));
 }
 
 std::size_t discover_boundary(Scenario& scenario, std::size_t client_index,
@@ -51,17 +43,23 @@ std::size_t discover_boundary(Scenario& scenario, std::size_t client_index,
   scenario.connect_client_to_fe(client_index, fe_index);
 
   // Discovery reads response *content*, so payload capture must be on in
-  // either mode. In streaming mode the analyzer's boundary probe
-  // reassembles only a clipped prefix of each response (O(boundary)
-  // memory) and retention stays off; the post-hoc path retains the full
-  // payload trace. All toggles are restored afterwards.
+  // either mode. The analyzer's boundary probe reassembles only a clipped
+  // prefix of each response (O(boundary) memory): in streaming mode it is
+  // the client's own analyzer, fed live with retention off; in capture
+  // mode it is a fresh analyzer fed a replay of the retained capture after
+  // the run. All toggles are restored afterwards.
   const bool streaming = client.analyzer != nullptr;
   const bool prior_payloads = client.recorder->capture_payloads();
   const bool prior_retain = client.recorder->retain_packets();
   client.recorder->set_capture_payloads(true);
   if (!streaming) client.recorder->set_retain_packets(true);
   client.recorder->clear();
-  if (streaming) client.analyzer->begin_boundary_probe();
+  std::unique_ptr<analysis::StreamingAnalyzer> replayed;
+  if (!streaming) {
+    replayed = std::make_unique<analysis::StreamingAnalyzer>(kServicePort);
+  }
+  analysis::StreamingAnalyzer& probe = streaming ? *client.analyzer : *replayed;
+  probe.begin_boundary_probe();
 
   // Distinct keywords: the paper's content analysis relies on responses to
   // *different* queries so the common prefix stops at the static portion.
@@ -73,29 +71,9 @@ std::size_t discover_boundary(Scenario& scenario, std::size_t client_index,
   }
   scenario.run();
 
-  std::size_t response_count = 0;
-  std::size_t boundary = 0;
-  if (streaming) {
-    response_count = client.analyzer->probe_flows();
-    boundary = client.analyzer->finish_boundary_probe();
-  } else {
-    // Reassemble each connection's response stream. The probe phase can
-    // itself cross a spill budget (payload capture is forced on), so read
-    // the reassembled full trace when it did.
-    const capture::PacketTrace spilled = client.recorder->has_spilled()
-                                             ? client.recorder->full_trace()
-                                             : capture::PacketTrace{};
-    const capture::PacketTrace& probe_trace =
-        client.recorder->has_spilled() ? spilled : client.recorder->trace();
-    std::vector<std::string> responses;
-    for (const auto& [flow, conn] : probe_trace.split_by_flow(kServicePort)) {
-      analysis::ReassembledStream stream =
-          analysis::reassemble(conn, flow, capture::Direction::kReceived);
-      if (!stream.empty()) responses.push_back(stream.bytes());
-    }
-    response_count = responses.size();
-    boundary = analysis::common_prefix_boundary(responses);
-  }
+  if (!streaming) client.recorder->replay(probe);
+  const std::size_t response_count = probe.probe_flows();
+  const std::size_t boundary = probe.finish_boundary_probe();
   client.recorder->clear();
   client.recorder->set_capture_payloads(prior_payloads);
   client.recorder->set_retain_packets(prior_retain);

@@ -29,9 +29,9 @@ namespace dyncdn::testbed {
 
 /// Discover the static/dynamic boundary the way the paper does: submit
 /// `num_keywords` distinct queries from one client to one FE with payload
-/// capture enabled, reassemble the response streams, and take their
-/// longest common prefix. Leaves the client's recorder cleared and payload
-/// capture restored to its prior setting.
+/// capture enabled and take the longest common prefix of the responses
+/// (StreamingAnalyzer's boundary probe). Leaves the client's recorder
+/// cleared and payload capture restored to its prior setting.
 std::size_t discover_boundary(Scenario& scenario, std::size_t client_index,
                               std::size_t fe_index,
                               std::size_t num_keywords = 6);
@@ -104,9 +104,10 @@ struct ExperimentResult {
   std::vector<core::QueryTimings> all() const;
 };
 
-/// Analyze one client's captured trace into per-query timings, then clear
-/// the recorder (requires capture_clients=true). Shared by the serial and
-/// sharded experiment runners.
+/// Analyze one client's captured trace into per-query timings (requires
+/// capture_clients=true): drain its streaming analyzer, or in capture mode
+/// replay its whole capture through a fresh one and clear the recorder.
+/// Shared by the serial and sharded experiment runners.
 std::vector<core::QueryTimings> analyze_client_trace(Scenario::Client& client,
                                                      std::size_t boundary);
 

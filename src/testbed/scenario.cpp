@@ -27,10 +27,16 @@ std::size_t resolve_sim_shards(std::size_t requested) {
 
 std::size_t resolve_capture_budget(std::size_t requested) {
   if (requested > 0) return requested;
-  if (const char* env = std::getenv("DYNCDN_CAPTURE_BUDGET")) {
-    if (const auto v = sim::parse_byte_size(env); v && *v > 0) return *v;
+  const char* env = std::getenv("DYNCDN_CAPTURE_BUDGET");
+  if (env == nullptr) return 0;
+  const auto v = sim::parse_byte_size(env);
+  if (!v) {
+    throw std::invalid_argument(
+        std::string("DYNCDN_CAPTURE_BUDGET must be a byte count such as "
+                    "65536 or 64k, got '") +
+        env + "'");
   }
-  return 0;
+  return *v;
 }
 
 /// Fresh scenario-owned spill directory under the system temp dir. A
@@ -66,14 +72,13 @@ Scenario::Scenario(ScenarioOptions options) : options_(std::move(options)) {
     sims_.push_back(extra_sims_.back().get());
   }
   if (options_.enable_tracing) {
-    trace_ = std::make_shared<obs::TraceSession>(options_.trace_ring_bytes);
+    trace_ = std::make_shared<obs::TraceSession>();
     simulator_->set_trace(trace_.get());
     // Shards 1..S-1 record into private sessions with disjoint id ranges
-    // (folded into trace_ by merge_shard_traces). No flight-recorder ring:
-    // the bounded binary dump stays a shard-0 feature.
+    // (folded into trace_ by merge_shard_traces).
     shard_traces_.resize(shards);
     for (std::size_t s = 1; s < shards; ++s) {
-      shard_traces_[s] = std::make_unique<obs::TraceSession>(0);
+      shard_traces_[s] = std::make_unique<obs::TraceSession>();
       shard_traces_[s]->set_id_base(static_cast<obs::SpanId>(s) << 40);
       sims_[s]->set_trace(shard_traces_[s].get());
     }

@@ -43,7 +43,7 @@ struct ScenarioOptions {
   /// scenario retains packets, each client recorder gets a SpillWriter;
   /// once its buffer's retained_bytes reaches the budget the buffer
   /// streams to a .dtrc file and resets, so capture memory stays bounded
-  /// while analysis still sees the complete trace (recorder full_trace()).
+  /// while analysis still sees the complete trace (recorder replay()).
   /// 0 = DYNCDN_CAPTURE_BUDGET if set, else unlimited (no spilling).
   std::size_t capture_budget = 0;
   /// Directory for the per-client spill files. Empty = a scenario-owned
@@ -54,9 +54,12 @@ struct ScenarioOptions {
   /// Streaming analysis: attach a StreamingAnalyzer to every client
   /// recorder and stop retaining PacketRecords — flows are reduced to
   /// QueryTimelines online, so campaign memory is O(in-flight flows)
-  /// instead of O(total packets). Experiment results (TSVs, metrics,
-  /// timelines) are byte-identical to the retained-capture path; boundary
-  /// discovery transparently re-enables retention for its probe phase.
+  /// instead of O(total packets). Capture mode (false) retains the packets
+  /// and replays them through the same reducer afterwards. Live streaming
+  /// collapses a flow at teardown, a replay at drain(); the two agree
+  /// unless the analyzers report late_packets() (lossy or reordering
+  /// paths, see analysis/streaming.hpp). In streaming mode boundary
+  /// discovery probes live, with retention still off.
   bool stream_analysis = false;
 
   /// Instead of metro-based FE placement, place FE sites at these exact
@@ -94,9 +97,6 @@ struct ScenarioOptions {
   /// traced run is internally consistent but not byte-identical with an
   /// untraced one.
   bool enable_tracing = false;
-  /// When >0, completed spans also feed a bounded binary flight recorder
-  /// of this many bytes (obs::RingBuffer).
-  std::size_t trace_ring_bytes = 0;
 
   /// Sim-time metric sampling (obs::TimeSeriesSampler). When > 0, run()
   /// advances in `ts_interval` steps and snapshots queue depths /

@@ -1,5 +1,5 @@
-// Observability layer: span tracing, metrics registry, exporters, ring
-// buffer — and the headline cross-check: a traced query's span events
+// Observability layer: span tracing, metrics registry, exporters — and
+// the headline cross-check: a traced query's span events
 // reproduce the paper's t1..te timeline with ZERO sim-clock error against
 // the packet-capture analysis pipeline.
 #include <gtest/gtest.h>
@@ -16,7 +16,6 @@
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
-#include "obs/ring.hpp"
 #include "obs/trace.hpp"
 #include "search/keywords.hpp"
 #include "testbed/scenario.hpp"
@@ -207,36 +206,6 @@ TEST(ChromeExport, RoundTripsThroughJsonParser) {
   EXPECT_EQ(i.get("ph")->as_string(), "i");
   EXPECT_EQ(i.get("args")->get("at_ns")->as_int(), 2'000'001);
   EXPECT_EQ(i.get("args")->get("off")->as_int(), 3);
-}
-
-// ---------------------------------------------------------------------------
-// Binary ring buffer
-// ---------------------------------------------------------------------------
-
-TEST(Ring, EvictsOldestAndRoundTrips) {
-  obs::TraceSession t(/*ring_capacity_bytes=*/256);
-  ASSERT_NE(t.ring(), nullptr);
-  for (int i = 0; i < 32; ++i) {
-    const obs::SpanId s = t.begin_span(SimTime::milliseconds(i),
-                                       "span-" + std::to_string(i), "cat");
-    t.end_span(s, SimTime::milliseconds(i + 1));
-  }
-  EXPECT_EQ(t.ring()->appended(), 32u);
-  EXPECT_GT(t.ring()->evicted(), 0u);  // budget forced eviction
-  EXPECT_LE(t.ring()->used_bytes(), 256u);
-
-  const std::string bytes = t.ring()->dump();
-  const auto loaded = obs::RingBuffer::load(bytes);
-  ASSERT_TRUE(loaded.has_value());
-  ASSERT_EQ(loaded->size(), t.ring()->record_count());
-  // The survivors are the most recent spans, in order.
-  EXPECT_EQ(loaded->back().name, "span-31");
-  EXPECT_EQ(loaded->back().start, SimTime::milliseconds(31));
-  EXPECT_EQ(loaded->back().end, SimTime::milliseconds(32));
-}
-
-TEST(Ring, RejectsCorruptDump) {
-  EXPECT_FALSE(obs::RingBuffer::load("not a ring dump").has_value());
 }
 
 // ---------------------------------------------------------------------------

@@ -60,6 +60,20 @@ class HarnessTeardown : public ::testing::Environment {
 const auto* const kTeardown =
     ::testing::AddGlobalTestEnvironment(new HarnessTeardown);
 
+/// Collects a recorder's replay: its complete capture as one trace.
+struct CollectingSink final : PacketSink {
+  explicit CollectingSink(net::NodeId node) : trace(node) {}
+  void on_packet(const PacketRecord& r) override { trace.add(r); }
+  void on_clear() override { trace.clear(); }
+  PacketTrace trace;
+};
+
+PacketTrace whole_capture(TraceRecorder& r) {
+  CollectingSink sink(r.trace().node());
+  r.replay(sink);
+  return std::move(sink.trace);
+}
+
 PacketTrace make_real_trace(bool payloads, int connections = 1,
                             SpillWriter* spill = nullptr,
                             std::size_t budget = 0,
@@ -85,7 +99,7 @@ PacketTrace make_real_trace(bool payloads, int connections = 1,
   }
   harness->simulator.run();
   if (recorder_out != nullptr) *recorder_out = recorder.get();
-  return recorder->full_trace();
+  return whole_capture(*recorder);
 }
 
 void expect_traces_equal(const PacketTrace& a, const PacketTrace& b,
@@ -371,8 +385,8 @@ TEST(SpillFormat, OnClearRestartsFileAndKeepsCumulativeStats) {
 
 TEST(SpillRecorder, BudgetedCaptureEqualsInMemoryCapture) {
   // Unbudgeted reference run, then an identical deterministic run with a
-  // budget small enough to force several mid-run spills: full_trace()
-  // (spilled prefix reloaded from disk + in-memory tail) must be
+  // budget small enough to force several mid-run spills: the replay
+  // (spilled prefix read back from disk + in-memory tail) must be
   // byte-identical to the in-memory capture.
   const PacketTrace reference = make_real_trace(true, 4);
   const std::size_t budget = reference.retained_bytes() / 5;
@@ -416,7 +430,7 @@ TEST(SpillRecorder, ClearResetsSpilledState) {
   recorder->clear();
   EXPECT_FALSE(recorder->has_spilled());
   EXPECT_TRUE(recorder->trace().empty());
-  EXPECT_TRUE(recorder->full_trace().empty());
+  EXPECT_TRUE(whole_capture(*recorder).empty());
   EXPECT_FALSE(spill.finished());  // restarted, ready for the next phase
   std::remove(path.c_str());
 }

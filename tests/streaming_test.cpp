@@ -1,14 +1,18 @@
-// Streaming-analysis equivalence tests: the online pipeline
-// (StreamingAnalyzer fed packet-by-packet through the capture sink) must
-// produce timelines, experiment TSVs and metrics byte-identical to the
-// post-hoc path (retained PacketTrace -> split_by_flow -> extract_timeline)
-// at tolerance 0 — including invalid_reason strings — on clean, reordered,
-// retransmitted and interleaved inputs, and at 1, 2 and 4 worker threads.
+// Tests of the one Fig.-2 reducer, StreamingAnalyzer. Fed live through the
+// capture sink, or replaying a retained capture (extract_all_timelines),
+// it must produce the timelines of an independent reference kept in this
+// file (timeline_from_conn: a per-connection scan plus reassemble()) at
+// tolerance 0 — including invalid_reason strings — on clean, reordered,
+// retransmitted and interleaved inputs. A replay must do so on lossy,
+// reordering campaigns too, where live collapse at teardown does not.
+// Whole experiments in streaming and capture mode must agree byte for byte
+// at 1, 2 and 4 worker threads when no packet arrives late.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -21,6 +25,7 @@
 #include "net/packet.hpp"
 #include "harness.hpp"
 #include "obs/export_prometheus.hpp"
+#include "search/keywords.hpp"
 #include "tcp/stack.hpp"
 #include "testbed/experiment.hpp"
 #include "testbed/parallel_experiment.hpp"
@@ -36,6 +41,58 @@ using sim::SimTime;
 using namespace dyncdn::sim::literals;
 
 constexpr net::Port kPort = 80;
+
+/// Independent reference for the reducer: one connection's control events
+/// from a scan of its records, its response events from reassemble() over
+/// the same records.
+QueryTimeline timeline_from_conn(const capture::PacketTrace& conn,
+                                 const net::FlowId& flow,
+                                 std::size_t boundary) {
+  QueryTimeline tl;
+  tl.flow = flow;
+  tl.boundary = boundary;
+
+  bool saw_syn = false, saw_synack = false, saw_t1 = false, saw_t2 = false;
+  std::optional<std::uint64_t> client_iss;
+  for (const auto& r : conn.records()) {
+    const bool sent = r.direction == capture::Direction::kSent;
+    if (sent && r.tcp.flags.syn && !saw_syn) {
+      tl.tb = r.timestamp;
+      client_iss = r.tcp.seq;
+      saw_syn = true;
+    } else if (!sent && r.tcp.flags.syn && r.tcp.flags.ack && !saw_synack) {
+      tl.t_synack = r.timestamp;
+      saw_synack = true;
+    } else if (sent && r.payload_size > 0 && !saw_t1) {
+      tl.t1 = r.timestamp;  // the GET
+      saw_t1 = true;
+    } else if (!sent && saw_t1 && !saw_t2 && r.tcp.flags.ack && client_iss &&
+               r.tcp.ack > *client_iss + 1) {
+      // First packet from the server acknowledging request payload.
+      tl.t2 = r.timestamp;
+      saw_t2 = true;
+    }
+  }
+  if (!saw_syn || !saw_synack || !saw_t1 || !saw_t2) {
+    tl.invalid_reason = "incomplete handshake/request events";
+    return tl;
+  }
+  finish_timeline_from_stream(
+      tl, reassemble(conn, flow, capture::Direction::kReceived), boundary);
+  return tl;
+}
+
+/// The reference over every flow towards `port`, in first-appearance order.
+std::vector<QueryTimeline> reference_timelines(const capture::PacketTrace& trace,
+                                               net::Port port,
+                                               std::size_t boundary) {
+  std::vector<QueryTimeline> out;
+  for (const net::FlowId& flow : trace.flows()) {
+    if (flow.remote.port != port) continue;
+    out.push_back(timeline_from_conn(trace.filter_flow(flow), flow, boundary));
+  }
+  return out;
+}
 
 /// Tolerance-0 comparison of every field the analysis pipeline consumes.
 void expect_timeline_eq(const QueryTimeline& a, const QueryTimeline& b,
@@ -55,19 +112,28 @@ void expect_timeline_eq(const QueryTimeline& a, const QueryTimeline& b,
   EXPECT_EQ(a.boundary, b.boundary) << what;
 }
 
-void expect_timelines_eq(const std::vector<QueryTimeline>& streaming,
-                         const std::vector<QueryTimeline>& post_hoc) {
-  ASSERT_EQ(streaming.size(), post_hoc.size());
-  for (std::size_t i = 0; i < streaming.size(); ++i) {
-    expect_timeline_eq(streaming[i], post_hoc[i],
+void expect_timelines_eq(const std::vector<QueryTimeline>& actual,
+                         const std::vector<QueryTimeline>& reference) {
+  ASSERT_EQ(actual.size(), reference.size());
+  for (std::size_t i = 0; i < actual.size(); ++i) {
+    expect_timeline_eq(actual[i], reference[i],
                        ("flow " + std::to_string(i)).c_str());
   }
 }
 
+/// The fields expect_timeline_eq compares, as a predicate.
+bool same_timeline(const QueryTimeline& a, const QueryTimeline& b) {
+  return a.flow == b.flow && a.valid == b.valid &&
+         a.invalid_reason == b.invalid_reason && a.tb == b.tb &&
+         a.t_synack == b.t_synack && a.t1 == b.t1 && a.t2 == b.t2 &&
+         a.t3 == b.t3 && a.t4 == b.t4 && a.t5 == b.t5 && a.te == b.te &&
+         a.response_bytes == b.response_bytes && a.boundary == b.boundary;
+}
+
 // ---------------------------------------------------------------------------
 // Harness-level equivalence: the recorder both retains the trace AND feeds
-// the analyzer, so post-hoc and streaming analysis see the exact same
-// capture of a real TCP exchange.
+// the analyzer, so the live analyzer, a replay of the trace and the
+// reference all see the exact same capture of a real TCP exchange.
 // ---------------------------------------------------------------------------
 
 /// Serves a static burst immediately and a dynamic burst after a delay
@@ -112,12 +178,13 @@ struct StreamingFixture {
     h.simulator.run();
   }
 
-  /// Both pipelines over the identical capture, compared at tolerance 0.
+  /// Live analyzer and replay against the reference, at tolerance 0.
   void expect_equivalent(std::size_t boundary) {
-    const auto post_hoc =
-        extract_all_timelines(recorder->trace(), kPort, boundary);
-    const auto streaming = analyzer->drain(boundary);
-    expect_timelines_eq(streaming, post_hoc);
+    const auto reference =
+        reference_timelines(recorder->trace(), kPort, boundary);
+    expect_timelines_eq(
+        extract_all_timelines(recorder->trace(), kPort, boundary), reference);
+    expect_timelines_eq(analyzer->drain(boundary), reference);
     EXPECT_EQ(analyzer->late_packets(), 0u);
   }
 
@@ -176,7 +243,7 @@ TEST(StreamingEquivalence, InterleavedConcurrentFlows) {
   fe.static_part = pattern_text(3000);
   fe.dynamic_part = pattern_text(3000);
   f.run_queries(fe, 4);  // four connections share the link concurrently
-  // Order must match split_by_flow's first-appearance order.
+  // Order must match the reference's first-appearance order.
   f.expect_equivalent(3000);
 }
 
@@ -187,10 +254,10 @@ TEST(StreamingEquivalence, WrongBoundaryStillMatchesIncludingReason) {
   fe.dynamic_part = pattern_text(2000);
   f.run_queries(fe, 1);
   // Boundary 0 and boundary beyond the stream both yield invalid
-  // timelines; the invalid_reason strings must match the post-hoc path.
-  const auto post_hoc = extract_all_timelines(f.recorder->trace(), kPort, 0);
+  // timelines; the invalid_reason strings must match the reference.
+  const auto reference = reference_timelines(f.recorder->trace(), kPort, 0);
   const auto streaming = f.analyzer->drain(0);
-  expect_timelines_eq(streaming, post_hoc);
+  expect_timelines_eq(streaming, reference);
   ASSERT_FALSE(streaming.empty());
   EXPECT_FALSE(streaming.front().valid);
 }
@@ -198,7 +265,7 @@ TEST(StreamingEquivalence, WrongBoundaryStillMatchesIncludingReason) {
 // ---------------------------------------------------------------------------
 // Synthetic captures: hand-built packet sequences exercise corners a real
 // TCP exchange rarely produces (missing SYN, duplicate SYN, overlapping
-// retransmission). Both pipelines consume the identical record list.
+// retransmission). Analyzer and reference consume the identical records.
 // ---------------------------------------------------------------------------
 
 struct SyntheticCapture {
@@ -249,9 +316,10 @@ struct SyntheticCapture {
   }
 
   void expect_equivalent(std::size_t boundary) {
-    const auto post_hoc = extract_all_timelines(trace, kPort, boundary);
-    const auto streaming = analyzer.drain(boundary);
-    expect_timelines_eq(streaming, post_hoc);
+    const auto reference = reference_timelines(trace, kPort, boundary);
+    expect_timelines_eq(extract_all_timelines(trace, kPort, boundary),
+                        reference);
+    expect_timelines_eq(analyzer.drain(boundary), reference);
   }
 };
 
@@ -279,8 +347,8 @@ TEST(StreamingSynthetic, OutOfOrderSegments) {
 
 TEST(StreamingSynthetic, MissingSynFallsBackToMinSeq) {
   SyntheticCapture c;
-  // Capture started late: no SYN/SYNACK, data only. Both paths must agree
-  // on the (invalid) timeline and its reason.
+  // Capture started late: no SYN/SYNACK, data only. Analyzer and reference
+  // must agree on the (invalid) timeline and its reason.
   c.feed(c.make(true, 1300, 101, 501, 20, {.ack = true}));
   c.feed(c.make(false, 2000, 501, 121, 1000, {.ack = true}));
   c.feed(c.make(false, 2100, 1501, 121, 500, {.ack = true}));
@@ -375,13 +443,15 @@ struct ProbeCapture {
     feed(make(client_port, false, at_us, seq, 121, text, {.ack = true}));
   }
 
-  /// Ground truth: the post-hoc path over the identical record list.
-  std::size_t post_hoc_boundary() const {
+  /// Reference: the common prefix of the fully reassembled responses that
+  /// carried payload bytes, over the identical record list.
+  std::size_t reference_boundary() const {
     std::vector<std::string> responses;
-    for (const auto& [flow, conn] : trace.split_by_flow(kPort)) {
+    for (const net::FlowId& flow : trace.flows()) {
+      if (flow.remote.port != kPort) continue;
       ReassembledStream stream =
-          reassemble(conn, flow, capture::Direction::kReceived);
-      if (!stream.empty()) responses.push_back(stream.bytes());
+          reassemble(trace, flow, capture::Direction::kReceived);
+      if (!stream.bytes().empty()) responses.push_back(stream.bytes());
     }
     return common_prefix_boundary(responses);
   }
@@ -404,7 +474,7 @@ TEST(StreamingBoundaryProbe, MatchesPostHocAndClipsMemory) {
   // hundred bytes of prefix, never the ~10 KB of payload that was fed.
   EXPECT_LT(c.analyzer.live_bytes(), 2048u);
 
-  const std::size_t expected = c.post_hoc_boundary();
+  const std::size_t expected = c.reference_boundary();
   ASSERT_EQ(expected, common.size());
   EXPECT_EQ(c.analyzer.finish_boundary_probe(), expected);
   EXPECT_FALSE(c.analyzer.probing());
@@ -423,7 +493,7 @@ TEST(StreamingBoundaryProbe, OutOfOrderAndOverlappingRetransmission) {
   c.data(40002, 2100, 801, std::string(60, 'y'));         // offset 300 first
   c.data(40002, 2200, 601, std::string(240, 'S'));        // middle, overlaps
   c.data(40002, 2300, 501, std::string(100, 'S'));        // head arrives last
-  EXPECT_EQ(c.analyzer.finish_boundary_probe(), c.post_hoc_boundary());
+  EXPECT_EQ(c.analyzer.finish_boundary_probe(), c.reference_boundary());
 }
 
 TEST(StreamingBoundaryProbe, MissingSynFallsBackToMinSeq) {
@@ -434,7 +504,7 @@ TEST(StreamingBoundaryProbe, MissingSynFallsBackToMinSeq) {
   c.data(40001, 2000, 1501, std::string(50, 'D'));  // higher seq first
   c.data(40001, 2100, 501, std::string(1000, 'S'));
   c.data(40002, 2200, 501, std::string(120, 'S') + std::string(40, 'z'));
-  EXPECT_EQ(c.analyzer.finish_boundary_probe(), c.post_hoc_boundary());
+  EXPECT_EQ(c.analyzer.finish_boundary_probe(), c.reference_boundary());
 }
 
 TEST(StreamingBoundaryProbe, ShorterResponseBoundsThePrefix) {
@@ -446,7 +516,7 @@ TEST(StreamingBoundaryProbe, ShorterResponseBoundsThePrefix) {
   c.server_syn(40002, 1100);
   c.data(40001, 2000, 501, std::string(500, 'S'));
   c.data(40002, 2100, 501, std::string(180, 'S'));
-  const std::size_t expected = c.post_hoc_boundary();
+  const std::size_t expected = c.reference_boundary();
   ASSERT_EQ(expected, 180u);
   EXPECT_EQ(c.analyzer.finish_boundary_probe(), expected);
 }
@@ -460,7 +530,7 @@ TEST(StreamingBoundaryProbe, ThreeFlowsTakeTheEarliestDivergence) {
   c.data(40001, 2000, 501, std::string(400, 'S') + "AAAA");
   c.data(40002, 2100, 501, std::string(400, 'S') + "BBBB");  // diverges @400
   c.data(40003, 2200, 501, std::string(90, 'S') + "CCCC");   // diverges @90
-  const std::size_t expected = c.post_hoc_boundary();
+  const std::size_t expected = c.reference_boundary();
   ASSERT_EQ(expected, 90u);
   EXPECT_EQ(c.analyzer.finish_boundary_probe(), expected);
 }
@@ -482,6 +552,43 @@ TEST(StreamingBoundaryProbe, ProbeTrafficNeverBecomesTimelines) {
   EXPECT_EQ(c.analyzer.finish_boundary_probe(), 0u);
   // None of the probe traffic reached the timeline flow table.
   EXPECT_TRUE(c.analyzer.drain(6).empty());
+}
+
+TEST(StreamingBoundaryProbe, HeadersOnlyCaptureHasNoBoundary) {
+  // Data whose payload bytes were not captured is no response to compare:
+  // three such flows (one without a SYN) give no boundary, not the length
+  // of the shortest response.
+  ProbeCapture c;
+  c.analyzer.begin_boundary_probe();
+  const std::pair<net::Port, std::size_t> flows[] = {
+      {40001, 1448}, {40002, 900}, {40003, 1200}};
+  for (const auto& [port, size] : flows) {
+    if (port != 40003) c.server_syn(port, 1000);
+    capture::PacketRecord r = c.make(port, false, 2000, 501, 121, "",
+                                     {.ack = true});
+    r.payload_size = size;  // headers-only capture: a size, no bytes
+    c.feed(r);
+  }
+  EXPECT_EQ(c.analyzer.probe_flows(), 0u);
+  EXPECT_EQ(c.analyzer.finish_boundary_probe(), 0u);
+  EXPECT_EQ(c.reference_boundary(), 0u);
+  const ProbedBoundary replayed = probe_boundary(c.trace, kPort);
+  EXPECT_EQ(replayed.boundary, 0u);
+  EXPECT_EQ(replayed.responses, 0u);
+}
+
+TEST(StreamingBoundaryProbe, ReplayOfARetainedTraceMatchesTheLiveProbe) {
+  ProbeCapture c;
+  c.analyzer.begin_boundary_probe();
+  c.server_syn(40001, 1000);
+  c.server_syn(40002, 1100);
+  c.data(40002, 2000, 621, std::string(80, 'S') + "bbb");  // tail first
+  c.data(40001, 2100, 501, std::string(200, 'S') + "aaa");
+  c.data(40002, 2200, 501, std::string(120, 'S'));
+  const ProbedBoundary replayed = probe_boundary(c.trace, kPort);
+  EXPECT_EQ(replayed.responses, 2u);
+  EXPECT_EQ(replayed.boundary, c.reference_boundary());
+  EXPECT_EQ(c.analyzer.finish_boundary_probe(), replayed.boundary);
 }
 
 // ---------------------------------------------------------------------------
@@ -563,10 +670,11 @@ TEST(StreamingOnline, DrainKeepsBoundaryForNextPhase) {
 }
 
 // ---------------------------------------------------------------------------
-// Experiment-level equivalence: the acceptance contract. Streaming mode
-// must reproduce the retained-capture experiment byte-for-byte — timings,
+// Experiment-level equivalence. Where no packet arrives late, streaming
+// mode must reproduce the capture-mode experiment byte-for-byte — timings,
 // node aggregates, rendered TSV rows and the Prometheus metrics dump — at
-// 1, 2 and 4 threads.
+// 1, 2 and 4 threads. Where packets do arrive late, the two differ, and the
+// replay is the one that matches the reference.
 // ---------------------------------------------------------------------------
 
 testbed::ScenarioOptions small_scenario(bool stream,
@@ -662,17 +770,77 @@ TEST(StreamingExperiment, ByteIdenticalUnderClientLinkLoss) {
 }
 
 TEST(StreamingExperiment, DiscoverBoundaryMatchesCaptureMode) {
-  // Full-stack cross-check of the probe: the streaming scenario's clipped
-  // prefix reassembly must land on the very boundary the retained-trace
-  // path computes from complete responses.
+  // Full-stack cross-check of the probe: fed live in a streaming scenario
+  // it must land on the very boundary a replay of the retained capture
+  // finds in a capture-mode scenario.
   testbed::Scenario cap(small_scenario(false));
   cap.warm_up();
-  const std::size_t post_hoc = testbed::discover_boundary(cap, 0, 0);
+  const std::size_t replayed = testbed::discover_boundary(cap, 0, 0);
   testbed::Scenario str(small_scenario(true));
   str.warm_up();
-  const std::size_t probed = testbed::discover_boundary(str, 0, 0);
-  EXPECT_GT(post_hoc, 0u);
-  EXPECT_EQ(probed, post_hoc);
+  const std::size_t live = testbed::discover_boundary(str, 0, 0);
+  EXPECT_GT(replayed, 0u);
+  EXPECT_EQ(live, replayed);
+}
+
+TEST(StreamingExperiment, LossyCaptureReplayMatchesReferenceLiveCollapseNot) {
+  // A capture-mode campaign over lossy, reordering client links: Bing-like,
+  // 40 vantage points x 30 queries, half of them wireless, 1% reordering.
+  testbed::ScenarioOptions so;
+  so.profile = cdn::bing_like_profile();
+  so.client_count = 40;
+  so.seed = 20;
+  so.wireless_fraction = 0.5;
+  so.client_link_reorder = 0.01;
+  so.sim_shards = 1;
+  testbed::Scenario scenario(so);
+  scenario.warm_up();
+  auto& clients = scenario.clients();
+  const std::size_t boundary =
+      testbed::discover_boundary(scenario, 0, clients[0].default_fe);
+
+  const std::vector<search::Keyword> keywords =
+      search::KeywordCatalog(20).figure3_keywords();
+  constexpr std::size_t kReps = 30;
+  for (std::size_t i = 0; i < clients.size(); ++i) {
+    const net::Endpoint fe = scenario.default_fe_endpoint(i);
+    for (std::size_t r = 0; r < kReps; ++r) {
+      const search::Keyword kw = keywords[r % keywords.size()];
+      clients[i].node->simulator().schedule_in(
+          73_ms * static_cast<std::int64_t>(i) +
+              1200_ms * static_cast<std::int64_t>(r),
+          [&clients, i, fe, kw]() {
+            clients[i].query_client->submit(fe, kw,
+                                            [](const cdn::QueryResult&) {});
+          });
+    }
+  }
+  scenario.run();
+
+  std::size_t flows = 0, diverged = 0;
+  std::uint64_t late = 0;
+  for (auto& client : clients) {
+    const capture::PacketTrace& trace = client.recorder->trace();
+    const auto reference = reference_timelines(trace, kPort, boundary);
+    // The replay learns the boundary at drain(): equal to the reference.
+    expect_timelines_eq(extract_all_timelines(trace, kPort, boundary),
+                        reference);
+    // An analyzer given the boundary first, as in a streaming campaign,
+    // collapses each flow at teardown and misses what arrives after it.
+    StreamingAnalyzer live(kPort);
+    live.set_boundary(boundary);
+    capture::replay(trace, live);
+    late += live.late_packets();
+    const auto collapsed = live.drain(boundary);
+    ASSERT_EQ(collapsed.size(), reference.size());
+    for (std::size_t q = 0; q < reference.size(); ++q) {
+      if (!same_timeline(collapsed[q], reference[q])) ++diverged;
+    }
+    flows += reference.size();
+  }
+  EXPECT_EQ(flows, clients.size() * kReps);
+  EXPECT_GT(late, 0u);
+  EXPECT_GT(diverged, 0u);
 }
 
 TEST(StreamingExperiment, CachingExperimentMatchesCapturePath) {

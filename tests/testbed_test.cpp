@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <map>
 #include <stdexcept>
+#include <string>
 
 #include "stats/descriptive.hpp"
 
@@ -155,6 +156,26 @@ TEST(Scenario, MalformedSimShardsEnvIsRejected) {
   unsetenv("DYNCDN_SIM_SHARDS");
   const Scenario serial(small_options(cdn::google_like_profile(), 2));
   EXPECT_EQ(serial.shard_count(), 1u);
+}
+
+TEST(Scenario, MalformedCaptureBudgetEnvIsRejected) {
+  for (const char* bad : {"", "lots", "12x", "64kb", "-1", " 64k"}) {
+    SCOPED_TRACE(std::string("DYNCDN_CAPTURE_BUDGET='") + bad + "'");
+    setenv("DYNCDN_CAPTURE_BUDGET", bad, 1);
+    try {
+      const Scenario s(small_options(cdn::google_like_profile(), 2));
+      ADD_FAILURE() << "accepted, budget " << s.capture_budget();
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("DYNCDN_CAPTURE_BUDGET"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  setenv("DYNCDN_CAPTURE_BUDGET", "0", 1);  // well-formed: unlimited
+  EXPECT_EQ(Scenario(small_options(cdn::google_like_profile(), 2))
+                .capture_budget(),
+            0u);
+  unsetenv("DYNCDN_CAPTURE_BUDGET");
 }
 
 TEST(Scenario, BuildsFullTopology) {

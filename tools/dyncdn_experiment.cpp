@@ -84,12 +84,15 @@ void usage() {
       "             identical at any value)\n"
       "  --stream   reduce flows to timelines online (default): campaign "
       "memory is O(in-flight flows)\n"
-      "  --capture  retain full packet traces and analyze post-hoc "
-      "(results are byte-identical; --save-traces implies this)\n"
+      "  --capture  retain full packet traces and replay them through the\n"
+      "             same reducer afterwards (--save-traces implies this).\n"
+      "             Live streaming collapses a flow at teardown, a replay\n"
+      "             after all its packets: results agree unless the stream\n"
+      "             counts late packets (lossy or reordering paths)\n"
       "  --capture-budget  per-client capture memory budget (accepts k/m/g\n"
       "                 suffixes, e.g. 64k). Once a client's retained bytes\n"
       "                 reach the budget the buffer spills to a binary\n"
-      "                 .dtrc trace file and resets; analysis reloads the\n"
+      "                 .dtrc trace file and resets; analysis replays the\n"
       "                 spilled prefix, so results stay byte-identical to\n"
       "                 unbudgeted --capture. 0 = DYNCDN_CAPTURE_BUDGET or\n"
       "                 unlimited. Implies --capture\n"

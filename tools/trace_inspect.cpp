@@ -3,11 +3,11 @@
 // Packet mode (default):
 //   trace_inspect <trace-file> [boundary]
 //
-// Prints the connections found in a packet capture, reassembles each
-// response stream, discovers the static/dynamic boundary by cross-query
-// content analysis (when payloads were retained and at least two responses
-// exist; otherwise pass the boundary explicitly) and prints the paper's
-// timing parameters for every query.
+// Prints the connections found in a packet capture, discovers the
+// static/dynamic boundary by cross-query content analysis (when payloads
+// were retained and at least two responses exist; otherwise pass the
+// boundary explicitly) and prints the paper's timing parameters for every
+// query. Both steps replay the capture through analysis::StreamingAnalyzer.
 //
 // Span mode:
 //   trace_inspect spans <trace.json> [--diff=<capture.trace>]
@@ -51,10 +51,8 @@
 #include <string>
 #include <vector>
 
-#include "analysis/boundary.hpp"
-#include "analysis/reassembly.hpp"
 #include "analysis/span_attribution.hpp"
-#include "analysis/timeline.hpp"
+#include "analysis/streaming.hpp"
 #include "capture/serialize.hpp"
 #include "capture/spill.hpp"
 #include "core/inference.hpp"
@@ -62,10 +60,24 @@
 #include "obs/attribution.hpp"
 #include "obs/json.hpp"
 #include "obs/trace.hpp"
+#include "sim/parse.hpp"
 
 using namespace dyncdn;
 
 namespace {
+
+/// A boundary argument is a whole number of bytes; anything else is refused
+/// with a message naming the argument (the caller exits 2).
+bool parse_boundary(const char* text, const char* what, std::size_t& out) {
+  const auto value = sim::parse_uint(text);
+  if (!value) {
+    std::fprintf(stderr, "bad %s value: '%s' (a whole number of bytes)\n",
+                 what, text);
+    return false;
+  }
+  out = *value;
+  return true;
+}
 
 // ---------------------------------------------------------------------------
 // Span mode
@@ -277,17 +289,7 @@ int diff_against_capture(const std::vector<SpanNode>& nodes,
   }
   const capture::PacketTrace web = trace.filter_remote_port(80);
 
-  if (boundary == 0) {
-    std::vector<std::string> responses;
-    for (const auto& flow : web.flows()) {
-      auto stream =
-          analysis::reassemble(web, flow, capture::Direction::kReceived);
-      if (!stream.bytes().empty()) responses.push_back(stream.bytes());
-    }
-    if (responses.size() >= 2) {
-      boundary = analysis::common_prefix_boundary(responses);
-    }
-  }
+  if (boundary == 0) boundary = analysis::probe_boundary(web, 80).boundary;
   if (boundary == 0) {
     std::fprintf(stderr,
                  "diff: no boundary available (trace lacks payloads); pass "
@@ -370,7 +372,7 @@ int inspect_spans(int argc, char** argv) {
     if (arg.starts_with("--diff=")) {
       diff_path = arg.substr(7);
     } else if (arg.starts_with("--boundary=")) {
-      boundary = std::strtoull(argv[i] + 11, nullptr, 10);
+      if (!parse_boundary(argv[i] + 11, "--boundary", boundary)) return 2;
     } else if (arg.starts_with("--node=")) {
       node_name = arg.substr(7);
     } else if (arg == "--tree") {
@@ -489,18 +491,6 @@ bool load_span_records(const std::string& path,
   return true;
 }
 
-/// Content-analysis boundary from a capture file (0 when unavailable).
-std::size_t boundary_from_capture(const capture::PacketTrace& web) {
-  std::vector<std::string> responses;
-  for (const auto& flow : web.flows()) {
-    auto stream =
-        analysis::reassemble(web, flow, capture::Direction::kReceived);
-    if (!stream.bytes().empty()) responses.push_back(stream.bytes());
-  }
-  return responses.size() >= 2 ? analysis::common_prefix_boundary(responses)
-                               : 0;
-}
-
 void print_attribution_table(const obs::QueryAttribution& attribution) {
   std::printf("queries=%" PRIu64 " reconcile_failures=%" PRIu64
               " skipped=%" PRIu64 "\n",
@@ -594,7 +584,7 @@ int inspect_attribution(int argc, char** argv) {
     if (arg.starts_with("--diff=")) {
       diff_path = arg.substr(7);
     } else if (arg.starts_with("--boundary=")) {
-      boundary = std::strtoull(argv[i] + 11, nullptr, 10);
+      if (!parse_boundary(argv[i] + 11, "--boundary", boundary)) return 2;
     } else {
       std::fprintf(stderr, "unknown argument: %s\n", argv[i]);
       return 2;
@@ -606,8 +596,8 @@ int inspect_attribution(int argc, char** argv) {
 
   if (boundary == 0 && !diff_path.empty()) {
     try {
-      const capture::PacketTrace trace = capture::load_trace(diff_path);
-      boundary = boundary_from_capture(trace.filter_remote_port(80));
+      boundary =
+          analysis::probe_boundary(capture::load_trace(diff_path), 80).boundary;
     } catch (const std::exception& e) {
       std::fprintf(stderr, "error: %s\n", e.what());
       return 1;
@@ -862,6 +852,10 @@ int inspect_slow(int argc, char** argv) {
 // ---------------------------------------------------------------------------
 
 int inspect_packets(int argc, char** argv) {
+  // Boundary: explicit argument, or content analysis over the responses.
+  std::size_t boundary = 0;
+  if (argc > 2 && !parse_boundary(argv[2], "boundary", boundary)) return 2;
+
   capture::PacketTrace trace;
   try {
     trace = capture::load_trace(argv[1]);
@@ -873,24 +867,15 @@ int inspect_packets(int argc, char** argv) {
               trace.node().value());
 
   const capture::PacketTrace web = trace.filter_remote_port(80);
-  const auto flows = web.flows();
-  std::printf("web connections: %zu\n", flows.size());
+  std::printf("web connections: %zu\n", web.flows().size());
 
-  // Boundary: explicit argument, or content analysis over the responses.
-  std::size_t boundary =
-      argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 0;
   if (boundary == 0) {
-    std::vector<std::string> responses;
-    for (const auto& flow : flows) {
-      auto stream =
-          analysis::reassemble(web, flow, capture::Direction::kReceived);
-      if (!stream.bytes().empty()) responses.push_back(stream.bytes());
-    }
-    if (responses.size() >= 2) {
-      boundary = analysis::common_prefix_boundary(responses);
+    const analysis::ProbedBoundary probed = analysis::probe_boundary(web, 80);
+    boundary = probed.boundary;
+    if (probed.responses >= 2) {
       std::printf("content analysis: static portion = %zu bytes "
                   "(from %zu responses)\n",
-                  boundary, responses.size());
+                  boundary, probed.responses);
     }
   }
   if (boundary == 0) {
