@@ -13,7 +13,8 @@
 //   --trace-out=FILE                    Chrome trace of the serial campaign
 //   --metrics-out=FILE                  Prometheus dump of its registry
 //
-// JSON schema: {"mode", "threads_available", "event_kernel": {...
+// JSON schema: {"mode", "threads_available", "build_type" (the
+// CMAKE_BUILD_TYPE it was compiled under), "event_kernel": {...
 // events_per_sec}, "cancel_churn": {...}, "timer_churn": {...},
 // "link_batch": {...}, "tcp_bulk": {...}, "gather_fastpath": {...},
 // "obs_overhead": {...}, "telemetry": {ts_interval_ms, ticks, plain_ms,
@@ -937,6 +938,7 @@ int main(int argc, char** argv) {
   emit("{\n");
   emit("  \"mode\": \"%s\",\n", full ? "full" : "quick");
   emit("  \"threads_available\": %zu,\n", hw);
+  emit("  \"build_type\": \"%s\",\n", DYNCDN_BUILD_TYPE);
   emit("  \"event_kernel\": {\"events\": %llu, \"wall_ms\": %.3f, "
        "\"events_per_sec\": %.0f},\n",
        static_cast<unsigned long long>(kernel_events), kernel.wall_ms,

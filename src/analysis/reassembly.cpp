@@ -1,6 +1,8 @@
 #include "analysis/reassembly.hpp"
 
 #include <algorithm>
+#include <functional>
+#include <utility>
 
 namespace dyncdn::analysis {
 
@@ -17,20 +19,30 @@ std::optional<sim::SimTime> ReassembledStream::byte_time(
 
 std::optional<sim::SimTime> ReassembledStream::prefix_complete_time(
     std::size_t offset) const {
-  // Replay capture order; report the time the prefix [0, offset] is fully
-  // covered for the first time.
-  std::vector<bool> covered(offset + 1, false);
-  std::size_t remaining = offset + 1;
+  // Sweep capture order with a frontier: [0, covered) has arrived. A
+  // segment that starts beyond the frontier waits in a min-heap on its
+  // start until the frontier reaches it; in-order segments never touch the
+  // heap, so an in-order stream allocates nothing.
+  const std::size_t want = offset + 1;
+  std::size_t covered = 0;
+  std::vector<std::pair<std::size_t, std::size_t>> ahead;  // [lo, hi)
+  constexpr auto later = std::greater<>{};
   for (const Segment& s : segments_) {
     const std::size_t lo = s.offset;
-    const std::size_t hi = std::min(offset + 1, s.offset + s.length);
-    for (std::size_t i = lo; i < hi; ++i) {
-      if (!covered[i]) {
-        covered[i] = true;
-        --remaining;
-      }
+    const std::size_t hi = std::min(want, s.offset + s.length);
+    if (hi <= lo) continue;
+    if (lo > covered) {
+      ahead.emplace_back(lo, hi);
+      std::push_heap(ahead.begin(), ahead.end(), later);
+      continue;
     }
-    if (remaining == 0) return s.at;
+    covered = std::max(covered, hi);
+    while (!ahead.empty() && ahead.front().first <= covered) {
+      covered = std::max(covered, ahead.front().second);
+      std::pop_heap(ahead.begin(), ahead.end(), later);
+      ahead.pop_back();
+    }
+    if (covered == want) return s.at;
   }
   return std::nullopt;
 }

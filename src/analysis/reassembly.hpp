@@ -50,7 +50,10 @@ class ReassembledStream {
   /// Earliest capture time of the packet that *completes* delivery of the
   /// prefix [0, offset]: i.e. the time at which all bytes up to `offset`
   /// had arrived. This is what "last packet containing static content"
-  /// measures when segments arrive out of order.
+  /// measures when segments arrive out of order (the paper's t4). Cost:
+  /// one pass in capture order, O(segments log segments) for segments that
+  /// arrive ahead of a gap and O(segments) without allocating when they
+  /// arrive in order; independent of `offset`.
   std::optional<sim::SimTime> prefix_complete_time(std::size_t offset) const;
 
   /// Capture time of the first packet whose payload includes any byte at

@@ -15,6 +15,7 @@
 
 #include <cstddef>
 #include <string>
+#include <string_view>
 
 #include "search/keywords.hpp"
 #include "sim/random.hpp"
@@ -32,6 +33,17 @@ struct ContentProfile {
   /// Number of synthesized result entries.
   std::size_t results_per_page = 10;
 };
+
+/// Appends `bytes` bytes of deterministic printable filler derived from
+/// `tag`: lowercase letters from a tag-seeded LCG, with a newline after
+/// every 73rd produced byte. A fill of N bytes is the first N bytes of the
+/// tag's stream, whatever `out` already holds. It is pure in (tag, bytes)
+/// and keeps no per-tag cache, because the caching experiment and the
+/// boundary probes use distinct keywords. Cost: one resize of `out`, then
+/// four LCG lanes that jump four steps per round, with two multiplies and
+/// a table lookup per letter. That is about 2-3x the throughput of one
+/// step and one push_back per byte (docs/PERF.md, "Steady query path").
+void append_filler(std::string& out, std::string_view tag, std::size_t bytes);
 
 class ContentModel {
  public:

@@ -1,6 +1,7 @@
 #include "sim/parse.hpp"
 
 #include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <limits>
 #include <stdexcept>
@@ -14,6 +15,18 @@ std::optional<std::uint64_t> parse_uint(std::string_view text) {
   const char* end = text.data() + text.size();
   const auto [stop, error] = std::from_chars(text.data(), end, value);
   if (error != std::errc() || stop != end) return std::nullopt;
+  return value;
+}
+
+std::optional<double> parse_double(std::string_view text) {
+  // from_chars accepts no blanks and no '+'; a '-' is refused here.
+  if (text.starts_with('-')) return std::nullopt;
+  double value = 0.0;
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc() || stop != end || !std::isfinite(value)) {
+    return std::nullopt;
+  }
   return value;
 }
 

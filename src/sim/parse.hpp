@@ -1,6 +1,6 @@
 // Strict parsing of numbers that come from outside the simulator (CLI
-// flags, environment variables): malformed text is an error, never a
-// silent default.
+// flags, environment variables, files read back by the tools): malformed
+// text is an error, never a silent default.
 #pragma once
 
 #include <cstddef>
@@ -14,6 +14,11 @@ namespace dyncdn::sim {
 /// trailing junk and no overflow of 64 bits. nullopt otherwise, including
 /// for an empty string.
 std::optional<std::uint64_t> parse_uint(std::string_view text);
+
+/// A finite, non-negative decimal number such as "100", "0.5" or "2e3":
+/// no sign, no blanks, no trailing junk, no inf or nan, nothing out of
+/// double range. nullopt otherwise, including for an empty string.
+std::optional<double> parse_double(std::string_view text);
 
 /// A byte count with an optional k/m/g (or K/M/G) binary suffix, e.g.
 /// "65536", "64k", "2M". Used by --capture-budget and the

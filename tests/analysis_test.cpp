@@ -3,7 +3,11 @@
 // server whose ground-truth timing we control.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <random>
 #include <string>
+#include <vector>
 
 #include "analysis/boundary.hpp"
 #include "analysis/reassembly.hpp"
@@ -147,6 +151,114 @@ TEST(Reassembly, PrefixCompleteAfterOutOfOrderFill) {
   const auto last_byte_first_arrival = stream.byte_time(6 * 1448 - 1);
   ASSERT_TRUE(complete && last_byte_first_arrival);
   EXPECT_GT(*complete, *last_byte_first_arrival);
+}
+
+/// Reference t4: mark every prefix byte in a bitmap, in capture order, and
+/// report the segment after which none is missing.
+std::optional<SimTime> bitmap_prefix_complete_time(
+    const std::vector<ReassembledStream::Segment>& segments,
+    std::size_t offset) {
+  std::vector<bool> covered(offset + 1, false);
+  std::size_t remaining = offset + 1;
+  for (const ReassembledStream::Segment& s : segments) {
+    const std::size_t hi = std::min(offset + 1, s.offset + s.length);
+    for (std::size_t i = s.offset; i < hi; ++i) {
+      if (!covered[i]) {
+        covered[i] = true;
+        --remaining;
+      }
+    }
+    if (remaining == 0) return s.at;
+  }
+  return std::nullopt;
+}
+
+/// A random capture of one stream: MSS-sized segments sent in order, then
+/// reordered, duplicated, split into overlapping pieces, repacketized into
+/// retransmissions spanning several segments, interleaved with zero-length
+/// segments, and with some never delivered (a gap that stays open).
+/// Arrival times are distinct, so the returned time names exactly one
+/// segment.
+std::vector<ReassembledStream::Segment> random_capture(std::mt19937_64& rng) {
+  using Segment = ReassembledStream::Segment;
+  std::uniform_int_distribution<std::size_t> mss(1, 1448);
+  const std::size_t length = std::uniform_int_distribution<std::size_t>(
+      0, 12000)(rng);
+  std::vector<Segment> sent;
+  for (std::size_t at = 0; at < length;) {
+    const std::size_t n = std::min(length - at, mss(rng));
+    sent.push_back(Segment{at, n, SimTime::zero()});
+    at += n;
+  }
+  std::uniform_int_distribution<int> pct(0, 99);
+  const int drop = pct(rng) % 4 == 0 ? 5 : 0;
+  const int reorder = pct(rng) % 2 == 0 ? 20 : 0;
+  std::vector<Segment> captured;
+  for (const Segment& s : sent) {
+    if (pct(rng) < drop) continue;
+    if (pct(rng) < 10) captured.push_back(Segment{s.offset, 0, {}});
+    if (pct(rng) < 10 && s.length > 1) {
+      // Two overlapping pieces instead of the whole segment.
+      const std::size_t cut = std::uniform_int_distribution<std::size_t>(
+          1, s.length - 1)(rng);
+      captured.push_back(Segment{s.offset, cut + (s.length - cut) / 2, {}});
+      captured.push_back(Segment{s.offset + cut, s.length - cut, {}});
+    } else {
+      captured.push_back(s);
+    }
+    if (pct(rng) < 10) captured.push_back(s);  // duplicate
+    if (pct(rng) < 10) {
+      // A retransmission covering this segment and up to two MSS beyond.
+      const std::size_t n = std::min(length - s.offset, s.length + 2896);
+      captured.push_back(Segment{s.offset, n, {}});
+    }
+  }
+  for (std::size_t i = 1; i < captured.size(); ++i) {
+    if (pct(rng) < reorder) {
+      const std::size_t j = std::uniform_int_distribution<std::size_t>(
+          i > 8 ? i - 8 : 0, i)(rng);
+      std::swap(captured[i], captured[j]);
+    }
+  }
+  // A late duplicate of an early segment and a segment past the end.
+  if (!sent.empty() && pct(rng) < 30) captured.push_back(sent.front());
+  if (pct(rng) < 30) captured.push_back(Segment{length + 100, 500, {}});
+  for (std::size_t i = 0; i < captured.size(); ++i) {
+    captured[i].at = SimTime::microseconds(
+        static_cast<std::int64_t>(1000 + 37 * i + pct(rng)));
+  }
+  return captured;
+}
+
+TEST(Reassembly, PrefixCompleteTimeMatchesBitmapReference) {
+  std::mt19937_64 rng(20111102);
+  std::size_t completed = 0, never = 0;
+  for (int trial = 0; trial < 3000; ++trial) {
+    const auto segments = random_capture(rng);
+    const ReassembledStream stream = ReassembledStream::from_segments(segments);
+    std::vector<std::size_t> offsets = {0, 1, 1447, 1448, 9000};
+    if (stream.length() > 0) offsets.push_back(stream.length() - 1);
+    offsets.push_back(stream.length());
+    offsets.push_back(stream.length() + 200);
+    for (int k = 0; k < 4; ++k) {
+      offsets.push_back(std::uniform_int_distribution<std::size_t>(
+          0, stream.length() + 10)(rng));
+    }
+    for (const std::size_t offset : offsets) {
+      SCOPED_TRACE("trial " + std::to_string(trial) + " offset " +
+                   std::to_string(offset));
+      const auto expected = bitmap_prefix_complete_time(segments, offset);
+      ASSERT_EQ(stream.prefix_complete_time(offset), expected);
+      if (expected) {
+        ++completed;
+      } else {
+        ++never;
+      }
+    }
+  }
+  // Both outcomes are exercised many times over.
+  EXPECT_GT(completed, 5000u);
+  EXPECT_GT(never, 5000u);
 }
 
 TEST(Reassembly, EmptyForUnknownFlow) {

@@ -1,8 +1,11 @@
-// The input contract of dyncdn_experiment and trace_inspect, driven as
-// subprocesses: numeric flags and the environment variables behind them are
-// whole numbers or the run is refused with a message naming the input.
-// Nothing is silently coerced to 0 (which for --threads would mean "all
-// cores", and for a boundary "discover it from the content").
+// The input contract of dyncdn_experiment, trace_inspect and bench_diff,
+// driven as subprocesses: numeric flags and the environment variables
+// behind them are whole (or, where fractions make sense, finite
+// non-negative) numbers, and the files trace_inspect reads back hold
+// well-formed numbers, or the run is refused with a message naming the
+// input. Nothing is silently coerced to 0 (which for --threads would mean
+// "all cores", for a boundary "discover it from the content", and for a
+// bench_diff tolerance "fail on any noise").
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -38,6 +41,14 @@ CliRun run_trace_inspect(const std::string& args) {
   return run_command(DYNCDN_TRACE_INSPECT_BIN " " + args);
 }
 
+CliRun run_bench_diff(const std::string& args) {
+  return run_command(DYNCDN_BENCH_DIFF_BIN " " + args);
+}
+
+void write_file(const std::filesystem::path& path, const std::string& text) {
+  std::ofstream(path) << text;
+}
+
 /// A fresh, empty scratch directory for one test.
 std::filesystem::path scratch_dir(const std::string& name) {
   const auto dir = std::filesystem::temp_directory_path() /
@@ -52,6 +63,21 @@ TEST(ExperimentCli, MalformedNumericFlagsAreRefused) {
                            "--shards", "--shards-per-scenario"}) {
     for (const char* bad : {"", "abc", "4x", "-1", " 2", "1.5",
                             "99999999999999999999"}) {
+      SCOPED_TRACE(std::string(flag) + "='" + bad + "'");
+      const CliRun run =
+          run_experiment("", "'" + std::string(flag) + "=" + bad + "'");
+      EXPECT_EQ(run.exit_code, 2) << run.output;
+      EXPECT_NE(run.output.find(std::string("bad ") + flag + " value"),
+                std::string::npos)
+          << run.output;
+    }
+  }
+}
+
+TEST(ExperimentCli, MalformedDecimalFlagsAreRefused) {
+  for (const char* flag : {"--ts-interval", "--slow-threshold"}) {
+    for (const char* bad : {"", "abc", "1.5x", "-1", " 2", "1e400", "inf",
+                            "nan"}) {
       SCOPED_TRACE(std::string(flag) + "='" + bad + "'");
       const CliRun run =
           run_experiment("", "'" + std::string(flag) + "=" + bad + "'");
@@ -80,7 +106,8 @@ TEST(ExperimentCli, WellFormedNumbersRun) {
   const CliRun run = run_experiment(
       "DYNCDN_THREADS=2",
       "--experiment=fixed-fe --clients=3 --reps=1 --seed=07 --threads=0 "
-      "--shards=1 --shards-per-scenario=1");
+      "--shards=1 --shards-per-scenario=1 --ts-interval=50.5 "
+      "--slow-threshold=0");
   EXPECT_EQ(run.exit_code, 0) << run.output;
   EXPECT_NE(run.output.find("seed=7 "), std::string::npos) << run.output;
 }
@@ -150,6 +177,129 @@ TEST(TraceInspectCli, HeadersOnlyCaptureHasNoBoundary) {
   EXPECT_EQ(run.exit_code, 1) << run.output;
   EXPECT_NE(run.output.find("no boundary available"), std::string::npos)
       << run.output;
+  std::filesystem::remove_all(dir);
+}
+
+TEST(TraceInspectCli, MalformedTimeSeriesIsRefused) {
+  const auto dir = scratch_dir("timeseries");
+  const std::string header = "tick,time_ms,fe_fetch_queue\n";
+  const std::string good = header + "0,0,1\n1,100,2.5\n";
+  write_file(dir / "good.csv", good);
+  const CliRun ok =
+      run_trace_inspect("timeseries " + (dir / "good.csv").string());
+  EXPECT_EQ(ok.exit_code, 0) << ok.output;
+  const struct {
+    const char* rows;
+    const char* message;
+  } cases[] = {{"0,0,1\n1x,100,2\n", "line 3: bad tick '1x'"},
+               {"0,0,1\n-1,100,2\n", "line 3: bad tick '-1'"},
+               {"0,0,abc\n", "line 2: bad value 'abc' in column 3"},
+               {"0,0,-2\n", "line 2: bad value '-2' in column 3"},
+               {"0,zero,2\n", "line 2: bad value 'zero' in column 2"},
+               {"0,0\n", "line 2: fewer columns than the header"},
+               {"0,0,1,2\n", "line 2: more columns than the header"}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.rows);
+    write_file(dir / "bad.csv", header + c.rows);
+    const CliRun run =
+        run_trace_inspect("timeseries " + (dir / "bad.csv").string());
+    EXPECT_EQ(run.exit_code, 1) << run.output;
+    EXPECT_NE(run.output.find(c.message), std::string::npos) << run.output;
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(TraceInspectCli, MalformedSpanPortIsRefused) {
+  // One tcp.flow span whose local_port is not a port number: the --diff
+  // check refuses the span file instead of matching it as port 0.
+  const auto dir = scratch_dir("span_port");
+  write_file(dir / "capture.trace",
+             "# dyncdn-trace v1 node=10\n"
+             "1000 snd 10 40001 20 80 100 0 65535 S 0\n"
+             "2000 rcv 20 80 10 40001 500 101 65535 SA 0\n");
+  for (const char* port : {"\"abc\"", "-5", "70000", "1.5"}) {
+    SCOPED_TRACE(port);
+    write_file(dir / "spans.json",
+               std::string("{\"traceEvents\":[\n"
+                           "{\"name\":\"tcp.flow\",\"cat\":\"tcp\","
+                           "\"ph\":\"X\",\"args\":{\"span_id\":7,"
+                           "\"parent\":0,\"start_ns\":0,\"end_ns\":1,"
+                           "\"local_port\":") +
+                   port + "}}\n]}\n");
+    const CliRun run = run_trace_inspect(
+        "spans " + (dir / "spans.json").string() + " --diff=" +
+        (dir / "capture.trace").string() + " --boundary=100");
+    EXPECT_EQ(run.exit_code, 1) << run.output;
+    EXPECT_NE(run.output.find("span 7: bad local_port value"),
+              std::string::npos)
+        << run.output;
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(BenchDiffCli, MalformedKnobsAreRefused) {
+  const auto dir = scratch_dir("bench_diff_knobs");
+  const std::string bench =
+      "{\"mode\": \"quick\", \"event_kernel\": {\"events_per_sec\": 100}}";
+  write_file(dir / "b.json", bench);
+  const std::string files =
+      (dir / "b.json").string() + " " + (dir / "b.json").string();
+  for (const char* knob : {"--tolerance", "--mem-tolerance",
+                           "--alloc-tolerance", "--overhead-ceiling"}) {
+    for (const char* bad : {"", "abc", "0.1x", "-0.1", "nan"}) {
+      SCOPED_TRACE(std::string(knob) + "='" + bad + "'");
+      const CliRun run =
+          run_bench_diff(files + " '" + knob + "=" + bad + "'");
+      EXPECT_EQ(run.exit_code, 2) << run.output;
+      EXPECT_NE(run.output.find(std::string("bad ") + knob + " value"),
+                std::string::npos)
+          << run.output;
+    }
+    const CliRun ok = run_bench_diff(files + " " + knob + "=0.5");
+    EXPECT_EQ(ok.exit_code, 0) << ok.output;
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(BenchDiffCli, WarnsWhenRunDescriptorsDiffer) {
+  // A warning per differing descriptor, a missing one included; the gate
+  // itself is unchanged: equal metrics pass, a regression still fails.
+  const auto dir = scratch_dir("bench_diff_descriptors");
+  write_file(dir / "base.json",
+             "{\"mode\": \"quick\", \"threads_available\": 1, "
+             "\"event_kernel\": {\"events_per_sec\": 1000}}");
+  write_file(dir / "cand.json",
+             "{\"mode\": \"quick\", \"threads_available\": 4, "
+             "\"build_type\": \"Release\", "
+             "\"event_kernel\": {\"events_per_sec\": 1000}}");
+  write_file(dir / "slow.json",
+             "{\"mode\": \"full\", \"threads_available\": 1, "
+             "\"event_kernel\": {\"events_per_sec\": 500}}");
+  const std::string base = (dir / "base.json").string();
+  const CliRun run =
+      run_bench_diff(base + " " + (dir / "cand.json").string());
+  EXPECT_EQ(run.exit_code, 0) << run.output;
+  EXPECT_NE(run.output.find(
+                "WARNING  threads_available differs: baseline=1 candidate=4"),
+            std::string::npos)
+      << run.output;
+  EXPECT_NE(run.output.find("WARNING  build_type differs: "
+                            "baseline=(missing) candidate=Release"),
+            std::string::npos)
+      << run.output;
+  EXPECT_EQ(run.output.find("WARNING  mode"), std::string::npos)
+      << run.output;
+
+  const CliRun same = run_bench_diff(base + " " + base);
+  EXPECT_EQ(same.exit_code, 0) << same.output;
+  EXPECT_EQ(same.output.find("WARNING"), std::string::npos) << same.output;
+
+  const CliRun slow = run_bench_diff(base + " " + (dir / "slow.json").string());
+  EXPECT_EQ(slow.exit_code, 1) << slow.output;
+  EXPECT_NE(slow.output.find("WARNING  mode differs: baseline=quick "
+                             "candidate=full"),
+            std::string::npos)
+      << slow.output;
   std::filesystem::remove_all(dir);
 }
 

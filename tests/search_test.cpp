@@ -1,8 +1,13 @@
 // Search workload and content-model tests.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
+#include <string>
+#include <string_view>
+#include <vector>
 
+#include "cdn/deployment.hpp"
 #include "search/content_model.hpp"
 #include "search/keywords.hpp"
 
@@ -196,6 +201,76 @@ TEST(ContentModel, DynamicBodiesShareNoLongPrefixAcrossKeywords) {
   std::size_t p = 0;
   while (p < std::min(a.size(), b.size()) && a[p] == b[p]) ++p;
   EXPECT_LT(p, 64u);
+}
+
+/// Reference filler: one LCG step and one push_back per letter, a newline
+/// after every 73rd produced byte, and the overshooting newline trimmed.
+void byte_at_a_time_filler(std::string& out, std::string_view tag,
+                           std::size_t bytes) {
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  for (const char c : tag) {
+    h = (h ^ static_cast<unsigned char>(c)) * 0x100000001B3ULL;
+  }
+  std::size_t produced = 0;
+  while (produced < bytes) {
+    h = h * 6364136223846793005ULL + 1442695040888963407ULL;
+    out.push_back(static_cast<char>('a' + ((h >> 33) % 26)));
+    ++produced;
+    if (produced % 73 == 0) {
+      out.push_back('\n');
+      ++produced;
+    }
+  }
+  out.resize(out.size() - (produced - bytes));
+}
+
+TEST(ContentModel, FillerMatchesByteAtATimeReference) {
+  // Every length up to 1200 covers each newline position and every lane
+  // remainder several times over.
+  const std::string long_tag(200, 'k');
+  for (const std::string_view tag :
+       {std::string_view(""), std::string_view("a"),
+        std::string_view("galaxy — history/3/GoogleLike"),
+        std::string_view(long_tag)}) {
+    for (const std::string_view start : {"", "<p>already here"}) {
+      for (std::size_t bytes = 0; bytes <= 1200; ++bytes) {
+        std::string expected(start), got(start);
+        byte_at_a_time_filler(expected, tag, bytes);
+        append_filler(got, tag, bytes);
+        ASSERT_EQ(got, expected) << "tag '" << tag << "', start '" << start
+                                 << "', bytes " << bytes;
+      }
+    }
+  }
+}
+
+/// FNV-1a over `bytes`, continuing from `h`.
+std::uint64_t fnv1a(std::uint64_t h, std::string_view bytes) {
+  for (const char c : bytes) {
+    h = (h ^ static_cast<unsigned char>(c)) * 0x100000001B3ULL;
+  }
+  return h;
+}
+
+TEST(ContentModel, DynamicBodyDigestPinned) {
+  // Digests of every dynamic body for the figure-3 keywords and a distinct
+  // corpus, taken before the filler moved off its byte-at-a-time loop: the
+  // synthesized responses, and so every TSV, stay byte-identical.
+  const KeywordCatalog catalog(42);
+  std::vector<Keyword> keywords = catalog.figure3_keywords();
+  for (Keyword& k : catalog.distinct_corpus(32)) keywords.push_back(k);
+  const struct {
+    cdn::ServiceProfile profile;
+    std::uint64_t digest;
+  } cases[] = {{cdn::google_like_profile(), 0x1da16aacf52bb915ULL},
+               {cdn::bing_like_profile(), 0x14de96e86017a6caULL}};
+  for (const auto& c : cases) {
+    const ContentModel model(c.profile.content, c.profile.name);
+    sim::RngStream rng(2011);
+    std::uint64_t h = 0xCBF29CE484222325ULL;
+    for (const Keyword& k : keywords) h = fnv1a(h, model.dynamic_body(k, rng));
+    EXPECT_EQ(h, c.digest) << c.profile.name << " digest 0x" << std::hex << h;
+  }
 }
 
 }  // namespace

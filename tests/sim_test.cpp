@@ -381,6 +381,18 @@ TEST(Parse, UintAcceptsWholeNumbersOnly) {
   }
 }
 
+TEST(Parse, DoubleAcceptsFiniteNonNegativeNumbersOnly) {
+  EXPECT_EQ(parse_double("0"), 0.0);
+  EXPECT_EQ(parse_double("100"), 100.0);
+  EXPECT_EQ(parse_double("0.25"), 0.25);
+  EXPECT_EQ(parse_double(".5"), 0.5);
+  EXPECT_EQ(parse_double("2e3"), 2000.0);
+  for (const char* bad : {"", "abc", "1.5x", "x1", "-1", "-0", "+1", " 1",
+                          "1 ", "1,5", "0x10", "inf", "nan", "1e400", "."}) {
+    EXPECT_FALSE(parse_double(bad).has_value()) << "'" << bad << "'";
+  }
+}
+
 TEST(Parse, EnvUintThrowsOnMalformedValues) {
   constexpr const char* kVar = "DYNCDN_PARSE_TEST_VALUE";
   unsetenv(kVar);

@@ -34,19 +34,30 @@
 //
 // Metrics are addressed by dotted path; metrics present on only one side
 // are reported but not fatal, so the bench can grow sections without
-// breaking older baselines. Exit 1 on regression, 2 on usage/parse errors.
+// breaking older baselines. Exit 1 on regression, 2 on usage/parse errors
+// (a tolerance or ceiling that is not a finite, non-negative number
+// included).
+//
+// The run descriptors `mode`, `threads_available` and `build_type` are not
+// gated, but each one that differs between the two files (or is present
+// on one side only) gets a WARNING line: a quick run compared with a full
+// one, a 1-core runner with a 4-core host, or a Debug build with a Release
+// one is not a like-for-like comparison.
 //
 // Wired into ctest as `bench_diff` (label: bench), comparing the run's
 // fresh BENCH.json against the committed bench/BASELINE_quick.json.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/json.hpp"
+#include "sim/parse.hpp"
 
 namespace {
 
@@ -113,7 +124,7 @@ void collect(const Value& v, const std::string& prefix,
   }
 }
 
-std::vector<Metric> load_metrics(const char* file) {
+Value load_document(const char* file) {
   std::ifstream in(file);
   if (!in) {
     std::fprintf(stderr, "bench_diff: cannot open %s\n", file);
@@ -121,14 +132,24 @@ std::vector<Metric> load_metrics(const char* file) {
   }
   std::ostringstream ss;
   ss << in.rdbuf();
-  const auto doc = dyncdn::obs::json::parse(ss.str());
+  auto doc = dyncdn::obs::json::parse(ss.str());
   if (!doc) {
     std::fprintf(stderr, "bench_diff: %s is not valid JSON\n", file);
     std::exit(2);
   }
-  std::vector<Metric> out;
-  collect(*doc, "", out);
-  return out;
+  return std::move(*doc);
+}
+
+/// A top-level run descriptor as text; "(missing)" when absent.
+std::string descriptor(const Value& doc, const char* key) {
+  const Value* v = doc.get(key);
+  if (v == nullptr) return "(missing)";
+  if (v->type == Value::Type::kString) return v->string;
+  if (v->type == Value::Type::kNumber && v->is_integer) {
+    return std::to_string(v->integer);
+  }
+  if (v->type == Value::Type::kNumber) return std::to_string(v->number);
+  return "?";
 }
 
 const Metric* find(const std::vector<Metric>& metrics,
@@ -148,15 +169,29 @@ int main(int argc, char** argv) {
   double overhead_ceiling = 10.0;
   const char* base_path = nullptr;
   const char* cand_path = nullptr;
+  const struct {
+    std::string_view prefix;
+    double* value;
+  } knobs[] = {{"--tolerance=", &tolerance},
+               {"--mem-tolerance=", &mem_tolerance},
+               {"--alloc-tolerance=", &alloc_tolerance},
+               {"--overhead-ceiling=", &overhead_ceiling}};
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--tolerance=", 12) == 0) {
-      tolerance = std::atof(argv[i] + 12);
-    } else if (std::strncmp(argv[i], "--mem-tolerance=", 16) == 0) {
-      mem_tolerance = std::atof(argv[i] + 16);
-    } else if (std::strncmp(argv[i], "--alloc-tolerance=", 18) == 0) {
-      alloc_tolerance = std::atof(argv[i] + 18);
-    } else if (std::strncmp(argv[i], "--overhead-ceiling=", 19) == 0) {
-      overhead_ceiling = std::atof(argv[i] + 19);
+    const std::string_view arg = argv[i];
+    const auto knob = std::find_if(
+        std::begin(knobs), std::end(knobs),
+        [arg](const auto& k) { return arg.starts_with(k.prefix); });
+    if (knob != std::end(knobs)) {
+      const auto v = dyncdn::sim::parse_double(arg.substr(knob->prefix.size()));
+      if (!v) {
+        std::fprintf(stderr,
+                     "bench_diff: bad %.*s value '%s': expected a "
+                     "non-negative number\n",
+                     static_cast<int>(knob->prefix.size() - 1),
+                     knob->prefix.data(), argv[i] + knob->prefix.size());
+        return 2;
+      }
+      *knob->value = *v;
     } else if (base_path == nullptr) {
       base_path = argv[i];
     } else if (cand_path == nullptr) {
@@ -166,9 +201,7 @@ int main(int argc, char** argv) {
       break;
     }
   }
-  if (base_path == nullptr || cand_path == nullptr || tolerance < 0.0 ||
-      mem_tolerance < 0.0 || alloc_tolerance < 0.0 ||
-      overhead_ceiling < 0.0) {
+  if (base_path == nullptr || cand_path == nullptr) {
     std::fprintf(stderr,
                  "usage: bench_diff <baseline.json> <candidate.json> "
                  "[--tolerance=0.10] [--mem-tolerance=0.25] "
@@ -176,11 +209,23 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  const std::vector<Metric> base = load_metrics(base_path);
-  const std::vector<Metric> cand = load_metrics(cand_path);
+  const Value base_doc = load_document(base_path);
+  const Value cand_doc = load_document(cand_path);
+  std::vector<Metric> base, cand;
+  collect(base_doc, "", base);
+  collect(cand_doc, "", cand);
   if (base.empty()) {
     std::fprintf(stderr, "bench_diff: no gated metrics in %s\n", base_path);
     return 2;
+  }
+
+  for (const char* key : {"mode", "threads_available", "build_type"}) {
+    const std::string b = descriptor(base_doc, key);
+    const std::string c = descriptor(cand_doc, key);
+    if (b != c) {
+      std::printf("WARNING  %s differs: baseline=%s candidate=%s\n", key,
+                  b.c_str(), c.c_str());
+    }
   }
 
   int regressions = 0;

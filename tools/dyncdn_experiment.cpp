@@ -133,6 +133,21 @@ bool whole_number(const char* flag, const std::string& text, T& out) {
   return true;
 }
 
+/// Store the finite, non-negative number `text` in `out`, or report the
+/// flag and fail.
+bool non_negative_number(const char* flag, const std::string& text,
+                         double& out) {
+  const std::optional<double> v = sim::parse_double(text);
+  if (!v) {
+    std::fprintf(stderr,
+                 "bad %s value '%s': expected a non-negative number\n", flag,
+                 text.c_str());
+    return false;
+  }
+  out = *v;
+  return true;
+}
+
 std::optional<CliOptions> parse_args(int argc, char** argv) {
   CliOptions opt;
   for (int i = 1; i < argc; ++i) {
@@ -169,7 +184,9 @@ std::optional<CliOptions> parse_args(int argc, char** argv) {
     } else if (auto v = value("--metrics-out=")) {
       opt.metrics_out = *v;
     } else if (auto v = value("--ts-interval=")) {
-      opt.ts_interval_ms = std::strtod(v->c_str(), nullptr);
+      if (!non_negative_number("--ts-interval", *v, opt.ts_interval_ms)) {
+        return std::nullopt;
+      }
     } else if (auto v = value("--ts-out=")) {
       opt.ts_out = *v;
     } else if (auto v = value("--ts-runtime-out=")) {
@@ -179,7 +196,10 @@ std::optional<CliOptions> parse_args(int argc, char** argv) {
     } else if (auto v = value("--slow-log=")) {
       opt.slow_log = *v;
     } else if (auto v = value("--slow-threshold=")) {
-      opt.slow_threshold_ms = std::strtod(v->c_str(), nullptr);
+      if (!non_negative_number("--slow-threshold", *v,
+                               opt.slow_threshold_ms)) {
+        return std::nullopt;
+      }
     } else if (auto v = value("--capture-budget=")) {
       const auto bytes = sim::parse_byte_size(*v);
       if (!bytes) {
@@ -212,11 +232,6 @@ std::optional<CliOptions> parse_args(int argc, char** argv) {
   }
   if (opt.clients == 0 || opt.reps == 0) {
     std::fprintf(stderr, "--clients and --reps must be positive\n");
-    return std::nullopt;
-  }
-  if (opt.ts_interval_ms < 0.0 || opt.slow_threshold_ms < 0.0) {
-    std::fprintf(stderr,
-                 "--ts-interval and --slow-threshold must be >= 0\n");
     return std::nullopt;
   }
   // A requested time-series output without an interval gets the default

@@ -18,7 +18,8 @@
 // query's tb/t_synack/t1..te from the tcp.flow span events and compares
 // them against the packet-capture analysis pipeline at tolerance 0: the
 // two observation paths (in-process spans vs. offline tcpdump-style
-// analysis) must agree on every timestamp, bit for bit.
+// analysis) must agree on every timestamp, bit for bit. A tcp.flow span
+// whose local_port is not a port number is refused, naming the span.
 //
 // Attribution mode:
 //   trace_inspect attribution <trace.json> [--diff=<capture.trace>]
@@ -33,7 +34,8 @@
 //   trace_inspect timeseries <series.csv|series.json>
 //
 // Summarizes a --ts-out export: per-channel min/mean/max over the tick
-// range.
+// range. A CSV row with a malformed tick or value, or a column count
+// other than the header's, is refused with its line number.
 //
 // Slow-query mode:
 //   trace_inspect slow <slow.json> [--tree]
@@ -217,7 +219,9 @@ struct SpanTimeline {
   analysis::QueryTimeline tl;
 };
 
-std::vector<SpanTimeline> reconstruct_timelines(
+/// nullopt, after naming the span, when a tcp.flow span's local_port is
+/// not a port number.
+std::optional<std::vector<SpanTimeline>> reconstruct_timelines(
     const std::vector<SpanNode>& nodes, std::size_t boundary) {
   std::map<std::int64_t, std::size_t> by_id;
   for (std::size_t i = 0; i < nodes.size(); ++i) by_id[nodes[i].id] = i;
@@ -228,7 +232,14 @@ std::vector<SpanTimeline> reconstruct_timelines(
     SpanTimeline st;
     for (const auto& [key, val] : n.args) {
       if (key == "local_port") {
-        st.local_port = std::strtoull(val.c_str(), nullptr, 10);
+        const auto port = sim::parse_uint(val);
+        if (!port || *port > 65535) {
+          std::fprintf(stderr, "error: span %" PRId64
+                       ": bad local_port value %s\n",
+                       n.id, val.c_str());
+          return std::nullopt;
+        }
+        st.local_port = *port;
       }
     }
     const auto pit = by_id.find(n.parent);
@@ -297,7 +308,8 @@ int diff_against_capture(const std::vector<SpanNode>& nodes,
     return 1;
   }
 
-  std::vector<SpanTimeline> span_tls = reconstruct_timelines(nodes, boundary);
+  const auto span_tls = reconstruct_timelines(nodes, boundary);
+  if (!span_tls) return 1;
   const auto capture_tls = analysis::extract_all_timelines(web, 80, boundary);
 
   std::size_t compared = 0, mismatches = 0, unmatched = 0;
@@ -305,7 +317,7 @@ int diff_against_capture(const std::vector<SpanNode>& nodes,
     if (!ct.valid) continue;
     const SpanTimeline* match = nullptr;
     bool ambiguous = false;
-    for (const SpanTimeline& st : span_tls) {
+    for (const SpanTimeline& st : *span_tls) {
       if (st.local_port != ct.flow.local.port) continue;
       if (!node_name.empty() && st.node_name != node_name) continue;
       if (st.tl.tb != ct.tb) continue;  // same port on another vantage point
@@ -686,8 +698,15 @@ int inspect_timeseries(int argc, char** argv) {
   if (csv) {
     std::stringstream lines(text);
     std::string line;
+    std::size_t line_no = 0;
     bool header = true;
+    const auto malformed = [&](const std::string& what) {
+      std::fprintf(stderr, "error: %s line %zu: %s\n", path.c_str(), line_no,
+                   what.c_str());
+      return 1;
+    };
     while (std::getline(lines, line)) {
+      ++line_no;
       if (line.empty()) continue;
       std::stringstream cells(line);
       std::string cell;
@@ -697,12 +716,25 @@ int inspect_timeseries(int argc, char** argv) {
           // Columns 0/1 are tick,time_ms; the rest are channels.
           if (col >= 2) columns.push_back(SeriesColumn{cell, {}});
         } else if (col == 0) {
-          ticks.push_back(std::strtoull(cell.c_str(), nullptr, 10));
-        } else if (col >= 2 && col - 2 < columns.size()) {
-          columns[col - 2].values.push_back(
-              std::strtod(cell.c_str(), nullptr));
+          const auto tick = sim::parse_uint(cell);
+          if (!tick) return malformed("bad tick '" + cell + "'");
+          ticks.push_back(*tick);
+        } else {
+          // time_ms and the channel values: finite, non-negative numbers.
+          const auto value = sim::parse_double(cell);
+          if (!value) {
+            return malformed("bad value '" + cell + "' in column " +
+                             std::to_string(col + 1));
+          }
+          if (col >= columns.size() + 2) {
+            return malformed("more columns than the header");
+          }
+          if (col >= 2) columns[col - 2].values.push_back(*value);
         }
         ++col;
+      }
+      if (!header && col < columns.size() + 2) {
+        return malformed("fewer columns than the header");
       }
       header = false;
     }
