@@ -144,6 +144,19 @@ void BackendDataCenter::process_query(
       });
 }
 
+net::PayloadRef BackendDataCenter::warmup_reply(std::uint64_t query_id,
+                                                std::size_t bytes) {
+  if (!warmup_.wire || warmup_.query_id != query_id ||
+      warmup_.bytes != bytes) {
+    http::HttpResponse resp;
+    resp.set_header("X-Query-Id", std::to_string(query_id));
+    resp.set_header("X-Warmup", "1");
+    resp.body.assign(bytes, 'w');
+    warmup_ = WarmupReply{query_id, bytes, net::make_buffer(resp.serialize())};
+  }
+  return net::PayloadRef{warmup_.wire, 0, warmup_.wire->size()};
+}
+
 void BackendDataCenter::serve_fetch(tcp::TcpSocket& socket) {
   // Persistent connection from an FE; responses are written atomically per
   // query (one send per response), so completion-order interleaving is safe.
@@ -159,11 +172,9 @@ void BackendDataCenter::serve_fetch(tcp::TcpSocket& socket) {
 
         if (req.target.starts_with("/warmup")) {
           // Connection-priming transfer: bulk bytes, no processing delay.
-          http::HttpResponse resp;
-          resp.set_header("X-Query-Id", std::to_string(query_id));
-          resp.set_header("X-Warmup", "1");
-          resp.body.assign(warmup_bytes_from_request(req), 'w');
-          if (*alive) sock->send_text(resp.serialize());
+          if (*alive) {
+            sock->send(warmup_reply(query_id, warmup_bytes_from_request(req)));
+          }
           return;
         }
 

@@ -106,6 +106,12 @@ class BackendDataCenter {
                      std::uint64_t trace_parent,
                      std::function<void(std::string dynamic_body)> done);
 
+  /// The serialized reply to a /warmup request: built on the first
+  /// request and shared by reference with every later one that has the
+  /// same query id and size (FEs all send id 0), so a fleet's warm-ups
+  /// cost one buffer.
+  net::PayloadRef warmup_reply(std::uint64_t query_id, std::size_t bytes);
+
   /// True when `text` extends (or repeats) a recently processed query.
   bool is_correlated(const std::string& text) const;
   void remember_query(const std::string& text);
@@ -115,6 +121,16 @@ class BackendDataCenter {
   /// Static portion as a wire buffer for direct-connection serves,
   /// primed on first use and sent zero-copy afterwards.
   net::Buffer static_prefix_buf_;
+  /// Last warmup_reply(), keyed by its query id and body size. Like the
+  /// FE's cached static prefix it rides packets across the shard cut (the
+  /// FE<->BE links), so in a sharded scenario several threads touch its
+  /// non-atomic refcount.
+  struct WarmupReply {
+    std::uint64_t query_id = 0;
+    std::size_t bytes = 0;
+    net::Buffer wire;
+  };
+  WarmupReply warmup_;
   Config config_;
   tcp::TcpStack stack_;
   sim::RngStream proc_rng_;

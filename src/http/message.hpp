@@ -43,6 +43,8 @@ struct HttpResponse {
   std::string reason = "OK";
   std::string version = "HTTP/1.1";
   HeaderList headers;
+  /// Written by serialize(). A ResponseParser never fills it: parsed
+  /// bodies reach callers only through its on_body_data callback.
   std::string body;
 
   void set_header(std::string name, std::string value);

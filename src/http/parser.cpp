@@ -111,7 +111,6 @@ void ResponseParser::feed(std::string_view bytes) {
     const std::size_t take = std::min(want, bytes.size());
     if (take > 0) {
       if (callbacks_.on_body_data) callbacks_.on_body_data(bytes.substr(0, take));
-      current_.body.append(bytes.data(), take);
       bytes.remove_prefix(take);
       body_received_ += take;
     }
@@ -140,7 +139,6 @@ void ResponseParser::feed(std::string_view bytes) {
       if (callbacks_.on_body_data) {
         callbacks_.on_body_data(std::string_view(buffer_).substr(0, take));
       }
-      current_.body.append(buffer_, 0, take);
       buffer_.erase(0, take);
       body_received_ += take;
     }
@@ -210,7 +208,6 @@ void ResponseParser::parse_headers() {
 
   current_ = std::move(resp);
   body_expected_ = parse_content_length(current_.headers);
-  if (body_expected_) current_.body.reserve(*body_expected_);
   body_received_ = 0;
   state_ = State::kBody;
   buffer_.erase(0, end + 4);

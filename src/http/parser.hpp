@@ -4,7 +4,10 @@
 // parsers consume those pieces and surface complete messages (requests) or
 // streaming events (responses). The response parser reports body bytes as
 // they arrive — the client emulator needs per-packet body progress to build
-// the paper's t3/t4/t5 timeline, not just the completed message.
+// the paper's t3/t4/t5 timeline, not just the completed message — and
+// never keeps them: a parsed HttpResponse carries status and headers only,
+// its `body` stays empty, and a caller that wants the bytes collects them
+// from on_body_data.
 #pragma once
 
 #include <cstdint>
@@ -56,9 +59,10 @@ class ResponseParser {
     std::function<void(const HttpResponse&,
                        std::optional<std::size_t> body_length)>
         on_headers;
-    /// A chunk of body bytes arrived (already de-framed).
+    /// A chunk of body bytes arrived (already de-framed). The only way
+    /// body bytes reach the caller; the view dies when the call returns.
     std::function<void(std::string_view)> on_body_data;
-    /// Full response received.
+    /// Full response received: status line and headers, no body.
     std::function<void(const HttpResponse&)> on_complete;
   };
 

@@ -14,6 +14,7 @@ constexpr net::Port kServicePort = 80;
 
 std::vector<core::QueryTimings> analyze_client_trace(Scenario::Client& client,
                                                      std::size_t boundary) {
+  client.require_driven();
   if (!client.recorder) {
     throw std::logic_error("experiment requires capture_clients=true");
   }
@@ -37,6 +38,7 @@ std::size_t discover_boundary(Scenario& scenario, std::size_t client_index,
                               std::size_t fe_index,
                               std::size_t num_keywords) {
   Scenario::Client& client = scenario.clients().at(client_index);
+  client.require_driven();
   if (!client.recorder) {
     throw std::logic_error("discover_boundary requires capture_clients=true");
   }
@@ -289,6 +291,7 @@ FetchFactoringResult run_fetch_factoring_experiment(
   scenario.set_stream_boundary(boundary);
 
   for (std::size_t i = 0; i < clients.size(); ++i) {
+    clients[i].require_driven();
     clients[i].query_client->submit_repeated(
         scenario.fe_endpoint(i), keyword, reps,
         sim::SimTime::milliseconds(1700), [](const cdn::QueryResult&) {});

@@ -25,6 +25,16 @@ std::vector<std::vector<std::size_t>> partition_clients(std::size_t clients,
   return groups;
 }
 
+/// The scenario one replica builds: the shared base driving only `group`
+/// and client 0, which probes the static/dynamic boundary in every replica.
+ScenarioOptions replica_options(const ScenarioOptions& base,
+                                const std::vector<std::size_t>& group) {
+  ScenarioOptions options = base;
+  options.driven_clients = group;
+  if (group.front() != 0) options.driven_clients.push_back(0);
+  return options;
+}
+
 std::size_t resolve_shards(const ReplicaPlan& plan, std::size_t clients) {
   if (clients == 0) {
     throw std::invalid_argument("sharded experiment: no vantage points");
@@ -44,7 +54,8 @@ ExperimentResult run_sharded(const ScenarioOptions& base,
   parallel::ReplicaExecutor executor(plan.executor);
   auto shard_results =
       executor.run(shards, [&](std::size_t s) -> ExperimentResult {
-        Scenario scenario(base);  // same seed -> identical topology everywhere
+        // Same seed -> identical topology everywhere.
+        Scenario scenario(replica_options(base, groups[s]));
         scenario.warm_up(plan.warm_up);
         auto& scenario_clients = scenario.clients();
         const auto fe_for_client = [&](std::size_t i) {
@@ -130,7 +141,7 @@ FetchFactoringResult run_fetch_factoring_experiment(
 
   parallel::ReplicaExecutor executor(plan.executor);
   auto shard_results = executor.run(shards, [&](std::size_t s) -> ShardSeries {
-    Scenario scenario(scenario_options);
+    Scenario scenario(replica_options(scenario_options, groups[s]));
     scenario.warm_up(plan.warm_up);
     auto& clients = scenario.clients();
     auto& fes = scenario.fes();

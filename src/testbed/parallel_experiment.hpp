@@ -5,8 +5,10 @@
 // into independent replicas — each replica rebuilds the *same* scenario
 // (same seed, same topology, same named RNG streams) and drives only its
 // shard of vantage points — and run the replicas on a deterministic thread
-// pool (parallel/replica.hpp). Merging scatters each shard's per-node
-// results back into fleet order.
+// pool (parallel/replica.hpp). A replica builds only the vantage points it
+// drives, its shard plus client 0 for the boundary probe
+// (ScenarioOptions::driven_clients); the others keep just their nodes.
+// Merging scatters each shard's per-node results back into fleet order.
 //
 // Determinism contract:
 //   * For a fixed ReplicaPlan::shards, the merged result is bit-identical

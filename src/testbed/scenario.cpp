@@ -332,9 +332,19 @@ void Scenario::build_clients() {
     client_tcp.initial_cwnd_segments = *options_.client_initial_cwnd;
   }
 
+  std::vector<bool> driven(vps.size(), options_.driven_clients.empty());
+  for (const std::size_t i : options_.driven_clients) driven.at(i) = true;
+
   for (std::size_t i = 0; i < vps.size(); ++i) {
     Client c;
     c.vantage = vps[i];
+    if (!driven[i]) {
+      // Only the node, for the fleet's node ids. It has no links, so its
+      // shard is never read.
+      c.node = &network_->add_node(vps[i].name, vps[i].location);
+      clients_.push_back(std::move(c));
+      continue;
+    }
 
     // DNS emulation: default FE = geographically nearest site. Computed
     // before node creation because the client lives on its default FE's
@@ -402,14 +412,22 @@ net::LinkConfig Scenario::client_access_link(
   return link;
 }
 
+void Scenario::Client::require_driven() const {
+  if (!driven()) {
+    throw std::logic_error("vantage point " + vantage.name +
+                           " is not driven by this scenario");
+  }
+}
+
 void Scenario::connect_client_to_fe(std::size_t client_index,
                                     std::size_t fe_index) {
+  Client& c = clients_.at(client_index);
+  c.require_driven();
   const auto key = std::make_pair(client_index, fe_index);
   if (std::find(client_fe_links_.begin(), client_fe_links_.end(), key) !=
       client_fe_links_.end()) {
     return;
   }
-  Client& c = clients_.at(client_index);
   FrontEnd& fe = fes_.at(fe_index);
   network_->connect(*c.node, *fe.node,
                     client_access_link(c.vantage, fe.location));
@@ -417,7 +435,9 @@ void Scenario::connect_client_to_fe(std::size_t client_index,
 }
 
 net::Endpoint Scenario::default_fe_endpoint(std::size_t client_index) const {
-  return fe_endpoint(clients_.at(client_index).default_fe);
+  const Client& c = clients_.at(client_index);
+  c.require_driven();
+  return fe_endpoint(c.default_fe);
 }
 
 net::Endpoint Scenario::fe_endpoint(std::size_t fe_index) const {
@@ -510,7 +530,9 @@ void Scenario::collect_metrics(obs::MetricsRegistry& out) {
     tcp_totals.dupacks_received += s.dupacks_received;
     sockets_opened += stack.sockets_opened();
   };
-  for (Client& c : clients_) fold(c.query_client->stack());
+  for (Client& c : clients_) {
+    if (c.driven()) fold(c.query_client->stack());
+  }
   for (FrontEnd& fe : fes_) fold(fe.server->stack());
   fold(backend_->stack());
   out.add("tcp_sockets_opened", sockets_opened);

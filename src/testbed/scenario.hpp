@@ -34,6 +34,14 @@ struct ScenarioOptions {
   std::size_t client_count = 60;
   std::uint64_t seed = 1;
 
+  /// Vantage points this scenario drives (indices into the fleet; empty =
+  /// all). Every other vantage point gets only its net::Node, so node ids,
+  /// packet ids and link names match the full fleet: no default-FE search,
+  /// access link, QueryClient, recorder, analyzer or spill writer. A
+  /// replica (parallel_experiment.hpp) lists its group plus client 0, the
+  /// boundary probe; the BE, the FE fleet and their warm-ups stay whole.
+  std::vector<std::size_t> driven_clients;
+
   /// Capture packets at client nodes. Payload retention is needed only for
   /// content-boundary discovery; large sweeps keep it off to bound memory.
   bool capture_clients = true;
@@ -143,7 +151,13 @@ class Scenario {
     /// Durable overflow target (ScenarioOptions::capture_budget); wired as
     /// the recorder's spill writer.
     std::unique_ptr<capture::SpillWriter> spill;
-    std::size_t default_fe = 0;  // index into fes()
+    std::size_t default_fe = 0;  // index into fes(); driven clients only
+
+    /// False outside ScenarioOptions::driven_clients: only `vantage` and
+    /// `node` are set.
+    bool driven() const { return query_client != nullptr; }
+    /// Throws std::logic_error unless driven().
+    void require_driven() const;
   };
 
   struct FrontEnd {
@@ -164,6 +178,7 @@ class Scenario {
   cdn::BackendDataCenter& backend() { return *backend_; }
 
   /// DNS emulation: the endpoint of client i's default (nearest) FE.
+  /// Throws std::logic_error for a client that is not driven.
   net::Endpoint default_fe_endpoint(std::size_t client_index) const;
   net::Endpoint fe_endpoint(std::size_t fe_index) const;
   /// One-way client<->FE propagation path RTT estimate (for sanity checks;
@@ -172,7 +187,8 @@ class Scenario {
                              std::size_t fe_index) const;
 
   /// Ensure a direct link exists between client i and FE j (Datasets B:
-  /// querying a fixed, possibly non-default FE).
+  /// querying a fixed, possibly non-default FE). Throws std::logic_error
+  /// for a client that is not driven.
   void connect_client_to_fe(std::size_t client_index, std::size_t fe_index);
 
   /// Run the simulation until the FE fleet's persistent BE connections are

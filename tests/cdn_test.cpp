@@ -2,13 +2,18 @@
 // static-immediate delivery, caching knob, warm/cold BE connections.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <optional>
+#include <set>
+#include <string>
+#include <vector>
 
 #include "cdn/backend.hpp"
 #include "cdn/client.hpp"
 #include "cdn/deployment.hpp"
 #include "cdn/frontend.hpp"
+#include "http/message.hpp"
 #include "net/network.hpp"
 #include "search/content_model.hpp"
 #include "sim/simulator.hpp"
@@ -157,6 +162,57 @@ TEST(Backend, GroundTruthLogMatchesResponse) {
   EXPECT_EQ(log[0].processing_done - log[0].request_received, log[0].t_proc);
   EXPECT_EQ(r.body_bytes,
             f.content.static_prefix().size() + log[0].dynamic_bytes);
+}
+
+// Every FE's warm-up transfer carries the bytes of the reply the BE used to
+// serialize per request, and all of them ride one shared BE buffer.
+TEST(Backend, WarmupRepliesShareOneSerializedBuffer) {
+  sim::Simulator simulator(11);
+  net::Network network(simulator);
+  const search::ContentModel content(search::ContentProfile{}, "TestSearch");
+  net::Node& be_node = network.add_node("be");
+  BackendDataCenter backend(be_node, content, BackendDataCenter::Config{});
+
+  struct Received {
+    std::map<std::uint64_t, std::string> by_seq;  // retransmits overwrite
+    std::set<const net::ByteBuf*> buffers;
+  };
+  std::vector<std::unique_ptr<FrontEndServer>> fes;
+  std::vector<Received> received(2);
+  for (std::size_t i = 0; i < received.size(); ++i) {
+    net::Node& node = network.add_node("fe-" + std::to_string(i));
+    net::LinkConfig internal;
+    internal.propagation_delay = 5_ms;
+    network.connect(node, be_node, internal);
+    Received* r = &received[i];
+    node.add_receive_tap([r](const net::PacketPtr& p) {
+      if (p->payload.empty()) return;
+      r->by_seq[p->tcp.seq] = p->payload.to_text();
+      r->buffers.insert(p->payload.buffer.get());
+      for (const net::PayloadSlice& s : p->payload.chain) {
+        r->buffers.insert(s.buffer.get());
+      }
+    });
+    FrontEndServer::Config cfg;
+    cfg.name = node.name();
+    cfg.backend = backend.fetch_endpoint();
+    fes.push_back(std::make_unique<FrontEndServer>(node, content, cfg));
+  }
+  simulator.run_until(3_s);
+
+  http::HttpResponse expected;
+  expected.set_header("X-Query-Id", "0");
+  expected.set_header("X-Warmup", "1");
+  expected.body.assign(128 * 1024, 'w');
+  const std::string wire = expected.serialize();
+  for (const Received& r : received) {
+    std::string got;
+    for (const auto& [seq, bytes] : r.by_seq) got += bytes;
+    EXPECT_EQ(got, wire);
+    EXPECT_EQ(r.buffers.size(), 1u);
+  }
+  EXPECT_EQ(received[0].buffers, received[1].buffers);
+  for (const auto& fe : fes) EXPECT_TRUE(fe->backend_connected());
 }
 
 TEST(Frontend, ResponseContainsStaticPrefixThenDynamic) {

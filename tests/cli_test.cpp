@@ -209,6 +209,62 @@ TEST(TraceInspectCli, MalformedTimeSeriesIsRefused) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(TraceInspectCli, MalformedTimeSeriesJsonIsRefused) {
+  const auto dir = scratch_dir("timeseries_json");
+  const std::string good =
+      "{\"interval_ns\":100000000,\"ticks\":[0,1],"
+      "\"channels\":{\"fe_fetch_queue\":[1,2.5],\"be_queue_depth\":[0,3]}}";
+  for (const std::string& doc :
+       {good, "{\"timeseries\":" + good + ",\"executor\":{\"workers\":1}}"}) {
+    write_file(dir / "good.json", doc);
+    const CliRun ok =
+        run_trace_inspect("timeseries " + (dir / "good.json").string());
+    EXPECT_EQ(ok.exit_code, 0) << ok.output;
+    EXPECT_NE(ok.output.find("ticks: 2"), std::string::npos) << ok.output;
+  }
+  const struct {
+    const char* doc;
+    const char* message;
+  } cases[] = {
+      {"{\"interval_ns\":\"soon\",\"ticks\":[\"x\",-1,2.5],\"channels\":"
+       "{\"fe_fetch_queue\":[1,\"two\"],\"be_queue_depth\":[null,-4,7,9]}}",
+       "interval_ns must be a positive whole number"},
+      {"{\"interval_ns\":0,\"ticks\":[],\"channels\":{}}",
+       "interval_ns must be a positive whole number"},
+      {"{\"interval_ns\":2.5,\"ticks\":[],\"channels\":{}}",
+       "interval_ns must be a positive whole number"},
+      {"{\"ticks\":[],\"channels\":{}}",
+       "interval_ns must be a positive whole number"},
+      {"{\"interval_ns\":10,\"ticks\":7,\"channels\":{}}",
+       "ticks must be an array"},
+      {"{\"interval_ns\":10,\"ticks\":[\"x\"],\"channels\":{}}",
+       "bad tick at ticks[0]"},
+      {"{\"interval_ns\":10,\"ticks\":[0,-1],\"channels\":{}}",
+       "bad tick at ticks[1]"},
+      {"{\"interval_ns\":10,\"ticks\":[0,2.5],\"channels\":{}}",
+       "bad tick at ticks[1]"},
+      {"{\"interval_ns\":10,\"ticks\":[0,1]}", "channels must be an object"},
+      {"{\"interval_ns\":10,\"ticks\":[0,1],\"channels\":{\"q\":[1]}}",
+       "channel q must hold one value per tick"},
+      {"{\"interval_ns\":10,\"ticks\":[0,1],\"channels\":{\"q\":[1,2,3]}}",
+       "channel q must hold one value per tick"},
+      {"{\"interval_ns\":10,\"ticks\":[0,1],\"channels\":{\"q\":[1,\"two\"]}}",
+       "bad value at q[1]"},
+      {"{\"interval_ns\":10,\"ticks\":[0,1],\"channels\":{\"q\":[null,1]}}",
+       "bad value at q[0]"},
+      {"{\"interval_ns\":10,\"ticks\":[0,1],\"channels\":{\"q\":[0,-4]}}",
+       "bad value at q[1]"}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.doc);
+    write_file(dir / "bad.json", c.doc);
+    const CliRun run =
+        run_trace_inspect("timeseries " + (dir / "bad.json").string());
+    EXPECT_EQ(run.exit_code, 1) << run.output;
+    EXPECT_NE(run.output.find(c.message), std::string::npos) << run.output;
+  }
+  std::filesystem::remove_all(dir);
+}
+
 TEST(TraceInspectCli, MalformedSpanPortIsRefused) {
   // One tcp.flow span whose local_port is not a port number: the --diff
   // check refuses the span file instead of matching it as port 0.

@@ -133,9 +133,12 @@ TEST(RequestParser, MalformedHeaderThrows) {
                std::runtime_error);
 }
 
+/// Body bytes reach a caller only through on_body_data: `bodies[i]` is
+/// what response i streamed, and the completed message carries no body.
 struct ResponseEvents {
   std::vector<std::optional<std::size_t>> header_lengths;
-  std::string body;
+  std::string body;  // every response's body bytes, in stream order
+  std::vector<std::string> bodies;
   std::vector<HttpResponse> completed;
 
   ResponseParser::Callbacks callbacks() {
@@ -143,9 +146,16 @@ struct ResponseEvents {
     cb.on_headers = [this](const HttpResponse&,
                            std::optional<std::size_t> len) {
       header_lengths.push_back(len);
+      bodies.emplace_back();
     };
-    cb.on_body_data = [this](std::string_view chunk) { body.append(chunk); };
-    cb.on_complete = [this](const HttpResponse& r) { completed.push_back(r); };
+    cb.on_body_data = [this](std::string_view chunk) {
+      body.append(chunk);
+      bodies.back().append(chunk);
+    };
+    cb.on_complete = [this](const HttpResponse& r) {
+      EXPECT_TRUE(r.body.empty()) << "parsed responses carry no body";
+      completed.push_back(r);
+    };
     return cb;
   }
 };
@@ -156,7 +166,7 @@ TEST(ResponseParser, LengthFramedResponse) {
   parser.feed("HTTP/1.1 200 OK\r\nContent-Length: 4\r\n\r\nbody");
   ASSERT_EQ(ev.completed.size(), 1u);
   EXPECT_EQ(ev.completed[0].status, 200);
-  EXPECT_EQ(ev.completed[0].body, "body");
+  EXPECT_EQ(ev.bodies[0], "body");
   EXPECT_EQ(ev.header_lengths[0].value(), 4u);
   EXPECT_EQ(ev.body, "body");
 }
@@ -171,7 +181,7 @@ TEST(ResponseParser, StreamingBodyChunks) {
   EXPECT_TRUE(ev.completed.empty());
   parser.feed("56789");
   ASSERT_EQ(ev.completed.size(), 1u);
-  EXPECT_EQ(ev.completed[0].body, "0123456789");
+  EXPECT_EQ(ev.bodies[0], "0123456789");
 }
 
 TEST(ResponseParser, BackToBackResponsesOnPersistentConnection) {
@@ -182,7 +192,8 @@ TEST(ResponseParser, BackToBackResponsesOnPersistentConnection) {
       "HTTP/1.1 200 OK\r\nX-Query-Id: 2\r\nContent-Length: 3\r\n\r\nbbb");
   ASSERT_EQ(ev.completed.size(), 2u);
   EXPECT_EQ(ev.completed[0].header("X-Query-Id").value(), "1");
-  EXPECT_EQ(ev.completed[1].body, "bbb");
+  EXPECT_EQ(ev.bodies[0], "aa");
+  EXPECT_EQ(ev.bodies[1], "bbb");
 }
 
 TEST(ResponseParser, CloseFramedResponse) {
@@ -194,7 +205,7 @@ TEST(ResponseParser, CloseFramedResponse) {
   parser.feed(" and more");
   parser.finish_stream();
   ASSERT_EQ(ev.completed.size(), 1u);
-  EXPECT_EQ(ev.completed[0].body, "partial and more");
+  EXPECT_EQ(ev.bodies[0], "partial and more");
 }
 
 TEST(ResponseParser, FinishStreamMidLengthBodyThrows) {
@@ -313,7 +324,9 @@ TEST_P(ResponseRoundTrip, SerializeParseIdenticalUnderAnySegmentation) {
 
   const std::string wire = original.serialize();
   std::vector<HttpResponse> parsed;
+  std::string body;
   ResponseParser::Callbacks cb;
+  cb.on_body_data = [&](std::string_view chunk) { body.append(chunk); };
   cb.on_complete = [&](const HttpResponse& r) { parsed.push_back(r); };
   ResponseParser parser(std::move(cb));
 
@@ -326,7 +339,8 @@ TEST_P(ResponseRoundTrip, SerializeParseIdenticalUnderAnySegmentation) {
   }
   ASSERT_EQ(parsed.size(), 1u);
   EXPECT_EQ(parsed[0].status, 200);
-  EXPECT_EQ(parsed[0].body, original.body);
+  EXPECT_EQ(body, original.body);
+  EXPECT_TRUE(parsed[0].body.empty());
   EXPECT_EQ(parsed[0].header("Server").value(), "round-trip");
 }
 

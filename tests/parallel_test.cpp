@@ -434,6 +434,193 @@ TEST(ParallelExperiment, FetchFactoringThreadCountInvariant) {
   EXPECT_EQ(t1.factoring.fit.intercept, t4.factoring.fit.intercept);
 }
 
+/// FNV-1a over a campaign's per-node timings, boundary and Prometheus dump.
+std::uint64_t campaign_digest(const testbed::ExperimentResult& r) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](const void* data, std::size_t n) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < n; ++i) h = (h ^ p[i]) * 0x100000001b3ULL;
+  };
+  for (const auto& node : r.per_node_timings) {
+    const std::uint64_t count = node.size();
+    mix(&count, sizeof count);
+    for (const core::QueryTimings& t : node) mix(&t, sizeof t);
+  }
+  const std::uint64_t boundary = r.boundary;
+  mix(&boundary, sizeof boundary);
+  const std::string dump = obs::export_prometheus(r.metrics);
+  mix(dump.data(), dump.size());
+  return h;
+}
+
+// The replica campaigns of the CLI-default layout, pinned to the bytes the
+// library produced before replicas stopped building the vantage points
+// they do not drive (and before the BE shared one warm-up buffer).
+TEST(ParallelExperiment, ReplicaCampaignDigestPinned) {
+  testbed::ReplicaPlan plan;  // one replica per vantage point
+  plan.executor.threads = 2;
+
+  testbed::ScenarioOptions bing;
+  bing.profile = cdn::bing_like_profile();
+  bing.client_count = 24;
+  bing.seed = 31;
+  bing.stream_analysis = true;
+  testbed::ExperimentOptions two_reps = small_experiment();
+  two_reps.reps_per_node = 2;
+  const auto a = testbed::run_default_fe_experiment(bing, two_reps, plan);
+  EXPECT_EQ(a.all().size(), 48u);
+  EXPECT_EQ(campaign_digest(a), 0x2388552e704cd1a4ULL);
+
+  testbed::ScenarioOptions google;
+  google.profile = cdn::google_like_profile();
+  google.client_count = 16;
+  google.seed = 32;
+  google.stream_analysis = true;
+  const auto b = testbed::run_fixed_fe_experiment(google, 0, two_reps, plan);
+  EXPECT_EQ(b.all().size(), 32u);
+  EXPECT_EQ(campaign_digest(b), 0xd17468fe339e6972ULL);
+}
+
+// ---------------------------------------------------------------------------
+// Lean replicas: a replica builds only the vantage points it drives, its
+// group plus client 0 (the boundary probe). Driven through the same group,
+// it must report exactly what a scenario with the whole fleet reports.
+// ---------------------------------------------------------------------------
+
+struct LeanCase {
+  const char* name;
+  bool bing_default_fe;  // else Google-like, every client on FE 0
+  bool streaming;        // else retained capture with a 64k spill budget
+  bool telemetry;        // span tracing and time-series sampling
+  std::size_t shards;    // ReplicaPlan::shards (0 = one per client)
+};
+
+// Names the case in test listings (and so in ctest's test names).
+void PrintTo(const LeanCase& c, std::ostream* os) { *os << c.name; }
+
+/// Kernel counters without spill_flush_ns, the one wall-clock figure.
+obs::MetricsRegistry deterministic_kernel(const obs::MetricsRegistry& kernel) {
+  obs::MetricsRegistry out;
+  for (const auto& [name, value] : kernel.counters()) {
+    if (name != "spill_flush_ns") out.add(name, value);
+  }
+  for (const auto& [name, value] : kernel.gauges()) out.gauge_max(name, value);
+  return out;
+}
+
+class LeanReplica : public ::testing::TestWithParam<LeanCase> {};
+
+TEST_P(LeanReplica, EqualsFullScenario) {
+  const LeanCase& c = GetParam();
+  testbed::ScenarioOptions base;
+  base.profile =
+      c.bing_default_fe ? cdn::bing_like_profile() : cdn::google_like_profile();
+  base.client_count = 7;
+  base.seed = 4242;
+  base.stream_analysis = c.streaming;
+  if (!c.streaming) base.capture_budget = 64 * 1024;
+  base.enable_tracing = c.telemetry;
+  if (c.telemetry) base.ts_interval = 250_ms;
+  const auto options = small_experiment();
+
+  const std::size_t clients = base.client_count;
+  const std::size_t shards = c.shards == 0 ? clients : c.shards;
+  std::size_t second_links = 0;
+  std::uint64_t spill_blocks = 0;
+  for (std::size_t s = 0; s < shards; ++s) {
+    SCOPED_TRACE("replica " + std::to_string(s));
+    std::vector<std::size_t> group;
+    for (std::size_t i = s * clients / shards; i < (s + 1) * clients / shards;
+         ++i) {
+      group.push_back(i);
+    }
+    testbed::ScenarioOptions lean_options = base;
+    lean_options.driven_clients = group;
+    if (group.front() != 0) lean_options.driven_clients.push_back(0);
+
+    std::vector<testbed::ExperimentResult> results;
+    for (const auto* opt : {&lean_options, &base}) {
+      testbed::Scenario scenario(*opt);
+      std::size_t driven = 0;
+      for (const auto& client : scenario.clients()) driven += client.driven();
+      EXPECT_EQ(driven, opt->driven_clients.empty()
+                            ? clients
+                            : opt->driven_clients.size());
+      scenario.warm_up();
+      auto& sc_clients = scenario.clients();
+      if (opt == &base) {
+        for (const std::size_t i : group) {
+          second_links += sc_clients[i].default_fe != 0;
+        }
+      }
+      results.push_back(testbed::run_experiment_subset(
+          scenario, options, group, [&](std::size_t i) {
+            return c.bing_default_fe ? sc_clients[i].default_fe : 0;
+          }));
+    }
+    const testbed::ExperimentResult& lean = results[0];
+    const testbed::ExperimentResult& full = results[1];
+    expect_identical(lean, full);
+    spill_blocks += lean.metrics.counter("spill_blocks");
+    EXPECT_EQ(obs::export_prometheus(lean.metrics),
+              obs::export_prometheus(full.metrics));
+    EXPECT_EQ(obs::export_prometheus(deterministic_kernel(lean.kernel_metrics)),
+              obs::export_prometheus(deterministic_kernel(full.kernel_metrics)));
+    EXPECT_EQ(lean.timeseries.to_json(false), full.timeseries.to_json(false));
+    EXPECT_EQ(lean.attribution.to_json(), full.attribution.to_json());
+    if (c.telemetry) {
+      EXPECT_GT(lean.timeseries.sample_count(), 0u);
+      EXPECT_GT(lean.attribution.queries(), 0u);
+    }
+  }
+  // Fixed-FE runs link most driven clients to FE 0 besides their default.
+  if (!c.bing_default_fe) {
+    EXPECT_GT(second_links * 2, clients);
+  }
+  // The boundary probe's payload capture outgrows the budget.
+  if (!c.streaming) {
+    EXPECT_GT(spill_blocks, 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Layouts, LeanReplica,
+    ::testing::Values(LeanCase{"BingStreamShards0", true, true, false, 0},
+                      LeanCase{"BingStreamTelemetryShards3", true, true, true, 3},
+                      LeanCase{"BingCaptureTelemetryShards0", true, false, true, 0},
+                      LeanCase{"BingCaptureShards3", true, false, false, 3},
+                      LeanCase{"GoogleFe0StreamTelemetryShards0", false, true, true, 0},
+                      LeanCase{"GoogleFe0StreamShards3", false, true, false, 3},
+                      LeanCase{"GoogleFe0CaptureShards0", false, false, false, 0},
+                      LeanCase{"GoogleFe0CaptureTelemetryShards3", false, false, true, 3}));
+
+TEST(LeanReplica, IdleVantagePointsKeepTheirNodesAndCannotBeDriven) {
+  auto options = small_scenario();
+  options.driven_clients = {2, 0};
+  testbed::Scenario lean(options);
+  testbed::Scenario full(small_scenario());
+  auto& clients = lean.clients();
+  ASSERT_EQ(clients.size(), full.clients().size());
+  for (std::size_t i = 0; i < clients.size(); ++i) {
+    SCOPED_TRACE("client " + std::to_string(i));
+    EXPECT_EQ(clients[i].driven(), i == 0 || i == 2);
+    EXPECT_EQ(clients[i].node->id(), full.clients()[i].node->id());
+    EXPECT_EQ(clients[i].node->name(), full.clients()[i].node->name());
+  }
+  testbed::Scenario::Client& idle = clients[1];
+  EXPECT_EQ(idle.recorder, nullptr);
+  EXPECT_EQ(idle.analyzer, nullptr);
+  EXPECT_EQ(idle.spill, nullptr);
+  EXPECT_THROW(lean.connect_client_to_fe(1, 0), std::logic_error);
+  EXPECT_THROW(lean.default_fe_endpoint(1), std::logic_error);
+  EXPECT_THROW(testbed::discover_boundary(lean, 1, 0), std::logic_error);
+  EXPECT_THROW(testbed::analyze_client_trace(idle, 1), std::logic_error);
+  EXPECT_NO_THROW(lean.connect_client_to_fe(2, 0));
+
+  options.driven_clients = {8};  // the fleet has clients 0..7
+  EXPECT_THROW({ testbed::Scenario bad(options); }, std::out_of_range);
+}
+
 TEST(ParallelExperiment, PlannedClientCountIsSweepAware) {
   testbed::ScenarioOptions opt;
   opt.client_count = 60;

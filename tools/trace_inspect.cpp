@@ -33,9 +33,12 @@
 // Time-series mode:
 //   trace_inspect timeseries <series.csv|series.json>
 //
-// Summarizes a --ts-out export: per-channel min/mean/max over the tick
-// range. A CSV row with a malformed tick or value, or a column count
-// other than the header's, is refused with its line number.
+// Summarizes a --ts-out export (or the series in a --ts-runtime-out file):
+// per-channel min/mean/max over the tick range. Ticks must be whole
+// non-negative numbers, values finite and non-negative, and every channel
+// must hold one value per tick. A CSV row that breaks a rule is refused
+// with its line number; a JSON series names the field and index, and its
+// interval_ns must be a positive whole number.
 //
 // Slow-query mode:
 //   trace_inspect slow <slow.json> [--tree]
@@ -43,6 +46,7 @@
 // Pretty-prints a --slow-log flight-recorder dump; --tree includes each
 // promoted query's retained span subtree.
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -744,23 +748,55 @@ int inspect_timeseries(int argc, char** argv) {
       std::fprintf(stderr, "error: %s is not valid JSON\n", path.c_str());
       return 1;
     }
-    if (const auto* jticks = doc->get("ticks"); jticks && jticks->is_array()) {
-      for (const auto& t : jticks->array) {
-        ticks.push_back(static_cast<std::uint64_t>(t.as_int()));
+    // The CSV rules: whole non-negative ticks, finite non-negative values,
+    // one value per tick in every channel, and a positive interval.
+    const auto malformed = [&](const std::string& what) {
+      std::fprintf(stderr, "error: %s: %s\n", path.c_str(), what.c_str());
+      return 1;
+    };
+    const auto whole = [](const obs::json::Value& v) {
+      return v.type == obs::json::Value::Type::kNumber && v.is_integer &&
+             v.integer >= 0;
+    };
+    // A --ts-runtime-out file wraps the series in {"timeseries": ...}.
+    const obs::json::Value* series = doc->get("timeseries");
+    if (series == nullptr) series = &*doc;
+    const auto* interval = series->get("interval_ns");
+    if (interval == nullptr || !whole(*interval) || interval->integer == 0) {
+      return malformed("interval_ns must be a positive whole number");
+    }
+    const auto* jticks = series->get("ticks");
+    if (jticks == nullptr || !jticks->is_array()) {
+      return malformed("ticks must be an array");
+    }
+    for (std::size_t i = 0; i < jticks->array.size(); ++i) {
+      if (!whole(jticks->array[i])) {
+        return malformed("bad tick at ticks[" + std::to_string(i) + "]");
       }
+      ticks.push_back(static_cast<std::uint64_t>(jticks->array[i].integer));
     }
-    if (const auto* chans = doc->get("channels");
-        chans && chans->is_object()) {
-      for (const auto& [name, vals] : chans->object) {
-        SeriesColumn c{name, {}};
-        for (const auto& v : vals.array) c.values.push_back(v.as_double());
-        columns.push_back(std::move(c));
+    const auto* chans = series->get("channels");
+    if (chans == nullptr || !chans->is_object()) {
+      return malformed("channels must be an object");
+    }
+    for (const auto& [name, vals] : chans->object) {
+      if (!vals.is_array() || vals.array.size() != ticks.size()) {
+        return malformed("channel " + name + " must hold one value per tick");
       }
+      SeriesColumn c{name, {}};
+      for (std::size_t i = 0; i < vals.array.size(); ++i) {
+        // as_double's fallback -1 marks a non-number as bad.
+        const double x = vals.array[i].as_double(-1.0);
+        if (!std::isfinite(x) || x < 0) {
+          return malformed("bad value at " + name + "[" + std::to_string(i) +
+                           "]");
+        }
+        c.values.push_back(x);
+      }
+      columns.push_back(std::move(c));
     }
-    if (const auto* v = doc->get("interval_ns")) {
-      std::printf("interval: %.3f ms\n",
-                  static_cast<double>(v->as_int()) / 1e6);
-    }
+    std::printf("interval: %.3f ms\n",
+                static_cast<double>(interval->integer) / 1e6);
   }
   print_series_summary(ticks, columns);
   return 0;
