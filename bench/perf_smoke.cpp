@@ -31,11 +31,7 @@
 // "experiment": {"queries",
 // "serial_wall_ms", "queries_per_sec_best", "thread_scaling": [{threads,
 // threads_available, oversubscribed, wall_ms, queries_per_sec,
-// speedup_vs_1, shards, barrier_stalls, cross_shard_packets}],
-// "scenario_scaling": [{shards, oversubscribed, wall_ms, queries_per_sec,
-// speedup_vs_1, windows, barrier_stalls, cross_shard_packets}] (one
-// scenario partitioned across shard kernels — conservative parallel DES;
-// results are byte-identical at every shard count), "metrics": {...}}.
+// speedup_vs_1}], "metrics": {...}}.
 // A copy also lands at <repo-root>/BENCH_latest.json (gitignored) so the
 // latest numbers are always one `cat` away. See docs/PERF.md; the
 // bench_diff ctest target gates these numbers against
@@ -57,7 +53,6 @@
 #include "obs/export_prometheus.hpp"
 #include "obs/memory.hpp"
 #include "obs/obs.hpp"
-#include "parallel/pdes.hpp"
 #include "parallel/replica.hpp"
 #include "search/keywords.hpp"
 #include "sim/event_queue.hpp"
@@ -281,23 +276,6 @@ struct ScalePoint {
   double wall_ms = 0;
   double queries_per_sec = 0;
   bool oversubscribed = false;  // threads > cores: wall time is noise
-  // Conservative-DES view of the same run, from the merged kernel metrics
-  // (all replicas serial unless the scenario requests sim_shards > 1).
-  std::size_t shards = 1;
-  std::uint64_t barrier_stalls = 0;
-  std::uint64_t cross_shard_packets = 0;
-};
-
-/// One scenario_scaling row: the identical campaign with the single
-/// scenario partitioned across `shards` kernels.
-struct ShardScalePoint {
-  std::size_t shards = 0;
-  double wall_ms = 0;
-  double queries_per_sec = 0;
-  std::uint64_t windows = 0;
-  std::uint64_t barrier_stalls = 0;
-  std::uint64_t cross_shard_packets = 0;
-  bool oversubscribed = false;  // shards > cores: wall time is noise
 };
 
 /// One serial quick campaign in the given analysis mode, with the
@@ -644,11 +622,6 @@ int main(int argc, char** argv) {
     p.oversubscribed = threads > hw;
     queries = result.all().size();
     p.queries_per_sec = static_cast<double>(queries) / (p.wall_ms / 1000.0);
-    p.shards = static_cast<std::size_t>(
-        std::max<std::int64_t>(1, result.kernel_metrics.gauge("pdes_shards")));
-    p.barrier_stalls = result.kernel_metrics.counter("pdes_barrier_stalls");
-    p.cross_shard_packets =
-        result.kernel_metrics.counter("pdes_cross_shard_packets");
     scaling.push_back(p);
     std::printf("experiment:     %zu threads -> %8.1f ms (%zu queries, "
                 "%.0f queries/sec)%s\n",
@@ -667,49 +640,6 @@ int main(int argc, char** argv) {
   if (!metrics_out.empty()) {
     obs::write_prometheus(campaign_metrics, metrics_out);
     std::printf("[metrics written: %s]\n", metrics_out.c_str());
-  }
-
-  // Conservative parallel DES inside ONE scenario: the same fixed-FE
-  // campaign with the scenario's vantage points and FE attachments
-  // partitioned across shard kernels. Results are byte-identical at every
-  // shard count (tests/pdes_test.cpp), so rows differ only in wall time
-  // and barrier behaviour. Scenario construction + warm-up is inside the
-  // timed region: that is the cost a caller actually pays per shard count.
-  std::vector<ShardScalePoint> shard_scaling;
-  for (const std::size_t shards :
-       {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-    testbed::ScenarioOptions so = scenario;
-    so.sim_shards = shards;
-    so.enable_tracing = false;
-    ShardScalePoint p;
-    p.shards = shards;
-    p.oversubscribed = shards > hw;
-    std::size_t row_queries = 0;
-    for (int pass = 0; pass < passes; ++pass) {
-      const auto start = std::chrono::steady_clock::now();
-      testbed::Scenario sc(so);
-      sc.warm_up();
-      const testbed::ExperimentResult result =
-          testbed::run_fixed_fe_experiment(sc, 0, eo);
-      const double ms = wall_ms_since(start);
-      if (pass == 0 || ms < p.wall_ms) p.wall_ms = ms;
-      // Barrier stats are deterministic — identical on every pass.
-      const parallel::ShardRunnerStats& st = sc.shard_stats();
-      p.windows = st.windows;
-      p.barrier_stalls = st.barrier_stalls;
-      p.cross_shard_packets = st.cross_shard_packets;
-      row_queries = result.all().size();
-    }
-    p.queries_per_sec =
-        static_cast<double>(row_queries) / (p.wall_ms / 1000.0);
-    shard_scaling.push_back(p);
-    std::printf("scenario shard: %zu shards  -> %8.1f ms (%llu windows, "
-                "%llu stalls, %llu cross-shard pkts)%s\n",
-                shards, p.wall_ms,
-                static_cast<unsigned long long>(p.windows),
-                static_cast<unsigned long long>(p.barrier_stalls),
-                static_cast<unsigned long long>(p.cross_shard_packets),
-                p.oversubscribed ? " [oversubscribed]" : "");
   }
 
   // Time-resolved telemetry cost: the same serial campaign with the 100ms
@@ -1032,30 +962,11 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < scaling.size(); ++i) {
     emit("      {\"threads\": %zu, \"threads_available\": %zu, "
          "\"oversubscribed\": %s, \"wall_ms\": %.3f, "
-         "\"queries_per_sec\": %.1f, \"speedup_vs_1\": %.3f, "
-         "\"shards\": %zu, \"barrier_stalls\": %llu, "
-         "\"cross_shard_packets\": %llu}%s\n",
+         "\"queries_per_sec\": %.1f, \"speedup_vs_1\": %.3f}%s\n",
          scaling[i].threads, hw, scaling[i].oversubscribed ? "true" : "false",
          scaling[i].wall_ms, scaling[i].queries_per_sec,
-         scaling.front().wall_ms / scaling[i].wall_ms, scaling[i].shards,
-         static_cast<unsigned long long>(scaling[i].barrier_stalls),
-         static_cast<unsigned long long>(scaling[i].cross_shard_packets),
+         scaling.front().wall_ms / scaling[i].wall_ms,
          i + 1 < scaling.size() ? "," : "");
-  }
-  emit("    ],\n");
-  emit("    \"scenario_scaling\": [\n");
-  for (std::size_t i = 0; i < shard_scaling.size(); ++i) {
-    const ShardScalePoint& p = shard_scaling[i];
-    emit("      {\"shards\": %zu, \"oversubscribed\": %s, "
-         "\"wall_ms\": %.3f, \"queries_per_sec\": %.1f, "
-         "\"speedup_vs_1\": %.3f, \"windows\": %llu, "
-         "\"barrier_stalls\": %llu, \"cross_shard_packets\": %llu}%s\n",
-         p.shards, p.oversubscribed ? "true" : "false", p.wall_ms,
-         p.queries_per_sec, shard_scaling.front().wall_ms / p.wall_ms,
-         static_cast<unsigned long long>(p.windows),
-         static_cast<unsigned long long>(p.barrier_stalls),
-         static_cast<unsigned long long>(p.cross_shard_packets),
-         i + 1 < shard_scaling.size() ? "," : "");
   }
   emit("    ],\n");
   // Metrics snapshot of the serial campaign: counters and gauges verbatim,

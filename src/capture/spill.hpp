@@ -4,8 +4,8 @@
 // keeps a full tcpdump and all decomposition happens offline. The text
 // serialization (serialize.hpp) makes that workflow portable but costs
 // ~50 bytes per headers-only record and 2x the payload bytes in hex — at
-// the 10^5..10^6-client scale the PDES work targets, neither the trace
-// buffer nor the text file fits. This module adds the durable tier:
+// the 10^5..10^6-client campaign scale, neither the trace buffer nor the
+// text file fits. This module adds the durable tier:
 //
 //   SpillWriter  a capture::PacketSink that streams PacketRecords into a
 //                compact block-columnar binary file. Memory is O(one

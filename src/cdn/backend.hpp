@@ -121,10 +121,8 @@ class BackendDataCenter {
   /// Static portion as a wire buffer for direct-connection serves,
   /// primed on first use and sent zero-copy afterwards.
   net::Buffer static_prefix_buf_;
-  /// Last warmup_reply(), keyed by its query id and body size. Like the
-  /// FE's cached static prefix it rides packets across the shard cut (the
-  /// FE<->BE links), so in a sharded scenario several threads touch its
-  /// non-atomic refcount.
+  /// Last warmup_reply(), keyed by its query id and body size. Every FE's
+  /// warm-up shares it, so its packets hold references to one buffer.
   struct WarmupReply {
     std::uint64_t query_id = 0;
     std::size_t bytes = 0;

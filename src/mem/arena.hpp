@@ -6,9 +6,9 @@
 // the next cycle. Use it where a group of allocations shares one lifetime
 // (a boundary probe's pending segments, a routing recompute's scratch);
 // use SlabPool where objects of one size are acquired and released
-// individually. Like SlabPool, an Arena is single-thread / per-shard by
-// design, and reset() poisons the reclaimed space under ASan so stale
-// pointers into a previous cycle fault.
+// individually. Like SlabPool, an Arena is single-thread by design, and
+// reset() poisons the reclaimed space under ASan so stale pointers into a
+// previous cycle fault.
 #pragma once
 
 #include <cstddef>

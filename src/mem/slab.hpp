@@ -3,13 +3,12 @@
 // A SlabPool hands out fixed-size blocks from a free list refilled in
 // chunks, so steady-state acquire/release is a vector pop/push instead of
 // a heap round trip. Pools are NOT thread-safe by design: the intended
-// instances are thread_local (one per shard worker) or owned by a
-// single-shard component, matching the PDES discipline where each node's
-// state is touched by exactly one thread between barriers. Blocks released
-// on a different thread than they were acquired on simply migrate to the
-// releasing thread's pool — the chunks that back them stay owned by the
-// allocating pool, which is why chunk storage is only reclaimed at
-// thread/pool teardown.
+// instances are thread_local (one per worker thread) or owned by one
+// component of a scenario. Either way they rely on one invariant: a
+// scenario's blocks are acquired and released on the thread that builds,
+// runs and destroys it. A block therefore always returns to the pool that
+// handed it out, and chunk storage is reclaimed at thread/pool teardown,
+// after every block of every scenario on that thread is back.
 //
 // Under AddressSanitizer (DYNCDN_SANITIZE builds) every free-listed block
 // is poisoned, so use-after-release of slab state faults exactly like a

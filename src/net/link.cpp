@@ -47,11 +47,10 @@ void Link::drain_train() {
     // Ride the train only while no other pending event precedes the next
     // arrival — anything the last delivery scheduled (ACKs, timers) or
     // any other component's event must run first, exactly as it would
-    // have with one delivery event per packet. Under a conservative
-    // window the train must also never advance the clock to or past the
-    // barrier: a cross-shard arrival in [horizon, next_arrival) could
-    // otherwise be overtaken. Re-arming below parks the remainder as a
-    // pending event the next window picks up at the exact same time.
+    // have with one delivery event per packet. Under run_until the train
+    // must also stop at the horizon, so arrivals after the deadline stay
+    // pending: re-arming below parks the remainder as one event the next
+    // run picks up at the exact same time.
     if (next_arrival < simulator_.horizon() &&
         simulator_.next_event_time() > next_arrival) {
       simulator_.advance_to(next_arrival);
@@ -100,16 +99,6 @@ void Link::transmit(PacketPtr packet) {
       arrival += config_.reorder_extra_delay;
       ++stats_.packets_reordered;
     }
-  }
-  if (post_) {
-    // Cross-shard: stage (arrival, packet) for the window-barrier flush.
-    // Stats are counted here, on the source shard's thread — the actual
-    // delivery runs on the destination shard, which must never touch this
-    // link's state concurrently.
-    ++stats_.packets_delivered;
-    stats_.bytes_delivered += packet->wire_size();
-    post_(arrival, std::move(packet));
-    return;
   }
   if (config_.reorder_probability == 0.0 && config_.coalesce_deliveries) {
     // FIFO train: one armed event delivers the whole contiguous batch.

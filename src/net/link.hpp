@@ -54,9 +54,6 @@ struct LinkStats {
 class Link {
  public:
   using DeliverFn = std::function<void(PacketPtr)>;
-  /// Cross-shard hand-off: (arrival time, packet) staged into a mailbox
-  /// instead of being scheduled on this (source-shard) kernel.
-  using PostFn = std::function<void(sim::SimTime, PacketPtr)>;
 
   /// `deliver` is invoked (at the simulated arrival time) for every packet
   /// that survives loss and queuing. `rng_name` seeds the loss stream.
@@ -73,18 +70,6 @@ class Link {
 
   const LinkStats& stats() const { return stats_; }
   const LinkConfig& config() const { return config_; }
-
-  /// Turn this into a cross-shard link: transmit() still runs the loss
-  /// draw, serialization and queue model on the source shard's clock (the
-  /// exact sequence the serial kernel runs), but the surviving packet is
-  /// handed to `post` with its computed arrival time instead of being
-  /// scheduled locally. The shard runner drains mailboxes at window
-  /// barriers and schedules delivery on the destination shard. Delivery
-  /// stats are counted at post time (totals match the serial run once the
-  /// simulation drains); coalescing is bypassed — train batching only
-  /// saves events on the local kernel.
-  void set_cross_shard_post(PostFn post) { post_ = std::move(post); }
-  bool cross_shard() const { return static_cast<bool>(post_); }
 
   /// Serialization time for `bytes` on this link.
   sim::SimTime serialization_delay(std::size_t bytes) const;
@@ -110,7 +95,6 @@ class Link {
   sim::Simulator& simulator_;
   LinkConfig config_;
   DeliverFn deliver_;
-  PostFn post_;  // null = local delivery (serial or intra-shard)
   std::unique_ptr<LossModel> loss_;
   sim::RngStream loss_rng_;
   LinkStats stats_;

@@ -11,31 +11,12 @@ namespace {
 constexpr std::int64_t kUnreached = std::numeric_limits<std::int64_t>::max();
 }  // namespace
 
-void Network::set_shards(std::vector<sim::Simulator*> sims) {
-  if (!nodes_.empty()) {
-    throw std::logic_error("Network::set_shards: nodes already exist");
-  }
-  if (sims.empty() || sims.front() != &simulator_) {
-    throw std::invalid_argument(
-        "Network::set_shards: sims[0] must be the base simulator");
-  }
-  shard_sims_ = std::move(sims);
-  no_route_by_shard_.assign(shard_sims_.size(), 0);
-  routed_by_shard_.assign(shard_sims_.size(), 0);
-  arrivals_by_shard_.assign(shard_sims_.size(), ShardArrivals{});
-}
-
-Node& Network::add_node(const std::string& name, GeoPoint location,
-                        std::uint32_t shard) {
+Node& Network::add_node(const std::string& name, GeoPoint location) {
   if (by_name_.contains(name)) {
     throw std::invalid_argument("Network::add_node: duplicate name " + name);
   }
-  if (shard >= shard_count()) {
-    throw std::out_of_range("Network::add_node: shard out of range");
-  }
   const NodeId id(static_cast<std::uint32_t>(nodes_.size() + 1));
-  nodes_.push_back(std::make_unique<Node>(*this, id, name, location,
-                                          shard_simulator(shard), shard));
+  nodes_.push_back(std::make_unique<Node>(*this, id, name, location));
   by_name_.emplace(name, id);
   adjacency_.resize(nodes_.size() + 1);
   routes_.resize(nodes_.size() + 1);
@@ -50,84 +31,15 @@ void Network::connect(Node& a, Node& b, const LinkConfig& a_to_b,
                       const LinkConfig& b_to_a) {
   auto make_edge = [this](Node& from, Node& to, const LinkConfig& cfg) {
     Node* dst = &to;
-    // The link lives on the SOURCE node's kernel: transmit() reads that
-    // shard's clock and consumes its (seed-identical) loss stream.
     auto link = std::make_unique<Link>(
-        from.simulator(), cfg,
-        [dst](PacketPtr p) { dst->deliver(p); },
+        simulator_, cfg, [dst](PacketPtr p) { dst->deliver(p); },
         "link/" + from.name() + "->" + to.name());
-    if (from.shard() != to.shard()) {
-      mailboxes_.push_back(std::make_unique<Mailbox>());
-      Mailbox* box = mailboxes_.back().get();
-      box->dst = dst;
-      box->dst_sim = &to.simulator();
-      // The post stamp is the source-shard clock: it reconstructs, at
-      // flush time, the order in which a serial kernel would have
-      // inserted these delivery events.
-      sim::Simulator* src_sim = &from.simulator();
-      link->set_cross_shard_post(
-          [box, src_sim](sim::SimTime arrival, PacketPtr p) {
-            // Mirror the transmit-time delivery counts the Link just
-            // recorded, so sampled_link_stats() can back them out.
-            ++box->posted_packets;
-            box->posted_bytes += p->wire_size();
-            box->staged.push_back(
-                Mailbox::Staged{arrival, src_sim->now(), std::move(p)});
-          });
-      min_cross_delay_ = std::min(min_cross_delay_, cfg.propagation_delay);
-    }
     all_links_.push_back(link.get());
     adjacency_[from.id().value()].push_back(Edge{to.id(), std::move(link)});
   };
   make_edge(a, b, a_to_b);
   make_edge(b, a, b_to_a);
   ++topology_epoch_;
-}
-
-std::size_t Network::flush_mailboxes() {
-  // Gather every staged packet, then schedule in (arrival, posted) order:
-  // destination queues break same-time ties by insertion order, so this
-  // reproduces the serial kernel, where each delivery event is inserted at
-  // its source's transmit time. stable_sort keeps (link creation order,
-  // per-link FIFO) for exact (arrival, posted) ties.
-  struct Entry {
-    Mailbox* box;
-    std::size_t index;
-  };
-  std::vector<Entry> entries;
-  for (const auto& box : mailboxes_) {
-    for (std::size_t i = 0; i < box->staged.size(); ++i) {
-      entries.push_back(Entry{box.get(), i});
-    }
-  }
-  std::stable_sort(entries.begin(), entries.end(),
-                   [](const Entry& a, const Entry& b) {
-                     const Mailbox::Staged& sa = a.box->staged[a.index];
-                     const Mailbox::Staged& sb = b.box->staged[b.index];
-                     if (sa.arrival != sb.arrival) return sa.arrival < sb.arrival;
-                     return sa.posted < sb.posted;
-                   });
-  for (const Entry& e : entries) {
-    Mailbox::Staged& s = e.box->staged[e.index];
-    // The arrival closure runs on the destination shard's worker thread,
-    // which exclusively owns that shard's ShardArrivals slot.
-    ShardArrivals* arrived = &arrivals_by_shard_[e.box->dst->shard()];
-    e.box->dst_sim->schedule_at(
-        s.arrival, [dst = e.box->dst, arrived, p = std::move(s.packet)]() {
-          ++arrived->packets;
-          arrived->bytes += p->wire_size();
-          dst->deliver(p);
-        });
-  }
-  for (const auto& box : mailboxes_) box->staged.clear();
-  return entries.size();
-}
-
-bool Network::mailboxes_empty() const {
-  for (const auto& box : mailboxes_) {
-    if (!box->staged.empty()) return false;
-  }
-  return true;
 }
 
 void Network::build_row(std::uint32_t src) {
@@ -172,16 +84,10 @@ void Network::compute_routes() {
   for (std::uint32_t src = 1; src <= nodes_.size(); ++src) build_row(src);
 }
 
-void Network::prepare_run() {
-  if (shard_count() == 1) return;
-  for (std::uint32_t src = 1; src <= nodes_.size(); ++src) routes_from(src);
-}
-
 void Network::route(NodeId from, PacketPtr packet) {
   Node& src = node(from);
-  ++routed_by_shard_[src.shard()];
-  // Ids are issued per source node ((node << 40) | seq) so serial and
-  // sharded runs stamp identical ids without a shared counter.
+  ++packets_routed_;
+  // Ids are issued per source node: (node << 40) | seq.
   if (packet->id == 0) packet->id = src.next_packet_id();
   if (packet->dst == from) {  // local delivery without touching a link
     src.deliver(packet);
@@ -191,19 +97,7 @@ void Network::route(NodeId from, PacketPtr packet) {
     link->transmit(std::move(packet));
     return;
   }
-  ++no_route_by_shard_[src.shard()];
-}
-
-std::uint64_t Network::no_route_drops() const {
-  std::uint64_t total = 0;
-  for (std::uint64_t n : no_route_by_shard_) total += n;
-  return total;
-}
-
-std::uint64_t Network::packets_routed() const {
-  std::uint64_t total = 0;
-  for (std::uint64_t n : routed_by_shard_) total += n;
-  return total;
+  ++no_route_drops_;
 }
 
 std::uint64_t Network::packets_created() const {
@@ -263,21 +157,6 @@ LinkStats Network::aggregate_link_stats() const {
     total.drops_queue += s.drops_queue;
     total.packets_reordered += s.packets_reordered;
     total.bytes_delivered += s.bytes_delivered;
-  }
-  return total;
-}
-
-LinkStats Network::sampled_link_stats() const {
-  LinkStats total = aggregate_link_stats();
-  // Unsigned wrap in the intermediate is fine: arrived <= posted always,
-  // so the final sums are non-negative.
-  for (const auto& box : mailboxes_) {
-    total.packets_delivered -= box->posted_packets;
-    total.bytes_delivered -= box->posted_bytes;
-  }
-  for (const ShardArrivals& a : arrivals_by_shard_) {
-    total.packets_delivered += a.packets;
-    total.bytes_delivered += a.bytes;
   }
   return total;
 }

@@ -6,14 +6,12 @@
 
 namespace dyncdn::net {
 
-Node::Node(Network& network, NodeId id, std::string name, GeoPoint location,
-           sim::Simulator& simulator, std::uint32_t shard)
+Node::Node(Network& network, NodeId id, std::string name, GeoPoint location)
     : network_(network),
       id_(id),
       name_(std::move(name)),
       location_(location),
-      simulator_(simulator),
-      shard_(shard) {}
+      simulator_(network.simulator()) {}
 
 void Node::send(PacketPtr packet) {
   packet->src = id_;

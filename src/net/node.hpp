@@ -25,26 +25,22 @@ class Node {
   /// Capture hook; sees every packet sent from / delivered to this node.
   using TapFn = std::function<void(const PacketPtr&)>;
 
-  Node(Network& network, NodeId id, std::string name, GeoPoint location,
-       sim::Simulator& simulator, std::uint32_t shard);
+  Node(Network& network, NodeId id, std::string name, GeoPoint location);
 
   NodeId id() const { return id_; }
   const std::string& name() const { return name_; }
   const GeoPoint& location() const { return location_; }
   Network& network() { return network_; }
 
-  /// The event kernel this node's components schedule on. In a serial
-  /// topology this is the Network's base simulator; in a sharded topology
-  /// it is the node's shard kernel. Everything host-local (TCP stacks,
-  /// servers, clients, capture) must reach the clock through here so a
-  /// shard's state never touches another shard's queue.
+  /// The event kernel this node's components schedule on: the Network's
+  /// simulator. Host-local components (TCP stacks, servers, clients,
+  /// capture) reach the clock through their node.
   sim::Simulator& simulator() const { return simulator_; }
-  std::uint32_t shard() const { return shard_; }
 
   /// Next packet id in this node's id space: the node index in the high
-  /// bits, a per-node sequence below. Ids are unique network-wide and —
-  /// unlike a global counter — independent of cross-shard interleaving,
-  /// which keeps captures byte-identical between serial and sharded runs.
+  /// bits, a per-node sequence below. Ids are unique network-wide and
+  /// depend only on what each node sent, not on how sends interleave
+  /// across nodes; they are part of the .dtrc capture bytes.
   std::uint64_t next_packet_id() {
     return (static_cast<std::uint64_t>(id_.value()) << 40) |
            ++packets_created_;
@@ -75,7 +71,6 @@ class Node {
   std::string name_;
   GeoPoint location_;
   sim::Simulator& simulator_;
-  std::uint32_t shard_ = 0;
   std::uint64_t packets_created_ = 0;
   ReceiveHandler receive_handler_;
   std::vector<TapFn> send_taps_;

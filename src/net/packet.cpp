@@ -11,9 +11,9 @@ namespace dyncdn::net {
 
 namespace {
 
-/// Per-thread slab of Packet-sized blocks. Each simulation shard runs
-/// single-threaded between barriers, so no locking; blocks released on a
-/// different thread than they were acquired on simply migrate pools.
+/// Per-thread slab of Packet-sized blocks. A scenario is built, run and
+/// destroyed on one thread, so its packets come from and return to that
+/// thread's slab without locking (see the invariant in packet.hpp).
 thread_local mem::SlabPool t_packet_slab(sizeof(Packet), 256);
 
 /// Payload buffers are variable-size, so they are served from a small set

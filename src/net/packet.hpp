@@ -8,12 +8,13 @@
 // Allocation discipline (see docs/PERF.md): both the Packet and the payload
 // ByteBuf are intrusively refcounted objects served from per-thread slab
 // free lists — steady-state per-segment cost is a free-list pop, no heap
-// allocation and no shared_ptr control block. Refcounts are deliberately
-// NON-atomic: within a shard every reference is touched by one thread, and
-// cross-shard handoff only happens through mailbox flushes at window
-// barriers (or replica joins), which already synchronize. Blocks released
-// on a different thread than they were acquired on migrate to the
-// releasing thread's pool.
+// allocation and no shared_ptr control block. Refcounts are plain integers
+// and the pools take no locks, because of one invariant: a scenario's
+// blocks are acquired and released on the thread that builds, runs and
+// destroys it. Replica workers (parallel/replica.hpp) each own whole
+// scenarios and hand back only plain results (timelines, metrics), never
+// a Packet or a Buffer, so no block outlives its scenario or changes
+// thread.
 #pragma once
 
 #include <cstdint>
@@ -236,13 +237,13 @@ struct Packet {
   std::uint32_t refs_ = 1;  // non-atomic: see header comment
 };
 
-/// Destroy and return the block to the releasing thread's slab.
+/// Destroy and return the block to this thread's slab.
 void release_packet(Packet* p) noexcept;
 
 /// Intrusive shared handle to a slab-allocated Packet. Drop-in for the
 /// shared_ptr<Packet> it replaced: capture taps may retain packets
-/// arbitrarily long; the storage goes back to the slab of the releasing
-/// thread when the last reference drops.
+/// arbitrarily long; the storage goes back to the thread's slab when the
+/// last reference drops.
 class PacketPtr {
  public:
   PacketPtr() = default;

@@ -49,12 +49,6 @@ const std::map<std::string_view, std::string_view>& help_table() {
       {"sim_events_scheduled", "Events scheduled into the kernel"},
       {"sim_timer_cancels", "Timer events cancelled before firing"},
       {"sim_event_heap_peak", "Peak pending-event count in the kernel"},
-      {"pdes_windows", "Conservative-DES lookahead windows executed"},
-      {"pdes_barrier_stalls", "Shard-window executions with zero events"},
-      {"pdes_stall_wall_ns", "Wall nanoseconds workers spent in barriers"},
-      {"pdes_cross_shard_packets", "Packets crossing shard boundaries"},
-      {"pdes_serial_fallbacks", "Events run via the zero-lookahead fallback"},
-      {"pdes_shards", "Event-kernel shards for the scenario"},
       {"stream_timelines_online", "Timelines reduced online by streaming"},
       {"stream_late_packets", "Packets arriving after stream finalization"},
       {"capture_retained_bytes_peak", "Peak bytes retained by captures"},

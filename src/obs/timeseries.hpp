@@ -6,14 +6,13 @@
 // record()s every channel, then end_tick(). Channels come in two groups:
 //
 //  * application channels (default): derived only from simulation state
-//    (queue depths, in-flight packets, delivered-byte deltas). These are
-//    shard-layout invariant at barrier-aligned tick times, so the CSV/JSON
-//    exports are byte-identical at any thread or shard count — the same
-//    contract as the metrics registry.
-//  * runtime channels (record(..., /*runtime=*/true)): PDES/executor
-//    health (barrier stall wall-time, window counts). Wall clocks and
-//    layout-dependent counters live here; they are excluded from the
-//    deterministic exports and surface only via to_json(true).
+//    (queue depths, in-flight packets, delivered-byte deltas) at exact
+//    tick times, so the CSV/JSON exports are byte-identical at any thread
+//    or replica-shard count — the same contract as the metrics registry.
+//  * runtime channels (record(..., /*runtime=*/true)): host health such
+//    as wall-clock timers. Wall clocks and layout-dependent counters live
+//    here; they are excluded from the deterministic exports and surface
+//    only via to_json(true).
 //
 // merge() aligns two samplers by absolute tick index and sums values, the
 // commutative rule that keeps replica merges order-independent. The series

@@ -43,14 +43,13 @@ void TraceSession::add_event(SpanId id, std::string_view name,
 }
 
 const SpanRecord* TraceSession::find(SpanId id) const {
-  // Ids are handed out sequentially from id_base_ + 1 and spans are never
-  // removed before a merge, so direct indexing covers the pre-merge case;
-  // after a merge (remapped or absorbed ids) fall back to a scan. Lookups
-  // are rare — the instrumentation hot path only appends.
+  // Ids are handed out sequentially from 1 and spans are never removed
+  // before a merge, so direct indexing covers the pre-merge case; after a
+  // merge (remapped ids) fall back to a scan. Lookups are rare — the
+  // instrumentation hot path only appends.
   if (id == kNoSpan || spans_.empty()) return nullptr;
-  if (id > id_base_ && id - id_base_ <= spans_.size() &&
-      spans_[id - id_base_ - 1].id == id) {
-    return &spans_[id - id_base_ - 1];
+  if (id <= spans_.size() && spans_[id - 1].id == id) {
+    return &spans_[id - 1];
   }
   for (const auto& span : spans_) {
     if (span.id == id) return &span;
@@ -92,12 +91,6 @@ void TraceSession::merge_from(TraceSession&& other,
     const auto it = remap.find(span.parent);
     span.parent = it == remap.end() ? kNoSpan : it->second;
   }
-  other.spans_.clear();
-}
-
-void TraceSession::absorb_shard(TraceSession& other) {
-  spans_.reserve(spans_.size() + other.spans_.size());
-  for (auto& span : other.spans_) spans_.push_back(std::move(span));
   other.spans_.clear();
 }
 

@@ -113,36 +113,17 @@ class TraceSession {
   // merged span list deterministic at any thread count.
   void merge_from(TraceSession&& other, std::uint32_t replica_id);
 
-  // Start issuing ids from `base + 1`. Parallel shard sessions within ONE
-  // scenario carve disjoint ranges (shard s gets base s << 40) so spans
-  // created on different shards can cross-reference (X-Trace-Span headers)
-  // without remapping. Must be called before any begin_span.
-  void set_id_base(SpanId base) {
-    id_base_ = base;
-    next_id_ = base + 1;
-  }
-
-  // Append a same-run shard session's spans WITHOUT remapping — ids are
-  // already unique thanks to disjoint bases, so cross-shard parent links
-  // stay valid — and without stamping replica (the shards are one
-  // simulation, not replicas). `other` stays usable and keeps its id
-  // counter; its span list is emptied. Absorbing in shard-index order
-  // keeps the merged list deterministic at any thread count.
-  void absorb_shard(TraceSession& other);
-
  private:
   SpanRecord* find_mutable(SpanId id);
 
   bool enabled_ = true;
-  SpanId id_base_ = 0;
   SpanId next_id_ = 1;
   std::vector<SpanRecord> spans_;
 };
 
 /// Fixed-width (20-digit zero-padded) decimal encoding of a span id for
 /// on-wire headers: request byte counts — and therefore simulated TCP
-/// timing — stay identical no matter how ids are numbered (serial sessions
-/// count from 1; shard sessions carve huge disjoint ranges).
+/// timing — stay identical no matter how large the ids grow.
 std::string span_id_header(SpanId id);
 
 }  // namespace dyncdn::obs

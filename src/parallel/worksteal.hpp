@@ -31,15 +31,6 @@ class StealDeque {
 
   explicit StealDeque(std::size_t capacity) : buffer_(capacity) {}
 
-  /// Exclusive-only (no concurrent pop/steal): empty the deque so it can be
-  /// refilled for another round. The shard runner calls this from a barrier
-  /// completion step, which runs while every worker is blocked; the barrier
-  /// release publishes the new contents.
-  void reset() {
-    top_.store(0, std::memory_order_relaxed);
-    bottom_.store(0, std::memory_order_relaxed);
-  }
-
   /// Owner-only, before worker threads start.
   void prefill(std::size_t task) {
     buffer_[static_cast<std::size_t>(bottom_.load(std::memory_order_relaxed))] =

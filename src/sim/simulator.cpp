@@ -29,11 +29,14 @@ SimTime Simulator::run() {
 }
 
 SimTime Simulator::run_until(SimTime deadline) {
+  horizon_ = deadline.is_infinite() ? deadline
+                                    : deadline + SimTime::nanoseconds(1);
   while (!queue_.empty() && queue_.next_time() <= deadline) {
     now_ = queue_.next_time();
     queue_.pop_and_run();
     ++events_executed_;
   }
+  horizon_ = SimTime::infinity();
   if (now_ < deadline) {
     // Advance the clock to the deadline (even with an empty queue): the
     // caller asked for this much simulated time to pass, and components
@@ -41,18 +44,6 @@ SimTime Simulator::run_until(SimTime deadline) {
     now_ = deadline;
   }
   return now_;
-}
-
-std::uint64_t Simulator::run_window(SimTime end) {
-  const std::uint64_t before = events_executed_;
-  horizon_ = end;
-  while (!queue_.empty() && queue_.next_time() < end) {
-    now_ = queue_.next_time();
-    queue_.pop_and_run();
-    ++events_executed_;
-  }
-  horizon_ = SimTime::infinity();
-  return events_executed_ - before;
 }
 
 std::size_t Simulator::run_steps(std::size_t n) {

@@ -59,28 +59,15 @@ class Simulator {
   /// Run until the event queue drains. Returns the final simulated time.
   SimTime run();
 
-  /// Run until the queue drains or simulated time exceeds `deadline`.
-  /// Events scheduled after the deadline remain pending.
+  /// Run every event with time <= `deadline`, then advance the clock to
+  /// `deadline`. Later events stay pending: while the run is open,
+  /// horizon() is `deadline` + 1 ns, so time-advancing components (link
+  /// delivery trains) never deliver past the deadline.
   SimTime run_until(SimTime deadline);
 
-  /// Conservative-window execution (parallel sharding): run every pending
-  /// event with time strictly below `end`, leaving the clock at the last
-  /// executed event (never force-advanced — the shard runner aligns all
-  /// shard clocks after the barrier). While the window is open, horizon()
-  /// returns `end` so time-advancing components (link delivery trains)
-  /// know not to deliver work at or beyond the barrier. Returns the number
-  /// of events executed in the window.
-  std::uint64_t run_window(SimTime end);
-
-  /// Upper bound (exclusive) on event times the current run_window() may
-  /// execute; SimTime::infinity() outside a window (serial execution).
+  /// Exclusive upper bound on event times the current run may execute:
+  /// SimTime::infinity() under run(), `deadline` + 1 ns under run_until().
   SimTime horizon() const { return horizon_; }
-
-  /// Force the clock to `t` (>= now) after a parallel run has drained this
-  /// shard's queue: all shard clocks must agree with the serial kernel's
-  /// final time before the next host-side schedule_in(). Same overtaking
-  /// rules as advance_to.
-  void align_clock(SimTime t) { advance_to(t); }
 
   /// Execute at most `n` events (testing hook).
   std::size_t run_steps(std::size_t n);

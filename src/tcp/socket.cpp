@@ -453,23 +453,6 @@ net::PayloadRef TcpSocket::gather_payload(std::uint64_t seq,
     return entry.slice(off, len);  // common case: one zero-copy slice
   }
 
-#if DYNCDN_TCP_GATHER_COPY
-  // Legacy comparison path: gather the spanning segment into a fresh
-  // buffer (one allocation + copy per cross-chunk segment).
-  std::vector<std::uint8_t> bytes;
-  bytes.reserve(len);
-  for (std::size_t j = idx; j < send_buf_.size() && bytes.size() < len;
-       ++j) {
-    const std::size_t start = (j == idx) ? off : 0;
-    send_buf_[j]
-        .slice(start, len - bytes.size())
-        .for_each_slice([&bytes](std::span<const std::uint8_t> span) {
-          bytes.insert(bytes.end(), span.begin(), span.end());
-        });
-  }
-  const std::size_t n = bytes.size();
-  return net::PayloadRef{net::make_buffer(std::move(bytes)), 0, n};
-#else
   // The segment spans application writes: chain slices, zero-copy.
   net::PayloadRef out = entry.slice(off, len);
   for (std::size_t j = idx + 1;
@@ -477,7 +460,6 @@ net::PayloadRef TcpSocket::gather_payload(std::uint64_t seq,
     out.append(send_buf_[j].slice(0, len - out.length));
   }
   return out;
-#endif
 }
 
 // ---------------------------------------------------------------------------

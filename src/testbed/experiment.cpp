@@ -138,14 +138,10 @@ ExperimentResult run_experiment_subset(
       const sim::SimTime at =
           options.stagger * static_cast<std::int64_t>(i) +
           options.interval * static_cast<std::int64_t>(r);
-      // Submissions are scheduled on the submitting client's own shard
-      // kernel (identical to `simulator` in a serial scenario — all shard
-      // clocks agree between runs).
-      clients[i].node->simulator().schedule_in(
-          at, [&clients, i, endpoint, kw]() {
-            clients[i].query_client->submit(endpoint, kw,
-                                            [](const cdn::QueryResult&) {});
-          });
+      simulator.schedule_in(at, [&clients, i, endpoint, kw]() {
+        clients[i].query_client->submit(endpoint, kw,
+                                        [](const cdn::QueryResult&) {});
+      });
     }
   }
   scenario.run();
@@ -255,10 +251,9 @@ CachingExperimentResult run_caching_experiment(Scenario& scenario,
     }
   }
 
-  // Phase 2: distinct keywords, one each (scheduled on the probing
-  // client's shard kernel).
+  // Phase 2: distinct keywords, one each.
   for (std::size_t r = 0; r < reps; ++r) {
-    client.node->simulator().schedule_in(
+    simulator.schedule_in(
         sim::SimTime::milliseconds(1500) * static_cast<std::int64_t>(r),
         [&client, fe, kw = corpus[r + 1]]() {
           client.query_client->submit(fe, kw, [](const cdn::QueryResult&) {});

@@ -74,10 +74,9 @@ struct ExperimentResult {
   /// thread-count invariant.
   obs::MetricsRegistry metrics;
 
-  /// Event-kernel and conservative-window counters
-  /// (Scenario::collect_kernel_metrics). Kept apart from `metrics` because
-  /// they legitimately differ with the shard layout, while `metrics` is
-  /// byte-identical at any shard/thread count.
+  /// Event-kernel counters (Scenario::collect_kernel_metrics). Kept apart
+  /// from `metrics` because they legitimately differ with the replica
+  /// layout, while `metrics` is byte-identical at any shard/thread count.
   obs::MetricsRegistry kernel_metrics;
 
   /// Trace session of the run (merged across shards, stamped with replica

@@ -17,14 +17,6 @@ namespace dyncdn::testbed {
 
 namespace {
 
-std::size_t resolve_sim_shards(std::size_t requested) {
-  if (requested > 0) return requested;
-  if (const auto v = sim::env_uint("DYNCDN_SIM_SHARDS"); v && *v > 0) {
-    return *v;
-  }
-  return 1;
-}
-
 std::size_t resolve_capture_budget(std::size_t requested) {
   if (requested > 0) return requested;
   const char* env = std::getenv("DYNCDN_CAPTURE_BUDGET");
@@ -61,36 +53,24 @@ std::string make_temp_spill_dir() {
 }  // namespace
 
 Scenario::Scenario(ScenarioOptions options) : options_(std::move(options)) {
-  const std::size_t shards = resolve_sim_shards(options_.sim_shards);
-  capture_budget_ = resolve_capture_budget(options_.capture_budget);
-  // Every shard kernel shares the seed: a named RNG stream yields the same
-  // sequence no matter which shard its consumer landed on.
-  simulator_ = std::make_unique<sim::Simulator>(options_.seed);
-  sims_.push_back(simulator_.get());
-  for (std::size_t s = 1; s < shards; ++s) {
-    extra_sims_.push_back(std::make_unique<sim::Simulator>(options_.seed));
-    sims_.push_back(extra_sims_.back().get());
+  if (options_.sim_shards > 1) {
+    throw std::invalid_argument(
+        "ScenarioOptions::sim_shards must be 0 or 1: a scenario runs on one "
+        "event kernel, got " +
+        std::to_string(options_.sim_shards));
   }
+  capture_budget_ = resolve_capture_budget(options_.capture_budget);
+  simulator_ = std::make_unique<sim::Simulator>(options_.seed);
   if (options_.enable_tracing) {
     trace_ = std::make_shared<obs::TraceSession>();
     simulator_->set_trace(trace_.get());
-    // Shards 1..S-1 record into private sessions with disjoint id ranges
-    // (folded into trace_ by merge_shard_traces).
-    shard_traces_.resize(shards);
-    for (std::size_t s = 1; s < shards; ++s) {
-      shard_traces_[s] = std::make_unique<obs::TraceSession>();
-      shard_traces_[s]->set_id_base(static_cast<obs::SpanId>(s) << 40);
-      sims_[s]->set_trace(shard_traces_[s].get());
-    }
   }
   network_ = std::make_unique<net::Network>(*simulator_);
-  if (shards > 1) network_->set_shards(sims_);
   content_ = std::make_unique<search::ContentModel>(options_.profile.content,
                                                     options_.profile.name);
   build_backend();
   build_frontends();
   build_clients();
-  runner_ = std::make_unique<parallel::ShardRunner>(*network_, sims_);
   if (options_.ts_interval > sim::SimTime::zero()) {
     sampler_ = std::make_unique<obs::TimeSeriesSampler>(
         static_cast<std::uint64_t>(options_.ts_interval.ns()),
@@ -105,19 +85,11 @@ Scenario::Scenario(ScenarioOptions options) : options_(std::move(options)) {
         sampler_->channel("link_packets_delivered");
     ts_channels_.link_bytes_delivered =
         sampler_->channel("link_bytes_delivered");
-    ts_channels_.pdes_windows =
-        sampler_->channel("pdes_windows", /*runtime=*/true);
-    ts_channels_.pdes_barrier_stalls =
-        sampler_->channel("pdes_barrier_stalls", /*runtime=*/true);
-    ts_channels_.pdes_stall_wall_ms =
-        sampler_->channel("pdes_stall_wall_ms", /*runtime=*/true);
-    ts_channels_.pdes_cross_shard_packets =
-        sampler_->channel("pdes_cross_shard_packets", /*runtime=*/true);
     // Spill-progress channels are registered only when budgeted capture is
     // active, so sampled exports of every other configuration stay
     // byte-identical to previous releases. They are application channels:
     // flush points are a deterministic function of the captured records,
-    // which are themselves shard- and thread-invariant.
+    // which are themselves thread-invariant.
     if (spilling_active()) {
       ts_channels_.capture_spill_bytes =
           sampler_->channel("capture_spill_bytes");
@@ -146,57 +118,29 @@ bool Scenario::spilling_active() const {
 
 void Scenario::run() {
   if (!sampler_) {
-    runner_->run();
+    simulator_->run();
     return;
   }
   // Sampled run: advance tick by tick, snapshotting the fleet at every
   // tick boundary. Ticks are absolute (tick k = k * interval on the sim
   // clock), so series from consecutive runs and from different replicas
-  // align by index.
+  // align by index. run_until parks coalesced delivery trains at the tick
+  // instead of letting them ride past it, so every sample sees exactly
+  // the state at its tick time.
   const std::uint64_t interval =
       static_cast<std::uint64_t>(options_.ts_interval.ns());
-  sim::SimTime max_now = sim::SimTime::zero();
-  for (sim::Simulator* s : sims_) max_now = std::max(max_now, s->now());
   std::uint64_t tick =
-      static_cast<std::uint64_t>(max_now.ns()) / interval + 1;
-  while (true) {
-    sim::SimTime next = sim::SimTime::infinity();
-    for (sim::Simulator* s : sims_) {
-      next = std::min(next, s->next_event_time());
-    }
-    if (next == sim::SimTime::infinity()) break;
-    run_to_tick(sim::SimTime::nanoseconds(
+      static_cast<std::uint64_t>(simulator_->now().ns()) / interval + 1;
+  while (simulator_->has_pending()) {
+    simulator_->run_until(sim::SimTime::nanoseconds(
         static_cast<std::int64_t>(tick * interval)));
     take_sample(tick);
     ++tick;
   }
-  // Drain anything staged outside the kernels (cross-shard mailboxes fed
-  // by host code between runs); normally a no-op.
-  runner_->run();
-}
-
-void Scenario::run_to_tick(sim::SimTime target) {
-  if (sims_.size() == 1) {
-    // run_window, not run_until: the bounded horizon parks coalesced
-    // delivery trains at the tick instead of letting them ride past it,
-    // which is what keeps tick-time state identical to the sharded path
-    // (cross-shard links never coalesce).
-    simulator_->run_window(target + sim::SimTime::nanoseconds(1));
-    if (simulator_->now() < target) simulator_->align_clock(target);
-    return;
-  }
-  runner_->run_until(target);
 }
 
 void Scenario::run_until(sim::SimTime deadline) {
-  runner_->run_until(deadline);
-}
-
-void Scenario::merge_shard_traces() {
-  if (!trace_) return;
-  for (auto& session : shard_traces_) {
-    if (session) trace_->absorb_shard(*session);
-  }
+  simulator_->run_until(deadline);
 }
 
 void Scenario::build_backend() {
@@ -251,12 +195,7 @@ void Scenario::build_frontends() {
     FrontEnd fe;
     fe.site_name = site.name;
     fe.location = site.location;
-    // Fixed shard assignment by FE index: round-robin over the shard
-    // kernels. The BE stays on shard 0, so the FE<->BE links form the
-    // cross-shard cut and their propagation delay is the lookahead.
-    fe.node = &network_->add_node(
-        "fe-" + site.name, site.location,
-        static_cast<std::uint32_t>(fes_.size() % sims_.size()));
+    fe.node = &network_->add_node("fe-" + site.name, site.location);
     fe.distance_to_be_miles =
         net::haversine_miles(site.location, p.be_location);
 
@@ -339,17 +278,13 @@ void Scenario::build_clients() {
     Client c;
     c.vantage = vps[i];
     if (!driven[i]) {
-      // Only the node, for the fleet's node ids. It has no links, so its
-      // shard is never read.
+      // Only the node, for the fleet's node ids.
       c.node = &network_->add_node(vps[i].name, vps[i].location);
       clients_.push_back(std::move(c));
       continue;
     }
 
-    // DNS emulation: default FE = geographically nearest site. Computed
-    // before node creation because the client lives on its default FE's
-    // shard — the chatty client<->FE conversation stays intra-shard, and
-    // only the FE<->BE (or non-default-FE) legs cross shards.
+    // DNS emulation: default FE = geographically nearest site.
     std::size_t best = 0;
     double best_miles = std::numeric_limits<double>::max();
     for (std::size_t f = 0; f < fes_.size(); ++f) {
@@ -362,8 +297,7 @@ void Scenario::build_clients() {
     }
     if (options_.fe_distance_sweep_miles) best = i;  // pair probe with FE
     c.default_fe = best;
-    c.node = &network_->add_node(vps[i].name, vps[i].location,
-                                 fes_[best].node->shard());
+    c.node = &network_->add_node(vps[i].name, vps[i].location);
 
     if (options_.capture_clients) {
       capture::RecorderOptions ro;
@@ -463,35 +397,15 @@ void Scenario::warm_up(sim::SimTime duration) {
 }
 
 void Scenario::collect_kernel_metrics(obs::MetricsRegistry& out) {
-  // Event kernel, summed over shard kernels. All counters are
-  // replica-additive: a sharded campaign merging its shards' registries
-  // reports fleet totals. These genuinely depend on the shard layout
-  // (cross-shard links bypass delivery coalescing; each shard has its own
-  // heap), which is why they are not part of collect_metrics.
-  std::uint64_t executed = 0, scheduled = 0, cancels = 0;
-  std::int64_t heap_peak = 0;
-  for (sim::Simulator* s : sims_) {
-    executed += s->events_executed();
-    scheduled += s->events_scheduled();
-    cancels += s->events_cancelled();
-    heap_peak = std::max(heap_peak,
-                         static_cast<std::int64_t>(s->max_heaped_entries()));
-  }
-  out.add("sim_events_executed", executed);
-  out.add("sim_events_scheduled", scheduled);
-  out.add("sim_timer_cancels", cancels);
-  out.gauge_max("sim_event_heap_peak", heap_peak);
-
-  // Conservative-window runner (all zero in a serial scenario).
-  const parallel::ShardRunnerStats& st = runner_->stats();
-  out.gauge_max("pdes_shards", static_cast<std::int64_t>(sims_.size()));
-  out.add("pdes_windows", st.windows);
-  out.add("pdes_barrier_stalls", st.barrier_stalls);
-  out.add("pdes_cross_shard_packets", st.cross_shard_packets);
-  out.add("pdes_serial_fallbacks", st.serial_fallbacks);
-  // stall_wall_ns is deliberately absent: it is wall-clock time, and the
-  // PDES counters above stay deterministic at a fixed shard layout. The
-  // stall timer surfaces through the time-series runtime channels instead.
+  // Event kernel. All counters are replica-additive: a sharded campaign
+  // merging its replicas' registries reports fleet totals. They depend on
+  // the replica layout (every replica re-runs the warm-ups and the
+  // boundary probe), which is why they are not part of collect_metrics.
+  out.add("sim_events_executed", simulator_->events_executed());
+  out.add("sim_events_scheduled", simulator_->events_scheduled());
+  out.add("sim_timer_cancels", simulator_->events_cancelled());
+  out.gauge_max("sim_event_heap_peak",
+                static_cast<std::int64_t>(simulator_->max_heaped_entries()));
 
   // Wall-clock time inside durable-trace disk flushes (capture/spill.hpp).
   // Like the executor stats this is runtime telemetry; it lives here — not
@@ -582,7 +496,7 @@ void Scenario::take_sample(std::uint64_t tick) {
   ts.begin_tick(tick);
 
   // Application channels: derived purely from simulation state at the
-  // (horizon-aligned) tick, so byte-identical at any thread/shard count.
+  // tick, so byte-identical at any thread/shard count.
   std::int64_t fetch_queue = 0, active = 0, pool = 0;
   for (FrontEnd& fe : fes_) {
     fetch_queue += static_cast<std::int64_t>(fe.server->fetch_queue_depth());
@@ -595,10 +509,7 @@ void Scenario::take_sample(std::uint64_t tick) {
   ts.record(ts_channels_.be_queue_depth,
             static_cast<double>(backend_->active_queries()));
 
-  // sampled_link_stats, not aggregate_link_stats: mid-run snapshots must
-  // count delivery at arrival on every link or the series would depend on
-  // which links straddle the shard cut.
-  const net::LinkStats links = network_->sampled_link_stats();
+  const net::LinkStats links = network_->aggregate_link_stats();
   ts.record(ts_channels_.net_packets_in_flight,
             static_cast<double>(links.packets_offered -
                                 links.packets_delivered - links.drops_loss -
@@ -607,18 +518,6 @@ void Scenario::take_sample(std::uint64_t tick) {
                        static_cast<double>(links.packets_delivered));
   ts.record_cumulative(ts_channels_.link_bytes_delivered,
                        static_cast<double>(links.bytes_delivered));
-
-  // Runtime channels: PDES health. Layout- and wall-clock-dependent, so
-  // excluded from the deterministic exports (to_csv / to_json(false)).
-  const parallel::ShardRunnerStats& st = runner_->stats();
-  ts.record_cumulative(ts_channels_.pdes_windows,
-                       static_cast<double>(st.windows));
-  ts.record_cumulative(ts_channels_.pdes_barrier_stalls,
-                       static_cast<double>(st.barrier_stalls));
-  ts.record_cumulative(ts_channels_.pdes_stall_wall_ms,
-                       static_cast<double>(st.stall_wall_ns) / 1e6);
-  ts.record_cumulative(ts_channels_.pdes_cross_shard_packets,
-                       static_cast<double>(st.cross_shard_packets));
 
   // Spill progress (only registered under budgeted capture). Cumulative
   // writer stats never reset — on_clear keeps counting — so the per-tick

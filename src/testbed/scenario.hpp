@@ -22,7 +22,6 @@
 #include "obs/metrics.hpp"
 #include "obs/timeseries.hpp"
 #include "obs/trace.hpp"
-#include "parallel/pdes.hpp"
 #include "search/content_model.hpp"
 #include "sim/simulator.hpp"
 #include "testbed/planetlab.hpp"
@@ -85,12 +84,10 @@ struct ScenarioOptions {
   /// multipath-style reordering on the last mile (both directions).
   double client_link_reorder = 0.0;
 
-  /// Conservative parallel execution of THIS scenario (parallel/pdes.hpp):
-  /// vantage points and their FE attachments are partitioned into
-  /// `sim_shards` event kernels that run concurrently between lookahead
-  /// barriers. Results (timelines, TSVs, metrics exports) are identical at
-  /// any shard count; only the kernel counters in collect_kernel_metrics
-  /// legitimately differ. 0 = DYNCDN_SIM_SHARDS if set, else 1 (serial).
+  /// Deprecated and read only to validate it: a scenario always runs on
+  /// one event kernel on one thread. 0 or 1 is accepted; anything else
+  /// throws std::invalid_argument. Campaign parallelism is across
+  /// vantage-point replicas (parallel_experiment.hpp).
   std::size_t sim_shards = 0;
 
   /// Fractions of vantage points on residential-DSL and wireless access
@@ -108,12 +105,12 @@ struct ScenarioOptions {
 
   /// Sim-time metric sampling (obs::TimeSeriesSampler). When > 0, run()
   /// advances in `ts_interval` steps and snapshots queue depths /
-  /// in-flight work at every tick boundary. Tick advances are
-  /// horizon-bounded (run_window semantics), so the application channels
-  /// are byte-identical at any thread or shard count; a sampled run's
-  /// final clock is rounded up to a tick boundary, so — like tracing — a
-  /// sampled run is deterministic but not byte-identical to an unsampled
-  /// one. zero() = off.
+  /// in-flight work at every tick boundary. Each tick advance is a
+  /// Simulator::run_until, so coalesced delivery trains stop at the tick
+  /// and the application channels are byte-identical at any thread or
+  /// replica-shard count; a sampled run's final clock is rounded up to a
+  /// tick boundary, so — like tracing — a sampled run is deterministic but
+  /// not byte-identical to an unsampled one. zero() = off.
   sim::SimTime ts_interval = sim::SimTime::zero();
   /// Bound on retained ticks (oldest evicted first).
   std::size_t ts_max_samples = 4096;
@@ -195,48 +192,27 @@ class Scenario {
   /// established and warmed. Call before submitting measured queries.
   void warm_up(sim::SimTime duration = sim::SimTime::seconds(5));
 
-  /// Execute pending events on every shard (serial kernel loop when
-  /// sim_shards == 1) until the queues drain / until `deadline`. All shard
-  /// clocks agree with the serial kernel's final clock afterwards, so
-  /// host-side schedule_in() on any shard stays shard-count invariant.
+  /// Execute pending events until the queue drains / until `deadline`
+  /// (which then becomes the clock).
   void run();
   void run_until(sim::SimTime deadline);
 
-  std::size_t shard_count() const { return sims_.size(); }
-  /// Window/barrier counters from the shard runner (accumulated across
-  /// run() calls; all zero for a serial scenario).
-  const parallel::ShardRunnerStats& shard_stats() const {
-    return runner_->stats();
-  }
-
-  /// Tracing session (null unless ScenarioOptions::enable_tracing). In a
-  /// sharded scenario each shard records spans in its own session with a
-  /// disjoint id range; these accessors fold them into the main session in
-  /// shard-index order, so call only after runs, not mid-simulation. The
-  /// folded span *content* (names, stamps, args, parent links) matches the
-  /// serial run; span ids and list order are shard-layout dependent.
-  obs::TraceSession* trace() {
-    merge_shard_traces();
-    return trace_.get();
-  }
-  std::shared_ptr<obs::TraceSession> shared_trace() {
-    merge_shard_traces();
-    return trace_;
-  }
+  /// Tracing session (null unless ScenarioOptions::enable_tracing).
+  obs::TraceSession* trace() { return trace_.get(); }
+  std::shared_ptr<obs::TraceSession> shared_trace() { return trace_; }
 
   /// Snapshot the testbed's operational counters into `out` (network, TCP
   /// stacks, FE/BE servers). Purely additive: callers can merge registries
-  /// across replicas. Every counter here is shard-count invariant; the
-  /// kernel-level counters that legitimately depend on the shard layout
-  /// live in collect_kernel_metrics.
+  /// across replicas. Every counter here is invariant under the replica
+  /// layout; the kernel-level counters that depend on it live in
+  /// collect_kernel_metrics.
   void collect_metrics(obs::MetricsRegistry& out);
 
-  /// Event-kernel + shard-runner introspection (events executed/scheduled,
-  /// heap peaks, windows, barrier stalls, cross-shard packets). Kept out
-  /// of collect_metrics because event counts genuinely differ between
-  /// serial and sharded runs (cross-shard links bypass delivery
-  /// coalescing), and experiment exports must stay byte-identical at any
-  /// shard count.
+  /// Event-kernel introspection (events executed/scheduled, heap peak) and
+  /// spill flush wall time. Kept out of collect_metrics because event
+  /// counts depend on the replica layout (each replica re-runs the FE
+  /// warm-ups and the boundary probe), and experiment exports must stay
+  /// byte-identical at any shard count.
   void collect_kernel_metrics(obs::MetricsRegistry& out);
 
   /// Time-series sampler (null unless ScenarioOptions::ts_interval > 0).
@@ -285,11 +261,6 @@ class Scenario {
   void build_backend();
   void build_frontends();
   void build_clients();
-  void merge_shard_traces();
-  /// Execute all events at or before `target` with a bounded horizon (so
-  /// coalesced delivery trains park at the tick instead of riding past
-  /// it) and align every shard clock to `target`.
-  void run_to_tick(sim::SimTime target);
   void take_sample(std::uint64_t tick);
   net::LinkConfig client_access_link(const VantagePoint& vp,
                                      const net::GeoPoint& fe_location) const;
@@ -300,14 +271,6 @@ class Scenario {
   bool owns_spill_dir_ = false;
   std::shared_ptr<obs::TraceSession> trace_;
   std::unique_ptr<sim::Simulator> simulator_;
-  /// Shard kernels 1..S-1 (shard 0 is simulator_), same seed everywhere.
-  std::vector<std::unique_ptr<sim::Simulator>> extra_sims_;
-  /// All shard kernels by shard index; sims_[0] == simulator_.get().
-  std::vector<sim::Simulator*> sims_;
-  /// Per-shard trace sessions for shards 1..S-1 ([0] is null — shard 0
-  /// records straight into trace_). Disjoint id ranges via set_id_base.
-  std::vector<std::unique_ptr<obs::TraceSession>> shard_traces_;
-  std::unique_ptr<parallel::ShardRunner> runner_;
   std::unique_ptr<obs::TimeSeriesSampler> sampler_;
   /// Interned sampler channels, resolved once at construction so the
   /// per-tick hot path never touches the string-keyed channel map.
@@ -319,10 +282,6 @@ class Scenario {
     obs::TimeSeriesSampler::ChannelRef net_packets_in_flight;
     obs::TimeSeriesSampler::ChannelRef link_packets_delivered;
     obs::TimeSeriesSampler::ChannelRef link_bytes_delivered;
-    obs::TimeSeriesSampler::ChannelRef pdes_windows;
-    obs::TimeSeriesSampler::ChannelRef pdes_barrier_stalls;
-    obs::TimeSeriesSampler::ChannelRef pdes_stall_wall_ms;
-    obs::TimeSeriesSampler::ChannelRef pdes_cross_shard_packets;
     obs::TimeSeriesSampler::ChannelRef capture_spill_bytes;
     obs::TimeSeriesSampler::ChannelRef capture_spill_blocks;
   } ts_channels_;

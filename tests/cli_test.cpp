@@ -59,8 +59,8 @@ std::filesystem::path scratch_dir(const std::string& name) {
 }
 
 TEST(ExperimentCli, MalformedNumericFlagsAreRefused) {
-  for (const char* flag : {"--clients", "--reps", "--seed", "--threads",
-                           "--shards", "--shards-per-scenario"}) {
+  for (const char* flag :
+       {"--clients", "--reps", "--seed", "--threads", "--shards"}) {
     for (const char* bad : {"", "abc", "4x", "-1", " 2", "1.5",
                             "99999999999999999999"}) {
       SCOPED_TRACE(std::string(flag) + "='" + bad + "'");
@@ -92,7 +92,7 @@ TEST(ExperimentCli, MalformedDecimalFlagsAreRefused) {
 TEST(ExperimentCli, MalformedEnvIsRefused) {
   const std::string tiny =
       "--experiment=default-fe --clients=2 --reps=1 --shards=0";
-  for (const char* var : {"DYNCDN_THREADS", "DYNCDN_SIM_SHARDS"}) {
+  for (const char* var : {"DYNCDN_THREADS", "DYNCDN_GRAIN"}) {
     SCOPED_TRACE(var);
     const CliRun run = run_experiment(std::string(var) + "=abc", tiny);
     EXPECT_EQ(run.exit_code, 1) << run.output;
@@ -106,10 +106,20 @@ TEST(ExperimentCli, WellFormedNumbersRun) {
   const CliRun run = run_experiment(
       "DYNCDN_THREADS=2",
       "--experiment=fixed-fe --clients=3 --reps=1 --seed=07 --threads=0 "
-      "--shards=1 --shards-per-scenario=1 --ts-interval=50.5 "
-      "--slow-threshold=0");
+      "--shards=1 --ts-interval=50.5 --slow-threshold=0");
   EXPECT_EQ(run.exit_code, 0) << run.output;
   EXPECT_NE(run.output.find("seed=7 "), std::string::npos) << run.output;
+}
+
+TEST(ExperimentCli, ShardsPerScenarioIsAnUnknownArgument) {
+  // Scenarios always run on one event kernel, so an in-scenario shard flag
+  // must be refused, not silently ignored.
+  const CliRun run = run_experiment(
+      "", "--experiment=fixed-fe --clients=2 --reps=1 --shards-per-scenario=2");
+  EXPECT_EQ(run.exit_code, 2) << run.output;
+  EXPECT_NE(run.output.find("unknown argument: --shards-per-scenario=2"),
+            std::string::npos)
+      << run.output;
 }
 
 TEST(TraceInspectCli, MalformedBoundaryIsRefused) {

@@ -111,6 +111,32 @@ TEST(LinkCoalesce, ReorderingLinkNeverCoalesces) {
   EXPECT_EQ(link.stats().deliveries_coalesced, 0u);
 }
 
+TEST(LinkCoalesce, RunUntilLeavesLaterTrainArrivalsPending) {
+  // Two packets on one coalescing link, arriving at 10 ms and 15 ms, ride
+  // one train. run_until(12 ms) must deliver only the first: the second
+  // stays pending and lands at its own arrival time on the next run.
+  sim::Simulator simulator(5);
+  net::LinkConfig cfg;
+  cfg.propagation_delay = 10_ms;
+  cfg.bandwidth_bps = 0;  // no serialization delay
+  cfg.coalesce_deliveries = true;
+  std::vector<long long> arrivals;
+  net::Link link(
+      simulator, cfg,
+      [&](net::PacketPtr) { arrivals.push_back(simulator.now().ns()); },
+      "deadline");
+  simulator.schedule_at(0_ms, [&link]() { link.transmit(make_packet(100)); });
+  simulator.schedule_at(5_ms, [&link]() { link.transmit(make_packet(100)); });
+
+  EXPECT_EQ(simulator.run_until(12_ms), 12_ms);
+  EXPECT_EQ(arrivals, std::vector<long long>{(10_ms).ns()});
+  EXPECT_TRUE(simulator.has_pending());
+
+  simulator.run();
+  EXPECT_EQ(arrivals, (std::vector<long long>{(10_ms).ns(), (15_ms).ns()}));
+  EXPECT_EQ(simulator.now(), 15_ms);
+}
+
 /// Run the full testbed (FE fleet + BE + vantage-point client) with link
 /// coalescing toggled; return client 0's serialized packet capture and
 /// optionally export spans/capture artifacts for the offline diff tool.

@@ -165,7 +165,7 @@ TEST(FlatMap, SurvivesRehashAndTombstoneChurn) {
 
 TEST(FlatMap, IdenticalOperationHistoryYieldsIdenticalIteration) {
   // Determinism contract: no per-process salt, so two maps fed the same
-  // operations traverse in the same slot order. PDES replay relies on this.
+  // operations traverse in the same slot order, so runs are reproducible.
   const auto build = [] {
     FlatMap<std::uint64_t, int> m;
     for (std::uint64_t i = 0; i < 200; ++i) m.try_emplace(i * 7919, 1);

@@ -1,7 +1,7 @@
 // Durable trace pipeline tests: .dtrc round-trip byte-identity, block
 // index / per-flow seeks, corrupt-input rejection, budget-triggered spill
 // equivalence (a campaign that spills mid-run must analyze identically to
-// one that kept everything in memory, at any thread x shard layout), and
+// one that kept everything in memory, at any thread count), and
 // the artifact export feeding the `trace_diff_spilled` ctest entry.
 #include <gtest/gtest.h>
 
@@ -456,14 +456,12 @@ TEST(SpillScenario, ParseByteSizeSuffixes) {
   EXPECT_FALSE(parse_byte_size("17179869184G").has_value());  // 2^64 bytes
 }
 
-testbed::ScenarioOptions spill_scenario(std::size_t budget,
-                                        std::size_t sim_shards = 1) {
+testbed::ScenarioOptions spill_scenario(std::size_t budget) {
   testbed::ScenarioOptions opt;
   opt.profile = cdn::google_like_profile();
   opt.client_count = 4;
   opt.seed = 4242;
   opt.capture_budget = budget;
-  opt.sim_shards = sim_shards;
   return opt;
 }
 
@@ -504,15 +502,15 @@ void expect_timings_identical(const testbed::ExperimentResult& a,
   }
 }
 
-TEST(SpillScenario, BudgetedCampaignMatchesInMemoryAtAnyLayout) {
+TEST(SpillScenario, BudgetedCampaignMatchesInMemoryAtAnyThreadCount) {
   // The tentpole contract: a campaign whose recorders spill mid-run must
   // produce byte-identical per-query timings to the unbudgeted in-memory
-  // run, across 1/2/4 worker threads x 1/2/4 conservative sim shards.
-  // The replica split is held fixed (one replica per vantage point, the
-  // same plan the unbudgeted base uses): clients share the FE fleet, so
-  // changing the *replica* layout legitimately changes the measured
-  // packet streams — the invariance contract is over threads and sim
-  // shards, and the spill counters ride on the capture bytes.
+  // run, at 1, 2 and 4 worker threads. The replica split is held fixed
+  // (one replica per vantage point, the same plan the unbudgeted base
+  // uses): clients share the FE fleet, so changing the *replica* layout
+  // legitimately changes the measured packet streams — the invariance
+  // contract is over threads, and the spill counters ride on the capture
+  // bytes.
   const auto options = small_experiment();
   testbed::ReplicaPlan plan;  // shards = 0: one replica per vantage point
   plan.executor.threads = 1;
@@ -524,28 +522,23 @@ TEST(SpillScenario, BudgetedCampaignMatchesInMemoryAtAnyLayout) {
   std::string budgeted_export;
   for (const std::size_t threads :
        {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-    for (const std::size_t shards :
-         {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-      plan.executor.threads = threads;
-      const auto r = testbed::run_fixed_fe_experiment(
-          spill_scenario(budget, shards), 0, options, plan);
-      expect_timings_identical(base, r);
-      EXPECT_GT(r.metrics.counter("spill_bytes_written"), 0u)
-          << threads << "x" << shards;
-      EXPECT_GT(r.metrics.counter("spill_blocks"), 0u);
-      // The compact encoding beats PacketTrace's in-memory accounting.
-      EXPECT_GT(r.metrics.counter("spill_raw_bytes"),
-                r.metrics.counter("spill_bytes_written"));
-      // The whole export — spill counters included — is byte-identical
-      // at every thread/sim-shard combination.
-      const std::string exported = obs::export_prometheus(r.metrics);
-      if (budgeted_export.empty()) {
-        budgeted_export = exported;
-      } else {
-        EXPECT_TRUE(budgeted_export == exported)
-            << "metrics diverge at " << threads << " threads, " << shards
-            << " shards";
-      }
+    plan.executor.threads = threads;
+    const auto r = testbed::run_fixed_fe_experiment(spill_scenario(budget), 0,
+                                                    options, plan);
+    expect_timings_identical(base, r);
+    EXPECT_GT(r.metrics.counter("spill_bytes_written"), 0u) << threads;
+    EXPECT_GT(r.metrics.counter("spill_blocks"), 0u);
+    // The compact encoding beats PacketTrace's in-memory accounting.
+    EXPECT_GT(r.metrics.counter("spill_raw_bytes"),
+              r.metrics.counter("spill_bytes_written"));
+    // The whole export — spill counters included — is byte-identical at
+    // every thread count.
+    const std::string exported = obs::export_prometheus(r.metrics);
+    if (budgeted_export.empty()) {
+      budgeted_export = exported;
+    } else {
+      EXPECT_TRUE(budgeted_export == exported)
+          << "metrics diverge at " << threads << " threads";
     }
   }
 }

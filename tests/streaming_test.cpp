@@ -677,14 +677,12 @@ TEST(StreamingOnline, DrainKeepsBoundaryForNextPhase) {
 // replay is the one that matches the reference.
 // ---------------------------------------------------------------------------
 
-testbed::ScenarioOptions small_scenario(bool stream,
-                                        std::size_t shards = 1) {
+testbed::ScenarioOptions small_scenario(bool stream) {
   testbed::ScenarioOptions opt;
   opt.profile = cdn::google_like_profile();
   opt.client_count = 6;
   opt.seed = 4242;
   opt.stream_analysis = stream;
-  opt.sim_shards = shards;
   return opt;
 }
 
@@ -740,17 +738,14 @@ TEST(StreamingExperiment, ByteIdenticalToCaptureAt1_2_4Threads) {
       small_scenario(false), 0, options, plan);
 
   // Streaming mode keeps its per-flow state in slab/arena-backed flat
-  // tables; the full 1/2/4-thread x 1/2/4-shard matrix must still match
-  // the serial retained-capture run byte for byte.
+  // tables; at 1, 2 and 4 threads it must still match the serial
+  // retained-capture run byte for byte.
   for (const std::size_t threads :
        {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-    for (const std::size_t shards :
-         {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-      plan.executor.threads = threads;
-      const auto streaming_run = testbed::run_fixed_fe_experiment(
-          small_scenario(true, shards), 0, options, plan);
-      expect_results_identical(capture_run, streaming_run);
-    }
+    plan.executor.threads = threads;
+    const auto streaming_run = testbed::run_fixed_fe_experiment(
+        small_scenario(true), 0, options, plan);
+    expect_results_identical(capture_run, streaming_run);
   }
 }
 
@@ -792,7 +787,6 @@ TEST(StreamingExperiment, LossyCaptureReplayMatchesReferenceLiveCollapseNot) {
   so.seed = 20;
   so.wireless_fraction = 0.5;
   so.client_link_reorder = 0.01;
-  so.sim_shards = 1;
   testbed::Scenario scenario(so);
   scenario.warm_up();
   auto& clients = scenario.clients();

@@ -161,8 +161,7 @@ TransferLog run_chunked_transfer(const std::string& payload,
 // Scattered send buffers: queueing the stream as many small writes (each
 // its own buffer, most far below MSS) must put exactly the same segments
 // on the wire as one large write — gather_payload fills segments to MSS
-// across write boundaries, chaining slices (or byte-copying under
-// DYNCDN_TCP_GATHER_COPY; this test passes under both).
+// across write boundaries by chaining zero-copy slices.
 TEST(TcpTransfer, ScatteredSendsMatchOneLargeSend) {
   const std::string payload = pattern_text(120 * 1000);
   const TransferLog whole = run_chunked_transfer(payload, {});

@@ -1,5 +1,5 @@
 // Time-resolved telemetry suite: the sim-time metric series must export
-// byte-identically at any replica-thread × sim-shard layout, per-query
+// byte-identically at any replica-thread count, per-query
 // attribution must satisfy the exact telescoping identity against the
 // capture-derived timings, the flight recorder's triggers must be
 // reproducible, and the supporting pieces (log-bucket quantile
@@ -181,11 +181,11 @@ TEST(TimeSeries, RuntimeChannelsStayOutOfDeterministicExports) {
   obs::TimeSeriesSampler ts(1'000'000);
   ts.begin_tick(0);
   ts.record("app", 1.0);
-  ts.record("pdes_stall_wall_ms", 9.0, /*runtime=*/true);
+  ts.record("flush_wall_ms", 9.0, /*runtime=*/true);
   ts.end_tick();
-  EXPECT_EQ(ts.to_csv().find("pdes_stall_wall_ms"), std::string::npos);
-  EXPECT_EQ(ts.to_json(false).find("pdes_stall_wall_ms"), std::string::npos);
-  EXPECT_NE(ts.to_json(true).find("pdes_stall_wall_ms"), std::string::npos);
+  EXPECT_EQ(ts.to_csv().find("flush_wall_ms"), std::string::npos);
+  EXPECT_EQ(ts.to_json(false).find("flush_wall_ms"), std::string::npos);
+  EXPECT_NE(ts.to_json(true).find("flush_wall_ms"), std::string::npos);
   const auto names = ts.channel_names(false);
   EXPECT_EQ(names.size(), 1u);
   EXPECT_EQ(names.front(), "app");
@@ -193,15 +193,14 @@ TEST(TimeSeries, RuntimeChannelsStayOutOfDeterministicExports) {
 
 // ---------------------------------------------------------------------------
 // Campaign-level determinism: the deterministic time-series exports must
-// be byte-identical at every replica-thread count and sim-shard layout.
+// be byte-identical at every replica-thread count.
 // ---------------------------------------------------------------------------
 
-testbed::ScenarioOptions telemetry_scenario(std::size_t sim_shards) {
+testbed::ScenarioOptions telemetry_scenario() {
   testbed::ScenarioOptions opt;
   opt.profile = cdn::google_like_profile();
   opt.client_count = 4;
   opt.seed = 4242;
-  opt.sim_shards = sim_shards;
   opt.ts_interval = 100_ms;
   return opt;
 }
@@ -215,32 +214,27 @@ testbed::ExperimentOptions telemetry_experiment() {
   return eo;
 }
 
-TEST(TimeSeriesDeterminism, ByteIdenticalAcrossThreadsAndShards) {
+TEST(TimeSeriesDeterminism, ByteIdenticalAcrossThreads) {
   const auto eo = telemetry_experiment();
   std::string ref_csv, ref_json;
-  for (const std::size_t shards : {1u, 2u, 4u}) {
-    for (const std::size_t threads : {1u, 2u, 4u}) {
-      testbed::ReplicaPlan plan;  // one replica per vantage point
-      plan.executor.threads = threads;
-      const testbed::ExperimentResult result =
-          testbed::run_fixed_fe_experiment(telemetry_scenario(shards), 0, eo,
-                                           plan);
-      ASSERT_GT(result.timeseries.sample_count(), 0u);
-      const std::string csv = result.timeseries.to_csv();
-      const std::string json = result.timeseries.to_json(false);
-      if (ref_csv.empty()) {
-        ref_csv = csv;
-        ref_json = json;
-        // The series must actually carry application channels, or the
-        // byte-compare below is vacuous.
-        EXPECT_NE(csv.find("net_packets_in_flight"), std::string::npos);
-        EXPECT_NE(csv.find("link_packets_delivered"), std::string::npos);
-      } else {
-        EXPECT_EQ(csv, ref_csv) << shards << " shards, " << threads
-                                << " threads";
-        EXPECT_EQ(json, ref_json) << shards << " shards, " << threads
-                                  << " threads";
-      }
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    testbed::ReplicaPlan plan;  // one replica per vantage point
+    plan.executor.threads = threads;
+    const testbed::ExperimentResult result =
+        testbed::run_fixed_fe_experiment(telemetry_scenario(), 0, eo, plan);
+    ASSERT_GT(result.timeseries.sample_count(), 0u);
+    const std::string csv = result.timeseries.to_csv();
+    const std::string json = result.timeseries.to_json(false);
+    if (ref_csv.empty()) {
+      ref_csv = csv;
+      ref_json = json;
+      // The series must actually carry application channels, or the
+      // byte-compare below is vacuous.
+      EXPECT_NE(csv.find("net_packets_in_flight"), std::string::npos);
+      EXPECT_NE(csv.find("link_packets_delivered"), std::string::npos);
+    } else {
+      EXPECT_EQ(csv, ref_csv) << threads << " threads";
+      EXPECT_EQ(json, ref_json) << threads << " threads";
     }
   }
 }
@@ -263,7 +257,7 @@ TEST(Attribution, AllComponentsAppearInJsonEvenWithZeroSamples) {
 
 #if DYNCDN_OBS
 TEST(Attribution, TelescopingIdentityHoldsExactly) {
-  testbed::ScenarioOptions opt = telemetry_scenario(1);
+  testbed::ScenarioOptions opt = telemetry_scenario();
   opt.enable_tracing = true;
   testbed::Scenario scenario(opt);
   scenario.warm_up();
@@ -299,7 +293,7 @@ TEST(Attribution, TelescopingIdentityHoldsExactly) {
 // wire size on static_flush, so trace_inspect can recover a boundary
 // without the packet capture that discovered the canonical one.
 TEST(Attribution, BoundaryRecoverableFromStaticFlushStamps) {
-  testbed::ScenarioOptions opt = telemetry_scenario(1);
+  testbed::ScenarioOptions opt = telemetry_scenario();
   opt.enable_tracing = true;
   testbed::Scenario scenario(opt);
   scenario.warm_up();
@@ -326,7 +320,7 @@ TEST(Attribution, RegistryByteIdenticalAcrossThreadCounts) {
   const auto eo = telemetry_experiment();
   std::string ref;
   for (const std::size_t threads : {1u, 4u}) {
-    testbed::ScenarioOptions opt = telemetry_scenario(1);
+    testbed::ScenarioOptions opt = telemetry_scenario();
     opt.enable_tracing = true;
     testbed::ReplicaPlan plan;
     plan.executor.threads = threads;
@@ -344,7 +338,7 @@ TEST(Attribution, RegistryByteIdenticalAcrossThreadCounts) {
 }
 
 TEST(FlightRecorder, CampaignWithExplicitThresholdPromotesSpanTrees) {
-  testbed::ScenarioOptions opt = telemetry_scenario(1);
+  testbed::ScenarioOptions opt = telemetry_scenario();
   opt.enable_tracing = true;
   testbed::Scenario scenario(opt);
   scenario.warm_up();

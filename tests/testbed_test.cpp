@@ -149,13 +149,19 @@ TEST(Scenario, WirelessVantagePointsGetLossyAccessLinks) {
   EXPECT_FALSE(result.failed) << result.failure_reason;
 }
 
-TEST(Scenario, MalformedSimShardsEnvIsRejected) {
-  setenv("DYNCDN_SIM_SHARDS", "two", 1);
-  EXPECT_THROW(Scenario{small_options(cdn::google_like_profile(), 2)},
-               std::invalid_argument);
-  unsetenv("DYNCDN_SIM_SHARDS");
-  const Scenario serial(small_options(cdn::google_like_profile(), 2));
-  EXPECT_EQ(serial.shard_count(), 1u);
+TEST(Scenario, SimShardsAboveOneIsRejected) {
+  // sim_shards is deprecated: a scenario runs on one event kernel, so only
+  // 0 and 1 are accepted.
+  for (const std::size_t shards : {0u, 1u}) {
+    ScenarioOptions opt = small_options(cdn::google_like_profile(), 2);
+    opt.sim_shards = shards;
+    EXPECT_NO_THROW(Scenario{opt}) << shards;
+  }
+  for (const std::size_t shards : {2u, 4u}) {
+    ScenarioOptions opt = small_options(cdn::google_like_profile(), 2);
+    opt.sim_shards = shards;
+    EXPECT_THROW(Scenario{opt}, std::invalid_argument) << shards;
+  }
 }
 
 TEST(Scenario, MalformedCaptureBudgetEnvIsRejected) {

@@ -46,7 +46,6 @@ struct CliOptions {
   std::string save_traces;  // directory; empty = off
   std::size_t threads = 0;  // 0 = DYNCDN_THREADS / hardware concurrency
   std::size_t shards = 0;   // 0 = one replica per vantage point
-  std::size_t sim_shards = 0;  // per-scenario kernels (0 = DYNCDN_SIM_SHARDS)
   std::string trace_out;    // Chrome trace_event JSON; empty = off
   std::string metrics_out;  // Prometheus text dump; empty = off
   bool stream = true;       // online timeline analysis (--capture = off)
@@ -67,7 +66,6 @@ void usage() {
       "                         [--service=google|bing] [--clients=N]\n"
       "                         [--reps=N] [--seed=S] [--save-traces=DIR]\n"
       "                         [--threads=N] [--shards=N]\n"
-      "                         [--shards-per-scenario=N]\n"
       "                         [--trace-out=FILE] [--metrics-out=FILE]\n"
       "                         [--ts-interval=MS] [--ts-out=FILE]\n"
       "                         [--ts-runtime-out=FILE]\n"
@@ -79,9 +77,6 @@ void usage() {
       "(0 = DYNCDN_THREADS or all cores)\n"
       "  --shards   replica count (0 = one per vantage point; "
       "1 = legacy serial semantics)\n"
-      "  --shards-per-scenario  conservative-parallel kernels inside each\n"
-      "             scenario (0 = DYNCDN_SIM_SHARDS or 1; results are\n"
-      "             identical at any value)\n"
       "  --stream   reduce flows to timelines online (default): campaign "
       "memory is O(in-flight flows)\n"
       "  --capture  retain full packet traces and replay them through the\n"
@@ -104,9 +99,9 @@ void usage() {
       "                 time-series output is requested)\n"
       "  --ts-out       write the sampled metric series; a .csv suffix\n"
       "                 selects CSV, anything else JSON. Application\n"
-      "                 channels only: byte-identical at any --threads /\n"
-      "                 --shards-per-scenario value\n"
-      "  --ts-runtime-out  write runtime-health JSON (PDES barrier stalls,\n"
+      "                 channels only: byte-identical at any --threads\n"
+      "                 value\n"
+      "  --ts-runtime-out  write runtime-health JSON (the series plus the\n"
       "                 per-worker run/steal counts); layout-dependent by\n"
       "                 nature, so kept out of --ts-out\n"
       "  --attribution-out  write per-component latency attribution JSON\n"
@@ -173,10 +168,6 @@ std::optional<CliOptions> parse_args(int argc, char** argv) {
       opt.save_traces = *v;
     } else if (auto v = value("--threads=")) {
       if (!whole_number("--threads", *v, opt.threads)) return std::nullopt;
-    } else if (auto v = value("--shards-per-scenario=")) {
-      if (!whole_number("--shards-per-scenario", *v, opt.sim_shards)) {
-        return std::nullopt;
-      }
     } else if (auto v = value("--shards=")) {
       if (!whole_number("--shards", *v, opt.shards)) return std::nullopt;
     } else if (auto v = value("--trace-out=")) {
@@ -406,7 +397,6 @@ int run_measurement(const CliOptions& cli, bool fixed_fe) {
                                        : cdn::bing_like_profile();
   so.client_count = cli.clients;
   so.seed = cli.seed;
-  so.sim_shards = cli.sim_shards;
   // Attribution and the flight recorder reduce the span forest, so they
   // imply tracing just like --trace-out.
   so.enable_tracing = !cli.trace_out.empty() || !cli.attribution_out.empty() ||
@@ -523,7 +513,6 @@ int run_caching(const CliOptions& cli) {
                                        : cdn::bing_like_profile();
   so.client_count = std::max<std::size_t>(cli.clients, 4);
   so.seed = cli.seed;
-  so.sim_shards = cli.sim_shards;
   so.enable_tracing = !cli.trace_out.empty();
   so.ts_interval = ts_interval(cli);
   so.stream_analysis = cli.stream;
@@ -564,7 +553,6 @@ int run_factoring(const CliOptions& cli) {
   so.profile = cli.service == "google" ? cdn::google_like_profile()
                                        : cdn::bing_like_profile();
   so.seed = cli.seed;
-  so.sim_shards = cli.sim_shards;
   so.stream_analysis = cli.stream;
   std::vector<double> distances;
   for (std::size_t i = 0; i < std::max<std::size_t>(cli.clients / 5, 6);
@@ -609,7 +597,7 @@ int main(int argc, char** argv) {
     if (cli->experiment == "caching") return run_caching(*cli);
     return run_factoring(*cli);
   } catch (const std::exception& e) {
-    // E.g. a malformed DYNCDN_THREADS or DYNCDN_SIM_SHARDS.
+    // E.g. a malformed DYNCDN_THREADS or DYNCDN_CAPTURE_BUDGET.
     std::fprintf(stderr, "dyncdn_experiment: %s\n", e.what());
     return 1;
   }
