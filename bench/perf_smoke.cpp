@@ -570,7 +570,7 @@ int main(int argc, char** argv) {
   }
 
   // Experiment engine: a fixed-FE campaign sharded one-replica-per-vantage-
-  // point over the work-stealing executor; wall time per thread count gives
+  // point over the replica executor; wall time per thread count gives
   // the scaling curve. Runs the streaming (online-analysis) pipeline — the
   // product default; results are byte-identical to capture mode.
   testbed::ScenarioOptions scenario;
@@ -714,15 +714,12 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(attr.reconcile_failures()));
     return 1;
   }
-#if DYNCDN_OBS
-  // With observability compiled in, the traced campaign must decompose
-  // every analyzed query; silently attributing zero queries would make
-  // the reconciliation gate vacuous.
+  // The traced campaign must decompose every analyzed query; silently
+  // attributing zero queries would make the reconciliation gate vacuous.
   if (attr.queries() == 0) {
     std::fprintf(stderr, "perf_smoke: attribution decomposed 0 queries\n");
     return 1;
   }
-#endif
 
   // queries_per_sec at the best *measured* (non-oversubscribed) thread
   // count — the scalar bench_diff gates. Oversubscribed rows stay in the

@@ -90,8 +90,7 @@ void BackendDataCenter::remember_query(const std::string& text) {
 
 void BackendDataCenter::process_query(
     const search::Keyword& keyword, std::uint64_t query_id,
-    [[maybe_unused]] std::uint64_t trace_parent,
-    std::function<void(std::string)> done) {
+    std::uint64_t trace_parent, std::function<void(std::string)> done) {
   sim::Simulator& simulator = node_.simulator();
   const sim::SimTime now = simulator.now();
 
@@ -106,7 +105,6 @@ void BackendDataCenter::process_query(
   active_peak_ = std::max(active_peak_, active_);
 
   obs::SpanId span = obs::kNoSpan;
-#if DYNCDN_OBS
   if (obs::TraceSession* trace = obs::active_trace(simulator)) {
     span = trace->begin_span(now, "be.process", "be", trace_parent);
     trace->add_arg(span, "keyword", obs::ArgValue::of(keyword.text));
@@ -118,7 +116,6 @@ void BackendDataCenter::process_query(
       trace->add_arg(span, "correlated", obs::ArgValue::of(std::int64_t{1}));
     }
   }
-#endif
 
   simulator.schedule_in(
       t_proc, [this, keyword, query_id, now, t_proc, correlated, span,
@@ -134,12 +131,10 @@ void BackendDataCenter::process_query(
         rec.dynamic_bytes = body.size();
         rec.correlated = correlated;
         query_log_.push_back(std::move(rec));
-#if DYNCDN_OBS
         if (obs::TraceSession* trace =
                 obs::active_trace(node_.simulator())) {
           trace->end_span(span, node_.simulator().now());
         }
-#endif
         done(std::move(body));
       });
 }

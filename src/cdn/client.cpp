@@ -36,16 +36,13 @@ void QueryClient::submit(net::Endpoint server, const search::Keyword& keyword,
     std::unique_ptr<http::ResponseParser> parser;
     tcp::TcpSocket* socket = nullptr;
     bool reported = false;
-#if DYNCDN_OBS
     sim::Simulator* sim = nullptr;
     obs::TraceSession* trace = nullptr;  // outlives the query (Scenario-owned)
     obs::SpanId span = obs::kNoSpan;
-#endif
 
     void report() {
       if (reported) return;
       reported = true;
-#if DYNCDN_OBS
       if (trace != nullptr) {
         trace->add_arg(span, "status",
                        obs::ArgValue::of(
@@ -55,7 +52,6 @@ void QueryClient::submit(net::Endpoint server, const search::Keyword& keyword,
                            static_cast<std::int64_t>(result.failed)));
         trace->end_span(span, sim->now());
       }
-#endif
       handler(result);
     }
   };
@@ -63,7 +59,6 @@ void QueryClient::submit(net::Endpoint server, const search::Keyword& keyword,
   ctx->result.keyword = keyword;
   ctx->result.start = simulator.now();
   ctx->handler = std::move(handler);
-#if DYNCDN_OBS
   // Root span of the query's tree; fe.*/be.* spans parent onto it via the
   // X-Trace-Span request header, the tcp.flow child carries the
   // wire-level t-stamps (see docs/OBSERVABILITY.md).
@@ -76,7 +71,6 @@ void QueryClient::submit(net::Endpoint server, const search::Keyword& keyword,
     trace->add_arg(ctx->span, "keyword",
                    obs::ArgValue::of(keyword.text));
   }
-#endif
 
   // The parser lives inside ctx, so its callbacks must NOT share ownership
   // of ctx — that would be a ctx -> parser -> callbacks -> ctx cycle and
@@ -137,7 +131,6 @@ void QueryClient::submit(net::Endpoint server, const search::Keyword& keyword,
 
   tcp::TcpSocket& socket = stack_.connect(server, std::move(cb));
   ctx->socket = &socket;
-#if DYNCDN_OBS
   if (trace != nullptr) {
     const obs::SpanId flow_span = trace->begin_span(
         simulator.now(), "tcp.flow", "client", ctx->span);
@@ -146,18 +139,15 @@ void QueryClient::submit(net::Endpoint server, const search::Keyword& keyword,
                        socket.flow().local.port)));
     socket.attach_trace(trace, flow_span);
   }
-#endif
   // The GET is queued now and transmitted the instant the handshake
   // completes — like a browser writing into a connecting socket.
   http::HttpRequest req;
   req.target = target;
   req.set_header("Host", "search.example");
   req.set_header("Connection", "close");
-#if DYNCDN_OBS
   if (trace != nullptr) {
     req.set_header("X-Trace-Span", obs::span_id_header(ctx->span));
   }
-#endif
   socket.send_text(req.serialize());
   // Half-close after the request: we have nothing more to send. The FE
   // still sends its full response (close-framed) afterwards.

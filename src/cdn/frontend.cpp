@@ -7,7 +7,6 @@
 #include "http/message.hpp"
 #include "obs/obs.hpp"
 
-#if DYNCDN_OBS
 namespace {
 
 // Parse an X-Trace-Span/X-Query-Id-style decimal header value; 0 when
@@ -19,7 +18,6 @@ std::uint64_t parse_id_header(const std::optional<std::string_view>& v) {
 }
 
 }  // namespace
-#endif
 
 namespace dyncdn::cdn {
 
@@ -77,13 +75,11 @@ FrontEndServer::BackendConn& FrontEndServer::open_backend_conn(bool warm) {
     if (it != pending_.end()) {
       fetch_log_[it->second.log_index].first_byte =
           node_.simulator().now();
-#if DYNCDN_OBS
       if (obs::TraceSession* trace =
               obs::active_trace(node_.simulator())) {
         trace->add_event(it->second.fetch_span, "first_byte",
                          node_.simulator().now());
       }
-#endif
     }
   };
   pc.on_body_data = [this, conn_ptr](std::string_view chunk) {
@@ -128,7 +124,6 @@ FrontEndServer::BackendConn& FrontEndServer::open_backend_conn(bool warm) {
           }
           ctx.socket->close();
         }
-#if DYNCDN_OBS
         if (obs::TraceSession* trace =
                 obs::active_trace(node_.simulator())) {
           const sim::SimTime now = node_.simulator().now();
@@ -136,7 +131,6 @@ FrontEndServer::BackendConn& FrontEndServer::open_backend_conn(bool warm) {
           // The FE's part in the query ends once the relay is queued.
           trace->end_span(ctx.span, now);
         }
-#endif
       }
     }
     // This connection is free again: drain one queued fetch, if any.
@@ -196,7 +190,6 @@ void FrontEndServer::backend_conn_lost(BackendConn& conn) {
     auto it = pending_.find(conn.in_flight_query);
     if (it != pending_.end()) {
       if (it->second.ctx->alive) it->second.ctx->socket->abort();
-#if DYNCDN_OBS
       if (obs::TraceSession* trace =
               obs::active_trace(node_.simulator())) {
         const sim::SimTime now = node_.simulator().now();
@@ -205,7 +198,6 @@ void FrontEndServer::backend_conn_lost(BackendConn& conn) {
         trace->end_span(it->second.fetch_span, now);
         trace->end_span(it->second.ctx->span, now);
       }
-#endif
       pending_.erase(it);
     }
   }
@@ -270,7 +262,6 @@ void FrontEndServer::send_head_and_static(ClientCtx& ctx) {
   head.set_header("Server", content_.service_name());
   head.set_header("Connection", "close");
   const std::string head_text = head.serialize_head();
-#if DYNCDN_OBS
   if (obs::TraceSession* trace =
           obs::active_trace(node_.simulator())) {
     // Role 1 of the paper: the static flush leaves the FE here; the
@@ -285,7 +276,6 @@ void FrontEndServer::send_head_and_static(ClientCtx& ctx) {
                   obs::ArgValue::of(static_cast<std::int64_t>(
                       head_text.size() + static_prefix_buf_->size()))}});
   }
-#endif
   // Close-framed response: the dynamic size is unknown at this point, which
   // is exactly why the FE can start sending before the BE answers.
   ctx.socket->send_text(head_text);
@@ -302,7 +292,6 @@ void FrontEndServer::handle_request(std::shared_ptr<ClientCtx> ctx,
   ++active_requests_;
   active_requests_peak_ = std::max(active_requests_peak_, active_requests_);
 
-#if DYNCDN_OBS
   obs::SpanId service_span = obs::kNoSpan;
   if (obs::TraceSession* trace = obs::active_trace(simulator)) {
     // Cross-node parenting: the client put its query-span id in the
@@ -314,22 +303,17 @@ void FrontEndServer::handle_request(std::shared_ptr<ClientCtx> ctx,
     service_span = trace->begin_span(simulator.now(), "fe.service", "fe",
                                      ctx->span);
   }
-#endif
 
   simulator.schedule_in(
       service_delay,
       [this, ctx,
-#if DYNCDN_OBS
        service_span,
-#endif
        target = req.target]() {
         --active_requests_;
-#if DYNCDN_OBS
         if (obs::TraceSession* trace =
                 obs::active_trace(node_.simulator())) {
           trace->end_span(service_span, node_.simulator().now());
         }
-#endif
         if (!ctx->alive) return;
 
         // FE result cache (counterfactual; off per the paper's finding).
@@ -347,14 +331,12 @@ void FrontEndServer::handle_request(std::shared_ptr<ClientCtx> ctx,
             const sim::SimTime now = node_.simulator().now();
             rec.fetch_start = rec.first_byte = rec.last_byte = now;
             fetch_log_.push_back(std::move(rec));
-#if DYNCDN_OBS
             if (obs::TraceSession* trace =
                     obs::active_trace(node_.simulator())) {
               trace->add_arg(ctx->span, "cache_hit",
                              obs::ArgValue::of(std::int64_t{1}));
               trace->end_span(ctx->span, now);
             }
-#endif
             return;
           }
         }
@@ -382,7 +364,6 @@ void FrontEndServer::begin_fetch(std::shared_ptr<ClientCtx> ctx,
   pending.log_index = fetch_log_.size() - 1;
   pending.cache_key = target;
   pending.target = target;
-#if DYNCDN_OBS
   if (obs::TraceSession* trace =
           obs::active_trace(node_.simulator())) {
     pending.fetch_span =
@@ -391,7 +372,6 @@ void FrontEndServer::begin_fetch(std::shared_ptr<ClientCtx> ctx,
     trace->add_arg(pending.fetch_span, "query_id",
                    obs::ArgValue::of(static_cast<std::int64_t>(id)));
   }
-#endif
   pending_.emplace(id, std::move(pending));
 
   dispatch_fetch(id);
@@ -420,11 +400,9 @@ void FrontEndServer::dispatch_fetch(std::uint64_t query_id) {
   http::HttpRequest fetch;
   fetch.target = it->second.target;
   fetch.set_header("X-Query-Id", std::to_string(query_id));
-#if DYNCDN_OBS
   if (it->second.fetch_span != 0) {
     fetch.set_header("X-Trace-Span", obs::span_id_header(it->second.fetch_span));
   }
-#endif
   conn->socket->send_text(fetch.serialize());
 }
 

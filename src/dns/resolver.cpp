@@ -81,7 +81,6 @@ DnsClient::DnsClient(tcp::TcpStack& stack, net::Endpoint server)
 void DnsClient::resolve(const std::string& name, Handler handler) {
   sim::Simulator& simulator = stack_.simulator();
 
-#if DYNCDN_OBS
   if (obs::TraceSession* trace = obs::active_trace(simulator)) {
     // Root span (footnote 1 of the paper: resolution is *not* part of the
     // per-query timeline, so it does not hang under a query span).
@@ -96,7 +95,6 @@ void DnsClient::resolve(const std::string& name, Handler handler) {
       inner(r);
     };
   }
-#endif
 
   if (cache_ttl_ > sim::SimTime::zero()) {
     auto it = cache_.find(name);

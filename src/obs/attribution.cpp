@@ -39,7 +39,7 @@ bool QueryAttribution::observe(const Sample& s) {
   }
   // Collapse missing anchors onto their predecessor so the telescoping
   // sum is exact whether or not the FE-side spans exist (cache hits,
-  // DYNCDN_OBS=OFF traces, untraced FEs).
+  // untraced FEs).
   const std::int64_t a0 = s.t1;
   const std::int64_t a1 = s.fe_recv >= 0 ? s.fe_recv : a0;
   const std::int64_t a2 = s.fetch_start >= 0 ? s.fetch_start : a1;

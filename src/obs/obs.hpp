@@ -1,15 +1,9 @@
 // Umbrella header for instrumentation sites.
 //
-// DYNCDN_OBS is the compile-time kill switch (CMake option of the same
-// name, default ON). Sites wrap span emission in `#if DYNCDN_OBS` so a
-// =0 build removes tracing from the hot path entirely; with =1 the
-// runtime gate is obs::active_trace(sim) — one pointer load and test
-// when no session is attached or the session is disabled.
+// Every site gates span emission at run time on obs::active_trace(sim) —
+// one pointer load and test when no session is attached or the session is
+// disabled.
 #pragma once
-
-#ifndef DYNCDN_OBS
-#define DYNCDN_OBS 1
-#endif
 
 #include "obs/trace.hpp"
 #include "sim/simulator.hpp"

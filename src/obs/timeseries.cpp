@@ -45,19 +45,15 @@ void TimeSeriesSampler::record_channel(Channel& ch, double value) {
   }
 }
 
-void TimeSeriesSampler::record(const std::string& channel, double value,
-                               bool runtime) {
+void TimeSeriesSampler::record(const std::string& channel, double value) {
   if (!in_tick_) return;
-  Channel& ch = channels_[channel];
-  ch.runtime = ch.runtime || runtime;
-  record_channel(ch, value);
+  record_channel(channels_[channel], value);
 }
 
 void TimeSeriesSampler::record_cumulative(const std::string& channel,
-                                          double cumulative, bool runtime) {
+                                          double cumulative) {
   if (!in_tick_) return;
   Channel& ch = channels_[channel];
-  ch.runtime = ch.runtime || runtime;
   const double delta = ch.has_prev ? cumulative - ch.prev_cumulative
                                    : cumulative;
   ch.prev_cumulative = cumulative;
@@ -66,11 +62,10 @@ void TimeSeriesSampler::record_cumulative(const std::string& channel,
 }
 
 TimeSeriesSampler::ChannelRef TimeSeriesSampler::channel(
-    const std::string& name, bool runtime) {
-  Channel& ch = channels_[name];
-  ch.runtime = ch.runtime || runtime;
+    const std::string& name) {
   ChannelRef ref;
-  ref.ch = &ch;  // map nodes are pointer-stable until merge() rebuilds
+  // Map nodes are pointer-stable until merge() rebuilds the map.
+  ref.ch = &channels_[name];
   return ref;
 }
 
@@ -135,7 +130,6 @@ void TimeSeriesSampler::merge(const TimeSeriesSampler& other) {
                         const std::vector<std::uint64_t>& src_ticks) {
     for (const auto& [name, ch] : src) {
       Channel& out = merged[name];
-      out.runtime = out.runtime || ch.runtime;
       if (out.values.size() != merged_ticks.size()) {
         out.values.assign(merged_ticks.size(), 0.0);
       }
@@ -153,19 +147,15 @@ void TimeSeriesSampler::merge(const TimeSeriesSampler& other) {
   evict_to_bound();
 }
 
-std::vector<std::string> TimeSeriesSampler::channel_names(
-    bool include_runtime) const {
+std::vector<std::string> TimeSeriesSampler::channel_names() const {
   std::vector<std::string> names;
-  for (const auto& [name, ch] : channels_) {
-    if (ch.runtime && !include_runtime) continue;
-    names.push_back(name);
-  }
+  for (const auto& [name, ch] : channels_) names.push_back(name);
   return names;
 }
 
 std::string TimeSeriesSampler::to_csv() const {
   std::string out = "tick,time_ms";
-  const std::vector<std::string> names = channel_names(false);
+  const std::vector<std::string> names = channel_names();
   for (const std::string& n : names) {
     out.push_back(',');
     out += n;
@@ -186,7 +176,7 @@ std::string TimeSeriesSampler::to_csv() const {
   return out;
 }
 
-std::string TimeSeriesSampler::to_json(bool include_runtime) const {
+std::string TimeSeriesSampler::to_json() const {
   std::string out = "{\"interval_ns\":";
   append_u64(out, interval_ns_);
   out += ",\"ticks\":[";
@@ -196,7 +186,7 @@ std::string TimeSeriesSampler::to_json(bool include_runtime) const {
   }
   out += "],\"channels\":{";
   bool first = true;
-  for (const std::string& n : channel_names(include_runtime)) {
+  for (const std::string& n : channel_names()) {
     if (!first) out.push_back(',');
     first = false;
     out.push_back('"');

@@ -3,16 +3,11 @@
 //
 // The sampler itself is passive — it does not know about the simulator.
 // The scenario drives it: at each tick boundary it calls begin_tick(),
-// record()s every channel, then end_tick(). Channels come in two groups:
-//
-//  * application channels (default): derived only from simulation state
-//    (queue depths, in-flight packets, delivered-byte deltas) at exact
-//    tick times, so the CSV/JSON exports are byte-identical at any thread
-//    or replica-shard count — the same contract as the metrics registry.
-//  * runtime channels (record(..., /*runtime=*/true)): host health such
-//    as wall-clock timers. Wall clocks and layout-dependent counters live
-//    here; they are excluded from the deterministic exports and surface
-//    only via to_json(true).
+// record()s every channel, then end_tick(). Every channel is derived only
+// from simulation state (queue depths, in-flight packets, delivered-byte
+// deltas) at exact tick times, so the CSV/JSON exports are byte-identical
+// at any thread or replica-shard count — the same contract as the metrics
+// registry.
 //
 // merge() aligns two samplers by absolute tick index and sums values, the
 // commutative rule that keeps replica merges order-independent. The series
@@ -44,12 +39,11 @@ class TimeSeriesSampler {
   void begin_tick(std::uint64_t tick);
 
   // Record an instantaneous value for `channel` at the current tick.
-  void record(const std::string& channel, double value, bool runtime = false);
+  void record(const std::string& channel, double value);
 
   // Record a monotonically increasing cumulative counter; the stored value
   // is the delta since the previous record_cumulative on this channel.
-  void record_cumulative(const std::string& channel, double cumulative,
-                         bool runtime = false);
+  void record_cumulative(const std::string& channel, double cumulative);
 
   // Interned channel handle for the per-tick hot path: resolves the name
   // once, then record(ref, ...) skips the string-keyed map lookup that
@@ -63,7 +57,7 @@ class TimeSeriesSampler {
     friend class TimeSeriesSampler;
     Channel* ch = nullptr;
   };
-  ChannelRef channel(const std::string& name, bool runtime = false);
+  ChannelRef channel(const std::string& name);
   void record(ChannelRef ref, double value);
   void record_cumulative(ChannelRef ref, double cumulative);
 
@@ -72,25 +66,22 @@ class TimeSeriesSampler {
   void end_tick();
 
   // Sum `other` into this series, aligning rows by absolute tick index
-  // (a tick missing on either side contributes zero). Channel runtime
-  // flags are unioned. Deterministic for any merge order.
+  // (a tick missing on either side contributes zero). Deterministic for
+  // any merge order.
   void merge(const TimeSeriesSampler& other);
 
   std::size_t sample_count() const { return ticks_.size(); }
   const std::vector<std::uint64_t>& ticks() const { return ticks_; }
-  std::vector<std::string> channel_names(bool include_runtime = false) const;
+  std::vector<std::string> channel_names() const;
 
-  // CSV with header `tick,time_ms,<app channels sorted>`; runtime channels
-  // never appear (they are not deterministic across layouts).
+  // CSV with header `tick,time_ms,<channels sorted>`.
   std::string to_csv() const;
 
   // JSON object {interval_ns, ticks:[...], channels:{name:[...]}}.
-  // Runtime channels are included only when include_runtime is set.
-  std::string to_json(bool include_runtime = false) const;
+  std::string to_json() const;
 
  private:
   struct Channel {
-    bool runtime = false;
     bool has_prev = false;
     double prev_cumulative = 0.0;
     // values[i] belongs to ticks_[i]; padded to ticks_.size() by

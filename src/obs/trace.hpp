@@ -16,7 +16,7 @@
 // Cost model: when disabled(), begin_span returns the null id and every
 // other call is a cheap early-out; instrumentation sites additionally gate
 // on obs::active_trace() so a disabled session costs one pointer test per
-// site. Compile with -DDYNCDN_OBS=0 to remove the sites entirely.
+// site.
 #pragma once
 
 #include <cstdint>

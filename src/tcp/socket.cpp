@@ -83,9 +83,7 @@ std::size_t TcpSocket::unacked_bytes() const {
   return static_cast<std::size_t>(snd_nxt_ - snd_una_);
 }
 
-void TcpSocket::attach_trace([[maybe_unused]] obs::TraceSession* session,
-                             [[maybe_unused]] obs::SpanId span) {
-#if DYNCDN_OBS
+void TcpSocket::attach_trace(obs::TraceSession* session, obs::SpanId span) {
   trace_ = session;
   trace_span_ = span;
   if (trace_ != nullptr && state_ == TcpState::kSynSent) {
@@ -93,7 +91,6 @@ void TcpSocket::attach_trace([[maybe_unused]] obs::TraceSession* session,
     // now() is exactly the SYN's wire timestamp (= the paper's tb).
     trace_->add_event(trace_span_, "syn", stack_.simulator().now());
   }
-#endif
 }
 
 // ---------------------------------------------------------------------------
@@ -148,12 +145,10 @@ void TcpSocket::on_packet(const net::PacketPtr& p) {
 
     case TcpState::kSynSent: {
       if (p->tcp.flags.syn && p->tcp.flags.ack && p->tcp.ack == snd_nxt_) {
-#if DYNCDN_OBS
         if (trace_ != nullptr) {
           trace_->add_event(trace_span_, "synack",
                             stack_.simulator().now());
         }
-#endif
         irs_ = p->tcp.seq;
         rcv_nxt_ = irs_ + 1;
         peer_window_ = p->tcp.window;
@@ -204,7 +199,6 @@ void TcpSocket::on_packet(const net::PacketPtr& p) {
 }
 
 void TcpSocket::handle_established_packet(const net::PacketPtr& p) {
-#if DYNCDN_OBS
   if (trace_ != nullptr) {
     // Mirror what a packet capture at this node records, so the span's
     // timeline reconstruction matches analysis/timeline bit-for-bit:
@@ -224,7 +218,6 @@ void TcpSocket::handle_established_packet(const net::PacketPtr& p) {
                                p->payload.length))}});
     }
   }
-#endif
   if (p->tcp.flags.ack) process_ack(p);
   if (state_ == TcpState::kClosed) return;  // teardown completed in ACK path
   if (!p->payload.empty()) process_payload(p);
@@ -635,12 +628,10 @@ void TcpSocket::try_send_data() {
     ++stats_.segments_sent;
     stats_.bytes_sent += len;
     last_data_sent_ = stack_.simulator().now();
-#if DYNCDN_OBS
     if (trace_ != nullptr && !trace_tx_data_) {
       trace_tx_data_ = true;  // first payload transmission = t1
       trace_->add_event(trace_span_, "tx_data", stack_.simulator().now());
     }
-#endif
 
     if (!timing_segment_) {
       timing_segment_ = true;
@@ -781,7 +772,6 @@ void TcpSocket::enter_time_wait() {
 void TcpSocket::finish_close() {
   if (state_ == TcpState::kClosed) return;
   state_ = TcpState::kClosed;
-#if DYNCDN_OBS
   if (trace_ != nullptr) {
     trace_->add_arg(trace_span_, "bytes_received",
                     obs::ArgValue::of(static_cast<std::int64_t>(
@@ -792,7 +782,6 @@ void TcpSocket::finish_close() {
     trace_->end_span(trace_span_, stack_.simulator().now());
     trace_ = nullptr;
   }
-#endif
   disarm_rto();
   if (delayed_ack_timer_.valid()) {
     stack_.simulator().cancel(delayed_ack_timer_);

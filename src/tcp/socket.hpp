@@ -105,7 +105,7 @@ class TcpSocket {
   /// data-covering ACK "ack_data" = t2, per-payload "rx" segments, span
   /// closed at teardown). Call immediately after TcpStack::connect — the
   /// SYN emission is synchronous with connect, so the "syn" stamp taken
-  /// here equals the wire time. No-op when DYNCDN_OBS=0.
+  /// here equals the wire time.
   void attach_trace(obs::TraceSession* session, obs::SpanId span);
 
   // ---- TcpStack interface -------------------------------------------------
@@ -219,14 +219,12 @@ class TcpSocket {
   sim::EventId time_wait_timer_;
   bool ack_pending_ = false;
 
-#if DYNCDN_OBS
   // Observability (see attach_trace). The session outlives the socket:
   // it is owned by the Scenario that owns the whole node graph.
   obs::TraceSession* trace_ = nullptr;
   obs::SpanId trace_span_ = obs::kNoSpan;
   bool trace_tx_data_ = false;   // "tx_data" (t1) recorded
   bool trace_ack_data_ = false;  // "ack_data" (t2) recorded
-#endif
 
   SocketStats stats_;
 };

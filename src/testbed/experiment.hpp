@@ -95,7 +95,7 @@ struct ExperimentResult {
   /// Slow-query flight recorder (empty unless the scenario traces).
   obs::FlightRecorder flight;
 
-  /// Work-stealing executor counters from the replica engine; filled by
+  /// Replica executor counters (replicas run, per worker); filled by
   /// run_sharded, default for serial runs. Runtime telemetry only.
   parallel::ExecutorStats executor_stats;
 

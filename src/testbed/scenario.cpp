@@ -87,9 +87,9 @@ Scenario::Scenario(ScenarioOptions options) : options_(std::move(options)) {
         sampler_->channel("link_bytes_delivered");
     // Spill-progress channels are registered only when budgeted capture is
     // active, so sampled exports of every other configuration stay
-    // byte-identical to previous releases. They are application channels:
-    // flush points are a deterministic function of the captured records,
-    // which are themselves thread-invariant.
+    // byte-identical to previous releases. Like every channel they are
+    // thread-invariant: flush points are a deterministic function of the
+    // captured records, which are themselves thread-invariant.
     if (spilling_active()) {
       ts_channels_.capture_spill_bytes =
           sampler_->channel("capture_spill_bytes");
@@ -495,8 +495,8 @@ void Scenario::take_sample(std::uint64_t tick) {
   obs::TimeSeriesSampler& ts = *sampler_;
   ts.begin_tick(tick);
 
-  // Application channels: derived purely from simulation state at the
-  // tick, so byte-identical at any thread/shard count.
+  // Every channel is derived purely from simulation state at the tick,
+  // so byte-identical at any thread/shard count.
   std::int64_t fetch_queue = 0, active = 0, pool = 0;
   for (FrontEnd& fe : fes_) {
     fetch_queue += static_cast<std::int64_t>(fe.server->fetch_queue_depth());

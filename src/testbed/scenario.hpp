@@ -107,7 +107,7 @@ struct ScenarioOptions {
   /// advances in `ts_interval` steps and snapshots queue depths /
   /// in-flight work at every tick boundary. Each tick advance is a
   /// Simulator::run_until, so coalesced delivery trains stop at the tick
-  /// and the application channels are byte-identical at any thread or
+  /// and the channels are byte-identical at any thread or
   /// replica-shard count; a sampled run's final clock is rounded up to a
   /// tick boundary, so — like tracing — a sampled run is deterministic but
   /// not byte-identical to an unsampled one. zero() = off.

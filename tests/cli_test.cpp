@@ -11,7 +11,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
+#include <utility>
 #include <sys/wait.h>
 
 namespace {
@@ -92,11 +94,14 @@ TEST(ExperimentCli, MalformedDecimalFlagsAreRefused) {
 TEST(ExperimentCli, MalformedEnvIsRefused) {
   const std::string tiny =
       "--experiment=default-fe --clients=2 --reps=1 --shards=0";
-  for (const char* var : {"DYNCDN_THREADS", "DYNCDN_GRAIN"}) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"DYNCDN_THREADS", " must be a whole number"},
+      {"DYNCDN_CAPTURE_BUDGET", " must be a byte count"}};
+  for (const auto& [var, complaint] : cases) {
     SCOPED_TRACE(var);
     const CliRun run = run_experiment(std::string(var) + "=abc", tiny);
     EXPECT_EQ(run.exit_code, 1) << run.output;
-    EXPECT_NE(run.output.find(std::string(var) + " must be a whole number"),
+    EXPECT_NE(run.output.find(std::string(var) + complaint),
               std::string::npos)
         << run.output;
   }
@@ -109,6 +114,33 @@ TEST(ExperimentCli, WellFormedNumbersRun) {
       "--shards=1 --ts-interval=50.5 --slow-threshold=0");
   EXPECT_EQ(run.exit_code, 0) << run.output;
   EXPECT_NE(run.output.find("seed=7 "), std::string::npos) << run.output;
+}
+
+TEST(ExperimentCli, RuntimeOutWrapsTheSeriesAndCountsReplicas) {
+  // --ts-runtime-out is the --ts-out JSON series byte for byte, plus the
+  // executor block, whose task count is the number of replicas run.
+  const auto dir = scratch_dir("runtime_out");
+  const std::string ts = (dir / "ts.json").string();
+  const std::string rt = (dir / "rt.json").string();
+  const CliRun run = run_experiment(
+      "", "--experiment=default-fe --clients=6 --reps=1 --threads=2 "
+          "--ts-out=" + ts + " --ts-runtime-out=" + rt);
+  ASSERT_EQ(run.exit_code, 0) << run.output;
+  const auto slurp = [](const std::string& path) {
+    std::ifstream in(path);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  };
+  const std::string series = slurp(ts);
+  const std::string runtime = slurp(rt);
+  ASSERT_FALSE(series.empty());
+  const std::string prefix = "{\"timeseries\":" + series +
+                             ",\"executor\":{\"workers\":2,\"tasks\":6,"
+                             "\"tasks_by_worker\":[";
+  EXPECT_TRUE(runtime.starts_with(prefix)) << runtime;
+  EXPECT_EQ(runtime.find("steals"), std::string::npos) << runtime;
+  const CliRun inspect = run_trace_inspect("timeseries " + rt);
+  EXPECT_EQ(inspect.exit_code, 0) << inspect.output;
+  std::filesystem::remove_all(dir);
 }
 
 TEST(ExperimentCli, ShardsPerScenarioIsAnUnknownArgument) {

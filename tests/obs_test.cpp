@@ -266,9 +266,6 @@ std::uint64_t int_arg(const std::vector<obs::Arg>& args,
 }  // namespace
 
 TEST(ObsEndToEnd, SpanTimelineMatchesPacketAnalysisExactly) {
-#if !DYNCDN_OBS
-  GTEST_SKIP() << "requires span instrumentation (DYNCDN_OBS=ON)";
-#endif
   testbed::ScenarioOptions so;
   so.profile = cdn::google_like_profile();
   so.client_count = 2;
@@ -341,9 +338,6 @@ TEST(ObsEndToEnd, SpanTimelineMatchesPacketAnalysisExactly) {
 }
 
 TEST(ObsEndToEnd, SpanTreeLinksClientFeAndBe) {
-#if !DYNCDN_OBS
-  GTEST_SKIP() << "requires span instrumentation (DYNCDN_OBS=ON)";
-#endif
   testbed::ScenarioOptions so;
   so.profile = cdn::google_like_profile();
   so.client_count = 2;

@@ -552,9 +552,6 @@ TEST(SpillScenario, BudgetedCampaignMatchesInMemoryAtAnyThreadCount) {
 // ---------------------------------------------------------------------------
 
 TEST(SpillArtifacts, ExportSpansAndSpilledCaptureForDiff) {
-#if !DYNCDN_OBS
-  GTEST_SKIP() << "requires span instrumentation (DYNCDN_OBS=ON)";
-#endif
   namespace fs = std::filesystem;
   const char* env = std::getenv("DYNCDN_SPILL_ARTIFACT_DIR");
   const fs::path dir = env != nullptr

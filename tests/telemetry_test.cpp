@@ -161,7 +161,7 @@ TEST(TimeSeries, MergeAlignsByAbsoluteTickAndIsOrderIndependent) {
   obs::TimeSeriesSampler ba = make(2, 10.0);
   ba.merge(make(0, 1.0));
   EXPECT_EQ(ab.to_csv(), ba.to_csv());
-  EXPECT_EQ(ab.to_json(false), ba.to_json(false));
+  EXPECT_EQ(ab.to_json(), ba.to_json());
   EXPECT_EQ(ab.sample_count(), 5u);  // ticks 0..4
 }
 
@@ -175,20 +175,6 @@ TEST(TimeSeries, EvictsOldestPastBound) {
   EXPECT_EQ(ts.sample_count(), 4u);
   EXPECT_EQ(ts.ticks().front(), 2u);
   EXPECT_EQ(ts.ticks().back(), 5u);
-}
-
-TEST(TimeSeries, RuntimeChannelsStayOutOfDeterministicExports) {
-  obs::TimeSeriesSampler ts(1'000'000);
-  ts.begin_tick(0);
-  ts.record("app", 1.0);
-  ts.record("flush_wall_ms", 9.0, /*runtime=*/true);
-  ts.end_tick();
-  EXPECT_EQ(ts.to_csv().find("flush_wall_ms"), std::string::npos);
-  EXPECT_EQ(ts.to_json(false).find("flush_wall_ms"), std::string::npos);
-  EXPECT_NE(ts.to_json(true).find("flush_wall_ms"), std::string::npos);
-  const auto names = ts.channel_names(false);
-  EXPECT_EQ(names.size(), 1u);
-  EXPECT_EQ(names.front(), "app");
 }
 
 // ---------------------------------------------------------------------------
@@ -224,11 +210,11 @@ TEST(TimeSeriesDeterminism, ByteIdenticalAcrossThreads) {
         testbed::run_fixed_fe_experiment(telemetry_scenario(), 0, eo, plan);
     ASSERT_GT(result.timeseries.sample_count(), 0u);
     const std::string csv = result.timeseries.to_csv();
-    const std::string json = result.timeseries.to_json(false);
+    const std::string json = result.timeseries.to_json();
     if (ref_csv.empty()) {
       ref_csv = csv;
       ref_json = json;
-      // The series must actually carry application channels, or the
+      // The series must actually carry channels, or the
       // byte-compare below is vacuous.
       EXPECT_NE(csv.find("net_packets_in_flight"), std::string::npos);
       EXPECT_NE(csv.find("link_packets_delivered"), std::string::npos);
@@ -255,7 +241,6 @@ TEST(Attribution, AllComponentsAppearInJsonEvenWithZeroSamples) {
   }
 }
 
-#if DYNCDN_OBS
 TEST(Attribution, TelescopingIdentityHoldsExactly) {
   testbed::ScenarioOptions opt = telemetry_scenario();
   opt.enable_tracing = true;
@@ -360,7 +345,6 @@ TEST(FlightRecorder, CampaignWithExplicitThresholdPromotesSpanTrees) {
   EXPECT_EQ(static_cast<std::uint64_t>(observed->as_int()),
             result.flight.observed());
 }
-#endif  // DYNCDN_OBS
 
 // ---------------------------------------------------------------------------
 // FlightRecorder unit behaviour (no simulation required).

@@ -52,7 +52,7 @@ struct CliOptions {
   std::size_t capture_budget = 0;  // bytes/client before spill-to-disk; 0=off
   double ts_interval_ms = 0.0;  // 0 = default 100ms when a ts output is set
   std::string ts_out;           // time series (.csv -> CSV, else JSON)
-  std::string ts_runtime_out;   // runtime channels + executor JSON
+  std::string ts_runtime_out;   // the series + executor JSON
   std::string attribution_out;  // per-component latency JSON
   std::string slow_log;         // flight-recorder slow-query JSON
   double slow_threshold_ms = 0.0;  // explicit trigger; 0 = adaptive
@@ -98,11 +98,10 @@ void usage() {
       "  --ts-interval  sim-time sampling tick in ms (default 100 once any\n"
       "                 time-series output is requested)\n"
       "  --ts-out       write the sampled metric series; a .csv suffix\n"
-      "                 selects CSV, anything else JSON. Application\n"
-      "                 channels only: byte-identical at any --threads\n"
-      "                 value\n"
+      "                 selects CSV, anything else JSON. Byte-identical\n"
+      "                 at any --threads value\n"
       "  --ts-runtime-out  write runtime-health JSON (the series plus the\n"
-      "                 per-worker run/steal counts); layout-dependent by\n"
+      "                 per-worker replica counts); layout-dependent by\n"
       "                 nature, so kept out of --ts-out\n"
       "  --attribution-out  write per-component latency attribution JSON\n"
       "                 (dns/connect/uplink/fe wait/fetch/delivery "
@@ -257,40 +256,23 @@ void write_timeseries_outputs(const CliOptions& cli,
   if (!cli.ts_out.empty()) {
     const bool csv = cli.ts_out.size() >= 4 &&
                      cli.ts_out.compare(cli.ts_out.size() - 4, 4, ".csv") == 0;
-    if (write_text_file(cli.ts_out, csv ? ts.to_csv() : ts.to_json(false))) {
+    if (write_text_file(cli.ts_out, csv ? ts.to_csv() : ts.to_json())) {
       std::fprintf(stderr, "time series (%zu ticks) written to %s\n",
                    ts.sample_count(), cli.ts_out.c_str());
     }
   }
   if (!cli.ts_runtime_out.empty()) {
-    // Runtime view: the full series including runtime channels, plus the
-    // executor's per-worker breakdown when a replica campaign supplied one.
+    // Runtime view: the series, plus the executor's per-worker breakdown
+    // when a replica campaign supplied one.
     std::string out = "{\"timeseries\":";
-    out += ts.to_json(true);
+    out += ts.to_json();
     if (exec != nullptr) {
-      char buf[64];
-      std::snprintf(buf, sizeof(buf), ",\"executor\":{\"workers\":%zu",
-                    exec->workers);
-      out += buf;
-      std::snprintf(buf, sizeof(buf), ",\"tasks\":%llu,\"steals\":%llu",
-                    static_cast<unsigned long long>(exec->tasks),
-                    static_cast<unsigned long long>(exec->steals));
-      out += buf;
-      out += ",\"tasks_by_worker\":[";
+      out += ",\"executor\":{\"workers\":" + std::to_string(exec->workers) +
+             ",\"tasks\":" + std::to_string(exec->tasks) +
+             ",\"tasks_by_worker\":[";
       for (std::size_t i = 0; i < exec->tasks_by_worker.size(); ++i) {
         if (i != 0) out += ',';
-        std::snprintf(buf, sizeof(buf), "%llu",
-                      static_cast<unsigned long long>(
-                          exec->tasks_by_worker[i]));
-        out += buf;
-      }
-      out += "],\"steals_by_worker\":[";
-      for (std::size_t i = 0; i < exec->steals_by_worker.size(); ++i) {
-        if (i != 0) out += ',';
-        std::snprintf(buf, sizeof(buf), "%llu",
-                      static_cast<unsigned long long>(
-                          exec->steals_by_worker[i]));
-        out += buf;
+        out += std::to_string(exec->tasks_by_worker[i]);
       }
       out += "]}";
     }
