@@ -90,7 +90,7 @@ void BackendDataCenter::remember_query(const std::string& text) {
 
 void BackendDataCenter::process_query(
     const search::Keyword& keyword, std::uint64_t query_id,
-    std::uint64_t trace_parent, std::function<void(std::string)> done) {
+    std::uint64_t trace_parent, std::function<void(net::Buffer)> done) {
   sim::Simulator& simulator = node_.simulator();
   const sim::SimTime now = simulator.now();
 
@@ -121,14 +121,14 @@ void BackendDataCenter::process_query(
       t_proc, [this, keyword, query_id, now, t_proc, correlated, span,
                done = std::move(done)]() {
         --active_;
-        std::string body = content_.dynamic_body(keyword, content_rng_);
+        net::Buffer body = content_.dynamic_buffer(keyword, content_rng_);
         BackendQueryRecord rec;
         rec.query_id = query_id;
         rec.keyword = keyword.text;
         rec.request_received = now;
         rec.processing_done = node_.simulator().now();
         rec.t_proc = t_proc;
-        rec.dynamic_bytes = body.size();
+        rec.dynamic_bytes = body->size();
         rec.correlated = correlated;
         query_log_.push_back(std::move(rec));
         if (obs::TraceSession* trace =
@@ -180,13 +180,21 @@ void BackendDataCenter::serve_fetch(tcp::TcpSocket& socket) {
                           trace_parent);
         }
         process_query(keyword, query_id, trace_parent,
-                      [sock, alive, query_id](std::string body) {
+                      [sock, alive, query_id](net::Buffer body) {
                         if (!*alive) return;  // FE connection died meanwhile
                         http::HttpResponse resp;
                         resp.set_header("X-Query-Id",
                                         std::to_string(query_id));
-                        resp.body = std::move(body);
-                        sock->send_text(resp.serialize());
+                        resp.set_header("Content-Length",
+                                        std::to_string(body->size()));
+                        // Head and body leave in ONE send: TCP has no
+                        // Nagle, so a separate head send would put a
+                        // head-only segment on the wire.
+                        const net::Buffer head =
+                            net::make_buffer(resp.serialize_head());
+                        net::PayloadRef wire{head, 0, head->size()};
+                        wire.append(net::PayloadRef{body, 0, body->size()});
+                        sock->send(std::move(wire));
                       });
       });
 
@@ -216,7 +224,7 @@ void BackendDataCenter::serve_direct(tcp::TcpSocket& socket) {
   auto parser = std::make_shared<http::RequestParser>(
       [this, sock, alive](http::HttpRequest req) {
         const search::Keyword keyword = keyword_from_request(req);
-        process_query(keyword, 0, 0, [this, sock, alive](std::string body) {
+        process_query(keyword, 0, 0, [this, sock, alive](net::Buffer body) {
           if (!*alive) return;
           http::HttpResponse resp;
           resp.set_header("Server", config_.name);
@@ -228,7 +236,7 @@ void BackendDataCenter::serve_direct(tcp::TcpSocket& socket) {
           }
           sock->send(net::PayloadRef{static_prefix_buf_, 0,
                                      static_prefix_buf_->size()});
-          sock->send_text(body);
+          sock->send(net::PayloadRef{body, 0, body->size()});
           sock->close();
         });
       });

@@ -102,9 +102,11 @@ class BackendDataCenter {
   void serve_direct(tcp::TcpSocket& socket);
   /// `trace_parent` is the caller's span id (from X-Trace-Span; 0 = none):
   /// the be.process span nests under the FE's fe.fetch across nodes.
+  /// `done` receives the dynamic body as a lazy buffer: its size is fixed,
+  /// its bytes are written only if something downstream reads them.
   void process_query(const search::Keyword& keyword, std::uint64_t query_id,
                      std::uint64_t trace_parent,
-                     std::function<void(std::string dynamic_body)> done);
+                     std::function<void(net::Buffer dynamic_body)> done);
 
   /// The serialized reply to a /warmup request: built on the first
   /// request and shared by reference with every later one that has the

@@ -82,11 +82,11 @@ void QueryClient::submit(net::Endpoint server, const search::Keyword& keyword,
                          std::optional<std::size_t>) {
     self->result.status = resp.status;
   };
-  pc.on_body_data = [self, &simulator](std::string_view chunk) {
+  pc.on_body_data = [self, &simulator](const net::PayloadRef& chunk) {
     if (self->result.body_bytes == 0) {
       self->result.first_byte = simulator.now();
     }
-    self->result.body_bytes += chunk.size();
+    self->result.body_bytes += chunk.length;  // counted, never read
   };
   pc.on_complete = [self, &simulator](const http::HttpResponse&) {
     self->result.complete = simulator.now();
@@ -101,10 +101,7 @@ void QueryClient::submit(net::Endpoint server, const search::Keyword& keyword,
   };
   cb.on_data = [ctx](net::PayloadRef d) {
     try {
-      d.for_each_slice([&ctx](std::span<const std::uint8_t> s) {
-        ctx->parser->feed(std::string_view(
-            reinterpret_cast<const char*>(s.data()), s.size()));
-      });
+      ctx->parser->feed(d);
     } catch (const std::exception& e) {
       ctx->result.failed = true;
       ctx->result.failure_reason = e.what();

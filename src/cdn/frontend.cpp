@@ -82,7 +82,7 @@ FrontEndServer::BackendConn& FrontEndServer::open_backend_conn(bool warm) {
       }
     }
   };
-  pc.on_body_data = [this, conn_ptr](std::string_view chunk) {
+  pc.on_body_data = [this, conn_ptr](const net::PayloadRef& chunk) {
     if (conn_ptr->response_is_warmup) return;
     auto it = pending_.find(conn_ptr->response_id);
     if (it == pending_.end()) return;
@@ -92,12 +92,10 @@ FrontEndServer::BackendConn& FrontEndServer::open_backend_conn(bool warm) {
       ctx.buffered.append(chunk);
     }
     if (config_.relay_mode == RelayMode::kStreaming && ctx.alive) {
-      if (!config_.serve_static_immediately) {
-        // Deferred-static ablation: emit head+static before the first
-        // dynamic byte reaches the client.
-        send_head_and_static(ctx);
-      }
-      ctx.socket->send_text(chunk);
+      // Deferred-static ablation: head+static go out before the first
+      // dynamic byte reaches the client (a no-op once sent).
+      if (!config_.serve_static_immediately) send_head_and_static(ctx);
+      ctx.socket->send(chunk);
     }
   };
   pc.on_complete = [this, conn_ptr](const http::HttpResponse&) {
@@ -120,7 +118,7 @@ FrontEndServer::BackendConn& FrontEndServer::open_backend_conn(bool warm) {
         if (ctx.alive) {
           if (config_.relay_mode == RelayMode::kStoreAndForward) {
             if (!config_.serve_static_immediately) send_head_and_static(ctx);
-            ctx.socket->send_text(ctx.buffered);
+            ctx.socket->send(std::move(ctx.buffered));
           }
           ctx.socket->close();
         }
@@ -157,10 +155,7 @@ FrontEndServer::BackendConn& FrontEndServer::open_backend_conn(bool warm) {
   cb.on_data = [this, conn_ptr, alive](net::PayloadRef d) {
     if (!*alive) return;
     try {
-      d.for_each_slice([&conn_ptr](std::span<const std::uint8_t> s) {
-        conn_ptr->parser->feed(std::string_view(
-            reinterpret_cast<const char*>(s.data()), s.size()));
-      });
+      conn_ptr->parser->feed(d);
     } catch (const std::exception&) {
       // Corrupt BE response stream: drop the connection; in-flight fetch
       // fails over via backend_conn_lost.
@@ -244,7 +239,8 @@ void FrontEndServer::accept_client(tcp::TcpSocket& socket) {
 }
 
 void FrontEndServer::send_head_and_static(ClientCtx& ctx) {
-  if (!ctx.alive) return;
+  if (!ctx.alive || ctx.head_sent) return;
+  ctx.head_sent = true;
   // Static-portion cache: the first serve primes the prefix into the FE
   // cache as a wire buffer, every later serve hits it and sends the same
   // buffer zero-copy. The bytes sent are identical either way (the prefix
@@ -322,7 +318,7 @@ void FrontEndServer::handle_request(std::shared_ptr<ClientCtx> ctx,
           if (hit != result_cache_.end()) {
             ++cache_hits_;
             send_head_and_static(*ctx);
-            ctx->socket->send_text(hit->second);
+            ctx->socket->send(hit->second);
             ctx->socket->close();
             FetchRecord rec;
             rec.query_id = 0;

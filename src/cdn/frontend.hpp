@@ -127,7 +127,10 @@ class FrontEndServer {
   struct ClientCtx {
     tcp::TcpSocket* socket = nullptr;
     bool alive = true;
-    std::string buffered;  // store-and-forward accumulation
+    /// Store-and-forward accumulation: slices of the BE's body buffer.
+    net::PayloadRef buffered;
+    /// Head and static prefix sent: once per response (one per connection).
+    bool head_sent = false;
     /// Observability: the fe.request span for the request in flight on
     /// this connection (kNoSpan when tracing is off).
     std::uint64_t span = 0;
@@ -173,7 +176,7 @@ class FrontEndServer {
   };
   std::unordered_map<std::uint64_t, Pending> pending_;
 
-  std::unordered_map<std::string, std::string> result_cache_;
+  std::unordered_map<std::string, net::PayloadRef> result_cache_;
   std::vector<FetchRecord> fetch_log_;
   std::size_t queries_handled_ = 0;
   std::size_t cache_hits_ = 0;

@@ -43,8 +43,11 @@ struct HttpResponse {
   std::string reason = "OK";
   std::string version = "HTTP/1.1";
   HeaderList headers;
-  /// Written by serialize(). A ResponseParser never fills it: parsed
-  /// bodies reach callers only through its on_body_data callback.
+  /// The body serialize() writes (the BE's shared warm-up reply). Dynamic
+  /// bodies never pass through here: the BE sends serialize_head() with a
+  /// lazy body buffer chained after it, and a ResponseParser never fills
+  /// this field; parsed bodies reach callers only as payload slices
+  /// through its on_body_data callback.
   std::string body;
 
   void set_header(std::string name, std::string value);
@@ -57,7 +60,8 @@ struct HttpResponse {
 
   /// Header block only (status line + headers + blank line). Used by the FE
   /// server, which sends headers + static prefix before the dynamic body
-  /// exists; Content-Length must then be supplied by the caller.
+  /// exists, and by the BE, which chains the body buffer after it;
+  /// Content-Length must then be supplied by the caller.
   std::string serialize_head() const;
 };
 

@@ -1,5 +1,6 @@
 #include "http/parser.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <stdexcept>
 
@@ -98,56 +99,73 @@ void RequestParser::try_parse() {
   }
 }
 
-void ResponseParser::feed(std::string_view bytes) {
-  // Body fast path. Mid-body the parser buffer is always empty at feed
-  // entry (a kBody iteration either drains the buffer or completes the
-  // response), so body bytes can stream straight from the caller's view to
-  // the callbacks without the append/erase round trip through buffer_ —
-  // payload bytes dominate a response, so this skips nearly all of the
-  // parser's buffering work.
-  while (state_ == State::kBody && buffer_.empty()) {
-    const std::size_t want =
-        body_expected_ ? *body_expected_ - body_received_ : bytes.size();
-    const std::size_t take = std::min(want, bytes.size());
-    if (take > 0) {
-      if (callbacks_.on_body_data) callbacks_.on_body_data(bytes.substr(0, take));
-      bytes.remove_prefix(take);
-      body_received_ += take;
-    }
-    if (!body_expected_ || body_received_ < *body_expected_) {
-      return;  // need more bytes (or the peer's FIN)
-    }
-    complete_current();
-    if (bytes.empty()) return;
-  }
-
-  buffer_.append(bytes);
-
-  while (!buffer_.empty()) {
+void ResponseParser::feed(const net::PayloadRef& data) {
+  std::size_t pos = 0;
+  while (true) {
     if (state_ == State::kHeaders) {
-      const std::size_t end = buffer_.find("\r\n\r\n");
-      if (end == std::string::npos) return;
-      parse_headers();
-      // parse_headers consumed the head and switched to kBody.
+      if (pos == data.length) return;
+      pos += read_head(data, pos);
+      if (state_ == State::kHeaders) return;  // the head goes on next feed
     }
 
-    // Body streaming. Read-until-close framing consumes everything.
+    // Body: hand the bytes on as a slice. Read-until-close framing takes
+    // everything.
+    const std::size_t left = data.length - pos;
     const std::size_t want =
-        body_expected_ ? *body_expected_ - body_received_ : buffer_.size();
-    const std::size_t take = std::min(want, buffer_.size());
+        body_expected_ ? *body_expected_ - body_received_ : left;
+    const std::size_t take = std::min(want, left);
     if (take > 0) {
       if (callbacks_.on_body_data) {
-        callbacks_.on_body_data(std::string_view(buffer_).substr(0, take));
+        if (take == data.length) {
+          callbacks_.on_body_data(data);
+        } else {
+          callbacks_.on_body_data(data.slice(pos, take));
+        }
       }
-      buffer_.erase(0, take);
+      pos += take;
       body_received_ += take;
     }
     if (!body_expected_ || body_received_ < *body_expected_) {
       return;  // need more bytes (or the peer's FIN)
     }
     complete_current();
-    if (buffer_.empty()) return;
   }
+}
+
+std::size_t ResponseParser::read_head(const net::PayloadRef& data,
+                                      std::size_t pos) {
+  std::size_t taken = 0;
+  std::size_t start = 0;  // stream offset of the slice being visited
+  // Visit the slices from `pos` on until the head's blank line: only
+  // slices holding head bytes are read, the body slices after stay unread.
+  const auto visit = [&](const net::Buffer& buf, std::size_t off,
+                         std::size_t len) {
+    const std::size_t first = start;
+    start += len;
+    const std::size_t from = std::max(first, pos + taken);
+    if (from >= start) return true;  // before `pos`
+    const std::size_t before = buffer_.size();
+    buffer_.append(reinterpret_cast<const char*>(buf->data()) + off +
+                       (from - first),
+                   start - from);
+    // The blank line may straddle the previous piece.
+    const std::size_t end =
+        buffer_.find("\r\n\r\n", before < 3 ? 0 : before - 3);
+    if (end == std::string::npos) {
+      taken += start - from;
+      return true;
+    }
+    buffer_.resize(end + 4);  // drop the body bytes that shared the slice
+    taken += end + 4 - before;
+    parse_headers();
+    return false;
+  };
+  if (visit(data.buffer, data.offset, data.first_length())) {
+    for (const net::PayloadSlice& s : data.chain) {
+      if (!visit(s.buffer, s.offset, s.length)) break;
+    }
+  }
+  return taken;
 }
 
 void ResponseParser::complete_current() {
@@ -174,8 +192,9 @@ void ResponseParser::finish_stream() {
 }
 
 void ResponseParser::parse_headers() {
-  const std::size_t end = buffer_.find("\r\n\r\n");
-  const std::string_view head = std::string_view(buffer_).substr(0, end);
+  // buffer_ holds exactly the head, blank line included.
+  const std::string_view head =
+      std::string_view(buffer_).substr(0, buffer_.size() - 4);
 
   const std::size_t line_end = head.find("\r\n");
   const std::string_view status_line =
@@ -210,7 +229,7 @@ void ResponseParser::parse_headers() {
   body_expected_ = parse_content_length(current_.headers);
   body_received_ = 0;
   state_ = State::kBody;
-  buffer_.erase(0, end + 4);
+  buffer_.clear();
 
   if (callbacks_.on_headers) callbacks_.on_headers(current_, body_expected_);
 }

@@ -2,12 +2,14 @@
 //
 // TCP delivers a byte stream in arbitrary segment-sized pieces; these
 // parsers consume those pieces and surface complete messages (requests) or
-// streaming events (responses). The response parser reports body bytes as
-// they arrive — the client emulator needs per-packet body progress to build
-// the paper's t3/t4/t5 timeline, not just the completed message — and
-// never keeps them: a parsed HttpResponse carries status and headers only,
-// its `body` stays empty, and a caller that wants the bytes collects them
-// from on_body_data.
+// streaming events (responses). The response parser reports body progress
+// as it arrives — the client emulator needs per-packet body progress to
+// build the paper's t3/t4/t5 timeline, not just the completed message —
+// as slices of the payload it was fed. It reads only the slices that hold
+// status lines and headers: a body slice is handed on by reference and its
+// bytes are never touched, so a lazy body buffer (net/packet.hpp) stays
+// unwritten unless the caller itself reads it. A parsed HttpResponse
+// carries status and headers only; its `body` stays empty.
 #pragma once
 
 #include <cstdint>
@@ -17,11 +19,13 @@
 #include <string_view>
 
 #include "http/message.hpp"
+#include "net/packet.hpp"
 
 namespace dyncdn::http {
 
 /// Parses a stream of HTTP requests (persistent connections carry several
 /// back to back). Feed bytes; completed requests surface via callback.
+/// Requests are small and made of real bytes, so this parser buffers them.
 class RequestParser {
  public:
   using RequestHandler = std::function<void(HttpRequest)>;
@@ -59,9 +63,10 @@ class ResponseParser {
     std::function<void(const HttpResponse&,
                        std::optional<std::size_t> body_length)>
         on_headers;
-    /// A chunk of body bytes arrived (already de-framed). The only way
-    /// body bytes reach the caller; the view dies when the call returns.
-    std::function<void(std::string_view)> on_body_data;
+    /// A piece of the body arrived (already de-framed): a sub-slice of the
+    /// fed payload, in stream order. The only way body bytes reach the
+    /// caller; the parser has not read them.
+    std::function<void(const net::PayloadRef&)> on_body_data;
     /// Full response received: status line and headers, no body.
     std::function<void(const HttpResponse&)> on_complete;
   };
@@ -69,9 +74,9 @@ class ResponseParser {
   explicit ResponseParser(Callbacks callbacks)
       : callbacks_(std::move(callbacks)) {}
 
-  /// Consume a chunk of stream bytes. Throws std::runtime_error on
-  /// malformed input (bad status line / Content-Length).
-  void feed(std::string_view bytes);
+  /// Consume a piece of the stream. Throws std::runtime_error on malformed
+  /// input (bad status line / Content-Length).
+  void feed(const net::PayloadRef& data);
 
   /// The peer closed its half of the connection: completes an in-progress
   /// read-until-close response. Throws if a length-framed body is cut short.
@@ -87,12 +92,16 @@ class ResponseParser {
  private:
   enum class State { kHeaders, kBody };
 
+  /// Appends the head bytes of `data` from stream offset `pos` on to
+  /// buffer_, parsing the head once its blank line arrives; returns how
+  /// many bytes it took.
+  std::size_t read_head(const net::PayloadRef& data, std::size_t pos);
   void parse_headers();
   void complete_current();
 
   Callbacks callbacks_;
   State state_ = State::kHeaders;
-  std::string buffer_;
+  std::string buffer_;  // the current head's bytes so far (never body bytes)
   HttpResponse current_;
   std::optional<std::size_t> body_expected_;  // nullopt = until close
   std::size_t body_received_ = 0;

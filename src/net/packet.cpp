@@ -42,6 +42,9 @@ static_assert(kClassCount == 4, "pool initializers above track the classes");
 
 thread_local BufferPools t_buffer_pools;
 
+/// Lazy-buffer fills run on this thread (bytebuf_fill_count).
+thread_local std::size_t t_fill_count = 0;
+
 std::uint8_t class_for(std::size_t size) {
   for (std::size_t c = 0; c < kClassCount; ++c) {
     if (size <= kClassCapacity[c]) return static_cast<std::uint8_t>(c);
@@ -63,6 +66,7 @@ ByteBuf* allocate_bytebuf(std::size_t size) {
 }
 
 void release_bytebuf(ByteBuf* b) noexcept {
+  delete b->fill_;  // a lazy buffer nobody read: its recipe never ran
   const std::uint8_t cls = b->cls_;
   b->~ByteBuf();
   if (cls == kHeapClass) {
@@ -83,6 +87,22 @@ Buffer make_buffer(std::string_view text) {
       reinterpret_cast<const std::uint8_t*>(text.data()), text.size()));
 }
 
+Buffer make_lazy_buffer(std::size_t size, std::unique_ptr<ByteFill> fill) {
+  ByteBuf* b = allocate_bytebuf(size);
+  b->fill_ = fill.release();
+  return Buffer::adopt(b);
+}
+
+void ByteBuf::run_fill() const {
+  // The recipe stays attached until it has written every byte, so a fill
+  // that throws is retried by the next reader or freed with the buffer.
+  auto* self = const_cast<ByteBuf*>(this);
+  fill_->write(std::span<std::uint8_t>(self->mutable_data(), size_));
+  delete fill_;
+  fill_ = nullptr;
+  ++t_fill_count;
+}
+
 PacketPtr acquire_packet() {
   return PacketPtr(new (t_packet_slab.allocate()) Packet());
 }
@@ -99,6 +119,8 @@ std::size_t buffer_pool_free_count() {
   for (const mem::SlabPool& pool : t_buffer_pools.cls) n += pool.free_count();
   return n;
 }
+
+std::size_t bytebuf_fill_count() { return t_fill_count; }
 
 PayloadRef PayloadRef::slice(std::size_t off, std::size_t len) const {
   PayloadRef out;

@@ -15,9 +15,18 @@
 // scenarios and hand back only plain results (timelines, metrics), never
 // a Packet or a Buffer, so no block outlives its scenario or changes
 // thread.
+//
+// A buffer may be lazy: it knows its size and a recipe (ByteFill) for its
+// bytes, and writes them on the first data() call. Everything that only
+// moves bytes around — size(), Buffer copies, PayloadRef::slice/append,
+// TCP gather, links, capture recording — never calls data(), so a dynamic
+// body nobody reads is never synthesized. The fill takes no lock: by the
+// same-thread invariant above, every handle to a buffer is used on one
+// thread, so "first call" is well defined without synchronization.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -27,11 +36,30 @@
 
 namespace dyncdn::net {
 
+/// The recipe for a lazy buffer's bytes. It owns every input it needs, so
+/// a buffer that outlives its producer (a copied capture, say) still fills.
+class ByteFill {
+ public:
+  ByteFill() = default;
+  ByteFill(const ByteFill&) = delete;
+  ByteFill& operator=(const ByteFill&) = delete;
+  virtual ~ByteFill() = default;
+  /// Write exactly `out.size()` bytes, the same ones on every call.
+  virtual void write(std::span<std::uint8_t> out) const = 0;
+};
+
+class Buffer;
+/// A buffer of `size` bytes that `fill` writes on the first data() call.
+/// Dropping the last reference before that frees the recipe unrun.
+Buffer make_lazy_buffer(std::size_t size, std::unique_ptr<ByteFill> fill);
+
 /// Immutable shared byte buffer: a slab-allocated header + inline bytes.
 /// Always reached through Buffer (below); never constructed directly.
 class ByteBuf {
  public:
+  /// The bytes. A lazy buffer runs its fill here, once, on the first call.
   const std::uint8_t* data() const {
+    if (fill_ != nullptr) run_fill();
     return reinterpret_cast<const std::uint8_t*>(this) + sizeof(ByteBuf);
   }
   std::size_t size() const { return size_; }
@@ -47,10 +75,17 @@ class ByteBuf {
   friend class Buffer;
   friend ByteBuf* allocate_bytebuf(std::size_t size);
   friend void release_bytebuf(ByteBuf* b) noexcept;
+  friend Buffer make_lazy_buffer(std::size_t size,
+                                 std::unique_ptr<ByteFill> fill);
+
+  void run_fill() const;
 
   std::uint32_t refs_ = 1;
   std::uint32_t size_ = 0;
   std::uint8_t cls_ = 0;  // size-class index; kHeapClass = plain heap
+  /// Pending recipe of a lazy buffer (owned); null once filled, and for
+  /// every buffer built from bytes.
+  mutable ByteFill* fill_ = nullptr;
 };
 
 /// Uninitialized buffer of `size` bytes with one reference (Buffer::adopt
@@ -163,7 +198,9 @@ struct PayloadRef {
   }
   bool empty() const { return length == 0; }
 
-  /// Visit every slice in stream order as a span.
+  /// Visit every slice in stream order as a span. This reads bytes, so it
+  /// fills any lazy buffer it visits; code that only forwards or counts a
+  /// payload passes the PayloadRef on instead.
   template <class F>
   void for_each_slice(F&& f) const {
     if (length == 0) return;
@@ -301,5 +338,7 @@ PacketPtr acquire_packet();
 std::size_t packet_pool_free_count();
 /// Pool introspection (tests): cached payload-buffer blocks on this thread.
 std::size_t buffer_pool_free_count();
+/// Introspection (tests): lazy-buffer fills run on this thread so far.
+std::size_t bytebuf_fill_count();
 
 }  // namespace dyncdn::net

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <cstring>
+#include <memory>
 
 namespace dyncdn::search {
 
@@ -78,16 +80,13 @@ std::uint64_t write_letters(char* p, std::size_t n, std::uint64_t h) {
   }
   return h;
 }
-}  // namespace
 
-void append_filler(std::string& out, std::string_view tag, std::size_t bytes) {
+/// Writes the first `bytes` bytes of the tag's filler stream to `p`.
+void write_filler(char* p, std::string_view tag, std::size_t bytes) {
   std::uint64_t h = 0xCBF29CE484222325ULL;
   for (const char c : tag) {
     h = (h ^ static_cast<unsigned char>(c)) * 0x100000001B3ULL;
   }
-  const std::size_t start = out.size();
-  out.resize(start + bytes);
-  char* p = out.data() + start;
   char* const end = p + bytes;
   // Letter runs end at every 73rd produced byte: 73 letters, then a
   // newline and 72 letters per run. Stopping at `end` is the trim.
@@ -100,6 +99,149 @@ void append_filler(std::string& out, std::string_view tag, std::size_t bytes) {
     *p++ = '\n';
     run = 72;
   }
+}
+
+/// Counts the body: the walk that sizes a lazy buffer.
+class CountSink {
+ public:
+  static constexpr bool kWrites = false;
+  std::size_t size() const { return n_; }
+  void text(std::string_view s) { n_ += s.size(); }
+  void filler(std::string_view, std::size_t bytes) { n_ += bytes; }
+
+ private:
+  std::size_t n_ = 0;
+};
+
+/// Writes the body through a pointer into storage of the counted size:
+/// the lazy buffer's fill.
+class SpanSink {
+ public:
+  static constexpr bool kWrites = true;
+  explicit SpanSink(char* p) : begin_(p), p_(p) {}
+  std::size_t size() const { return static_cast<std::size_t>(p_ - begin_); }
+  void text(std::string_view s) {
+    std::memcpy(p_, s.data(), s.size());
+    p_ += s.size();
+  }
+  void filler(std::string_view tag, std::size_t bytes) {
+    write_filler(p_, tag, bytes);
+    p_ += bytes;
+  }
+
+ private:
+  char* begin_;
+  char* p_;
+};
+
+/// Appends the body to a string: dynamic_body's one walk.
+class StringSink {
+ public:
+  static constexpr bool kWrites = true;
+  explicit StringSink(std::string& out) : out_(out) {}
+  std::size_t size() const { return out_.size(); }
+  void text(std::string_view s) { out_ += s; }
+  void filler(std::string_view tag, std::size_t bytes) {
+    append_filler(out_, tag, bytes);
+  }
+
+ private:
+  std::string& out_;
+};
+
+/// The dynamic body's layout, the one description every sink walks.
+/// Positions are relative to the body's start, as the sizing rules read
+/// them; filler tags are built only by sinks that write.
+template <class Sink>
+void walk_body(const BodyLayout& body, Sink& out) {
+  const std::string_view kw = body.keyword;
+  const std::size_t start = out.size();
+  const auto pos = [&out, start] { return out.size() - start; };
+  // Keyword-dependent dynamic menu (the paper: "keyword-dependent dynamic
+  // menu bar, search results and ads").
+  out.text("<div id=\"dynmenu\" data-q=\"");
+  out.text(kw);
+  out.text("\"><a>related:");
+  out.text(kw);
+  out.text("</a></div>\n");
+
+  const std::size_t target = body.target;
+  const std::size_t per_result =
+      (target > pos())
+          ? std::max<std::size_t>(
+                64, (target - pos() - 64) /
+                        std::max<std::size_t>(1, body.results_per_page))
+          : 64;
+  std::string tag;  // reused filler seed: "<keyword>/<i>/<service>"
+  if constexpr (Sink::kWrites) tag.reserve(kw.size() + body.service.size() + 8);
+  for (std::size_t i = 0; i < body.results_per_page; ++i) {
+    const std::size_t entry_start = pos();
+    const std::string rank = std::to_string(i + 1);
+    out.text("<div class=\"result\" rank=\"");
+    out.text(rank);
+    out.text("\"><h3>");
+    out.text(kw);
+    out.text(" — result ");
+    out.text(rank);
+    out.text("</h3><p>");
+    const std::size_t entry_size = pos() - entry_start;
+    if (entry_size + 10 < per_result) {
+      if constexpr (Sink::kWrites) {
+        tag.assign(kw);
+        tag += '/';
+        tag += std::to_string(i);
+        tag += '/';
+        tag += body.service;
+      }
+      out.filler(tag, per_result - entry_size - 10);
+    }
+    out.text("</p></div>\n");
+  }
+  // The ads filler is sized off the body length *before* the ads div opens
+  // (operand evaluation order of the old chained-+ expression).
+  const std::size_t before_ads = pos();
+  out.text("<div id=\"ads\">");
+  if constexpr (Sink::kWrites) {
+    tag.assign(kw);
+    tag += "/ads";
+  }
+  out.filler(tag, target > before_ads + 32 ? target - before_ads - 32 : 16);
+  out.text("</div>\n</body>\n</html>\n");
+}
+
+/// A lazy buffer's recipe: the layout, written on first read.
+class LazyBody final : public net::ByteFill {
+ public:
+  explicit LazyBody(BodyLayout layout) : layout_(std::move(layout)) {}
+  void write(std::span<std::uint8_t> out) const override {
+    layout_.write(out);
+  }
+
+ private:
+  BodyLayout layout_;
+};
+}  // namespace
+
+void append_filler(std::string& out, std::string_view tag, std::size_t bytes) {
+  const std::size_t start = out.size();
+  out.resize(start + bytes);
+  write_filler(out.data() + start, tag, bytes);
+}
+
+std::size_t BodyLayout::size() const {
+  CountSink sink;
+  walk_body(*this, sink);
+  return sink.size();
+}
+
+void BodyLayout::write(std::span<std::uint8_t> out) const {
+  SpanSink sink(reinterpret_cast<char*>(out.data()));
+  walk_body(*this, sink);
+}
+
+void BodyLayout::append_to(std::string& out) const {
+  StringSink sink(out);
+  walk_body(*this, sink);
 }
 
 ContentModel::ContentModel(ContentProfile profile, std::string service_name)
@@ -132,8 +274,8 @@ std::size_t ContentModel::expected_dynamic_bytes(const Keyword& keyword) const {
          profile_.dynamic_per_word_bytes * keyword.word_count();
 }
 
-std::string ContentModel::dynamic_body(const Keyword& keyword,
-                                       sim::RngStream& rng) const {
+BodyLayout ContentModel::dynamic_layout(const Keyword& keyword,
+                                        sim::RngStream& rng) const {
   const double noise =
       profile_.dynamic_size_sigma > 0.0
           ? rng.lognormal_median(1.0, profile_.dynamic_size_sigma)
@@ -141,59 +283,26 @@ std::string ContentModel::dynamic_body(const Keyword& keyword,
   const std::size_t target = std::max<std::size_t>(
       256, static_cast<std::size_t>(
                static_cast<double>(expected_dynamic_bytes(keyword)) * noise));
+  return BodyLayout{keyword.text, service_name_, profile_.results_per_page,
+                    target};
+}
 
-  // Everything is appended straight into `b` (no per-result temporaries):
-  // this runs once per query on the backend hot path, and the chained
-  // operator+ form cost half a dozen allocations per result entry.
+net::Buffer ContentModel::dynamic_buffer(const Keyword& keyword,
+                                         sim::RngStream& rng) const {
+  BodyLayout layout = dynamic_layout(keyword, rng);
+  const std::size_t size = layout.size();
+  return net::make_lazy_buffer(size,
+                               std::make_unique<LazyBody>(std::move(layout)));
+}
+
+std::string ContentModel::dynamic_body(const Keyword& keyword,
+                                       sim::RngStream& rng) const {
+  const BodyLayout layout = dynamic_layout(keyword, rng);
+  // One appending walk into a string reserved past the target, so it never
+  // regrows and is never zero-filled ahead of the walk.
   std::string b;
-  b.reserve(target + 256);
-  // Keyword-dependent dynamic menu (the paper: "keyword-dependent dynamic
-  // menu bar, search results and ads").
-  b += "<div id=\"dynmenu\" data-q=\"";
-  b += keyword.text;
-  b += "\"><a>related:";
-  b += keyword.text;
-  b += "</a></div>\n";
-
-  const std::size_t per_result =
-      (target > b.size())
-          ? std::max<std::size_t>(64, (target - b.size() - 64) /
-                                          std::max<std::size_t>(
-                                              1, profile_.results_per_page))
-          : 64;
-  std::string tag;  // reused filler seed: "<keyword>/<i>/<service>"
-  tag.reserve(keyword.text.size() + service_name_.size() + 8);
-  for (std::size_t i = 0; i < profile_.results_per_page; ++i) {
-    const std::size_t entry_start = b.size();
-    b += "<div class=\"result\" rank=\"";
-    b += std::to_string(i + 1);
-    b += "\"><h3>";
-    b += keyword.text;
-    b += " — result ";
-    b += std::to_string(i + 1);
-    b += "</h3><p>";
-    const std::size_t entry_size = b.size() - entry_start;
-    if (entry_size + 10 < per_result) {
-      tag.clear();
-      tag += keyword.text;
-      tag += '/';
-      tag += std::to_string(i);
-      tag += '/';
-      tag += service_name_;
-      append_filler(b, tag, per_result - entry_size - 10);
-    }
-    b += "</p></div>\n";
-  }
-  // The ads filler is sized off the body length *before* the ads div opens
-  // (operand evaluation order of the old chained-+ expression).
-  const std::size_t before_ads = b.size();
-  b += "<div id=\"ads\">";
-  tag.clear();
-  tag += keyword.text;
-  tag += "/ads";
-  append_filler(b, tag,
-                target > before_ads + 32 ? target - before_ads - 32 : 16);
-  b += "</div>\n</body>\n</html>\n";
+  b.reserve(layout.target + 256);
+  layout.append_to(b);
   return b;
 }
 

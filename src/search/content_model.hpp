@@ -14,9 +14,11 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <string>
 #include <string_view>
 
+#include "net/packet.hpp"
 #include "search/keywords.hpp"
 #include "sim/random.hpp"
 
@@ -45,6 +47,26 @@ struct ContentProfile {
 /// step and one push_back per byte (docs/PERF.md, "Steady query path").
 void append_filler(std::string& out, std::string_view tag, std::size_t bytes);
 
+/// One query's dynamic body as the inputs of its layout: a keyword-
+/// dependent menu, `results_per_page` result entries with filler, and an
+/// ads filler, sized to about `target` bytes. The layout is described once
+/// (content_model.cpp); size() walks it counting, write() and append_to()
+/// walk it writing, so the size and the bytes cannot disagree. The struct
+/// owns its inputs and can outlive the ContentModel that drew it.
+struct BodyLayout {
+  std::string keyword;
+  std::string service;
+  std::size_t results_per_page = 10;
+  std::size_t target = 0;  // the drawn size target
+
+  /// Length of the body, without writing it.
+  std::size_t size() const;
+  /// Write the body to `out`, which must hold exactly size() bytes.
+  void write(std::span<std::uint8_t> out) const;
+  /// Append the body to `out` (one walk; no zero-fill beyond the fillers').
+  void append_to(std::string& out) const;
+};
+
 class ContentModel {
  public:
   /// `service_name` flavors the static prefix so different services have
@@ -55,8 +77,12 @@ class ContentModel {
   /// query; the FE serves this from cache.
   const std::string& static_prefix() const { return static_prefix_; }
 
-  /// The dynamic portion for one query: keyword-dependent result page.
-  /// Size varies with word count and the rng draw.
+  /// The dynamic portion for one query as a lazy wire buffer: its size is
+  /// known now, its bytes are written on the first read (net::ByteFill).
+  /// Size varies with word count and the query's one content-RNG draw.
+  net::Buffer dynamic_buffer(const Keyword& keyword, sim::RngStream& rng) const;
+
+  /// The same dynamic portion as text (the same draw): draw, then write.
   std::string dynamic_body(const Keyword& keyword, sim::RngStream& rng) const;
 
   /// Deterministic expected size (before noise) — used by tests.
@@ -66,6 +92,9 @@ class ContentModel {
   const std::string& service_name() const { return service_name_; }
 
  private:
+  /// Takes the draw: the lognormal size noise on the expected size.
+  BodyLayout dynamic_layout(const Keyword& keyword, sim::RngStream& rng) const;
+
   ContentProfile profile_;
   std::string service_name_;
   std::string static_prefix_;

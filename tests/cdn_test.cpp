@@ -287,6 +287,33 @@ TEST(Frontend, StoreAndForwardDelaysCompletionNotCorrectness) {
   EXPECT_EQ(streaming.body_bytes, buffered.body_bytes);
 }
 
+// Both relays under both static policies deliver one response: the head
+// and static prefix once, then the dynamic body.
+TEST(Frontend, StreamingDeferredStaticSendsHeadOnce) {
+  using Mode = FrontEndServer::RelayMode;
+  std::size_t dynamic_bytes = 0;
+  auto body_bytes = [&dynamic_bytes](Mode mode, bool immediate) {
+    CdnFixture::Options opt;
+    FrontEndServer::Config cfg;
+    cfg.relay_mode = mode;
+    cfg.serve_static_immediately = immediate;
+    cfg.service.median_ms = 2.0;
+    cfg.service.sigma = 0.0;
+    opt.fe_overrides = cfg;
+    CdnFixture f(opt);
+    const QueryResult r = f.query(kKeyword);
+    EXPECT_FALSE(r.failed) << r.failure_reason;
+    EXPECT_EQ(f.frontend->static_cache_hits(), 0u);  // one serve, a miss
+    dynamic_bytes = f.backend->query_log().front().dynamic_bytes;
+    EXPECT_EQ(r.body_bytes, f.content.static_prefix().size() + dynamic_bytes);
+    return r.body_bytes;
+  };
+  const std::size_t reference = body_bytes(Mode::kStoreAndForward, true);
+  EXPECT_EQ(body_bytes(Mode::kStreaming, true), reference);
+  EXPECT_EQ(body_bytes(Mode::kStoreAndForward, false), reference);
+  EXPECT_EQ(body_bytes(Mode::kStreaming, false), reference);
+}
+
 TEST(Frontend, ResultCacheServesRepeatsLocally) {
   CdnFixture::Options opt;
   FrontEndServer::Config cfg;

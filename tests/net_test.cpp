@@ -4,8 +4,10 @@
 
 #include <functional>
 #include <iterator>
+#include <memory>
 #include <queue>
 #include <random>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -34,6 +36,11 @@ PacketPtr make_packet(NodeId src, NodeId dst, std::size_t payload_bytes) {
   return p;
 }
 
+PayloadRef make_buffer_ref(std::string_view text) {
+  Buffer b = make_buffer(text);
+  return PayloadRef{b, 0, text.size()};
+}
+
 TEST(PayloadRef, SliceWithinBounds) {
   Buffer buf = make_buffer("hello world");
   PayloadRef ref{buf, 0, buf->size()};
@@ -53,6 +60,80 @@ TEST(PayloadRef, NestedSliceUsesAbsoluteOffsets) {
   Buffer buf = make_buffer("0123456789");
   PayloadRef mid = PayloadRef{buf, 0, 10}.slice(2, 6);  // "234567"
   EXPECT_EQ(mid.slice(1, 3).to_text(), "345");
+}
+
+/// A lazy buffer's recipe that writes 'a', 'b', 'c', ... and counts its
+/// runs and its destruction.
+class CountingFill final : public ByteFill {
+ public:
+  CountingFill(int* runs, bool* destroyed)
+      : runs_(runs), destroyed_(destroyed) {}
+  ~CountingFill() override { *destroyed_ = true; }
+  void write(std::span<std::uint8_t> out) const override {
+    ++*runs_;
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      out[i] = static_cast<std::uint8_t>('a' + i % 26);
+    }
+  }
+
+ private:
+  int* runs_;
+  bool* destroyed_;
+};
+
+TEST(LazyBuffer, MovingAndSlicingNeverFills) {
+  int runs = 0;
+  bool destroyed = false;
+  const std::size_t fills_before = bytebuf_fill_count();
+  {
+    Buffer lazy = make_lazy_buffer(
+        3000, std::make_unique<CountingFill>(&runs, &destroyed));
+    EXPECT_EQ(lazy->size(), 3000u);
+    Buffer copy = lazy;
+    Buffer moved = std::move(copy);
+    PayloadRef whole{moved, 0, moved->size()};
+    PayloadRef part = whole.slice(100, 2000);
+    PayloadRef joined = make_buffer_ref("head");
+    joined.append(part);
+    joined.append(whole.slice(2100, 500));  // adjacent: merges into one slice
+    EXPECT_EQ(joined.length, 4u + 2500u);
+    EXPECT_EQ(joined.chain.size(), 1u);
+
+    // A link transit carries the payload by reference.
+    sim::Simulator simulator;
+    LinkConfig cfg;
+    cfg.propagation_delay = 5_ms;
+    std::size_t delivered = 0;
+    Link link(simulator, cfg,
+              [&](PacketPtr p) { delivered += p->payload.length; }, "lazy");
+    PacketPtr p = acquire_packet();
+    p->payload = joined;
+    link.transmit(std::move(p));
+    simulator.run();
+    EXPECT_EQ(delivered, joined.length);
+  }
+  // Dropping the last reference freed the recipe without running it.
+  EXPECT_EQ(runs, 0);
+  EXPECT_TRUE(destroyed);
+  EXPECT_EQ(bytebuf_fill_count(), fills_before);
+}
+
+TEST(LazyBuffer, FirstReadFillsOnceForEveryHandle) {
+  int runs = 0;
+  bool destroyed = false;
+  const std::size_t fills_before = bytebuf_fill_count();
+  Buffer lazy = make_lazy_buffer(
+      100, std::make_unique<CountingFill>(&runs, &destroyed));
+  const Buffer other = lazy;
+  const PayloadRef tail = PayloadRef{lazy, 0, 100}.slice(26, 5);
+  EXPECT_EQ(tail.to_text(), "abcde");  // the first read fills
+  EXPECT_EQ(runs, 1);
+  EXPECT_TRUE(destroyed);  // the recipe is freed once it has run
+  EXPECT_EQ(bytebuf_fill_count(), fills_before + 1);
+  EXPECT_EQ(other->data(), lazy->data());
+  EXPECT_EQ(PayloadRef(other, 0, 3).to_text(), "abc");
+  EXPECT_EQ(runs, 1);
+  EXPECT_EQ(bytebuf_fill_count(), fills_before + 1);
 }
 
 TEST(Packet, WireSizeIncludesHeaders) {

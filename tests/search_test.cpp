@@ -273,5 +273,59 @@ TEST(ContentModel, DynamicBodyDigestPinned) {
   }
 }
 
+/// The body a layout writes through each of its three walks, checked to
+/// agree with one another and with the counted size.
+std::string written(const BodyLayout& layout) {
+  std::string appended = "prefix:";  // append_to must not care what precedes
+  layout.append_to(appended);
+  std::vector<std::uint8_t> out(layout.size());
+  layout.write(out);
+  const std::string direct(out.begin(), out.end());
+  EXPECT_EQ(appended.substr(7), direct);
+  return direct;
+}
+
+TEST(BodyLayout, SizeEqualsWrittenLengthOnEveryBranch) {
+  // A target below the menu: per_result falls back to 64, below any entry.
+  const BodyLayout below{"below the menu", "S", 10, 40};
+  const std::string a = written(below);
+  EXPECT_EQ(a.size(), below.size());
+  EXPECT_GT(a.size(), below.target);
+  // entry_size + 10 >= per_result: no result carries filler, and the
+  // results overshoot the target, so the ads filler is the 16-byte fallback.
+  const BodyLayout no_filler{"cloud computing", "S", 10, 844};
+  const std::string b = written(no_filler);
+  EXPECT_EQ(b.size(), no_filler.size());
+  EXPECT_NE(b.find("<p></p>"), std::string::npos);
+  const std::size_t ads = b.find("<div id=\"ads\">") + 14;
+  EXPECT_EQ(b.find("</div>", ads), ads + 16);
+  // Multi-byte keyword text in a full-sized body with every filler.
+  const BodyLayout utf8{
+      "caf\xc3\xa9 \xe6\x97\xa5\xe6\x9c\xac\xe8\xaa\x9e", "Svc", 10, 21000};
+  const std::string c = written(utf8);
+  EXPECT_EQ(c.size(), utf8.size());
+  EXPECT_NE(c.find(utf8.keyword), std::string::npos);
+  EXPECT_EQ(c.find("<p></p>"), std::string::npos);  // every result filled
+  // No result entries at all.
+  const BodyLayout empty_page{"x", "S", 0, 500};
+  EXPECT_EQ(written(empty_page).size(), empty_page.size());
+}
+
+TEST(BodyLayout, LazyBufferHoldsTheDynamicBody) {
+  const cdn::ServiceProfile profile = cdn::google_like_profile();
+  const ContentModel model(profile.content, profile.name);
+  const Keyword kw{"cloud computing", KeywordClass::kPopular, 50};
+  sim::RngStream lazy_rng(7), text_rng(7);
+  const std::size_t fills = net::bytebuf_fill_count();
+  const net::Buffer lazy = model.dynamic_buffer(kw, lazy_rng);
+  const std::string text = model.dynamic_body(kw, text_rng);
+  EXPECT_EQ(lazy->size(), text.size());
+  EXPECT_EQ(net::bytebuf_fill_count(), fills);  // sized, not yet written
+  EXPECT_EQ(net::PayloadRef(lazy, 0, lazy->size()).to_text(), text);
+  EXPECT_EQ(net::bytebuf_fill_count(), fills + 1);
+  // Both took the one size draw: the content streams stay in step.
+  EXPECT_EQ(lazy_rng.engine()(), text_rng.engine()());
+}
+
 }  // namespace
 }  // namespace dyncdn::search
