@@ -9,14 +9,12 @@
 //
 //   $ ./examples/offline_analysis [trace-path]
 //
-// A path without the .dtrc extension selects the line-oriented text format
-// (capture/serialize.hpp) instead — same records, grep-able, ~4-5x larger.
+// The file is .dtrc whatever its name; `trace_inspect convert <file> out.txt`
+// dumps it as text for reading.
 #include <cstdio>
 #include <string>
-#include <string_view>
 
 #include "analysis/streaming.hpp"
-#include "capture/serialize.hpp"
 #include "capture/spill.hpp"
 #include "core/inference.hpp"
 #include "core/timings.hpp"
@@ -30,7 +28,6 @@ using namespace dyncdn::sim::literals;
 int main(int argc, char** argv) {
   const std::string path =
       argc > 1 ? argv[1] : "/tmp/dyncdn_offline_trace.dtrc";
-  const bool binary = std::string_view(path).ends_with(".dtrc");
 
   // ---- Stage 1: capture -----------------------------------------------
   {
@@ -50,32 +47,21 @@ int main(int argc, char** argv) {
                                   [](const cdn::QueryResult&) {});
       scenario.run();
     }
-    if (binary) {
-      capture::save_trace_dtrc(client.recorder->trace(), path);
-    } else {
-      capture::save_trace(client.recorder->trace(), path);
-    }
-    std::printf("stage 1: captured %zu packets -> %s (%s format)\n",
-                client.recorder->trace().size(), path.c_str(),
-                binary ? "binary .dtrc" : "text");
+    capture::save_trace_dtrc(client.recorder->trace(), path);
+    std::printf("stage 1: captured %zu packets -> %s (binary .dtrc format)\n",
+                client.recorder->trace().size(), path.c_str());
   }
 
   // ---- Stage 2: analyze (no simulator, only the trace file) ------------
-  // The binary path goes through SpillReader: the constructor mmaps the
-  // file and parses only the footer; read_all() then decodes the blocks.
-  // (capture::load_trace(path) would do the same via magic sniffing — the
-  // explicit reader is shown here because block iteration and per-flow
-  // seeks hang off it.)
-  const capture::PacketTrace trace = [&] {
-    if (binary) {
-      capture::SpillReader reader(path);
-      std::printf("stage 2: %zu blocks, %llu records in footer index\n",
-                  reader.block_count(),
-                  static_cast<unsigned long long>(reader.record_count()));
-      return reader.read_all();
-    }
-    return capture::load_trace(path);
-  }();
+  // SpillReader's constructor mmaps the file and parses only the footer;
+  // read_all() then decodes the blocks. (capture::load_trace(path) does
+  // the same in one call — the explicit reader is shown here because block
+  // iteration and per-flow seeks hang off it.)
+  const capture::SpillReader reader(path);
+  std::printf("stage 2: %zu blocks, %llu records in footer index\n",
+              reader.block_count(),
+              static_cast<unsigned long long>(reader.record_count()));
+  const capture::PacketTrace trace = reader.read_all();
   std::printf("stage 2: loaded %zu packets (node %u)\n", trace.size(),
               trace.node().value());
 

@@ -5,19 +5,12 @@
 #include <string_view>
 
 #include "analysis/reassembly.hpp"
-#include "analysis/timeline.hpp"
 
 namespace dyncdn::analysis {
 
 namespace {
 
-const obs::ArgValue* find_arg(const std::vector<obs::Arg>& args,
-                              std::string_view key) {
-  for (const obs::Arg& a : args) {
-    if (a.key == key) return &a.value;
-  }
-  return nullptr;
-}
+using obs::find_arg;
 
 bool has_failed_arg(const std::vector<obs::Arg>& args) {
   const obs::ArgValue* v = find_arg(args, "failed");
@@ -32,6 +25,45 @@ std::string string_arg(const std::vector<obs::Arg>& args,
 }
 
 }  // namespace
+
+QueryTimeline timeline_from_flow_span(const obs::SpanRecord& flow,
+                                      std::size_t boundary) {
+  QueryTimeline tl;
+  tl.boundary = boundary;
+  bool saw_syn = false, saw_synack = false, saw_t1 = false, saw_t2 = false;
+  std::vector<ReassembledStream::Segment> segments;
+  for (const obs::SpanEvent& ev : flow.events) {
+    if (ev.name == "syn" && !saw_syn) {
+      tl.tb = ev.at;
+      saw_syn = true;
+    } else if (ev.name == "synack" && !saw_synack) {
+      tl.t_synack = ev.at;
+      saw_synack = true;
+    } else if (ev.name == "tx_data" && !saw_t1) {
+      tl.t1 = ev.at;
+      saw_t1 = true;
+    } else if (ev.name == "ack_data" && !saw_t2) {
+      tl.t2 = ev.at;
+      saw_t2 = true;
+    } else if (ev.name == "rx") {
+      const obs::ArgValue* off = find_arg(ev.args, "off");
+      const obs::ArgValue* len = find_arg(ev.args, "len");
+      if (off != nullptr && len != nullptr && off->i >= 0 && len->i > 0) {
+        segments.push_back(ReassembledStream::Segment{
+            static_cast<std::size_t>(off->i),
+            static_cast<std::size_t>(len->i), ev.at});
+      }
+    }
+  }
+  if (!saw_syn || !saw_synack || !saw_t1 || !saw_t2) {
+    tl.invalid_reason = "incomplete handshake/request events";
+    return tl;
+  }
+  const ReassembledStream stream =
+      ReassembledStream::from_segments(std::move(segments));
+  finish_timeline_from_stream(tl, stream, boundary);
+  return tl;
+}
 
 std::size_t boundary_from_spans(const std::vector<obs::SpanRecord>& spans) {
   // All FEs of a service flush the same static portion, so any stamped
@@ -104,48 +136,16 @@ SpanAttributionResult extract_attribution(
       continue;
     }
 
-    // Control events from the flow span, rx segments for the data path.
-    obs::QueryAttribution::Sample& s = q.sample;
-    std::vector<ReassembledStream::Segment> segments;
-    for (const obs::SpanEvent& ev : flow->events) {
-      if (ev.name == "syn" && s.tb < 0) {
-        s.tb = ev.at.ns();
-      } else if (ev.name == "synack" && s.t_synack < 0) {
-        s.t_synack = ev.at.ns();
-      } else if (ev.name == "tx_data" && s.t1 < 0) {
-        s.t1 = ev.at.ns();
-      } else if (ev.name == "ack_data" && s.t2 < 0) {
-        s.t2 = ev.at.ns();
-      } else if (ev.name == "rx") {
-        const obs::ArgValue* off = find_arg(ev.args, "off");
-        const obs::ArgValue* len = find_arg(ev.args, "len");
-        if (off != nullptr && len != nullptr && off->i >= 0 && len->i > 0) {
-          segments.push_back(ReassembledStream::Segment{
-              static_cast<std::size_t>(off->i),
-              static_cast<std::size_t>(len->i), ev.at});
-        }
-      }
-    }
-    if (s.t1 < 0 || s.t2 < 0 || segments.empty()) {
-      ++result.skipped;
-      continue;
-    }
-
-    // t5 via the exact capture-analysis code path: reassemble the rx
-    // segments and run the shared timeline finisher. This is what makes
-    // the attribution sum agree with packet-derived T_dynamic bit for bit.
-    QueryTimeline tl;
-    tl.tb = sim::SimTime::nanoseconds(s.tb >= 0 ? s.tb : 0);
-    tl.t_synack = sim::SimTime::nanoseconds(s.t_synack >= 0 ? s.t_synack : 0);
-    tl.t1 = sim::SimTime::nanoseconds(s.t1);
-    tl.t2 = sim::SimTime::nanoseconds(s.t2);
-    const ReassembledStream stream =
-        ReassembledStream::from_segments(std::move(segments));
-    finish_timeline_from_stream(tl, stream, boundary);
+    const QueryTimeline tl = timeline_from_flow_span(*flow, boundary);
     if (!tl.valid) {
       ++result.skipped;
       continue;
     }
+    obs::QueryAttribution::Sample& s = q.sample;
+    s.tb = tl.tb.ns();
+    s.t_synack = tl.t_synack.ns();
+    s.t1 = tl.t1.ns();
+    s.t2 = tl.t2.ns();
     s.t5 = tl.t5.ns();
 
     if (fe_request != nullptr) s.fe_recv = fe_request->start.ns();

@@ -1,26 +1,39 @@
-// Span-forest walker for per-query latency attribution.
+// Span-side readers of the Fig.-2 timeline.
 //
-// Walks a trace's span list (live from a TraceSession, or rebuilt from a
-// Chrome-trace JSON dump by trace_inspect), pairs each `query` span with
-// its `tcp.flow` / `fe.request` / `fe.service` / `fe.fetch` descendants,
-// and derives the Fig.-2 control points. t5 comes from the *same* code
-// path the packet-capture pipeline uses (`ReassembledStream::from_segments`
-// + `finish_timeline_from_stream` over the flow's rx events), which is why
-// the attribution sum reconciles with capture-derived T_dynamic at
-// tolerance 0. The obs-layer reducers (`QueryAttribution`,
-// `FlightRecorder`) consume the extracted samples; this file owns the
-// analysis dependency so src/obs/ stays free of it.
+// timeline_from_flow_span is the one piece of code that reads a tcp.flow
+// span's control events (syn = tb, synack, tx_data = t1, ack_data = t2)
+// and rx segments. It applies StreamingTimeline::finalize's rule and the
+// same data-plane code (`ReassembledStream::from_segments` +
+// `finish_timeline_from_stream`), which is why span timelines agree with
+// capture-derived ones at tolerance 0.
+//
+// extract_attribution walks a trace's span list (live from a
+// TraceSession, or read back by obs::read_chrome_trace), pairs each
+// `query` span with its `tcp.flow` / `fe.request` / `fe.service` /
+// `fe.fetch` descendants, and takes the Fig.-2 anchors from the flow's
+// timeline. The obs-layer reducers (`QueryAttribution`, `FlightRecorder`)
+// consume the extracted samples; this file owns the analysis dependency
+// so src/obs/ stays free of it.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "analysis/timeline.hpp"
 #include "obs/attribution.hpp"
 #include "obs/flight.hpp"
 #include "obs/trace.hpp"
 
 namespace dyncdn::analysis {
+
+/// The Fig.-2 timeline of one tcp.flow span, split at `boundary` stream
+/// bytes. Invalid with "incomplete handshake/request events" unless the
+/// span holds all of syn, synack, tx_data and ack_data (the first of each
+/// counts); rx events with off >= 0 and len > 0 are the received stream.
+/// `flow` stays unset: a span carries only its local port.
+QueryTimeline timeline_from_flow_span(const obs::SpanRecord& flow,
+                                      std::size_t boundary);
 
 struct AttributedQuery {
   bool ok = false;  // decomposable (complete, not failed)

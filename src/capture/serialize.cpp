@@ -1,14 +1,8 @@
 #include "capture/serialize.hpp"
 
-#include "capture/spill.hpp"
-
-#include <charconv>
 #include <cstdio>
 #include <fstream>
-#include <optional>
-#include <sstream>
 #include <stdexcept>
-#include <vector>
 
 namespace dyncdn::capture {
 
@@ -25,72 +19,12 @@ std::string flags_to_text(const net::TcpFlags& f) {
   return s.empty() ? "." : s;
 }
 
-net::TcpFlags flags_from_text(std::string_view s) {
-  net::TcpFlags f;
-  for (const char c : s) {
-    switch (c) {
-      case 'S': f.syn = true; break;
-      case 'A': f.ack = true; break;
-      case 'F': f.fin = true; break;
-      case 'R': f.rst = true; break;
-      case '.': break;
-      default:
-        throw std::runtime_error("trace parse: bad flag character");
-    }
-  }
-  return f;
-}
-
 void append_hex(std::string& out, std::span<const std::uint8_t> bytes) {
   static const char* digits = "0123456789abcdef";
   for (const std::uint8_t b : bytes) {
     out += digits[b >> 4];
     out += digits[b & 0xF];
   }
-}
-
-std::vector<std::uint8_t> parse_hex(std::string_view hex) {
-  if (hex.size() % 2 != 0) {
-    throw std::runtime_error("trace parse: odd-length hex payload");
-  }
-  auto nibble = [](char c) -> int {
-    if (c >= '0' && c <= '9') return c - '0';
-    if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-    if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-    throw std::runtime_error("trace parse: bad hex digit");
-  };
-  std::vector<std::uint8_t> out;
-  out.reserve(hex.size() / 2);
-  for (std::size_t i = 0; i < hex.size(); i += 2) {
-    out.push_back(static_cast<std::uint8_t>(nibble(hex[i]) * 16 +
-                                            nibble(hex[i + 1])));
-  }
-  return out;
-}
-
-template <typename T>
-T parse_number(std::string_view token, const char* what) {
-  T value{};
-  const auto [p, ec] =
-      std::from_chars(token.data(), token.data() + token.size(), value);
-  if (ec != std::errc{} || p != token.data() + token.size()) {
-    throw std::runtime_error(std::string("trace parse: bad ") + what + ": " +
-                             std::string(token));
-  }
-  return value;
-}
-
-/// Split a line into whitespace-separated tokens.
-std::vector<std::string_view> tokenize(std::string_view line) {
-  std::vector<std::string_view> out;
-  std::size_t i = 0;
-  while (i < line.size()) {
-    while (i < line.size() && line[i] == ' ') ++i;
-    const std::size_t start = i;
-    while (i < line.size() && line[i] != ' ') ++i;
-    if (i > start) out.push_back(line.substr(start, i - start));
-  }
-  return out;
 }
 
 }  // namespace
@@ -125,102 +59,6 @@ std::string serialize_trace(const PacketTrace& trace, bool with_payloads) {
   return out;
 }
 
-PacketTrace parse_trace(std::string_view text) {
-  std::optional<PacketTrace> trace;
-
-  std::size_t pos = 0;
-  std::size_t line_no = 0;
-  // Re-throw any record-level error with the 1-based line number so a
-  // corrupt multi-megabyte trace points at the offending line instead of
-  // making the caller bisect the file.
-  const auto fail = [&line_no](const std::string& what) -> std::runtime_error {
-    return std::runtime_error("trace parse: line " + std::to_string(line_no) +
-                              ": " + what);
-  };
-  while (pos < text.size()) {
-    std::size_t eol = text.find('\n', pos);
-    if (eol == std::string_view::npos) eol = text.size();
-    std::string_view line = text.substr(pos, eol - pos);
-    pos = eol + 1;
-    ++line_no;
-    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
-    if (line.empty()) continue;
-
-    if (line[0] == '#') {
-      if (line.starts_with(kHeaderPrefix)) {
-        if (trace) {
-          throw fail("duplicate trace header (files must hold one trace)");
-        }
-        try {
-          const auto id = parse_number<std::uint32_t>(
-              line.substr(kHeaderPrefix.size()), "node id");
-          trace.emplace(net::NodeId{id});
-        } catch (const std::runtime_error& e) {
-          throw fail(e.what());
-        }
-      }
-      continue;
-    }
-    if (!trace) {
-      throw fail("record before the '# dyncdn-trace v1 node=' header line");
-    }
-
-    const auto tokens = tokenize(line);
-    if (tokens.size() != 11 && tokens.size() != 12) {
-      throw fail("expected 11 or 12 fields, got " +
-                 std::to_string(tokens.size()) + " in: " + std::string(line));
-    }
-
-    try {
-      PacketRecord r;
-      const auto ts = parse_number<std::int64_t>(tokens[0], "ts");
-      if (ts < 0) {
-        throw std::runtime_error("negative timestamp: " +
-                                 std::string(tokens[0]));
-      }
-      r.timestamp = sim::SimTime::nanoseconds(ts);
-      if (tokens[1] == "snd") {
-        r.direction = Direction::kSent;
-      } else if (tokens[1] == "rcv") {
-        r.direction = Direction::kReceived;
-      } else {
-        throw std::runtime_error("bad direction (want snd|rcv): " +
-                                 std::string(tokens[1]));
-      }
-      r.src = net::NodeId{parse_number<std::uint32_t>(tokens[2], "src")};
-      r.tcp.src_port = parse_number<std::uint16_t>(tokens[3], "sport");
-      r.dst = net::NodeId{parse_number<std::uint32_t>(tokens[4], "dst")};
-      r.tcp.dst_port = parse_number<std::uint16_t>(tokens[5], "dport");
-      r.tcp.seq = parse_number<std::uint64_t>(tokens[6], "seq");
-      r.tcp.ack = parse_number<std::uint64_t>(tokens[7], "ack");
-      r.tcp.window = parse_number<std::uint32_t>(tokens[8], "window");
-      r.tcp.flags = flags_from_text(tokens[9]);
-      r.payload_size = parse_number<std::size_t>(tokens[10], "paylen");
-      if (tokens.size() == 12) {
-        auto bytes = parse_hex(tokens[11]);
-        if (bytes.size() != r.payload_size) {
-          throw std::runtime_error(
-              "payload length mismatch: paylen says " +
-              std::to_string(r.payload_size) + " bytes, hex encodes " +
-              std::to_string(bytes.size()));
-        }
-        const std::size_t n = bytes.size();
-        r.payload = net::PayloadRef{net::make_buffer(std::move(bytes)), 0, n};
-      }
-      trace->add(std::move(r));
-    } catch (const std::runtime_error& e) {
-      const std::string_view what = e.what();
-      // Avoid double-prefixing errors thrown by the shared helpers.
-      throw fail(what.starts_with("trace parse: ")
-                     ? std::string(what.substr(13))
-                     : std::string(what));
-    }
-  }
-
-  if (!trace) throw std::runtime_error("trace parse: empty input");
-  return std::move(*trace);
-}
-
 void save_trace(const PacketTrace& trace, const std::string& path,
                 bool with_payloads) {
   std::ofstream out(path, std::ios::binary);
@@ -228,17 +66,6 @@ void save_trace(const PacketTrace& trace, const std::string& path,
   const std::string text = serialize_trace(trace, with_payloads);
   out.write(text.data(), static_cast<std::streamsize>(text.size()));
   if (!out) throw std::runtime_error("save_trace: write failed: " + path);
-}
-
-PacketTrace load_trace(const std::string& path) {
-  // Binary .dtrc files are recognized by magic, so every consumer of
-  // load_trace (trace_inspect, --diff, examples) reads either format.
-  if (SpillReader::is_dtrc_file(path)) return load_trace_dtrc(path);
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("load_trace: cannot open " + path);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return parse_trace(ss.str());
 }
 
 }  // namespace dyncdn::capture

@@ -1,15 +1,12 @@
-// Trace (de)serialization — the text debug/interop format.
+// Text dump of a capture: the human-readable, grep-able and diff-able
+// view of a PacketTrace.
 //
-// The paper's workflow is offline: capture on the vantage points, analyze
-// later. These helpers persist a PacketTrace to a line-oriented text format
-// and parse it back, so captures can be written to disk by one process and
-// analyzed by another (see examples/offline_analysis). The text form is
-// grep-able and diff-able but ~4-5x larger than the binary .dtrc format
-// (capture/spill.hpp), which is the production path; `trace_inspect
-// convert` translates between the two, and load_trace transparently reads
-// either (it sniffs the .dtrc magic).
+// Captures are stored and read back as binary .dtrc files only
+// (capture/spill.hpp). The text form is written, never parsed: `trace_inspect
+// convert in.dtrc out.txt` dumps a capture for reading, and perf_smoke
+// measures .dtrc compression against the headers-only dump's size.
 //
-// Format (one record per line, '#' comments, header line first):
+// Format (one record per line, header line first):
 //   # dyncdn-trace v1 node=<id>
 //   <ns> <snd|rcv> <src> <sport> <dst> <dport> <seq> <ack> <win>
 //       <flags> <paylen> [<hex payload>]      (one line per record)
@@ -17,9 +14,7 @@
 // when the record retained bytes.
 #pragma once
 
-#include <iosfwd>
 #include <string>
-#include <string_view>
 
 #include "capture/trace.hpp"
 
@@ -30,17 +25,9 @@ namespace dyncdn::capture {
 std::string serialize_trace(const PacketTrace& trace,
                             bool with_payloads = true);
 
-/// Parse a serialized text trace. Throws std::runtime_error with the
-/// 1-based line number and offending token on any malformed input
-/// (ragged fields, bad numbers/flags/direction, negative timestamps,
-/// truncated or mismatched hex payloads, duplicate headers).
-PacketTrace parse_trace(std::string_view text);
-
-/// File convenience wrappers (throw std::runtime_error on I/O failure).
+/// Write serialize_trace's output to `path` (throws std::runtime_error on
+/// I/O failure).
 void save_trace(const PacketTrace& trace, const std::string& path,
                 bool with_payloads = true);
-/// Loads either format: .dtrc files (sniffed by magic) are decoded via
-/// capture/spill.hpp, anything else is parsed as the text format.
-PacketTrace load_trace(const std::string& path);
 
 }  // namespace dyncdn::capture

@@ -447,23 +447,15 @@ SpillReader::~SpillReader() {
 #endif
 }
 
-bool SpillReader::is_dtrc_file(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return false;
-  char magic[8] = {};
-  const bool ok = std::fread(magic, 1, 8, f) == 8 &&
-                  std::memcmp(magic, kMagic, 8) == 0;
-  std::fclose(f);
-  return ok;
-}
-
 void SpillReader::parse_footer() {
+  // Judge the magic before the size, so a short file of another format
+  // (a text dump) is named as not a .dtrc file rather than a short one.
+  if (size_ >= sizeof(kMagic) && std::memcmp(data_, kMagic, 8) != 0) {
+    throw std::runtime_error("dtrc: bad magic (not a .dtrc file): " + path_);
+  }
   if (size_ < kFileHeaderBytes + kTailBytes) {
     throw std::runtime_error("dtrc: file too short for header + tail: " +
                              path_);
-  }
-  if (std::memcmp(data_, kMagic, 8) != 0) {
-    throw std::runtime_error("dtrc: bad magic (not a .dtrc file): " + path_);
   }
   node_ = net::NodeId{get_u32(data_ + 8)};
 
@@ -512,8 +504,8 @@ void SpillReader::parse_footer() {
     m.payload_bytes = c.varint();
     m.first_ts = zigzag_decode(c.varint());
     m.last_ts = m.first_ts + zigzag_decode(c.varint());
-    if (m.offset < kFileHeaderBytes || m.encoded_bytes == 0 ||
-        m.offset + m.encoded_bytes > footer_offset) {
+    if (m.offset < kFileHeaderBytes || m.offset > footer_offset ||
+        m.encoded_bytes == 0 || m.encoded_bytes > footer_offset - m.offset) {
       c.fail("block extent out of range");
     }
     const std::uint64_t n_pairs = c.varint();
@@ -564,8 +556,12 @@ void SpillReader::decode_block(
   }
   // The two bit-packed columns are indexed, not cursored: validate their
   // full extent up front.
-  if (section_size[1] < (n + 7) / 8) sec[1].fail("direction bitset short");
-  if (section_size[6] < (n + 1) / 2) sec[6].fail("flag nibbles short");
+  if (section_size[1] < (std::uint64_t{n} + 7) / 8) {
+    sec[1].fail("direction bitset short");
+  }
+  if (section_size[6] < (std::uint64_t{n} + 1) / 2) {
+    sec[6].fail("flag nibbles short");
+  }
   const std::uint8_t* dir_bits = sec[1].p;
   const std::uint8_t* flag_nibbles = sec[6].p;
   const std::uint8_t* payload_base = c.bytes(payload_size);
@@ -700,7 +696,7 @@ void save_trace_dtrc(const PacketTrace& trace, const std::string& path) {
   writer.finish();
 }
 
-PacketTrace load_trace_dtrc(const std::string& path) {
+PacketTrace load_trace(const std::string& path) {
   return SpillReader(path).read_all();
 }
 

@@ -1,11 +1,11 @@
 // Durable traces: spill-to-disk columnar trace format (.dtrc).
 //
 // The paper's methodology is capture-then-analyze: every vantage point
-// keeps a full tcpdump and all decomposition happens offline. The text
-// serialization (serialize.hpp) makes that workflow portable but costs
-// ~50 bytes per headers-only record and 2x the payload bytes in hex — at
-// the 10^5..10^6-client campaign scale, neither the trace buffer nor the
-// text file fits. This module adds the durable tier:
+// keeps a full tcpdump and all decomposition happens offline. This module
+// is the one capture format that is stored and read back. A text dump
+// (serialize.hpp) costs ~50 bytes per headers-only record and 2x the
+// payload bytes in hex; at the 10^5..10^6-client campaign scale neither
+// the trace buffer nor such a file fits.
 //
 //   SpillWriter  a capture::PacketSink that streams PacketRecords into a
 //                compact block-columnar binary file. Memory is O(one
@@ -223,9 +223,6 @@ class SpillReader {
   /// read_all().filter_flow(flow) but skips unrelated blocks entirely.
   PacketTrace read_flow(const net::FlowId& flow) const;
 
-  /// True when `path` starts with the .dtrc magic (cheap format sniff).
-  static bool is_dtrc_file(const std::string& path);
-
  private:
   struct BlockMeta {
     std::uint64_t offset = 0;
@@ -258,6 +255,8 @@ class SpillReader {
 void save_trace_dtrc(const PacketTrace& trace, const std::string& path);
 
 /// Load a complete .dtrc file into memory (convenience over SpillReader).
-PacketTrace load_trace_dtrc(const std::string& path);
+/// The one capture loader: any other file, a text dump included, is
+/// refused with a std::runtime_error that names it.
+PacketTrace load_trace(const std::string& path);
 
 }  // namespace dyncdn::capture

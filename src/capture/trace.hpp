@@ -45,8 +45,8 @@ std::string record_to_string(sim::SimTime timestamp, Direction direction,
                              std::size_t payload_size);
 
 /// One captured packet event at a node, as a standalone value. This is the
-/// transport type between recorder and sinks (and the parse target for
-/// serialized traces); retained storage decomposes it into columns.
+/// transport type between recorder and sinks (and what a .dtrc block
+/// decodes to); retained storage decomposes it into columns.
 struct PacketRecord {
   sim::SimTime timestamp;
   Direction direction = Direction::kSent;

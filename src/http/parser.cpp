@@ -91,7 +91,9 @@ void RequestParser::try_parse() {
     if (!req) return;
 
     const std::size_t body_len = parse_content_length(req->headers).value_or(0);
-    if (buffer_.size() < head_len + body_len) return;  // body incomplete
+    // Body incomplete. Compared without head_len + body_len, which a huge
+    // Content-Length wraps to a small number.
+    if (body_len > buffer_.size() - head_len) return;
 
     req->body = buffer_.substr(head_len, body_len);
     buffer_.erase(0, head_len + body_len);

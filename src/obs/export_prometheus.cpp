@@ -1,14 +1,18 @@
 #include "obs/export_prometheus.hpp"
 
-#include <cinttypes>
 #include <cstdio>
 #include <map>
 
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 
 namespace dyncdn::obs {
 
 namespace {
+
+using json::append_double;
+using json::append_i64;
+using json::append_u64;
 
 // Metric-description table for `# HELP` lines, keyed by unprefixed name.
 // Descriptions are one sentence, no trailing period, per common exposition
@@ -68,18 +72,6 @@ const std::map<std::string_view, std::string_view>& help_table() {
       {"attr_delivery_ms", "First BE byte to t5 delivery in milliseconds"},
   };
   return table;
-}
-
-void append_double(std::string& out, double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out += buf;
-}
-
-void append_u64(std::string& out, std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
-  out += buf;
 }
 
 void append_help(std::string& out, const std::string& full,
@@ -144,9 +136,7 @@ std::string export_prometheus(const MetricsRegistry& registry,
     const std::string full = prefix + name;
     append_help(out, full, name);
     out += "# TYPE " + full + " gauge\n" + full + " ";
-    char buf[24];
-    std::snprintf(buf, sizeof(buf), "%" PRId64, value);
-    out += buf;
+    append_i64(out, value);
     out.push_back('\n');
   }
   for (const auto& [name, histogram] : registry.histograms()) {

@@ -1,72 +1,24 @@
 #include "obs/flight.hpp"
 
-#include <cinttypes>
-#include <cstdio>
+#include "obs/export_chrome.hpp"
+#include "obs/json.hpp"
 
 namespace dyncdn::obs {
 
 namespace {
 
-void append_double(std::string& out, double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out += buf;
-}
-
-void append_i64(std::string& out, std::int64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%" PRId64, v);
-  out += buf;
-}
-
-void append_u64(std::string& out, std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
-  out += buf;
-}
-
-void append_escaped(std::string& out, std::string_view s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(c));
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-}
+using json::append_double;
+using json::append_i64;
+using json::append_string;
+using json::append_u64;
 
 void append_args(std::string& out, const std::vector<Arg>& args) {
   out.push_back('{');
   for (std::size_t i = 0; i < args.size(); ++i) {
     if (i != 0) out.push_back(',');
-    out.push_back('"');
-    append_escaped(out, args[i].key);
-    out += "\":";
-    const ArgValue& v = args[i].value;
-    switch (v.type) {
-      case ArgValue::Type::kInt:
-        append_i64(out, v.i);
-        break;
-      case ArgValue::Type::kDouble:
-        append_double(out, v.d);
-        break;
-      case ArgValue::Type::kString:
-        out.push_back('"');
-        append_escaped(out, v.s);
-        out.push_back('"');
-        break;
-    }
+    append_string(out, args[i].key);
+    out.push_back(':');
+    append_arg_value(out, args[i].value);
   }
   out.push_back('}');
 }
@@ -76,11 +28,11 @@ void append_span(std::string& out, const SpanRecord& span) {
   append_u64(out, span.id);
   out += ",\"parent\":";
   append_u64(out, span.parent);
-  out += ",\"name\":\"";
-  append_escaped(out, span.name);
-  out += "\",\"cat\":\"";
-  append_escaped(out, span.category);
-  out += "\",\"start_ns\":";
+  out += ",\"name\":";
+  append_string(out, span.name);
+  out += ",\"cat\":";
+  append_string(out, span.category);
+  out += ",\"start_ns\":";
   append_i64(out, span.start.ns());
   out += ",\"end_ns\":";
   append_i64(out, span.end.ns());
@@ -89,9 +41,9 @@ void append_span(std::string& out, const SpanRecord& span) {
   out += ",\"events\":[";
   for (std::size_t i = 0; i < span.events.size(); ++i) {
     if (i != 0) out.push_back(',');
-    out += "{\"name\":\"";
-    append_escaped(out, span.events[i].name);
-    out += "\",\"at_ns\":";
+    out += "{\"name\":";
+    append_string(out, span.events[i].name);
+    out += ",\"at_ns\":";
     append_i64(out, span.events[i].at.ns());
     out += ",\"args\":";
     append_args(out, span.events[i].args);
@@ -155,11 +107,11 @@ std::string FlightRecorder::to_json() const {
   for (const Entry& e : slow_) {
     if (!first) out.push_back(',');
     first = false;
-    out += "{\"node\":\"";
-    append_escaped(out, e.node);
-    out += "\",\"keyword\":\"";
-    append_escaped(out, e.keyword);
-    out += "\",\"t_dynamic_ms\":";
+    out += "{\"node\":";
+    append_string(out, e.node);
+    out += ",\"keyword\":";
+    append_string(out, e.keyword);
+    out += ",\"t_dynamic_ms\":";
     append_double(out, e.t_dynamic_ms);
     out += ",\"threshold_ms\":";
     append_double(out, e.threshold_ms);

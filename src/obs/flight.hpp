@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -67,9 +68,17 @@ class FlightRecorder {
 
   // {"observed":N,"threshold_ms":...,"slow":[entries with span trees]}.
   // Span objects use the same field names as the Chrome-trace exporter's
-  // args block ({id,parent,name,cat,start_ns,end_ns,args,events}), so
-  // trace_inspect can rebuild the subtree.
+  // args block ({id,parent,name,cat,start_ns,end_ns,args,events}).
   std::string to_json() const;
+
+  // Read back one entry's "spans" array as to_json wrote it: ids, parents,
+  // names, categories, start/end, typed args and events. The dump carries
+  // no open flag or replica, so every span reads back closed, replica 0.
+  // A non-array reads as no spans. Throws std::runtime_error, like
+  // read_chrome_trace, on a time the simulated clock cannot produce.
+  // Defined with the Chrome-trace reader (export_chrome.cpp): a program
+  // that only writes dumps links no reader.
+  static std::vector<SpanRecord> read_spans(const json::Value& spans);
 
  private:
   Options options_;

@@ -1,6 +1,7 @@
 #include "obs/json.hpp"
 
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
 
 namespace dyncdn::obs::json {
@@ -15,7 +16,10 @@ const Value* Value::get(std::string_view key) const {
 
 std::int64_t Value::as_int(std::int64_t fallback) const {
   if (type != Type::kNumber) return fallback;
-  return is_integer ? integer : static_cast<std::int64_t>(number);
+  if (is_integer) return integer;
+  // Truncates toward zero; a double outside int64's range has no int64.
+  if (!(number >= -0x1p63 && number < 0x1p63)) return fallback;
+  return static_cast<std::int64_t>(number);
 }
 
 double Value::as_double(double fallback) const {
@@ -83,6 +87,13 @@ class Parser {
     }
   }
 
+  // Close one array/object level. A failed parse abandons the whole
+  // document, so only successful closes need to unwind the depth.
+  Value leave(Value v) {
+    --depth_;
+    return v;
+  }
+
   static Value make_bool(bool b) {
     Value v;
     v.type = Value::Type::kBool;
@@ -91,11 +102,11 @@ class Parser {
   }
 
   std::optional<Value> parse_object() {
-    if (!consume('{')) return std::nullopt;
+    if (!consume('{') || ++depth_ > kMaxDepth) return std::nullopt;
     Value v;
     v.type = Value::Type::kObject;
     skip_ws();
-    if (consume('}')) return v;
+    if (consume('}')) return leave(std::move(v));
     while (true) {
       skip_ws();
       auto key = parse_string_raw();
@@ -104,23 +115,23 @@ class Parser {
       if (!member) return std::nullopt;
       v.object.emplace_back(std::move(*key), std::move(*member));
       if (consume(',')) continue;
-      if (consume('}')) return v;
+      if (consume('}')) return leave(std::move(v));
       return std::nullopt;
     }
   }
 
   std::optional<Value> parse_array() {
-    if (!consume('[')) return std::nullopt;
+    if (!consume('[') || ++depth_ > kMaxDepth) return std::nullopt;
     Value v;
     v.type = Value::Type::kArray;
     skip_ws();
-    if (consume(']')) return v;
+    if (consume(']')) return leave(std::move(v));
     while (true) {
       auto element = parse_value();
       if (!element) return std::nullopt;
       v.array.push_back(std::move(*element));
       if (consume(',')) continue;
-      if (consume(']')) return v;
+      if (consume(']')) return leave(std::move(v));
       return std::nullopt;
     }
   }
@@ -230,11 +241,15 @@ class Parser {
     v.is_integer = false;
     v.number = std::strtod(token.c_str(), &end);
     if (end != token.c_str() + token.size()) return std::nullopt;
+    // A literal past double's range (1e999) has no finite value, and no
+    // writer here could write it back.
+    if (!std::isfinite(v.number)) return std::nullopt;
     return v;
   }
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  // open arrays/objects
 };
 
 }  // namespace

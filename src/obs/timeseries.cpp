@@ -1,25 +1,14 @@
 #include "obs/timeseries.hpp"
 
 #include <algorithm>
-#include <cinttypes>
-#include <cstdio>
+
+#include "obs/json.hpp"
 
 namespace dyncdn::obs {
 
 namespace {
-
-void append_double(std::string& out, double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out += buf;
-}
-
-void append_u64(std::string& out, std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
-  out += buf;
-}
-
+using json::append_double;
+using json::append_u64;
 }  // namespace
 
 TimeSeriesSampler::TimeSeriesSampler(std::uint64_t interval_ns,

@@ -6,6 +6,13 @@
 
 namespace dyncdn::obs {
 
+const ArgValue* find_arg(const std::vector<Arg>& args, std::string_view key) {
+  for (const Arg& a : args) {
+    if (a.key == key) return &a.value;
+  }
+  return nullptr;
+}
+
 SpanId TraceSession::begin_span(sim::SimTime at, std::string_view name,
                                 std::string_view category, SpanId parent) {
   if (!enabled_) return kNoSpan;

@@ -64,6 +64,9 @@ struct Arg {
   ArgValue value;
 };
 
+/// The value of the first arg named `key`; nullptr when there is none.
+const ArgValue* find_arg(const std::vector<Arg>& args, std::string_view key);
+
 // A point-in-time marker inside a span (e.g. "synack", "rx").
 struct SpanEvent {
   std::string name;

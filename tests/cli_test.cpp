@@ -16,7 +16,12 @@
 #include <utility>
 #include <sys/wait.h>
 
+#include "capture/serialize.hpp"
+#include "capture/spill.hpp"
+
 namespace {
+
+using namespace dyncdn;
 
 struct CliRun {
   int exit_code = -1;
@@ -49,6 +54,29 @@ CliRun run_bench_diff(const std::string& args) {
 
 void write_file(const std::filesystem::path& path, const std::string& text) {
   std::ofstream(path) << text;
+}
+
+/// One record of a hand-built capture at client node 10, whose connections
+/// from `port` go to server node 20, port 80. `flags` is a subset of "SAF".
+capture::PacketRecord client_record(std::int64_t ns, bool sent,
+                                    net::Port port, std::uint64_t seq,
+                                    std::uint64_t ack, const std::string& flags,
+                                    std::size_t payload_size) {
+  capture::PacketRecord r;
+  r.timestamp = sim::SimTime::nanoseconds(ns);
+  r.direction = sent ? capture::Direction::kSent : capture::Direction::kReceived;
+  r.src = net::NodeId{sent ? 10u : 20u};
+  r.dst = net::NodeId{sent ? 20u : 10u};
+  r.tcp.src_port = sent ? port : net::Port{80};
+  r.tcp.dst_port = sent ? net::Port{80} : port;
+  r.tcp.seq = seq;
+  r.tcp.ack = ack;
+  r.tcp.window = 65535;
+  r.tcp.flags.syn = flags.find('S') != std::string::npos;
+  r.tcp.flags.ack = flags.find('A') != std::string::npos;
+  r.tcp.flags.fin = flags.find('F') != std::string::npos;
+  r.payload_size = payload_size;
+  return r;
 }
 
 /// A fresh, empty scratch directory for one test.
@@ -207,17 +235,15 @@ TEST(TraceInspectCli, HeadersOnlyCaptureHasNoBoundary) {
   // Two responses whose payload bytes were not captured: there is nothing
   // to compare, so content analysis finds no boundary.
   const auto dir = scratch_dir("headers_only");
-  const std::string path = (dir / "headers_only.trace").string();
-  {
-    std::ofstream out(path);
-    out << "# dyncdn-trace v1 node=10\n";
-    for (const int port : {40001, 40002}) {
-      out << "1000 snd 10 " << port << " 20 80 100 0 65535 S 0\n"
-          << "2000 rcv 20 80 10 " << port << " 500 101 65535 SA 0\n"
-          << "3000 snd 10 " << port << " 20 80 101 501 65535 A 20\n"
-          << "4000 rcv 20 80 10 " << port << " 501 121 65535 A 1448\n";
-    }
+  const std::string path = (dir / "headers_only.dtrc").string();
+  capture::PacketTrace trace(net::NodeId{10});
+  for (const net::Port port : {40001, 40002}) {
+    trace.add(client_record(1000, true, port, 100, 0, "S", 0));
+    trace.add(client_record(2000, false, port, 500, 101, "SA", 0));
+    trace.add(client_record(3000, true, port, 101, 501, "A", 20));
+    trace.add(client_record(4000, false, port, 501, 121, "A", 1448));
   }
+  capture::save_trace_dtrc(trace, path);
   const CliRun run = run_trace_inspect(path);
   EXPECT_EQ(run.exit_code, 1) << run.output;
   EXPECT_NE(run.output.find("no boundary available"), std::string::npos)
@@ -314,10 +340,10 @@ TEST(TraceInspectCli, MalformedSpanPortIsRefused) {
   // One tcp.flow span whose local_port is not a port number: the --diff
   // check refuses the span file instead of matching it as port 0.
   const auto dir = scratch_dir("span_port");
-  write_file(dir / "capture.trace",
-             "# dyncdn-trace v1 node=10\n"
-             "1000 snd 10 40001 20 80 100 0 65535 S 0\n"
-             "2000 rcv 20 80 10 40001 500 101 65535 SA 0\n");
+  capture::PacketTrace trace(net::NodeId{10});
+  trace.add(client_record(1000, true, 40001, 100, 0, "S", 0));
+  trace.add(client_record(2000, false, 40001, 500, 101, "SA", 0));
+  capture::save_trace_dtrc(trace, (dir / "capture.dtrc").string());
   for (const char* port : {"\"abc\"", "-5", "70000", "1.5"}) {
     SCOPED_TRACE(port);
     write_file(dir / "spans.json",
@@ -329,12 +355,127 @@ TEST(TraceInspectCli, MalformedSpanPortIsRefused) {
                    port + "}}\n]}\n");
     const CliRun run = run_trace_inspect(
         "spans " + (dir / "spans.json").string() + " --diff=" +
-        (dir / "capture.trace").string() + " --boundary=100");
+        (dir / "capture.dtrc").string() + " --boundary=100");
     EXPECT_EQ(run.exit_code, 1) << run.output;
     EXPECT_NE(run.output.find("span 7: bad local_port value"),
               std::string::npos)
         << run.output;
   }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(TraceInspectCli, TextCaptureIsRefusedByName) {
+  // Captures are read back only as .dtrc; a text dump is refused in every
+  // mode that reads one, with a message naming the file.
+  const auto dir = scratch_dir("text_capture");
+  const std::string path = (dir / "capture.txt").string();
+  capture::PacketTrace trace(net::NodeId{10});
+  trace.add(client_record(1000, true, 40001, 100, 0, "S", 0));
+  capture::save_trace(trace, path);
+  write_file(dir / "spans.json", "{\"traceEvents\":[]}");
+  const std::string spans = (dir / "spans.json").string();
+  for (const std::string& args :
+       {path, path + " 1000", "convert " + path + " out.dtrc",
+        "spans " + spans + " --diff=" + path,
+        "attribution " + spans + " --diff=" + path}) {
+    SCOPED_TRACE(args);
+    const CliRun run = run_trace_inspect(args);
+    EXPECT_EQ(run.exit_code, 1) << run.output;
+    EXPECT_NE(run.output.find("(not a .dtrc file): " + path),
+              std::string::npos)
+        << run.output;
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(TraceInspectCli, DeeplyNestedJsonIsRefused) {
+  // Far deeper than any file the library writes: refused as not valid
+  // JSON, not a stack overflow.
+  const auto dir = scratch_dir("deep_json");
+  const std::string path = (dir / "deep.json").string();
+  write_file(dir / "deep.json",
+             std::string(100000, '[') + std::string(100000, ']'));
+  for (const char* mode : {"spans", "attribution", "timeseries", "slow"}) {
+    SCOPED_TRACE(mode);
+    const CliRun run = run_trace_inspect(std::string(mode) + " " + path);
+    EXPECT_EQ(run.exit_code, 1) << run.output;
+    EXPECT_NE(run.output.find(path + " is not valid JSON"), std::string::npos)
+        << run.output;
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(TraceInspectCli, DeepSpanChainPrints) {
+  // A parent chain as deep as the file is long, printed under a 128 KB
+  // stack: the tree walk must not recurse once per level.
+  const auto dir = scratch_dir("deep_chain");
+  const int depth = 3000;
+  std::string doc = "{\"traceEvents\":[";
+  for (int id = 1; id <= depth; ++id) {
+    doc += (id > 1 ? ",\n" : "\n");
+    doc += "{\"ph\":\"X\",\"name\":\"s\",\"cat\":\"c\",\"args\":{"
+           "\"span_id\":" + std::to_string(id) +
+           ",\"parent\":" + std::to_string(id - 1) +
+           ",\"start_ns\":0,\"end_ns\":1000}}";
+  }
+  doc += "]}";
+  write_file(dir / "chain.json", doc);
+  const std::string out = (dir / "tree.txt").string();
+  const CliRun run = run_command("ulimit -s 128 && " DYNCDN_TRACE_INSPECT_BIN
+                                 " spans " + (dir / "chain.json").string() +
+                                 " > " + out + " && tail -n 1 " + out);
+  EXPECT_EQ(run.exit_code, 0) << run.output;
+  EXPECT_EQ(run.output, std::string(2 * (depth - 1), ' ') +
+                            "[c] s  0.000000 ms  +0.001000 ms\n");
+  std::filesystem::remove_all(dir);
+}
+
+TEST(TraceInspectCli, SpanModesReadOneRun) {
+  // The span readers on real output: a traced run that saved its
+  // captures, and a traced run that kept a slow-query log.
+  const auto dir = scratch_dir("span_modes");
+  const std::string spans = (dir / "spans.json").string();
+  const std::string common =
+      "--experiment=fixed-fe --service=google --clients=2 --reps=3 --seed=5 "
+      "--shards=1 ";
+  const CliRun saved = run_experiment(
+      "", common + "--save-traces=" + (dir / "traces").string() +
+              " --trace-out=" + spans);
+  ASSERT_EQ(saved.exit_code, 0) << saved.output;
+  std::filesystem::path capture;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(dir / "traces")) {
+    if (entry.path().extension() == ".dtrc") capture = entry.path();
+  }
+  ASSERT_FALSE(capture.empty());
+  const std::string node = capture.stem().string();
+
+  const CliRun tree = run_trace_inspect("spans " + spans + " --tree --diff=" +
+                                        capture.string() + " --node=" + node);
+  EXPECT_EQ(tree.exit_code, 0) << tree.output;
+  EXPECT_NE(tree.output.find("] tcp.flow "), std::string::npos) << tree.output;
+  EXPECT_NE(tree.output.find(" 0 mismatched, 0 unmatched"), std::string::npos)
+      << tree.output;
+  const CliRun attribution = run_trace_inspect(
+      "attribution " + spans + " --diff=" + capture.string());
+  EXPECT_EQ(attribution.exit_code, 0) << attribution.output;
+  EXPECT_NE(attribution.output.find("attribution diff: 3 compared, "
+                                    "0 mismatched"),
+            std::string::npos)
+      << attribution.output;
+
+  const std::string slow = (dir / "slow.json").string();
+  const CliRun logged = run_experiment(
+      "", common + "--slow-log=" + slow + " --slow-threshold=0.001");
+  ASSERT_EQ(logged.exit_code, 0) << logged.output;
+  const CliRun slow_tree = run_trace_inspect("slow " + slow + " --tree");
+  EXPECT_EQ(slow_tree.exit_code, 0) << slow_tree.output;
+  const std::size_t flow = slow_tree.output.find("] tcp.flow ");
+  ASSERT_NE(flow, std::string::npos) << slow_tree.output;
+  EXPECT_NE(slow_tree.output.find(". rx @", flow), std::string::npos)
+      << slow_tree.output;
+  EXPECT_NE(slow_tree.output.find(" off=0 len=", flow), std::string::npos)
+      << slow_tree.output;
   std::filesystem::remove_all(dir);
 }
 

@@ -1,10 +1,12 @@
 // Shared test scaffolding: a two-node (client/server) network with TCP
 // stacks and an optional middle relay, plus small helpers used by the TCP,
-// HTTP and CDN test suites.
+// HTTP and CDN test suites and the decoder mutation tests.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -95,6 +97,34 @@ inline std::string pattern_text(std::size_t n) {
   s.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     s.push_back(static_cast<char>('A' + (i * 7 + i / 26) % 26));
+  }
+  return s;
+}
+
+/// One to three bit flips, truncations or splices (a copied range
+/// inserted elsewhere): the seeded mutator of the decoder mutation tests.
+inline std::string mutate(std::string s, std::mt19937& gen) {
+  const int count = 1 + static_cast<int>(gen() % 3);
+  for (int m = 0; m < count && !s.empty(); ++m) {
+    const auto at = [&gen](std::size_t n) {
+      return std::uniform_int_distribution<std::size_t>(0, n - 1)(gen);
+    };
+    switch (gen() % 3) {
+      case 0:
+        s[at(s.size())] ^= static_cast<char>(1u << (gen() % 8));
+        break;
+      case 1:
+        s.resize(at(s.size()));
+        break;
+      default: {
+        const std::size_t from = at(s.size());
+        const std::size_t len =
+            1 + at(std::min<std::size_t>(s.size() - from, 64));
+        const std::string piece = s.substr(from, len);
+        s.insert(at(s.size() + 1), piece);
+        break;
+      }
+    }
   }
   return s;
 }

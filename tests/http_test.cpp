@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "harness.hpp"
 #include "http/message.hpp"
 #include "http/parser.hpp"
 #include "net/packet.hpp"
@@ -133,6 +134,20 @@ TEST(RequestParser, RequestWithBody) {
   parser.feed("lo");
   ASSERT_EQ(got.size(), 1u);
   EXPECT_EQ(got[0].body, "hello");
+
+  // A Content-Length whose sum with this 58-byte head wraps size_t to 0:
+  // the body has not arrived, so nothing is delivered (and nothing is
+  // delivered again and again).
+  int delivered = 0;
+  RequestParser huge([&](HttpRequest) {
+    if (++delivered > 1) throw std::logic_error("request delivered again");
+  });
+  const std::string head =
+      "POST /q HTTP/1.1\r\nContent-Length: 18446744073709551558\r\n\r\n";
+  ASSERT_EQ(head.size(), 58u);
+  EXPECT_NO_THROW(huge.feed(head));
+  EXPECT_EQ(delivered, 0);
+  EXPECT_TRUE(huge.mid_message());
 }
 
 TEST(RequestParser, MalformedRequestLineThrows) {
@@ -425,6 +440,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ResponseRoundTrip, ::testing::Range(0, 12));
 // slices then tile the bytes after each head exactly. Fixed seeds.
 // ---------------------------------------------------------------------------
 
+using dyncdn::testing::mutate;
+
 std::string random_letters(std::mt19937& gen, int min_len, int max_len) {
   std::uniform_int_distribution<int> len(min_len, max_len);
   std::uniform_int_distribution<int> ch(0, 25);
@@ -469,34 +486,6 @@ std::string valid_request_stream(std::mt19937& gen) {
     out += r.serialize();
   }
   return out;
-}
-
-/// One to three bit flips, truncations or splices (a copied range
-/// inserted elsewhere).
-std::string mutate(std::string s, std::mt19937& gen) {
-  const int count = 1 + static_cast<int>(gen() % 3);
-  for (int m = 0; m < count && !s.empty(); ++m) {
-    const auto at = [&gen](std::size_t n) {
-      return std::uniform_int_distribution<std::size_t>(0, n - 1)(gen);
-    };
-    switch (gen() % 3) {
-      case 0:
-        s[at(s.size())] ^= static_cast<char>(1u << (gen() % 8));
-        break;
-      case 1:
-        s.resize(at(s.size()));
-        break;
-      default: {
-        const std::size_t from = at(s.size());
-        const std::size_t len =
-            1 + at(std::min<std::size_t>(s.size() - from, 64));
-        const std::string piece = s.substr(from, len);
-        s.insert(at(s.size() + 1), piece);
-        break;
-      }
-    }
-  }
-  return s;
 }
 
 TEST(HttpMutation, ResponseStreamsThrowOrTileBodiesExactly) {

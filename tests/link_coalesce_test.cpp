@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "capture/serialize.hpp"
+#include "capture/spill.hpp"
 #include "cdn/deployment.hpp"
 #include "net/link.hpp"
 #include "net/packet.hpp"
@@ -170,7 +171,7 @@ std::string run_scenario_capture(bool coalesce,
   const capture::PacketTrace web =
       client.recorder->trace().filter_remote_port(80);
   if (!capture_path.empty()) {
-    capture::save_trace(web, capture_path, /*with_payloads=*/true);
+    capture::save_trace_dtrc(web, capture_path);
   }
   if (!spans_json_path.empty()) {
     EXPECT_TRUE(obs::write_chrome_trace(*scenario.trace(), spans_json_path));
@@ -201,9 +202,9 @@ TEST(LinkCoalesceArtifacts, ExportSpansAndCaptureForDiff) {
                      : fs::temp_directory_path() / "dyncdn_coalesce_artifacts";
   fs::create_directories(dir);
   run_scenario_capture(true, (dir / "spans.json").string(), "");
-  run_scenario_capture(false, "", (dir / "capture.trace").string());
+  run_scenario_capture(false, "", (dir / "capture.dtrc").string());
   EXPECT_TRUE(fs::exists(dir / "spans.json"));
-  EXPECT_TRUE(fs::exists(dir / "capture.trace"));
+  EXPECT_TRUE(fs::exists(dir / "capture.dtrc"));
 }
 
 }  // namespace

@@ -5,14 +5,19 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <random>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "analysis/boundary.hpp"
 #include "analysis/reassembly.hpp"
+#include "analysis/span_attribution.hpp"
 #include "analysis/timeline.hpp"
+#include "harness.hpp"
 #include "obs/export_chrome.hpp"
 #include "obs/export_prometheus.hpp"
+#include "obs/flight.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
@@ -214,47 +219,6 @@ TEST(ChromeExport, RoundTripsThroughJsonParser) {
 
 namespace {
 
-/// Rebuild a QueryTimeline from one tcp.flow span, the way
-/// `trace_inspect spans --diff` does: control events from the span
-/// markers, data events via the shared analysis helpers.
-analysis::QueryTimeline timeline_from_flow_span(const obs::SpanRecord& span,
-                                                std::size_t boundary) {
-  analysis::QueryTimeline tl;
-  bool syn = false, synack = false, t1 = false, t2 = false;
-  std::vector<analysis::ReassembledStream::Segment> segments;
-  for (const obs::SpanEvent& e : span.events) {
-    if (e.name == "syn" && !syn) {
-      tl.tb = e.at;
-      syn = true;
-    } else if (e.name == "synack" && !synack) {
-      tl.t_synack = e.at;
-      synack = true;
-    } else if (e.name == "tx_data" && !t1) {
-      tl.t1 = e.at;
-      t1 = true;
-    } else if (e.name == "ack_data" && !t2) {
-      tl.t2 = e.at;
-      t2 = true;
-    } else if (e.name == "rx") {
-      std::size_t off = 0, len = 0;
-      for (const obs::Arg& a : e.args) {
-        if (a.key == "off") off = static_cast<std::size_t>(a.value.i);
-        if (a.key == "len") len = static_cast<std::size_t>(a.value.i);
-      }
-      segments.push_back(
-          analysis::ReassembledStream::Segment{off, len, e.at});
-    }
-  }
-  if (!(syn && synack && t1 && t2)) {
-    tl.invalid_reason = "incomplete control events";
-    return tl;
-  }
-  const auto stream =
-      analysis::ReassembledStream::from_segments(std::move(segments));
-  analysis::finish_timeline_from_stream(tl, stream, boundary);
-  return tl;
-}
-
 std::uint64_t int_arg(const std::vector<obs::Arg>& args,
                       const std::string& key) {
   for (const obs::Arg& a : args) {
@@ -311,7 +275,7 @@ TEST(ObsEndToEnd, SpanTimelineMatchesPacketAnalysisExactly) {
     if (span.name != "tcp.flow") continue;
     const std::uint64_t port = int_arg(span.args, "local_port");
     const analysis::QueryTimeline from_span =
-        timeline_from_flow_span(span, boundary);
+        analysis::timeline_from_flow_span(span, boundary);
 
     const analysis::QueryTimeline* from_packets = nullptr;
     for (const auto& tl : packet_tls) {
@@ -393,4 +357,238 @@ TEST(ObsEndToEnd, SpanTreeLinksClientFeAndBe) {
     if (e.name == "static_flush") static_flush = true;
   }
   EXPECT_TRUE(static_flush);
+}
+
+// ---------------------------------------------------------------------------
+// Readers: the JSON nesting cap, span files and slow-log spans read back,
+// and seeded mutation of the Chrome-trace decoder
+// ---------------------------------------------------------------------------
+
+TEST(Json, DeepNestingIsRejected) {
+  const auto nested = [](int depth, const std::string& open,
+                         const std::string& inner, const std::string& close) {
+    std::string text;
+    for (int i = 0; i < depth; ++i) text += open;
+    text += inner;
+    for (int i = 0; i < depth; ++i) text += close;
+    return text;
+  };
+  const int cap = obs::json::kMaxDepth;
+  EXPECT_TRUE(obs::json::parse(nested(cap, "[", "", "]")).has_value());
+  EXPECT_FALSE(obs::json::parse(nested(cap + 1, "[", "", "]")).has_value());
+  EXPECT_TRUE(
+      obs::json::parse(nested(cap, "{\"a\":", "1", "}")).has_value());
+  EXPECT_FALSE(
+      obs::json::parse(nested(cap + 1, "{\"a\":", "1", "}")).has_value());
+  // Far past the cap: rejected, not a stack overflow.
+  EXPECT_FALSE(obs::json::parse(nested(100000, "[", "", "]")).has_value());
+  // The cap bounds depth, not size: many siblings parse.
+  std::string wide = "[";
+  for (int i = 0; i < 10000; ++i) wide += "[[]],";
+  wide += "[]]";
+  EXPECT_TRUE(obs::json::parse(wide).has_value());
+}
+
+namespace {
+
+/// A session with nesting, an open span, merged spans of a second replica,
+/// every arg type and strings that need escaping.
+void fill_sample_session(obs::TraceSession& t) {
+  using obs::ArgValue;
+  const obs::SpanId root =
+      t.begin_span(SimTime::nanoseconds(1'500'000), "query", "client");
+  t.add_arg(root, "node", ArgValue::of(std::string("pl-0.\"stock\"\n\tholm")));
+  t.add_arg(root, "rank", ArgValue::of(std::int64_t{-12}));
+  const obs::SpanId flow =
+      t.begin_span(SimTime::nanoseconds(2'000'001), "tcp.flow", "tcp", root);
+  t.add_arg(flow, "local_port", ArgValue::of(std::int64_t{40001}));
+  t.add_event(flow, "syn", SimTime::nanoseconds(2'000'001));
+  t.add_event(flow, "rx", SimTime::nanoseconds(2'500'003),
+              {{"off", ArgValue::of(std::int64_t{0})},
+               {"len", ArgValue::of(std::int64_t{1448})}});
+  t.end_span(flow, SimTime::nanoseconds(3'000'000));
+  t.end_span(root, SimTime::nanoseconds(4'000'123));
+  const obs::SpanId open =
+      t.begin_span(SimTime::nanoseconds(5'000'000), "fe.fetch", "fe");
+  t.add_arg(open, "t_proc_ms", ArgValue::of(3.25));
+  t.add_event(open, "first_byte", SimTime::nanoseconds(5'000'007));
+
+  obs::TraceSession replica;
+  const obs::SpanId be =
+      replica.begin_span(SimTime::nanoseconds(7), "be.process", "be");
+  replica.add_arg(be, "keyword", ArgValue::of(std::string("\x01\x1f")));
+  replica.end_span(be, SimTime::nanoseconds(9));
+  t.merge_from(std::move(replica), /*replica_id=*/2);
+}
+
+/// Equal as span files carry them. A double whose value is whole reads
+/// back as an int (the writer prints 2.0 as "2"), so numbers compare by
+/// value; strings and ints compare exactly.
+bool same_value(const obs::ArgValue& a, const obs::ArgValue& b) {
+  using Type = obs::ArgValue::Type;
+  if (a.type == Type::kString || b.type == Type::kString) {
+    return a.type == b.type && a.s == b.s;
+  }
+  if (a.type == Type::kInt && b.type == Type::kInt) return a.i == b.i;
+  const double x = a.type == Type::kInt ? static_cast<double>(a.i) : a.d;
+  const double y = b.type == Type::kInt ? static_cast<double>(b.i) : b.d;
+  return x == y;
+}
+
+void expect_same_args(const std::vector<obs::Arg>& want,
+                      const std::vector<obs::Arg>& got) {
+  ASSERT_EQ(want.size(), got.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(want[i].key, got[i].key);
+    EXPECT_TRUE(same_value(want[i].value, got[i].value)) << want[i].key;
+  }
+}
+
+/// Span files do not carry the replica. `with_open` = false for slow-log
+/// spans, which do not carry the open flag either.
+void expect_same_spans(const std::vector<obs::SpanRecord>& want,
+                       const std::vector<obs::SpanRecord>& got,
+                       bool with_open = true) {
+  ASSERT_EQ(want.size(), got.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    SCOPED_TRACE("span " + std::to_string(i));
+    EXPECT_EQ(want[i].id, got[i].id);
+    EXPECT_EQ(want[i].parent, got[i].parent);
+    EXPECT_EQ(want[i].name, got[i].name);
+    EXPECT_EQ(want[i].category, got[i].category);
+    EXPECT_EQ(want[i].start, got[i].start);
+    EXPECT_EQ(want[i].end, got[i].end);
+    if (with_open) {
+      EXPECT_EQ(want[i].open, got[i].open);
+    }
+    expect_same_args(want[i].args, got[i].args);
+    ASSERT_EQ(want[i].events.size(), got[i].events.size());
+    for (std::size_t j = 0; j < want[i].events.size(); ++j) {
+      EXPECT_EQ(want[i].events[j].name, got[i].events[j].name);
+      EXPECT_EQ(want[i].events[j].at, got[i].events[j].at);
+      expect_same_args(want[i].events[j].args, got[i].events[j].args);
+    }
+  }
+}
+
+std::vector<obs::SpanRecord> read_back(const std::string& text) {
+  const auto doc = obs::json::parse(text);
+  if (!doc) throw std::runtime_error("not valid JSON");
+  return obs::read_chrome_trace(*doc);
+}
+
+}  // namespace
+
+TEST(ChromeExport, ReadBackGivesTheSessionsSpans) {
+  obs::TraceSession sample;
+  fill_sample_session(sample);
+  ASSERT_EQ(sample.open_span_count(), 1u);
+  expect_same_spans(sample.spans(),
+                    read_back(obs::export_chrome_trace(sample)));
+
+  // A traced query through the testbed: every span kind it emits.
+  testbed::ScenarioOptions so;
+  so.profile = cdn::google_like_profile();
+  so.client_count = 2;
+  so.seed = 11;
+  so.enable_tracing = true;
+  testbed::Scenario scenario(so);
+  scenario.warm_up();
+  scenario.connect_client_to_fe(0, 0);
+  const search::Keyword kw{"read back", search::KeywordClass::kPopular, 100};
+  scenario.clients()[0].query_client->submit(
+      scenario.fe_endpoint(0), kw, [](const cdn::QueryResult&) {});
+  scenario.run();
+  ASSERT_NE(scenario.trace(), nullptr);
+  ASSERT_GT(scenario.trace()->spans().size(), 5u);
+  expect_same_spans(scenario.trace()->spans(),
+                    read_back(obs::export_chrome_trace(*scenario.trace())));
+}
+
+TEST(SpanFiles, ReadersRefuseTimesTheClockCannotProduce) {
+  const auto slow_spans = [](const std::string& spans) {
+    const auto doc = obs::json::parse(spans);
+    if (!doc) throw std::logic_error("test input is not JSON");
+    return obs::FlightRecorder::read_spans(*doc);
+  };
+  EXPECT_THROW(slow_spans(R"([{"id":3,"start_ns":-1,"end_ns":5}])"),
+               std::runtime_error);
+  EXPECT_THROW(slow_spans(R"([{"id":3,"start_ns":9,"end_ns":5}])"),
+               std::runtime_error);
+  EXPECT_THROW(slow_spans(R"([{"id":3,"start_ns":1,"end_ns":5,)"
+                          R"("events":[{"name":"rx","at_ns":-2}]}])"),
+               std::runtime_error);
+  EXPECT_EQ(slow_spans(R"([{"id":3,"start_ns":1,"end_ns":5}])").size(), 1u);
+
+  const std::string head = R"({"traceEvents":[{"ph":"X","args":{"span_id":3,)";
+  EXPECT_THROW(read_back(head + R"("start_ns":-1,"end_ns":5}}]})"),
+               std::runtime_error);
+  EXPECT_THROW(read_back(head + R"("start_ns":9,"end_ns":5}}]})"),
+               std::runtime_error);
+  EXPECT_THROW(read_back(head + R"("start_ns":1,"end_ns":5}},)"
+                                R"({"ph":"i","args":{"span_id":3,"at_ns":-2}}]})"),
+               std::runtime_error);
+  EXPECT_THROW(read_back(R"({"events":[]})"), std::runtime_error);
+  EXPECT_EQ(read_back(head + R"("start_ns":1,"end_ns":5}}]})").size(), 1u);
+}
+
+TEST(FlightRecorder, ReadSpansGivesBackTheDumpedSpans) {
+  obs::TraceSession sample;
+  fill_sample_session(sample);
+  obs::FlightRecorder::Options options;
+  options.threshold_ms = 1.0;
+  obs::FlightRecorder flight(options);
+  obs::FlightRecorder::Entry entry;
+  entry.node = "pl-0";
+  entry.t_dynamic_ms = 2.0;
+  entry.spans = sample.spans();
+  ASSERT_TRUE(flight.observe(entry));
+
+  const auto doc = obs::json::parse(flight.to_json());
+  ASSERT_TRUE(doc.has_value());
+  const obs::json::Value* slow = doc->get("slow");
+  ASSERT_TRUE(slow != nullptr && slow->is_array());
+  ASSERT_EQ(slow->array.size(), 1u);
+  const std::vector<obs::SpanRecord> spans =
+      obs::FlightRecorder::read_spans(*slow->array[0].get("spans"));
+  expect_same_spans(sample.spans(), spans, /*with_open=*/false);
+  for (const obs::SpanRecord& span : spans) EXPECT_FALSE(span.open);
+}
+
+TEST(ChromeTraceMutation, DecodesOrRejectsAndReencodesStably) {
+  // Bit flips, truncations and splices of a file export_chrome_trace
+  // wrote. Each mutant is rejected (not JSON, or refused by the reader)
+  // or decodes; a decoded one re-encodes to a file that decodes to the
+  // same spans, and from there the encoding is a fixed point.
+  obs::TraceSession sample;
+  fill_sample_session(sample);
+  const std::string corpus = obs::export_chrome_trace(sample);
+  std::mt19937 gen(20111104);
+  int rejected = 0;
+  int decoded = 0;
+  for (int iter = 0; iter < 20000; ++iter) {
+    const std::string text = dyncdn::testing::mutate(corpus, gen);
+    std::vector<obs::SpanRecord> first;
+    try {
+      first = read_back(text);
+    } catch (const std::runtime_error&) {
+      ++rejected;
+      continue;
+    }
+    ++decoded;
+    const std::string encoded = obs::export_chrome_trace(first);
+    std::vector<obs::SpanRecord> second;
+    ASSERT_NO_THROW(second = read_back(encoded)) << "iteration " << iter;
+    expect_same_spans(first, second);
+    const std::string reencoded = obs::export_chrome_trace(second);
+    EXPECT_TRUE(obs::export_chrome_trace(read_back(reencoded)) == reencoded)
+        << "iteration " << iter;
+    if (HasFailure()) {
+      ADD_FAILURE() << "iteration " << iter << ": " << text;
+      return;
+    }
+  }
+  // Both outcomes occur, so neither check above is vacuous.
+  EXPECT_GT(rejected, 1000);
+  EXPECT_GT(decoded, 1000);
 }

@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -38,7 +39,7 @@ using sim::SimTime;
 using namespace dyncdn::sim::literals;
 
 /// Real captured traffic (handshake, data, teardown) — same generator as
-/// the text-serialization tests, so both formats face identical input.
+/// the text-dump tests.
 /// `connections` concurrent client connections multiply the record count
 /// and give the capture several distinct flows. With `budget` > 0 the
 /// recorder spills into `*spill` whenever its buffer crosses the budget;
@@ -142,7 +143,7 @@ TEST(SpillFormat, RoundTripWithPayloads) {
   ASSERT_GT(original.size(), 5u);
   const std::string path = temp_path("spill_rt_payloads.dtrc");
   save_trace_dtrc(original, path);
-  const PacketTrace loaded = load_trace_dtrc(path);
+  const PacketTrace loaded = load_trace(path);
   expect_traces_equal(original, loaded, true);
   std::remove(path.c_str());
 }
@@ -151,7 +152,7 @@ TEST(SpillFormat, RoundTripHeadersOnly) {
   const PacketTrace original = make_real_trace(false);
   const std::string path = temp_path("spill_rt_headers.dtrc");
   save_trace_dtrc(original, path);
-  const PacketTrace loaded = load_trace_dtrc(path);
+  const PacketTrace loaded = load_trace(path);
   expect_traces_equal(original, loaded, false);
   std::remove(path.c_str());
 }
@@ -173,7 +174,7 @@ TEST(SpillFormat, ReassemblyWorksOnReloadedTrace) {
   const PacketTrace original = make_real_trace(true);
   const std::string path = temp_path("spill_reassembly.dtrc");
   save_trace_dtrc(original, path);
-  const PacketTrace loaded = load_trace_dtrc(path);
+  const PacketTrace loaded = load_trace(path);
   const auto flow = original.flows().front();
   const auto a = analysis::reassemble(original, flow, Direction::kReceived);
   const auto b = analysis::reassemble(loaded, flow, Direction::kReceived);
@@ -186,13 +187,15 @@ TEST(SpillFormat, ReassemblyWorksOnReloadedTrace) {
 }
 
 TEST(SpillFormat, TextAndBinaryConvergeOnTheSameRecords) {
-  // convert-style cross-check: text -> records -> dtrc -> records must
-  // equal the original (the trace_inspect convert path).
+  // The trace_inspect convert path: the text dump of a reloaded .dtrc is
+  // the dump of the original capture, byte for byte.
   const PacketTrace original = make_real_trace(true);
-  const PacketTrace via_text = parse_trace(serialize_trace(original, true));
   const std::string path = temp_path("spill_convert.dtrc");
-  save_trace_dtrc(via_text, path);
-  expect_traces_equal(original, load_trace_dtrc(path), true);
+  save_trace_dtrc(original, path);
+  const PacketTrace loaded = load_trace(path);
+  expect_traces_equal(original, loaded, true);
+  EXPECT_TRUE(serialize_trace(loaded, true) ==
+              serialize_trace(original, true));
   std::remove(path.c_str());
 }
 
@@ -274,9 +277,9 @@ TEST(SpillFormat, ReadFlowMatchesFilterFlow) {
 }
 
 TEST(SpillFormat, LoadTraceSniffsBinaryFormat) {
-  // load_trace dispatches on the magic, not the extension: a .dtrc file
-  // under a text-ish name still loads, so every consumer of load_trace
-  // (trace_inspect, --diff, examples) reads both formats.
+  // load_trace judges the magic, not the extension: a .dtrc file under a
+  // text-ish name still loads in every consumer of load_trace
+  // (trace_inspect, --diff).
   const PacketTrace original = make_real_trace(true);
   const std::string path = temp_path("spill_sniff.trace");
   save_trace_dtrc(original, path);
@@ -329,8 +332,14 @@ TEST(SpillFormat, CorruptMagicThrows) {
   std::string head = bytes;
   head[0] ^= 0xFF;  // header magic
   write_file(bad, head);
-  EXPECT_THROW(SpillReader r1(bad), std::runtime_error);
-  EXPECT_FALSE(SpillReader::is_dtrc_file(bad));
+  try {
+    SpillReader r1(bad);
+    FAIL() << "bad magic accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("(not a .dtrc file): " + bad),
+              std::string::npos)
+        << e.what();
+  }
 
   std::string tail = bytes;
   tail[tail.size() - 1] ^= 0xFF;  // tail magic
@@ -349,6 +358,51 @@ TEST(SpillFormat, CorruptMagicThrows) {
                std::runtime_error);
   std::remove(path.c_str());
   std::remove(bad.c_str());
+}
+
+TEST(SpillMutation, DecodesOrRejectsAndReencodesStably) {
+  // Bit flips, truncations and splices of a file the writer produced. Each
+  // mutant is rejected with std::runtime_error or decodes; a decoded one
+  // re-encodes to a file that decodes to the same records and encodes to
+  // the same bytes again.
+  const PacketTrace original = make_real_trace(true);
+  const std::string path = temp_path("spill_mutation.dtrc");
+  save_trace_dtrc(original, path);
+  const std::string corpus = read_file(path);
+  ASSERT_GT(corpus.size(), 4000u);
+  const std::string mutant = temp_path("spill_mutant.dtrc");
+  const std::string again = temp_path("spill_mutant_again.dtrc");
+  std::mt19937 gen(20111105);
+  int rejected = 0;
+  int decoded = 0;
+  for (int iter = 0; iter < 20000; ++iter) {
+    write_file(mutant, dyncdn::testing::mutate(corpus, gen));
+    PacketTrace first;
+    try {
+      first = load_trace(mutant);
+    } catch (const std::runtime_error&) {
+      ++rejected;
+      continue;
+    }
+    ++decoded;
+    save_trace_dtrc(first, again);
+    const std::string encoded = read_file(again);
+    PacketTrace second;
+    ASSERT_NO_THROW(second = load_trace(again)) << "iteration " << iter;
+    expect_traces_equal(first, second, true);
+    save_trace_dtrc(second, again);
+    EXPECT_TRUE(read_file(again) == encoded) << "iteration " << iter;
+    if (HasFailure()) {
+      ADD_FAILURE() << "iteration " << iter;
+      return;
+    }
+  }
+  // Both outcomes occur, so neither check above is vacuous.
+  EXPECT_GT(rejected, 1000);
+  EXPECT_GT(decoded, 1000);
+  std::remove(path.c_str());
+  std::remove(mutant.c_str());
+  std::remove(again.c_str());
 }
 
 // ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@
 #include <string>
 #include <vector>
 
-#include "capture/serialize.hpp"
 #include "core/inference.hpp"
 #include "obs/export_chrome.hpp"
 #include "obs/export_prometheus.hpp"
@@ -308,9 +307,8 @@ void write_attribution_outputs(const CliOptions& cli,
 
 /// Attach a streaming SpillWriter sink to every client recorder: packets
 /// encode straight into per-client binary .dtrc files (capture/spill.hpp)
-/// and nothing accumulates in memory. trace_inspect and load_trace read
-/// .dtrc transparently; `trace_inspect convert` produces the text form
-/// when grep-ability matters.
+/// and nothing accumulates in memory. trace_inspect reads the files back;
+/// `trace_inspect convert` dumps one as text when grep-ability matters.
 std::vector<std::unique_ptr<capture::SpillWriter>> attach_trace_writers(
     testbed::Scenario& scenario, const std::string& dir) {
   std::error_code ec;

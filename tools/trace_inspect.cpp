@@ -1,7 +1,11 @@
 // trace_inspect — offline analyzer for saved dyncdn traces.
 //
+// Captures are binary .dtrc files (--save-traces); any other file is
+// refused with an error naming it. Span files are --trace-out Chrome
+// traces, read back by obs::read_chrome_trace.
+//
 // Packet mode (default):
-//   trace_inspect <trace-file> [boundary]
+//   trace_inspect <capture.dtrc> [boundary]
 //
 // Prints the connections found in a packet capture, discovers the
 // static/dynamic boundary by cross-query content analysis (when payloads
@@ -10,19 +14,20 @@
 // query. Both steps replay the capture through analysis::StreamingAnalyzer.
 //
 // Span mode:
-//   trace_inspect spans <trace.json> [--diff=<capture.trace>]
+//   trace_inspect spans <trace.json> [--diff=<capture.dtrc>]
 //       [--boundary=N] [--node=NAME] [--tree]
 //
 // Reads a Chrome trace_event file written by --trace-out, prints the span
 // tree (per-query Fig. 2 timelines), and — with --diff — reconstructs each
-// query's tb/t_synack/t1..te from the tcp.flow span events and compares
-// them against the packet-capture analysis pipeline at tolerance 0: the
-// two observation paths (in-process spans vs. offline tcpdump-style
-// analysis) must agree on every timestamp, bit for bit. A tcp.flow span
-// whose local_port is not a port number is refused, naming the span.
+// query's tb/t_synack/t1..te from its tcp.flow span
+// (analysis::timeline_from_flow_span) and compares them against the
+// packet-capture analysis pipeline at tolerance 0: the two observation
+// paths (in-process spans vs. offline tcpdump-style analysis) must agree
+// on every timestamp, bit for bit. A tcp.flow span whose local_port is not
+// a port number is refused, naming the span.
 //
 // Attribution mode:
-//   trace_inspect attribution <trace.json> [--diff=<capture.trace>]
+//   trace_inspect attribution <trace.json> [--diff=<capture.dtrc>]
 //       [--boundary=N]
 //
 // Runs the per-query latency attribution reducer over the span forest and
@@ -45,6 +50,12 @@
 //
 // Pretty-prints a --slow-log flight-recorder dump; --tree includes each
 // promoted query's retained span subtree.
+//
+// Convert mode:
+//   trace_inspect convert <in.dtrc> <out>
+//
+// Re-encodes a capture as .dtrc when <out> ends in .dtrc, and otherwise
+// writes the human-readable text dump (capture/serialize.hpp).
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
@@ -55,6 +66,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analysis/span_attribution.hpp"
@@ -64,6 +76,8 @@
 #include "core/inference.hpp"
 #include "core/timings.hpp"
 #include "obs/attribution.hpp"
+#include "obs/export_chrome.hpp"
+#include "obs/flight.hpp"
 #include "obs/json.hpp"
 #include "obs/trace.hpp"
 #include "sim/parse.hpp"
@@ -86,223 +100,148 @@ bool parse_boundary(const char* text, const char* what, std::size_t& out) {
 }
 
 // ---------------------------------------------------------------------------
-// Span mode
+// Input files. Each loader names the file in its error and returns nullopt;
+// the caller exits 1.
 // ---------------------------------------------------------------------------
 
-struct SpanNode {
-  std::int64_t id = 0;
-  std::int64_t parent = 0;
-  std::string name;
-  std::string cat;
-  std::int64_t start_ns = 0;
-  std::int64_t end_ns = 0;
-  /// Pretty-printable args (export order), minus the structural ones.
-  std::vector<std::pair<std::string, std::string>> args;
-
-  struct Event {
-    std::string name;
-    std::int64_t at_ns = 0;
-    std::int64_t off = -1;  // rx events: stream offset
-    std::int64_t len = -1;  // rx events: payload length
-  };
-  std::vector<Event> events;
-  std::vector<std::size_t> children;
-};
-
-std::string arg_to_string(const obs::json::Value& v) {
-  using Type = obs::json::Value::Type;
-  switch (v.type) {
-    case Type::kString:
-      return "\"" + v.string + "\"";
-    case Type::kNumber: {
-      if (v.is_integer) return std::to_string(v.integer);
-      char buf[32];
-      std::snprintf(buf, sizeof(buf), "%g", v.number);
-      return buf;
-    }
-    case Type::kBool:
-      return v.boolean ? "true" : "false";
-    default:
-      return "?";
-  }
-}
-
-/// Parse the traceEvents array into a span forest. Returns false on
-/// malformed input.
-bool load_spans(const std::string& path, std::vector<SpanNode>& nodes,
-                std::vector<std::size_t>& roots) {
+std::optional<std::string> read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) {
     std::fprintf(stderr, "error: cannot open %s\n", path.c_str());
-    return false;
+    return std::nullopt;
   }
   std::stringstream ss;
   ss << in.rdbuf();
-  const auto doc = obs::json::parse(ss.str());
-  if (!doc) {
-    std::fprintf(stderr, "error: %s is not valid JSON\n", path.c_str());
-    return false;
-  }
-  const obs::json::Value* events = doc->get("traceEvents");
-  if (!events || !events->is_array()) {
-    std::fprintf(stderr, "error: no traceEvents array in %s\n", path.c_str());
-    return false;
-  }
-
-  std::map<std::int64_t, std::size_t> by_id;
-  for (const obs::json::Value& ev : events->array) {
-    const obs::json::Value* ph = ev.get("ph");
-    const obs::json::Value* jargs = ev.get("args");
-    if (!ph || !jargs) continue;
-    if (ph->as_string() == "X") {
-      SpanNode n;
-      if (const auto* v = ev.get("name")) n.name = v->as_string();
-      if (const auto* v = ev.get("cat")) n.cat = v->as_string();
-      if (const auto* v = jargs->get("span_id")) n.id = v->as_int();
-      if (const auto* v = jargs->get("parent")) n.parent = v->as_int();
-      if (const auto* v = jargs->get("start_ns")) n.start_ns = v->as_int();
-      if (const auto* v = jargs->get("end_ns")) n.end_ns = v->as_int();
-      for (const auto& [key, val] : jargs->object) {
-        if (key == "span_id" || key == "parent" || key == "start_ns" ||
-            key == "end_ns" || key == "open") {
-          continue;
-        }
-        n.args.emplace_back(key, arg_to_string(val));
-      }
-      by_id[n.id] = nodes.size();
-      nodes.push_back(std::move(n));
-    } else if (ph->as_string() == "i") {
-      SpanNode::Event e;
-      if (const auto* v = ev.get("name")) e.name = v->as_string();
-      if (const auto* v = jargs->get("at_ns")) e.at_ns = v->as_int();
-      if (const auto* v = jargs->get("off")) e.off = v->as_int();
-      if (const auto* v = jargs->get("len")) e.len = v->as_int();
-      const obs::json::Value* sid = jargs->get("span_id");
-      if (!sid) continue;
-      const auto it = by_id.find(sid->as_int());
-      if (it != by_id.end()) nodes[it->second].events.push_back(std::move(e));
-    }
-  }
-
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    const auto it = by_id.find(nodes[i].parent);
-    if (nodes[i].parent != 0 && it != by_id.end()) {
-      nodes[it->second].children.push_back(i);
-    } else {
-      roots.push_back(i);
-    }
-  }
-  return true;
+  return ss.str();
 }
 
-void print_span(const std::vector<SpanNode>& nodes, std::size_t idx,
-                int depth) {
-  const SpanNode& n = nodes[idx];
-  std::printf("%*s[%s] %s  %.6f ms  +%.6f ms", depth * 2, "", n.cat.c_str(),
-              n.name.c_str(), static_cast<double>(n.start_ns) / 1e6,
-              static_cast<double>(n.end_ns - n.start_ns) / 1e6);
-  for (const auto& [key, val] : n.args) {
-    std::printf("  %s=%s", key.c_str(), val.c_str());
+std::optional<obs::json::Value> load_json(const std::string& path) {
+  const auto text = read_file(path);
+  if (!text) return std::nullopt;
+  auto doc = obs::json::parse(*text);
+  if (!doc) std::fprintf(stderr, "error: %s is not valid JSON\n", path.c_str());
+  return doc;
+}
+
+/// The spans of a --trace-out file.
+std::optional<std::vector<obs::SpanRecord>> read_span_file(
+    const std::string& path) {
+  const auto doc = load_json(path);
+  if (!doc) return std::nullopt;
+  try {
+    return obs::read_chrome_trace(*doc);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s in %s\n", e.what(), path.c_str());
+    return std::nullopt;
   }
-  std::printf("\n");
-  for (const SpanNode::Event& e : n.events) {
-    std::printf("%*s. %s @%.6f ms", depth * 2 + 2, "", e.name.c_str(),
-                static_cast<double>(e.at_ns) / 1e6);
-    if (e.off >= 0) {
-      std::printf(" off=%" PRId64 " len=%" PRId64, e.off, e.len);
+}
+
+/// A .dtrc capture (capture::load_trace names the file in its errors).
+std::optional<capture::PacketTrace> load_capture(const std::string& path) {
+  try {
+    return capture::load_trace(path);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return std::nullopt;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Span trees (span mode and slow-query mode)
+// ---------------------------------------------------------------------------
+
+std::string format_arg(const obs::ArgValue& v) {
+  switch (v.type) {
+    case obs::ArgValue::Type::kString:
+      return "\"" + v.s + "\"";
+    case obs::ArgValue::Type::kInt:
+      return std::to_string(v.i);
+    case obs::ArgValue::Type::kDouble: {
+      char buf[32];
+      std::snprintf(buf, sizeof(buf), "%g", v.d);
+      return buf;
+    }
+  }
+  return "?";
+}
+
+/// Parent links of a span list: a span whose parent is absent is a root.
+struct SpanForest {
+  std::vector<std::size_t> roots;
+  std::vector<std::vector<std::size_t>> children;
+
+  explicit SpanForest(const std::vector<obs::SpanRecord>& spans)
+      : children(spans.size()) {
+    std::map<obs::SpanId, std::size_t> by_id;
+    for (std::size_t i = 0; i < spans.size(); ++i) by_id[spans[i].id] = i;
+    for (std::size_t i = 0; i < spans.size(); ++i) {
+      const auto it = by_id.find(spans[i].parent);
+      if (spans[i].parent != obs::kNoSpan && it != by_id.end()) {
+        children[it->second].push_back(i);
+      } else {
+        roots.push_back(i);
+      }
+    }
+  }
+};
+
+/// Print each root's tree, depth first, `depth` levels in. The walk keeps
+/// its own stack: a span file's parent chain can be as deep as the file is
+/// long.
+void print_forest(const std::vector<obs::SpanRecord>& spans,
+                  const SpanForest& forest, int depth) {
+  std::vector<std::pair<std::size_t, int>> todo;
+  for (auto r = forest.roots.rbegin(); r != forest.roots.rend(); ++r) {
+    todo.emplace_back(*r, depth);
+  }
+  while (!todo.empty()) {
+    const auto [idx, level] = todo.back();
+    todo.pop_back();
+    const obs::SpanRecord& n = spans[idx];
+    std::printf("%*s[%s] %s  %.6f ms  +%.6f ms", level * 2, "",
+                n.category.c_str(), n.name.c_str(),
+                static_cast<double>(n.start.ns()) / 1e6,
+                static_cast<double>(n.end.ns() - n.start.ns()) / 1e6);
+    for (const obs::Arg& a : n.args) {
+      std::printf("  %s=%s", a.key.c_str(), format_arg(a.value).c_str());
     }
     std::printf("\n");
+    for (const obs::SpanEvent& e : n.events) {
+      std::printf("%*s. %s @%.6f ms", level * 2 + 2, "", e.name.c_str(),
+                  static_cast<double>(e.at.ns()) / 1e6);
+      // rx segments; ArgValue::i reads 0 for an arg that is not an int.
+      const obs::ArgValue* off = obs::find_arg(e.args, "off");
+      const obs::ArgValue* len = obs::find_arg(e.args, "len");
+      if (off != nullptr && off->i >= 0) {
+        std::printf(" off=%" PRId64 " len=%" PRId64, off->i,
+                    len != nullptr ? len->i : std::int64_t{-1});
+      }
+      std::printf("\n");
+    }
+    const std::vector<std::size_t>& kids = forest.children[idx];
+    for (auto c = kids.rbegin(); c != kids.rend(); ++c) {
+      todo.emplace_back(*c, level + 1);
+    }
   }
-  for (const std::size_t c : n.children) print_span(nodes, c, depth + 1);
 }
 
-/// Timeline reconstructed from one tcp.flow span, for the --diff check.
+// ---------------------------------------------------------------------------
+// Span mode
+// ---------------------------------------------------------------------------
+
+/// Timeline of one tcp.flow span, for the --diff check.
 struct SpanTimeline {
   std::string node_name;  // from the parent query span
   std::uint64_t local_port = 0;
   analysis::QueryTimeline tl;
 };
 
-/// nullopt, after naming the span, when a tcp.flow span's local_port is
-/// not a port number.
-std::optional<std::vector<SpanTimeline>> reconstruct_timelines(
-    const std::vector<SpanNode>& nodes, std::size_t boundary) {
-  std::map<std::int64_t, std::size_t> by_id;
-  for (std::size_t i = 0; i < nodes.size(); ++i) by_id[nodes[i].id] = i;
-
-  std::vector<SpanTimeline> out;
-  for (const SpanNode& n : nodes) {
-    if (n.name != "tcp.flow") continue;
-    SpanTimeline st;
-    for (const auto& [key, val] : n.args) {
-      if (key == "local_port") {
-        const auto port = sim::parse_uint(val);
-        if (!port || *port > 65535) {
-          std::fprintf(stderr, "error: span %" PRId64
-                       ": bad local_port value %s\n",
-                       n.id, val.c_str());
-          return std::nullopt;
-        }
-        st.local_port = *port;
-      }
-    }
-    const auto pit = by_id.find(n.parent);
-    if (pit != by_id.end()) {
-      for (const auto& [key, val] : nodes[pit->second].args) {
-        // Strip the quotes arg_to_string added around the string value.
-        if (key == "node" && val.size() >= 2) {
-          st.node_name = val.substr(1, val.size() - 2);
-        }
-      }
-    }
-
-    bool saw_syn = false, saw_synack = false, saw_t1 = false, saw_t2 = false;
-    std::vector<analysis::ReassembledStream::Segment> segments;
-    for (const SpanNode::Event& e : n.events) {
-      const sim::SimTime at = sim::SimTime::nanoseconds(e.at_ns);
-      if (e.name == "syn" && !saw_syn) {
-        st.tl.tb = at;
-        saw_syn = true;
-      } else if (e.name == "synack" && !saw_synack) {
-        st.tl.t_synack = at;
-        saw_synack = true;
-      } else if (e.name == "tx_data" && !saw_t1) {
-        st.tl.t1 = at;
-        saw_t1 = true;
-      } else if (e.name == "ack_data" && !saw_t2) {
-        st.tl.t2 = at;
-        saw_t2 = true;
-      } else if (e.name == "rx" && e.off >= 0 && e.len > 0) {
-        segments.push_back(analysis::ReassembledStream::Segment{
-            static_cast<std::size_t>(e.off), static_cast<std::size_t>(e.len),
-            at});
-      }
-    }
-    if (!saw_syn || !saw_synack || !saw_t1 || !saw_t2) {
-      st.tl.invalid_reason = "incomplete handshake/request events";
-      out.push_back(std::move(st));
-      continue;
-    }
-    // The exact same data-plane analysis the packet pipeline runs.
-    const auto stream =
-        analysis::ReassembledStream::from_segments(std::move(segments));
-    analysis::finish_timeline_from_stream(st.tl, stream, boundary);
-    out.push_back(std::move(st));
-  }
-  return out;
-}
-
-int diff_against_capture(const std::vector<SpanNode>& nodes,
+int diff_against_capture(const std::vector<obs::SpanRecord>& spans,
                          const std::string& capture_path,
                          std::size_t boundary, const std::string& node_name) {
-  capture::PacketTrace trace;
-  try {
-    trace = capture::load_trace(capture_path);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
-  }
-  const capture::PacketTrace web = trace.filter_remote_port(80);
+  const auto trace = load_capture(capture_path);
+  if (!trace) return 1;
+  const capture::PacketTrace web = trace->filter_remote_port(80);
 
   if (boundary == 0) boundary = analysis::probe_boundary(web, 80).boundary;
   if (boundary == 0) {
@@ -312,8 +251,33 @@ int diff_against_capture(const std::vector<SpanNode>& nodes,
     return 1;
   }
 
-  const auto span_tls = reconstruct_timelines(nodes, boundary);
-  if (!span_tls) return 1;
+  std::map<obs::SpanId, std::size_t> by_id;
+  for (std::size_t i = 0; i < spans.size(); ++i) by_id[spans[i].id] = i;
+  std::vector<SpanTimeline> span_tls;
+  for (const obs::SpanRecord& span : spans) {
+    if (span.name != "tcp.flow") continue;
+    SpanTimeline st;
+    if (const obs::ArgValue* port = obs::find_arg(span.args, "local_port")) {
+      if (port->type != obs::ArgValue::Type::kInt || port->i < 0 ||
+          port->i > 65535) {
+        std::fprintf(stderr, "error: span %" PRId64
+                     ": bad local_port value %s\n",
+                     static_cast<std::int64_t>(span.id),
+                     format_arg(*port).c_str());
+        return 1;
+      }
+      st.local_port = static_cast<std::uint64_t>(port->i);
+    }
+    if (const auto it = by_id.find(span.parent); it != by_id.end()) {
+      const obs::ArgValue* node =
+          obs::find_arg(spans[it->second].args, "node");
+      if (node != nullptr && node->type == obs::ArgValue::Type::kString) {
+        st.node_name = node->s;
+      }
+    }
+    st.tl = analysis::timeline_from_flow_span(span, boundary);
+    span_tls.push_back(std::move(st));
+  }
   const auto capture_tls = analysis::extract_all_timelines(web, 80, boundary);
 
   std::size_t compared = 0, mismatches = 0, unmatched = 0;
@@ -321,7 +285,7 @@ int diff_against_capture(const std::vector<SpanNode>& nodes,
     if (!ct.valid) continue;
     const SpanTimeline* match = nullptr;
     bool ambiguous = false;
-    for (const SpanTimeline& st : *span_tls) {
+    for (const SpanTimeline& st : span_tls) {
       if (st.local_port != ct.flow.local.port) continue;
       if (!node_name.empty() && st.node_name != node_name) continue;
       if (st.tl.tb != ct.tb) continue;  // same port on another vantage point
@@ -375,7 +339,7 @@ int inspect_spans(int argc, char** argv) {
   if (argc < 3) {
     std::fprintf(stderr,
                  "usage: trace_inspect spans <trace.json> "
-                 "[--diff=<capture.trace>] [--boundary=N] [--node=NAME] "
+                 "[--diff=<capture.dtrc>] [--boundary=N] [--node=NAME] "
                  "[--tree]\n");
     return 2;
   }
@@ -399,16 +363,15 @@ int inspect_spans(int argc, char** argv) {
     }
   }
 
-  std::vector<SpanNode> nodes;
-  std::vector<std::size_t> roots;
-  if (!load_spans(json_path, nodes, roots)) return 1;
-  std::printf("spans: %zu total, %zu roots\n", nodes.size(), roots.size());
+  const auto spans = read_span_file(json_path);
+  if (!spans) return 1;
+  const SpanForest forest(*spans);
+  std::printf("spans: %zu total, %zu roots\n", spans->size(),
+              forest.roots.size());
 
-  if (tree || diff_path.empty()) {
-    for (const std::size_t r : roots) print_span(nodes, r, 0);
-  }
+  if (tree || diff_path.empty()) print_forest(*spans, forest, 0);
   if (!diff_path.empty()) {
-    return diff_against_capture(nodes, diff_path, boundary, node_name);
+    return diff_against_capture(*spans, diff_path, boundary, node_name);
   }
   return 0;
 }
@@ -416,96 +379,6 @@ int inspect_spans(int argc, char** argv) {
 // ---------------------------------------------------------------------------
 // Attribution mode
 // ---------------------------------------------------------------------------
-
-obs::ArgValue typed_arg(const obs::json::Value& v) {
-  using Type = obs::json::Value::Type;
-  switch (v.type) {
-    case Type::kString:
-      return obs::ArgValue::of(v.string);
-    case Type::kNumber:
-      if (v.is_integer) return obs::ArgValue::of(v.integer);
-      return obs::ArgValue::of(v.number);
-    case Type::kBool:
-      return obs::ArgValue::of(static_cast<std::int64_t>(v.boolean));
-    default:
-      return obs::ArgValue::of(std::int64_t{0});
-  }
-}
-
-bool structural_span_key(const std::string& key) {
-  return key == "span_id" || key == "parent" || key == "start_ns" ||
-         key == "end_ns" || key == "open" || key == "at_ns";
-}
-
-/// Parse a Chrome trace_event file back into the SpanRecord shape the
-/// in-process reducers consume, typed args included.
-bool load_span_records(const std::string& path,
-                       std::vector<obs::SpanRecord>& records) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    std::fprintf(stderr, "error: cannot open %s\n", path.c_str());
-    return false;
-  }
-  std::stringstream ss;
-  ss << in.rdbuf();
-  const auto doc = obs::json::parse(ss.str());
-  if (!doc) {
-    std::fprintf(stderr, "error: %s is not valid JSON\n", path.c_str());
-    return false;
-  }
-  const obs::json::Value* events = doc->get("traceEvents");
-  if (!events || !events->is_array()) {
-    std::fprintf(stderr, "error: no traceEvents array in %s\n", path.c_str());
-    return false;
-  }
-
-  std::map<std::int64_t, std::size_t> by_id;
-  for (const obs::json::Value& ev : events->array) {
-    const obs::json::Value* ph = ev.get("ph");
-    const obs::json::Value* jargs = ev.get("args");
-    if (!ph || !jargs) continue;
-    if (ph->as_string() == "X") {
-      obs::SpanRecord r;
-      if (const auto* v = ev.get("name")) r.name = v->as_string();
-      if (const auto* v = ev.get("cat")) r.category = v->as_string();
-      if (const auto* v = jargs->get("span_id")) {
-        r.id = static_cast<obs::SpanId>(v->as_int());
-      }
-      if (const auto* v = jargs->get("parent")) {
-        r.parent = static_cast<obs::SpanId>(v->as_int());
-      }
-      if (const auto* v = jargs->get("start_ns")) {
-        r.start = sim::SimTime::nanoseconds(v->as_int());
-      }
-      if (const auto* v = jargs->get("end_ns")) {
-        r.end = sim::SimTime::nanoseconds(v->as_int());
-      }
-      r.open = jargs->get("open") != nullptr;
-      for (const auto& [key, val] : jargs->object) {
-        if (structural_span_key(key)) continue;
-        r.args.push_back(obs::Arg{key, typed_arg(val)});
-      }
-      by_id[static_cast<std::int64_t>(r.id)] = records.size();
-      records.push_back(std::move(r));
-    } else if (ph->as_string() == "i") {
-      const obs::json::Value* sid = jargs->get("span_id");
-      if (!sid) continue;
-      const auto it = by_id.find(sid->as_int());
-      if (it == by_id.end()) continue;
-      obs::SpanEvent e;
-      if (const auto* v = ev.get("name")) e.name = v->as_string();
-      if (const auto* v = jargs->get("at_ns")) {
-        e.at = sim::SimTime::nanoseconds(v->as_int());
-      }
-      for (const auto& [key, val] : jargs->object) {
-        if (structural_span_key(key)) continue;
-        e.args.push_back(obs::Arg{key, typed_arg(val)});
-      }
-      records[it->second].events.push_back(std::move(e));
-    }
-  }
-  return true;
-}
 
 void print_attribution_table(const obs::QueryAttribution& attribution) {
   std::printf("queries=%" PRIu64 " reconcile_failures=%" PRIu64
@@ -534,14 +407,7 @@ void print_attribution_table(const obs::QueryAttribution& attribution) {
 /// anchors t2/t5 must match some capture timeline exactly, and the
 /// component sum must telescope to t5 - t2 in integer nanoseconds.
 int diff_attribution(const analysis::SpanAttributionResult& result,
-                     const std::string& capture_path, std::size_t boundary) {
-  capture::PacketTrace trace;
-  try {
-    trace = capture::load_trace(capture_path);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
-  }
+                     const capture::PacketTrace& trace, std::size_t boundary) {
   const capture::PacketTrace web = trace.filter_remote_port(80);
   const auto capture_tls = analysis::extract_all_timelines(web, 80, boundary);
 
@@ -589,7 +455,7 @@ int inspect_attribution(int argc, char** argv) {
   if (argc < 3) {
     std::fprintf(stderr,
                  "usage: trace_inspect attribution <trace.json> "
-                 "[--diff=<capture.trace>] [--boundary=N]\n");
+                 "[--diff=<capture.dtrc>] [--boundary=N]\n");
     return 2;
   }
   const std::string json_path = argv[2];
@@ -607,22 +473,18 @@ int inspect_attribution(int argc, char** argv) {
     }
   }
 
-  std::vector<obs::SpanRecord> records;
-  if (!load_span_records(json_path, records)) return 1;
-
-  if (boundary == 0 && !diff_path.empty()) {
-    try {
-      boundary =
-          analysis::probe_boundary(capture::load_trace(diff_path), 80).boundary;
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "error: %s\n", e.what());
-      return 1;
-    }
+  const auto records = read_span_file(json_path);
+  if (!records) return 1;
+  std::optional<capture::PacketTrace> trace;
+  if (!diff_path.empty()) {
+    trace = load_capture(diff_path);
+    if (!trace) return 1;
+    if (boundary == 0) boundary = analysis::probe_boundary(*trace, 80).boundary;
   }
   if (boundary == 0) {
     // Span-only invocation: recover the static/dynamic split from the
     // FE's static_flush byte stamp instead of requiring a capture.
-    boundary = analysis::boundary_from_spans(records);
+    boundary = analysis::boundary_from_spans(*records);
     if (boundary != 0) {
       std::printf("boundary %zu (from static_flush spans)\n", boundary);
     } else {
@@ -634,7 +496,7 @@ int inspect_attribution(int argc, char** argv) {
   }
 
   const analysis::SpanAttributionResult result =
-      analysis::extract_attribution(records, boundary);
+      analysis::extract_attribution(*records, boundary);
   obs::QueryAttribution attribution;
   for (const double ms : result.dns_ms) attribution.observe_dns_ms(ms);
   for (std::size_t i = 0; i < result.skipped; ++i) attribution.skip();
@@ -643,9 +505,7 @@ int inspect_attribution(int argc, char** argv) {
   }
   print_attribution_table(attribution);
 
-  if (!diff_path.empty()) {
-    return diff_attribution(result, diff_path, boundary);
-  }
+  if (trace) return diff_attribution(result, *trace, boundary);
   return attribution.reconcile_failures() == 0 ? 0 : 1;
 }
 
@@ -685,22 +545,13 @@ int inspect_timeseries(int argc, char** argv) {
     return 2;
   }
   const std::string path = argv[2];
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    std::fprintf(stderr, "error: cannot open %s\n", path.c_str());
-    return 1;
-  }
-  std::stringstream ss;
-  ss << in.rdbuf();
-  const std::string text = ss.str();
-
   std::vector<std::uint64_t> ticks;
   std::vector<SeriesColumn> columns;
 
-  const bool csv =
-      path.size() >= 4 && path.compare(path.size() - 4, 4, ".csv") == 0;
-  if (csv) {
-    std::stringstream lines(text);
+  if (std::string_view(path).ends_with(".csv")) {
+    const auto text = read_file(path);
+    if (!text) return 1;
+    std::stringstream lines(*text);
     std::string line;
     std::size_t line_no = 0;
     bool header = true;
@@ -743,11 +594,8 @@ int inspect_timeseries(int argc, char** argv) {
       header = false;
     }
   } else {
-    const auto doc = obs::json::parse(text);
-    if (!doc) {
-      std::fprintf(stderr, "error: %s is not valid JSON\n", path.c_str());
-      return 1;
-    }
+    const auto doc = load_json(path);
+    if (!doc) return 1;
     // The CSV rules: whole non-negative ticks, finite non-negative values,
     // one value per tick in every channel, and a positive interval.
     const auto malformed = [&](const std::string& what) {
@@ -806,51 +654,6 @@ int inspect_timeseries(int argc, char** argv) {
 // Slow-query mode
 // ---------------------------------------------------------------------------
 
-/// Rebuild the span-tree view from a flight-recorder dump entry (the
-/// entry's spans use the same field names as the Chrome exporter's args).
-void collect_slow_spans(const obs::json::Value& jspans,
-                        std::vector<SpanNode>& nodes,
-                        std::vector<std::size_t>& roots) {
-  std::map<std::int64_t, std::size_t> by_id;
-  for (const obs::json::Value& js : jspans.array) {
-    SpanNode n;
-    if (const auto* v = js.get("id")) n.id = v->as_int();
-    if (const auto* v = js.get("parent")) n.parent = v->as_int();
-    if (const auto* v = js.get("name")) n.name = v->as_string();
-    if (const auto* v = js.get("cat")) n.cat = v->as_string();
-    if (const auto* v = js.get("start_ns")) n.start_ns = v->as_int();
-    if (const auto* v = js.get("end_ns")) n.end_ns = v->as_int();
-    if (const auto* jargs = js.get("args"); jargs && jargs->is_object()) {
-      for (const auto& [key, val] : jargs->object) {
-        n.args.emplace_back(key, arg_to_string(val));
-      }
-    }
-    if (const auto* jevents = js.get("events");
-        jevents && jevents->is_array()) {
-      for (const auto& je : jevents->array) {
-        SpanNode::Event e;
-        if (const auto* v = je.get("name")) e.name = v->as_string();
-        if (const auto* v = je.get("at_ns")) e.at_ns = v->as_int();
-        if (const auto* ja = je.get("args"); ja && ja->is_object()) {
-          if (const auto* v = ja->get("off")) e.off = v->as_int();
-          if (const auto* v = ja->get("len")) e.len = v->as_int();
-        }
-        n.events.push_back(std::move(e));
-      }
-    }
-    by_id[n.id] = nodes.size();
-    nodes.push_back(std::move(n));
-  }
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    const auto it = by_id.find(nodes[i].parent);
-    if (nodes[i].parent != 0 && it != by_id.end()) {
-      nodes[it->second].children.push_back(i);
-    } else {
-      roots.push_back(i);
-    }
-  }
-}
-
 int inspect_slow(int argc, char** argv) {
   if (argc < 3) {
     std::fprintf(stderr, "usage: trace_inspect slow <slow.json> [--tree]\n");
@@ -866,18 +669,8 @@ int inspect_slow(int argc, char** argv) {
       return 2;
     }
   }
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    std::fprintf(stderr, "error: cannot open %s\n", path.c_str());
-    return 1;
-  }
-  std::stringstream ss;
-  ss << in.rdbuf();
-  const auto doc = obs::json::parse(ss.str());
-  if (!doc) {
-    std::fprintf(stderr, "error: %s is not valid JSON\n", path.c_str());
-    return 1;
-  }
+  const auto doc = load_json(path);
+  if (!doc) return 1;
   std::printf("observed: %" PRId64 " queries, trigger threshold %.3f ms\n",
               doc->get("observed") ? doc->get("observed")->as_int() : 0,
               doc->get("threshold_ms") ? doc->get("threshold_ms")->as_double()
@@ -902,14 +695,15 @@ int inspect_slow(int argc, char** argv) {
                 e.get("end_ns")
                     ? static_cast<double>(e.get("end_ns")->as_int()) / 1e6
                     : 0.0);
-    if (tree) {
-      if (const auto* jspans = e.get("spans");
-          jspans && jspans->is_array()) {
-        std::vector<SpanNode> nodes;
-        std::vector<std::size_t> roots;
-        collect_slow_spans(*jspans, nodes, roots);
-        for (const std::size_t r : roots) print_span(nodes, r, 1);
+    if (const auto* jspans = e.get("spans"); tree && jspans != nullptr) {
+      std::vector<obs::SpanRecord> spans;
+      try {
+        spans = obs::FlightRecorder::read_spans(*jspans);
+      } catch (const std::exception& ex) {
+        std::fprintf(stderr, "error: %s in %s\n", ex.what(), path.c_str());
+        return 1;
       }
+      print_forest(spans, SpanForest(spans), 1);
     }
   }
   return 0;
@@ -924,17 +718,12 @@ int inspect_packets(int argc, char** argv) {
   std::size_t boundary = 0;
   if (argc > 2 && !parse_boundary(argv[2], "boundary", boundary)) return 2;
 
-  capture::PacketTrace trace;
-  try {
-    trace = capture::load_trace(argv[1]);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
-  }
-  std::printf("trace: %zu packets captured at node %u\n", trace.size(),
-              trace.node().value());
+  const auto trace = load_capture(argv[1]);
+  if (!trace) return 1;
+  std::printf("trace: %zu packets captured at node %u\n", trace->size(),
+              trace->node().value());
 
-  const capture::PacketTrace web = trace.filter_remote_port(80);
+  const capture::PacketTrace web = trace->filter_remote_port(80);
   std::printf("web connections: %zu\n", web.flows().size());
 
   if (boundary == 0) {
@@ -973,15 +762,14 @@ int inspect_packets(int argc, char** argv) {
 }
 
 // ---------------------------------------------------------------------------
-// Convert mode: text <-> binary .dtrc
+// Convert mode: .dtrc to .dtrc or to the text dump
 // ---------------------------------------------------------------------------
 
 int convert_trace(int argc, char** argv) {
   if (argc < 4) {
-    std::fprintf(stderr, "usage: trace_inspect convert <in> <out>\n"
-                         "  input format is sniffed (.dtrc magic vs text);\n"
-                         "  output format follows the output extension\n"
-                         "  (.dtrc = binary, anything else = text)\n");
+    std::fprintf(stderr, "usage: trace_inspect convert <in.dtrc> <out>\n"
+                         "  writes .dtrc when <out> ends in .dtrc, and the\n"
+                         "  text dump otherwise\n");
     return 2;
   }
   const std::string in = argv[2];
@@ -1008,17 +796,16 @@ int convert_trace(int argc, char** argv) {
 int main(int argc, char** argv) {
   if (argc < 2) {
     std::fprintf(stderr,
-                 "usage: trace_inspect <trace-file> [boundary]\n"
-                 "         packet capture analysis; reads the text format "
-                 "or binary .dtrc\n"
-                 "       trace_inspect convert <in> <out>\n"
-                 "         translate a capture between text and binary "
-                 ".dtrc (by output extension)\n"
+                 "usage: trace_inspect <capture.dtrc> [boundary]\n"
+                 "         packet capture analysis\n"
+                 "       trace_inspect convert <in.dtrc> <out>\n"
+                 "         re-encode as .dtrc, or dump as text (by output "
+                 "extension)\n"
                  "       trace_inspect spans <trace.json> "
-                 "[--diff=<capture.trace>] [--boundary=N] [--node=NAME] "
+                 "[--diff=<capture.dtrc>] [--boundary=N] [--node=NAME] "
                  "[--tree]\n"
                  "       trace_inspect attribution <trace.json> "
-                 "[--diff=<capture.trace>] [--boundary=N]\n"
+                 "[--diff=<capture.dtrc>] [--boundary=N]\n"
                  "       trace_inspect timeseries <series.csv|series.json>\n"
                  "       trace_inspect slow <slow.json> [--tree]\n");
     return 2;
