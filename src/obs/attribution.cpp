@@ -22,11 +22,7 @@ const std::vector<std::string>& QueryAttribution::component_names() {
   return names;
 }
 
-bool QueryAttribution::observe(const Sample& s) {
-  if (s.t1 < 0 || s.t2 < 0 || s.t5 < 0) {
-    registry_.add("attr_skipped", 1);
-    return false;
-  }
+QueryAttribution::Decomposition QueryAttribution::decompose(const Sample& s) {
   // Collapse missing anchors onto their predecessor so the telescoping
   // sum is exact whether or not the FE-side spans exist (cache hits,
   // untraced FEs).
@@ -34,34 +30,42 @@ bool QueryAttribution::observe(const Sample& s) {
   const std::int64_t a1 = s.fe_recv >= 0 ? s.fe_recv : a0;
   const std::int64_t a2 = s.fetch_start >= 0 ? s.fetch_start : a1;
   const std::int64_t a3 = s.fetch_first_byte >= 0 ? s.fetch_first_byte : a2;
+  Decomposition d;
+  d.uplink = a1 - a0;
+  d.fe_wait = a2 - a1;
+  d.fe_fetch = a3 - a2;
+  d.delivery = s.t5 - a3;
+  d.ack = s.t2 - s.t1;
+  return d;
+}
 
-  const std::int64_t uplink = a1 - a0;
-  const std::int64_t fe_wait = a2 - a1;
-  const std::int64_t fe_fetch = a3 - a2;
-  const std::int64_t delivery = s.t5 - a3;
-  const std::int64_t ack = s.t2 - s.t1;
+bool QueryAttribution::observe(const Sample& s) {
+  if (s.t1 < 0 || s.t2 < 0 || s.t5 < 0) {
+    registry_.add("attr_skipped", 1);
+    return false;
+  }
+  const Decomposition d = decompose(s);
   const std::int64_t t_dynamic = s.t5 - s.t2;
 
-  const bool ordered = uplink >= 0 && fe_wait >= 0 && fe_fetch >= 0 &&
-                       delivery >= 0 && ack >= 0 && t_dynamic >= 0;
+  const bool ordered = d.uplink >= 0 && d.fe_wait >= 0 && d.fe_fetch >= 0 &&
+                       d.delivery >= 0 && d.ack >= 0 && t_dynamic >= 0;
   // Exact integer telescoping identity; a failure here means the span
   // events are inconsistent, not a rounding artifact.
-  const bool telescopes =
-      (uplink + fe_wait + fe_fetch + delivery) - ack == t_dynamic;
-  if (!ordered || !telescopes) {
+  if (!ordered || d.telescoped() != t_dynamic) {
     registry_.add("attr_reconcile_failures", 1);
     return false;
   }
 
   registry_.add("attr_queries", 1);
-  registry_.observe("attr_uplink_ms", static_cast<double>(uplink) / kNsPerMs);
+  registry_.observe("attr_uplink_ms",
+                    static_cast<double>(d.uplink) / kNsPerMs);
   registry_.observe("attr_fe_wait_ms",
-                    static_cast<double>(fe_wait) / kNsPerMs);
+                    static_cast<double>(d.fe_wait) / kNsPerMs);
   registry_.observe("attr_fe_fetch_ms",
-                    static_cast<double>(fe_fetch) / kNsPerMs);
+                    static_cast<double>(d.fe_fetch) / kNsPerMs);
   registry_.observe("attr_delivery_ms",
-                    static_cast<double>(delivery) / kNsPerMs);
-  registry_.observe("attr_ack_ms", static_cast<double>(ack) / kNsPerMs);
+                    static_cast<double>(d.delivery) / kNsPerMs);
+  registry_.observe("attr_ack_ms", static_cast<double>(d.ack) / kNsPerMs);
   registry_.observe("attr_t_dynamic_ms",
                     static_cast<double>(t_dynamic) / kNsPerMs);
   if (s.tb >= 0 && s.t_synack >= s.tb) {

@@ -53,6 +53,24 @@ class QueryAttribution {
     std::int64_t fe_service_ns = -1;     // fe.service span duration
   };
 
+  // The telescoping decomposition of one sample (the header comment's
+  // a0..a3 rule), in exact nanoseconds: absent FE-side anchors collapse
+  // onto their predecessor. observe() and `trace_inspect attribution
+  // --diff` both use it.
+  struct Decomposition {
+    std::int64_t uplink = 0;    // a1 - a0
+    std::int64_t fe_wait = 0;   // a2 - a1
+    std::int64_t fe_fetch = 0;  // a3 - a2
+    std::int64_t delivery = 0;  // t5 - a3
+    std::int64_t ack = 0;       // t2 - t1
+
+    // (uplink + fe_wait + fe_fetch + delivery) - ack; equals t5 - t2.
+    std::int64_t telescoped() const {
+      return uplink + fe_wait + fe_fetch + delivery - ack;
+    }
+  };
+  static Decomposition decompose(const Sample& s);
+
   // Component histogram names in report order.
   static const std::vector<std::string>& component_names();
 

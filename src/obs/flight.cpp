@@ -24,10 +24,13 @@ void append_args(std::string& out, const std::vector<Arg>& args) {
 }
 
 void append_span(std::string& out, const SpanRecord& span) {
+  // Ids as signed integers, like the Chrome-trace writer: read_spans
+  // takes them with as_int, so every id it can return writes back as the
+  // same integer.
   out += "{\"id\":";
-  append_u64(out, span.id);
+  append_i64(out, static_cast<std::int64_t>(span.id));
   out += ",\"parent\":";
-  append_u64(out, span.parent);
+  append_i64(out, static_cast<std::int64_t>(span.parent));
   out += ",\"name\":";
   append_string(out, span.name);
   out += ",\"cat\":";

@@ -1,8 +1,11 @@
 #include "obs/memory.hpp"
 
+#include <pthread.h>
+
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <mutex>
 #include <new>
 
 #if defined(__linux__)
@@ -19,10 +22,141 @@ namespace dyncdn::obs {
 
 namespace {
 
-std::atomic<std::uint64_t> g_live{0};
-std::atomic<std::uint64_t> g_peak{0};
-std::atomic<std::uint64_t> g_allocs{0};
-std::atomic<std::uint64_t> g_frees{0};
+constexpr auto kRelaxed = std::memory_order_relaxed;
+
+/// One thread's counters. Only the owning thread writes them, with a plain
+/// load and store (no locked read-modify-write on the allocation path);
+/// memory_snapshot() reads them from any thread. `live` is signed: a thread
+/// may free what another one allocated.
+struct Counters {
+  std::atomic<std::int64_t> live{0};
+  std::atomic<std::int64_t> peak{0};      // high-water mark of live ...
+  std::atomic<std::uint64_t> epoch{0};    // ... since this reset epoch
+  std::atomic<std::uint64_t> allocs{0};
+  std::atomic<std::uint64_t> frees{0};
+};
+
+/// Folded totals of threads that have exited (and counts made on a thread
+/// after its block was folded).
+struct Retired {
+  std::int64_t live = 0;
+  std::int64_t peak = 0;  // sum of the folded threads' high-water marks
+  std::uint64_t allocs = 0;
+  std::uint64_t frees = 0;
+};
+
+struct ThreadBlock;
+
+/// The registry, guarded by g_mutex: running threads' blocks and the
+/// retired totals. Touched on a thread's first count, at its exit and by
+/// readers, never per allocation.
+std::mutex g_mutex;
+ThreadBlock* g_blocks = nullptr;
+Retired g_retired;
+/// Bumped by reset_peak_live_bytes() (under g_mutex). A block whose epoch
+/// is older has not counted since the reset, so its high-water mark since
+/// then is its live size; its owner rebases at its next count.
+std::atomic<std::uint64_t> g_epoch{1};
+
+template <class T>
+void bump(std::atomic<T>& counter, T delta) {
+  counter.store(counter.load(kRelaxed) + delta, kRelaxed);
+}
+
+/// High-water mark of `c` since the last reset, as a reader sees it.
+std::int64_t peak_since_reset(const Counters& c, std::uint64_t epoch) {
+  return c.epoch.load(kRelaxed) == epoch ? c.peak.load(kRelaxed)
+                                         : c.live.load(kRelaxed);
+}
+
+/// Owner side of a reset: the first count after it starts the new
+/// high-water mark at the live size the reset saw (unchanged since, as
+/// only the owner changes it).
+void rebase(Counters& c, std::int64_t live) {
+  const std::uint64_t epoch = g_epoch.load(kRelaxed);
+  if (c.epoch.load(kRelaxed) != epoch) {
+    c.peak.store(live, kRelaxed);
+    c.epoch.store(epoch, kRelaxed);
+  }
+}
+
+void fold(const Counters& c) {
+  g_retired.peak += peak_since_reset(c, g_epoch.load(kRelaxed));
+  g_retired.live += c.live.load(kRelaxed);
+  g_retired.allocs += c.allocs.load(kRelaxed);
+  g_retired.frees += c.frees.load(kRelaxed);
+}
+
+/// The calling thread's block, linked into g_blocks on the thread's first
+/// count and folded into g_retired at its exit, so joined workers still
+/// count. It is constant-initialized and trivially destructible: no TLS
+/// guard on the allocation path, and no C++ exit-handler registration,
+/// which would allocate from the heap and move later chunks. A pthread
+/// key's destructor does the fold instead, after the thread's C++
+/// thread_local destructors have run (and counted their frees); the main
+/// thread's block stays linked.
+struct ThreadBlock {
+  enum class State : unsigned char { kNew, kLinked, kFolded };
+  Counters counters;
+  ThreadBlock* prev = nullptr;
+  ThreadBlock* next = nullptr;
+  State state = State::kNew;
+};
+
+thread_local ThreadBlock t_block;
+
+void fold_at_exit(void* arg) {
+  auto* block = static_cast<ThreadBlock*>(arg);
+  const std::lock_guard<std::mutex> lock(g_mutex);
+  fold(block->counters);
+  if (block->prev != nullptr) block->prev->next = block->next;
+  if (block->next != nullptr) block->next->prev = block->prev;
+  if (g_blocks == block) g_blocks = block->next;
+  block->state = ThreadBlock::State::kFolded;
+}
+
+pthread_key_t exit_key() {
+  static const pthread_key_t key = [] {
+    pthread_key_t k;
+    if (pthread_key_create(&k, &fold_at_exit) != 0) std::abort();
+    return k;
+  }();
+  return key;
+}
+
+/// The calling thread's counters; nullptr once its block is folded
+/// (exit-time destructors that run after the fold may still allocate).
+Counters* thread_counters() {
+  ThreadBlock& block = t_block;
+  if (block.state == ThreadBlock::State::kLinked) [[likely]] {
+    return &block.counters;
+  }
+  if (block.state == ThreadBlock::State::kFolded) return nullptr;
+  const pthread_key_t key = exit_key();
+  {
+    const std::lock_guard<std::mutex> lock(g_mutex);
+    block.counters.epoch.store(g_epoch.load(kRelaxed), kRelaxed);
+    block.next = g_blocks;
+    if (g_blocks != nullptr) g_blocks->prev = &block;
+    g_blocks = &block;
+    block.state = ThreadBlock::State::kLinked;
+  }
+  // A low key index lives in the thread descriptor: no allocation.
+  pthread_setspecific(key, &block);
+  return &block.counters;
+}
+
+/// Count on a thread whose block is already folded.
+void count_retired(std::int64_t delta) {
+  const std::lock_guard<std::mutex> lock(g_mutex);
+  g_retired.live += delta;
+  if (delta > 0) {
+    ++g_retired.allocs;
+    if (g_retired.live > g_retired.peak) g_retired.peak = g_retired.live;
+  } else {
+    ++g_retired.frees;
+  }
+}
 
 #if DYNCDN_MEM_TRACK
 
@@ -35,24 +169,9 @@ inline std::size_t usable_size(void* p) {
 #endif
 }
 
-inline void note_alloc(std::size_t bytes) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  const std::uint64_t live =
-      g_live.fetch_add(bytes, std::memory_order_relaxed) + bytes;
-  std::uint64_t peak = g_peak.load(std::memory_order_relaxed);
-  while (live > peak && !g_peak.compare_exchange_weak(
-                            peak, live, std::memory_order_relaxed)) {
-  }
-}
-
-inline void note_free(std::size_t bytes) {
-  g_frees.fetch_add(1, std::memory_order_relaxed);
-  g_live.fetch_sub(bytes, std::memory_order_relaxed);
-}
-
 void* tracked_alloc(std::size_t size) {
   void* p = std::malloc(size);
-  if (p != nullptr) note_alloc(usable_size(p));
+  if (p != nullptr) count_allocation(usable_size(p));
   return p;
 }
 
@@ -63,13 +182,13 @@ void* tracked_aligned_alloc(std::size_t size, std::size_t alignment) {
 #else
   p = std::aligned_alloc(alignment, size);
 #endif
-  if (p != nullptr) note_alloc(usable_size(p));
+  if (p != nullptr) count_allocation(usable_size(p));
   return p;
 }
 
 void tracked_free(void* p) {
   if (p == nullptr) return;
-  note_free(usable_size(p));
+  count_free(usable_size(p));
   std::free(p);
 }
 
@@ -77,18 +196,59 @@ void tracked_free(void* p) {
 
 }  // namespace
 
+void count_allocation(std::size_t bytes) {
+  Counters* c = thread_counters();
+  if (c == nullptr) {
+    count_retired(static_cast<std::int64_t>(bytes));
+    return;
+  }
+  bump<std::uint64_t>(c->allocs, 1);
+  const std::int64_t before = c->live.load(kRelaxed);
+  const std::int64_t live = before + static_cast<std::int64_t>(bytes);
+  rebase(*c, before);
+  c->live.store(live, kRelaxed);
+  if (live > c->peak.load(kRelaxed)) c->peak.store(live, kRelaxed);
+}
+
+void count_free(std::size_t bytes) {
+  Counters* c = thread_counters();
+  if (c == nullptr) {
+    count_retired(-static_cast<std::int64_t>(bytes));
+    return;
+  }
+  bump<std::uint64_t>(c->frees, 1);
+  const std::int64_t before = c->live.load(kRelaxed);
+  rebase(*c, before);
+  c->live.store(before - static_cast<std::int64_t>(bytes), kRelaxed);
+}
+
 MemorySnapshot memory_snapshot() {
+  std::int64_t live = 0;
+  std::int64_t peak = 0;
   MemorySnapshot s;
-  s.live_bytes = g_live.load(std::memory_order_relaxed);
-  s.peak_live_bytes = g_peak.load(std::memory_order_relaxed);
-  s.allocations = g_allocs.load(std::memory_order_relaxed);
-  s.frees = g_frees.load(std::memory_order_relaxed);
+  {
+    const std::lock_guard<std::mutex> lock(g_mutex);
+    const std::uint64_t epoch = g_epoch.load(kRelaxed);
+    live = g_retired.live;
+    peak = g_retired.peak;
+    s.allocations = g_retired.allocs;
+    s.frees = g_retired.frees;
+    for (const ThreadBlock* b = g_blocks; b != nullptr; b = b->next) {
+      live += b->counters.live.load(kRelaxed);
+      peak += peak_since_reset(b->counters, epoch);
+      s.allocations += b->counters.allocs.load(kRelaxed);
+      s.frees += b->counters.frees.load(kRelaxed);
+    }
+  }
+  s.live_bytes = live > 0 ? static_cast<std::uint64_t>(live) : 0;
+  s.peak_live_bytes = peak > 0 ? static_cast<std::uint64_t>(peak) : 0;
   return s;
 }
 
 void reset_peak_live_bytes() {
-  g_peak.store(g_live.load(std::memory_order_relaxed),
-               std::memory_order_relaxed);
+  const std::lock_guard<std::mutex> lock(g_mutex);
+  g_epoch.fetch_add(1, kRelaxed);
+  g_retired.peak = g_retired.live;
 }
 
 bool memory_tracking_enabled() {

@@ -1,5 +1,6 @@
 #include "obs/trace.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <unordered_map>
 #include <utility>
@@ -50,18 +51,24 @@ void TraceSession::add_event(SpanId id, std::string_view name,
 }
 
 const SpanRecord* TraceSession::find(SpanId id) const {
-  // Ids are handed out sequentially from 1 and spans are never removed
-  // before a merge, so direct indexing covers the pre-merge case; after a
-  // merge (remapped ids) fall back to a scan. Lookups are rare — the
-  // instrumentation hot path only appends.
+  // Ids are handed out sequentially from 1, so direct indexing finds a
+  // span unless truncate() dropped ids below it; the list stays sorted by
+  // id (merges append fresh ids too), so a binary search covers that.
   if (id == kNoSpan || spans_.empty()) return nullptr;
   if (id <= spans_.size() && spans_[id - 1].id == id) {
     return &spans_[id - 1];
   }
-  for (const auto& span : spans_) {
-    if (span.id == id) return &span;
+  const auto it = std::lower_bound(
+      spans_.begin(), spans_.end(), id,
+      [](const SpanRecord& span, SpanId key) { return span.id < key; });
+  return it != spans_.end() && it->id == id ? &*it : nullptr;
+}
+
+void TraceSession::truncate(std::size_t count) {
+  if (count < spans_.size()) {
+    spans_.erase(spans_.begin() + static_cast<std::ptrdiff_t>(count),
+                 spans_.end());
   }
-  return nullptr;
 }
 
 SpanRecord* TraceSession::find_mutable(SpanId id) {

@@ -106,9 +106,15 @@ class TraceSession {
   void add_event(SpanId id, std::string_view name, sim::SimTime at,
                  std::vector<Arg> args = {});
 
+  // Spans in id order: ids only grow, so the list is sorted by id.
   const std::vector<SpanRecord>& spans() const { return spans_; }
   const SpanRecord* find(SpanId id) const;
   std::size_t open_span_count() const;
+
+  // Forget every span recorded after the first `count`. Ids are not
+  // handed out again: spans recorded later keep the ids (and X-Trace-Span
+  // header bytes) they would have had.
+  void truncate(std::size_t count);
 
   // Absorb another session's spans (consuming it), remapping ids so they
   // stay unique and stamping `replica_id` on the absorbed records. Called

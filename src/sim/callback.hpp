@@ -139,6 +139,7 @@ class Callback {
         // bytes beats a per-type size lookup on the hot path.
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#pragma GCC diagnostic ignored "-Wuninitialized"
         std::memcpy(storage_, other.storage_, kInlineBytes);
 #pragma GCC diagnostic pop
       } else {

@@ -20,11 +20,12 @@ constexpr std::int64_t idx0_of(SimTime t) {
 
 void EventQueue::heap_push(Entry e) {
   heap_.push_back(e);
-  std::push_heap(heap_.begin(), heap_.end(), later);
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
   if (heap_.size() > max_heaped_) max_heaped_ = heap_.size();
 }
 
-EventId EventQueue::schedule(SimTime at, Callback cb) {
+EventId EventQueue::schedule_with_seq(SimTime at, std::uint64_t seq,
+                                      Callback cb) {
   if (at < last_popped_) {
     throw std::logic_error("EventQueue::schedule: scheduling into the past (" +
                            at.to_string() + " < " + last_popped_.to_string() +
@@ -41,7 +42,7 @@ EventId EventQueue::schedule(SimTime at, Callback cb) {
   slots_[slot].cb = std::move(cb);
 
   const std::uint32_t gen = slots_[slot].gen;
-  const Entry entry{at, next_seq_++, slot, gen};
+  const Entry entry{at, seq, slot, gen};
   // Near events (and any event behind the cursor, which can happen when
   // next_time() has drained ahead of last_popped_) go straight to the
   // heap; far cancellable timers go to the wheel.
@@ -182,7 +183,7 @@ bool EventQueue::cancel(EventId id) {
 
 void EventQueue::skim() {
   while (!heap_.empty() && entry_dead(heap_.front())) {
-    std::pop_heap(heap_.begin(), heap_.end(), later);
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
     heap_.pop_back();
     --dead_total_;
   }
@@ -205,7 +206,7 @@ void EventQueue::maybe_compact() {
   const auto is_dead = [this](const Entry& e) { return entry_dead(e); };
   heap_.erase(std::remove_if(heap_.begin(), heap_.end(), is_dead),
               heap_.end());
-  std::make_heap(heap_.begin(), heap_.end(), later);
+  std::make_heap(heap_.begin(), heap_.end(), Later{});
   if (heap_only) {
     dead_total_ = 0;
     return;
@@ -243,7 +244,7 @@ SimTime EventQueue::pop_and_run() {
   if (heap_.empty()) advance_until_heap_nonempty();
   drain_wheel_to(heap_.front().at);
   const Entry entry = heap_.front();
-  std::pop_heap(heap_.begin(), heap_.end(), later);
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
   heap_.pop_back();
   // Move the callback out and retire the slot *before* running: the
   // callback may itself schedule (possibly reusing this slot) or try to

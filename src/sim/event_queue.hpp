@@ -25,17 +25,26 @@
 // time, so every entry is touched O(levels) times total. Events beyond
 // the level-2 span (~9.5 h) sit in an overflow list.
 //
-// Both structures bound garbage from cancel/re-arm churn (TCP re-arms its
-// RTO on every ACK): dead heap entries are skimmed at the top, dead wheel
-// entries die in place when their bucket flushes, and a joint compaction
-// pass sweeps both structures once cancelled entries outnumber live ones.
-// Total storage stays O(live events) no matter how hard timers churn, and
-// cancel itself never inspects where the entry lives — it is a generation
-// bump plus one counter increment.
+// Both structures bound garbage from cancel churn: dead heap entries are
+// skimmed at the top, dead wheel entries die in place when their bucket
+// flushes, and a joint compaction pass sweeps both structures once
+// cancelled entries outnumber live ones. Total storage stays O(live
+// events) no matter how hard timers churn, and cancel itself never
+// inspects where the entry lives — it is a generation bump plus one
+// counter increment.
+//
+// Ordering tickets: reserve_seq() hands out the next sequence number
+// without queuing anything, and schedule_with_seq() later files an event
+// under it. A timer whose deadline keeps moving (TCP's RTO, pushed back
+// on every ACK) takes a fresh ticket per move and keeps one queued entry
+// that files itself again at (deadline, ticket) when it pops ahead of
+// that pair, so it fires exactly where a cancel + schedule per move would
+// have put it.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "sim/callback.hpp"
@@ -86,7 +95,18 @@ class EventQueue {
 
   /// Schedule `cb` to fire at absolute time `at`. `at` must not precede the
   /// last popped event time (no scheduling into the past).
-  EventId schedule(SimTime at, Callback cb);
+  EventId schedule(SimTime at, Callback cb) {
+    return schedule_with_seq(at, next_seq_++, std::move(cb));
+  }
+
+  /// Take the next sequence number without queuing anything: an ordering
+  /// ticket for an event filed later by schedule_with_seq(). Ties at one
+  /// instant then break as if the event had been scheduled now.
+  std::uint64_t reserve_seq() { return next_seq_++; }
+
+  /// Schedule `cb` at `at` under `seq`, a number reserve_seq() returned
+  /// that no queued event carries. Same precondition as schedule().
+  EventId schedule_with_seq(SimTime at, std::uint64_t seq, Callback cb);
 
   /// Cancel a previously scheduled event. Safe to call with an already-fired
   /// or already-cancelled id (no-op). Returns true if the event was pending.
@@ -114,7 +134,8 @@ class EventQueue {
 
   /// Lifetime counters for the metrics layer (maintained unconditionally:
   /// one increment / one comparison per schedule or cancel, noise next to
-  /// the container push itself).
+  /// the container push itself). scheduled_count() is the number of
+  /// sequence numbers issued, reserved tickets included.
   std::uint64_t scheduled_count() const { return next_seq_ - 1; }
   std::uint64_t cancelled_count() const { return cancelled_; }
   std::size_t max_heaped() const { return max_heaped_; }
@@ -133,10 +154,14 @@ class EventQueue {
   };
   using Bucket = std::vector<Entry>;
 
-  static bool later(const Entry& a, const Entry& b) {
-    if (a.at != b.at) return a.at > b.at;
-    return a.seq > b.seq;
-  }
+  /// Heap order (a max-heap comparator makes a min-heap): a function
+  /// object, so every sift step inlines the comparison.
+  struct Later {
+    bool operator()(const Entry& a, const Entry& b) const {
+      if (a.at != b.at) return a.at > b.at;
+      return a.seq > b.seq;
+    }
+  };
 
   bool entry_dead(const Entry& e) const {
     return slots_[e.slot].gen != e.gen;

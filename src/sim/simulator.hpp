@@ -41,6 +41,15 @@ class Simulator {
 
   bool cancel(EventId id) { return queue_.cancel(id); }
 
+  /// Ordering ticket for an event filed later (EventQueue::reserve_seq).
+  std::uint64_t reserve_seq() { return queue_.reserve_seq(); }
+
+  /// Schedule `cb` at `at` under a ticket from reserve_seq().
+  EventId schedule_at_seq(SimTime at, std::uint64_t seq,
+                          EventQueue::Callback cb) {
+    return queue_.schedule_with_seq(at, seq, std::move(cb));
+  }
+
   /// Time of the earliest pending event; SimTime::infinity() when idle.
   /// (May advance the timing wheel's cursor internally.)
   SimTime next_event_time() { return queue_.next_time(); }

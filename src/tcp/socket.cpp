@@ -357,7 +357,6 @@ void TcpSocket::enter_fast_retransmit() {
 }
 
 void TcpSocket::on_rto() {
-  rto_timer_ = {};
   if (flight_size() == 0) return;
 
   if (rto_backoff_ >= config_.max_retries) {
@@ -730,9 +729,35 @@ sim::SimTime TcpSocket::current_rto() const {
 }
 
 void TcpSocket::arm_rto() {
-  disarm_rto();
-  rto_timer_ =
-      stack_.simulator().schedule_in(current_rto(), [this]() { on_rto(); });
+  sim::Simulator& simulator = stack_.simulator();
+  rto_deadline_ = simulator.now() + current_rto();
+  rto_ticket_ = simulator.reserve_seq();
+  if (rto_timer_.valid()) {
+    // The new ticket is the newest sequence number, so an entry due no
+    // later than the deadline pops ahead of (deadline, ticket): it wakes,
+    // sees an old ticket and files itself again. An entry due after the
+    // deadline (it moved earlier, as after a backoff reset) would fire
+    // late, so it is re-filed now.
+    if (rto_timer_at_ <= rto_deadline_) return;
+    simulator.cancel(rto_timer_);
+  }
+  file_rto();
+}
+
+void TcpSocket::file_rto() {
+  rto_timer_at_ = rto_deadline_;
+  rto_timer_ticket_ = rto_ticket_;
+  rto_timer_ = stack_.simulator().schedule_at_seq(
+      rto_deadline_, rto_ticket_, [this]() { on_rto_timer(); });
+}
+
+void TcpSocket::on_rto_timer() {
+  rto_timer_ = {};
+  if (rto_timer_ticket_ != rto_ticket_) {
+    file_rto();  // woke ahead of the current deadline
+    return;
+  }
+  on_rto();
 }
 
 void TcpSocket::disarm_rto() {

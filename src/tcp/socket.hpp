@@ -150,8 +150,17 @@ class TcpSocket {
   net::PayloadRef gather_payload(std::uint64_t seq, std::size_t len) const;
 
   // --- RTT estimation ---
+  /// Restart the retransmission timer: deadline now + current_rto(),
+  /// ordered as if scheduled now. Keeps the queued entry when it is due
+  /// no later than the new deadline (it files itself again when it wakes).
   void arm_rto();
   void disarm_rto();
+  /// File the timer's one queued entry at (rto_deadline_, rto_ticket_).
+  void file_rto();
+  /// The queued entry fired: one filed under an older ticket woke ahead
+  /// of (rto_deadline_, rto_ticket_) and re-files; the current one runs
+  /// on_rto().
+  void on_rto_timer();
   void take_rtt_sample(sim::SimTime sample);
   sim::SimTime current_rto() const;
 
@@ -213,8 +222,14 @@ class TcpSocket {
   std::uint64_t timed_seq_ = 0;
   sim::SimTime timed_sent_at_ = sim::SimTime::zero();
 
-  // Timers.
+  // Timers. Each arm_rto() moves the RTO deadline and takes a fresh
+  // ordering ticket instead of a cancel + schedule; the one queued entry
+  // (rto_timer_) sits at or before the deadline.
   sim::EventId rto_timer_;
+  sim::SimTime rto_timer_at_ = sim::SimTime::zero();  // entry's time
+  std::uint64_t rto_timer_ticket_ = 0;                // entry's ticket
+  sim::SimTime rto_deadline_ = sim::SimTime::zero();
+  std::uint64_t rto_ticket_ = 0;
   sim::EventId delayed_ack_timer_;
   sim::EventId time_wait_timer_;
   bool ack_pending_ = false;

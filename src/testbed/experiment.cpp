@@ -68,10 +68,18 @@ std::size_t discover_boundary(Scenario& scenario, std::size_t client_index,
   const search::KeywordCatalog catalog(scenario.simulator().rng().seed());
   const auto keywords = catalog.distinct_corpus(num_keywords);
   const net::Endpoint fe = scenario.fe_endpoint(fe_index);
+  // The probe queries are traced like any other (tracing puts the
+  // X-Trace-Span header on their requests, so switching it off would
+  // change their bytes and timing), but they are not campaign queries:
+  // their spans are dropped once they finish, so attribution, the slow
+  // log and --trace-out count the campaign only.
+  obs::TraceSession* const trace = scenario.trace();
+  const std::size_t spans_before = trace ? trace->spans().size() : 0;
   for (const search::Keyword& kw : keywords) {
     client.query_client->submit(fe, kw, [](const cdn::QueryResult&) {});
   }
   scenario.run();
+  if (trace != nullptr) trace->truncate(spans_before);
 
   if (!streaming) client.recorder->replay(probe);
   const std::size_t response_count = probe.probe_flows();

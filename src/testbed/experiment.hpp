@@ -31,7 +31,8 @@ namespace dyncdn::testbed {
 /// `num_keywords` distinct queries from one client to one FE with payload
 /// capture enabled and take the longest common prefix of the responses
 /// (StreamingAnalyzer's boundary probe). Leaves the client's recorder
-/// cleared and payload capture restored to its prior setting.
+/// cleared, payload capture restored to its prior setting and no probe
+/// spans in the scenario's trace session.
 std::size_t discover_boundary(Scenario& scenario, std::size_t client_index,
                               std::size_t fe_index,
                               std::size_t num_keywords = 6);

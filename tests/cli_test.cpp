@@ -479,6 +479,40 @@ TEST(TraceInspectCli, SpanModesReadOneRun) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(ExperimentCli, AttributionCountsCampaignQueriesOnly) {
+  // 14 vantage points x 2 queries at three replica layouts. Every replica
+  // probes the static/dynamic boundary with 6 queries of its own; none of
+  // them may reach the attribution, the slow log or the span dump, so all
+  // three count the campaign's 28 queries, and trace_inspect reads the
+  // same count back from the dump.
+  const auto dir = scratch_dir("campaign_queries");
+  const auto slurp = [](const std::string& path) {
+    std::ifstream in(path);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  };
+  for (const int shards : {1, 3, 7}) {
+    const std::string tag = std::to_string(shards);
+    const std::string attribution = (dir / ("attr" + tag + ".json")).string();
+    const std::string slow = (dir / ("slow" + tag + ".json")).string();
+    const std::string spans = (dir / ("spans" + tag + ".json")).string();
+    const CliRun run = run_experiment(
+        "", "--experiment=default-fe --service=bing --clients=14 --reps=2 "
+            "--seed=2 --threads=2 --shards=" + tag +
+            " --attribution-out=" + attribution + " --slow-log=" + slow +
+            " --trace-out=" + spans);
+    ASSERT_EQ(run.exit_code, 0) << run.output;
+    EXPECT_TRUE(slurp(attribution).starts_with("{\"queries\":28,"))
+        << "shards " << shards << ": " << slurp(attribution);
+    EXPECT_TRUE(slurp(slow).starts_with("{\"observed\":28,"))
+        << "shards " << shards << ": " << slurp(slow);
+    const CliRun inspect = run_trace_inspect("attribution " + spans);
+    EXPECT_EQ(inspect.exit_code, 0) << inspect.output;
+    EXPECT_NE(inspect.output.find("queries=28 "), std::string::npos)
+        << "shards " << shards << ": " << inspect.output;
+  }
+  std::filesystem::remove_all(dir);
+}
+
 TEST(BenchDiffCli, MalformedKnobsAreRefused) {
   const auto dir = scratch_dir("bench_diff_knobs");
   const std::string bench =

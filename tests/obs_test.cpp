@@ -23,6 +23,7 @@
 #include "obs/obs.hpp"
 #include "obs/trace.hpp"
 #include "search/keywords.hpp"
+#include "testbed/experiment.hpp"
 #include "testbed/scenario.hpp"
 
 using namespace dyncdn;
@@ -582,6 +583,113 @@ TEST(ChromeTraceMutation, DecodesOrRejectsAndReencodesStably) {
     expect_same_spans(first, second);
     const std::string reencoded = obs::export_chrome_trace(second);
     EXPECT_TRUE(obs::export_chrome_trace(read_back(reencoded)) == reencoded)
+        << "iteration " << iter;
+    if (HasFailure()) {
+      ADD_FAILURE() << "iteration " << iter << ": " << text;
+      return;
+    }
+  }
+  // Both outcomes occur, so neither check above is vacuous.
+  EXPECT_GT(rejected, 1000);
+  EXPECT_GT(decoded, 1000);
+}
+
+/// A slow-query log read the way `trace_inspect slow --tree` reads one:
+/// the JSON document, then each entry's span list. Throws
+/// std::runtime_error when either is refused.
+std::vector<std::vector<obs::SpanRecord>> read_slow_log(
+    const std::string& text) {
+  const auto doc = obs::json::parse(text);
+  if (!doc) throw std::runtime_error("not JSON");
+  const obs::json::Value* slow = doc->get("slow");
+  if (slow == nullptr || !slow->is_array()) {
+    throw std::runtime_error("no slow array");
+  }
+  std::vector<std::vector<obs::SpanRecord>> entries;
+  for (const obs::json::Value& entry : slow->array) {
+    const obs::json::Value* spans = entry.get("spans");
+    entries.push_back(spans != nullptr
+                          ? obs::FlightRecorder::read_spans(*spans)
+                          : std::vector<obs::SpanRecord>{});
+  }
+  return entries;
+}
+
+/// The dump a recorder writes for these span trees, one slow entry each.
+std::string write_slow_log(
+    const std::vector<std::vector<obs::SpanRecord>>& entries) {
+  obs::FlightRecorder::Options options;
+  options.threshold_ms = 1.0;
+  options.slow_capacity = entries.size();
+  obs::FlightRecorder flight(options);
+  for (const auto& spans : entries) {
+    obs::FlightRecorder::Entry entry;
+    entry.t_dynamic_ms = 2.0;
+    entry.spans = spans;
+    flight.observe(std::move(entry));
+  }
+  return flight.to_json();
+}
+
+TEST(FlightRecorder, AnyIdTheReaderTakesRoundTrips) {
+  // The reader takes ids as signed JSON integers; the writer must give
+  // back the same integer, not its unsigned reinterpretation (which reads
+  // back as no id at all).
+  const std::string dump =
+      R"({"observed":1,"threshold_ms":1,"slow":[{"spans":[)"
+      R"({"id":-5,"parent":-1,"start_ns":1,"end_ns":5}]}]})";
+  const auto first = read_slow_log(dump);
+  ASSERT_EQ(first.size(), 1u);
+  ASSERT_EQ(first[0].size(), 1u);
+  const auto second = read_slow_log(write_slow_log(first));
+  ASSERT_EQ(second.size(), 1u);
+  expect_same_spans(first[0], second[0], /*with_open=*/false);
+}
+
+TEST(FlightRecorderMutation, DecodesOrRejectsAndReencodesStably) {
+  // Bit flips, truncations and splices of a real slow-query log: the dump
+  // a traced campaign with a 1 us trigger writes (--slow-log), two span
+  // trees kept. Each mutant is rejected or decodes; a decoded one
+  // re-encodes to a dump that decodes to the same spans, and from there
+  // the encoding is a fixed point.
+  testbed::ScenarioOptions so;
+  so.profile = cdn::google_like_profile();
+  so.client_count = 1;
+  so.seed = 5;
+  so.enable_tracing = true;
+  testbed::Scenario scenario(so);
+  scenario.warm_up();
+  testbed::ExperimentOptions eo;
+  eo.reps_per_node = 2;
+  eo.keywords = search::KeywordCatalog(5).figure3_keywords();
+  eo.flight.threshold_ms = 0.001;
+  eo.flight.slow_capacity = 2;
+  const std::string corpus =
+      testbed::run_fixed_fe_experiment(scenario, 0, eo).flight.to_json();
+  ASSERT_EQ(read_slow_log(corpus).size(), 2u);
+
+  std::mt19937 gen(20111102);
+  int rejected = 0;
+  int decoded = 0;
+  for (int iter = 0; iter < 20000; ++iter) {
+    const std::string text = dyncdn::testing::mutate(corpus, gen);
+    std::vector<std::vector<obs::SpanRecord>> first;
+    try {
+      first = read_slow_log(text);
+    } catch (const std::runtime_error&) {
+      ++rejected;
+      continue;
+    }
+    ++decoded;
+    const std::string encoded = write_slow_log(first);
+    std::vector<std::vector<obs::SpanRecord>> second;
+    ASSERT_NO_THROW(second = read_slow_log(encoded)) << "iteration " << iter;
+    ASSERT_EQ(first.size(), second.size()) << "iteration " << iter;
+    for (std::size_t i = 0; i < first.size(); ++i) {
+      expect_same_spans(first[i], second[i], /*with_open=*/false);
+    }
+    const std::string reencoded = write_slow_log(second);
+    EXPECT_TRUE(write_slow_log(read_slow_log(reencoded)) == reencoded)
         << "iteration " << iter;
     if (HasFailure()) {
       ADD_FAILURE() << "iteration " << iter << ": " << text;

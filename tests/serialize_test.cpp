@@ -46,7 +46,11 @@ PacketTrace make_real_trace(bool payloads) {
 
 /// The dump of `trace` after writing it as .dtrc and loading it back.
 std::string dump_after_dtrc(const PacketTrace& trace, bool with_payloads) {
-  const std::string path = ::testing::TempDir() + "dyncdn_dump_test.dtrc";
+  // One file per test: ctest runs the callers in parallel processes.
+  const std::string path =
+      ::testing::TempDir() + "dyncdn_dump_test_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+      ".dtrc";
   save_trace_dtrc(trace, path);
   const std::string text = serialize_trace(load_trace(path), with_payloads);
   std::remove(path.c_str());

@@ -3,12 +3,16 @@
 // number parsing of outside input.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <limits>
 #include <random>
+#include <set>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.hpp"
@@ -223,6 +227,88 @@ TEST(EventQueue, RandomScheduleFiresInGlobalTimeOrder) {
     if (fired[i - 1].at == fired[i].at) {
       ASSERT_LT(fired[i - 1].seq, fired[i].seq);
     }
+  }
+}
+
+TEST(EventQueue, ReservedTicketsFireInTimeSeqOrder) {
+  // Property: events filed under tickets from reserve_seq() -- possibly
+  // long after the ticket was taken, after pops and cancels -- interleave
+  // with plainly scheduled ones exactly by (time, seq). The reference is
+  // the ordered set of live (time, seq) pairs; every pop must take its
+  // minimum. Deltas span the heap (< 134 ms ahead), the wheel and the
+  // overflow list (> ~9.5 h ahead).
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    EventQueue q;
+    RngStream rng(seed);
+    using Key = std::pair<std::int64_t, std::uint64_t>;
+    std::set<Key> reference;
+    std::vector<std::pair<EventId, Key>> live;
+    std::vector<std::uint64_t> tickets;  // reserved, not yet filed
+    std::vector<Key> fired;
+    std::uint64_t next_seq = 1;  // mirrors the queue's counter
+    std::int64_t now = 0;
+    std::size_t wheeled = 0;
+
+    const auto pick_time = [&] {
+      const double r = rng.uniform01();
+      const std::int64_t span = r < 0.4    ? 100'000'000         // heap
+                                : r < 0.8  ? 5'000'000'000       // wheel
+                                : r < 0.97 ? 200'000'000'000     // level 2
+                                           : 40'000'000'000'000;  // 11 h
+      // Coarse granularity makes same-instant ties common.
+      return now + rng.uniform_int(0, span / 1'000'000) * 1'000'000;
+    };
+    const auto file = [&](std::uint64_t seq, bool reserved) {
+      const Key key{pick_time(), seq};
+      const auto record = [&fired, key] { fired.push_back(key); };
+      const EventId id =
+          reserved ? q.schedule_with_seq(SimTime::nanoseconds(key.first), seq,
+                                         record)
+                   : q.schedule(SimTime::nanoseconds(key.first), record);
+      live.emplace_back(id, key);
+      reference.insert(key);
+    };
+
+    for (int step = 0; step < 3000; ++step) {
+      const double action = rng.uniform01();
+      if (action < 0.25) {
+        file(next_seq++, /*reserved=*/false);
+      } else if (action < 0.45) {
+        const std::uint64_t ticket = q.reserve_seq();
+        ASSERT_EQ(ticket, next_seq++);
+        tickets.push_back(ticket);
+      } else if (action < 0.65 && !tickets.empty()) {
+        const std::size_t i = static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(tickets.size()) - 1));
+        file(tickets[i], /*reserved=*/true);
+        tickets.erase(tickets.begin() + static_cast<std::ptrdiff_t>(i));
+      } else if (action < 0.75 && !live.empty()) {
+        const std::size_t i = static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(live.size()) - 1));
+        if (q.cancel(live[i].first)) reference.erase(live[i].second);
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
+      } else if (!q.empty()) {
+        wheeled = std::max(wheeled, q.wheel_entries());
+        ASSERT_FALSE(reference.empty());
+        const Key expected = *reference.begin();
+        ASSERT_EQ(q.next_time().ns(), expected.first);
+        const std::size_t before = fired.size();
+        now = q.pop_and_run().ns();
+        ASSERT_EQ(fired.size(), before + 1);
+        ASSERT_EQ(fired.back(), expected) << "seed " << seed;
+        reference.erase(reference.begin());
+      }
+    }
+    while (!q.empty()) {
+      ASSERT_FALSE(reference.empty());
+      const Key expected = *reference.begin();
+      q.pop_and_run();
+      ASSERT_EQ(fired.back(), expected) << "seed " << seed;
+      reference.erase(reference.begin());
+    }
+    EXPECT_TRUE(reference.empty());
+    EXPECT_EQ(q.scheduled_count(), next_seq - 1);
+    EXPECT_GT(wheeled, 0u);
   }
 }
 

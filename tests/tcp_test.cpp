@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -515,6 +516,199 @@ TEST(TcpDeterminism, SameSeedSameSchedule) {
     return std::tuple{end, h.simulator.events_executed(), sink.received.size()};
   };
   EXPECT_EQ(run_once(), run_once());
+}
+
+// ---------------------------------------------------------------------------
+// Retransmission timer. arm_rto() moves a deadline and takes an ordering
+// ticket; the socket keeps one queued entry that re-files itself when it
+// wakes ahead of the deadline. These pin when the RTO fires and where it
+// falls among events due at the same instant.
+// ---------------------------------------------------------------------------
+
+/// The client's view of a one-way transfer: arrivals that advanced the
+/// cumulative ACK and data segments sent again below the high-water mark.
+struct RtoLog {
+  std::vector<SimTime> acks;
+  std::vector<SimTime> retransmits;
+  std::uint64_t max_ack = 0;
+  std::uint64_t sent_end = 0;
+
+  explicit RtoLog(TwoNodeHarness& h) {
+    h.client_node->add_receive_tap([this, &h](const net::PacketPtr& p) {
+      if (p->tcp.flags.syn || !p->tcp.flags.ack || p->tcp.ack <= max_ack) {
+        return;
+      }
+      max_ack = p->tcp.ack;
+      acks.push_back(h.simulator.now());
+    });
+    h.client_node->add_send_tap([this, &h](const net::PacketPtr& p) {
+      if (p->payload.empty()) return;
+      const std::uint64_t end = p->tcp.seq + p->payload.length;
+      if (end <= sent_end) {
+        retransmits.push_back(h.simulator.now());
+      } else {
+        sent_end = end;
+      }
+    });
+  }
+};
+
+TEST(TcpRto, DeadlineMovesLaterWithEachAck) {
+  // Four segments, the last one lost. The three ACKs each push the
+  // deadline back, and the RTO fires one RTO after the last of them, not
+  // after the first transmission. A marker scheduled (after the last ACK)
+  // for the same instant must run after the RTO: the timer keeps the
+  // ticket of its last arm_rto(), even though its queued entry woke early
+  // and filed itself again.
+  TwoNodeOptions opt;
+  opt.one_way_delay = 20_ms;
+  opt.bandwidth_bps = 10e6;
+  opt.tcp.min_rto = 1_s;  // every RTO clamps to exactly 1 s
+  opt.drop_indices_c2s = {5};  // SYN, handshake ACK, data 1-3, data 4 lost
+  TwoNodeHarness h(opt);
+  SinkServer sink;
+  sink.install(*h.server);
+  RtoLog log(h);
+  TcpSocket* socket = nullptr;
+  std::vector<std::uint64_t> rto_seen;  // retransmits_rto at each marker
+  h.client_node->add_receive_tap([&](const net::PacketPtr& p) {
+    if (p->tcp.flags.syn || p->tcp.ack <= 1) return;
+    const SimTime at = h.simulator.now() + 1_s;
+    h.simulator.schedule_in(1_ms, [&, at] {
+      h.simulator.schedule_at(at, [&] {
+        rto_seen.push_back(socket->stats().retransmits_rto);
+      });
+    });
+  });
+  const std::string payload = pattern_text(4 * 1448);
+  socket = &h.client->connect({h.server_node->id(), kPort}, {});
+  socket->send_text(payload);
+  h.simulator.run();
+
+  EXPECT_EQ(sink.received, payload);
+  EXPECT_EQ(socket->stats().retransmits_rto, 1u);
+  ASSERT_EQ(log.acks.size(), 4u);  // data 1-3, then the retransmission
+  ASSERT_EQ(log.retransmits.size(), 1u);
+  EXPECT_LT(log.acks[0], log.acks[2]);
+  EXPECT_EQ(log.retransmits[0], log.acks[2] + 1_s);
+  // Markers one RTO after the first two ACKs run before the timer fires;
+  // the one at the final deadline runs after it.
+  EXPECT_EQ(rto_seen, (std::vector<std::uint64_t>{0, 0, 1, 1}));
+}
+
+TEST(TcpRto, DeadlineMovesEarlierAfterBackoffReset) {
+  // Data 3 and 4 lost. The first RTO retransmits 3 and backs off (the next
+  // deadline is two RTOs out); the ACK of the retransmission resets the
+  // backoff, which moves the deadline one RTO after that ACK -- earlier
+  // than the queued entry, which must be re-filed rather than kept.
+  TwoNodeOptions opt;
+  opt.one_way_delay = 100_ms;
+  opt.bandwidth_bps = 10e6;
+  opt.drop_indices_c2s = {4, 5};
+  TwoNodeHarness h(opt);
+  SinkServer sink;
+  sink.install(*h.server);
+  RtoLog log(h);
+  const std::string payload = pattern_text(4 * 1448);
+  TcpSocket& s = h.client->connect({h.server_node->id(), kPort}, {});
+  s.send_text(payload);
+  h.simulator.run();
+
+  EXPECT_EQ(sink.received, payload);
+  EXPECT_EQ(s.stats().retransmits_rto, 2u);
+  ASSERT_EQ(log.acks.size(), 4u);  // data 1, 2, retransmitted 3, then 4
+  ASSERT_EQ(log.retransmits.size(), 2u);
+  // Only the first data segment is timed, so one RTO spans both waits.
+  const SimTime rto = log.retransmits[0] - log.acks[1];
+  EXPECT_GT(rto, 200_ms);  // above the floor: the backoff doubles it
+  EXPECT_EQ(log.retransmits[1], log.acks[2] + rto);
+  EXPECT_LT(log.retransmits[1], log.retransmits[0] + rto * 2);
+}
+
+/// FNV-1a over every segment either node emits: time, sender, sequence,
+/// ack, window, flags and payload length.
+struct WireDigest {
+  std::uint64_t hash = 14695981039346656037ull;
+  std::uint64_t segments = 0;
+
+  void mix(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      hash ^= (v >> (8 * i)) & 0xFF;
+      hash *= 1099511628211ull;
+    }
+  }
+  void tap(TwoNodeHarness& h) {
+    for (net::Node* node : {h.client_node, h.server_node}) {
+      node->add_send_tap([this, &h, node](const net::PacketPtr& p) {
+        ++segments;
+        mix(static_cast<std::uint64_t>(h.simulator.now().ns()));
+        mix(node == h.client_node ? 1 : 2);
+        mix(p->tcp.seq);
+        mix(p->tcp.ack);
+        mix(p->tcp.window);
+        mix((p->tcp.flags.syn ? 1u : 0u) | (p->tcp.flags.ack ? 2u : 0u) |
+            (p->tcp.flags.fin ? 4u : 0u) | (p->tcp.flags.rst ? 8u : 0u));
+        mix(p->payload.length);
+      });
+    }
+  }
+};
+
+TEST(TcpRto, LossyRetransmissionScheduleIsPinned) {
+  // Two lossy transfers whose whole wire schedule is pinned to the digest
+  // the cancel-and-reschedule timer produced: one with serialization
+  // delay, delayed ACKs and a 40 KB reply, and one with zero-width
+  // serialization, where every event lands on a whole millisecond and
+  // RTO deadlines tie with deliveries.
+  struct Case {
+    double bandwidth_bps;
+    bool delayed_ack;
+    std::uint64_t seed;
+    std::uint64_t digest;
+    std::uint64_t segments;
+  };
+  const Case cases[] = {
+      {20e6, true, 7, 11850456534467472297ull, 198},
+      {0.0, false, 3, 1075922376336361001ull, 235},
+  };
+  for (const Case& c : cases) {
+    TwoNodeOptions opt;
+    opt.one_way_delay = 10_ms;
+    opt.bandwidth_bps = c.bandwidth_bps;
+    opt.loss = 0.04;
+    opt.seed = c.seed;
+    opt.tcp.delayed_ack = c.delayed_ack;
+    TwoNodeHarness h(opt);
+    WireDigest digest;
+    digest.tap(h);
+    std::string reply_got;
+    std::size_t request_got = 0;
+    h.server->listen(kPort, [&](TcpSocket& s) {
+      TcpSocket::Callbacks cb;
+      cb.on_data = [&](net::PayloadRef d) { request_got += d.length; };
+      cb.on_remote_close = [&s] {
+        s.send_text(pattern_text(40 * 1000));
+        s.close();
+      };
+      s.set_callbacks(std::move(cb));
+    });
+    TcpSocket* client = nullptr;
+    SocketStats stats;  // read at teardown: the socket is destroyed after
+    TcpSocket::Callbacks cb;
+    cb.on_data = [&](net::PayloadRef d) { reply_got += d.to_text(); };
+    cb.on_closed = [&] { stats = client->stats(); };
+    client = &h.client->connect({h.server_node->id(), kPort}, std::move(cb));
+    client->send_text(pattern_text(120 * 1000));
+    client->close();
+    h.simulator.run();
+
+    EXPECT_EQ(request_got, 120u * 1000u);
+    EXPECT_EQ(reply_got, pattern_text(40 * 1000));
+    EXPECT_GT(stats.retransmits_rto, 0u);
+    EXPECT_GT(stats.retransmits_fast, 0u);
+    EXPECT_EQ(digest.segments, c.segments) << "seed " << c.seed;
+    EXPECT_EQ(digest.hash, c.digest) << "seed " << c.seed;
+  }
 }
 
 // Property sweep: transfers of many sizes over varied RTT/loss must always

@@ -3,10 +3,17 @@
 // attribution must satisfy the exact telescoping identity against the
 // capture-derived timings, the flight recorder's triggers must be
 // reproducible, and the supporting pieces (log-bucket quantile
-// interpolation, Prometheus HELP lines) behave as documented.
+// interpolation, Prometheus HELP lines, the per-thread allocation
+// counters) behave as documented.
 #include <gtest/gtest.h>
 
+#include <pthread.h>
+#include <sched.h>
+
+#include <array>
+#include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -16,6 +23,7 @@
 #include "obs/export_prometheus.hpp"
 #include "obs/flight.hpp"
 #include "obs/json.hpp"
+#include "obs/memory.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "obs/timeseries.hpp"
@@ -416,6 +424,132 @@ TEST(FlightRecorder, ZeroCapacitiesClampToOne) {
   obs::FlightRecorder fr(o);
   EXPECT_EQ(fr.options().recent_capacity, 1u);
   EXPECT_EQ(fr.options().slow_capacity, 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Allocation counters: per-thread blocks summed on read. The test drives
+// the counters directly (the operator new hooks are compiled out under
+// sanitizers) from raw pthreads, whose creation and exit call no operator
+// new, so in a tracked build the only counts between snapshots are these.
+// ---------------------------------------------------------------------------
+
+struct CountingThread {
+  std::size_t bytes = 0;      // per allocation
+  std::size_t allocs = 0;
+  std::size_t frees = 0;
+  bool stay = false;          // park until released instead of exiting
+  std::size_t after_release = 0;  // then allocate and free this many
+  std::atomic<int>* done = nullptr;
+  std::atomic<bool>* release = nullptr;
+  pthread_t handle{};
+
+  static void* run(void* arg) {
+    auto* self = static_cast<CountingThread*>(arg);
+    for (std::size_t i = 0; i < self->allocs; ++i) {
+      obs::count_allocation(self->bytes);
+    }
+    for (std::size_t i = 0; i < self->frees; ++i) obs::count_free(self->bytes);
+    self->done->fetch_add(1);
+    while (self->stay && !self->release->load()) sched_yield();
+    for (std::size_t i = 0; i < self->after_release; ++i) {
+      obs::count_allocation(self->bytes);
+    }
+    for (std::size_t i = 0; i < self->after_release; ++i) {
+      obs::count_free(self->bytes);
+    }
+    return nullptr;
+  }
+};
+
+TEST(MemoryCounters, SumsEveryThreadIncludingExitedOnes) {
+  constexpr std::size_t kThreads = 6;  // even ones exit before the read
+  std::array<CountingThread, kThreads> threads;
+  std::atomic<int> done{0};
+  std::atomic<bool> release{false};
+  std::uint64_t allocs = 0, frees = 0;
+  std::int64_t live = 0;
+  for (std::size_t i = 0; i < kThreads; ++i) {
+    CountingThread& t = threads[i];
+    t.bytes = 16 * (i + 1);
+    t.allocs = 1000 * (i + 1);
+    t.frees = 300 * i;
+    t.stay = i % 2 == 1;
+    t.done = &done;
+    t.release = &release;
+    allocs += t.allocs;
+    frees += t.frees;
+    live += static_cast<std::int64_t>(t.bytes * (t.allocs - t.frees));
+  }
+
+  const obs::MemorySnapshot before = obs::memory_snapshot();
+  for (CountingThread& t : threads) {
+    ASSERT_EQ(pthread_create(&t.handle, nullptr, &CountingThread::run, &t),
+              0);
+  }
+  while (done.load() < static_cast<int>(kThreads)) sched_yield();
+  for (const CountingThread& t : threads) {
+    if (!t.stay) pthread_join(t.handle, nullptr);
+  }
+  const obs::MemorySnapshot mixed = obs::memory_snapshot();  // 3 exited
+  release.store(true);
+  for (const CountingThread& t : threads) {
+    if (t.stay) pthread_join(t.handle, nullptr);
+  }
+  const obs::MemorySnapshot after = obs::memory_snapshot();  // all exited
+
+  for (const obs::MemorySnapshot& s : {mixed, after}) {
+    EXPECT_EQ(s.allocations - before.allocations, allocs);
+    EXPECT_EQ(s.frees - before.frees, frees);
+    EXPECT_EQ(static_cast<std::int64_t>(s.live_bytes - before.live_bytes),
+              live);
+  }
+}
+
+TEST(MemoryCounters, PeakIsTheSumOfPerThreadHighWaterMarks) {
+  // Exact for one allocating thread; with two, each thread's own
+  // high-water mark counts in full, however the two interleave.
+  for (const std::size_t workers : {1u, 2u}) {
+    std::vector<CountingThread> threads(workers);
+    std::atomic<int> done{0};
+    std::atomic<bool> release{true};
+    obs::reset_peak_live_bytes();
+    const obs::MemorySnapshot before = obs::memory_snapshot();
+    for (CountingThread& t : threads) {
+      t.bytes = 100;
+      t.allocs = 50;
+      t.frees = 50;
+      t.done = &done;
+      t.release = &release;
+      ASSERT_EQ(pthread_create(&t.handle, nullptr, &CountingThread::run, &t),
+                0);
+    }
+    for (const CountingThread& t : threads) pthread_join(t.handle, nullptr);
+    const obs::MemorySnapshot after = obs::memory_snapshot();
+    EXPECT_EQ(after.live_bytes, before.live_bytes);
+    EXPECT_EQ(after.peak_live_bytes - before.live_bytes, workers * 5000u)
+        << workers << " workers";
+  }
+
+  // A reset between a thread's counts starts its mark afresh: 5000 bytes
+  // before the reset, a 1000-byte peak after it.
+  CountingThread t;
+  std::atomic<int> done{0};
+  std::atomic<bool> release{false};
+  t.bytes = 100;
+  t.allocs = 50;
+  t.frees = 50;
+  t.stay = true;
+  t.after_release = 10;
+  t.done = &done;
+  t.release = &release;
+  ASSERT_EQ(pthread_create(&t.handle, nullptr, &CountingThread::run, &t), 0);
+  while (done.load() < 1) sched_yield();
+  obs::reset_peak_live_bytes();
+  const obs::MemorySnapshot before = obs::memory_snapshot();
+  release.store(true);
+  pthread_join(t.handle, nullptr);
+  const obs::MemorySnapshot after = obs::memory_snapshot();
+  EXPECT_EQ(after.peak_live_bytes - before.live_bytes, 1000u);
 }
 
 }  // namespace

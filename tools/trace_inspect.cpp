@@ -423,13 +423,7 @@ int diff_attribution(const analysis::SpanAttributionResult& result,
     }
     if (match == nullptr) continue;  // capture covers one vantage point
     ++compared;
-    // Anchor collapse mirrors QueryAttribution::observe.
-    const std::int64_t a0 = s.t1;
-    const std::int64_t a1 = s.fe_recv >= 0 ? s.fe_recv : a0;
-    const std::int64_t a2 = s.fetch_start >= 0 ? s.fetch_start : a1;
-    const std::int64_t a3 = s.fetch_first_byte >= 0 ? s.fetch_first_byte : a2;
-    const std::int64_t sum = (a1 - a0) + (a2 - a1) + (a3 - a2) +
-                             (s.t5 - a3) - (s.t2 - s.t1);
+    const std::int64_t sum = obs::QueryAttribution::decompose(s).telescoped();
     const std::int64_t capture_t_dynamic = match->t5.ns() - match->t2.ns();
     if (s.t2 != match->t2.ns() || s.t5 != match->t5.ns() ||
         sum != capture_t_dynamic) {
