@@ -49,6 +49,32 @@ struct LinkStats {
   /// Deliveries that rode an earlier packet's train event instead of
   /// scheduling their own (the kernel events saved by coalescing).
   std::uint64_t deliveries_coalesced = 0;
+
+  /// Packets offered and not yet delivered or dropped.
+  std::uint64_t in_flight() const {
+    return packets_offered - packets_delivered - drops_loss - drops_queue;
+  }
+
+  LinkStats& operator+=(const LinkStats& o) {
+    packets_offered += o.packets_offered;
+    packets_delivered += o.packets_delivered;
+    drops_loss += o.drops_loss;
+    drops_queue += o.drops_queue;
+    packets_reordered += o.packets_reordered;
+    bytes_delivered += o.bytes_delivered;
+    deliveries_coalesced += o.deliveries_coalesced;
+    return *this;
+  }
+  LinkStats& operator-=(const LinkStats& o) {
+    packets_offered -= o.packets_offered;
+    packets_delivered -= o.packets_delivered;
+    drops_loss -= o.drops_loss;
+    drops_queue -= o.drops_queue;
+    packets_reordered -= o.packets_reordered;
+    bytes_delivered -= o.bytes_delivered;
+    deliveries_coalesced -= o.deliveries_coalesced;
+    return *this;
+  }
 };
 
 class Link {

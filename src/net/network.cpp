@@ -149,15 +149,7 @@ LinkStats Network::aggregate_link_stats() const {
   // tick, and pointer-chasing the per-node edge vectors showed up in the
   // telemetry overhead measurement.
   LinkStats total;
-  for (const Link* link : all_links_) {
-    const LinkStats& s = link->stats();
-    total.packets_offered += s.packets_offered;
-    total.packets_delivered += s.packets_delivered;
-    total.drops_loss += s.drops_loss;
-    total.drops_queue += s.drops_queue;
-    total.packets_reordered += s.packets_reordered;
-    total.bytes_delivered += s.bytes_delivered;
-  }
+  for (const Link* link : all_links_) total += link->stats();
   return total;
 }
 

@@ -1,14 +1,43 @@
 #include "obs/timeseries.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <stdexcept>
+#include <utility>
 
 #include "obs/json.hpp"
+#include "sim/parse.hpp"
 
 namespace dyncdn::obs {
 
 namespace {
 using json::append_double;
 using json::append_u64;
+
+using Column = std::pair<std::string, std::vector<double>>;
+
+/// The series the readers decoded, held as the writers hold it.
+TimeSeriesSampler assemble(std::uint64_t interval_ns,
+                           const std::vector<std::uint64_t>& ticks,
+                           const std::vector<Column>& columns) {
+  TimeSeriesSampler out(interval_ns, std::max<std::size_t>(ticks.size(), 1));
+  std::vector<TimeSeriesSampler::ChannelRef> refs;
+  for (const Column& c : columns) refs.push_back(out.channel(c.first));
+  for (std::size_t i = 0; i < ticks.size(); ++i) {
+    out.begin_tick(ticks[i]);
+    for (std::size_t c = 0; c < columns.size(); ++c) {
+      out.record(refs[c], columns[c].second[i]);
+    }
+    out.end_tick();
+  }
+  return out;
+}
+
+bool names_a_column(const std::vector<Column>& columns,
+                    const std::string& name) {
+  return std::any_of(columns.begin(), columns.end(),
+                     [&name](const Column& c) { return c.first == name; });
+}
 }  // namespace
 
 TimeSeriesSampler::TimeSeriesSampler(std::uint64_t interval_ns,
@@ -178,9 +207,8 @@ std::string TimeSeriesSampler::to_json() const {
   for (const std::string& n : channel_names()) {
     if (!first) out.push_back(',');
     first = false;
-    out.push_back('"');
-    out += n;  // channel names are code-chosen identifiers, no escaping
-    out += "\":[";
+    json::append_string(out, n);
+    out += ":[";
     const auto& values = channels_.at(n).values;
     for (std::size_t i = 0; i < ticks_.size(); ++i) {
       if (i != 0) out.push_back(',');
@@ -190,6 +218,123 @@ std::string TimeSeriesSampler::to_json() const {
   }
   out += "}}";
   return out;
+}
+
+
+const std::vector<double>& TimeSeriesSampler::values(
+    const std::string& channel) const {
+  static const std::vector<double> kNone;
+  const auto it = channels_.find(channel);
+  return it == channels_.end() ? kNone : it->second.values;
+}
+
+TimeSeriesSampler TimeSeriesSampler::from_csv(std::string_view text) {
+  std::vector<std::uint64_t> ticks;
+  std::vector<Column> columns;
+  std::size_t line_no = 0;
+  const auto refuse = [&line_no](const std::string& what) {
+    throw std::runtime_error("line " + std::to_string(line_no) + ": " + what);
+  };
+  bool header = true;
+  while (!text.empty()) {
+    const std::size_t eol = text.find('\n');
+    const std::string_view line = text.substr(0, eol);
+    text.remove_prefix(eol == std::string_view::npos ? text.size() : eol + 1);
+    ++line_no;
+    if (line.empty()) continue;
+    std::size_t col = 0;
+    std::size_t start = 0;
+    for (bool more = true; more; ++col) {
+      const std::size_t comma = line.find(',', start);
+      more = comma != std::string_view::npos;
+      const std::string cell(line.substr(start, more ? comma - start
+                                                     : std::string::npos));
+      start = comma + 1;
+      if (header) {
+        // Columns 0/1 are tick,time_ms; the rest are channels.
+        if (col < 2) continue;
+        if (names_a_column(columns, cell)) {
+          refuse("duplicate channel '" + cell + "'");
+        }
+        columns.push_back(Column{cell, {}});
+      } else if (col == 0) {
+        const auto tick = sim::parse_uint(cell);
+        if (!tick) refuse("bad tick '" + cell + "'");
+        if (!ticks.empty() && *tick <= ticks.back()) {
+          refuse("tick " + cell + " does not follow tick " +
+                 std::to_string(ticks.back()));
+        }
+        ticks.push_back(*tick);
+      } else {
+        // time_ms and the channel values: finite, non-negative numbers.
+        const auto value = sim::parse_double(cell);
+        if (!value) {
+          refuse("bad value '" + cell + "' in column " +
+                 std::to_string(col + 1));
+        }
+        if (col >= columns.size() + 2) refuse("more columns than the header");
+        if (col >= 2) columns[col - 2].second.push_back(*value);
+      }
+    }
+    if (!header && col < columns.size() + 2) {
+      refuse("fewer columns than the header");
+    }
+    header = false;
+  }
+  return assemble(0, ticks, columns);
+}
+
+TimeSeriesSampler TimeSeriesSampler::from_json(const json::Value& doc) {
+  const auto refuse = [](const std::string& what) {
+    throw std::runtime_error(what);
+  };
+  const auto whole = [](const json::Value& v) {
+    return v.type == json::Value::Type::kNumber && v.is_integer &&
+           v.integer >= 0;
+  };
+  const json::Value* series = doc.get("timeseries");
+  if (series == nullptr) series = &doc;
+  const json::Value* interval = series->get("interval_ns");
+  if (interval == nullptr || !whole(*interval) || interval->integer == 0) {
+    refuse("interval_ns must be a positive whole number");
+  }
+  const json::Value* jticks = series->get("ticks");
+  if (jticks == nullptr || !jticks->is_array()) {
+    refuse("ticks must be an array");
+  }
+  std::vector<std::uint64_t> ticks;
+  for (std::size_t i = 0; i < jticks->array.size(); ++i) {
+    const json::Value& t = jticks->array[i];
+    if (!whole(t)) refuse("bad tick at ticks[" + std::to_string(i) + "]");
+    const auto tick = static_cast<std::uint64_t>(t.integer);
+    if (!ticks.empty() && tick <= ticks.back()) {
+      refuse("ticks must increase at ticks[" + std::to_string(i) + "]");
+    }
+    ticks.push_back(tick);
+  }
+  const json::Value* chans = series->get("channels");
+  if (chans == nullptr || !chans->is_object()) {
+    refuse("channels must be an object");
+  }
+  std::vector<Column> columns;
+  for (const auto& [name, vals] : chans->object) {
+    if (!vals.is_array() || vals.array.size() != ticks.size()) {
+      refuse("channel " + name + " must hold one value per tick");
+    }
+    if (names_a_column(columns, name)) refuse("duplicate channel " + name);
+    Column c{name, {}};
+    for (std::size_t i = 0; i < vals.array.size(); ++i) {
+      // as_double's fallback -1 marks a non-number as bad.
+      const double x = vals.array[i].as_double(-1.0);
+      if (!std::isfinite(x) || x < 0) {
+        refuse("bad value at " + name + "[" + std::to_string(i) + "]");
+      }
+      c.second.push_back(x);
+    }
+    columns.push_back(std::move(c));
+  }
+  return assemble(static_cast<std::uint64_t>(interval->integer), ticks,
+                  columns);
 }
 
 }  // namespace dyncdn::obs

@@ -17,7 +17,10 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
+
+#include "obs/json.hpp"
 
 namespace dyncdn::obs {
 
@@ -79,6 +82,20 @@ class TimeSeriesSampler {
 
   // JSON object {interval_ns, ticks:[...], channels:{name:[...]}}.
   std::string to_json() const;
+
+  // Values of `channel`, one per retained tick (empty when absent).
+  const std::vector<double>& values(const std::string& channel) const;
+
+  // Readers of the two exports: a series the writers could have written,
+  // or std::runtime_error naming the first fault. Ticks are whole,
+  // non-negative and increasing; values finite and non-negative; every
+  // channel holds one value per tick and names no other channel's name.
+  // A CSV file carries no interval (its time_ms column is checked as a
+  // number and dropped), so its series reads back with interval 0; its
+  // messages start "line N: ". from_json also takes a --ts-runtime-out
+  // document, which wraps the series in {"timeseries": ...}.
+  static TimeSeriesSampler from_csv(std::string_view text);
+  static TimeSeriesSampler from_json(const json::Value& doc);
 
  private:
   struct Channel {

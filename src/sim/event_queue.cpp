@@ -1,6 +1,7 @@
 #include "sim/event_queue.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <stdexcept>
 #include <utility>
@@ -14,6 +15,35 @@ constexpr std::uint64_t kBucketMask = EventQueue::kBucketsPerLevel - 1;
 /// Level-0 bucket index of an absolute time.
 constexpr std::int64_t idx0_of(SimTime t) {
   return t.ns() >> EventQueue::kWheelShift;
+}
+
+template <typename Occupancy>
+void mark(Occupancy& bits, std::uint64_t bucket, bool occupied) {
+  const std::uint64_t bit = std::uint64_t{1} << (bucket & 63);
+  if (occupied) {
+    bits[bucket >> 6] |= bit;
+  } else {
+    bits[bucket >> 6] &= ~bit;
+  }
+}
+
+/// Buckets from `from` (wrapping) to the first occupied one, or
+/// kBucketsPerLevel when none is.
+template <typename Occupancy>
+std::uint64_t distance_to_occupied(const Occupancy& bits, std::uint64_t from) {
+  std::uint64_t word = from >> 6;
+  std::uint64_t scan = bits[word] & (~std::uint64_t{0} << (from & 63));
+  // The fifth pass revisits the first word's low bits, which wrap.
+  for (std::size_t pass = 0; pass <= bits.size(); ++pass) {
+    if (scan != 0) {
+      const std::uint64_t bucket =
+          (word << 6) + static_cast<std::uint64_t>(std::countr_zero(scan));
+      return (bucket - from) & kBucketMask;
+    }
+    word = (word + 1) % bits.size();
+    scan = bits[word];
+  }
+  return EventQueue::kBucketsPerLevel;
 }
 
 }  // namespace
@@ -63,13 +93,14 @@ void EventQueue::wheel_place(Entry e) {
   for (int level = 0; level < kLevels; ++level) {
     const int shift = kWheelShift + 8 * level;
     if ((at >> shift) - (cur >> shift) < kBucketsPerLevel) {
-      auto& bucket =
-          wheel_[static_cast<std::size_t>(level)][(at >> shift) & kBucketMask];
+      const std::uint64_t index = (at >> shift) & kBucketMask;
+      auto& bucket = wheel_[static_cast<std::size_t>(level)][index];
       // Buckets keep their capacity across cascades (clear(), not a fresh
       // vector), but a cold bucket's first few pushes would still double
       // through 1/2/4; start at a useful size instead.
       if (bucket.capacity() == 0) bucket.reserve(8);
       bucket.push_back(e);
+      mark(occupied_[static_cast<std::size_t>(level)], index, true);
       return;
     }
   }
@@ -94,6 +125,7 @@ void EventQueue::replace_after_cascade(Entry e) {
 void EventQueue::step_cursor() {
   const std::uint64_t next = cursor_idx0_ + 1;
   cursor_idx0_ = next;
+  ++cursor_steps_;
   if ((next & kBucketMask) == 0) {
     // The cursor enters a new level-1 bucket window: cascade it down.
     // Entering a new level-2 window (and a new overflow lap) cascades the
@@ -108,6 +140,7 @@ void EventQueue::step_cursor() {
       }
       Bucket& b2 = wheel_[2][(next >> 16) & kBucketMask];
       if (!b2.empty()) {
+        mark(occupied_[2], (next >> 16) & kBucketMask, false);
         Bucket pending;
         pending.swap(b2);
         for (Entry& e : pending) replace_after_cascade(e);
@@ -117,6 +150,7 @@ void EventQueue::step_cursor() {
     }
     Bucket& b1 = wheel_[1][(next >> 8) & kBucketMask];
     if (!b1.empty()) {
+      mark(occupied_[1], (next >> 8) & kBucketMask, false);
       Bucket pending;
       pending.swap(b1);
       for (Entry& e : pending) replace_after_cascade(e);
@@ -125,6 +159,7 @@ void EventQueue::step_cursor() {
     }
   }
   Bucket& due = wheel_[0][next & kBucketMask];
+  mark(occupied_[0], next & kBucketMask, false);
   wheel_size_ -= due.size();
   for (Entry& e : due) {
     if (entry_dead(e)) {
@@ -136,21 +171,43 @@ void EventQueue::step_cursor() {
   due.clear();
 }
 
+std::uint64_t EventQueue::next_busy_index() const {
+  // A level-l bucket holds entries of one window only, the one within
+  // kBucketsPerLevel windows after the cursor's that shares its residue:
+  // wheel_place files entries of the cursor's own window a level lower.
+  const std::uint64_t cur = cursor_idx0_;
+  std::uint64_t next = UINT64_MAX;
+  for (int level = 0; level < kLevels; ++level) {
+    const int shift = 8 * level;
+    const std::uint64_t window = (cur >> shift) + 1;
+    const std::uint64_t d = distance_to_occupied(
+        occupied_[static_cast<std::size_t>(level)], window & kBucketMask);
+    if (d < kBucketsPerLevel) next = std::min(next, (window + d) << shift);
+  }
+  if (!overflow_.empty()) next = std::min(next, ((cur >> 24) + 1) << 24);
+  return next;
+}
+
 void EventQueue::drain_wheel_to(SimTime t) {
   const std::uint64_t target =
       static_cast<std::uint64_t>(idx0_of(t));
-  if (target <= cursor_idx0_) return;
-  if (wheel_size_ == 0) {  // nothing to flush: jump
-    cursor_idx0_ = target;
-    return;
+  while (cursor_idx0_ < target) {
+    // Indices before the next busy one have nothing to flush or cascade.
+    const std::uint64_t busy = next_busy_index();
+    if (busy > target) {
+      cursor_idx0_ = target;
+      return;
+    }
+    cursor_idx0_ = busy - 1;
+    step_cursor();
   }
-  while (cursor_idx0_ < target) step_cursor();
 }
 
 void EventQueue::advance_until_heap_nonempty() {
   while (heap_.empty()) {
     assert(wheel_size_ > 0 &&
            "advance_until_heap_nonempty without wheel entries");
+    cursor_idx0_ = next_busy_index() - 1;
     step_cursor();
     skim();  // a flushed bucket may contain only entries cancelled later
   }
@@ -211,13 +268,15 @@ void EventQueue::maybe_compact() {
     dead_total_ = 0;
     return;
   }
-  for (auto& level : wheel_) {
-    for (Bucket& bucket : level) {
+  for (std::size_t level = 0; level < wheel_.size(); ++level) {
+    for (std::uint64_t b = 0; b < kBucketsPerLevel; ++b) {
+      Bucket& bucket = wheel_[level][b];
       if (bucket.empty()) continue;
       const std::size_t before = bucket.size();
       bucket.erase(std::remove_if(bucket.begin(), bucket.end(), is_dead),
                    bucket.end());
       wheel_size_ -= before - bucket.size();
+      if (bucket.empty()) mark(occupied_[level], b, false);
     }
   }
   const std::size_t overflow_before = overflow_.size();

@@ -40,6 +40,7 @@ TcpSocket::TcpSocket(TcpStack& stack, net::FlowId flow, TcpConfig config,
   buf_seq_base_ = iss_ + 1;
   cwnd_ = config_.initial_cwnd_segments * config_.mss;
   ssthresh_ = config_.initial_ssthresh;
+  update_rto();
 }
 
 // ---------------------------------------------------------------------------
@@ -81,6 +82,13 @@ void TcpSocket::abort() {
 
 std::size_t TcpSocket::unacked_bytes() const {
   return static_cast<std::size_t>(snd_nxt_ - snd_una_);
+}
+
+bool TcpSocket::quiescent() const {
+  return state_ == TcpState::kEstablished && buf_bytes_ == 0 &&
+         snd_una_ == snd_nxt_ && out_of_order_.empty() &&
+         !rto_timer_.valid() && !delayed_ack_timer_.valid() &&
+         !time_wait_timer_.valid();
 }
 
 void TcpSocket::attach_trace(obs::TraceSession* session, obs::SpanId span) {
@@ -238,7 +246,10 @@ void TcpSocket::process_ack(const net::PacketPtr& p) {
     const std::uint64_t acked = ack - snd_una_;
     snd_una_ = ack;
     dupack_count_ = 0;
-    rto_backoff_ = 0;
+    if (rto_backoff_ != 0) {
+      rto_backoff_ = 0;
+      update_rto();
+    }
 
     if (timing_segment_ && ack >= timed_seq_) {
       take_rtt_sample(stack_.simulator().now() - timed_sent_at_);
@@ -371,6 +382,7 @@ void TcpSocket::on_rto() {
   dupack_count_ = 0;
   timing_segment_ = false;
   ++rto_backoff_;
+  update_rto();
   ++stats_.retransmits_rto;
 
   switch (state_) {
@@ -582,14 +594,13 @@ void TcpSocket::maybe_decay_idle_cwnd() {
     last_data_sent_ = now;
     return;
   }
-  const sim::SimTime rto = current_rto();
   sim::SimTime idle = now - last_data_sent_;
   const std::size_t restart_window =
       config_.initial_cwnd_segments * config_.mss;
   // Halve cwnd once per elapsed RTO of idleness, down to the restart window.
-  while (idle >= rto && cwnd_ > restart_window) {
+  while (idle >= rto_ && cwnd_ > restart_window) {
     cwnd_ = std::max(cwnd_ / 2, restart_window);
-    idle -= rto;
+    idle -= rto_;
   }
 }
 
@@ -719,18 +730,18 @@ void TcpSocket::schedule_ack() {
 // RTO management
 // ---------------------------------------------------------------------------
 
-sim::SimTime TcpSocket::current_rto() const {
+void TcpSocket::update_rto() {
   sim::SimTime rto = have_rtt_sample_
                          ? srtt_ + std::max(rttvar_.scaled(4.0),
                                             sim::SimTime::milliseconds(10))
                          : config_.initial_rto;
   for (int i = 0; i < rto_backoff_; ++i) rto = rto * 2;
-  return std::clamp(rto, config_.min_rto, config_.max_rto);
+  rto_ = std::clamp(rto, config_.min_rto, config_.max_rto);
 }
 
 void TcpSocket::arm_rto() {
   sim::Simulator& simulator = stack_.simulator();
-  rto_deadline_ = simulator.now() + current_rto();
+  rto_deadline_ = simulator.now() + rto_;
   rto_ticket_ = simulator.reserve_seq();
   if (rto_timer_.valid()) {
     // The new ticket is the newest sequence number, so an entry due no
@@ -772,12 +783,14 @@ void TcpSocket::take_rtt_sample(sim::SimTime sample) {
     srtt_ = sample;
     rttvar_ = sample / 2;
     have_rtt_sample_ = true;
-    return;
+  } else {
+    // Jacobson/Karels EWMA: alpha=1/8, beta=1/4.
+    const sim::SimTime err =
+        (sample > srtt_) ? sample - srtt_ : srtt_ - sample;
+    rttvar_ = rttvar_.scaled(0.75) + err.scaled(0.25);
+    srtt_ = srtt_.scaled(0.875) + sample.scaled(0.125);
   }
-  // Jacobson/Karels EWMA: alpha=1/8, beta=1/4.
-  const sim::SimTime err = (sample > srtt_) ? sample - srtt_ : srtt_ - sample;
-  rttvar_ = rttvar_.scaled(0.75) + err.scaled(0.25);
-  srtt_ = srtt_.scaled(0.875) + sample.scaled(0.125);
+  update_rto();
 }
 
 // ---------------------------------------------------------------------------

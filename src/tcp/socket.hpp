@@ -97,6 +97,15 @@ class TcpSocket {
   /// Bytes queued but not yet acked (send buffer occupancy).
   std::size_t unacked_bytes() const;
 
+  /// Retransmission timeout the next arm would use: the Jacobson/Karn
+  /// estimate doubled per backoff step, clamped to [min_rto, max_rto].
+  sim::SimTime rto() const { return rto_; }
+
+  /// True when the socket can produce no further event on its own:
+  /// established, every queued byte sent and acknowledged, nothing held
+  /// out of order, and no RTO, delayed-ACK or TIME_WAIT timer armed.
+  bool quiescent() const;
+
   /// Replace the callback set (used by accept handlers).
   void set_callbacks(Callbacks cb) { callbacks_ = std::move(cb); }
 
@@ -150,7 +159,7 @@ class TcpSocket {
   net::PayloadRef gather_payload(std::uint64_t seq, std::size_t len) const;
 
   // --- RTT estimation ---
-  /// Restart the retransmission timer: deadline now + current_rto(),
+  /// Restart the retransmission timer: deadline now + rto(),
   /// ordered as if scheduled now. Keeps the queued entry when it is due
   /// no later than the new deadline (it files itself again when it wakes).
   void arm_rto();
@@ -162,7 +171,9 @@ class TcpSocket {
   /// on_rto().
   void on_rto_timer();
   void take_rtt_sample(sim::SimTime sample);
-  sim::SimTime current_rto() const;
+  /// Recompute rto_ after srtt_, rttvar_, have_rtt_sample_ or
+  /// rto_backoff_ changed; every other reader takes the cached value.
+  void update_rto();
 
   // --- lifecycle ---
   void enter_time_wait();
@@ -214,11 +225,13 @@ class TcpSocket {
   // RTT estimation (Jacobson/Karn).
   sim::SimTime srtt_ = sim::SimTime::zero();
   sim::SimTime rttvar_ = sim::SimTime::zero();
+  sim::SimTime rto_ = sim::SimTime::zero();  // see update_rto()
   bool have_rtt_sample_ = false;
-  int rto_backoff_ = 0;
   /// Timing of one in-flight segment (Karn's algorithm: at most one timed
-  /// segment, never a retransmitted one).
+  /// segment, never a retransmitted one). Declared beside the other flag
+  /// so the two share one padded word with rto_backoff_.
   bool timing_segment_ = false;
+  int rto_backoff_ = 0;
   std::uint64_t timed_seq_ = 0;
   sim::SimTime timed_sent_at_ = sim::SimTime::zero();
 

@@ -1,6 +1,7 @@
 #include "testbed/parallel_experiment.hpp"
 
 #include <algorithm>
+#include <memory>
 #include <optional>
 #include <stdexcept>
 
@@ -25,13 +26,34 @@ std::vector<std::vector<std::size_t>> partition_clients(std::size_t clients,
   return groups;
 }
 
+/// The campaign's one fleet warm-up, which every replica shares; null
+/// for a single-replica plan, whose one scenario builds every FE.
+std::shared_ptr<const FleetWarmup> fleet_warmup(const ScenarioOptions& base,
+                                                const ReplicaPlan& plan,
+                                                std::size_t shards) {
+  if (shards <= 1) return nullptr;
+  return std::make_shared<const FleetWarmup>(
+      Scenario::record_fleet_warmup(base, plan.warm_up));
+}
+
 /// The scenario one replica builds: the shared base driving only `group`
 /// and client 0, which probes the static/dynamic boundary in every replica.
+/// With a fleet warm-up, it builds only the FEs those clients query: the
+/// fixed FE, or each one's default FE.
 ScenarioOptions replica_options(const ScenarioOptions& base,
-                                const std::vector<std::size_t>& group) {
+                                const std::vector<std::size_t>& group,
+                                std::shared_ptr<const FleetWarmup> fleet,
+                                std::optional<std::size_t> fixed_fe) {
   ScenarioOptions options = base;
   options.driven_clients = group;
   if (group.front() != 0) options.driven_clients.push_back(0);
+  if (fleet != nullptr) {
+    for (const std::size_t i : options.driven_clients) {
+      options.queried_fes.push_back(fixed_fe ? *fixed_fe
+                                             : fleet->default_fe.at(i));
+    }
+    options.fleet_warmup = std::move(fleet);
+  }
   return options;
 }
 
@@ -50,12 +72,13 @@ ExperimentResult run_sharded(const ScenarioOptions& base,
   const std::size_t clients = planned_client_count(base);
   const std::size_t shards = resolve_shards(plan, clients);
   const auto groups = partition_clients(clients, shards);
+  const auto fleet = fleet_warmup(base, plan, shards);
 
   parallel::ReplicaExecutor executor(plan.executor);
   auto shard_results =
       executor.run(shards, [&](std::size_t s) -> ExperimentResult {
         // Same seed -> identical topology everywhere.
-        Scenario scenario(replica_options(base, groups[s]));
+        Scenario scenario(replica_options(base, groups[s], fleet, fixed_fe));
         scenario.warm_up(plan.warm_up);
         auto& scenario_clients = scenario.clients();
         const auto fe_for_client = [&](std::size_t i) {
@@ -132,6 +155,7 @@ FetchFactoringResult run_fetch_factoring_experiment(
   const std::size_t points = planned_client_count(scenario_options);
   const std::size_t shards = resolve_shards(plan, points);
   const auto groups = partition_clients(points, shards);
+  const auto fleet = fleet_warmup(scenario_options, plan, shards);
 
   struct ShardSeries {
     std::vector<double> distances_miles;
@@ -141,7 +165,9 @@ FetchFactoringResult run_fetch_factoring_experiment(
 
   parallel::ReplicaExecutor executor(plan.executor);
   auto shard_results = executor.run(shards, [&](std::size_t s) -> ShardSeries {
-    Scenario scenario(replica_options(scenario_options, groups[s]));
+    // Probe i queries sweep FE i, its default; the boundary probe FE 0.
+    Scenario scenario(
+        replica_options(scenario_options, groups[s], fleet, std::nullopt));
     scenario.warm_up(plan.warm_up);
     auto& clients = scenario.clients();
     auto& fes = scenario.fes();

@@ -8,6 +8,11 @@
 // pool (parallel/replica.hpp). A replica builds only the vantage points it
 // drives, its shard plus client 0 for the boundary probe
 // (ScenarioOptions::driven_clients); the others keep just their nodes.
+// A plan of more than one replica also simulates the FE fleet's warm-up
+// once, before the replicas start (Scenario::record_fleet_warmup): each
+// replica then builds only the FEs its clients query plus the FEs still
+// busy at the warm-up deadline, and its exports count the other FEs'
+// warm-up from that shared record (ScenarioOptions::fleet_warmup).
 // Merging scatters each shard's per-node results back into fleet order.
 //
 // Determinism contract:

@@ -191,13 +191,52 @@ void Scenario::build_frontends() {
     }
   }
 
-  for (const Site& site : sites) {
+  // Every FE serves with the same configuration but its name.
+  cdn::FrontEndServer::Config cfg;
+  cfg.backend = backend_->fetch_endpoint();
+  cfg.service = p.fe_service;
+  cfg.client_tcp = p.client_tcp;
+  cfg.backend_tcp = p.internal_tcp;
+  cfg.warm_backend_connection =
+      options_.warm_backend_connection.value_or(p.warm_backend_connection);
+  if (options_.relay_mode) cfg.relay_mode = *options_.relay_mode;
+  if (options_.serve_static_immediately) {
+    cfg.serve_static_immediately = *options_.serve_static_immediately;
+  }
+  if (options_.fe_cache_results) {
+    cfg.cache_results = *options_.fe_cache_results;
+  }
+  if (options_.client_initial_cwnd) {
+    cfg.client_tcp.initial_cwnd_segments = *options_.client_initial_cwnd;
+  }
+  fe_client_port_ = cfg.client_port;
+
+  // A shared fleet warm-up leaves out the FEs that are idle at its
+  // deadline and not queried here.
+  const FleetWarmup* fleet = options_.fleet_warmup.get();
+  std::vector<bool> build(sites.size(), fleet == nullptr);
+  if (fleet != nullptr) {
+    if (fleet->idle.size() != sites.size()) {
+      throw std::logic_error(
+          "fleet warm-up record holds " + std::to_string(fleet->idle.size()) +
+          " FEs, the scenario places " + std::to_string(sites.size()));
+    }
+    for (std::size_t f = 0; f < sites.size(); ++f) build[f] = !fleet->idle[f];
+    for (const std::size_t f : options_.queried_fes) build.at(f) = true;
+  }
+
+  for (std::size_t f = 0; f < sites.size(); ++f) {
+    const Site& site = sites[f];
     FrontEnd fe;
     fe.site_name = site.name;
     fe.location = site.location;
     fe.node = &network_->add_node("fe-" + site.name, site.location);
     fe.distance_to_be_miles =
         net::haversine_miles(site.location, p.be_location);
+    if (!build[f]) {
+      fes_.push_back(std::move(fe));
+      continue;
+    }
 
     // FE <-> BE path: geographic propagation over a well-provisioned (or,
     // for BingLike, public-internet) link.
@@ -212,26 +251,9 @@ void Scenario::build_frontends() {
     }
     network_->connect(*fe.node, *be_node_, link);
 
-    cdn::FrontEndServer::Config cfg;
     cfg.name = "fe-" + site.name;
-    cfg.backend = backend_->fetch_endpoint();
-    cfg.service = p.fe_service;
-    cfg.client_tcp = p.client_tcp;
-    cfg.backend_tcp = p.internal_tcp;
-    cfg.warm_backend_connection =
-        options_.warm_backend_connection.value_or(p.warm_backend_connection);
-    if (options_.relay_mode) cfg.relay_mode = *options_.relay_mode;
-    if (options_.serve_static_immediately) {
-      cfg.serve_static_immediately = *options_.serve_static_immediately;
-    }
-    if (options_.fe_cache_results) {
-      cfg.cache_results = *options_.fe_cache_results;
-    }
-    if (options_.client_initial_cwnd) {
-      cfg.client_tcp.initial_cwnd_segments = *options_.client_initial_cwnd;
-    }
-    fe.server = std::make_unique<cdn::FrontEndServer>(*fe.node, *content_,
-                                                      std::move(cfg));
+    fe.server =
+        std::make_unique<cdn::FrontEndServer>(*fe.node, *content_, cfg);
     fes_.push_back(std::move(fe));
   }
 }
@@ -284,18 +306,7 @@ void Scenario::build_clients() {
       continue;
     }
 
-    // DNS emulation: default FE = geographically nearest site.
-    std::size_t best = 0;
-    double best_miles = std::numeric_limits<double>::max();
-    for (std::size_t f = 0; f < fes_.size(); ++f) {
-      const double miles =
-          net::haversine_miles(vps[i].location, fes_[f].location);
-      if (miles < best_miles) {
-        best_miles = miles;
-        best = f;
-      }
-    }
-    if (options_.fe_distance_sweep_miles) best = i;  // pair probe with FE
+    const std::size_t best = default_fe_for(i, vps[i]);
     c.default_fe = best;
     c.node = &network_->add_node(vps[i].name, vps[i].location);
 
@@ -306,8 +317,8 @@ void Scenario::build_clients() {
       c.recorder = std::make_unique<capture::TraceRecorder>(
           *c.node, c.node->simulator(), ro);
       if (options_.stream_analysis) {
-        c.analyzer = std::make_unique<analysis::StreamingAnalyzer>(
-            fes_.front().server->client_endpoint().port);
+        c.analyzer =
+            std::make_unique<analysis::StreamingAnalyzer>(fe_client_port_);
         c.recorder->set_sink(c.analyzer.get());
       }
       if (spilling_active()) {
@@ -327,8 +338,26 @@ void Scenario::build_clients() {
     }
     c.query_client = std::make_unique<cdn::QueryClient>(*c.node, client_tcp);
     clients_.push_back(std::move(c));
-    connect_client_to_fe(i, best);
+    // A fixed-FE replica may leave the default FE out; the client never
+    // sends to it there.
+    if (fes_[best].built()) connect_client_to_fe(i, best);
   }
+}
+
+std::size_t Scenario::default_fe_for(std::size_t client_index,
+                                     const VantagePoint& vp) const {
+  if (options_.fe_distance_sweep_miles) return client_index;
+  // DNS emulation: default FE = geographically nearest site.
+  std::size_t best = 0;
+  double best_miles = std::numeric_limits<double>::max();
+  for (std::size_t f = 0; f < fes_.size(); ++f) {
+    const double miles = net::haversine_miles(vp.location, fes_[f].location);
+    if (miles < best_miles) {
+      best_miles = miles;
+      best = f;
+    }
+  }
+  return best;
 }
 
 net::LinkConfig Scenario::client_access_link(
@@ -353,10 +382,18 @@ void Scenario::Client::require_driven() const {
   }
 }
 
+void Scenario::FrontEnd::require_built() const {
+  if (!built()) {
+    throw std::logic_error("front-end " + site_name +
+                           " is not built by this scenario");
+  }
+}
+
 void Scenario::connect_client_to_fe(std::size_t client_index,
                                     std::size_t fe_index) {
   Client& c = clients_.at(client_index);
   c.require_driven();
+  fes_.at(fe_index).require_built();
   const auto key = std::make_pair(client_index, fe_index);
   if (std::find(client_fe_links_.begin(), client_fe_links_.end(), key) !=
       client_fe_links_.end()) {
@@ -375,7 +412,9 @@ net::Endpoint Scenario::default_fe_endpoint(std::size_t client_index) const {
 }
 
 net::Endpoint Scenario::fe_endpoint(std::size_t fe_index) const {
-  return fes_.at(fe_index).server->client_endpoint();
+  const FrontEnd& fe = fes_.at(fe_index);
+  fe.require_built();
+  return fe.server->client_endpoint();
 }
 
 sim::SimTime Scenario::client_fe_rtt(std::size_t client_index,
@@ -389,11 +428,128 @@ sim::SimTime Scenario::client_fe_rtt(std::size_t client_index,
 }
 
 void Scenario::warm_up(sim::SimTime duration) {
-  run_until(simulator_->now() + duration);
+  const FleetWarmup* fleet = options_.fleet_warmup.get();
+  const sim::SimTime deadline = simulator_->now() + duration;
+  if (fleet != nullptr && (idle_fleet_ || deadline != fleet->deadline)) {
+    throw std::logic_error(
+        "warm-up to " + deadline.to_string() +
+        " does not match the shared fleet warm-up, which ends at " +
+        fleet->deadline.to_string() + " and is adopted once");
+  }
+  run_until(deadline);
   // Recorders should not carry warm-up traffic into the analysis.
   for (Client& c : clients_) {
     if (c.recorder) c.recorder->clear();
   }
+  if (fleet == nullptr) return;
+
+  // Adopt the left-out FEs' warm-up: the fleet's counts minus this
+  // scenario's own. An idle FE's counts no longer change after the
+  // deadline, so adding them once to every later export gives the full
+  // fleet's. Peaks are high-water marks and merge by max.
+  obs::MetricsRegistry own;
+  collect_own_metrics(own);
+  IdleFleet idle;
+  for (const auto& [name, total] : fleet->totals.counters()) {
+    const std::uint64_t mine = own.counter(name);
+    if (mine > total) {
+      throw std::logic_error("fleet warm-up record counts " +
+                             std::to_string(total) + " " + name +
+                             ", fewer than this scenario's " +
+                             std::to_string(mine));
+    }
+    idle.metrics.add(name, total - mine);
+  }
+  for (const auto& [name, peak] : fleet->totals.gauges()) {
+    idle.metrics.gauge_max(name, peak);
+  }
+  idle.backend_pool = fleet->backend_pool - backend_pool_total();
+  idle.links = fleet->links;
+  idle.links -= network_->aggregate_link_stats();
+  idle_fleet_ = std::move(idle);
+}
+
+void Scenario::require_fleet_adopted() const {
+  if (options_.fleet_warmup && !idle_fleet_) {
+    throw std::logic_error(
+        "a scenario sharing a fleet warm-up reports only after warm_up()");
+  }
+}
+
+std::int64_t Scenario::backend_pool_total() const {
+  std::int64_t pool = 0;
+  for (const FrontEnd& fe : fes_) {
+    if (fe.built()) {
+      pool += static_cast<std::int64_t>(fe.server->backend_pool_size());
+    }
+  }
+  return pool;
+}
+
+std::pair<const net::Link*, const net::Link*> Scenario::fe_links(
+    std::size_t fe_index) {
+  // The direct FE<->BE link is an FE's only path to the BE.
+  const net::NodeId fe = fes_.at(fe_index).node->id();
+  return {network_->first_hop_link(fe, be_node_->id()),
+          network_->first_hop_link(be_node_->id(), fe)};
+}
+
+bool Scenario::fe_idle(std::size_t fe_index) {
+  const FrontEnd& fe = fes_.at(fe_index);
+  if (!fe.server->quiescent()) return false;
+  for (const tcp::TcpSocket* socket : fe.server->backend_sockets()) {
+    const tcp::TcpSocket* peer =
+        backend_->stack().find(socket->flow().reversed());
+    if (peer == nullptr || !peer->quiescent()) return false;
+  }
+  const auto [to_be, from_be] = fe_links(fe_index);
+  return to_be->stats().in_flight() == 0 && from_be->stats().in_flight() == 0;
+}
+
+FleetWarmup Scenario::record_fleet_warmup(const ScenarioOptions& base,
+                                          sim::SimTime warm_up) {
+  ScenarioOptions options = base;
+  // Warm-ups run between the FEs and the BE: one driven vantage point
+  // (the fleet needs one) without a recorder or spill file is enough.
+  options.driven_clients = {0};
+  options.capture_clients = false;
+  options.fleet_warmup.reset();
+  options.queried_fes.clear();
+  Scenario fleet(std::move(options));
+  fleet.warm_up(warm_up);
+
+  FleetWarmup record;
+  record.deadline = fleet.simulator_->now();
+  fleet.collect_metrics(record.totals);
+  record.backend_pool = fleet.backend_pool_total();
+  record.links = fleet.network_->aggregate_link_stats();
+  for (std::size_t i = 0; i < fleet.clients_.size(); ++i) {
+    record.default_fe.push_back(
+        fleet.default_fe_for(i, fleet.clients_[i].vantage));
+  }
+  // Packets offered per FE at the deadline. An idle FE's links carry
+  // none then, so one offered later is the only way they can deliver or
+  // drop anything afterwards.
+  const auto offered = [&fleet](std::size_t f) {
+    const auto [to_be, from_be] = fleet.fe_links(f);
+    return to_be->stats().packets_offered + from_be->stats().packets_offered;
+  };
+  std::vector<std::uint64_t> at_deadline;
+  for (std::size_t f = 0; f < fleet.fes_.size(); ++f) {
+    record.idle.push_back(fleet.fe_idle(f));
+    at_deadline.push_back(offered(f));
+  }
+
+  // Check the rule against the FEs' future.
+  fleet.simulator_->run();
+  for (std::size_t f = 0; f < fleet.fes_.size(); ++f) {
+    if (record.idle[f] && offered(f) != at_deadline[f]) {
+      throw std::logic_error("front-end " + fleet.fes_[f].site_name +
+                             " was recorded idle at the warm-up deadline "
+                             "but its BE links carried traffic after it");
+    }
+  }
+  return record;
 }
 
 void Scenario::collect_kernel_metrics(obs::MetricsRegistry& out) {
@@ -419,6 +575,12 @@ void Scenario::collect_kernel_metrics(obs::MetricsRegistry& out) {
 }
 
 void Scenario::collect_metrics(obs::MetricsRegistry& out) {
+  require_fleet_adopted();
+  collect_own_metrics(out);
+  if (idle_fleet_) out.merge(idle_fleet_->metrics);
+}
+
+void Scenario::collect_own_metrics(obs::MetricsRegistry& out) {
   // Network layer.
   out.add("net_packets_created", network_->packets_created());
   out.add("net_packets_routed", network_->packets_routed());
@@ -447,7 +609,9 @@ void Scenario::collect_metrics(obs::MetricsRegistry& out) {
   for (Client& c : clients_) {
     if (c.driven()) fold(c.query_client->stack());
   }
-  for (FrontEnd& fe : fes_) fold(fe.server->stack());
+  for (FrontEnd& fe : fes_) {
+    if (fe.built()) fold(fe.server->stack());
+  }
   fold(backend_->stack());
   out.add("tcp_sockets_opened", sockets_opened);
   out.add("tcp_bytes_sent", tcp_totals.bytes_sent);
@@ -462,6 +626,7 @@ void Scenario::collect_metrics(obs::MetricsRegistry& out) {
   std::int64_t be_pool_peak = 0, fetch_queue_peak = 0,
                active_requests_peak = 0;
   for (FrontEnd& fe : fes_) {
+    if (!fe.built()) continue;
     fe_handled += fe.server->queries_handled();
     fe_cache_hits += fe.server->cache_hits();
     fe_static_hits += fe.server->static_cache_hits();
@@ -496,9 +661,18 @@ void Scenario::take_sample(std::uint64_t tick) {
   ts.begin_tick(tick);
 
   // Every channel is derived purely from simulation state at the tick,
-  // so byte-identical at any thread/shard count.
+  // so byte-identical at any thread/shard count. FEs a shared fleet
+  // warm-up left out hold their deadline pools and link counts, and have
+  // no queue or request.
+  require_fleet_adopted();
   std::int64_t fetch_queue = 0, active = 0, pool = 0;
+  net::LinkStats links = network_->aggregate_link_stats();
+  if (idle_fleet_) {
+    pool = idle_fleet_->backend_pool;
+    links += idle_fleet_->links;
+  }
   for (FrontEnd& fe : fes_) {
+    if (!fe.built()) continue;
     fetch_queue += static_cast<std::int64_t>(fe.server->fetch_queue_depth());
     active += static_cast<std::int64_t>(fe.server->active_requests());
     pool += static_cast<std::int64_t>(fe.server->backend_pool_size());
@@ -509,11 +683,8 @@ void Scenario::take_sample(std::uint64_t tick) {
   ts.record(ts_channels_.be_queue_depth,
             static_cast<double>(backend_->active_queries()));
 
-  const net::LinkStats links = network_->aggregate_link_stats();
   ts.record(ts_channels_.net_packets_in_flight,
-            static_cast<double>(links.packets_offered -
-                                links.packets_delivered - links.drops_loss -
-                                links.drops_queue));
+            static_cast<double>(links.in_flight()));
   ts.record_cumulative(ts_channels_.link_packets_delivered,
                        static_cast<double>(links.packets_delivered));
   ts.record_cumulative(ts_channels_.link_bytes_delivered,

@@ -28,6 +28,33 @@
 
 namespace dyncdn::testbed {
 
+/// One campaign's fleet warm-up, simulated once (Scenario::
+/// record_fleet_warmup) and read by every replica of a multi-replica plan
+/// (parallel_experiment.hpp). Each FE warms its BE connection over its own
+/// FE<->BE path, with no RNG draw and no vantage point involved, so every
+/// replica would re-simulate the same warm-ups. With the record, a
+/// replica simulates only the FEs it queries and the FEs still busy at
+/// the deadline, and takes the rest of the fleet's warm-up counts from
+/// here.
+struct FleetWarmup {
+  /// Sim time at the end of the warm-up, which starts at time 0.
+  sim::SimTime deadline;
+  /// Per FE: true when nothing of the FE can produce another event at the
+  /// deadline. Its pooled connections are established and carry no query;
+  /// both socket ends are quiescent; neither FE<->BE link carries a
+  /// packet. A busy FE's tail extends the first run() after the warm-up,
+  /// which sets every later submit time, so busy FEs are never skipped.
+  std::vector<bool> idle;
+  /// Per vantage point: the FE that DNS names for it.
+  std::vector<std::size_t> default_fe;
+  /// The whole fleet's collect_metrics at the deadline.
+  obs::MetricsRegistry totals;
+  /// The whole fleet's summed BE-pool size and link counters at the
+  /// deadline: what the time-series sampler reads.
+  std::int64_t backend_pool = 0;
+  net::LinkStats links;
+};
+
 struct ScenarioOptions {
   cdn::ServiceProfile profile;
   std::size_t client_count = 60;
@@ -38,8 +65,20 @@ struct ScenarioOptions {
   /// packet ids and link names match the full fleet: no default-FE search,
   /// access link, QueryClient, recorder, analyzer or spill writer. A
   /// replica (parallel_experiment.hpp) lists its group plus client 0, the
-  /// boundary probe; the BE, the FE fleet and their warm-ups stay whole.
+  /// boundary probe. Which FEs it builds is up to fleet_warmup.
   std::vector<std::size_t> driven_clients;
+
+  /// A campaign's shared fleet warm-up and the FEs this scenario queries
+  /// (null = build every FE). When set, only the FEs in `queried_fes` and
+  /// the FEs the record found busy get a server and FE<->BE links; every
+  /// other FE keeps only its net::Node, so node ids, names and link RNG
+  /// streams match the full fleet. warm_up() must end at the record's
+  /// deadline; from then on collect_metrics and the time series add the
+  /// record's counts for the FEs left out. Set by the replica runners of
+  /// multi-replica plans only (parallel_experiment.hpp), like
+  /// driven_clients.
+  std::shared_ptr<const FleetWarmup> fleet_warmup;
+  std::vector<std::size_t> queried_fes;
 
   /// Capture packets at client nodes. Payload retention is needed only for
   /// content-boundary discovery; large sweeps keep it off to bound memory.
@@ -163,7 +202,22 @@ class Scenario {
     net::Node* node = nullptr;
     std::unique_ptr<cdn::FrontEndServer> server;
     double distance_to_be_miles = 0;
+
+    /// False for an FE a shared fleet warm-up left out
+    /// (ScenarioOptions::fleet_warmup): only the fields above but `server`
+    /// are set.
+    bool built() const { return server != nullptr; }
+    /// Throws std::logic_error unless built().
+    void require_built() const;
   };
+
+  /// Simulate `base`'s fleet warm-up once for a campaign of replicas:
+  /// build `base` driving client 0 only, with capture off, warm it up for
+  /// `warm_up` and record it. Then run it to exhaustion and throw
+  /// std::logic_error, naming the FE, if a link of an FE recorded as idle
+  /// offered, delivered or dropped anything after the deadline.
+  static FleetWarmup record_fleet_warmup(const ScenarioOptions& base,
+                                         sim::SimTime warm_up);
 
   sim::Simulator& simulator() { return *simulator_; }
   net::Network& network() { return *network_; }
@@ -177,6 +231,7 @@ class Scenario {
   /// DNS emulation: the endpoint of client i's default (nearest) FE.
   /// Throws std::logic_error for a client that is not driven.
   net::Endpoint default_fe_endpoint(std::size_t client_index) const;
+  /// Throws std::logic_error for an FE that is not built.
   net::Endpoint fe_endpoint(std::size_t fe_index) const;
   /// One-way client<->FE propagation path RTT estimate (for sanity checks;
   /// analysis derives RTT from handshakes, not from here).
@@ -185,11 +240,14 @@ class Scenario {
 
   /// Ensure a direct link exists between client i and FE j (Datasets B:
   /// querying a fixed, possibly non-default FE). Throws std::logic_error
-  /// for a client that is not driven.
+  /// for a client that is not driven or an FE that is not built.
   void connect_client_to_fe(std::size_t client_index, std::size_t fe_index);
 
   /// Run the simulation until the FE fleet's persistent BE connections are
   /// established and warmed. Call before submitting measured queries.
+  /// With a shared fleet warm-up, the one call must end at the record's
+  /// deadline (else std::logic_error); it then adopts the record's counts
+  /// for the FEs this scenario left out.
   void warm_up(sim::SimTime duration = sim::SimTime::seconds(5));
 
   /// Execute pending events until the queue drains / until `deadline`
@@ -205,14 +263,15 @@ class Scenario {
   /// stacks, FE/BE servers). Purely additive: callers can merge registries
   /// across replicas. Every counter here is invariant under the replica
   /// layout; the kernel-level counters that depend on it live in
-  /// collect_kernel_metrics.
+  /// collect_kernel_metrics. FEs left out by a shared fleet warm-up count
+  /// with their recorded warm-up, so the export is the full fleet's.
   void collect_metrics(obs::MetricsRegistry& out);
 
   /// Event-kernel introspection (events executed/scheduled, heap peak) and
   /// spill flush wall time. Kept out of collect_metrics because event
-  /// counts depend on the replica layout (each replica re-runs the FE
-  /// warm-ups and the boundary probe), and experiment exports must stay
-  /// byte-identical at any shard count.
+  /// counts depend on the replica layout (each replica re-runs the
+  /// boundary probe and the warm-ups of the FEs it builds), and experiment
+  /// exports must stay byte-identical at any shard count.
   void collect_kernel_metrics(obs::MetricsRegistry& out);
 
   /// Time-series sampler (null unless ScenarioOptions::ts_interval > 0).
@@ -261,6 +320,17 @@ class Scenario {
   void build_backend();
   void build_frontends();
   void build_clients();
+  /// The site DNS names for a vantage point: the nearest FE, or, in a
+  /// distance sweep, the FE paired with probe `client_index`.
+  std::size_t default_fe_for(std::size_t client_index,
+                             const VantagePoint& vp) const;
+  /// collect_metrics without the fleet record's counts.
+  void collect_own_metrics(obs::MetricsRegistry& out);
+  std::int64_t backend_pool_total() const;
+  /// FleetWarmup::idle's rule for FE `fe_index` at the current time.
+  bool fe_idle(std::size_t fe_index);
+  /// The FE<->BE links of FE `fe_index` (FE->BE, BE->FE).
+  std::pair<const net::Link*, const net::Link*> fe_links(std::size_t fe_index);
   void take_sample(std::uint64_t tick);
   net::LinkConfig client_access_link(const VantagePoint& vp,
                                      const net::GeoPoint& fe_location) const;
@@ -290,7 +360,20 @@ class Scenario {
   std::unique_ptr<cdn::BackendDataCenter> backend_;
   net::Node* be_node_ = nullptr;
   std::vector<FrontEnd> fes_;
+  /// Port every FE serves clients on (the per-client analyzers key on it).
+  net::Port fe_client_port_ = 0;
   std::vector<Client> clients_;
+  /// Counts of the FEs a shared fleet warm-up left out: the record minus
+  /// this scenario's own counts at the deadline. Set by warm_up().
+  struct IdleFleet {
+    obs::MetricsRegistry metrics;  // counters to add, gauges to max in
+    std::int64_t backend_pool = 0;
+    net::LinkStats links;
+  };
+  std::optional<IdleFleet> idle_fleet_;
+  /// Throws std::logic_error when a shared fleet warm-up is set but
+  /// warm_up() has not adopted it yet.
+  void require_fleet_adopted() const;
   /// (client, fe) pairs already linked.
   std::vector<std::pair<std::size_t, std::size_t>> client_fe_links_;
 };

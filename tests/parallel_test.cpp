@@ -8,6 +8,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -469,6 +470,214 @@ TEST(LeanReplica, IdleVantagePointsKeepTheirNodesAndCannotBeDriven) {
 
   options.driven_clients = {8};  // the fleet has clients 0..7
   EXPECT_THROW({ testbed::Scenario bad(options); }, std::out_of_range);
+}
+
+// ---------------------------------------------------------------------------
+// Shared fleet warm-up: a multi-replica plan simulates the FE fleet's
+// warm-up once (Scenario::record_fleet_warmup). A replica then builds only
+// the FEs it queries plus the FEs still busy at the deadline and counts
+// the others' warm-up from the record. Driven through the same group, it
+// must report exactly what a scenario with the whole fleet reports, in
+// fewer kernel events.
+// ---------------------------------------------------------------------------
+
+/// A replica's options as the runners build them: the group plus client 0,
+/// querying FE 0 or each client's default FE.
+testbed::ScenarioOptions fleet_replica_options(
+    const testbed::ScenarioOptions& base, const std::vector<std::size_t>& group,
+    std::shared_ptr<const testbed::FleetWarmup> fleet, bool fixed_fe0) {
+  testbed::ScenarioOptions options = base;
+  options.driven_clients = group;
+  if (group.front() != 0) options.driven_clients.push_back(0);
+  for (const std::size_t i : options.driven_clients) {
+    options.queried_fes.push_back(fixed_fe0 ? 0 : fleet->default_fe.at(i));
+  }
+  options.fleet_warmup = std::move(fleet);
+  return options;
+}
+
+struct FleetComparison {
+  testbed::ExperimentResult replica;
+  testbed::ExperimentResult full;
+};
+
+/// Drive `group` through a fleet replica and through the full scenario,
+/// both warmed up for `warm_up`, and expect the same exports.
+FleetComparison compare_fleet_replica(
+    const testbed::ScenarioOptions& base, const std::vector<std::size_t>& group,
+    std::shared_ptr<const testbed::FleetWarmup> fleet, bool fixed_fe0,
+    sim::SimTime warm_up) {
+  const auto options = small_experiment();
+  std::vector<testbed::ExperimentResult> results;
+  for (const testbed::ScenarioOptions& opt :
+       {fleet_replica_options(base, group, fleet, fixed_fe0), base}) {
+    testbed::Scenario scenario(opt);
+    scenario.warm_up(warm_up);
+    auto& clients = scenario.clients();
+    results.push_back(testbed::run_experiment_subset(
+        scenario, options, group, [&](std::size_t i) {
+          return fixed_fe0 ? 0 : clients[i].default_fe;
+        }));
+  }
+  FleetComparison out{std::move(results[0]), std::move(results[1])};
+  expect_identical(out.replica, out.full);
+  EXPECT_EQ(obs::export_prometheus(out.replica.metrics),
+            obs::export_prometheus(out.full.metrics));
+  EXPECT_EQ(out.replica.timeseries.to_json(), out.full.timeseries.to_json());
+  EXPECT_EQ(out.replica.attribution.to_json(), out.full.attribution.to_json());
+  EXPECT_LT(out.replica.kernel_metrics.counter("sim_events_executed"),
+            out.full.kernel_metrics.counter("sim_events_executed"));
+  return out;
+}
+
+std::size_t count_idle(const testbed::FleetWarmup& fleet) {
+  return static_cast<std::size_t>(
+      std::count(fleet.idle.begin(), fleet.idle.end(), true));
+}
+
+TEST_P(LeanReplica, FleetWarmupReplicaEqualsFullScenario) {
+  const LeanCase& c = GetParam();
+  testbed::ScenarioOptions base;
+  base.profile =
+      c.bing_default_fe ? cdn::bing_like_profile() : cdn::google_like_profile();
+  base.client_count = 7;
+  base.seed = 4242;
+  base.stream_analysis = c.streaming;
+  if (!c.streaming) base.capture_budget = 64 * 1024;
+  base.enable_tracing = c.telemetry;
+  if (c.telemetry) base.ts_interval = 250_ms;
+
+  const auto fleet = std::make_shared<const testbed::FleetWarmup>(
+      testbed::Scenario::record_fleet_warmup(base, 5_s));
+  EXPECT_GT(count_idle(*fleet), 0u);
+  const std::size_t clients = base.client_count;
+  const std::size_t shards = c.shards == 0 ? clients : c.shards;
+  for (std::size_t s = 0; s < shards; ++s) {
+    SCOPED_TRACE("replica " + std::to_string(s));
+    std::vector<std::size_t> group;
+    for (std::size_t i = s * clients / shards; i < (s + 1) * clients / shards;
+         ++i) {
+      group.push_back(i);
+    }
+    const FleetComparison r =
+        compare_fleet_replica(base, group, fleet, !c.bing_default_fe, 5_s);
+    if (c.telemetry) {
+      EXPECT_GT(r.replica.timeseries.sample_count(), 0u);
+      EXPECT_GT(r.replica.attribution.queries(), 0u);
+    }
+  }
+}
+
+TEST(FleetWarmup, ShortWarmUpKeepsBusyFesAndStillMatches) {
+  // At 1 s most Bing-like FEs are still moving their 128 KB warm-up, so
+  // replicas build them and their tails run into the boundary probe.
+  testbed::ScenarioOptions base;
+  base.profile = cdn::bing_like_profile();
+  base.client_count = 6;
+  base.seed = 20;
+  base.stream_analysis = true;
+  base.enable_tracing = true;
+  base.ts_interval = 100_ms;
+  const auto fleet = std::make_shared<const testbed::FleetWarmup>(
+      testbed::Scenario::record_fleet_warmup(base, 1_s));
+  EXPECT_GT(fleet->idle.size() - count_idle(*fleet), fleet->idle.size() / 2);
+  EXPECT_GT(count_idle(*fleet), 0u);
+  for (const std::vector<std::size_t>& group :
+       {std::vector<std::size_t>{0, 1}, std::vector<std::size_t>{4}}) {
+    SCOPED_TRACE("group from " + std::to_string(group.front()));
+    compare_fleet_replica(base, group, fleet, false, 1_s);
+  }
+}
+
+TEST(FleetWarmup, IdleFesKeepTheirNodesAndCannotBeDriven) {
+  testbed::ScenarioOptions base;
+  base.profile = cdn::bing_like_profile();
+  base.client_count = 6;
+  base.seed = 20;
+  const auto fleet = std::make_shared<const testbed::FleetWarmup>(
+      testbed::Scenario::record_fleet_warmup(base, 5_s));
+  testbed::Scenario full(base);
+  testbed::Scenario replica(fleet_replica_options(base, {3}, fleet, false));
+  auto& fes = replica.fes();
+  ASSERT_EQ(fes.size(), full.fes().size());
+  ASSERT_EQ(fes.size(), fleet->idle.size());
+  const std::size_t queried = replica.clients()[3].default_fe;
+  std::size_t left_out = 0;
+  for (std::size_t f = 0; f < fes.size(); ++f) {
+    SCOPED_TRACE("fe " + fes[f].site_name);
+    EXPECT_EQ(fes[f].node->id(), full.fes()[f].node->id());
+    EXPECT_EQ(fes[f].node->name(), full.fes()[f].node->name());
+    const bool queried_here =
+        f == queried || f == replica.clients()[0].default_fe;
+    EXPECT_EQ(fes[f].built(), queried_here || !fleet->idle[f]);
+    if (fes[f].built()) continue;
+    ++left_out;
+    EXPECT_THROW(replica.connect_client_to_fe(3, f), std::logic_error);
+    EXPECT_THROW(replica.fe_endpoint(f), std::logic_error);
+  }
+  EXPECT_GT(left_out, fes.size() / 2);
+  EXPECT_NO_THROW(replica.fe_endpoint(queried));
+
+  // The record is read only after a warm-up that ends at its deadline.
+  obs::MetricsRegistry metrics;
+  EXPECT_THROW(replica.collect_metrics(metrics), std::logic_error);
+  EXPECT_THROW(replica.warm_up(4_s), std::logic_error);
+  replica.warm_up(5_s);
+  EXPECT_NO_THROW(replica.collect_metrics(metrics));
+  EXPECT_THROW(replica.warm_up(0_s), std::logic_error);
+}
+
+TEST(FleetWarmup, CampaignIsThreadCountInvariant) {
+  // Every worker reads the one shared record while its replicas run; the
+  // exports must not depend on how many do (executor threads 0 follows
+  // DYNCDN_THREADS, which the TSan lane sets to 4).
+  testbed::ScenarioOptions base;
+  base.profile = cdn::bing_like_profile();
+  base.client_count = 12;
+  base.seed = 2;
+  base.stream_analysis = true;
+  base.enable_tracing = true;
+  base.ts_interval = 100_ms;
+  const auto options = small_experiment();
+  std::vector<std::string> exports;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{0}}) {
+    testbed::ReplicaPlan plan;
+    plan.executor.threads = threads;
+    const auto r = testbed::run_default_fe_experiment(base, options, plan);
+    ASSERT_EQ(r.all().size(), 36u);
+    exports.push_back(obs::export_prometheus(r.metrics) +
+                      r.timeseries.to_json() + r.attribution.to_json());
+  }
+  EXPECT_EQ(exports[0], exports[1]);
+}
+
+// A replica fetch-factoring campaign (one replica per sweep probe, so each
+// builds FE 0, its own FE and the busy ones) pinned to the bytes of the
+// runner that built every FE in every replica.
+TEST(FleetWarmup, ReplicaFetchFactoringPinned) {
+  testbed::ScenarioOptions opt;
+  opt.profile = cdn::bing_like_profile();
+  opt.seed = 17;
+  opt.fe_distance_sweep_miles =
+      std::vector<double>{30, 400, 900, 1500, 2500, 4000, 6500};
+  const search::Keyword keyword{"network measurement study",
+                                search::KeywordClass::kGranular, 5000};
+  testbed::ReplicaPlan plan;
+  plan.executor.threads = 2;
+  const auto r = testbed::run_fetch_factoring_experiment(opt, keyword, 3, plan);
+  ASSERT_EQ(r.distances_miles.size(), 7u);
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](const void* data, std::size_t n) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < n; ++i) h = (h ^ p[i]) * 0x100000001b3ULL;
+  };
+  mix(r.distances_miles.data(), r.distances_miles.size() * sizeof(double));
+  mix(r.med_t_dynamic_ms.data(), r.med_t_dynamic_ms.size() * sizeof(double));
+  mix(&r.factoring.fit.slope, sizeof(double));
+  mix(&r.factoring.fit.intercept, sizeof(double));
+  const std::string dump = obs::export_prometheus(r.metrics);
+  mix(dump.data(), dump.size());
+  EXPECT_EQ(h, 0xbeb563af7ecdb45fULL) << std::hex << h;
 }
 
 TEST(ParallelExperiment, PlannedClientCountIsSweepAware) {

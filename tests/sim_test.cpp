@@ -237,7 +237,7 @@ TEST(EventQueue, ReservedTicketsFireInTimeSeqOrder) {
   // the ordered set of live (time, seq) pairs; every pop must take its
   // minimum. Deltas span the heap (< 134 ms ahead), the wheel and the
   // overflow list (> ~9.5 h ahead).
-  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     EventQueue q;
     RngStream rng(seed);
     using Key = std::pair<std::int64_t, std::uint64_t>;
@@ -254,7 +254,7 @@ TEST(EventQueue, ReservedTicketsFireInTimeSeqOrder) {
       const std::int64_t span = r < 0.4    ? 100'000'000         // heap
                                 : r < 0.8  ? 5'000'000'000       // wheel
                                 : r < 0.97 ? 200'000'000'000     // level 2
-                                           : 40'000'000'000'000;  // 11 h
+                                           : 80'000'000'000'000;  // 22 h
       // Coarse granularity makes same-instant ties common.
       return now + rng.uniform_int(0, span / 1'000'000) * 1'000'000;
     };
@@ -310,6 +310,29 @@ TEST(EventQueue, ReservedTicketsFireInTimeSeqOrder) {
     EXPECT_EQ(q.scheduled_count(), next_seq - 1);
     EXPECT_GT(wheeled, 0u);
   }
+}
+
+TEST(EventQueue, CursorJumpsEmptyBuckets) {
+  // Events hours apart: the cursor processes only the buckets that flush
+  // or cascade and the overflow laps that hold entries, a few per event,
+  // instead of stepping through every 2.1 ms bucket (~38 M for 22 h).
+  constexpr std::int64_t kHour = 3'600'000'000'000;
+  const std::vector<std::int64_t> times = {
+      22 * kHour, 3 * kHour + 7, 22 * kHour + 1, 150'000'000, 9 * kHour,
+      40 * kHour};
+  EventQueue q;
+  std::vector<std::int64_t> fired;
+  for (const std::int64_t at : times) {
+    q.schedule(SimTime::nanoseconds(at), [&fired, at] { fired.push_back(at); });
+  }
+  while (!q.empty()) q.pop_and_run();
+  std::vector<std::int64_t> sorted = times;
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_EQ(fired, sorted);
+  // At most one step per level per event, plus one per overflow lap
+  // (~9.8 h each).
+  EXPECT_LE(q.cursor_steps(), 3 * times.size() + 5);
+  EXPECT_GT(q.cursor_steps(), 0u);
 }
 
 TEST(Rng, SameSeedSameStreamIsDeterministic) {

@@ -625,6 +625,48 @@ TEST(TcpRto, DeadlineMovesEarlierAfterBackoffReset) {
   EXPECT_LT(log.retransmits[1], log.retransmits[0] + rto * 2);
 }
 
+TEST(TcpRto, CachedRtoFollowsSamplesAndBackoff) {
+  // rto() is cached and recomputed only where its inputs change. Data 3
+  // and 4 lost: RTT samples pull it below the initial 1 s, the first
+  // timeout doubles it, and the ACK of the retransmission (no sample,
+  // Karn) resets the backoff, which must restore the value before the
+  // timeout rather than leave the doubled one in place.
+  TwoNodeOptions opt;
+  opt.one_way_delay = 100_ms;
+  opt.bandwidth_bps = 10e6;
+  opt.drop_indices_c2s = {4, 5};
+  TwoNodeHarness h(opt);
+  SinkServer sink;
+  sink.install(*h.server);
+  TcpSocket* socket = nullptr;
+  std::vector<SimTime> after_ack, at_retransmit;
+  std::uint64_t sent_end = 0;
+  h.client_node->add_receive_tap([&](const net::PacketPtr& p) {
+    if (p->tcp.flags.syn) return;
+    // Read once the socket has processed the ACK.
+    h.simulator.schedule_in(SimTime::zero(),
+                            [&] { after_ack.push_back(socket->rto()); });
+  });
+  h.client_node->add_send_tap([&](const net::PacketPtr& p) {
+    if (p->payload.empty()) return;
+    const std::uint64_t end = p->tcp.seq + p->payload.length;
+    if (end <= sent_end) at_retransmit.push_back(socket->rto());
+    sent_end = std::max(sent_end, end);
+  });
+  socket = &h.client->connect({h.server_node->id(), kPort}, {});
+  EXPECT_EQ(socket->rto(), opt.tcp.initial_rto);
+  socket->send_text(pattern_text(4 * 1448));
+  h.simulator.run();
+
+  ASSERT_EQ(after_ack.size(), 4u);  // data 1, 2, retransmitted 3, then 4
+  ASSERT_EQ(at_retransmit.size(), 2u);
+  EXPECT_LT(after_ack[1], opt.tcp.initial_rto);
+  EXPECT_EQ(at_retransmit[0], after_ack[1] * 2);
+  EXPECT_EQ(after_ack[2], after_ack[1]);
+  EXPECT_EQ(at_retransmit[1], after_ack[2] * 2);
+  EXPECT_EQ(after_ack[3], after_ack[2]);
+}
+
 /// FNV-1a over every segment either node emits: time, sender, sequence,
 /// ack, window, flags and payload length.
 struct WireDigest {

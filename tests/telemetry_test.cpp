@@ -14,10 +14,13 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <random>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "analysis/span_attribution.hpp"
+#include "harness.hpp"
 #include "cdn/deployment.hpp"
 #include "obs/attribution.hpp"
 #include "obs/export_prometheus.hpp"
@@ -231,6 +234,75 @@ TEST(TimeSeriesDeterminism, ByteIdenticalAcrossThreads) {
       EXPECT_EQ(json, ref_json) << threads << " threads";
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Time-series readers under mutation: bit flips, truncations and splices
+// of a real campaign's --ts-out export. Each mutant is refused or decodes;
+// a decoded one re-encodes to a file that decodes to the same series, and
+// from there the encoding is a fixed point.
+// ---------------------------------------------------------------------------
+
+obs::TimeSeriesSampler read_series(const std::string& text, bool csv) {
+  if (csv) return obs::TimeSeriesSampler::from_csv(text);
+  const auto doc = obs::json::parse(text);
+  if (!doc) throw std::runtime_error("not JSON");
+  return obs::TimeSeriesSampler::from_json(*doc);
+}
+
+std::string write_series(const obs::TimeSeriesSampler& series, bool csv) {
+  return csv ? series.to_csv() : series.to_json();
+}
+
+void expect_series_mutants_round_trip(bool csv) {
+  testbed::ReplicaPlan plan;
+  plan.shards = 2;
+  plan.executor.threads = 1;
+  const obs::TimeSeriesSampler real =
+      testbed::run_fixed_fe_experiment(telemetry_scenario(), 0,
+                                       telemetry_experiment(), plan)
+          .timeseries;
+  ASSERT_GT(real.sample_count(), 0u);
+  const std::string corpus = write_series(real, csv);
+  // The export itself reads back to the series it came from.
+  EXPECT_EQ(read_series(corpus, csv).values("net_packets_in_flight"),
+            real.values("net_packets_in_flight"));
+
+  std::mt19937 gen(csv ? 20260101 : 20261018);
+  int rejected = 0;
+  int decoded = 0;
+  for (int iter = 0; iter < 20000; ++iter) {
+    const std::string text = dyncdn::testing::mutate(corpus, gen);
+    obs::TimeSeriesSampler first;
+    try {
+      first = read_series(text, csv);
+    } catch (const std::runtime_error&) {
+      ++rejected;
+      continue;
+    }
+    ++decoded;
+    const std::string encoded = write_series(first, csv);
+    obs::TimeSeriesSampler second;
+    ASSERT_NO_THROW(second = read_series(encoded, csv)) << "iteration " << iter;
+    // to_json prints every value with %.17g: equal text, equal series.
+    EXPECT_EQ(second.to_json(), first.to_json()) << "iteration " << iter;
+    EXPECT_EQ(write_series(second, csv), encoded) << "iteration " << iter;
+    if (::testing::Test::HasFailure()) {
+      ADD_FAILURE() << "iteration " << iter << ": " << text;
+      return;
+    }
+  }
+  // Both outcomes occur, so neither check above is vacuous.
+  EXPECT_GT(rejected, 1000);
+  EXPECT_GT(decoded, 1000);
+}
+
+TEST(TimeSeriesMutation, JsonDecodesOrRejectsAndReencodesStably) {
+  expect_series_mutants_round_trip(/*csv=*/false);
+}
+
+TEST(TimeSeriesMutation, CsvDecodesOrRejectsAndReencodesStably) {
+  expect_series_mutants_round_trip(/*csv=*/true);
 }
 
 // ---------------------------------------------------------------------------

@@ -57,7 +57,6 @@
 // Re-encodes a capture as .dtrc when <out> ends in .dtrc, and otherwise
 // writes the human-readable text dump (capture/serialize.hpp).
 #include <cinttypes>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -65,6 +64,7 @@
 #include <map>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -79,6 +79,7 @@
 #include "obs/export_chrome.hpp"
 #include "obs/flight.hpp"
 #include "obs/json.hpp"
+#include "obs/timeseries.hpp"
 #include "obs/trace.hpp"
 #include "sim/parse.hpp"
 
@@ -507,28 +508,24 @@ int inspect_attribution(int argc, char** argv) {
 // Time-series mode
 // ---------------------------------------------------------------------------
 
-struct SeriesColumn {
-  std::string name;
-  std::vector<double> values;
-};
-
-void print_series_summary(const std::vector<std::uint64_t>& ticks,
-                          const std::vector<SeriesColumn>& columns) {
+void print_series_summary(const obs::TimeSeriesSampler& series) {
+  const std::vector<std::uint64_t>& ticks = series.ticks();
   std::printf("ticks: %zu", ticks.size());
   if (!ticks.empty()) {
     std::printf(" (%" PRIu64 "..%" PRIu64 ")", ticks.front(), ticks.back());
   }
   std::printf("\n%-28s%12s%12s%12s\n", "channel", "min", "mean", "max");
-  for (const SeriesColumn& c : columns) {
-    if (c.values.empty()) continue;
-    double lo = c.values.front(), hi = c.values.front(), sum = 0.0;
-    for (const double v : c.values) {
+  for (const std::string& name : series.channel_names()) {
+    const std::vector<double>& values = series.values(name);
+    if (values.empty()) continue;
+    double lo = values.front(), hi = values.front(), sum = 0.0;
+    for (const double v : values) {
       lo = std::min(lo, v);
       hi = std::max(hi, v);
       sum += v;
     }
-    std::printf("%-28s%12.3f%12.3f%12.3f\n", c.name.c_str(), lo,
-                sum / static_cast<double>(c.values.size()), hi);
+    std::printf("%-28s%12.3f%12.3f%12.3f\n", name.c_str(), lo,
+                sum / static_cast<double>(values.size()), hi);
   }
 }
 
@@ -539,108 +536,27 @@ int inspect_timeseries(int argc, char** argv) {
     return 2;
   }
   const std::string path = argv[2];
-  std::vector<std::uint64_t> ticks;
-  std::vector<SeriesColumn> columns;
-
-  if (std::string_view(path).ends_with(".csv")) {
-    const auto text = read_file(path);
-    if (!text) return 1;
-    std::stringstream lines(*text);
-    std::string line;
-    std::size_t line_no = 0;
-    bool header = true;
-    const auto malformed = [&](const std::string& what) {
-      std::fprintf(stderr, "error: %s line %zu: %s\n", path.c_str(), line_no,
-                   what.c_str());
-      return 1;
-    };
-    while (std::getline(lines, line)) {
-      ++line_no;
-      if (line.empty()) continue;
-      std::stringstream cells(line);
-      std::string cell;
-      std::size_t col = 0;
-      while (std::getline(cells, cell, ',')) {
-        if (header) {
-          // Columns 0/1 are tick,time_ms; the rest are channels.
-          if (col >= 2) columns.push_back(SeriesColumn{cell, {}});
-        } else if (col == 0) {
-          const auto tick = sim::parse_uint(cell);
-          if (!tick) return malformed("bad tick '" + cell + "'");
-          ticks.push_back(*tick);
-        } else {
-          // time_ms and the channel values: finite, non-negative numbers.
-          const auto value = sim::parse_double(cell);
-          if (!value) {
-            return malformed("bad value '" + cell + "' in column " +
-                             std::to_string(col + 1));
-          }
-          if (col >= columns.size() + 2) {
-            return malformed("more columns than the header");
-          }
-          if (col >= 2) columns[col - 2].values.push_back(*value);
-        }
-        ++col;
-      }
-      if (!header && col < columns.size() + 2) {
-        return malformed("fewer columns than the header");
-      }
-      header = false;
+  const bool csv = std::string_view(path).ends_with(".csv");
+  obs::TimeSeriesSampler series;
+  try {
+    if (csv) {
+      const auto text = read_file(path);
+      if (!text) return 1;
+      series = obs::TimeSeriesSampler::from_csv(*text);
+    } else {
+      const auto doc = load_json(path);
+      if (!doc) return 1;
+      series = obs::TimeSeriesSampler::from_json(*doc);
+      std::printf("interval: %.3f ms\n",
+                  static_cast<double>(series.interval_ns()) / 1e6);
     }
-  } else {
-    const auto doc = load_json(path);
-    if (!doc) return 1;
-    // The CSV rules: whole non-negative ticks, finite non-negative values,
-    // one value per tick in every channel, and a positive interval.
-    const auto malformed = [&](const std::string& what) {
-      std::fprintf(stderr, "error: %s: %s\n", path.c_str(), what.c_str());
-      return 1;
-    };
-    const auto whole = [](const obs::json::Value& v) {
-      return v.type == obs::json::Value::Type::kNumber && v.is_integer &&
-             v.integer >= 0;
-    };
-    // A --ts-runtime-out file wraps the series in {"timeseries": ...}.
-    const obs::json::Value* series = doc->get("timeseries");
-    if (series == nullptr) series = &*doc;
-    const auto* interval = series->get("interval_ns");
-    if (interval == nullptr || !whole(*interval) || interval->integer == 0) {
-      return malformed("interval_ns must be a positive whole number");
-    }
-    const auto* jticks = series->get("ticks");
-    if (jticks == nullptr || !jticks->is_array()) {
-      return malformed("ticks must be an array");
-    }
-    for (std::size_t i = 0; i < jticks->array.size(); ++i) {
-      if (!whole(jticks->array[i])) {
-        return malformed("bad tick at ticks[" + std::to_string(i) + "]");
-      }
-      ticks.push_back(static_cast<std::uint64_t>(jticks->array[i].integer));
-    }
-    const auto* chans = series->get("channels");
-    if (chans == nullptr || !chans->is_object()) {
-      return malformed("channels must be an object");
-    }
-    for (const auto& [name, vals] : chans->object) {
-      if (!vals.is_array() || vals.array.size() != ticks.size()) {
-        return malformed("channel " + name + " must hold one value per tick");
-      }
-      SeriesColumn c{name, {}};
-      for (std::size_t i = 0; i < vals.array.size(); ++i) {
-        // as_double's fallback -1 marks a non-number as bad.
-        const double x = vals.array[i].as_double(-1.0);
-        if (!std::isfinite(x) || x < 0) {
-          return malformed("bad value at " + name + "[" + std::to_string(i) +
-                           "]");
-        }
-        c.values.push_back(x);
-      }
-      columns.push_back(std::move(c));
-    }
-    std::printf("interval: %.3f ms\n",
-                static_cast<double>(interval->integer) / 1e6);
+  } catch (const std::runtime_error& e) {
+    // CSV faults read "line N: ...".
+    std::fprintf(stderr, "error: %s%s%s\n", path.c_str(), csv ? " " : ": ",
+                 e.what());
+    return 1;
   }
-  print_series_summary(ticks, columns);
+  print_series_summary(series);
   return 0;
 }
 
