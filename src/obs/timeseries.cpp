@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -37,6 +38,23 @@ bool names_a_column(const std::vector<Column>& columns,
                     const std::string& name) {
   return std::any_of(columns.begin(), columns.end(),
                      [&name](const Column& c) { return c.first == name; });
+}
+
+/// The CSV writer's time_ms cell for `tick`.
+double csv_time_ms(std::uint64_t tick, std::uint64_t interval_ns) {
+  return static_cast<double>(tick) * static_cast<double>(interval_ns) / 1e6;
+}
+
+/// The positive whole interval whose time_ms for `tick` (> 0) reads back
+/// as `time_ms`, if one does.
+std::optional<std::uint64_t> csv_interval(std::uint64_t tick, double time_ms) {
+  const double estimate = time_ms * 1e6 / static_cast<double>(tick);
+  if (!(estimate < 9e18)) return std::nullopt;
+  const auto guess = static_cast<std::uint64_t>(std::llround(estimate));
+  for (std::uint64_t c = guess > 1 ? guess - 1 : 1; c <= guess + 1; ++c) {
+    if (csv_time_ms(tick, c) == time_ms) return c;
+  }
+  return std::nullopt;
 }
 }  // namespace
 
@@ -235,6 +253,9 @@ TimeSeriesSampler TimeSeriesSampler::from_csv(std::string_view text) {
   const auto refuse = [&line_no](const std::string& what) {
     throw std::runtime_error("line " + std::to_string(line_no) + ": " + what);
   };
+  // The first row past tick 0 names the interval; every row's time_ms
+  // must agree with it.
+  std::optional<std::uint64_t> interval;
   bool header = true;
   while (!text.empty()) {
     const std::size_t eol = text.find('\n');
@@ -273,7 +294,19 @@ TimeSeriesSampler TimeSeriesSampler::from_csv(std::string_view text) {
                  std::to_string(col + 1));
         }
         if (col >= columns.size() + 2) refuse("more columns than the header");
-        if (col >= 2) columns[col - 2].second.push_back(*value);
+        if (col >= 2) {
+          columns[col - 2].second.push_back(*value);
+          continue;
+        }
+        const std::uint64_t tick = ticks.back();
+        if (tick > 0 && !interval) interval = csv_interval(tick, *value);
+        if ((tick > 0 && !interval) ||
+            csv_time_ms(tick, interval.value_or(0)) != *value) {
+          refuse("time_ms " + cell + " is not tick " + std::to_string(tick) +
+                 (interval ? " times the interval of " +
+                                 std::to_string(*interval) + " ns"
+                           : " times a whole number of nanoseconds"));
+        }
       }
     }
     if (!header && col < columns.size() + 2) {
@@ -281,7 +314,7 @@ TimeSeriesSampler TimeSeriesSampler::from_csv(std::string_view text) {
     }
     header = false;
   }
-  return assemble(0, ticks, columns);
+  return assemble(interval.value_or(0), ticks, columns);
 }
 
 TimeSeriesSampler TimeSeriesSampler::from_json(const json::Value& doc) {

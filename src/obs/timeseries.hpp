@@ -90,10 +90,11 @@ class TimeSeriesSampler {
   // or std::runtime_error naming the first fault. Ticks are whole,
   // non-negative and increasing; values finite and non-negative; every
   // channel holds one value per tick and names no other channel's name.
-  // A CSV file carries no interval (its time_ms column is checked as a
-  // number and dropped), so its series reads back with interval 0; its
-  // messages start "line N: ". from_json also takes a --ts-runtime-out
-  // document, which wraps the series in {"timeseries": ...}.
+  // A CSV file's interval is the one positive whole number of
+  // nanoseconds that gives every row's time_ms (0 when no row is past
+  // tick 0); its messages start "line N: ". from_json also takes a
+  // --ts-runtime-out document, which wraps the series in
+  // {"timeseries": ...}.
   static TimeSeriesSampler from_csv(std::string_view text);
   static TimeSeriesSampler from_json(const json::Value& doc);
 

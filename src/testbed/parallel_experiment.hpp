@@ -10,9 +10,10 @@
 // (ScenarioOptions::driven_clients); the others keep just their nodes.
 // A plan of more than one replica also simulates the FE fleet's warm-up
 // once, before the replicas start (Scenario::record_fleet_warmup): each
-// replica then builds only the FEs its clients query plus the FEs still
-// busy at the warm-up deadline, and its exports count the other FEs'
-// warm-up from that shared record (ScenarioOptions::fleet_warmup).
+// replica then builds only the FEs its clients query (plus the FEs still
+// busy at the warm-up deadline, if it queries one of them), and its
+// exports count the other FEs' warm-up from that shared record
+// (ScenarioOptions::fleet_warmup).
 // Merging scatters each shard's per-node results back into fleet order.
 //
 // Determinism contract:

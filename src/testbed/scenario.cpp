@@ -117,8 +117,13 @@ bool Scenario::spilling_active() const {
 }
 
 void Scenario::run() {
+  // Busy FEs left out by a shared fleet warm-up would have kept the full
+  // fleet's run going until their tails end, and the clock at the end of
+  // a run sets every later submit time.
+  const sim::SimTime floor = quiet_floor();
   if (!sampler_) {
     simulator_->run();
+    if (simulator_->now() < floor) simulator_->run_until(floor);
     return;
   }
   // Sampled run: advance tick by tick, snapshotting the fleet at every
@@ -129,9 +134,10 @@ void Scenario::run() {
   // the state at its tick time.
   const std::uint64_t interval =
       static_cast<std::uint64_t>(options_.ts_interval.ns());
+  const auto floor_ns = static_cast<std::uint64_t>(floor.ns());
   std::uint64_t tick =
       static_cast<std::uint64_t>(simulator_->now().ns()) / interval + 1;
-  while (simulator_->has_pending()) {
+  while (simulator_->has_pending() || (tick - 1) * interval < floor_ns) {
     simulator_->run_until(sim::SimTime::nanoseconds(
         static_cast<std::int64_t>(tick * interval)));
     take_sample(tick);
@@ -211,8 +217,9 @@ void Scenario::build_frontends() {
   }
   fe_client_port_ = cfg.client_port;
 
-  // A shared fleet warm-up leaves out the FEs that are idle at its
-  // deadline and not queried here.
+  // A shared fleet warm-up leaves out the FEs not queried here. The busy
+  // ones stay in when one of them is queried: the record holds their
+  // tails as one sum, which cannot be split per FE.
   const FleetWarmup* fleet = options_.fleet_warmup.get();
   std::vector<bool> build(sites.size(), fleet == nullptr);
   if (fleet != nullptr) {
@@ -221,8 +228,16 @@ void Scenario::build_frontends() {
           "fleet warm-up record holds " + std::to_string(fleet->idle.size()) +
           " FEs, the scenario places " + std::to_string(sites.size()));
     }
-    for (std::size_t f = 0; f < sites.size(); ++f) build[f] = !fleet->idle[f];
+    const auto busy = [fleet](std::size_t f) { return !fleet->idle.at(f); };
+    const bool queries_busy = std::any_of(
+        options_.queried_fes.begin(), options_.queried_fes.end(), busy);
+    for (std::size_t f = 0; f < sites.size(); ++f) {
+      build[f] = queries_busy && busy(f);
+    }
     for (const std::size_t f : options_.queried_fes) build.at(f) = true;
+    busy_left_out_ =
+        !queries_busy && std::find(fleet->idle.begin(), fleet->idle.end(),
+                                   false) != fleet->idle.end();
   }
 
   for (std::size_t f = 0; f < sites.size(); ++f) {
@@ -258,9 +273,8 @@ void Scenario::build_frontends() {
   }
 }
 
-void Scenario::build_clients() {
+std::vector<VantagePoint> Scenario::generate_vantage_points() const {
   const cdn::ServiceProfile& p = options_.profile;
-
   std::vector<VantagePoint> vps;
   if (options_.fe_distance_sweep_miles) {
     // One client co-located with each sweep FE (low client RTT, so
@@ -287,8 +301,18 @@ void Scenario::build_clients() {
     vpo.wireless_fraction = options_.wireless_fraction;
     vps = make_vantage_points(vpo);
   }
+  return vps;
+}
 
-  tcp::TcpConfig client_tcp = p.client_tcp;
+void Scenario::build_clients() {
+  // A replica copies the fleet's vantage points from the shared record.
+  const FleetWarmup* fleet = options_.fleet_warmup.get();
+  std::vector<VantagePoint> generated;
+  if (fleet == nullptr) generated = generate_vantage_points();
+  const std::vector<VantagePoint>& vps =
+      fleet != nullptr ? fleet->vantage_points : generated;
+
+  tcp::TcpConfig client_tcp = options_.profile.client_tcp;
   if (options_.client_initial_cwnd) {
     client_tcp.initial_cwnd_segments = *options_.client_initial_cwnd;
   }
@@ -430,7 +454,7 @@ sim::SimTime Scenario::client_fe_rtt(std::size_t client_index,
 void Scenario::warm_up(sim::SimTime duration) {
   const FleetWarmup* fleet = options_.fleet_warmup.get();
   const sim::SimTime deadline = simulator_->now() + duration;
-  if (fleet != nullptr && (idle_fleet_ || deadline != fleet->deadline)) {
+  if (fleet != nullptr && (left_out_ || deadline != fleet->deadline)) {
     throw std::logic_error(
         "warm-up to " + deadline.to_string() +
         " does not match the shared fleet warm-up, which ends at " +
@@ -446,10 +470,12 @@ void Scenario::warm_up(sim::SimTime duration) {
   // Adopt the left-out FEs' warm-up: the fleet's counts minus this
   // scenario's own. An idle FE's counts no longer change after the
   // deadline, so adding them once to every later export gives the full
-  // fleet's. Peaks are high-water marks and merge by max.
+  // fleet's; busy FEs left out add their tails, which collect_metrics
+  // reports only once they have ended. Peaks are high-water marks and
+  // merge by max.
   obs::MetricsRegistry own;
   collect_own_metrics(own);
-  IdleFleet idle;
+  LeftOut left_out;
   for (const auto& [name, total] : fleet->totals.counters()) {
     const std::uint64_t mine = own.counter(name);
     if (mine > total) {
@@ -458,22 +484,28 @@ void Scenario::warm_up(sim::SimTime duration) {
                              ", fewer than this scenario's " +
                              std::to_string(mine));
     }
-    idle.metrics.add(name, total - mine);
+    left_out.metrics.add(name, total - mine);
   }
   for (const auto& [name, peak] : fleet->totals.gauges()) {
-    idle.metrics.gauge_max(name, peak);
+    left_out.metrics.gauge_max(name, peak);
   }
-  idle.backend_pool = fleet->backend_pool - backend_pool_total();
-  idle.links = fleet->links;
-  idle.links -= network_->aggregate_link_stats();
-  idle_fleet_ = std::move(idle);
+  if (busy_left_out_) left_out.metrics.merge(fleet->tail);
+  left_out.backend_pool = fleet->backend_pool - backend_pool_total();
+  left_out.links = fleet->links;
+  left_out.links -= network_->aggregate_link_stats();
+  left_out_ = std::move(left_out);
 }
 
 void Scenario::require_fleet_adopted() const {
-  if (options_.fleet_warmup && !idle_fleet_) {
+  if (options_.fleet_warmup && !left_out_) {
     throw std::logic_error(
         "a scenario sharing a fleet warm-up reports only after warm_up()");
   }
+}
+
+sim::SimTime Scenario::quiet_floor() const {
+  return left_out_ && busy_left_out_ ? options_.fleet_warmup->quiet_at
+                                     : sim::SimTime::zero();
 }
 
 std::int64_t Scenario::backend_pool_total() const {
@@ -524,8 +556,9 @@ FleetWarmup Scenario::record_fleet_warmup(const ScenarioOptions& base,
   record.backend_pool = fleet.backend_pool_total();
   record.links = fleet.network_->aggregate_link_stats();
   for (std::size_t i = 0; i < fleet.clients_.size(); ++i) {
-    record.default_fe.push_back(
-        fleet.default_fe_for(i, fleet.clients_[i].vantage));
+    const VantagePoint& vp = fleet.clients_[i].vantage;
+    record.vantage_points.push_back(vp);
+    record.default_fe.push_back(fleet.default_fe_for(i, vp));
   }
   // Packets offered per FE at the deadline. An idle FE's links carry
   // none then, so one offered later is the only way they can deliver or
@@ -540,8 +573,43 @@ FleetWarmup Scenario::record_fleet_warmup(const ScenarioOptions& base,
     at_deadline.push_back(offered(f));
   }
 
-  // Check the rule against the FEs' future.
-  fleet.simulator_->run();
+  // Run the busy FEs' tails to exhaustion one event time at a time, so
+  // the clock stops at the last one (quiet_at) and each sampler tick in
+  // between reads the state a sampled full run reads there.
+  sim::Simulator& simulator = *fleet.simulator_;
+  const auto interval = static_cast<std::uint64_t>(base.ts_interval.ns());
+  if (fleet.sampler_) {
+    record.tick_interval = base.ts_interval;
+    record.first_tick =
+        static_cast<std::uint64_t>(record.deadline.ns()) / interval + 1;
+  }
+  const auto record_tick = [&record, &fleet] {
+    record.ticks.push_back({fleet.backend_pool_total(),
+                            fleet.network_->aggregate_link_stats()});
+  };
+  const auto next_tick_ns = [&record, interval] {
+    return (record.first_tick + record.ticks.size()) * interval;
+  };
+  while (simulator.has_pending()) {
+    const sim::SimTime next = simulator.next_event_time();
+    while (fleet.sampler_ &&
+           next_tick_ns() < static_cast<std::uint64_t>(next.ns())) {
+      record_tick();
+    }
+    simulator.run_until(next);
+  }
+  record.quiet_at = simulator.now();
+  if (fleet.sampler_) record_tick();  // the first at or past quiet_at
+  obs::MetricsRegistry quiet;
+  fleet.collect_metrics(quiet);
+  for (const auto& [name, total] : quiet.counters()) {
+    record.tail.add(name, total - record.totals.counter(name));
+  }
+  for (const auto& [name, peak] : quiet.gauges()) {
+    record.tail.gauge_max(name, peak);
+  }
+
+  // Check the idle rule against the FEs' future.
   for (std::size_t f = 0; f < fleet.fes_.size(); ++f) {
     if (record.idle[f] && offered(f) != at_deadline[f]) {
       throw std::logic_error("front-end " + fleet.fes_[f].site_name +
@@ -576,8 +644,13 @@ void Scenario::collect_kernel_metrics(obs::MetricsRegistry& out) {
 
 void Scenario::collect_metrics(obs::MetricsRegistry& out) {
   require_fleet_adopted();
+  if (simulator_->now() < quiet_floor()) {
+    throw std::logic_error(
+        "a scenario leaving busy FEs out reports only from " +
+        quiet_floor().to_string() + ", where their recorded tails end");
+  }
   collect_own_metrics(out);
-  if (idle_fleet_) out.merge(idle_fleet_->metrics);
+  if (left_out_) out.merge(left_out_->metrics);
 }
 
 void Scenario::collect_own_metrics(obs::MetricsRegistry& out) {
@@ -662,14 +735,28 @@ void Scenario::take_sample(std::uint64_t tick) {
 
   // Every channel is derived purely from simulation state at the tick,
   // so byte-identical at any thread/shard count. FEs a shared fleet
-  // warm-up left out hold their deadline pools and link counts, and have
-  // no queue or request.
+  // warm-up left out have no queue or request. The idle ones hold their
+  // deadline pools and link counts; the busy ones add the fleet's change
+  // since the deadline, recorded per tick up to the end of their tails.
   require_fleet_adopted();
   std::int64_t fetch_queue = 0, active = 0, pool = 0;
   net::LinkStats links = network_->aggregate_link_stats();
-  if (idle_fleet_) {
-    pool = idle_fleet_->backend_pool;
-    links += idle_fleet_->links;
+  if (left_out_) {
+    pool = left_out_->backend_pool;
+    links += left_out_->links;
+  }
+  if (busy_left_out_) {
+    const FleetWarmup& fleet = *options_.fleet_warmup;
+    if (fleet.tick_interval != options_.ts_interval) {
+      throw std::logic_error(
+          "the shared fleet warm-up holds no tail totals at this "
+          "scenario's sampling ticks");
+    }
+    const FleetWarmup::TickTotals& at = fleet.ticks[std::min<std::size_t>(
+        tick - fleet.first_tick, fleet.ticks.size() - 1)];
+    pool += at.backend_pool - fleet.backend_pool;
+    links += at.links;
+    links -= fleet.links;
   }
   for (FrontEnd& fe : fes_) {
     if (!fe.built()) continue;

@@ -33,19 +33,20 @@ namespace dyncdn::testbed {
 /// (parallel_experiment.hpp). Each FE warms its BE connection over its own
 /// FE<->BE path, with no RNG draw and no vantage point involved, so every
 /// replica would re-simulate the same warm-ups. With the record, a
-/// replica simulates only the FEs it queries and the FEs still busy at
-/// the deadline, and takes the rest of the fleet's warm-up counts from
-/// here.
+/// replica simulates only the FEs it queries, and takes the rest of the
+/// fleet's warm-up counts from here: the idle FEs' at the deadline, and
+/// the busy FEs' up to the time their tails end.
 struct FleetWarmup {
   /// Sim time at the end of the warm-up, which starts at time 0.
   sim::SimTime deadline;
   /// Per FE: true when nothing of the FE can produce another event at the
   /// deadline. Its pooled connections are established and carry no query;
   /// both socket ends are quiescent; neither FE<->BE link carries a
-  /// packet. A busy FE's tail extends the first run() after the warm-up,
-  /// which sets every later submit time, so busy FEs are never skipped.
+  /// packet. A busy FE's transfer runs on past the deadline (its tail).
   std::vector<bool> idle;
-  /// Per vantage point: the FE that DNS names for it.
+  /// The fleet's vantage points, which a replica copies instead of
+  /// generating them again, and the FE that DNS names for each.
+  std::vector<VantagePoint> vantage_points;
   std::vector<std::size_t> default_fe;
   /// The whole fleet's collect_metrics at the deadline.
   obs::MetricsRegistry totals;
@@ -53,6 +54,25 @@ struct FleetWarmup {
   /// deadline: what the time-series sampler reads.
   std::int64_t backend_pool = 0;
   net::LinkStats links;
+
+  /// The busy FEs' tails, run to exhaustion after the deadline. The
+  /// fleet's clock once they end: in a full scenario no run() that
+  /// starts after the warm-up ends before it.
+  sim::SimTime quiet_at;
+  /// collect_metrics at quiet_at minus at the deadline (counters), and
+  /// its gauges at quiet_at.
+  obs::MetricsRegistry tail;
+  /// Summed BE-pool size and link counters at one sampler tick.
+  struct TickTotals {
+    std::int64_t backend_pool = 0;
+    net::LinkStats links;
+  };
+  /// When the base samples a time series (tick_interval > 0): the
+  /// fleet's totals at every tick from the first after the deadline,
+  /// `first_tick`, to the first at or past quiet_at.
+  sim::SimTime tick_interval;
+  std::uint64_t first_tick = 0;
+  std::vector<TickTotals> ticks;
 };
 
 struct ScenarioOptions {
@@ -69,14 +89,16 @@ struct ScenarioOptions {
   std::vector<std::size_t> driven_clients;
 
   /// A campaign's shared fleet warm-up and the FEs this scenario queries
-  /// (null = build every FE). When set, only the FEs in `queried_fes` and
-  /// the FEs the record found busy get a server and FE<->BE links; every
-  /// other FE keeps only its net::Node, so node ids, names and link RNG
-  /// streams match the full fleet. warm_up() must end at the record's
-  /// deadline; from then on collect_metrics and the time series add the
-  /// record's counts for the FEs left out. Set by the replica runners of
-  /// multi-replica plans only (parallel_experiment.hpp), like
-  /// driven_clients.
+  /// (null = build every FE). When set, only the FEs in `queried_fes` get
+  /// a server and FE<->BE links, plus every FE the record found busy if
+  /// one of them is queried (a tail cannot be split per FE); every other
+  /// FE keeps only its net::Node, so node ids, names and link RNG streams
+  /// match the full fleet. warm_up() must end at the record's deadline;
+  /// from then on collect_metrics and the time series add the record's
+  /// counts for the FEs left out. Busy FEs left out end the first run()
+  /// no earlier than the record's quiet_at, and collect_metrics throws
+  /// before it. Set by the replica runners of multi-replica plans only
+  /// (parallel_experiment.hpp), like driven_clients.
   std::shared_ptr<const FleetWarmup> fleet_warmup;
   std::vector<std::size_t> queried_fes;
 
@@ -213,9 +235,10 @@ class Scenario {
 
   /// Simulate `base`'s fleet warm-up once for a campaign of replicas:
   /// build `base` driving client 0 only, with capture off, warm it up for
-  /// `warm_up` and record it. Then run it to exhaustion and throw
-  /// std::logic_error, naming the FE, if a link of an FE recorded as idle
-  /// offered, delivered or dropped anything after the deadline.
+  /// `warm_up` and record it. Then run it to exhaustion, recording the
+  /// busy FEs' tails, and throw std::logic_error, naming the FE, if a link
+  /// of an FE recorded as idle offered, delivered or dropped anything
+  /// after the deadline.
   static FleetWarmup record_fleet_warmup(const ScenarioOptions& base,
                                          sim::SimTime warm_up);
 
@@ -251,7 +274,10 @@ class Scenario {
   void warm_up(sim::SimTime duration = sim::SimTime::seconds(5));
 
   /// Execute pending events until the queue drains / until `deadline`
-  /// (which then becomes the clock).
+  /// (which then becomes the clock). A scenario whose shared fleet
+  /// warm-up left busy FEs out runs on to the record's quiet_at (sampled:
+  /// to the first tick at or past it), where their tails would have ended
+  /// the run in the full fleet.
   void run();
   void run_until(sim::SimTime deadline);
 
@@ -264,7 +290,9 @@ class Scenario {
   /// across replicas. Every counter here is invariant under the replica
   /// layout; the kernel-level counters that depend on it live in
   /// collect_kernel_metrics. FEs left out by a shared fleet warm-up count
-  /// with their recorded warm-up, so the export is the full fleet's.
+  /// with their recorded warm-up, so the export is the full fleet's; with
+  /// busy FEs left out it throws std::logic_error before the record's
+  /// quiet_at, where their counts are not recorded.
   void collect_metrics(obs::MetricsRegistry& out);
 
   /// Event-kernel introspection (events executed/scheduled, heap peak) and
@@ -320,6 +348,8 @@ class Scenario {
   void build_backend();
   void build_frontends();
   void build_clients();
+  /// The fleet's vantage points: one per sweep FE, or the planned set.
+  std::vector<VantagePoint> generate_vantage_points() const;
   /// The site DNS names for a vantage point: the nearest FE, or, in a
   /// distance sweep, the FE paired with probe `client_index`.
   std::size_t default_fe_for(std::size_t client_index,
@@ -365,15 +395,19 @@ class Scenario {
   std::vector<Client> clients_;
   /// Counts of the FEs a shared fleet warm-up left out: the record minus
   /// this scenario's own counts at the deadline. Set by warm_up().
-  struct IdleFleet {
+  struct LeftOut {
     obs::MetricsRegistry metrics;  // counters to add, gauges to max in
     std::int64_t backend_pool = 0;
     net::LinkStats links;
   };
-  std::optional<IdleFleet> idle_fleet_;
+  std::optional<LeftOut> left_out_;
+  /// True when busy FEs are left out: their tails come from the record.
+  bool busy_left_out_ = false;
   /// Throws std::logic_error when a shared fleet warm-up is set but
   /// warm_up() has not adopted it yet.
   void require_fleet_adopted() const;
+  /// The record's quiet_at once adopted with busy FEs left out; else 0.
+  sim::SimTime quiet_floor() const;
   /// (client, fe) pairs already linked.
   std::vector<std::pair<std::size_t, std::size_t>> client_fe_links_;
 };

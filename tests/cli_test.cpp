@@ -259,10 +259,15 @@ TEST(TraceInspectCli, MalformedTimeSeriesIsRefused) {
   const CliRun ok =
       run_trace_inspect("timeseries " + (dir / "good.csv").string());
   EXPECT_EQ(ok.exit_code, 0) << ok.output;
+  EXPECT_NE(ok.output.find("interval: 100.000 ms"), std::string::npos)
+      << ok.output;
   const struct {
     const char* rows;
     const char* message;
   } cases[] = {{"0,0,1\n1x,100,2\n", "line 3: bad tick '1x'"},
+               {"0,0,1\n1,100,2\n2,250,3\n",
+                "line 4: time_ms 250 is not tick 2 times the interval of "
+                "100000000 ns"},
                {"0,0,1\n-1,100,2\n", "line 3: bad tick '-1'"},
                {"0,0,abc\n", "line 2: bad value 'abc' in column 3"},
                {"0,0,-2\n", "line 2: bad value '-2' in column 3"},

@@ -475,10 +475,11 @@ TEST(LeanReplica, IdleVantagePointsKeepTheirNodesAndCannotBeDriven) {
 // ---------------------------------------------------------------------------
 // Shared fleet warm-up: a multi-replica plan simulates the FE fleet's
 // warm-up once (Scenario::record_fleet_warmup). A replica then builds only
-// the FEs it queries plus the FEs still busy at the deadline and counts
-// the others' warm-up from the record. Driven through the same group, it
-// must report exactly what a scenario with the whole fleet reports, in
-// fewer kernel events.
+// the FEs it queries (plus the FEs still busy at the deadline, if it
+// queries one of them) and counts the others' warm-up from the record.
+// Driven through the same group, it must report exactly what a scenario
+// with the whole fleet reports, and end at the same clock, in fewer
+// kernel events.
 // ---------------------------------------------------------------------------
 
 /// A replica's options as the runners build them: the group plus client 0,
@@ -502,13 +503,15 @@ struct FleetComparison {
 };
 
 /// Drive `group` through a fleet replica and through the full scenario,
-/// both warmed up for `warm_up`, and expect the same exports.
+/// both warmed up for `warm_up`, and expect the same exports and the same
+/// clock at the end.
 FleetComparison compare_fleet_replica(
     const testbed::ScenarioOptions& base, const std::vector<std::size_t>& group,
     std::shared_ptr<const testbed::FleetWarmup> fleet, bool fixed_fe0,
     sim::SimTime warm_up) {
   const auto options = small_experiment();
   std::vector<testbed::ExperimentResult> results;
+  std::vector<sim::SimTime> ends;
   for (const testbed::ScenarioOptions& opt :
        {fleet_replica_options(base, group, fleet, fixed_fe0), base}) {
     testbed::Scenario scenario(opt);
@@ -518,13 +521,20 @@ FleetComparison compare_fleet_replica(
         scenario, options, group, [&](std::size_t i) {
           return fixed_fe0 ? 0 : clients[i].default_fe;
         }));
+    ends.push_back(scenario.simulator().now());
   }
   FleetComparison out{std::move(results[0]), std::move(results[1])};
   expect_identical(out.replica, out.full);
+  EXPECT_EQ(ends[0], ends[1]);
   EXPECT_EQ(obs::export_prometheus(out.replica.metrics),
             obs::export_prometheus(out.full.metrics));
   EXPECT_EQ(out.replica.timeseries.to_json(), out.full.timeseries.to_json());
   EXPECT_EQ(out.replica.attribution.to_json(), out.full.attribution.to_json());
+  EXPECT_EQ(out.replica.trace == nullptr, out.full.trace == nullptr);
+  if (out.replica.trace != nullptr && out.full.trace != nullptr) {
+    EXPECT_EQ(obs::export_chrome_trace(*out.replica.trace),
+              obs::export_chrome_trace(*out.full.trace));
+  }
   EXPECT_LT(out.replica.kernel_metrics.counter("sim_events_executed"),
             out.full.kernel_metrics.counter("sim_events_executed"));
   return out;
@@ -569,8 +579,10 @@ TEST_P(LeanReplica, FleetWarmupReplicaEqualsFullScenario) {
 }
 
 TEST(FleetWarmup, ShortWarmUpKeepsBusyFesAndStillMatches) {
-  // At 1 s most Bing-like FEs are still moving their 128 KB warm-up, so
-  // replicas build them and their tails run into the boundary probe.
+  // At 1 s most Bing-like FEs are still moving their 128 KB warm-up,
+  // client 0's among them. The boundary probe queries it in every
+  // replica, so replicas build all the busy FEs and their tails run into
+  // the probe.
   testbed::ScenarioOptions base;
   base.profile = cdn::bing_like_profile();
   base.client_count = 6;
@@ -582,6 +594,7 @@ TEST(FleetWarmup, ShortWarmUpKeepsBusyFesAndStillMatches) {
       testbed::Scenario::record_fleet_warmup(base, 1_s));
   EXPECT_GT(fleet->idle.size() - count_idle(*fleet), fleet->idle.size() / 2);
   EXPECT_GT(count_idle(*fleet), 0u);
+  EXPECT_FALSE(fleet->idle[fleet->default_fe[0]]);
   for (const std::vector<std::size_t>& group :
        {std::vector<std::size_t>{0, 1}, std::vector<std::size_t>{4}}) {
     SCOPED_TRACE("group from " + std::to_string(group.front()));
@@ -596,20 +609,45 @@ TEST(FleetWarmup, IdleFesKeepTheirNodesAndCannotBeDriven) {
   base.seed = 20;
   const auto fleet = std::make_shared<const testbed::FleetWarmup>(
       testbed::Scenario::record_fleet_warmup(base, 5_s));
+  const std::vector<bool>& idle = fleet->idle;
+  const std::size_t first_busy = static_cast<std::size_t>(
+      std::find(idle.begin(), idle.end(), false) - idle.begin());
+  ASSERT_LT(first_busy, idle.size());
   testbed::Scenario full(base);
-  testbed::Scenario replica(fleet_replica_options(base, {3}, fleet, false));
+
+  // One replica per branch of the build rule: querying idle FEs only
+  // builds exactly those; querying a busy FE builds every busy FE too.
+  const auto idle_only = fleet_replica_options(base, {3}, fleet, false);
+  for (const std::size_t f : idle_only.queried_fes) ASSERT_TRUE(idle[f]);
+  const auto with_busy = [&] {
+    auto options = idle_only;
+    options.queried_fes.push_back(first_busy);
+    return options;
+  }();
+  for (const auto* options : {&idle_only, &with_busy}) {
+    const bool queries_busy = options == &with_busy;
+    SCOPED_TRACE(queries_busy ? "queries a busy FE" : "queries idle FEs only");
+    testbed::Scenario replica(*options);
+    const std::vector<std::size_t>& queried = options->queried_fes;
+    for (std::size_t f = 0; f < idle.size(); ++f) {
+      SCOPED_TRACE("fe " + replica.fes()[f].site_name);
+      const bool queried_here =
+          std::find(queried.begin(), queried.end(), f) != queried.end();
+      EXPECT_EQ(replica.fes()[f].built(),
+                queried_here || (queries_busy && !idle[f]));
+    }
+  }
+
+  testbed::Scenario replica(idle_only);
   auto& fes = replica.fes();
   ASSERT_EQ(fes.size(), full.fes().size());
-  ASSERT_EQ(fes.size(), fleet->idle.size());
+  ASSERT_EQ(fes.size(), idle.size());
   const std::size_t queried = replica.clients()[3].default_fe;
   std::size_t left_out = 0;
   for (std::size_t f = 0; f < fes.size(); ++f) {
     SCOPED_TRACE("fe " + fes[f].site_name);
     EXPECT_EQ(fes[f].node->id(), full.fes()[f].node->id());
     EXPECT_EQ(fes[f].node->name(), full.fes()[f].node->name());
-    const bool queried_here =
-        f == queried || f == replica.clients()[0].default_fe;
-    EXPECT_EQ(fes[f].built(), queried_here || !fleet->idle[f]);
     if (fes[f].built()) continue;
     ++left_out;
     EXPECT_THROW(replica.connect_client_to_fe(3, f), std::logic_error);
@@ -618,13 +656,65 @@ TEST(FleetWarmup, IdleFesKeepTheirNodesAndCannotBeDriven) {
   EXPECT_GT(left_out, fes.size() / 2);
   EXPECT_NO_THROW(replica.fe_endpoint(queried));
 
-  // The record is read only after a warm-up that ends at its deadline.
+  // The record is read only after a warm-up that ends at its deadline,
+  // and the busy FEs' counts only once their tails have ended.
   obs::MetricsRegistry metrics;
   EXPECT_THROW(replica.collect_metrics(metrics), std::logic_error);
   EXPECT_THROW(replica.warm_up(4_s), std::logic_error);
   replica.warm_up(5_s);
+  EXPECT_THROW(replica.collect_metrics(metrics), std::logic_error);
+  replica.run();
+  EXPECT_EQ(replica.simulator().now(), fleet->quiet_at);
   EXPECT_NO_THROW(replica.collect_metrics(metrics));
   EXPECT_THROW(replica.warm_up(0_s), std::logic_error);
+}
+
+TEST(FleetWarmup, ReplicaLeavingBusyFesOutMatches) {
+  // At 5 s seven far Bing-like FEs are still moving their 128 KB
+  // warm-ups. A replica whose clients query none of them leaves them out:
+  // its first run goes on to the record's quiet_at, where their tails end
+  // the full fleet's, and it adds their counts (sampled: their pool and
+  // link totals at every tick) from the record.
+  for (const bool telemetry : {false, true}) {
+    SCOPED_TRACE(telemetry ? "traced, sampled every 100 ms" : "untraced");
+    testbed::ScenarioOptions base;
+    base.profile = cdn::bing_like_profile();
+    base.client_count = 6;
+    base.seed = 20;
+    base.stream_analysis = true;
+    base.enable_tracing = telemetry;
+    if (telemetry) base.ts_interval = 100_ms;
+    const auto fleet = std::make_shared<const testbed::FleetWarmup>(
+        testbed::Scenario::record_fleet_warmup(base, 5_s));
+    EXPECT_EQ(fleet->idle.size() - count_idle(*fleet), 7u);
+    EXPECT_GT(fleet->quiet_at, fleet->deadline + 2_s);
+    EXPECT_GT(fleet->tail.counter("link_packets_delivered"), 0u);
+    if (telemetry) {
+      // Ticks 51 (5.1 s) to the first at or past quiet_at.
+      ASSERT_GT(fleet->ticks.size(), 1u);
+      const std::uint64_t last = fleet->first_tick + fleet->ticks.size() - 1;
+      EXPECT_EQ(fleet->first_tick, 51u);
+      EXPECT_GE(100_ms * static_cast<std::int64_t>(last), fleet->quiet_at);
+      EXPECT_LT(100_ms * static_cast<std::int64_t>(last - 1), fleet->quiet_at);
+    } else {
+      EXPECT_TRUE(fleet->ticks.empty());
+    }
+    for (const std::vector<std::size_t>& group :
+         {std::vector<std::size_t>{0, 1, 2}, std::vector<std::size_t>{5}}) {
+      SCOPED_TRACE("group from " + std::to_string(group.front()));
+      const auto options = fleet_replica_options(base, group, fleet, false);
+      for (const std::size_t f : options.queried_fes) {
+        ASSERT_TRUE(fleet->idle[f]);
+      }
+      testbed::Scenario replica(options);
+      for (std::size_t f = 0; f < fleet->idle.size(); ++f) {
+        if (!fleet->idle[f]) {
+          EXPECT_FALSE(replica.fes()[f].built());
+        }
+      }
+      compare_fleet_replica(base, group, fleet, false, 5_s);
+    }
+  }
 }
 
 TEST(FleetWarmup, CampaignIsThreadCountInvariant) {

@@ -264,9 +264,26 @@ void expect_series_mutants_round_trip(bool csv) {
           .timeseries;
   ASSERT_GT(real.sample_count(), 0u);
   const std::string corpus = write_series(real, csv);
-  // The export itself reads back to the series it came from.
-  EXPECT_EQ(read_series(corpus, csv).values("net_packets_in_flight"),
+  // The export itself reads back to the series it came from, interval
+  // included, and re-encodes to the same bytes.
+  const obs::TimeSeriesSampler back = read_series(corpus, csv);
+  EXPECT_EQ(back.values("net_packets_in_flight"),
             real.values("net_packets_in_flight"));
+  EXPECT_EQ(back.interval_ns(), real.interval_ns());
+  EXPECT_EQ(write_series(back, csv), corpus);
+  if (csv) {
+    // A corrupted time_ms cell is refused with its line number.
+    std::string corrupted = corpus;
+    const std::size_t line3 = corrupted.find('\n', corrupted.find('\n') + 1);
+    corrupted.insert(corrupted.find(',', line3) + 1, "9");
+    try {
+      read_series(corrupted, csv);
+      ADD_FAILURE() << "corrupted time_ms accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()).rfind("line 3: time_ms 9", 0), 0u)
+          << e.what();
+    }
+  }
 
   std::mt19937 gen(csv ? 20260101 : 20261018);
   int rejected = 0;
@@ -303,6 +320,48 @@ TEST(TimeSeriesMutation, JsonDecodesOrRejectsAndReencodesStably) {
 
 TEST(TimeSeriesMutation, CsvDecodesOrRejectsAndReencodesStably) {
   expect_series_mutants_round_trip(/*csv=*/true);
+}
+
+// A CSV export names its interval only through time_ms: the first row
+// past tick 0 fixes it, and a row whose time disagrees is refused.
+TEST(TimeSeriesMutation, CsvTimeColumnMustFollowOneInterval) {
+  obs::TimeSeriesSampler series(50'000'000);
+  for (const std::uint64_t tick : {0, 3, 4, 7}) {
+    series.begin_tick(tick);
+    series.record("depth", static_cast<double>(tick));
+    series.end_tick();
+  }
+  const std::string csv = series.to_csv();
+  ASSERT_EQ(csv,
+            "tick,time_ms,depth\n0,0,0\n3,150,3\n4,200,4\n7,350,7\n");
+  EXPECT_EQ(obs::TimeSeriesSampler::from_csv(csv).interval_ns(), 50'000'000u);
+  const struct {
+    std::string text;
+    const char* message;
+  } cases[] = {
+      {"tick,time_ms,depth\n0,0,0\n3,150,3\n4,250,4\n7,350,7\n",
+       "line 4: time_ms 250 is not tick 4 times the interval of 50000000 ns"},
+      {"tick,time_ms,depth\n0,1,0\n3,150,3\n",
+       "line 2: time_ms 1 is not tick 0 times a whole number of nanoseconds"},
+      {"tick,time_ms,depth\n3,0,3\n",
+       "line 2: time_ms 0 is not tick 3 times a whole number of nanoseconds"},
+      {"tick,time_ms,depth\n3,0.0000001,3\n",
+       "line 2: time_ms 0.0000001 is not tick 3 times a whole number of "
+       "nanoseconds"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.text);
+    try {
+      obs::TimeSeriesSampler::from_csv(c.text);
+      ADD_FAILURE() << "accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), c.message);
+    }
+  }
+  // Only tick 0: no interval to recover.
+  EXPECT_EQ(obs::TimeSeriesSampler::from_csv("tick,time_ms,depth\n0,0,1\n")
+                .interval_ns(),
+            0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -39,11 +39,13 @@
 //   trace_inspect timeseries <series.csv|series.json>
 //
 // Summarizes a --ts-out export (or the series in a --ts-runtime-out file):
-// per-channel min/mean/max over the tick range. Ticks must be whole
-// non-negative numbers, values finite and non-negative, and every channel
-// must hold one value per tick. A CSV row that breaks a rule is refused
-// with its line number; a JSON series names the field and index, and its
-// interval_ns must be a positive whole number.
+// the tick interval, then per-channel min/mean/max over the tick range.
+// Ticks must be whole non-negative numbers, values finite and
+// non-negative, and every channel must hold one value per tick. A JSON
+// series names the field and index, and its interval_ns must be a
+// positive whole number. A CSV file's time_ms column must be every tick
+// times one positive whole number of nanoseconds, the interval; a row that
+// breaks a rule is refused with its line number.
 //
 // Slow-query mode:
 //   trace_inspect slow <slow.json> [--tree]
@@ -547,14 +549,17 @@ int inspect_timeseries(int argc, char** argv) {
       const auto doc = load_json(path);
       if (!doc) return 1;
       series = obs::TimeSeriesSampler::from_json(*doc);
-      std::printf("interval: %.3f ms\n",
-                  static_cast<double>(series.interval_ns()) / 1e6);
     }
   } catch (const std::runtime_error& e) {
     // CSV faults read "line N: ...".
     std::fprintf(stderr, "error: %s%s%s\n", path.c_str(), csv ? " " : ": ",
                  e.what());
     return 1;
+  }
+  // A CSV file with no row past tick 0 does not name its interval.
+  if (series.interval_ns() > 0) {
+    std::printf("interval: %.3f ms\n",
+                static_cast<double>(series.interval_ns()) / 1e6);
   }
   print_series_summary(series);
   return 0;
