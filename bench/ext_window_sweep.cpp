@@ -15,8 +15,7 @@
 #include "bench_util.hpp"
 #include "core/inference.hpp"
 #include "search/keywords.hpp"
-#include "testbed/experiment.hpp"
-#include "testbed/scenario.hpp"
+#include "testbed/parallel_experiment.hpp"
 
 using namespace dyncdn;
 
@@ -51,18 +50,18 @@ int main() {
                                      static_cast<double>(points - 1));
     }
     opt.fe_distance_sweep_miles = distances;
-    testbed::Scenario scenario(opt);
-    scenario.warm_up();
 
+    testbed::ReplicaPlan serial;
+    serial.shards = 1;
     const auto r =
-        testbed::run_fetch_factoring_experiment(scenario, keyword, reps);
+        testbed::run_fetch_factoring_experiment(opt, keyword, reps, serial);
 
     // Prediction: dynamic body for this keyword (deterministic expected
     // size) over the configured window, plus the request's trip.
-    const double body = static_cast<double>(
-        scenario.content().profile().dynamic_base_bytes +
-        scenario.content().profile().dynamic_per_word_bytes *
-            keyword.word_count());
+    const double body =
+        static_cast<double>(opt.profile.content.dynamic_base_bytes +
+                            opt.profile.content.dynamic_per_word_bytes *
+                                keyword.word_count());
     const double window_bytes =
         static_cast<double>(window_mss * opt.profile.internal_tcp.mss);
     const double predicted = 1.0 + std::ceil(body / window_bytes);

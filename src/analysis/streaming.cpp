@@ -262,13 +262,9 @@ void StreamingAnalyzer::observe_probe(const capture::PacketRecord& r) {
       flat = probe_scratch_;
     }
     if (!pf.iss) {
-      // Pre-SYN data must outlive this call: stash a copy in the probe
-      // arena (reclaimed wholesale at probe teardown).
-      const std::uint8_t* kept = static_cast<const std::uint8_t*>(
-          probe_arena_.copy(flat.data(), flat.size()));
+      // Pre-SYN data must outlive this call: the segment keeps a copy.
       pf.pending.push_back(ProbeFlow::PendingSegment{
-          r.tcp.seq, r.payload_size,
-          std::span<const std::uint8_t>(kept, flat.size())});
+          r.tcp.seq, r.payload_size, {flat.begin(), flat.end()}});
     } else {
       apply_probe_segment(pf, *pf.iss + 1, r.tcp.seq, r.payload_size, flat);
     }
@@ -416,7 +412,6 @@ void StreamingAnalyzer::reset_probe() {
   for (const ProbeFlow& f : probe_flows_) live_bytes_ -= probe_retained(f);
   probe_flows_.clear();
   probe_index_.clear();
-  probe_arena_.reset();
   probe_cap_ = std::numeric_limits<std::size_t>::max();
   probing_ = false;
 }

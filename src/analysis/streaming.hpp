@@ -32,7 +32,6 @@
 #include "analysis/timeline.hpp"
 #include "capture/recorder.hpp"
 #include "capture/trace.hpp"
-#include "mem/arena.hpp"
 #include "mem/flat_table.hpp"
 #include "mem/slab.hpp"
 #include "net/address.hpp"
@@ -167,12 +166,11 @@ class StreamingAnalyzer final : public capture::PacketSink {
     struct PendingSegment {
       // Data captured before any SYN: the stream base is unknown until a
       // SYN arrives (or, like reassemble()'s fallback, until the probe
-      // finishes and the minimum data seq becomes the base). The bytes
-      // live in the analyzer's probe arena, which outlives every pending
-      // segment (reset only at probe teardown).
+      // finishes and the minimum data seq becomes the base). The segment
+      // keeps its own copy of the bytes until then.
       std::uint64_t seq;
       std::size_t length;
-      std::span<const std::uint8_t> bytes;
+      std::vector<std::uint8_t> bytes;
     };
     std::vector<PendingSegment> pending;
     std::string bytes;  // clipped mirror of ReassembledStream::bytes()
@@ -213,8 +211,6 @@ class StreamingAnalyzer final : public capture::PacketSink {
   bool probing_ = false;
   std::vector<ProbeFlow> probe_flows_;  // first-appearance order
   mem::FlatMap<net::FlowId, std::size_t> probe_index_;
-  /// Backing store for pre-SYN pending segment bytes; reset with the probe.
-  mem::Arena probe_arena_;
   /// Reused flattening scratch for chained payloads (capacity persists).
   std::vector<std::uint8_t> probe_scratch_;
   /// Upper bound on probe buffer length: tightened to (divergence + 1) the

@@ -281,38 +281,4 @@ CachingExperimentResult run_caching_experiment(Scenario& scenario,
   return result;
 }
 
-FetchFactoringResult run_fetch_factoring_experiment(
-    Scenario& scenario, const search::Keyword& keyword, std::size_t reps) {
-  auto& clients = scenario.clients();
-  auto& fes = scenario.fes();
-  if (clients.size() != fes.size()) {
-    throw std::logic_error(
-        "fetch-factoring requires a distance-sweep scenario "
-        "(one probe client per FE)");
-  }
-  const std::size_t boundary = discover_boundary(scenario, 0, 0);
-  scenario.set_stream_boundary(boundary);
-
-  for (std::size_t i = 0; i < clients.size(); ++i) {
-    clients[i].require_driven();
-    clients[i].query_client->submit_repeated(
-        scenario.fe_endpoint(i), keyword, reps,
-        sim::SimTime::milliseconds(1700), [](const cdn::QueryResult&) {});
-  }
-  scenario.run();
-
-  FetchFactoringResult result;
-  for (std::size_t i = 0; i < clients.size(); ++i) {
-    auto timings = analyze_client_trace(clients[i], boundary);
-    if (timings.empty()) continue;
-    result.distances_miles.push_back(fes[i].distance_to_be_miles);
-    result.med_t_dynamic_ms.push_back(
-        stats::median(core::extract_dynamic(timings)));
-  }
-  result.factoring = core::factor_fetch_time(result.distances_miles,
-                                             result.med_t_dynamic_ms);
-  scenario.collect_metrics(result.metrics);
-  return result;
-}
-
 }  // namespace dyncdn::testbed

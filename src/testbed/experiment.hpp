@@ -147,18 +147,4 @@ CachingExperimentResult run_caching_experiment(Scenario& scenario,
                                                std::size_t fe_index,
                                                std::size_t reps);
 
-/// Fig. 9: run `reps` queries from each distance-sweep probe client and
-/// factor the fetch time. Requires a Scenario built with
-/// `fe_distance_sweep_miles`.
-struct FetchFactoringResult {
-  std::vector<double> distances_miles;
-  std::vector<double> med_t_dynamic_ms;
-  core::FetchFactoring factoring;
-  /// Operational counters (merged across shards in the parallel runner).
-  obs::MetricsRegistry metrics;
-};
-
-FetchFactoringResult run_fetch_factoring_experiment(
-    Scenario& scenario, const search::Keyword& keyword, std::size_t reps);
-
 }  // namespace dyncdn::testbed

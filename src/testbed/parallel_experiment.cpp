@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "core/inference.hpp"
-#include "stats/descriptive.hpp"
 
 namespace dyncdn::testbed {
 
@@ -147,62 +146,31 @@ ExperimentResult run_default_fe_experiment(
 
 FetchFactoringResult run_fetch_factoring_experiment(
     const ScenarioOptions& scenario_options, const search::Keyword& keyword,
-    std::size_t reps, const ReplicaPlan& plan) {
+    std::size_t reps, const ReplicaPlan& plan,
+    const obs::FlightRecorder::Options& flight) {
   if (!scenario_options.fe_distance_sweep_miles) {
     throw std::logic_error(
         "fetch-factoring requires fe_distance_sweep_miles in the scenario");
   }
-  const std::size_t points = planned_client_count(scenario_options);
-  const std::size_t shards = resolve_shards(plan, points);
-  const auto groups = partition_clients(points, shards);
-  const auto fleet = fleet_warmup(scenario_options, plan, shards);
-
-  struct ShardSeries {
-    std::vector<double> distances_miles;
-    std::vector<double> med_t_dynamic_ms;
-    obs::MetricsRegistry metrics;
-  };
-
-  parallel::ReplicaExecutor executor(plan.executor);
-  auto shard_results = executor.run(shards, [&](std::size_t s) -> ShardSeries {
-    // Probe i queries sweep FE i, its default; the boundary probe FE 0.
-    Scenario scenario(
-        replica_options(scenario_options, groups[s], fleet, std::nullopt));
-    scenario.warm_up(plan.warm_up);
-    auto& clients = scenario.clients();
-    auto& fes = scenario.fes();
-    const std::size_t boundary = discover_boundary(scenario, 0, 0);
-    scenario.set_stream_boundary(boundary);
-
-    for (const std::size_t i : groups[s]) {
-      clients[i].query_client->submit_repeated(
-          scenario.fe_endpoint(i), keyword, reps,
-          sim::SimTime::milliseconds(1700), [](const cdn::QueryResult&) {});
-    }
-    scenario.run();
-
-    ShardSeries series;
-    for (const std::size_t i : groups[s]) {
-      if (!clients[i].recorder) continue;
-      const auto timelines = analyze_client_trace(clients[i], boundary);
-      if (timelines.empty()) continue;
-      series.distances_miles.push_back(fes[i].distance_to_be_miles);
-      series.med_t_dynamic_ms.push_back(
-          stats::median(core::extract_dynamic(timelines)));
-    }
-    scenario.collect_metrics(series.metrics);
-    return series;
-  });
+  // A Datasets-A campaign: probe i queries sweep FE i, its default FE,
+  // `reps` times at one shared start.
+  ExperimentOptions options;
+  options.keywords = {keyword};
+  options.reps_per_node = reps;
+  options.interval = sim::SimTime::milliseconds(1700);
+  options.stagger = sim::SimTime::zero();
+  options.flight = flight;
 
   FetchFactoringResult result;
-  for (const ShardSeries& s : shard_results) {
-    result.distances_miles.insert(result.distances_miles.end(),
-                                  s.distances_miles.begin(),
-                                  s.distances_miles.end());
-    result.med_t_dynamic_ms.insert(result.med_t_dynamic_ms.end(),
-                                   s.med_t_dynamic_ms.begin(),
-                                   s.med_t_dynamic_ms.end());
-    result.metrics.merge(s.metrics);
+  result.campaign = run_sharded(scenario_options, options, plan, std::nullopt);
+  const cdn::ServiceProfile& profile = scenario_options.profile;
+  const std::vector<double>& sweep = *scenario_options.fe_distance_sweep_miles;
+  for (std::size_t i = 0; i < sweep.size(); ++i) {
+    const core::NodeAggregate& probe = result.campaign.per_node[i];
+    if (probe.samples == 0) continue;
+    result.distances_miles.push_back(net::haversine_miles(
+        sweep_fe_location(profile, sweep[i]), profile.be_location));
+    result.med_t_dynamic_ms.push_back(probe.med_dynamic_ms);
   }
   result.factoring = core::factor_fetch_time(result.distances_miles,
                                              result.med_t_dynamic_ms);

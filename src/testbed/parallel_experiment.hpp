@@ -1,28 +1,32 @@
-// Sharded "replica plan -> merge" experiment runners.
+// The replica runner: every measurement campaign, "replica plan -> merge".
 //
-// The serial runners in experiment.hpp drive every vantage point through
-// one Simulator. These spec-based overloads instead split the campaign
-// into independent replicas — each replica rebuilds the *same* scenario
-// (same seed, same topology, same named RNG streams) and drives only its
-// shard of vantage points — and run the replicas on a deterministic thread
-// pool (parallel/replica.hpp). A replica builds only the vantage points it
-// drives, its shard plus client 0 for the boundary probe
-// (ScenarioOptions::driven_clients); the others keep just their nodes.
-// A plan of more than one replica also simulates the FE fleet's warm-up
-// once, before the replicas start (Scenario::record_fleet_warmup): each
-// replica then builds only the FEs its clients query (plus the FEs still
-// busy at the warm-up deadline, if it queries one of them), and its
+// run_sharded (parallel_experiment.cpp) is the one runner. It splits the
+// campaign's vantage points into independent replicas — each replica
+// rebuilds the *same* scenario (same seed, same topology, same named RNG
+// streams) and drives only its shard through run_experiment_subset
+// (experiment.hpp) — and runs the replicas on a deterministic thread pool
+// (parallel/replica.hpp). Datasets A and B call it directly; Fig. 9's
+// fetch factoring is a Datasets-A campaign over a distance sweep whose
+// regression reads the merged per-probe medians. A replica builds only
+// the vantage points it drives, its shard plus client 0 for the boundary
+// probe (ScenarioOptions::driven_clients); the others keep just their
+// nodes. A plan of more than one replica also simulates the FE fleet's
+// warm-up once, before the replicas start (Scenario::record_fleet_warmup):
+// each replica then builds only the FEs its clients query (plus the FEs
+// still busy at the warm-up deadline, if it queries one of them), and its
 // exports count the other FEs' warm-up from that shared record
-// (ScenarioOptions::fleet_warmup).
-// Merging scatters each shard's per-node results back into fleet order.
+// (ScenarioOptions::fleet_warmup). Merging scatters each shard's per-node
+// results back into fleet order and merges metrics, traces, time series,
+// attribution and the flight recorder by shard index.
 //
 // Determinism contract:
 //   * For a fixed ReplicaPlan::shards, the merged result is bit-identical
 //     at every thread count (1, 2, N...): replicas share no mutable state
 //     and results are merged by index, never by completion order.
-//   * With shards == 1 the single replica is exactly the legacy serial
-//     path (construct, warm_up, run_*_experiment), so old and new results
-//     can be diffed bit-for-bit.
+//   * With shards == 1 the single replica is exactly the serial path of
+//     the Scenario& overloads in experiment.hpp (construct, warm_up,
+//     run_experiment_subset over every vantage point), so the two can be
+//     diffed bit-for-bit.
 //   * With shards > 1, vantage points in different shards no longer
 //     contend inside one simulator; per-client submission schedules are
 //     unchanged (global stagger slots), but FE/BE queueing reflects only
@@ -63,10 +67,28 @@ ExperimentResult run_default_fe_experiment(
     const ScenarioOptions& scenario_options, const ExperimentOptions& options,
     const ReplicaPlan& plan = {});
 
-/// Fig. 9, sharded: one replica per group of distance-sweep probes; the
-/// regression runs once over the merged (distance, median) series.
+/// Fig. 9's fetch-time factoring (§5): the distance-sweep probes' series
+/// and its regression, plus the campaign it was measured in.
+struct FetchFactoringResult {
+  /// One point per probe that analyzed a query: its FE's distance to the
+  /// BE and the probe's median T_dynamic.
+  std::vector<double> distances_miles;
+  std::vector<double> med_t_dynamic_ms;
+  core::FetchFactoring factoring;
+  /// The Datasets-A campaign: per-probe results, metrics, trace, time
+  /// series, attribution and flight recorder.
+  ExperimentResult campaign;
+};
+
+/// Fig. 9: a Datasets-A campaign over a distance sweep
+/// (ScenarioOptions::fe_distance_sweep_miles, else std::logic_error). Probe
+/// i queries sweep FE i, its default FE, `reps` times, 1.7 s apart, all
+/// probes starting together; T_proc and the per-mile slope come from
+/// regressing each probe's median T_dynamic on its FE's distance to the
+/// BE. `flight` configures the campaign's slow-query recorder.
 FetchFactoringResult run_fetch_factoring_experiment(
     const ScenarioOptions& scenario_options, const search::Keyword& keyword,
-    std::size_t reps, const ReplicaPlan& plan = {});
+    std::size_t reps, const ReplicaPlan& plan = {},
+    const obs::FlightRecorder::Options& flight = {});
 
 }  // namespace dyncdn::testbed

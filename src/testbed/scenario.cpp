@@ -52,6 +52,12 @@ std::string make_temp_spill_dir() {
 
 }  // namespace
 
+net::GeoPoint sweep_fe_location(const cdn::ServiceProfile& profile,
+                                double miles) {
+  return {profile.be_location.lat_deg + miles / 69.0,
+          profile.be_location.lon_deg};
+}
+
 Scenario::Scenario(ScenarioOptions options) : options_(std::move(options)) {
   if (options_.sim_shards > 1) {
     throw std::invalid_argument(
@@ -73,8 +79,7 @@ Scenario::Scenario(ScenarioOptions options) : options_(std::move(options)) {
   build_clients();
   if (options_.ts_interval > sim::SimTime::zero()) {
     sampler_ = std::make_unique<obs::TimeSeriesSampler>(
-        static_cast<std::uint64_t>(options_.ts_interval.ns()),
-        options_.ts_max_samples);
+        static_cast<std::uint64_t>(options_.ts_interval.ns()));
     ts_channels_.fe_fetch_queue = sampler_->channel("fe_fetch_queue");
     ts_channels_.fe_active_requests = sampler_->channel("fe_active_requests");
     ts_channels_.fe_backend_pool = sampler_->channel("fe_backend_pool");
@@ -100,7 +105,7 @@ Scenario::Scenario(ScenarioOptions options) : options_(std::move(options)) {
 }
 
 Scenario::~Scenario() {
-  if (!owns_spill_dir_) return;
+  if (spill_dir_.empty()) return;
   // Close the writers before removing the directory that holds their
   // files, then best-effort delete (teardown must not throw).
   for (Client& c : clients_) {
@@ -170,16 +175,11 @@ void Scenario::build_frontends() {
   std::vector<Site> sites;
 
   if (options_.fe_distance_sweep_miles) {
-    // Synthetic placement for fetch-factoring: FE sites due north of the
-    // BE at the requested great-circle distances (~69 miles per degree).
-    for (std::size_t i = 0; i < options_.fe_distance_sweep_miles->size();
-         ++i) {
-      const double miles = (*options_.fe_distance_sweep_miles)[i];
-      Site s;
-      s.name = "sweep-" + std::to_string(i);
-      s.location = {p.be_location.lat_deg + miles / 69.0,
-                    p.be_location.lon_deg};
-      sites.push_back(std::move(s));
+    // Synthetic placement for fetch-factoring at the requested distances.
+    const std::vector<double>& sweep = *options_.fe_distance_sweep_miles;
+    for (std::size_t i = 0; i < sweep.size(); ++i) {
+      sites.push_back(
+          Site{"sweep-" + std::to_string(i), sweep_fe_location(p, sweep[i])});
     }
   } else {
     // Metro-based placement: each metro hosts an FE with probability
@@ -346,15 +346,7 @@ void Scenario::build_clients() {
         c.recorder->set_sink(c.analyzer.get());
       }
       if (spilling_active()) {
-        if (spill_dir_.empty()) {
-          if (options_.spill_dir.empty()) {
-            spill_dir_ = make_temp_spill_dir();
-            owns_spill_dir_ = true;
-          } else {
-            std::filesystem::create_directories(options_.spill_dir);
-            spill_dir_ = options_.spill_dir;
-          }
-        }
+        if (spill_dir_.empty()) spill_dir_ = make_temp_spill_dir();
         c.spill = std::make_unique<capture::SpillWriter>(
             spill_dir_ + "/" + c.vantage.name + ".dtrc", c.node->id());
         c.recorder->set_spill(c.spill.get(), capture_budget_);
@@ -799,8 +791,7 @@ obs::TimeSeriesSampler Scenario::take_timeseries() {
   if (!sampler_) return obs::TimeSeriesSampler{};
   obs::TimeSeriesSampler out = std::move(*sampler_);
   *sampler_ = obs::TimeSeriesSampler(
-      static_cast<std::uint64_t>(options_.ts_interval.ns()),
-      options_.ts_max_samples);
+      static_cast<std::uint64_t>(options_.ts_interval.ns()));
   return out;
 }
 

@@ -112,12 +112,10 @@ struct ScenarioOptions {
   /// once its buffer's retained_bytes reaches the budget the buffer
   /// streams to a .dtrc file and resets, so capture memory stays bounded
   /// while analysis still sees the complete trace (recorder replay()).
-  /// 0 = DYNCDN_CAPTURE_BUDGET if set, else unlimited (no spilling).
+  /// 0 = DYNCDN_CAPTURE_BUDGET if set, else unlimited (no spilling). The
+  /// spill files live in a scenario-owned temp directory, removed on
+  /// destruction.
   std::size_t capture_budget = 0;
-  /// Directory for the per-client spill files. Empty = a scenario-owned
-  /// temp directory, removed on destruction. Non-empty directories are
-  /// created if needed and left in place (the durable-trace workflow).
-  std::string spill_dir;
 
   /// Streaming analysis: attach a StreamingAnalyzer to every client
   /// recorder and stop retaining PacketRecords — flows are reduced to
@@ -173,8 +171,6 @@ struct ScenarioOptions {
   /// tick boundary, so — like tracing — a sampled run is deterministic but
   /// not byte-identical to an unsampled one. zero() = off.
   sim::SimTime ts_interval = sim::SimTime::zero();
-  /// Bound on retained ticks (oldest evicted first).
-  std::size_t ts_max_samples = 4096;
 
   /// Batch contiguous link deliveries behind single kernel events
   /// (net::LinkConfig::coalesce_deliveries) on every link. Results are
@@ -189,6 +185,12 @@ struct ScenarioOptions {
   std::optional<bool> fe_cache_results;
   std::optional<std::size_t> client_initial_cwnd;  // client<->FE IW ablation
 };
+
+/// Where a distance sweep (ScenarioOptions::fe_distance_sweep_miles)
+/// places the FE `miles` from `profile`'s BE: due north of it, ~69 miles
+/// per degree. Scenario::build_frontends places sweep FEs here.
+net::GeoPoint sweep_fe_location(const cdn::ServiceProfile& profile,
+                                double miles);
 
 class Scenario {
  public:
@@ -316,8 +318,6 @@ class Scenario {
   /// True when budgeted spill-to-disk capture is wired (budget > 0 and the
   /// scenario retains packets at clients).
   bool spilling_active() const;
-  /// Directory holding the per-client spill files ("" when spilling is off).
-  const std::string& spill_dir() const { return spill_dir_; }
 
   /// Propagate a discovered static/dynamic boundary to every client
   /// analyzer, enabling online timeline emission (flows collapse at
@@ -367,8 +367,8 @@ class Scenario {
 
   ScenarioOptions options_;
   std::size_t capture_budget_ = 0;
+  /// The scenario-owned spill directory ("" until a client spills).
   std::string spill_dir_;
-  bool owns_spill_dir_ = false;
   std::shared_ptr<obs::TraceSession> trace_;
   std::unique_ptr<sim::Simulator> simulator_;
   std::unique_ptr<obs::TimeSeriesSampler> sampler_;

@@ -14,6 +14,7 @@
 #include "stats/cdf.hpp"
 #include "stats/descriptive.hpp"
 #include "testbed/experiment.hpp"
+#include "testbed/parallel_experiment.hpp"
 #include "testbed/scenario.hpp"
 
 namespace dyncdn {
@@ -174,11 +175,12 @@ TEST(Acceptance, FetchFactoringRecoversTheContrast) {
     opt.seed = 99;
     opt.fe_distance_sweep_miles =
         std::vector<double>{60, 170, 280, 390, 500};
-    testbed::Scenario s(opt);
-    s.warm_up();
     const search::Keyword kw{"acceptance factoring probe",
                              search::KeywordClass::kGranular, 5000};
-    return testbed::run_fetch_factoring_experiment(s, kw, 10).factoring;
+    testbed::ReplicaPlan serial;
+    serial.shards = 1;
+    return testbed::run_fetch_factoring_experiment(opt, kw, 10, serial)
+        .factoring;
   };
   const auto bing = factor(cdn::bing_like_profile());
   const auto google = factor(cdn::google_like_profile());

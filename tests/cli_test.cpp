@@ -182,6 +182,99 @@ TEST(ExperimentCli, ShardsPerScenarioIsAnUnknownArgument) {
       << run.output;
 }
 
+/// Runs dyncdn_experiment with `flags`, in which '@' stands for a fresh
+/// directory that every output points into: the run must exit 2 with
+/// `message`, naming the flag and the mode, and leave the directory empty.
+void expect_refused(const std::string& test, std::string flags,
+                    const std::string& message) {
+  const auto dir = scratch_dir(test);
+  for (std::size_t at; (at = flags.find('@')) != std::string::npos;) {
+    flags.replace(at, 1, dir.string());
+  }
+  const CliRun run = run_experiment(
+      "", "--clients=2 --reps=1 --metrics-out=@/m.prom " + flags);
+  EXPECT_EQ(run.exit_code, 2) << run.output;
+  EXPECT_NE(run.output.find(message), std::string::npos) << run.output;
+  EXPECT_TRUE(std::filesystem::is_empty(dir)) << run.output;
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ExperimentCli, SaveTracesRefusesAttributionOut) {
+  expect_refused("save_attribution",
+                 "--save-traces=@/traces --attribution-out=@/a.json",
+                 "--attribution-out is unavailable with --save-traces");
+}
+
+TEST(ExperimentCli, SaveTracesRefusesSlowLog) {
+  expect_refused("save_slow", "--save-traces=@/traces --slow-log=@/s.json",
+                 "--slow-log is unavailable with --save-traces");
+}
+
+TEST(ExperimentCli, FactoringRefusesSaveTraces) {
+  expect_refused("factoring_save",
+                 "--experiment=factoring --save-traces=@/traces",
+                 "--save-traces is unavailable with --experiment=factoring");
+}
+
+TEST(ExperimentCli, CachingRefusesSaveTraces) {
+  expect_refused("caching_save", "--experiment=caching --save-traces=@/traces",
+                 "--save-traces is unavailable with --experiment=caching");
+}
+
+TEST(ExperimentCli, CachingRefusesAttributionOut) {
+  expect_refused("caching_attribution",
+                 "--experiment=caching --attribution-out=@/a.json",
+                 "--attribution-out is unavailable with --experiment=caching");
+}
+
+TEST(ExperimentCli, CachingRefusesSlowLog) {
+  expect_refused("caching_slow", "--experiment=caching --slow-log=@/s.json",
+                 "--slow-log is unavailable with --experiment=caching");
+}
+
+TEST(ExperimentCli, FactoringWritesEveryOutput) {
+  // Fetch factoring is a Datasets-A campaign over 6 sweep probes, so it
+  // writes every output the measurement campaigns write, and its 12
+  // queries reach the attribution, the slow log (whose 1 ms threshold
+  // promotes them all) and the span dump.
+  const auto dir = scratch_dir("factoring_outputs");
+  const auto path = [&dir](const char* name) { return (dir / name).string(); };
+  const CliRun run = run_experiment(
+      "", "--experiment=factoring --service=bing --clients=30 --reps=2 "
+          "--seed=4 --threads=2 --metrics-out=" + path("m.prom") +
+          " --trace-out=" + path("spans.json") + " --ts-out=" +
+          path("ts.json") + " --ts-runtime-out=" + path("rt.json") +
+          " --attribution-out=" + path("attr.json") + " --slow-log=" +
+          path("slow.json") + " --slow-threshold=1");
+  ASSERT_EQ(run.exit_code, 0) << run.output;
+  const auto slurp = [](const std::string& file) {
+    std::ifstream in(file);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  };
+  EXPECT_NE(slurp(path("m.prom")).find("\ndyncdn_queries_analyzed 12\n"),
+            std::string::npos);
+  EXPECT_TRUE(slurp(path("attr.json")).starts_with("{\"queries\":12,"))
+      << slurp(path("attr.json"));
+  const std::string slow = slurp(path("slow.json"));
+  EXPECT_TRUE(slow.starts_with("{\"observed\":12,\"threshold_ms\":1,"))
+      << slow;
+  std::size_t promoted = 0;  // one t_dynamic_ms per slow entry
+  for (std::size_t at = 0;
+       (at = slow.find("\"t_dynamic_ms\":", at)) != std::string::npos; ++at) {
+    ++promoted;
+  }
+  EXPECT_EQ(promoted, 12u) << slow;
+  const std::string series = slurp(path("ts.json"));
+  ASSERT_FALSE(series.empty());
+  EXPECT_TRUE(slurp(path("rt.json")).starts_with("{\"timeseries\":" + series +
+                                                 ",\"executor\":"));
+  const CliRun inspect = run_trace_inspect("attribution " + path("spans.json"));
+  EXPECT_EQ(inspect.exit_code, 0) << inspect.output;
+  EXPECT_NE(inspect.output.find("queries=12 "), std::string::npos)
+      << inspect.output;
+  std::filesystem::remove_all(dir);
+}
+
 TEST(TraceInspectCli, MalformedBoundaryIsRefused) {
   // The boundary is parsed before any file is read, so no trace is needed.
   for (const char* bad : {"", "abc", "12x", "-1", " 5", "1.5",

@@ -10,6 +10,7 @@
 #include "search/keywords.hpp"
 #include "stats/regression.hpp"
 #include "testbed/experiment.hpp"
+#include "testbed/parallel_experiment.hpp"
 #include "testbed/scenario.hpp"
 
 namespace dyncdn::testbed {
@@ -163,13 +164,13 @@ TEST_P(FactoringSweep, InterceptTracksProcessingAcrossSeeds) {
   opt.seed = GetParam();
   opt.fe_distance_sweep_miles =
       std::vector<double>{50, 140, 230, 320, 410, 500};
-  Scenario scenario(opt);
-  scenario.warm_up();
 
   const search::Keyword keyword{"stable factoring keyword",
                                 search::KeywordClass::kGranular, 5000};
+  ReplicaPlan serial;
+  serial.shards = 1;
   const FetchFactoringResult r =
-      run_fetch_factoring_experiment(scenario, keyword, 8);
+      run_fetch_factoring_experiment(opt, keyword, 8, serial);
 
   EXPECT_GT(r.factoring.fit.r_squared, 0.85);
   EXPECT_GT(r.factoring.slope_ms_per_mile(), 0.0);

@@ -1,17 +1,14 @@
 // Unit tests for the hot-path memory subsystem (src/mem/): SlabPool /
-// TypedSlab block recycling, Arena bump allocation and reset, FlatMap
-// open-addressing semantics and determinism — plus, under ASan builds,
-// death tests proving that use-after-release of slab/arena memory faults
-// (the free lists are poisoned, so stale pointers behave like a heap
-// use-after-free instead of silently reading recycled state).
+// TypedSlab block recycling, FlatMap open-addressing semantics and
+// determinism — plus, under ASan builds, a death test proving that
+// use-after-release of slab memory faults (the free lists are poisoned,
+// so stale pointers behave like a heap use-after-free instead of silently
+// reading recycled state).
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstring>
-#include <string>
 #include <vector>
 
-#include "mem/arena.hpp"
 #include "mem/flat_table.hpp"
 #include "mem/slab.hpp"
 
@@ -78,48 +75,6 @@ TEST(TypedSlab, RunsConstructorAndDestructor) {
   slab.destroy(nullptr);  // no-op
   // The released blocks are back on the free list for reuse.
   EXPECT_EQ(slab.free_count(), 4u);
-}
-
-TEST(Arena, AllocationsAreAlignedAndDisjoint) {
-  Arena arena(/*chunk_bytes=*/512);
-  auto* a = static_cast<std::byte*>(arena.allocate(100));
-  auto* b = static_cast<std::byte*>(arena.allocate(100));
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(a) % alignof(std::max_align_t),
-            0u);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(b) % alignof(std::max_align_t),
-            0u);
-  EXPECT_TRUE(b >= a + 100 || a >= b + 100);
-  std::memset(a, 0xAA, 100);
-  std::memset(b, 0xBB, 100);
-  EXPECT_EQ(a[99], std::byte{0xAA});  // neighbours don't overlap
-  EXPECT_EQ(arena.bytes_allocated(), 200u);
-}
-
-TEST(Arena, CopyPreservesBytesAndAcceptsEmpty) {
-  Arena arena;
-  const std::string src = "boundary probe pending bytes";
-  const void* copied = arena.copy(src.data(), src.size());
-  EXPECT_EQ(std::memcmp(copied, src.data(), src.size()), 0);
-  EXPECT_NE(arena.copy(nullptr, 0), nullptr);  // zero-size copy is valid
-}
-
-TEST(Arena, ResetRetainsChunkStorage) {
-  Arena arena(/*chunk_bytes=*/256);
-  for (int i = 0; i < 64; ++i) arena.allocate(64);
-  const std::size_t chunks = arena.chunk_count();
-  EXPECT_GT(chunks, 1u);
-  arena.reset();
-  EXPECT_EQ(arena.bytes_allocated(), 0u);
-  // A second identical cycle reuses the retained chunks: no growth.
-  for (int i = 0; i < 64; ++i) arena.allocate(64);
-  EXPECT_EQ(arena.chunk_count(), chunks);
-}
-
-TEST(Arena, OversizedRequestGetsDedicatedChunk) {
-  Arena arena(/*chunk_bytes=*/256);
-  auto* big = static_cast<std::byte*>(arena.allocate(10000));
-  std::memset(big, 0x5A, 10000);  // the whole span must be addressable
-  EXPECT_EQ(big[9999], std::byte{0x5A});
 }
 
 TEST(FlatMap, InsertFindErase) {
@@ -189,19 +144,6 @@ TEST(SlabPoolDeathTest, UseAfterReleaseFaultsUnderAsan) {
         *p = 42;
         pool.deallocate(const_cast<std::uint64_t*>(p));
         (void)*p;  // poisoned: ASan aborts here
-      },
-      "use-after-poison");
-}
-
-TEST(ArenaDeathTest, UseAfterResetFaultsUnderAsan) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  EXPECT_DEATH(
-      {
-        Arena arena;
-        auto* p = static_cast<volatile std::uint64_t*>(arena.allocate(8));
-        *p = 42;
-        arena.reset();
-        (void)*p;  // previous cycle's bytes are poisoned
       },
       "use-after-poison");
 }

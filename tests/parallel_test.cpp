@@ -9,8 +9,10 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 
 #include "obs/export_chrome.hpp"
@@ -742,8 +744,12 @@ TEST(FleetWarmup, CampaignIsThreadCountInvariant) {
 }
 
 // A replica fetch-factoring campaign (one replica per sweep probe, so each
-// builds FE 0, its own FE and the busy ones) pinned to the bytes of the
-// runner that built every FE in every replica.
+// builds FE 0 and its own FE; no FE of this sweep is busy at the warm-up
+// deadline) pinned to the bytes of the runner that built every FE in
+// every replica. Factoring runs as a Datasets-A campaign, so its dump
+// also carries the per-query families Datasets A/B export
+// (dyncdn_queries_analyzed, dyncdn_query_*_ms): the first digest covers
+// the dump without them, the second those families.
 TEST(FleetWarmup, ReplicaFetchFactoringPinned) {
   testbed::ScenarioOptions opt;
   opt.profile = cdn::bing_like_profile();
@@ -765,9 +771,60 @@ TEST(FleetWarmup, ReplicaFetchFactoringPinned) {
   mix(r.med_t_dynamic_ms.data(), r.med_t_dynamic_ms.size() * sizeof(double));
   mix(&r.factoring.fit.slope, sizeof(double));
   mix(&r.factoring.fit.intercept, sizeof(double));
-  const std::string dump = obs::export_prometheus(r.metrics);
-  mix(dump.data(), dump.size());
+  std::string runner_families, query_families;
+  std::istringstream dump(obs::export_prometheus(r.campaign.metrics));
+  for (std::string line; std::getline(dump, line);) {
+    std::string_view name = line;
+    if (name.starts_with("# HELP ") || name.starts_with("# TYPE ")) {
+      name.remove_prefix(7);
+    }
+    const bool query = name.starts_with("dyncdn_queries_analyzed") ||
+                       name.starts_with("dyncdn_query_");
+    (query ? query_families : runner_families) += line + '\n';
+  }
+  mix(runner_families.data(), runner_families.size());
   EXPECT_EQ(h, 0xbeb563af7ecdb45fULL) << std::hex << h;
+  h = 0xcbf29ce484222325ULL;
+  mix(query_families.data(), query_families.size());
+  EXPECT_EQ(h, 0xfbade0a833cb1a25ULL) << std::hex << h;
+}
+
+TEST(FleetWarmup, FetchFactoringExportsAreThreadCountInvariant) {
+  // Factoring replicas merge through run_sharded: a traced, sampled
+  // Bing-like sweep, one replica per probe, whose seed leaves an FE busy
+  // at the warm-up deadline (so replicas that do not query it add its
+  // recorded tail), exports the same Chrome trace, time series and
+  // metrics at 1 and 4 threads.
+  testbed::ScenarioOptions opt;
+  opt.profile = cdn::bing_like_profile();
+  opt.seed = 10;
+  opt.fe_distance_sweep_miles =
+      std::vector<double>{30, 400, 900, 1500, 2500, 4000, 6500};
+  opt.enable_tracing = true;
+  opt.ts_interval = 100_ms;
+  const testbed::FleetWarmup fleet =
+      testbed::Scenario::record_fleet_warmup(opt, 5_s);
+  EXPECT_LT(count_idle(fleet), fleet.idle.size());
+  const search::Keyword keyword{"network measurement study",
+                                search::KeywordClass::kGranular, 5000};
+  std::vector<std::string> traces, series, dumps;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    testbed::ReplicaPlan plan;
+    plan.shards = 0;
+    plan.executor.threads = threads;
+    const auto r =
+        testbed::run_fetch_factoring_experiment(opt, keyword, 3, plan);
+    ASSERT_EQ(r.distances_miles.size(), 7u);
+    ASSERT_NE(r.campaign.trace, nullptr);
+    EXPECT_GT(r.campaign.timeseries.sample_count(), 0u);
+    EXPECT_EQ(r.campaign.attribution.queries(), 21u);
+    traces.push_back(obs::export_chrome_trace(*r.campaign.trace));
+    series.push_back(r.campaign.timeseries.to_json());
+    dumps.push_back(obs::export_prometheus(r.campaign.metrics));
+  }
+  EXPECT_EQ(traces[0], traces[1]);
+  EXPECT_EQ(series[0], series[1]);
+  EXPECT_EQ(dumps[0], dumps[1]);
 }
 
 TEST(ParallelExperiment, PlannedClientCountIsSweepAware) {

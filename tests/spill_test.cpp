@@ -48,7 +48,7 @@ using namespace dyncdn::sim::literals;
 std::unique_ptr<TwoNodeHarness> harness;
 std::unique_ptr<TraceRecorder> recorder;
 
-/// Tears the long-lived harness down while the slab/arena pools backing
+/// Tears the long-lived harness down while the slab pools backing
 /// its captured payloads are still alive (static destruction order across
 /// translation units is unspecified, so the trace must not outlive main).
 class HarnessTeardown : public ::testing::Environment {

@@ -739,7 +739,7 @@ TEST(StreamingExperiment, ByteIdenticalToCaptureAt1_2_4Threads) {
   const auto capture_run = testbed::run_fixed_fe_experiment(
       small_scenario(false), 0, options, plan);
 
-  // Streaming mode keeps its per-flow state in slab/arena-backed flat
+  // Streaming mode keeps its per-flow state in slab-backed flat
   // tables; at 1, 2 and 4 threads it must still match the serial
   // retained-capture run byte for byte.
   for (const std::size_t threads :

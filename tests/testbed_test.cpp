@@ -14,6 +14,7 @@
 #include "core/inference.hpp"
 #include "search/keywords.hpp"
 #include "testbed/experiment.hpp"
+#include "testbed/parallel_experiment.hpp"
 #include "testbed/planetlab.hpp"
 #include "testbed/scenario.hpp"
 
@@ -459,13 +460,13 @@ TEST(Experiment, FetchFactoringRecoversProcessingTime) {
   opt.profile.processing.load.load_amplitude = 0.0;
   opt.profile.fe_service.sigma = 0.02;
   opt.profile.fe_service.load_amplitude = 0.0;
-  Scenario s(opt);
-  s.warm_up();
 
   search::KeywordCatalog catalog(5);
   const auto keyword = catalog.figure3_keywords().front();
+  ReplicaPlan serial;
+  serial.shards = 1;
   const FetchFactoringResult r =
-      run_fetch_factoring_experiment(s, keyword, 7);
+      run_fetch_factoring_experiment(opt, keyword, 7, serial);
 
   ASSERT_EQ(r.distances_miles.size(), 7u);
   EXPECT_GT(r.factoring.fit.r_squared, 0.9);

@@ -72,6 +72,9 @@ void usage() {
       "                         [--slow-threshold=MS]\n"
       "                         [--stream | --capture] "
       "[--capture-budget=BYTES]\n"
+      "  --save-traces  save each vantage point's packets as DIR/NAME.dtrc\n"
+      "             instead of analyzing them (fixed-fe and default-fe\n"
+      "             only; not with --attribution-out or --slow-log)\n"
       "  --threads  worker threads for sharded experiments "
       "(0 = DYNCDN_THREADS or all cores)\n"
       "  --shards   replica count (0 = one per vantage point; "
@@ -105,9 +108,10 @@ void usage() {
       "  --attribution-out  write per-component latency attribution JSON\n"
       "                 (dns/connect/uplink/fe wait/fetch/delivery "
       "percentiles);\n"
-      "                 implies tracing\n"
+      "                 implies tracing; not with caching\n"
       "  --slow-log     write the slow-query flight recorder dump (span\n"
-      "                 trees of promoted queries); implies tracing\n"
+      "                 trees of promoted queries); implies tracing; not\n"
+      "                 with caching\n"
       "  --slow-threshold  promote queries with T_dynamic above this many\n"
       "                 ms (0 = adaptive: p90 of the running distribution "
       "x 3)\n");
@@ -222,6 +226,30 @@ std::optional<CliOptions> parse_args(int argc, char** argv) {
   if (opt.clients == 0 || opt.reps == 0) {
     std::fprintf(stderr, "--clients and --reps must be positive\n");
     return std::nullopt;
+  }
+  // Refuse what a mode cannot write before anything is written. Saved
+  // traces come from one fixed-FE or default-FE scenario that skips the
+  // built-in analysis, and the caching probe is one client's two phases:
+  // neither has a campaign to attribute or a slow log to keep.
+  const auto refuse = [](const char* flag, const std::string& mode) {
+    std::fprintf(stderr, "%s is unavailable with %s\n", flag, mode.c_str());
+    return std::nullopt;
+  };
+  const std::string experiment = "--experiment=" + opt.experiment;
+  if (!opt.save_traces.empty()) {
+    if (opt.experiment == "caching" || opt.experiment == "factoring") {
+      return refuse("--save-traces", experiment);
+    }
+    if (!opt.attribution_out.empty()) {
+      return refuse("--attribution-out", "--save-traces");
+    }
+    if (!opt.slow_log.empty()) return refuse("--slow-log", "--save-traces");
+  }
+  if (opt.experiment == "caching") {
+    if (!opt.attribution_out.empty()) {
+      return refuse("--attribution-out", experiment);
+    }
+    if (!opt.slow_log.empty()) return refuse("--slow-log", experiment);
   }
   // A requested time-series output without an interval gets the default
   // 100ms tick.
@@ -356,14 +384,11 @@ void print_memory_summary(bool streaming) {
 
 void write_obs_outputs(const CliOptions& cli, const obs::TraceSession* trace,
                        const obs::MetricsRegistry& metrics) {
+  // Every --trace-out run traces (scenario_options), so `trace` is set.
   if (!cli.trace_out.empty()) {
-    if (trace) {
-      obs::write_chrome_trace(*trace, cli.trace_out);
-      std::fprintf(stderr, "chrome trace written to %s\n",
-                   cli.trace_out.c_str());
-    } else {
-      std::fprintf(stderr, "--trace-out: no trace session (tracing off)\n");
-    }
+    obs::write_chrome_trace(*trace, cli.trace_out);
+    std::fprintf(stderr, "chrome trace written to %s\n",
+                 cli.trace_out.c_str());
   }
   if (!cli.metrics_out.empty()) {
     obs::write_prometheus(metrics, cli.metrics_out);
@@ -371,7 +396,8 @@ void write_obs_outputs(const CliOptions& cli, const obs::TraceSession* trace,
   }
 }
 
-int run_measurement(const CliOptions& cli, bool fixed_fe) {
+/// The scenario every experiment builds from the flags.
+testbed::ScenarioOptions scenario_options(const CliOptions& cli) {
   testbed::ScenarioOptions so;
   so.profile = cli.service == "google" ? cdn::google_like_profile()
                                        : cdn::bing_like_profile();
@@ -386,6 +412,27 @@ int run_measurement(const CliOptions& cli, bool fixed_fe) {
   // retained-capture path regardless of --stream.
   so.stream_analysis = cli.stream && cli.save_traces.empty();
   so.capture_budget = cli.capture_budget;
+  return so;
+}
+
+/// Fig. 9's distance sweep: max(clients / 5, 6) FEs from 30 to 500 miles.
+std::vector<double> factoring_sweep(std::size_t clients) {
+  std::vector<double> distances;
+  for (std::size_t i = 0; i < std::max<std::size_t>(clients / 5, 6); ++i) {
+    distances.push_back(30.0 + 470.0 * static_cast<double>(i) /
+                                   std::max<std::size_t>(clients / 5 - 1, 5));
+  }
+  return distances;
+}
+
+/// The replica campaigns: Datasets B (fixed-fe), Datasets A (default-fe)
+/// and Fig. 9's factoring, a Datasets-A campaign over a distance sweep.
+/// Each prints its TSV and writes every requested output of its result.
+int run_measurement(const CliOptions& cli) {
+  const bool fixed_fe = cli.experiment == "fixed-fe";
+  const bool factoring = cli.experiment == "factoring";
+  testbed::ScenarioOptions so = scenario_options(cli);
+  if (factoring) so.fe_distance_sweep_miles = factoring_sweep(cli.clients);
 
   testbed::ExperimentOptions eo;
   eo.reps_per_node = cli.reps;
@@ -448,38 +495,47 @@ int run_measurement(const CliOptions& cli, bool fixed_fe) {
     if (scenario.timeseries() != nullptr) {
       write_timeseries_outputs(cli, *scenario.timeseries(), nullptr);
     }
-    if (!cli.attribution_out.empty() || !cli.slow_log.empty()) {
-      std::fprintf(stderr,
-                   "--attribution-out/--slow-log are unavailable with "
-                   "--save-traces; analyze the saved traces with "
-                   "trace_inspect instead\n");
-    }
     return 0;
   }
 
   testbed::ReplicaPlan plan;
   plan.shards = cli.shards;
   plan.executor.threads = cli.threads;
-  const testbed::ExperimentResult result =
-      fixed_fe ? testbed::run_fixed_fe_experiment(so, 0, eo, plan)
-               : testbed::run_default_fe_experiment(so, eo, plan);
-
-  std::printf("# experiment=%s service=%s clients=%zu reps=%zu seed=%llu "
-              "boundary=%zu\n",
-              fixed_fe ? "fixed-fe" : "default-fe", cli.service.c_str(),
-              cli.clients, cli.reps,
-              static_cast<unsigned long long>(cli.seed), result.boundary);
-  std::printf("node\trtt_ms\tt_static_ms\tt_dynamic_ms\tt_delta_ms\t"
-              "overall_ms\tsamples\n");
-  for (const auto& n : result.per_node) {
-    std::printf("%s\t%.2f\t%.2f\t%.2f\t%.2f\t%.2f\t%zu\n",
-                n.node_name.c_str(), n.rtt_ms, n.med_static_ms,
-                n.med_dynamic_ms, n.med_delta_ms, n.med_overall_ms,
-                n.samples);
+  testbed::ExperimentResult result;
+  if (factoring) {
+    const search::Keyword keyword{"command line factoring probe",
+                                  search::KeywordClass::kGranular, 5000};
+    testbed::FetchFactoringResult r = testbed::run_fetch_factoring_experiment(
+        so, keyword, cli.reps, plan, eo.flight);
+    std::printf("# experiment=factoring service=%s reps=%zu seed=%llu\n",
+                cli.service.c_str(), cli.reps,
+                static_cast<unsigned long long>(cli.seed));
+    std::printf("distance_miles\tmed_t_dynamic_ms\n");
+    for (std::size_t i = 0; i < r.distances_miles.size(); ++i) {
+      std::printf("%.1f\t%.2f\n", r.distances_miles[i],
+                  r.med_t_dynamic_ms[i]);
+    }
+    std::printf("# %s\n", r.factoring.to_string().c_str());
+    result = std::move(r.campaign);
+  } else {
+    result = fixed_fe ? testbed::run_fixed_fe_experiment(so, 0, eo, plan)
+                      : testbed::run_default_fe_experiment(so, eo, plan);
+    std::printf("# experiment=%s service=%s clients=%zu reps=%zu seed=%llu "
+                "boundary=%zu\n",
+                cli.experiment.c_str(), cli.service.c_str(), cli.clients,
+                cli.reps, static_cast<unsigned long long>(cli.seed),
+                result.boundary);
+    std::printf("node\trtt_ms\tt_static_ms\tt_dynamic_ms\tt_delta_ms\t"
+                "overall_ms\tsamples\n");
+    for (const auto& n : result.per_node) {
+      std::printf("%s\t%.2f\t%.2f\t%.2f\t%.2f\t%.2f\t%zu\n",
+                  n.node_name.c_str(), n.rtt_ms, n.med_static_ms,
+                  n.med_dynamic_ms, n.med_delta_ms, n.med_overall_ms,
+                  n.samples);
+    }
+    const auto threshold = core::estimate_delta_threshold(result.per_node);
+    std::printf("# %s\n", threshold.to_string().c_str());
   }
-
-  const auto threshold = core::estimate_delta_threshold(result.per_node);
-  std::printf("# %s\n", threshold.to_string().c_str());
   write_obs_outputs(cli, result.trace.get(), result.metrics);
   write_timeseries_outputs(cli, result.timeseries, &result.executor_stats);
   write_attribution_outputs(cli, result.attribution, result.flight);
@@ -488,14 +544,8 @@ int run_measurement(const CliOptions& cli, bool fixed_fe) {
 }
 
 int run_caching(const CliOptions& cli) {
-  testbed::ScenarioOptions so;
-  so.profile = cli.service == "google" ? cdn::google_like_profile()
-                                       : cdn::bing_like_profile();
+  testbed::ScenarioOptions so = scenario_options(cli);
   so.client_count = std::max<std::size_t>(cli.clients, 4);
-  so.seed = cli.seed;
-  so.enable_tracing = !cli.trace_out.empty();
-  so.ts_interval = ts_interval(cli);
-  so.stream_analysis = cli.stream;
   testbed::Scenario scenario(so);
   scenario.warm_up();
 
@@ -528,54 +578,14 @@ int run_caching(const CliOptions& cli) {
   return 0;
 }
 
-int run_factoring(const CliOptions& cli) {
-  testbed::ScenarioOptions so;
-  so.profile = cli.service == "google" ? cdn::google_like_profile()
-                                       : cdn::bing_like_profile();
-  so.seed = cli.seed;
-  so.stream_analysis = cli.stream;
-  std::vector<double> distances;
-  for (std::size_t i = 0; i < std::max<std::size_t>(cli.clients / 5, 6);
-       ++i) {
-    distances.push_back(30.0 + 470.0 * static_cast<double>(i) /
-                                   std::max<std::size_t>(
-                                       cli.clients / 5 - 1, 5));
-  }
-  so.fe_distance_sweep_miles = distances;
-
-  const search::Keyword keyword{"command line factoring probe",
-                                search::KeywordClass::kGranular, 5000};
-  testbed::ReplicaPlan plan;
-  plan.shards = cli.shards;
-  plan.executor.threads = cli.threads;
-  const auto r =
-      testbed::run_fetch_factoring_experiment(so, keyword, cli.reps, plan);
-  std::printf("# experiment=factoring service=%s reps=%zu seed=%llu\n",
-              cli.service.c_str(), cli.reps,
-              static_cast<unsigned long long>(cli.seed));
-  std::printf("distance_miles\tmed_t_dynamic_ms\n");
-  for (std::size_t i = 0; i < r.distances_miles.size(); ++i) {
-    std::printf("%.1f\t%.2f\n", r.distances_miles[i],
-                r.med_t_dynamic_ms[i]);
-  }
-  std::printf("# %s\n", r.factoring.to_string().c_str());
-  // Factoring merges only series + metrics across shards; span traces are
-  // a measurement-experiment feature.
-  write_obs_outputs(cli, nullptr, r.metrics);
-  print_memory_summary(so.stream_analysis);
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   const auto cli = parse_args(argc, argv);
   if (!cli) return 2;
   try {
-    if (cli->experiment == "fixed-fe") return run_measurement(*cli, true);
-    if (cli->experiment == "default-fe") return run_measurement(*cli, false);
     if (cli->experiment == "caching") return run_caching(*cli);
-    return run_factoring(*cli);
+    return run_measurement(*cli);
   } catch (const std::exception& e) {
     // E.g. a malformed DYNCDN_THREADS or DYNCDN_CAPTURE_BUDGET.
     std::fprintf(stderr, "dyncdn_experiment: %s\n", e.what());
