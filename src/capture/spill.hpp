@@ -84,10 +84,11 @@ struct SpillStats {
   std::uint64_t flush_ns = 0;       ///< wall time inside disk flushes
 };
 
-/// Streams PacketRecords to a .dtrc file. Usable directly as a recorder
-/// sink (--save-traces: every packet goes straight to disk) or as the
-/// overflow target of a budgeted TraceRecorder (capture_budget: the
-/// buffered prefix spills here, the in-memory tail stays analyzable).
+/// Streams PacketRecords to a .dtrc file: the overflow target of a
+/// budgeted TraceRecorder (capture_budget: the buffered prefix spills
+/// here, the in-memory tail stays analyzable), and the sink a recorder's
+/// whole capture is replayed into when a campaign saves its traces
+/// (ExperimentOptions::save_traces).
 class SpillWriter final : public PacketSink {
  public:
   struct Options {

@@ -1,15 +1,27 @@
 #include "testbed/experiment.hpp"
 
+#include <filesystem>
 #include <memory>
 #include <stdexcept>
 
 #include "analysis/span_attribution.hpp"
 #include "analysis/streaming.hpp"
+#include "capture/spill.hpp"
 
 namespace dyncdn::testbed {
 
 namespace {
 constexpr net::Port kServicePort = 80;
+
+/// Write `client`'s whole capture (any spilled prefix, then the in-memory
+/// tail) to DIR/<vantage name>.dtrc, for offline analysis.
+void save_client_trace(const Scenario::Client& client, const std::string& dir) {
+  std::filesystem::create_directories(dir);
+  capture::SpillWriter writer(dir + "/" + client.vantage.name + ".dtrc",
+                              client.node->id());
+  client.recorder->replay(writer);
+  writer.finish();
+}
 }  // namespace
 
 std::vector<core::QueryTimings> analyze_client_trace(Scenario::Client& client,
@@ -104,6 +116,10 @@ ExperimentResult run_experiment_subset(
   if (options.keywords.empty() && !options.zipf) {
     throw std::invalid_argument("ExperimentOptions.keywords is empty");
   }
+  if (!options.save_traces.empty() && scenario.streaming()) {
+    throw std::invalid_argument(
+        "ExperimentOptions.save_traces needs a capture-mode scenario");
+  }
 
   // Boundary discovery always probes from client 0 so every shard of a
   // sharded campaign derives the same boundary the serial run would.
@@ -161,6 +177,9 @@ ExperimentResult run_experiment_subset(
   result.discovery_fetches = discovery_fetches;
   result.per_node_timings.reserve(client_indices.size());
   for (const std::size_t i : client_indices) {
+    if (!options.save_traces.empty()) {
+      save_client_trace(clients[i], options.save_traces);
+    }
     auto timings = analyze_client_trace(clients[i], boundary);
     for (const core::QueryTimings& t : timings) {
       result.metrics.add("queries_analyzed", 1);

@@ -57,6 +57,12 @@ struct ExperimentOptions {
   /// Slow-query flight recorder configuration (only consulted when the
   /// scenario traces: the recorder is fed from the span forest).
   obs::FlightRecorder::Options flight;
+
+  /// Directory to save each analyzed vantage point's whole capture in, as
+  /// DIR/<vantage name>.dtrc: the packets its timings are computed from
+  /// (empty = off). Needs a capture-mode scenario; a streaming one is
+  /// refused with std::invalid_argument before anything runs.
+  std::string save_traces;
 };
 
 struct ExperimentResult {
@@ -116,7 +122,8 @@ std::vector<core::QueryTimings> analyze_client_trace(Scenario::Client& client,
 /// campaign agrees on the boundary), schedules the query sequence for the
 /// listed clients — each keeps its *global* stagger slot, so a client's
 /// schedule is identical whether it runs alongside the full fleet or alone
-/// in a replica — and analyzes their traces. Result vectors align with
+/// in a replica — and analyzes their traces, saving each one first when
+/// `options.save_traces` is set. Result vectors align with
 /// `client_indices`, not with scenario.clients(). This is the unit the
 /// parallel replica engine (parallel_experiment.hpp) shards and merges.
 ExperimentResult run_experiment_subset(

@@ -56,6 +56,11 @@ void write_file(const std::filesystem::path& path, const std::string& text) {
   std::ofstream(path) << text;
 }
 
+std::string slurp(const std::filesystem::path& path) {
+  std::ifstream in(path);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
 /// One record of a hand-built capture at client node 10, whose connections
 /// from `port` go to server node 20, port 80. `flags` is a subset of "SAF".
 capture::PacketRecord client_record(std::int64_t ns, bool sent,
@@ -154,10 +159,6 @@ TEST(ExperimentCli, RuntimeOutWrapsTheSeriesAndCountsReplicas) {
       "", "--experiment=default-fe --clients=6 --reps=1 --threads=2 "
           "--ts-out=" + ts + " --ts-runtime-out=" + rt);
   ASSERT_EQ(run.exit_code, 0) << run.output;
-  const auto slurp = [](const std::string& path) {
-    std::ifstream in(path);
-    return std::string(std::istreambuf_iterator<char>(in), {});
-  };
   const std::string series = slurp(ts);
   const std::string runtime = slurp(rt);
   ASSERT_FALSE(series.empty());
@@ -199,17 +200,6 @@ void expect_refused(const std::string& test, std::string flags,
   std::filesystem::remove_all(dir);
 }
 
-TEST(ExperimentCli, SaveTracesRefusesAttributionOut) {
-  expect_refused("save_attribution",
-                 "--save-traces=@/traces --attribution-out=@/a.json",
-                 "--attribution-out is unavailable with --save-traces");
-}
-
-TEST(ExperimentCli, SaveTracesRefusesSlowLog) {
-  expect_refused("save_slow", "--save-traces=@/traces --slow-log=@/s.json",
-                 "--slow-log is unavailable with --save-traces");
-}
-
 TEST(ExperimentCli, FactoringRefusesSaveTraces) {
   expect_refused("factoring_save",
                  "--experiment=factoring --save-traces=@/traces",
@@ -232,6 +222,75 @@ TEST(ExperimentCli, CachingRefusesSlowLog) {
                  "--slow-log is unavailable with --experiment=caching");
 }
 
+TEST(ExperimentCli, CachingRefusesThreads) {
+  expect_refused("caching_threads", "--experiment=caching --threads=3",
+                 "--threads is unavailable with --experiment=caching");
+}
+
+TEST(ExperimentCli, CachingRefusesShards) {
+  expect_refused("caching_shards", "--experiment=caching --shards=7",
+                 "--shards is unavailable with --experiment=caching");
+}
+
+TEST(ExperimentCli, StreamRefusesCaptureBudget) {
+  // In either order: a budget bounds the retained capture, which --stream
+  // does not keep.
+  for (const char* flags : {"--capture-budget=1k --stream",
+                            "--stream --capture-budget=1k"}) {
+    SCOPED_TRACE(flags);
+    expect_refused("stream_budget", flags,
+                   "--capture-budget is unavailable with --stream");
+  }
+}
+
+TEST(ExperimentCli, StreamRefusesSaveTraces) {
+  expect_refused("stream_save", "--save-traces=@/traces --stream",
+                 "--save-traces is unavailable with --stream");
+}
+
+TEST(ExperimentCli, SaveTracesWritesEveryOutput) {
+  // A saving run is the campaign itself, captured: each of its 14 vantage
+  // points gets a .dtrc file, the attribution and the slow log count its
+  // 28 queries, and it writes what the same command with --capture in
+  // place of --save-traces writes.
+  const auto dir = scratch_dir("save_outputs");
+  const auto path = [&dir](const std::string& name) {
+    return (dir / name).string();
+  };
+  // stdout goes to the TSV file; the run's output is its stderr.
+  const auto run = [&](const std::string& tag, const std::string& mode) {
+    return run_command(
+        "(" DYNCDN_EXPERIMENT_BIN " --experiment=default-fe --service=bing "
+        "--clients=14 --reps=2 --seed=2 --shards=7 --threads=2 " +
+        mode + " --attribution-out=" + path(tag + ".attr.json") +
+        " --slow-log=" + path(tag + ".slow.json") + " --metrics-out=" +
+        path(tag + ".prom") + " > " + path(tag + ".tsv") + ")");
+  };
+  const CliRun saved = run("saved", "--save-traces=" + path("traces"));
+  ASSERT_EQ(saved.exit_code, 0) << saved.output;
+  std::size_t traces = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(dir / "traces")) {
+    traces += entry.path().extension() == ".dtrc" ? 1 : 0;
+  }
+  EXPECT_EQ(traces, 14u);
+  EXPECT_TRUE(slurp(path("saved.attr.json")).starts_with("{\"queries\":28,"))
+      << slurp(path("saved.attr.json"));
+  EXPECT_TRUE(slurp(path("saved.slow.json")).starts_with("{\"observed\":28,"))
+      << slurp(path("saved.slow.json"));
+
+  const CliRun captured = run("captured", "--capture");
+  ASSERT_EQ(captured.exit_code, 0) << captured.output;
+  EXPECT_NE(slurp(path("saved.tsv")).find("\nnode\trtt_ms\t"),
+            std::string::npos);
+  for (const char* output : {".tsv", ".prom", ".attr.json", ".slow.json"}) {
+    EXPECT_EQ(slurp(path(std::string("saved") + output)),
+              slurp(path(std::string("captured") + output)))
+        << output;
+  }
+  std::filesystem::remove_all(dir);
+}
+
 TEST(ExperimentCli, FactoringWritesEveryOutput) {
   // Fetch factoring is a Datasets-A campaign over 6 sweep probes, so it
   // writes every output the measurement campaigns write, and its 12
@@ -247,10 +306,6 @@ TEST(ExperimentCli, FactoringWritesEveryOutput) {
           " --attribution-out=" + path("attr.json") + " --slow-log=" +
           path("slow.json") + " --slow-threshold=1");
   ASSERT_EQ(run.exit_code, 0) << run.output;
-  const auto slurp = [](const std::string& file) {
-    std::ifstream in(file);
-    return std::string(std::istreambuf_iterator<char>(in), {});
-  };
   EXPECT_NE(slurp(path("m.prom")).find("\ndyncdn_queries_analyzed 12\n"),
             std::string::npos);
   EXPECT_TRUE(slurp(path("attr.json")).starts_with("{\"queries\":12,"))
@@ -584,10 +639,6 @@ TEST(ExperimentCli, AttributionCountsCampaignQueriesOnly) {
   // three count the campaign's 28 queries, and trace_inspect reads the
   // same count back from the dump.
   const auto dir = scratch_dir("campaign_queries");
-  const auto slurp = [](const std::string& path) {
-    std::ifstream in(path);
-    return std::string(std::istreambuf_iterator<char>(in), {});
-  };
   for (const int shards : {1, 3, 7}) {
     const std::string tag = std::to_string(shards);
     const std::string attribution = (dir / ("attr" + tag + ".json")).string();

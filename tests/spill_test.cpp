@@ -1,8 +1,10 @@
 // Durable trace pipeline tests: .dtrc round-trip byte-identity, block
 // index / per-flow seeks, corrupt-input rejection, budget-triggered spill
 // equivalence (a campaign that spills mid-run must analyze identically to
-// one that kept everything in memory, at any thread count), and
-// the artifact export feeding the `trace_diff_spilled` ctest entry.
+// one that kept everything in memory, at any thread count), saved traces
+// (ExperimentOptions::save_traces: each file holds the capture its
+// vantage point's timings were computed from), and the artifact export
+// feeding the `trace_diff_spilled` ctest entry.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -10,16 +12,20 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <random>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "analysis/reassembly.hpp"
+#include "analysis/timeline.hpp"
 #include "capture/recorder.hpp"
 #include "capture/serialize.hpp"
 #include "capture/spill.hpp"
 #include "cdn/deployment.hpp"
+#include "core/timings.hpp"
 #include "harness.hpp"
 #include "obs/export_chrome.hpp"
 #include "obs/export_prometheus.hpp"
@@ -541,18 +547,24 @@ testbed::ExperimentOptions small_experiment() {
   return eo;
 }
 
+/// One vantage point's per-query timings, bit for bit.
+void expect_same_timings(const std::vector<core::QueryTimings>& qa,
+                         const std::vector<core::QueryTimings>& qb,
+                         const std::string& node) {
+  ASSERT_EQ(qa.size(), qb.size()) << node;
+  for (std::size_t q = 0; q < qa.size(); ++q) {
+    EXPECT_EQ(std::memcmp(&qa[q], &qb[q], sizeof(qa[q])), 0)
+        << node << " query " << q;
+  }
+}
+
 void expect_timings_identical(const testbed::ExperimentResult& a,
                               const testbed::ExperimentResult& b) {
   ASSERT_EQ(a.boundary, b.boundary);
   ASSERT_EQ(a.per_node_timings.size(), b.per_node_timings.size());
   for (std::size_t n = 0; n < a.per_node_timings.size(); ++n) {
-    const auto& qa = a.per_node_timings[n];
-    const auto& qb = b.per_node_timings[n];
-    ASSERT_EQ(qa.size(), qb.size()) << "node " << n;
-    for (std::size_t q = 0; q < qa.size(); ++q) {
-      EXPECT_EQ(std::memcmp(&qa[q], &qb[q], sizeof(qa[q])), 0)
-          << "node " << n << " query " << q;
-    }
+    expect_same_timings(a.per_node_timings[n], b.per_node_timings[n],
+                        "node " + std::to_string(n));
   }
 }
 
@@ -595,6 +607,127 @@ TEST(SpillScenario, BudgetedCampaignMatchesInMemoryAtAnyThreadCount) {
           << "metrics diverge at " << threads << " threads";
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Saved traces: a campaign with ExperimentOptions::save_traces writes each
+// analyzed vantage point's whole capture to DIR/<name>.dtrc just before
+// analyzing it. Under the spill lane's DYNCDN_CAPTURE_BUDGET the capture
+// is a spilled prefix plus an in-memory tail, and the file holds both.
+// ---------------------------------------------------------------------------
+
+/// A small Bing-like Datasets-A campaign in capture mode, traced and
+/// sampled so that every export can be compared.
+testbed::ScenarioOptions saved_scenario() {
+  testbed::ScenarioOptions so;
+  so.profile = cdn::bing_like_profile();
+  so.client_count = 7;
+  so.seed = 2;
+  so.capture_payloads = true;
+  so.enable_tracing = true;
+  so.ts_interval = 100_ms;
+  return so;
+}
+
+testbed::ExperimentOptions saved_experiment(const std::string& dir) {
+  testbed::ExperimentOptions eo;
+  eo.reps_per_node = 3;
+  eo.interval = 1200_ms;
+  eo.keywords = search::KeywordCatalog(2).figure3_keywords();
+  eo.save_traces = dir;
+  return eo;
+}
+
+/// A fresh path under the temp directory, removed if it exists.
+std::filesystem::path fresh_dir(const std::string& name) {
+  const auto dir = std::filesystem::temp_directory_path() / name;
+  std::filesystem::remove_all(dir);
+  return dir;
+}
+
+/// Every file in `dir`, by name.
+std::map<std::string, std::string> file_set(const std::filesystem::path& dir) {
+  std::map<std::string, std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    files[entry.path().filename().string()] = read_file(entry.path().string());
+  }
+  return files;
+}
+
+TEST(SavedTraces, ReplayToTheCampaignsTimings) {
+  // Offline analysis of each saved file at the campaign's boundary gives
+  // that vantage point's timings exactly, at every replica layout; and the
+  // files themselves do not depend on the thread count.
+  for (const std::size_t shards :
+       {std::size_t{0}, std::size_t{1}, std::size_t{3}}) {
+    std::map<std::string, std::string> at_one_thread;
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      if (shards == 1 && threads != 1) continue;  // one replica: no threads
+      SCOPED_TRACE("shards " + std::to_string(shards) + ", threads " +
+                   std::to_string(threads));
+      const auto dir = fresh_dir("dyncdn_saved_traces");
+      testbed::ReplicaPlan plan;
+      plan.shards = shards;
+      plan.executor.threads = threads;
+      const auto r = testbed::run_default_fe_experiment(
+          saved_scenario(), saved_experiment(dir.string()), plan);
+      ASSERT_EQ(r.per_node.size(), 7u);
+      for (std::size_t i = 0; i < r.per_node.size(); ++i) {
+        const std::string file =
+            (dir / (r.per_node[i].node_name + ".dtrc")).string();
+        ASSERT_EQ(r.per_node_timings[i].size(), 3u) << file;
+        expect_same_timings(
+            core::timings_from_timelines(analysis::extract_all_timelines(
+                load_trace(file), 80, r.boundary)),
+            r.per_node_timings[i], file);
+      }
+      const auto files = file_set(dir);
+      EXPECT_EQ(files.size(), 7u);
+      if (threads == 1) {
+        at_one_thread = files;
+      } else {
+        EXPECT_TRUE(files == at_one_thread) << "saved files differ";
+      }
+      std::filesystem::remove_all(dir);
+    }
+  }
+}
+
+TEST(SavedTraces, SavingDoesNotPerturbTheCampaign) {
+  const auto dir = fresh_dir("dyncdn_saved_traces_unperturbed");
+  testbed::ReplicaPlan plan;
+  plan.executor.threads = 2;
+  const auto saved = testbed::run_default_fe_experiment(
+      saved_scenario(), saved_experiment(dir.string()), plan);
+  const auto plain = testbed::run_default_fe_experiment(
+      saved_scenario(), saved_experiment(""), plan);
+  expect_timings_identical(plain, saved);
+  const auto row = [](const core::NodeAggregate& n) {
+    return std::tuple(n.node_name, n.rtt_ms, n.med_static_ms, n.med_dynamic_ms,
+                      n.med_delta_ms, n.med_overall_ms, n.samples);
+  };
+  ASSERT_EQ(saved.per_node.size(), plain.per_node.size());
+  for (std::size_t i = 0; i < plain.per_node.size(); ++i) {
+    EXPECT_EQ(row(saved.per_node[i]), row(plain.per_node[i])) << i;
+  }
+  EXPECT_EQ(obs::export_prometheus(saved.metrics),
+            obs::export_prometheus(plain.metrics));
+  EXPECT_EQ(saved.timeseries.to_json(), plain.timeseries.to_json());
+  EXPECT_GT(plain.attribution.queries(), 0u);
+  EXPECT_EQ(saved.attribution.to_json(), plain.attribution.to_json());
+  std::filesystem::remove_all(dir);
+}
+
+TEST(SavedTraces, StreamingCampaignIsRefused) {
+  // A streaming scenario keeps no capture to save: refused before any
+  // replica runs a query or writes a file.
+  const auto dir = fresh_dir("dyncdn_saved_traces_streaming");
+  testbed::ScenarioOptions so = saved_scenario();
+  so.stream_analysis = true;
+  EXPECT_THROW(testbed::run_default_fe_experiment(
+                   so, saved_experiment(dir.string())),
+               std::invalid_argument);
+  EXPECT_FALSE(std::filesystem::exists(dir));
 }
 
 // ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@
 #include "analysis/streaming.hpp"
 #include "analysis/timeline.hpp"
 #include "capture/recorder.hpp"
-#include "capture/spill.hpp"
 #include "net/packet.hpp"
 #include "harness.hpp"
 #include "obs/export_prometheus.hpp"
@@ -903,38 +902,24 @@ TEST(LazyBodies, StreamingCampaignFillsOnlyTheProbeBodies) {
 }
 
 TEST(LazyBodies, SavedPayloadCapturesFillEachServedBodyOnce) {
-  testbed::Scenario scenario(small_scenario(false));
+  // A saving campaign writes each vantage point's capture, payload bytes
+  // included, to its .dtrc file: every body served, probe and campaign
+  // alike, is read and so filled exactly once.
+  testbed::ScenarioOptions so = small_scenario(false);
+  so.capture_payloads = true;
+  testbed::Scenario scenario(so);
   scenario.warm_up();
   const auto dir =
       std::filesystem::temp_directory_path() / "dyncdn_lazy_bodies";
   std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  const auto keywords = search::KeywordCatalog(5).figure3_keywords();
+  testbed::ExperimentOptions options = small_experiment();
+  options.save_traces = dir.string();
   const std::size_t before = net::bytebuf_fill_count();
-  // As `dyncdn_experiment --save-traces` does: every captured record,
-  // payload included, streams into a .dtrc writer.
-  std::vector<std::unique_ptr<capture::SpillWriter>> writers;
-  for (std::size_t i = 0; i < scenario.clients().size(); ++i) {
-    scenario.connect_client_to_fe(i, 0);
-    auto& client = scenario.clients()[i];
-    writers.push_back(std::make_unique<capture::SpillWriter>(
-        (dir / (client.vantage.name + ".dtrc")).string(), client.node->id()));
-    client.recorder->set_retain_packets(false);
-    client.recorder->set_sink(writers.back().get());
-    client.recorder->set_capture_payloads(true);
-    const net::Endpoint fe = scenario.fe_endpoint(0);
-    cdn::QueryClient* query_client = client.query_client.get();
-    for (std::size_t rep = 0; rep < 3; ++rep) {
-      const search::Keyword kw = keywords[rep % keywords.size()];
-      client.node->simulator().schedule_in(
-          900_ms * static_cast<std::int64_t>(rep), [query_client, fe, kw] {
-            query_client->submit(fe, kw, [](const cdn::QueryResult&) {});
-          });
-    }
-  }
-  scenario.run();
-  for (auto& w : writers) w->finish();
-  EXPECT_EQ(scenario.backend().queries_served(), 6u * 3u);
+  testbed::run_fixed_fe_experiment(scenario, 0, options);
+  EXPECT_EQ(std::distance(std::filesystem::directory_iterator(dir),
+                          std::filesystem::directory_iterator()),
+            6);
+  EXPECT_EQ(scenario.backend().queries_served(), 6u + 6u * 3u);
   EXPECT_EQ(net::bytebuf_fill_count() - before,
             scenario.backend().queries_served());
   std::filesystem::remove_all(dir);

@@ -12,11 +12,10 @@
 //   default-fe  Datasets A: every client queries its DNS-nearest FE.
 //   caching     §3 same-vs-distinct caching probe.
 //   factoring   Fig. 9 fetch-time factoring over an FE distance sweep.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
-#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -72,27 +71,28 @@ void usage() {
       "                         [--slow-threshold=MS]\n"
       "                         [--stream | --capture] "
       "[--capture-budget=BYTES]\n"
-      "  --save-traces  save each vantage point's packets as DIR/NAME.dtrc\n"
-      "             instead of analyzing them (fixed-fe and default-fe\n"
-      "             only; not with --attribution-out or --slow-log)\n"
+      "  --save-traces  also save each vantage point's capture, payloads\n"
+      "             included, as DIR/NAME.dtrc: the packets its TSV row is\n"
+      "             computed from (fixed-fe and default-fe only). Implies\n"
+      "             --capture; not with --stream\n"
       "  --threads  worker threads for sharded experiments "
-      "(0 = DYNCDN_THREADS or all cores)\n"
+      "(0 = DYNCDN_THREADS or all cores); not with caching\n"
       "  --shards   replica count (0 = one per vantage point; "
-      "1 = legacy serial semantics)\n"
+      "1 = legacy serial semantics); not with caching\n"
       "  --stream   reduce flows to timelines online (default): campaign "
       "memory is O(in-flight flows)\n"
       "  --capture  retain full packet traces and replay them through the\n"
-      "             same reducer afterwards (--save-traces implies this).\n"
-      "             Live streaming collapses a flow at teardown, a replay\n"
-      "             after all its packets: results agree unless the stream\n"
-      "             counts late packets (lossy or reordering paths)\n"
+      "             same reducer afterwards. Live streaming collapses a\n"
+      "             flow at teardown, a replay after all its packets:\n"
+      "             results agree unless the stream counts late packets\n"
+      "             (lossy or reordering paths)\n"
       "  --capture-budget  per-client capture memory budget (accepts k/m/g\n"
       "                 suffixes, e.g. 64k). Once a client's retained bytes\n"
       "                 reach the budget the buffer spills to a binary\n"
       "                 .dtrc trace file and resets; analysis replays the\n"
       "                 spilled prefix, so results stay byte-identical to\n"
       "                 unbudgeted --capture. 0 = DYNCDN_CAPTURE_BUDGET or\n"
-      "                 unlimited. Implies --capture\n"
+      "                 unlimited. Implies --capture; not with --stream\n"
       "  --trace-out    write per-query span timelines as Chrome "
       "trace_event JSON (chrome://tracing, Perfetto)\n"
       "  --metrics-out  write the run's metrics registry in Prometheus "
@@ -227,29 +227,38 @@ std::optional<CliOptions> parse_args(int argc, char** argv) {
     std::fprintf(stderr, "--clients and --reps must be positive\n");
     return std::nullopt;
   }
-  // Refuse what a mode cannot write before anything is written. Saved
-  // traces come from one fixed-FE or default-FE scenario that skips the
-  // built-in analysis, and the caching probe is one client's two phases:
-  // neither has a campaign to attribute or a slow log to keep.
+  // Refuse what a mode cannot honor before anything is written. The
+  // caching probe is one client's two phases in one scenario: it has no
+  // replicas to spread over threads, no campaign to attribute and no slow
+  // log to keep. Factoring saves no traces, and --stream retains no
+  // capture: nothing to save, nothing for a budget to bound.
   const auto refuse = [](const char* flag, const std::string& mode) {
     std::fprintf(stderr, "%s is unavailable with %s\n", flag, mode.c_str());
     return std::nullopt;
   };
+  const auto given = [argc, argv](std::string_view flag) {
+    return std::any_of(argv + 1, argv + argc, [flag](const char* arg) {
+      return std::string_view(arg).starts_with(flag);
+    });
+  };
   const std::string experiment = "--experiment=" + opt.experiment;
-  if (!opt.save_traces.empty()) {
-    if (opt.experiment == "caching" || opt.experiment == "factoring") {
-      return refuse("--save-traces", experiment);
-    }
-    if (!opt.attribution_out.empty()) {
-      return refuse("--attribution-out", "--save-traces");
-    }
-    if (!opt.slow_log.empty()) return refuse("--slow-log", "--save-traces");
+  if (!opt.save_traces.empty() &&
+      (opt.experiment == "caching" || opt.experiment == "factoring")) {
+    return refuse("--save-traces", experiment);
   }
   if (opt.experiment == "caching") {
+    if (given("--threads=")) return refuse("--threads", experiment);
+    if (given("--shards=")) return refuse("--shards", experiment);
     if (!opt.attribution_out.empty()) {
       return refuse("--attribution-out", experiment);
     }
     if (!opt.slow_log.empty()) return refuse("--slow-log", experiment);
+  }
+  if (given("--stream")) {
+    if (!opt.save_traces.empty()) return refuse("--save-traces", "--stream");
+    if (given("--capture-budget=")) {
+      return refuse("--capture-budget", "--stream");
+    }
   }
   // A requested time-series output without an interval gets the default
   // 100ms tick.
@@ -333,42 +342,6 @@ void write_attribution_outputs(const CliOptions& cli,
   }
 }
 
-/// Attach a streaming SpillWriter sink to every client recorder: packets
-/// encode straight into per-client binary .dtrc files (capture/spill.hpp)
-/// and nothing accumulates in memory. trace_inspect reads the files back;
-/// `trace_inspect convert` dumps one as text when grep-ability matters.
-std::vector<std::unique_ptr<capture::SpillWriter>> attach_trace_writers(
-    testbed::Scenario& scenario, const std::string& dir) {
-  std::error_code ec;
-  std::filesystem::create_directories(dir, ec);
-  std::vector<std::unique_ptr<capture::SpillWriter>> writers;
-  for (auto& client : scenario.clients()) {
-    if (!client.recorder) continue;
-    writers.push_back(std::make_unique<capture::SpillWriter>(
-        dir + "/" + client.vantage.name + ".dtrc", client.node->id()));
-    client.recorder->set_retain_packets(false);
-    client.recorder->set_sink(writers.back().get());
-  }
-  return writers;
-}
-
-void finish_trace_writers(
-    std::vector<std::unique_ptr<capture::SpillWriter>>& writers,
-    const std::string& dir) {
-  std::uint64_t bytes = 0, records = 0;
-  for (auto& w : writers) {
-    w->finish();
-    bytes += w->stats().bytes_written;
-    records += w->stats().records;
-  }
-  std::fprintf(stderr,
-               "traces saved under %s (%zu files, %llu records, %llu "
-               "encoded bytes)\n",
-               dir.c_str(), writers.size(),
-               static_cast<unsigned long long>(records),
-               static_cast<unsigned long long>(bytes));
-}
-
 void print_memory_summary(bool streaming) {
   const obs::MemorySnapshot snap = obs::memory_snapshot();
   std::fprintf(stderr, "# mode=%s peak_rss=%.1fMB",
@@ -408,9 +381,9 @@ testbed::ScenarioOptions scenario_options(const CliOptions& cli) {
   so.enable_tracing = !cli.trace_out.empty() || !cli.attribution_out.empty() ||
                       !cli.slow_log.empty();
   so.ts_interval = ts_interval(cli);
-  // --save-traces needs the raw PacketRecords on disk, so it implies the
-  // retained-capture path regardless of --stream.
+  // Saved traces are the retained capture, payload bytes included.
   so.stream_analysis = cli.stream && cli.save_traces.empty();
+  so.capture_payloads = !cli.save_traces.empty();
   so.capture_budget = cli.capture_budget;
   return so;
 }
@@ -438,65 +411,9 @@ int run_measurement(const CliOptions& cli) {
   eo.reps_per_node = cli.reps;
   eo.interval = 1200_ms;
   eo.flight.threshold_ms = cli.slow_threshold_ms;
+  eo.save_traces = cli.save_traces;
   search::KeywordCatalog catalog(cli.seed);
   eo.keywords = catalog.figure3_keywords();
-
-  if (!cli.save_traces.empty()) {
-    testbed::Scenario scenario(so);
-    scenario.warm_up();
-    // Capture-only mode: run the query schedule ourselves, stream raw
-    // records to binary .dtrc files as they are captured, and skip the
-    // built-in analysis (memory stays O(one spill block) per client).
-    // trace_inspect analyzes the files offline.
-    auto writers = attach_trace_writers(scenario, cli.save_traces);
-    for (std::size_t i = 0; i < scenario.clients().size(); ++i) {
-      const std::size_t fe = fixed_fe ? 0 : scenario.clients()[i].default_fe;
-      scenario.connect_client_to_fe(i, fe);
-      scenario.clients()[i].recorder->set_capture_payloads(true);
-      const net::Endpoint endpoint = scenario.fe_endpoint(fe);
-      auto* client = scenario.clients()[i].query_client.get();
-      for (std::size_t r = 0; r < cli.reps; ++r) {
-        // Cycle keyword classes so offline content analysis on the saved
-        // trace can find the static/dynamic boundary.
-        const search::Keyword kw = eo.keywords[r % eo.keywords.size()];
-        scenario.clients()[i].node->simulator().schedule_in(
-            eo.interval * static_cast<std::int64_t>(r),
-            [client, endpoint, kw]() {
-              client->submit(endpoint, kw, [](const cdn::QueryResult&) {});
-            });
-      }
-    }
-    scenario.run();
-    finish_trace_writers(writers, cli.save_traces);
-    obs::MetricsRegistry metrics;
-    scenario.collect_metrics(metrics);
-    // Spill/writer accounting rides along in the Prometheus dump: these
-    // metrics exist precisely to observe the durable-trace path, and this
-    // mode's output is not part of any byte-identity contract.
-    std::uint64_t spill_bytes = 0, spill_blocks = 0, spill_records = 0;
-    std::uint64_t spill_raw = 0, spill_flush = 0;
-    for (const auto& w : writers) {
-      spill_bytes += w->stats().bytes_written;
-      spill_blocks += w->stats().blocks;
-      spill_records += w->stats().records;
-      spill_raw += w->stats().raw_bytes;
-      spill_flush += w->stats().flush_ns;
-    }
-    metrics.add("spill_bytes_written", spill_bytes);
-    metrics.add("spill_blocks", spill_blocks);
-    metrics.add("spill_records", spill_records);
-    metrics.add("spill_raw_bytes", spill_raw);
-    metrics.add("spill_flush_ns", spill_flush);
-    if (spill_bytes > 0) {
-      metrics.gauge_max("spill_compression_x",
-                        static_cast<std::int64_t>(spill_raw / spill_bytes));
-    }
-    write_obs_outputs(cli, scenario.trace(), metrics);
-    if (scenario.timeseries() != nullptr) {
-      write_timeseries_outputs(cli, *scenario.timeseries(), nullptr);
-    }
-    return 0;
-  }
 
   testbed::ReplicaPlan plan;
   plan.shards = cli.shards;
@@ -535,6 +452,10 @@ int run_measurement(const CliOptions& cli) {
     }
     const auto threshold = core::estimate_delta_threshold(result.per_node);
     std::printf("# %s\n", threshold.to_string().c_str());
+    if (!cli.save_traces.empty()) {
+      std::fprintf(stderr, "traces of %zu vantage points saved under %s\n",
+                   result.per_node.size(), cli.save_traces.c_str());
+    }
   }
   write_obs_outputs(cli, result.trace.get(), result.metrics);
   write_timeseries_outputs(cli, result.timeseries, &result.executor_stats);
