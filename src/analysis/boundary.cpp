@@ -4,20 +4,6 @@
 
 namespace dyncdn::analysis {
 
-std::size_t common_prefix_boundary(std::span<const std::string> responses) {
-  if (responses.size() < 2) return 0;
-  std::size_t prefix = responses.front().size();
-  const std::string& first = responses.front();
-  for (std::size_t i = 1; i < responses.size() && prefix > 0; ++i) {
-    const std::string& other = responses[i];
-    const std::size_t limit = std::min(prefix, other.size());
-    std::size_t p = 0;
-    while (p < limit && first[p] == other[p]) ++p;
-    prefix = p;
-  }
-  return prefix;
-}
-
 std::vector<EventCluster> temporal_clusters(const ReassembledStream& stream,
                                             sim::SimTime min_gap) {
   std::vector<EventCluster> clusters;
@@ -46,15 +32,6 @@ std::vector<EventCluster> temporal_clusters(const ReassembledStream& stream,
     }
   }
   return clusters;
-}
-
-std::size_t temporal_boundary_estimate(const ReassembledStream& stream,
-                                       sim::SimTime min_gap) {
-  const auto clusters = temporal_clusters(stream, min_gap);
-  if (clusters.size() < 2) return 0;
-  // The static portion occupies the first cluster; the dynamic portion
-  // begins where the second cluster's lowest offset starts.
-  return clusters[1].first_offset;
 }
 
 }  // namespace dyncdn::analysis

@@ -9,22 +9,12 @@
 #pragma once
 
 #include <cstddef>
-#include <span>
-#include <string>
 #include <vector>
 
 #include "analysis/reassembly.hpp"
 #include "sim/time.hpp"
 
 namespace dyncdn::analysis {
-
-/// Longest common prefix (in bytes) across response bodies of different
-/// queries. Returns 0 for fewer than two streams. With responses to
-/// distinct keywords, this is the static-portion length (including the
-/// HTTP header block). Discovery itself runs StreamingAnalyzer's boundary
-/// probe (analysis/streaming.hpp), which computes this without retaining
-/// whole responses; this plain form is its reference in tests.
-std::size_t common_prefix_boundary(std::span<const std::string> responses);
 
 /// A temporal cluster of packet arrivals (Fig. 4's visual groupings).
 struct EventCluster {
@@ -41,11 +31,5 @@ struct EventCluster {
 /// RTT grows the gap shrinks and the clusters merge.
 std::vector<EventCluster> temporal_clusters(const ReassembledStream& stream,
                                             sim::SimTime min_gap);
-
-/// Estimate the static/dynamic boundary from temporal clustering alone:
-/// the stream offset at which the second cluster begins (0 if the stream
-/// has a single cluster — i.e. RTT beyond the merge threshold).
-std::size_t temporal_boundary_estimate(const ReassembledStream& stream,
-                                       sim::SimTime min_gap);
 
 }  // namespace dyncdn::analysis

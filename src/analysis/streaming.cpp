@@ -378,8 +378,8 @@ std::size_t StreamingAnalyzer::finish_boundary_probe() {
   }
 
   // Exact final scan over the settled buffers. Unlike the incremental
-  // pass this includes '\0' gap filler, exactly as common_prefix_boundary
-  // would see it in a fully reassembled string; and the reference is the
+  // pass this includes '\0' gap filler, exactly as a common prefix of
+  // fully reassembled strings would see it; and the reference is the
   // first stream that carried payload bytes. Headers-only streams are no
   // responses to compare: without them there is no boundary.
   std::vector<const ProbeFlow*> nonempty;

@@ -129,9 +129,10 @@ class StreamingAnalyzer final : public capture::PacketSink {
   /// While a probe is active, packets do NOT feed the timeline flow table —
   /// probe traffic must never surface in drain(). finish_boundary_probe()
   /// returns the longest common prefix across all response streams whose
-  /// data carried payload bytes, equal to common_prefix_boundary() over
-  /// the fully reassembled responses (including '\0' gap filler), or 0
-  /// when fewer than two did (a headers-only capture has no boundary).
+  /// data carried payload bytes, equal to the longest common prefix of
+  /// the fully reassembled responses (including '\0' gap filler; the
+  /// tests keep that plain form as the reference in tests/harness.hpp), or
+  /// 0 when fewer than two did (a headers-only capture has no boundary).
   void begin_boundary_probe();
   std::size_t finish_boundary_probe();
   bool probing() const { return probing_; }

@@ -42,22 +42,6 @@ bool FrontEndServer::backend_connected() const {
                      [](const auto& c) { return c->connected; });
 }
 
-bool FrontEndServer::quiescent() const {
-  if (active_requests_ != 0 || !fetch_queue_.empty() || !pending_.empty() ||
-      stack_.socket_count() != be_pool_.size()) {
-    return false;
-  }
-  return std::all_of(be_pool_.begin(), be_pool_.end(), [](const auto& c) {
-    return c->connected && c->in_flight_query == 0 && c->socket->quiescent();
-  });
-}
-
-std::vector<const tcp::TcpSocket*> FrontEndServer::backend_sockets() const {
-  std::vector<const tcp::TcpSocket*> sockets;
-  for (const auto& conn : be_pool_) sockets.push_back(conn->socket);
-  return sockets;
-}
-
 // ---------------------------------------------------------------------------
 // Backend connection pool (persistent, multiplexed one-query-per-conn)
 // ---------------------------------------------------------------------------

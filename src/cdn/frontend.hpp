@@ -111,14 +111,6 @@ class FrontEndServer {
   bool backend_connected() const;
   std::size_t backend_pool_size() const { return be_pool_.size(); }
 
-  /// True when nothing on the FE's side can produce another event: no
-  /// client socket, request or queued fetch, and every pooled BE
-  /// connection is established, carries no query and has a quiescent()
-  /// socket. The BE ends are the caller's to check (backend_sockets()).
-  bool quiescent() const;
-  /// The FE-side sockets of the pooled BE connections, in pool order.
-  std::vector<const tcp::TcpSocket*> backend_sockets() const;
-
   /// Instantaneous depths for the time-series sampler (the *_peak()
   /// accessors below keep the end-of-run high-water marks).
   std::size_t fetch_queue_depth() const { return fetch_queue_.size(); }

@@ -84,13 +84,6 @@ std::size_t TcpSocket::unacked_bytes() const {
   return static_cast<std::size_t>(snd_nxt_ - snd_una_);
 }
 
-bool TcpSocket::quiescent() const {
-  return state_ == TcpState::kEstablished && buf_bytes_ == 0 &&
-         snd_una_ == snd_nxt_ && out_of_order_.empty() &&
-         !rto_timer_.valid() && !delayed_ack_timer_.valid() &&
-         !time_wait_timer_.valid();
-}
-
 void TcpSocket::attach_trace(obs::TraceSession* session, obs::SpanId span) {
   trace_ = session;
   trace_span_ = span;

@@ -101,11 +101,6 @@ class TcpSocket {
   /// estimate doubled per backoff step, clamped to [min_rto, max_rto].
   sim::SimTime rto() const { return rto_; }
 
-  /// True when the socket can produce no further event on its own:
-  /// established, every queued byte sent and acknowledged, nothing held
-  /// out of order, and no RTO, delayed-ACK or TIME_WAIT timer armed.
-  bool quiescent() const;
-
   /// Replace the callback set (used by accept handlers).
   void set_callbacks(Callbacks cb) { callbacks_ = std::move(cb); }
 

@@ -42,11 +42,6 @@ class TcpStack {
   const TcpConfig& default_config() const { return default_config_; }
 
   std::size_t socket_count() const { return sockets_.size(); }
-  /// The socket keyed by `flow` (local = this node), or null.
-  const TcpSocket* find(const net::FlowId& flow) const {
-    TcpSocket* const* socket = sockets_.find(flow);
-    return socket != nullptr ? *socket : nullptr;
-  }
 
   /// Lifetime totals for the metrics layer: stats of every socket this
   /// stack ever ran — destroyed ones (accumulated at teardown) plus the

@@ -12,9 +12,9 @@
 // probe (ScenarioOptions::driven_clients); the others keep just their
 // nodes. A plan of more than one replica also simulates the FE fleet's
 // warm-up once, before the replicas start (Scenario::record_fleet_warmup):
-// each replica then builds only the FEs its clients query (plus the FEs
-// still busy at the warm-up deadline, if it queries one of them), and its
-// exports count the other FEs' warm-up from that shared record
+// each replica then builds only the FEs its clients query, warms up to
+// the record's end, where the whole fleet is quiet, and its exports count
+// the other FEs' warm-up from that shared record
 // (ScenarioOptions::fleet_warmup). Merging scatters each shard's per-node
 // results back into fleet order and merges metrics, traces, time series,
 // attribution and the flight recorder by shard index.
@@ -49,7 +49,8 @@ struct ReplicaPlan {
   std::size_t shards = 0;
   /// Worker-thread resolution (DYNCDN_THREADS / hardware concurrency).
   parallel::ExecutorConfig executor;
-  /// Warm-up simulated before measurement in every replica.
+  /// Floor of the warm-up before measurement (Scenario::warm_up), which
+  /// runs on until the FE fleet is quiet.
   sim::SimTime warm_up = sim::SimTime::seconds(5);
 };
 

@@ -122,13 +122,8 @@ bool Scenario::spilling_active() const {
 }
 
 void Scenario::run() {
-  // Busy FEs left out by a shared fleet warm-up would have kept the full
-  // fleet's run going until their tails end, and the clock at the end of
-  // a run sets every later submit time.
-  const sim::SimTime floor = quiet_floor();
   if (!sampler_) {
     simulator_->run();
-    if (simulator_->now() < floor) simulator_->run_until(floor);
     return;
   }
   // Sampled run: advance tick by tick, snapshotting the fleet at every
@@ -139,10 +134,9 @@ void Scenario::run() {
   // the state at its tick time.
   const std::uint64_t interval =
       static_cast<std::uint64_t>(options_.ts_interval.ns());
-  const auto floor_ns = static_cast<std::uint64_t>(floor.ns());
   std::uint64_t tick =
       static_cast<std::uint64_t>(simulator_->now().ns()) / interval + 1;
-  while (simulator_->has_pending() || (tick - 1) * interval < floor_ns) {
+  while (simulator_->has_pending()) {
     simulator_->run_until(sim::SimTime::nanoseconds(
         static_cast<std::int64_t>(tick * interval)));
     take_sample(tick);
@@ -217,27 +211,16 @@ void Scenario::build_frontends() {
   }
   fe_client_port_ = cfg.client_port;
 
-  // A shared fleet warm-up leaves out the FEs not queried here. The busy
-  // ones stay in when one of them is queried: the record holds their
-  // tails as one sum, which cannot be split per FE.
+  // A shared fleet warm-up leaves out the FEs not queried here.
   const FleetWarmup* fleet = options_.fleet_warmup.get();
   std::vector<bool> build(sites.size(), fleet == nullptr);
   if (fleet != nullptr) {
-    if (fleet->idle.size() != sites.size()) {
+    if (fleet->fe_count != sites.size()) {
       throw std::logic_error(
-          "fleet warm-up record holds " + std::to_string(fleet->idle.size()) +
+          "fleet warm-up record holds " + std::to_string(fleet->fe_count) +
           " FEs, the scenario places " + std::to_string(sites.size()));
     }
-    const auto busy = [fleet](std::size_t f) { return !fleet->idle.at(f); };
-    const bool queries_busy = std::any_of(
-        options_.queried_fes.begin(), options_.queried_fes.end(), busy);
-    for (std::size_t f = 0; f < sites.size(); ++f) {
-      build[f] = queries_busy && busy(f);
-    }
     for (const std::size_t f : options_.queried_fes) build.at(f) = true;
-    busy_left_out_ =
-        !queries_busy && std::find(fleet->idle.begin(), fleet->idle.end(),
-                                   false) != fleet->idle.end();
   }
 
   for (std::size_t f = 0; f < sites.size(); ++f) {
@@ -445,14 +428,26 @@ sim::SimTime Scenario::client_fe_rtt(std::size_t client_index,
 
 void Scenario::warm_up(sim::SimTime duration) {
   const FleetWarmup* fleet = options_.fleet_warmup.get();
-  const sim::SimTime deadline = simulator_->now() + duration;
-  if (fleet != nullptr && (left_out_ || deadline != fleet->deadline)) {
-    throw std::logic_error(
-        "warm-up to " + deadline.to_string() +
-        " does not match the shared fleet warm-up, which ends at " +
-        fleet->deadline.to_string() + " and is adopted once");
+  const sim::SimTime floor = simulator_->now() + duration;
+  if (fleet == nullptr) {
+    run_until(floor);
+    simulator_->run();
+  } else {
+    // A replica runs to the fleet's end, where its own FEs, a subset of
+    // the fleet's, must be quiet too.
+    if (left_out_ || floor > fleet->deadline) {
+      throw std::logic_error(
+          "warm-up with its floor at " + floor.to_string() +
+          " does not match the shared fleet warm-up, which ends at " +
+          fleet->deadline.to_string() + " and is adopted once");
+    }
+    run_until(fleet->deadline);
+    if (!simulator_->idle()) {
+      throw std::logic_error(
+          "an event is still pending where the shared fleet warm-up ends, " +
+          fleet->deadline.to_string());
+    }
   }
-  run_until(deadline);
   // Recorders should not carry warm-up traffic into the analysis.
   for (Client& c : clients_) {
     if (c.recorder) c.recorder->clear();
@@ -460,11 +455,10 @@ void Scenario::warm_up(sim::SimTime duration) {
   if (fleet == nullptr) return;
 
   // Adopt the left-out FEs' warm-up: the fleet's counts minus this
-  // scenario's own. An idle FE's counts no longer change after the
-  // deadline, so adding them once to every later export gives the full
-  // fleet's; busy FEs left out add their tails, which collect_metrics
-  // reports only once they have ended. Peaks are high-water marks and
-  // merge by max.
+  // scenario's own. The fleet's queue is empty at the deadline, so an FE
+  // no query reaches never changes its counts again: adding them once to
+  // every later export gives the full fleet's. Peaks are high-water marks
+  // and merge by max.
   obs::MetricsRegistry own;
   collect_own_metrics(own);
   LeftOut left_out;
@@ -481,7 +475,6 @@ void Scenario::warm_up(sim::SimTime duration) {
   for (const auto& [name, peak] : fleet->totals.gauges()) {
     left_out.metrics.gauge_max(name, peak);
   }
-  if (busy_left_out_) left_out.metrics.merge(fleet->tail);
   left_out.backend_pool = fleet->backend_pool - backend_pool_total();
   left_out.links = fleet->links;
   left_out.links -= network_->aggregate_link_stats();
@@ -495,11 +488,6 @@ void Scenario::require_fleet_adopted() const {
   }
 }
 
-sim::SimTime Scenario::quiet_floor() const {
-  return left_out_ && busy_left_out_ ? options_.fleet_warmup->quiet_at
-                                     : sim::SimTime::zero();
-}
-
 std::int64_t Scenario::backend_pool_total() const {
   std::int64_t pool = 0;
   for (const FrontEnd& fe : fes_) {
@@ -508,26 +496,6 @@ std::int64_t Scenario::backend_pool_total() const {
     }
   }
   return pool;
-}
-
-std::pair<const net::Link*, const net::Link*> Scenario::fe_links(
-    std::size_t fe_index) {
-  // The direct FE<->BE link is an FE's only path to the BE.
-  const net::NodeId fe = fes_.at(fe_index).node->id();
-  return {network_->first_hop_link(fe, be_node_->id()),
-          network_->first_hop_link(be_node_->id(), fe)};
-}
-
-bool Scenario::fe_idle(std::size_t fe_index) {
-  const FrontEnd& fe = fes_.at(fe_index);
-  if (!fe.server->quiescent()) return false;
-  for (const tcp::TcpSocket* socket : fe.server->backend_sockets()) {
-    const tcp::TcpSocket* peer =
-        backend_->stack().find(socket->flow().reversed());
-    if (peer == nullptr || !peer->quiescent()) return false;
-  }
-  const auto [to_be, from_be] = fe_links(fe_index);
-  return to_be->stats().in_flight() == 0 && from_be->stats().in_flight() == 0;
 }
 
 FleetWarmup Scenario::record_fleet_warmup(const ScenarioOptions& base,
@@ -544,6 +512,7 @@ FleetWarmup Scenario::record_fleet_warmup(const ScenarioOptions& base,
 
   FleetWarmup record;
   record.deadline = fleet.simulator_->now();
+  record.fe_count = fleet.fes_.size();
   fleet.collect_metrics(record.totals);
   record.backend_pool = fleet.backend_pool_total();
   record.links = fleet.network_->aggregate_link_stats();
@@ -551,63 +520,6 @@ FleetWarmup Scenario::record_fleet_warmup(const ScenarioOptions& base,
     const VantagePoint& vp = fleet.clients_[i].vantage;
     record.vantage_points.push_back(vp);
     record.default_fe.push_back(fleet.default_fe_for(i, vp));
-  }
-  // Packets offered per FE at the deadline. An idle FE's links carry
-  // none then, so one offered later is the only way they can deliver or
-  // drop anything afterwards.
-  const auto offered = [&fleet](std::size_t f) {
-    const auto [to_be, from_be] = fleet.fe_links(f);
-    return to_be->stats().packets_offered + from_be->stats().packets_offered;
-  };
-  std::vector<std::uint64_t> at_deadline;
-  for (std::size_t f = 0; f < fleet.fes_.size(); ++f) {
-    record.idle.push_back(fleet.fe_idle(f));
-    at_deadline.push_back(offered(f));
-  }
-
-  // Run the busy FEs' tails to exhaustion one event time at a time, so
-  // the clock stops at the last one (quiet_at) and each sampler tick in
-  // between reads the state a sampled full run reads there.
-  sim::Simulator& simulator = *fleet.simulator_;
-  const auto interval = static_cast<std::uint64_t>(base.ts_interval.ns());
-  if (fleet.sampler_) {
-    record.tick_interval = base.ts_interval;
-    record.first_tick =
-        static_cast<std::uint64_t>(record.deadline.ns()) / interval + 1;
-  }
-  const auto record_tick = [&record, &fleet] {
-    record.ticks.push_back({fleet.backend_pool_total(),
-                            fleet.network_->aggregate_link_stats()});
-  };
-  const auto next_tick_ns = [&record, interval] {
-    return (record.first_tick + record.ticks.size()) * interval;
-  };
-  while (simulator.has_pending()) {
-    const sim::SimTime next = simulator.next_event_time();
-    while (fleet.sampler_ &&
-           next_tick_ns() < static_cast<std::uint64_t>(next.ns())) {
-      record_tick();
-    }
-    simulator.run_until(next);
-  }
-  record.quiet_at = simulator.now();
-  if (fleet.sampler_) record_tick();  // the first at or past quiet_at
-  obs::MetricsRegistry quiet;
-  fleet.collect_metrics(quiet);
-  for (const auto& [name, total] : quiet.counters()) {
-    record.tail.add(name, total - record.totals.counter(name));
-  }
-  for (const auto& [name, peak] : quiet.gauges()) {
-    record.tail.gauge_max(name, peak);
-  }
-
-  // Check the idle rule against the FEs' future.
-  for (std::size_t f = 0; f < fleet.fes_.size(); ++f) {
-    if (record.idle[f] && offered(f) != at_deadline[f]) {
-      throw std::logic_error("front-end " + fleet.fes_[f].site_name +
-                             " was recorded idle at the warm-up deadline "
-                             "but its BE links carried traffic after it");
-    }
   }
   return record;
 }
@@ -636,11 +548,6 @@ void Scenario::collect_kernel_metrics(obs::MetricsRegistry& out) {
 
 void Scenario::collect_metrics(obs::MetricsRegistry& out) {
   require_fleet_adopted();
-  if (simulator_->now() < quiet_floor()) {
-    throw std::logic_error(
-        "a scenario leaving busy FEs out reports only from " +
-        quiet_floor().to_string() + ", where their recorded tails end");
-  }
   collect_own_metrics(out);
   if (left_out_) out.merge(left_out_->metrics);
 }
@@ -727,28 +634,14 @@ void Scenario::take_sample(std::uint64_t tick) {
 
   // Every channel is derived purely from simulation state at the tick,
   // so byte-identical at any thread/shard count. FEs a shared fleet
-  // warm-up left out have no queue or request. The idle ones hold their
-  // deadline pools and link counts; the busy ones add the fleet's change
-  // since the deadline, recorded per tick up to the end of their tails.
+  // warm-up left out have no queue or request, and hold their pools and
+  // link counts from the end of the warm-up.
   require_fleet_adopted();
   std::int64_t fetch_queue = 0, active = 0, pool = 0;
   net::LinkStats links = network_->aggregate_link_stats();
   if (left_out_) {
     pool = left_out_->backend_pool;
     links += left_out_->links;
-  }
-  if (busy_left_out_) {
-    const FleetWarmup& fleet = *options_.fleet_warmup;
-    if (fleet.tick_interval != options_.ts_interval) {
-      throw std::logic_error(
-          "the shared fleet warm-up holds no tail totals at this "
-          "scenario's sampling ticks");
-    }
-    const FleetWarmup::TickTotals& at = fleet.ticks[std::min<std::size_t>(
-        tick - fleet.first_tick, fleet.ticks.size() - 1)];
-    pool += at.backend_pool - fleet.backend_pool;
-    links += at.links;
-    links -= fleet.links;
   }
   for (FrontEnd& fe : fes_) {
     if (!fe.built()) continue;

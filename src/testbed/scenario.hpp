@@ -34,16 +34,14 @@ namespace dyncdn::testbed {
 /// FE<->BE path, with no RNG draw and no vantage point involved, so every
 /// replica would re-simulate the same warm-ups. With the record, a
 /// replica simulates only the FEs it queries, and takes the rest of the
-/// fleet's warm-up counts from here: the idle FEs' at the deadline, and
-/// the busy FEs' up to the time their tails end.
+/// fleet's warm-up counts from here. The warm-up ends with an empty event
+/// queue, so no FE changes its counts after the deadline unless queried.
 struct FleetWarmup {
-  /// Sim time at the end of the warm-up, which starts at time 0.
+  /// Sim time at the end of the warm-up, which starts at time 0: the
+  /// later of warm_up()'s floor and the fleet's last warm-up event.
   sim::SimTime deadline;
-  /// Per FE: true when nothing of the FE can produce another event at the
-  /// deadline. Its pooled connections are established and carry no query;
-  /// both socket ends are quiescent; neither FE<->BE link carries a
-  /// packet. A busy FE's transfer runs on past the deadline (its tail).
-  std::vector<bool> idle;
+  /// FEs the fleet places.
+  std::size_t fe_count = 0;
   /// The fleet's vantage points, which a replica copies instead of
   /// generating them again, and the FE that DNS names for each.
   std::vector<VantagePoint> vantage_points;
@@ -54,25 +52,6 @@ struct FleetWarmup {
   /// deadline: what the time-series sampler reads.
   std::int64_t backend_pool = 0;
   net::LinkStats links;
-
-  /// The busy FEs' tails, run to exhaustion after the deadline. The
-  /// fleet's clock once they end: in a full scenario no run() that
-  /// starts after the warm-up ends before it.
-  sim::SimTime quiet_at;
-  /// collect_metrics at quiet_at minus at the deadline (counters), and
-  /// its gauges at quiet_at.
-  obs::MetricsRegistry tail;
-  /// Summed BE-pool size and link counters at one sampler tick.
-  struct TickTotals {
-    std::int64_t backend_pool = 0;
-    net::LinkStats links;
-  };
-  /// When the base samples a time series (tick_interval > 0): the
-  /// fleet's totals at every tick from the first after the deadline,
-  /// `first_tick`, to the first at or past quiet_at.
-  sim::SimTime tick_interval;
-  std::uint64_t first_tick = 0;
-  std::vector<TickTotals> ticks;
 };
 
 struct ScenarioOptions {
@@ -90,14 +69,11 @@ struct ScenarioOptions {
 
   /// A campaign's shared fleet warm-up and the FEs this scenario queries
   /// (null = build every FE). When set, only the FEs in `queried_fes` get
-  /// a server and FE<->BE links, plus every FE the record found busy if
-  /// one of them is queried (a tail cannot be split per FE); every other
-  /// FE keeps only its net::Node, so node ids, names and link RNG streams
-  /// match the full fleet. warm_up() must end at the record's deadline;
-  /// from then on collect_metrics and the time series add the record's
-  /// counts for the FEs left out. Busy FEs left out end the first run()
-  /// no earlier than the record's quiet_at, and collect_metrics throws
-  /// before it. Set by the replica runners of multi-replica plans only
+  /// a server and FE<->BE links; every other FE keeps only its net::Node,
+  /// so node ids, names and link RNG streams match the full fleet.
+  /// warm_up() ends at the record's deadline; from then on
+  /// collect_metrics and the time series add the record's counts for the
+  /// FEs left out. Set by the replica runners of multi-replica plans only
   /// (parallel_experiment.hpp), like driven_clients.
   std::shared_ptr<const FleetWarmup> fleet_warmup;
   std::vector<std::size_t> queried_fes;
@@ -236,11 +212,8 @@ class Scenario {
   };
 
   /// Simulate `base`'s fleet warm-up once for a campaign of replicas:
-  /// build `base` driving client 0 only, with capture off, warm it up for
-  /// `warm_up` and record it. Then run it to exhaustion, recording the
-  /// busy FEs' tails, and throw std::logic_error, naming the FE, if a link
-  /// of an FE recorded as idle offered, delivered or dropped anything
-  /// after the deadline.
+  /// build `base` driving client 0 only, with capture off, warm it up with
+  /// `warm_up` as the floor and record it.
   static FleetWarmup record_fleet_warmup(const ScenarioOptions& base,
                                          sim::SimTime warm_up);
 
@@ -269,17 +242,16 @@ class Scenario {
   void connect_client_to_fe(std::size_t client_index, std::size_t fe_index);
 
   /// Run the simulation until the FE fleet's persistent BE connections are
-  /// established and warmed. Call before submitting measured queries.
-  /// With a shared fleet warm-up, the one call must end at the record's
-  /// deadline (else std::logic_error); it then adopts the record's counts
-  /// for the FEs this scenario left out.
+  /// established and warmed: for `duration`, then on until the event
+  /// queue is empty. Call before submitting measured queries. With a
+  /// shared fleet warm-up, the one call runs to the record's deadline and
+  /// adopts the record's counts for the FEs this scenario left out; it
+  /// throws std::logic_error when called again, when `duration` passes the
+  /// deadline, or when an event is still pending there.
   void warm_up(sim::SimTime duration = sim::SimTime::seconds(5));
 
   /// Execute pending events until the queue drains / until `deadline`
-  /// (which then becomes the clock). A scenario whose shared fleet
-  /// warm-up left busy FEs out runs on to the record's quiet_at (sampled:
-  /// to the first tick at or past it), where their tails would have ended
-  /// the run in the full fleet.
+  /// (which then becomes the clock).
   void run();
   void run_until(sim::SimTime deadline);
 
@@ -292,9 +264,7 @@ class Scenario {
   /// across replicas. Every counter here is invariant under the replica
   /// layout; the kernel-level counters that depend on it live in
   /// collect_kernel_metrics. FEs left out by a shared fleet warm-up count
-  /// with their recorded warm-up, so the export is the full fleet's; with
-  /// busy FEs left out it throws std::logic_error before the record's
-  /// quiet_at, where their counts are not recorded.
+  /// with their recorded warm-up, so the export is the full fleet's.
   void collect_metrics(obs::MetricsRegistry& out);
 
   /// Event-kernel introspection (events executed/scheduled, heap peak) and
@@ -357,10 +327,6 @@ class Scenario {
   /// collect_metrics without the fleet record's counts.
   void collect_own_metrics(obs::MetricsRegistry& out);
   std::int64_t backend_pool_total() const;
-  /// FleetWarmup::idle's rule for FE `fe_index` at the current time.
-  bool fe_idle(std::size_t fe_index);
-  /// The FE<->BE links of FE `fe_index` (FE->BE, BE->FE).
-  std::pair<const net::Link*, const net::Link*> fe_links(std::size_t fe_index);
   void take_sample(std::uint64_t tick);
   net::LinkConfig client_access_link(const VantagePoint& vp,
                                      const net::GeoPoint& fe_location) const;
@@ -401,13 +367,9 @@ class Scenario {
     net::LinkStats links;
   };
   std::optional<LeftOut> left_out_;
-  /// True when busy FEs are left out: their tails come from the record.
-  bool busy_left_out_ = false;
   /// Throws std::logic_error when a shared fleet warm-up is set but
   /// warm_up() has not adopted it yet.
   void require_fleet_adopted() const;
-  /// The record's quiet_at once adopted with busy FEs left out; else 0.
-  sim::SimTime quiet_floor() const;
   /// (client, fe) pairs already linked.
   std::vector<std::pair<std::size_t, std::size_t>> client_fe_links_;
 };

@@ -19,6 +19,7 @@
 namespace dyncdn::analysis {
 namespace {
 
+using dyncdn::testing::common_prefix_boundary;
 using dyncdn::testing::pattern_text;
 using dyncdn::testing::TwoNodeHarness;
 using dyncdn::testing::TwoNodeOptions;
@@ -314,8 +315,6 @@ TEST(Boundary, TemporalClustersSeparateStaticAndDynamic) {
   EXPECT_EQ(clusters[1].first_offset, 3000u);
   EXPECT_EQ(clusters[0].bytes, 3000u);
   EXPECT_EQ(clusters[1].bytes, 4000u);
-
-  EXPECT_EQ(temporal_boundary_estimate(stream, 50_ms), 3000u);
 }
 
 TEST(Boundary, ClustersMergeAtHighRtt) {
@@ -335,7 +334,7 @@ TEST(Boundary, ClustersMergeAtHighRtt) {
   // paper applies it at low RTT for the same reason. With a threshold
   // above the 300ms RTT, static and dynamic lump into one cluster: the
   // paper's "lumped together" regime.
-  EXPECT_EQ(temporal_boundary_estimate(stream, 400_ms), 0u);
+  EXPECT_EQ(temporal_clusters(stream, 400_ms).size(), 1u);
   // Below the RTT, clustering merely finds congestion-window bursts, not
   // the content boundary.
   const auto clusters = temporal_clusters(stream, 50_ms);

@@ -141,12 +141,16 @@ TEST(ExperimentCli, MalformedEnvIsRefused) {
 }
 
 TEST(ExperimentCli, WellFormedNumbersRun) {
+  const auto dir = scratch_dir("well_formed");
   const CliRun run = run_experiment(
       "DYNCDN_THREADS=2",
       "--experiment=fixed-fe --clients=3 --reps=1 --seed=07 --threads=0 "
-      "--shards=1 --ts-interval=50.5 --slow-threshold=0");
+      "--shards=1 --ts-interval=50.5 --slow-threshold=0 --ts-out=" +
+          (dir / "ts.json").string() +
+          " --slow-log=" + (dir / "slow.json").string());
   EXPECT_EQ(run.exit_code, 0) << run.output;
   EXPECT_NE(run.output.find("seed=7 "), std::string::npos) << run.output;
+  std::filesystem::remove_all(dir);
 }
 
 TEST(ExperimentCli, RuntimeOutWrapsTheSeriesAndCountsReplicas) {
@@ -246,6 +250,17 @@ TEST(ExperimentCli, StreamRefusesCaptureBudget) {
 TEST(ExperimentCli, StreamRefusesSaveTraces) {
   expect_refused("stream_save", "--save-traces=@/traces --stream",
                  "--save-traces is unavailable with --stream");
+}
+
+TEST(ExperimentCli, TsIntervalRefusesNoSeriesOut) {
+  // A tick with no series to write would only move the run's results.
+  expect_refused("ts_interval", "--ts-interval=50",
+                 "--ts-interval needs --ts-out or --ts-runtime-out");
+}
+
+TEST(ExperimentCli, SlowThresholdRefusesNoSlowLog) {
+  expect_refused("slow_threshold", "--slow-threshold=5",
+                 "--slow-threshold needs --slow-log");
 }
 
 TEST(ExperimentCli, SaveTracesWritesEveryOutput) {

@@ -264,7 +264,8 @@ TEST(ObsEndToEnd, SpanTimelineMatchesPacketAnalysisExactly) {
     if (!stream.bytes().empty()) responses.push_back(stream.bytes());
   }
   ASSERT_GE(responses.size(), 2u);
-  const std::size_t boundary = analysis::common_prefix_boundary(responses);
+  const std::size_t boundary =
+      dyncdn::testing::common_prefix_boundary(responses);
   ASSERT_GT(boundary, 0u);
   const auto packet_tls = analysis::extract_all_timelines(web, 80, boundary);
 

@@ -35,6 +35,7 @@
 namespace dyncdn::analysis {
 namespace {
 
+using dyncdn::testing::common_prefix_boundary;
 using dyncdn::testing::pattern_text;
 using dyncdn::testing::TwoNodeHarness;
 using dyncdn::testing::TwoNodeOptions;

@@ -97,8 +97,8 @@ void usage() {
       "trace_event JSON (chrome://tracing, Perfetto)\n"
       "  --metrics-out  write the run's metrics registry in Prometheus "
       "text format\n"
-      "  --ts-interval  sim-time sampling tick in ms (default 100 once any\n"
-      "                 time-series output is requested)\n"
+      "  --ts-interval  sim-time sampling tick in ms (default 100); needs\n"
+      "                 --ts-out or --ts-runtime-out\n"
       "  --ts-out       write the sampled metric series; a .csv suffix\n"
       "                 selects CSV, anything else JSON. Byte-identical\n"
       "                 at any --threads value\n"
@@ -114,7 +114,7 @@ void usage() {
       "                 with caching\n"
       "  --slow-threshold  promote queries with T_dynamic above this many\n"
       "                 ms (0 = adaptive: p90 of the running distribution "
-      "x 3)\n");
+      "x 3); needs --slow-log\n");
 }
 
 /// Store the whole number `text` in `out`, or report the flag and fail.
@@ -231,9 +231,15 @@ std::optional<CliOptions> parse_args(int argc, char** argv) {
   // caching probe is one client's two phases in one scenario: it has no
   // replicas to spread over threads, no campaign to attribute and no slow
   // log to keep. Factoring saves no traces, and --stream retains no
-  // capture: nothing to save, nothing for a budget to bound.
+  // capture: nothing to save, nothing for a budget to bound. A sampling
+  // tick or slow-query threshold with no file to write would only
+  // perturb the run or be dropped.
   const auto refuse = [](const char* flag, const std::string& mode) {
     std::fprintf(stderr, "%s is unavailable with %s\n", flag, mode.c_str());
+    return std::nullopt;
+  };
+  const auto unwritten = [](const char* flag, const char* outputs) {
+    std::fprintf(stderr, "%s needs %s\n", flag, outputs);
     return std::nullopt;
   };
   const auto given = [argc, argv](std::string_view flag) {
@@ -259,6 +265,13 @@ std::optional<CliOptions> parse_args(int argc, char** argv) {
     if (given("--capture-budget=")) {
       return refuse("--capture-budget", "--stream");
     }
+  }
+  if (given("--ts-interval=") && opt.ts_out.empty() &&
+      opt.ts_runtime_out.empty()) {
+    return unwritten("--ts-interval", "--ts-out or --ts-runtime-out");
+  }
+  if (given("--slow-threshold=") && opt.slow_log.empty()) {
+    return unwritten("--slow-threshold", "--slow-log");
   }
   // A requested time-series output without an interval gets the default
   // 100ms tick.
