@@ -59,7 +59,7 @@ AblationPoint run_point(
   p.t_static_ms = n.med_static_ms;
   p.t_dynamic_ms = n.med_dynamic_ms;
   p.overall_ms = n.med_overall_ms;
-  // The very first fetch ever issued (during boundary discovery) is the
+  // The scenario's very first fetch, the campaign's first query, is the
   // one that exercises a cold (or warmed) connection.
   const auto& log = scenario.fes()[0].server->fetch_log();
   if (!log.empty()) {

@@ -35,6 +35,7 @@ int main() {
   const std::size_t boundary = testbed::discover_boundary(scenario, 0, 0);
   std::printf("static/dynamic boundary (content analysis): %zu bytes\n",
               boundary);
+  scenario.connect_client_to_fe(0, 0);
 
   search::KeywordCatalog catalog(42);
   const auto keywords = catalog.figure3_keywords();

@@ -40,11 +40,9 @@ int main() {
   scenario.warm_up();
 
   const std::size_t boundary = testbed::discover_boundary(scenario, 0, 0);
-  const std::size_t discovery_fetches =
-      scenario.fes()[0].server->fetch_log().size();
+  scenario.connect_client_to_fe(0, 0);
 
   auto& client = scenario.clients().front();
-  client.recorder->clear();
 
   const search::Keyword full{"computer science department",
                              search::KeywordClass::kGranular, 900};
@@ -70,20 +68,15 @@ int main() {
   for (std::size_t i = 0; i < session.keystrokes.size(); ++i) {
     const auto& ks = session.keystrokes[i];
     const double t_proc =
-        (discovery_fetches + i < be_log.size())
-            ? be_log[discovery_fetches + i].t_proc.to_milliseconds()
-            : 0.0;
-    const bool correlated = (discovery_fetches + i < be_log.size()) &&
-                            be_log[discovery_fetches + i].correlated;
+        i < be_log.size() ? be_log[i].t_proc.to_milliseconds() : 0.0;
+    const bool correlated = i < be_log.size() && be_log[i].correlated;
     double t_delta = 0, t_dynamic = 0;
     const char* verdict = "-";
     if (i < timings.size()) {
       t_delta = timings[i].t_delta_ms;
       t_dynamic = timings[i].t_dynamic_ms;
-      if (discovery_fetches + i < fetch_log.size()) {
-        const double truth = fetch_log[discovery_fetches + i]
-                                 .true_fetch_time()
-                                 .to_milliseconds();
+      if (i < fetch_log.size()) {
+        const double truth = fetch_log[i].true_fetch_time().to_milliseconds();
         const bool ok =
             core::fetch_bounds(timings[i]).contains(truth);
         verdict = ok ? "HOLD" : "VIOLATED";
@@ -105,11 +98,10 @@ int main() {
               bounds_total);
   // Compare the first keystroke's processing time with the median of the
   // correlated tail.
-  if (be_log.size() > discovery_fetches + 4) {
-    const double first =
-        be_log[discovery_fetches].t_proc.to_milliseconds();
+  if (be_log.size() > 4) {
+    const double first = be_log.front().t_proc.to_milliseconds();
     std::vector<double> tail;
-    for (std::size_t i = discovery_fetches + 1; i < be_log.size(); ++i) {
+    for (std::size_t i = 1; i < be_log.size(); ++i) {
       tail.push_back(be_log[i].t_proc.to_milliseconds());
     }
     const double tail_med = stats::median(tail);

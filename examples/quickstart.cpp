@@ -38,6 +38,7 @@ int main() {
               boundary);
 
   // 3. Submit one query from client 0 to FE 0 and capture every packet.
+  scenario.connect_client_to_fe(0, 0);
   search::KeywordCatalog catalog(42);
   const search::Keyword keyword = catalog.figure3_keywords().front();
   std::printf("query: \"%s\" [%s]\n", keyword.text.c_str(),

@@ -65,14 +65,8 @@ class TraceRecorder {
   void resume() { recording_ = true; }
   bool recording() const { return recording_; }
 
-  /// Toggle payload retention (e.g. on for a boundary-discovery phase,
-  /// off for long measurement sweeps to bound memory).
-  void set_capture_payloads(bool v) { options_.capture_payloads = v; }
-  bool capture_payloads() const { return options_.capture_payloads; }
-
   /// Toggle trace-buffer retention. The sink keeps observing either way.
   void set_retain_packets(bool v) { options_.retain_packets = v; }
-  bool retain_packets() const { return options_.retain_packets; }
 
   /// Attach/detach a streaming observer (not owned; must outlive traffic).
   void set_sink(PacketSink* sink) { sink_ = sink; }

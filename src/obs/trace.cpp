@@ -1,6 +1,5 @@
 #include "obs/trace.hpp"
 
-#include <algorithm>
 #include <cstdio>
 #include <unordered_map>
 #include <utility>
@@ -51,24 +50,10 @@ void TraceSession::add_event(SpanId id, std::string_view name,
 }
 
 const SpanRecord* TraceSession::find(SpanId id) const {
-  // Ids are handed out sequentially from 1, so direct indexing finds a
-  // span unless truncate() dropped ids below it; the list stays sorted by
-  // id (merges append fresh ids too), so a binary search covers that.
-  if (id == kNoSpan || spans_.empty()) return nullptr;
-  if (id <= spans_.size() && spans_[id - 1].id == id) {
-    return &spans_[id - 1];
-  }
-  const auto it = std::lower_bound(
-      spans_.begin(), spans_.end(), id,
-      [](const SpanRecord& span, SpanId key) { return span.id < key; });
-  return it != spans_.end() && it->id == id ? &*it : nullptr;
-}
-
-void TraceSession::truncate(std::size_t count) {
-  if (count < spans_.size()) {
-    spans_.erase(spans_.begin() + static_cast<std::ptrdiff_t>(count),
-                 spans_.end());
-  }
+  // Ids are handed out sequentially from 1 (merges append fresh ids too)
+  // and spans are never removed, so span `id` sits at index id - 1.
+  if (id == kNoSpan || id > spans_.size()) return nullptr;
+  return &spans_[id - 1];
 }
 
 SpanRecord* TraceSession::find_mutable(SpanId id) {
@@ -106,6 +91,7 @@ void TraceSession::merge_from(TraceSession&& other,
     span.parent = it == remap.end() ? kNoSpan : it->second;
   }
   other.spans_.clear();
+  other.next_id_ = 1;
 }
 
 std::string span_id_header(SpanId id) {

@@ -111,11 +111,6 @@ class TraceSession {
   const SpanRecord* find(SpanId id) const;
   std::size_t open_span_count() const;
 
-  // Forget every span recorded after the first `count`. Ids are not
-  // handed out again: spans recorded later keep the ids (and X-Trace-Span
-  // header bytes) they would have had.
-  void truncate(std::size_t count);
-
   // Absorb another session's spans (consuming it), remapping ids so they
   // stay unique and stamping `replica_id` on the absorbed records. Called
   // by the experiment merge step in shard-index order, which makes the

@@ -22,6 +22,48 @@ void save_client_trace(const Scenario::Client& client, const std::string& dir) {
   client.recorder->replay(writer);
   writer.finish();
 }
+
+/// `base` as a scenario built only to probe the boundary: its clients
+/// stream with payload capture, so the analyzer compares response bytes
+/// live and nothing is retained or spilled; no sampler or trace session.
+ScenarioOptions probe_options(ScenarioOptions base) {
+  base.capture_clients = true;
+  base.capture_payloads = true;
+  base.stream_analysis = true;
+  base.ts_interval = sim::SimTime::zero();
+  base.enable_tracing = false;
+  return base;
+}
+
+/// The probe itself, in a probe scenario: distinct queries from client
+/// `client_index` to FE `fe_index`, run to an empty queue, compared by
+/// the client's own analyzer.
+std::size_t run_probe(Scenario& probe, std::size_t client_index,
+                      std::size_t fe_index, std::size_t num_keywords) {
+  Scenario::Client& client = probe.clients().at(client_index);
+  probe.connect_client_to_fe(client_index, fe_index);
+  client.analyzer->begin_boundary_probe();
+
+  // Distinct keywords: the paper's content analysis relies on responses to
+  // *different* queries so the common prefix stops at the static portion.
+  const search::KeywordCatalog catalog(probe.simulator().rng().seed());
+  const net::Endpoint fe = probe.fe_endpoint(fe_index);
+  for (const search::Keyword& kw : catalog.distinct_corpus(num_keywords)) {
+    client.query_client->submit(fe, kw, [](const cdn::QueryResult&) {});
+  }
+  probe.run();
+
+  const std::size_t response_count = client.analyzer->probe_flows();
+  const std::size_t boundary = client.analyzer->finish_boundary_probe();
+  if (response_count < 2) {
+    throw std::runtime_error("discover_boundary: not enough responses");
+  }
+  if (boundary == 0) {
+    throw std::runtime_error("discover_boundary: no common prefix found");
+  }
+  return boundary;
+}
+
 }  // namespace
 
 std::vector<core::QueryTimings> analyze_client_trace(Scenario::Client& client,
@@ -49,70 +91,45 @@ std::vector<core::QueryTimings> analyze_client_trace(Scenario::Client& client,
 std::size_t discover_boundary(Scenario& scenario, std::size_t client_index,
                               std::size_t fe_index,
                               std::size_t num_keywords) {
-  Scenario::Client& client = scenario.clients().at(client_index);
-  client.require_driven();
-  if (!client.recorder) {
-    throw std::logic_error("discover_boundary requires capture_clients=true");
+  scenario.clients().at(client_index).require_driven();
+  scenario.fes().at(fe_index).require_built();
+  std::shared_ptr<const FleetWarmup> fleet = scenario.fleet_record();
+  if (fleet == nullptr) {
+    throw std::logic_error("discover_boundary needs a warmed-up scenario");
   }
-  scenario.connect_client_to_fe(client_index, fe_index);
+  // A lean scenario of the same fleet: the probing client, its FE and the
+  // BE, quiet at the same end as `scenario`'s warm-up.
+  ScenarioOptions options = probe_options(scenario.options());
+  options.driven_clients = {client_index};
+  options.queried_fes = {fe_index};
+  options.fleet_warmup = std::move(fleet);
+  Scenario probe(std::move(options));
+  probe.warm_up(sim::SimTime::zero());
+  return run_probe(probe, client_index, fe_index, num_keywords);
+}
 
-  // Discovery reads response *content*, so payload capture must be on in
-  // either mode. The analyzer's boundary probe reassembles only a clipped
-  // prefix of each response (O(boundary) memory): in streaming mode it is
-  // the client's own analyzer, fed live with retention off; in capture
-  // mode it is a fresh analyzer fed a replay of the retained capture after
-  // the run. All toggles are restored afterwards.
-  const bool streaming = client.analyzer != nullptr;
-  const bool prior_payloads = client.recorder->capture_payloads();
-  const bool prior_retain = client.recorder->retain_packets();
-  client.recorder->set_capture_payloads(true);
-  if (!streaming) client.recorder->set_retain_packets(true);
-  client.recorder->clear();
-  std::unique_ptr<analysis::StreamingAnalyzer> replayed;
-  if (!streaming) {
-    replayed = std::make_unique<analysis::StreamingAnalyzer>(kServicePort);
-  }
-  analysis::StreamingAnalyzer& probe = streaming ? *client.analyzer : *replayed;
-  probe.begin_boundary_probe();
-
-  // Distinct keywords: the paper's content analysis relies on responses to
-  // *different* queries so the common prefix stops at the static portion.
-  const search::KeywordCatalog catalog(scenario.simulator().rng().seed());
-  const auto keywords = catalog.distinct_corpus(num_keywords);
-  const net::Endpoint fe = scenario.fe_endpoint(fe_index);
-  // The probe queries are traced like any other (tracing puts the
-  // X-Trace-Span header on their requests, so switching it off would
-  // change their bytes and timing), but they are not campaign queries:
-  // their spans are dropped once they finish, so attribution, the slow
-  // log and --trace-out count the campaign only.
-  obs::TraceSession* const trace = scenario.trace();
-  const std::size_t spans_before = trace ? trace->spans().size() : 0;
-  for (const search::Keyword& kw : keywords) {
-    client.query_client->submit(fe, kw, [](const cdn::QueryResult&) {});
-  }
-  scenario.run();
-  if (trace != nullptr) trace->truncate(spans_before);
-
-  if (!streaming) client.recorder->replay(probe);
-  const std::size_t response_count = probe.probe_flows();
-  const std::size_t boundary = probe.finish_boundary_probe();
-  client.recorder->clear();
-  client.recorder->set_capture_payloads(prior_payloads);
-  client.recorder->set_retain_packets(prior_retain);
-
-  if (response_count < 2) {
-    throw std::runtime_error("discover_boundary: not enough responses");
-  }
-  if (boundary == 0) {
-    throw std::runtime_error("discover_boundary: no common prefix found");
-  }
-  return boundary;
+CampaignProbe probe_campaign(const ScenarioOptions& base, sim::SimTime warm_up,
+                             std::optional<std::size_t> fixed_fe) {
+  ScenarioOptions options = probe_options(base);
+  options.driven_clients = {0};
+  options.fleet_warmup.reset();
+  options.queried_fes.clear();
+  Scenario pass(std::move(options));
+  pass.warm_up(warm_up);
+  CampaignProbe out;
+  // Taken before the probe, so the record holds the warm-up only.
+  out.fleet = pass.fleet_record();
+  out.boundary = run_probe(pass, 0,
+                           fixed_fe.value_or(pass.clients()[0].default_fe),
+                           /*num_keywords=*/6);
+  return out;
 }
 
 ExperimentResult run_experiment_subset(
     Scenario& scenario, const ExperimentOptions& options,
     std::span<const std::size_t> client_indices,
-    const std::function<std::size_t(std::size_t)>& fe_for_client) {
+    const std::function<std::size_t(std::size_t)>& fe_for_client,
+    std::size_t boundary) {
   if (options.keywords.empty() && !options.zipf) {
     throw std::invalid_argument("ExperimentOptions.keywords is empty");
   }
@@ -121,12 +138,6 @@ ExperimentResult run_experiment_subset(
         "ExperimentOptions.save_traces needs a capture-mode scenario");
   }
 
-  // Boundary discovery always probes from client 0 so every shard of a
-  // sharded campaign derives the same boundary the serial run would.
-  const std::size_t boundary =
-      discover_boundary(scenario, 0, fe_for_client(0));
-  const std::size_t discovery_fetches =
-      scenario.fes()[fe_for_client(0)].server->fetch_log().size();
   // Streaming mode: once the boundary is known, flows collapse to
   // timelines the moment their teardown is captured.
   scenario.set_stream_boundary(boundary);
@@ -174,7 +185,6 @@ ExperimentResult run_experiment_subset(
   // client_indices).
   ExperimentResult result;
   result.boundary = boundary;
-  result.discovery_fetches = discovery_fetches;
   result.per_node_timings.reserve(client_indices.size());
   for (const std::size_t i : client_indices) {
     if (!options.save_traces.empty()) {
@@ -195,12 +205,9 @@ ExperimentResult run_experiment_subset(
   }
   scenario.collect_metrics(result.metrics);
   // Budgeted capture opts its spill counters into the main registry: they
-  // are layout-invariant (see collect_spill_metrics — the subset makes
-  // every replica count only its own clients), and runs without a budget
-  // keep the exact export of previous releases.
-  if (scenario.spilling_active()) {
-    scenario.collect_spill_metrics(result.metrics, client_indices);
-  }
+  // are layout-invariant (see collect_spill_metrics), and runs without a
+  // budget keep the exact export of previous releases.
+  if (scenario.spilling_active()) scenario.collect_spill_metrics(result.metrics);
   scenario.collect_kernel_metrics(result.kernel_metrics);
   result.trace = scenario.shared_trace();
   result.timeseries = scenario.take_timeseries();
@@ -225,7 +232,10 @@ ExperimentResult run_experiment(Scenario& scenario,
                                     fe_for_client) {
   std::vector<std::size_t> all(scenario.clients().size());
   for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
-  return run_experiment_subset(scenario, options, all, fe_for_client);
+  // The probe runs from client 0, as a replica campaign's does.
+  return run_experiment_subset(
+      scenario, options, all, fe_for_client,
+      discover_boundary(scenario, 0, fe_for_client(0)));
 }
 }  // namespace
 
@@ -258,6 +268,7 @@ CachingExperimentResult run_caching_experiment(Scenario& scenario,
   const std::size_t boundary =
       discover_boundary(scenario, client_index, fe_index);
   scenario.set_stream_boundary(boundary);
+  scenario.connect_client_to_fe(client_index, fe_index);
 
   Scenario::Client& client = scenario.clients().at(client_index);
   const net::Endpoint fe = scenario.fe_endpoint(fe_index);

@@ -12,6 +12,8 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -29,13 +31,28 @@ namespace dyncdn::testbed {
 
 /// Discover the static/dynamic boundary the way the paper does: submit
 /// `num_keywords` distinct queries from one client to one FE with payload
-/// capture enabled and take the longest common prefix of the responses
-/// (StreamingAnalyzer's boundary probe). Leaves the client's recorder
-/// cleared, payload capture restored to its prior setting and no probe
-/// spans in the scenario's trace session.
+/// capture on and take the longest common prefix of the responses
+/// (StreamingAnalyzer's boundary probe). The probe runs in a throw-away
+/// probe scenario (streaming, unsampled, untraced) of the probing client,
+/// the FE and the BE, built from `scenario`'s fleet record; `scenario` is
+/// left as it was, so a caller that then sends from the client to the FE
+/// links them itself (Scenario::connect_client_to_fe). Throws
+/// std::logic_error unless `scenario` has a fleet record (it has warmed
+/// up, or shares a campaign's), drives the client and builds the FE.
 std::size_t discover_boundary(Scenario& scenario, std::size_t client_index,
                               std::size_t fe_index,
                               std::size_t num_keywords = 6);
+
+/// A campaign's probe pass, run before any of its scenarios is built
+/// (parallel_experiment.hpp): `base` as a probe scenario driving client 0
+/// only, warmed up with `warm_up` as the floor; its fleet record, then the
+/// boundary probed from client 0 to `fixed_fe`, else to its default FE.
+struct CampaignProbe {
+  std::size_t boundary = 0;
+  std::shared_ptr<const FleetWarmup> fleet;
+};
+CampaignProbe probe_campaign(const ScenarioOptions& base, sim::SimTime warm_up,
+                             std::optional<std::size_t> fixed_fe);
 
 struct ExperimentOptions {
   std::size_t reps_per_node = 25;
@@ -67,9 +84,6 @@ struct ExperimentOptions {
 
 struct ExperimentResult {
   std::size_t boundary = 0;
-  /// Fetch-log entries on client 0's target FE that belong to the
-  /// boundary-discovery phase (tests slice ground-truth logs past these).
-  std::size_t discovery_fetches = 0;
   /// One aggregate per vantage point, aligned with scenario.clients().
   std::vector<core::NodeAggregate> per_node;
   /// Raw per-query timings per vantage point (same alignment).
@@ -117,21 +131,23 @@ struct ExperimentResult {
 std::vector<core::QueryTimings> analyze_client_trace(Scenario::Client& client,
                                                      std::size_t boundary);
 
-/// Core measurement loop over an explicit subset of vantage points: runs
-/// boundary discovery (always from client 0, so every shard of a sharded
-/// campaign agrees on the boundary), schedules the query sequence for the
-/// listed clients — each keeps its *global* stagger slot, so a client's
-/// schedule is identical whether it runs alongside the full fleet or alone
-/// in a replica — and analyzes their traces, saving each one first when
-/// `options.save_traces` is set. Result vectors align with
-/// `client_indices`, not with scenario.clients(). This is the unit the
-/// parallel replica engine (parallel_experiment.hpp) shards and merges.
+/// Core measurement loop over an explicit subset of vantage points, given
+/// the campaign's static/dynamic boundary (it never probes): schedules
+/// the query sequence for the listed clients — each keeps its *global*
+/// stagger slot, so a client's schedule is identical whether it runs
+/// alongside the full fleet or alone in a replica — and analyzes their
+/// traces, saving each one first when `options.save_traces` is set.
+/// Result vectors align with `client_indices`, not with
+/// scenario.clients(). This is the unit the parallel replica engine
+/// (parallel_experiment.hpp) shards and merges.
 ExperimentResult run_experiment_subset(
     Scenario& scenario, const ExperimentOptions& options,
     std::span<const std::size_t> client_indices,
-    const std::function<std::size_t(std::size_t)>& fe_for_client);
+    const std::function<std::size_t(std::size_t)>& fe_for_client,
+    std::size_t boundary);
 
-/// Datasets B: all clients query the FE at `fe_index`.
+/// Datasets B: all clients query the FE at `fe_index`. These serial
+/// overloads discover the boundary from client 0 (discover_boundary).
 ExperimentResult run_fixed_fe_experiment(Scenario& scenario,
                                          std::size_t fe_index,
                                          const ExperimentOptions& options);

@@ -25,37 +25,6 @@ std::vector<std::vector<std::size_t>> partition_clients(std::size_t clients,
   return groups;
 }
 
-/// The campaign's one fleet warm-up, which every replica shares; null
-/// for a single-replica plan, whose one scenario builds every FE.
-std::shared_ptr<const FleetWarmup> fleet_warmup(const ScenarioOptions& base,
-                                                const ReplicaPlan& plan,
-                                                std::size_t shards) {
-  if (shards <= 1) return nullptr;
-  return std::make_shared<const FleetWarmup>(
-      Scenario::record_fleet_warmup(base, plan.warm_up));
-}
-
-/// The scenario one replica builds: the shared base driving only `group`
-/// and client 0, which probes the static/dynamic boundary in every replica.
-/// With a fleet warm-up, it builds only the FEs those clients query: the
-/// fixed FE, or each one's default FE.
-ScenarioOptions replica_options(const ScenarioOptions& base,
-                                const std::vector<std::size_t>& group,
-                                std::shared_ptr<const FleetWarmup> fleet,
-                                std::optional<std::size_t> fixed_fe) {
-  ScenarioOptions options = base;
-  options.driven_clients = group;
-  if (group.front() != 0) options.driven_clients.push_back(0);
-  if (fleet != nullptr) {
-    for (const std::size_t i : options.driven_clients) {
-      options.queried_fes.push_back(fixed_fe ? *fixed_fe
-                                             : fleet->default_fe.at(i));
-    }
-    options.fleet_warmup = std::move(fleet);
-  }
-  return options;
-}
-
 std::size_t resolve_shards(const ReplicaPlan& plan, std::size_t clients) {
   if (clients == 0) {
     throw std::invalid_argument("sharded experiment: no vantage points");
@@ -71,7 +40,11 @@ ExperimentResult run_sharded(const ScenarioOptions& base,
   const std::size_t clients = planned_client_count(base);
   const std::size_t shards = resolve_shards(plan, clients);
   const auto groups = partition_clients(clients, shards);
-  const auto fleet = fleet_warmup(base, plan, shards);
+  // Before any campaign scenario is built: the boundary, probed once, and
+  // the fleet warm-up, which the replicas of a multi-replica plan share (a
+  // single replica builds every FE itself).
+  const CampaignProbe probe = probe_campaign(base, plan.warm_up, fixed_fe);
+  const auto fleet = shards > 1 ? probe.fleet : nullptr;
 
   parallel::ReplicaExecutor executor(plan.executor);
   auto shard_results =
@@ -84,15 +57,14 @@ ExperimentResult run_sharded(const ScenarioOptions& base,
           return fixed_fe ? *fixed_fe : scenario_clients[i].default_fe;
         };
         return run_experiment_subset(scenario, options, groups[s],
-                                     fe_for_client);
+                                     fe_for_client, probe.boundary);
       });
 
   // Scatter shard results back into fleet order. Metrics and traces merge
   // by shard index — never completion order — so the output is identical
   // at every thread count.
   ExperimentResult merged;
-  merged.boundary = shard_results.front().boundary;
-  merged.discovery_fetches = shard_results.front().discovery_fetches;
+  merged.boundary = probe.boundary;
   merged.flight = obs::FlightRecorder(options.flight);
   merged.per_node.resize(clients);
   merged.per_node_timings.resize(clients);
@@ -129,6 +101,22 @@ std::size_t planned_client_count(const ScenarioOptions& options) {
     return options.fe_distance_sweep_miles->size();
   }
   return options.client_count;
+}
+
+ScenarioOptions replica_options(const ScenarioOptions& base,
+                                const std::vector<std::size_t>& group,
+                                std::shared_ptr<const FleetWarmup> fleet,
+                                std::optional<std::size_t> fixed_fe) {
+  ScenarioOptions options = base;
+  options.driven_clients = group;
+  if (fleet != nullptr) {
+    for (const std::size_t i : group) {
+      options.queried_fes.push_back(fixed_fe ? *fixed_fe
+                                             : fleet->default_fe.at(i));
+    }
+    options.fleet_warmup = std::move(fleet);
+  }
+  return options;
 }
 
 ExperimentResult run_fixed_fe_experiment(const ScenarioOptions& scenario_options,

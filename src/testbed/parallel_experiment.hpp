@@ -7,17 +7,18 @@
 // (experiment.hpp) — and runs the replicas on a deterministic thread pool
 // (parallel/replica.hpp). Datasets A and B call it directly; Fig. 9's
 // fetch factoring is a Datasets-A campaign over a distance sweep whose
-// regression reads the merged per-probe medians. A replica builds only
-// the vantage points it drives, its shard plus client 0 for the boundary
-// probe (ScenarioOptions::driven_clients); the others keep just their
-// nodes. A plan of more than one replica also simulates the FE fleet's
-// warm-up once, before the replicas start (Scenario::record_fleet_warmup):
-// each replica then builds only the FEs its clients query, warms up to
-// the record's end, where the whole fleet is quiet, and its exports count
-// the other FEs' warm-up from that shared record
-// (ScenarioOptions::fleet_warmup). Merging scatters each shard's per-node
-// results back into fleet order and merges metrics, traces, time series,
-// attribution and the flight recorder by shard index.
+// regression reads the merged per-probe medians. Before any replica is
+// built, one probe pass (probe_campaign, experiment.hpp) warms up the FE
+// fleet and probes the static/dynamic boundary from client 0, once per
+// campaign; replicas get that boundary and run campaign queries only. A
+// replica builds only the vantage points of its shard
+// (ScenarioOptions::driven_clients); the others keep just their nodes. In
+// a plan of more than one replica, each also builds only the FEs its
+// clients query, warms up to the pass's recorded end, where the whole
+// fleet is quiet, and its exports count the other FEs' warm-up from that
+// shared record (ScenarioOptions::fleet_warmup). Merging scatters each
+// shard's per-node results back into fleet order and merges metrics,
+// traces, time series, attribution and the flight recorder by shard index.
 //
 // Determinism contract:
 //   * For a fixed ReplicaPlan::shards, the merged result is bit-identical
@@ -25,8 +26,8 @@
 //     and results are merged by index, never by completion order.
 //   * With shards == 1 the single replica is exactly the serial path of
 //     the Scenario& overloads in experiment.hpp (construct, warm_up,
-//     run_experiment_subset over every vantage point), so the two can be
-//     diffed bit-for-bit.
+//     discover_boundary, run_experiment_subset over every vantage point),
+//     so the two can be diffed bit-for-bit.
 //   * With shards > 1, vantage points in different shards no longer
 //     contend inside one simulator; per-client submission schedules are
 //     unchanged (global stagger slots), but FE/BE queueing reflects only
@@ -56,6 +57,14 @@ struct ReplicaPlan {
 
 /// Vantage points a ScenarioOptions will build (sweep-aware).
 std::size_t planned_client_count(const ScenarioOptions& options);
+
+/// The scenario one replica builds: `base` driving only `group`; with a
+/// fleet warm-up, building only the FEs they query (`fixed_fe`, else each
+/// one's default FE).
+ScenarioOptions replica_options(const ScenarioOptions& base,
+                                const std::vector<std::size_t>& group,
+                                std::shared_ptr<const FleetWarmup> fleet,
+                                std::optional<std::size_t> fixed_fe);
 
 /// Datasets B, sharded: all clients query the FE at `fe_index`.
 ExperimentResult run_fixed_fe_experiment(const ScenarioOptions& scenario_options,

@@ -452,7 +452,10 @@ void Scenario::warm_up(sim::SimTime duration) {
   for (Client& c : clients_) {
     if (c.recorder) c.recorder->clear();
   }
-  if (fleet == nullptr) return;
+  if (fleet == nullptr) {
+    warm_end_ = simulator_->now();
+    return;
+  }
 
   // Adopt the left-out FEs' warm-up: the fleet's counts minus this
   // scenario's own. The fleet's queue is empty at the deadline, so an FE
@@ -498,28 +501,20 @@ std::int64_t Scenario::backend_pool_total() const {
   return pool;
 }
 
-FleetWarmup Scenario::record_fleet_warmup(const ScenarioOptions& base,
-                                          sim::SimTime warm_up) {
-  ScenarioOptions options = base;
-  // Warm-ups run between the FEs and the BE: one driven vantage point
-  // (the fleet needs one) without a recorder or spill file is enough.
-  options.driven_clients = {0};
-  options.capture_clients = false;
-  options.fleet_warmup.reset();
-  options.queried_fes.clear();
-  Scenario fleet(std::move(options));
-  fleet.warm_up(warm_up);
-
-  FleetWarmup record;
-  record.deadline = fleet.simulator_->now();
-  record.fe_count = fleet.fes_.size();
-  fleet.collect_metrics(record.totals);
-  record.backend_pool = fleet.backend_pool_total();
-  record.links = fleet.network_->aggregate_link_stats();
-  for (std::size_t i = 0; i < fleet.clients_.size(); ++i) {
-    const VantagePoint& vp = fleet.clients_[i].vantage;
-    record.vantage_points.push_back(vp);
-    record.default_fe.push_back(fleet.default_fe_for(i, vp));
+std::shared_ptr<const FleetWarmup> Scenario::fleet_record() {
+  if (options_.fleet_warmup) return options_.fleet_warmup;
+  if (!warm_end_) return nullptr;
+  auto record = std::make_shared<FleetWarmup>();
+  record->deadline = *warm_end_;
+  record->fe_count = fes_.size();
+  collect_metrics(record->totals);
+  record->backend_pool = backend_pool_total();
+  record->links = network_->aggregate_link_stats();
+  for (std::size_t i = 0; i < clients_.size(); ++i) {
+    const Client& c = clients_[i];
+    record->vantage_points.push_back(c.vantage);
+    record->default_fe.push_back(c.driven() ? c.default_fe
+                                            : default_fe_for(i, c.vantage));
   }
   return record;
 }
@@ -527,8 +522,8 @@ FleetWarmup Scenario::record_fleet_warmup(const ScenarioOptions& base,
 void Scenario::collect_kernel_metrics(obs::MetricsRegistry& out) {
   // Event kernel. All counters are replica-additive: a sharded campaign
   // merging its replicas' registries reports fleet totals. They depend on
-  // the replica layout (every replica re-runs the warm-ups and the
-  // boundary probe), which is why they are not part of collect_metrics.
+  // the replica layout (every replica re-runs the warm-ups of the FEs it
+  // builds), which is why they are not part of collect_metrics.
   out.add("sim_events_executed", simulator_->events_executed());
   out.add("sim_events_scheduled", simulator_->events_scheduled());
   out.add("sim_timer_cancels", simulator_->events_cancelled());
@@ -701,8 +696,6 @@ void Scenario::collect_memory_metrics(obs::MetricsRegistry& out) {
   // replicas); counters are replica-additive.
   std::int64_t retained_peak = 0, analyzer_peak = 0;
   std::uint64_t emitted = 0, late = 0;
-  std::uint64_t spill_bytes = 0, spill_blocks = 0, spill_records = 0;
-  std::uint64_t spill_raw = 0;
   for (Client& c : clients_) {
     if (c.recorder) {
       retained_peak += static_cast<std::int64_t>(
@@ -713,50 +706,38 @@ void Scenario::collect_memory_metrics(obs::MetricsRegistry& out) {
       emitted += c.analyzer->timelines_emitted_online();
       late += c.analyzer->late_packets();
     }
-    if (c.spill) {
-      spill_bytes += c.spill->stats().bytes_written;
-      spill_blocks += c.spill->stats().blocks;
-      spill_records += c.spill->stats().records;
-      spill_raw += c.spill->stats().raw_bytes;
-    }
   }
   out.gauge_max("capture_retained_bytes_peak", retained_peak);
   out.gauge_max("analyzer_live_bytes_peak", analyzer_peak);
   out.add("stream_timelines_online", emitted);
   out.add("stream_late_packets", late);
-  collect_spill_metrics(out);
+  obs::MetricsRegistry spill;
+  collect_spill_metrics(spill);
+  out.merge(spill);
   // The compression gauge is the ratio of the spill counters (merge rule:
   // max across replicas, so it is informational rather than
   // layout-invariant like the counters themselves).
-  if (spill_bytes > 0) {
-    out.gauge_max("spill_compression_x",
-                  static_cast<std::int64_t>(spill_raw / spill_bytes));
+  if (const std::uint64_t bytes = spill.counter("spill_bytes_written")) {
+    const std::uint64_t raw = spill.counter("spill_raw_bytes");
+    out.gauge_max("spill_compression_x", static_cast<std::int64_t>(raw / bytes));
   }
 }
 
-void Scenario::collect_spill_metrics(obs::MetricsRegistry& out,
-                                     std::span<const std::size_t> client_indices) {
+void Scenario::collect_spill_metrics(obs::MetricsRegistry& out) {
   // Durable-trace (spill) accounting. Every counter is a deterministic
   // function of each client's captured record stream, and clients spill
   // independently — so the replica-additive merge is byte-identical at
-  // any thread or shard count for a fixed budget. Restricting to the
-  // subset a replica owns keeps it byte-identical across replica layouts
-  // too: boundary discovery runs from client 0 in *every* replica, and
-  // only the replica that owns client 0 may count its spills. (flush wall
-  // time is deliberately not here; see collect_kernel_metrics.)
+  // any thread or shard count for a fixed budget; a replica drives only
+  // its own clients. (flush wall time is deliberately not here; see
+  // collect_kernel_metrics.)
   std::uint64_t spill_bytes = 0, spill_blocks = 0, spill_records = 0;
   std::uint64_t spill_raw = 0;
-  const auto fold = [&](const Client& c) {
-    if (!c.spill) return;
+  for (const Client& c : clients_) {
+    if (!c.spill) continue;
     spill_bytes += c.spill->stats().bytes_written;
     spill_blocks += c.spill->stats().blocks;
     spill_records += c.spill->stats().records;
     spill_raw += c.spill->stats().raw_bytes;
-  };
-  if (client_indices.empty()) {
-    for (const Client& c : clients_) fold(c);
-  } else {
-    for (const std::size_t i : client_indices) fold(clients_.at(i));
   }
   out.add("spill_bytes_written", spill_bytes);
   out.add("spill_blocks", spill_blocks);

@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -28,14 +27,16 @@
 
 namespace dyncdn::testbed {
 
-/// One campaign's fleet warm-up, simulated once (Scenario::
-/// record_fleet_warmup) and read by every replica of a multi-replica plan
-/// (parallel_experiment.hpp). Each FE warms its BE connection over its own
-/// FE<->BE path, with no RNG draw and no vantage point involved, so every
-/// replica would re-simulate the same warm-ups. With the record, a
-/// replica simulates only the FEs it queries, and takes the rest of the
-/// fleet's warm-up counts from here. The warm-up ends with an empty event
-/// queue, so no FE changes its counts after the deadline unless queried.
+/// One fleet's warm-up, recorded from a scenario that builds every FE
+/// (Scenario::fleet_record), and read by every replica of a multi-replica
+/// plan (parallel_experiment.hpp) and by the boundary probe's scenario
+/// (experiment.hpp). Each FE warms its BE
+/// connection over its own FE<->BE path, with no RNG draw and no vantage
+/// point involved, so every replica would re-simulate the same warm-ups.
+/// With the record, a scenario simulates only the FEs it queries, and
+/// takes the rest of the fleet's warm-up counts from here. The warm-up
+/// ends with an empty event queue, so no FE changes its counts after the
+/// deadline unless queried.
 struct FleetWarmup {
   /// Sim time at the end of the warm-up, which starts at time 0: the
   /// later of warm_up()'s floor and the fleet's last warm-up event.
@@ -63,8 +64,9 @@ struct ScenarioOptions {
   /// all). Every other vantage point gets only its net::Node, so node ids,
   /// packet ids and link names match the full fleet: no default-FE search,
   /// access link, QueryClient, recorder, analyzer or spill writer. A
-  /// replica (parallel_experiment.hpp) lists its group plus client 0, the
-  /// boundary probe. Which FEs it builds is up to fleet_warmup.
+  /// replica (parallel_experiment.hpp) lists its group only, and a probe
+  /// scenario (experiment.hpp) its probing client only. Which FEs it
+  /// builds is up to fleet_warmup.
   std::vector<std::size_t> driven_clients;
 
   /// A campaign's shared fleet warm-up and the FEs this scenario queries
@@ -73,13 +75,14 @@ struct ScenarioOptions {
   /// so node ids, names and link RNG streams match the full fleet.
   /// warm_up() ends at the record's deadline; from then on
   /// collect_metrics and the time series add the record's counts for the
-  /// FEs left out. Set by the replica runners of multi-replica plans only
-  /// (parallel_experiment.hpp), like driven_clients.
+  /// FEs left out. Set by the replica runner of multi-replica plans
+  /// (parallel_experiment.hpp) and the boundary probe (experiment.hpp).
   std::shared_ptr<const FleetWarmup> fleet_warmup;
   std::vector<std::size_t> queried_fes;
 
-  /// Capture packets at client nodes. Payload retention is needed only for
-  /// content-boundary discovery; large sweeps keep it off to bound memory.
+  /// Capture packets at client nodes. Payload bytes are needed only to save
+  /// them (the boundary probe captures them in a scenario of its own);
+  /// large sweeps keep them off to bound memory.
   bool capture_clients = true;
   bool capture_payloads = false;
 
@@ -100,8 +103,7 @@ struct ScenarioOptions {
   /// and replays them through the same reducer afterwards. Live streaming
   /// collapses a flow at teardown, a replay at drain(); the two agree
   /// unless the analyzers report late_packets() (lossy or reordering
-  /// paths, see analysis/streaming.hpp). In streaming mode boundary
-  /// discovery probes live, with retention still off.
+  /// paths, see analysis/streaming.hpp).
   bool stream_analysis = false;
 
   /// Instead of metro-based FE placement, place FE sites at these exact
@@ -211,12 +213,14 @@ class Scenario {
     void require_built() const;
   };
 
-  /// Simulate `base`'s fleet warm-up once for a campaign of replicas:
-  /// build `base` driving client 0 only, with capture off, warm it up with
-  /// `warm_up` as the floor and record it.
-  static FleetWarmup record_fleet_warmup(const ScenarioOptions& base,
-                                         sim::SimTime warm_up);
+  /// The fleet warm-up this scenario starts from: the shared record it was
+  /// built with (ScenarioOptions::fleet_warmup), else a record of its own
+  /// warm-up taken at this call (null before warm_up()). Such a record
+  /// holds the scenario's counts at the call, which are the warm-up's only
+  /// right after warm_up(), where a campaign's probe pass takes it.
+  std::shared_ptr<const FleetWarmup> fleet_record();
 
+  const ScenarioOptions& options() const { return options_; }
   sim::Simulator& simulator() { return *simulator_; }
   net::Network& network() { return *network_; }
   const cdn::ServiceProfile& profile() const { return options_.profile; }
@@ -270,8 +274,8 @@ class Scenario {
   /// Event-kernel introspection (events executed/scheduled, heap peak) and
   /// spill flush wall time. Kept out of collect_metrics because event
   /// counts depend on the replica layout (each replica re-runs the
-  /// boundary probe and the warm-ups of the FEs it builds), and experiment
-  /// exports must stay byte-identical at any shard count.
+  /// warm-ups of the FEs it builds), and experiment exports must stay
+  /// byte-identical at any shard count.
   void collect_kernel_metrics(obs::MetricsRegistry& out);
 
   /// Time-series sampler (null unless ScenarioOptions::ts_interval > 0).
@@ -306,13 +310,8 @@ class Scenario {
   /// off its own deterministic packet stream, so — unlike the rest of
   /// collect_memory_metrics — these merge byte-identically at any
   /// thread/shard count; budgeted experiment runs fold them into the main
-  /// metrics registry (and thus the Prometheus export). `client_indices`
-  /// restricts the sum to the listed vantage points (empty = all):
-  /// sharded campaigns pass their subset so boundary discovery — which
-  /// every replica re-runs from client 0 — is counted exactly once
-  /// fleet-wide, by the replica that owns client 0.
-  void collect_spill_metrics(obs::MetricsRegistry& out,
-                             std::span<const std::size_t> client_indices = {});
+  /// metrics registry (and thus the Prometheus export).
+  void collect_spill_metrics(obs::MetricsRegistry& out);
 
  private:
   void build_backend();
@@ -367,6 +366,8 @@ class Scenario {
     net::LinkStats links;
   };
   std::optional<LeftOut> left_out_;
+  /// End of this scenario's own warm-up, for one that builds every FE.
+  std::optional<sim::SimTime> warm_end_;
   /// Throws std::logic_error when a shared fleet warm-up is set but
   /// warm_up() has not adopted it yet.
   void require_fleet_adopted() const;

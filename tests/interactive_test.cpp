@@ -28,6 +28,7 @@ struct InteractiveFixture {
     opt.fe_distance_sweep_miles = std::vector<double>{200.0};
     scenario = std::make_unique<testbed::Scenario>(opt);
     scenario->warm_up();
+    scenario->connect_client_to_fe(0, 0);
   }
 
   TypingSessionResult run_typing(const std::string& text,

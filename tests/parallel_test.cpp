@@ -146,7 +146,6 @@ testbed::ExperimentOptions small_experiment() {
 void expect_identical(const testbed::ExperimentResult& a,
                       const testbed::ExperimentResult& b) {
   ASSERT_EQ(a.boundary, b.boundary);
-  ASSERT_EQ(a.discovery_fetches, b.discovery_fetches);
   ASSERT_EQ(a.per_node_timings.size(), b.per_node_timings.size());
   for (std::size_t n = 0; n < a.per_node_timings.size(); ++n) {
     const auto& qa = a.per_node_timings[n];
@@ -309,7 +308,8 @@ std::uint64_t campaign_digest(const testbed::ExperimentResult& r) {
 
 // The replica campaigns of the CLI-default layout, pinned. Both fleets go
 // quiet after the 5 s warm-up floor, so the pins also hold the warm-up's
-// end: a replica's queries start when its whole fleet is quiet.
+// end: a replica's queries start when its whole fleet is quiet, with the
+// boundary probed once before any replica is built.
 TEST(ParallelExperiment, ReplicaCampaignDigestPinned) {
   testbed::ReplicaPlan plan;  // one replica per vantage point
   plan.executor.threads = 2;
@@ -323,7 +323,7 @@ TEST(ParallelExperiment, ReplicaCampaignDigestPinned) {
   two_reps.reps_per_node = 2;
   const auto a = testbed::run_default_fe_experiment(bing, two_reps, plan);
   EXPECT_EQ(a.all().size(), 48u);
-  EXPECT_EQ(campaign_digest(a), 0xa87566fb20875e69ULL);
+  EXPECT_EQ(campaign_digest(a), 0xc0c186f84d64908aULL);
 
   testbed::ScenarioOptions google;
   google.profile = cdn::google_like_profile();
@@ -332,13 +332,13 @@ TEST(ParallelExperiment, ReplicaCampaignDigestPinned) {
   google.stream_analysis = true;
   const auto b = testbed::run_fixed_fe_experiment(google, 0, two_reps, plan);
   EXPECT_EQ(b.all().size(), 32u);
-  EXPECT_EQ(campaign_digest(b), 0xea45e05debc3b66eULL);
+  EXPECT_EQ(campaign_digest(b), 0x7c194132fe989013ULL);
 }
 
 // ---------------------------------------------------------------------------
-// Lean replicas: a replica builds only the vantage points it drives, its
-// group plus client 0 (the boundary probe). Driven through the same group,
-// it must report exactly what a scenario with the whole fleet reports.
+// Lean replicas: a replica builds only the vantage points of its group.
+// Driven through the same group, it must report exactly what a scenario
+// with the whole fleet reports.
 // ---------------------------------------------------------------------------
 
 struct LeanCase {
@@ -362,20 +362,42 @@ obs::MetricsRegistry deterministic_kernel(const obs::MetricsRegistry& kernel) {
   return out;
 }
 
+/// A campaign's fleet record, as its probe pass takes it (5 s floor).
+std::shared_ptr<const testbed::FleetWarmup> fleet_record_of(
+    const testbed::ScenarioOptions& base) {
+  return testbed::probe_campaign(base, 5_s, std::nullopt).fleet;
+}
+
 class LeanReplica : public ::testing::TestWithParam<LeanCase> {};
 
-TEST_P(LeanReplica, EqualsFullScenario) {
-  const LeanCase& c = GetParam();
+/// The fleet both LeanReplica tests drive. Capture cases capture payloads,
+/// so each client's campaign capture outgrows the 64k spill budget.
+testbed::ScenarioOptions lean_base(const LeanCase& c) {
   testbed::ScenarioOptions base;
   base.profile =
       c.bing_default_fe ? cdn::bing_like_profile() : cdn::google_like_profile();
   base.client_count = 7;
   base.seed = 4242;
   base.stream_analysis = c.streaming;
-  if (!c.streaming) base.capture_budget = 64 * 1024;
+  if (!c.streaming) {
+    base.capture_budget = 64 * 1024;
+    base.capture_payloads = true;
+  }
   base.enable_tracing = c.telemetry;
   if (c.telemetry) base.ts_interval = 250_ms;
+  return base;
+}
+
+TEST_P(LeanReplica, EqualsFullScenario) {
+  const LeanCase& c = GetParam();
+  testbed::ScenarioOptions base = lean_base(c);
   const auto options = small_experiment();
+  const std::size_t boundary =
+      testbed::probe_campaign(base, 5_s,
+                              c.bing_default_fe
+                                  ? std::nullopt
+                                  : std::optional<std::size_t>{0})
+          .boundary;
 
   const std::size_t clients = base.client_count;
   const std::size_t shards = c.shards == 0 ? clients : c.shards;
@@ -390,7 +412,6 @@ TEST_P(LeanReplica, EqualsFullScenario) {
     }
     testbed::ScenarioOptions lean_options = base;
     lean_options.driven_clients = group;
-    if (group.front() != 0) lean_options.driven_clients.push_back(0);
 
     std::vector<testbed::ExperimentResult> results;
     for (const auto* opt : {&lean_options, &base}) {
@@ -408,9 +429,11 @@ TEST_P(LeanReplica, EqualsFullScenario) {
         }
       }
       results.push_back(testbed::run_experiment_subset(
-          scenario, options, group, [&](std::size_t i) {
+          scenario, options, group,
+          [&](std::size_t i) {
             return c.bing_default_fe ? sc_clients[i].default_fe : 0;
-          }));
+          },
+          boundary));
     }
     const testbed::ExperimentResult& lean = results[0];
     const testbed::ExperimentResult& full = results[1];
@@ -431,7 +454,7 @@ TEST_P(LeanReplica, EqualsFullScenario) {
   if (!c.bing_default_fe) {
     EXPECT_GT(second_links * 2, clients);
   }
-  // The boundary probe's payload capture outgrows the budget.
+  // The campaign's own payload capture outgrows the budget.
   if (!c.streaming) {
     EXPECT_GT(spill_blocks, 0u);
   }
@@ -447,6 +470,70 @@ INSTANTIATE_TEST_SUITE_P(
                       LeanCase{"GoogleFe0StreamShards3", false, true, false, 3},
                       LeanCase{"GoogleFe0CaptureShards0", false, false, false, 0},
                       LeanCase{"GoogleFe0CaptureTelemetryShards3", false, false, true, 3}));
+
+TEST(LeanReplica, ReplicasDriveOnlyTheirGroup) {
+  // The boundary is probed before any replica is built, so no replica
+  // drives client 0 or builds its FE unless its group holds it.
+  testbed::ScenarioOptions base;
+  base.profile = cdn::bing_like_profile();
+  base.client_count = 8;
+  base.seed = 20;
+  const auto fleet = fleet_record_of(base);
+  for (const std::vector<std::size_t>& group :
+       {std::vector<std::size_t>{0, 1}, std::vector<std::size_t>{3},
+        std::vector<std::size_t>{5, 6, 7}}) {
+    for (const std::optional<std::size_t> fixed_fe :
+         {std::optional<std::size_t>{}, std::optional<std::size_t>{2}}) {
+      SCOPED_TRACE("group from " + std::to_string(group.front()) +
+                   (fixed_fe ? ", fixed FE 2" : ", default FEs"));
+      std::vector<std::size_t> fes;
+      for (const std::size_t i : group) {
+        fes.push_back(fixed_fe.value_or(fleet->default_fe[i]));
+      }
+      const auto alone =
+          testbed::replica_options(base, group, nullptr, fixed_fe);
+      EXPECT_EQ(alone.driven_clients, group);
+      EXPECT_TRUE(alone.queried_fes.empty());
+      const auto options =
+          testbed::replica_options(base, group, fleet, fixed_fe);
+      EXPECT_EQ(options.driven_clients, group);
+      EXPECT_EQ(options.queried_fes, fes);
+      testbed::Scenario replica(options);
+      for (std::size_t i = 0; i < base.client_count; ++i) {
+        EXPECT_EQ(replica.clients()[i].driven(),
+                  std::find(group.begin(), group.end(), i) != group.end())
+            << "client " << i;
+      }
+      for (std::size_t f = 0; f < replica.fes().size(); ++f) {
+        EXPECT_EQ(replica.fes()[f].built(),
+                  std::find(fes.begin(), fes.end(), f) != fes.end())
+            << "FE " << f;
+      }
+    }
+  }
+}
+
+TEST(ParallelExperiment, FeAndBeCountCampaignQueriesOnly) {
+  // With the boundary probed outside every campaign scenario, the FE and
+  // BE counters count the campaign's queries, clients x reps, in every
+  // replica layout.
+  testbed::ScenarioOptions base;
+  base.profile = cdn::bing_like_profile();
+  base.client_count = 12;
+  base.seed = 2;
+  base.stream_analysis = true;
+  const auto options = small_experiment();
+  for (const std::size_t shards : {0, 1, 7}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    testbed::ReplicaPlan plan;
+    plan.shards = shards;
+    plan.executor.threads = 2;
+    const auto r = testbed::run_default_fe_experiment(base, options, plan);
+    EXPECT_EQ(r.all().size(), 36u);
+    EXPECT_EQ(r.metrics.counter("be_queries_served"), 36u);
+    EXPECT_EQ(r.metrics.counter("fe_queries_handled"), 36u);
+  }
+}
 
 TEST(LeanReplica, IdleVantagePointsKeepTheirNodesAndCannotBeDriven) {
   auto options = small_scenario();
@@ -477,7 +564,7 @@ TEST(LeanReplica, IdleVantagePointsKeepTheirNodesAndCannotBeDriven) {
 
 // ---------------------------------------------------------------------------
 // Shared fleet warm-up: a multi-replica plan simulates the FE fleet's
-// warm-up once (Scenario::record_fleet_warmup), to the end of its floor and
+// warm-up once, in its probe pass, to the end of its floor and
 // on until the event queue is empty. A replica then builds only the FEs it
 // queries, warms up to the record's end and counts the others' warm-up
 // from the record. Driven through the same group, it must report exactly
@@ -485,30 +572,14 @@ TEST(LeanReplica, IdleVantagePointsKeepTheirNodesAndCannotBeDriven) {
 // in fewer kernel events.
 // ---------------------------------------------------------------------------
 
-/// A replica's options as the runners build them: the group plus client 0,
-/// querying `fixed_fe` or, without one, each client's default FE.
-testbed::ScenarioOptions fleet_replica_options(
-    const testbed::ScenarioOptions& base, const std::vector<std::size_t>& group,
-    std::shared_ptr<const testbed::FleetWarmup> fleet,
-    std::optional<std::size_t> fixed_fe) {
-  testbed::ScenarioOptions options = base;
-  options.driven_clients = group;
-  if (group.front() != 0) options.driven_clients.push_back(0);
-  for (const std::size_t i : options.driven_clients) {
-    options.queried_fes.push_back(fixed_fe ? *fixed_fe
-                                           : fleet->default_fe.at(i));
-  }
-  options.fleet_warmup = std::move(fleet);
-  return options;
-}
-
 struct FleetComparison {
   testbed::ExperimentResult replica;
   testbed::ExperimentResult full;
 };
 
 /// Drive `group` through a fleet replica and through the full scenario,
-/// both warmed up with the 5 s floor `fleet` was recorded with, and expect
+/// both warmed up with the 5 s floor `fleet` was recorded with, each with
+/// the boundary it discovers from the group's first client, and expect
 /// the same exports and the same clock at the end.
 FleetComparison compare_fleet_replica(
     const testbed::ScenarioOptions& base, const std::vector<std::size_t>& group,
@@ -518,14 +589,17 @@ FleetComparison compare_fleet_replica(
   std::vector<testbed::ExperimentResult> results;
   std::vector<sim::SimTime> ends;
   for (const testbed::ScenarioOptions& opt :
-       {fleet_replica_options(base, group, fleet, fixed_fe), base}) {
+       {testbed::replica_options(base, group, fleet, fixed_fe), base}) {
     testbed::Scenario scenario(opt);
     scenario.warm_up(5_s);
     auto& clients = scenario.clients();
-    results.push_back(testbed::run_experiment_subset(
-        scenario, options, group, [&](std::size_t i) {
-          return fixed_fe ? *fixed_fe : clients[i].default_fe;
-        }));
+    const auto fe_for = [&](std::size_t i) {
+      return fixed_fe ? *fixed_fe : clients[i].default_fe;
+    };
+    const std::size_t boundary = testbed::discover_boundary(
+        scenario, group.front(), fe_for(group.front()));
+    results.push_back(testbed::run_experiment_subset(scenario, options, group,
+                                                     fe_for, boundary));
     ends.push_back(scenario.simulator().now());
   }
   FleetComparison out{std::move(results[0]), std::move(results[1])};
@@ -547,18 +621,9 @@ FleetComparison compare_fleet_replica(
 
 TEST_P(LeanReplica, FleetWarmupReplicaEqualsFullScenario) {
   const LeanCase& c = GetParam();
-  testbed::ScenarioOptions base;
-  base.profile =
-      c.bing_default_fe ? cdn::bing_like_profile() : cdn::google_like_profile();
-  base.client_count = 7;
-  base.seed = 4242;
-  base.stream_analysis = c.streaming;
-  if (!c.streaming) base.capture_budget = 64 * 1024;
-  base.enable_tracing = c.telemetry;
-  if (c.telemetry) base.ts_interval = 250_ms;
+  const testbed::ScenarioOptions base = lean_base(c);
 
-  const auto fleet = std::make_shared<const testbed::FleetWarmup>(
-      testbed::Scenario::record_fleet_warmup(base, 5_s));
+  const auto fleet = fleet_record_of(base);
   const std::size_t clients = base.client_count;
   const std::size_t shards = c.shards == 0 ? clients : c.shards;
   for (std::size_t s = 0; s < shards; ++s) {
@@ -611,11 +676,10 @@ TEST(FleetWarmup, WarmUpEndsWithAnEmptyQueue) {
       EXPECT_EQ(end, 5_s);
     }
 
-    const auto fleet = std::make_shared<const testbed::FleetWarmup>(
-        testbed::Scenario::record_fleet_warmup(base, 5_s));
+    const auto fleet = fleet_record_of(base);
     EXPECT_EQ(fleet->deadline, end);
     testbed::Scenario replica(
-        fleet_replica_options(base, {3}, fleet, std::nullopt));
+        testbed::replica_options(base, {3}, fleet, std::nullopt));
     replica.warm_up();
     EXPECT_EQ(replica.simulator().now(), end);
     EXPECT_TRUE(replica.simulator().idle());
@@ -630,11 +694,10 @@ TEST(FleetWarmup, ReplicaStillBusyAtTheRecordsEndThrows) {
   base.profile = cdn::bing_like_profile();
   base.client_count = 6;
   base.seed = 20;
-  testbed::FleetWarmup early =
-      testbed::Scenario::record_fleet_warmup(base, 5_s);
+  testbed::FleetWarmup early = *fleet_record_of(base);
   ASSERT_GT(early.deadline, 5_s);
   early.deadline = 5_s;
-  testbed::Scenario replica(fleet_replica_options(
+  testbed::Scenario replica(testbed::replica_options(
       base, {3}, std::make_shared<const testbed::FleetWarmup>(early), 36));
   EXPECT_THROW(replica.warm_up(), std::logic_error);
 }
@@ -644,11 +707,10 @@ TEST(FleetWarmup, IdleFesKeepTheirNodesAndCannotBeDriven) {
   base.profile = cdn::bing_like_profile();
   base.client_count = 6;
   base.seed = 20;
-  const auto fleet = std::make_shared<const testbed::FleetWarmup>(
-      testbed::Scenario::record_fleet_warmup(base, 5_s));
+  const auto fleet = fleet_record_of(base);
   testbed::Scenario full(base);
 
-  const auto options = fleet_replica_options(base, {3}, fleet, std::nullopt);
+  const auto options = testbed::replica_options(base, {3}, fleet, std::nullopt);
   testbed::Scenario replica(options);
   auto& fes = replica.fes();
   ASSERT_EQ(fes.size(), full.fes().size());
@@ -701,8 +763,7 @@ TEST(FleetWarmup, ReplicaMatchesAfterALateWarmUp) {
     base.stream_analysis = true;
     base.enable_tracing = telemetry;
     if (telemetry) base.ts_interval = 100_ms;
-    const auto fleet = std::make_shared<const testbed::FleetWarmup>(
-        testbed::Scenario::record_fleet_warmup(base, 5_s));
+    const auto fleet = fleet_record_of(base);
     ASSERT_GT(fleet->deadline, 7_s);
     ASSERT_EQ(fleet->default_fe[10], 35u);
 
@@ -718,7 +779,7 @@ TEST(FleetWarmup, ReplicaMatchesAfterALateWarmUp) {
       SCOPED_TRACE("group from " + std::to_string(g.clients.front()));
       // The premise: the group's own FEs are busy at the floor, or quiet.
       testbed::Scenario own(
-          fleet_replica_options(base, g.clients, fleet, g.fixed_fe));
+          testbed::replica_options(base, g.clients, fleet, g.fixed_fe));
       own.run_until(5_s);
       EXPECT_EQ(own.simulator().idle(), !g.late);
       const FleetComparison r =
@@ -755,10 +816,9 @@ TEST(FleetWarmup, CampaignIsThreadCountInvariant) {
   EXPECT_EQ(exports[0], exports[1]);
 }
 
-// A replica fetch-factoring campaign (one replica per sweep probe, so each
-// builds FE 0 and its own FE; no FE of this sweep is busy at the warm-up
-// deadline) pinned to the bytes of the runner that built every FE in
-// every replica. Factoring runs as a Datasets-A campaign, so its dump
+// A replica fetch-factoring campaign (one replica per sweep probe, each
+// building only its own FE; no FE of this sweep is busy at the warm-up
+// deadline), pinned. Factoring runs as a Datasets-A campaign, so its dump
 // also carries the per-query families Datasets A/B export
 // (dyncdn_queries_analyzed, dyncdn_query_*_ms): the first digest covers
 // the dump without them, the second those families.
@@ -795,10 +855,10 @@ TEST(FleetWarmup, ReplicaFetchFactoringPinned) {
     (query ? query_families : runner_families) += line + '\n';
   }
   mix(runner_families.data(), runner_families.size());
-  EXPECT_EQ(h, 0xbeb563af7ecdb45fULL) << std::hex << h;
+  EXPECT_EQ(h, 0x35091377a938631fULL) << std::hex << h;
   h = 0xcbf29ce484222325ULL;
   mix(query_families.data(), query_families.size());
-  EXPECT_EQ(h, 0xfbade0a833cb1a25ULL) << std::hex << h;
+  EXPECT_EQ(h, 0xd1a132975e58c9a8ULL) << std::hex << h;
 }
 
 TEST(FleetWarmup, FetchFactoringExportsAreThreadCountInvariant) {
@@ -814,7 +874,7 @@ TEST(FleetWarmup, FetchFactoringExportsAreThreadCountInvariant) {
       std::vector<double>{30, 400, 900, 1500, 2500, 4000, 6500};
   opt.enable_tracing = true;
   opt.ts_interval = 100_ms;
-  EXPECT_GT(testbed::Scenario::record_fleet_warmup(opt, 5_s).deadline, 5_s);
+  EXPECT_GT(fleet_record_of(opt)->deadline, 5_s);
   const search::Keyword keyword{"network measurement study",
                                 search::KeywordClass::kGranular, 5000};
   std::vector<std::string> traces, series, dumps;

@@ -767,17 +767,29 @@ TEST(StreamingExperiment, ByteIdenticalUnderClientLinkLoss) {
 }
 
 TEST(StreamingExperiment, DiscoverBoundaryMatchesCaptureMode) {
-  // Full-stack cross-check of the probe: fed live in a streaming scenario
-  // it must land on the very boundary a replay of the retained capture
-  // finds in a capture-mode scenario.
-  testbed::Scenario cap(small_scenario(false));
+  // Full-stack cross-check of the probe: discover_boundary, fed live in its
+  // streaming probe scenario, must land on the very boundary a replay of a
+  // retained payload capture of the same six queries finds
+  // (analysis::probe_boundary).
+  testbed::ScenarioOptions so = small_scenario(false);
+  so.capture_payloads = true;
+  testbed::Scenario cap(so);
   cap.warm_up();
-  const std::size_t replayed = testbed::discover_boundary(cap, 0, 0);
-  testbed::Scenario str(small_scenario(true));
-  str.warm_up();
-  const std::size_t live = testbed::discover_boundary(str, 0, 0);
-  EXPECT_GT(replayed, 0u);
-  EXPECT_EQ(live, replayed);
+  const std::size_t live = testbed::discover_boundary(cap, 0, 0);
+
+  cap.connect_client_to_fe(0, 0);
+  auto& client = cap.clients().front();
+  const search::KeywordCatalog catalog(cap.simulator().rng().seed());
+  for (const search::Keyword& kw : catalog.distinct_corpus(6)) {
+    client.query_client->submit(cap.fe_endpoint(0), kw,
+                                [](const cdn::QueryResult&) {});
+  }
+  cap.run();
+  const ProbedBoundary replayed =
+      probe_boundary(client.recorder->trace(), kPort);
+  EXPECT_EQ(replayed.responses, 6u);
+  EXPECT_GT(replayed.boundary, 0u);
+  EXPECT_EQ(live, replayed.boundary);
 }
 
 TEST(StreamingExperiment, LossyCaptureReplayMatchesReferenceLiveCollapseNot) {
@@ -887,7 +899,8 @@ TEST(StreamingExperiment, StreamingModeEmitsOnlineAndBoundsMemory) {
 // ---------------------------------------------------------------------------
 // Lazy dynamic bodies: the BE's bodies are written only where something
 // reads them. A streaming campaign reads only its boundary probe's
-// responses; saving payload captures reads every body served, once each.
+// responses, served in the probe's own scenario; saving payload captures
+// reads every body served, once each.
 // ---------------------------------------------------------------------------
 
 TEST(LazyBodies, StreamingCampaignFillsOnlyTheProbeBodies) {
@@ -899,7 +912,7 @@ TEST(LazyBodies, StreamingCampaignFillsOnlyTheProbeBodies) {
   ASSERT_GT(r.all().size(), 0u);
   // discover_boundary's default probe: 6 distinct keywords.
   EXPECT_EQ(net::bytebuf_fill_count() - before, 6u);
-  EXPECT_EQ(scenario.backend().queries_served(), 6u + 6u * 3u);
+  EXPECT_EQ(scenario.backend().queries_served(), 6u * 3u);
 }
 
 TEST(LazyBodies, SavedPayloadCapturesFillEachServedBodyOnce) {
@@ -920,9 +933,10 @@ TEST(LazyBodies, SavedPayloadCapturesFillEachServedBodyOnce) {
   EXPECT_EQ(std::distance(std::filesystem::directory_iterator(dir),
                           std::filesystem::directory_iterator()),
             6);
-  EXPECT_EQ(scenario.backend().queries_served(), 6u + 6u * 3u);
+  EXPECT_EQ(scenario.backend().queries_served(), 6u * 3u);
+  // The probe's 6 bodies, then every body the campaign served.
   EXPECT_EQ(net::bytebuf_fill_count() - before,
-            scenario.backend().queries_served());
+            6u + scenario.backend().queries_served());
   std::filesystem::remove_all(dir);
 }
 

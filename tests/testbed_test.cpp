@@ -11,7 +11,9 @@
 
 #include "stats/descriptive.hpp"
 
+#include "analysis/timeline.hpp"
 #include "core/inference.hpp"
+#include "obs/export_prometheus.hpp"
 #include "search/keywords.hpp"
 #include "testbed/experiment.hpp"
 #include "testbed/parallel_experiment.hpp"
@@ -260,6 +262,188 @@ TEST(Experiment, BoundaryDiscoveryFindsStaticPortion) {
   EXPECT_LE(boundary, static_html + 256);  // head block is small
 }
 
+TEST(Experiment, DiscoverBoundaryLeavesTheScenarioUnchanged) {
+  // The probe runs in a throw-away scenario of its own: the scenario it is
+  // handed keeps its clock, exports, kernel counters, ground-truth logs,
+  // spans and captures. Clients 0 and 1 have each queried once first, so
+  // there is state to keep.
+  ScenarioOptions opt = small_options(cdn::bing_like_profile(), 4, 23);
+  opt.capture_payloads = true;
+  opt.enable_tracing = true;
+  Scenario s(opt);
+  s.warm_up();
+  auto& clients = s.clients();
+  const search::Keyword kw = search::KeywordCatalog(5).figure3_keywords()[0];
+  for (const std::size_t i : {0, 1}) {
+    clients[i].query_client->submit(s.default_fe_endpoint(i), kw,
+                                    [](const cdn::QueryResult&) {});
+  }
+  s.run();
+
+  struct Snapshot {
+    sim::SimTime now;
+    std::string metrics;
+    std::uint64_t events = 0;
+    std::vector<std::size_t> fetches;
+    std::size_t be_queries = 0;
+    std::size_t spans = 0;
+    std::vector<std::size_t> captured;
+  };
+  const auto snapshot = [&s, &clients] {
+    Snapshot out;
+    out.now = s.simulator().now();
+    obs::MetricsRegistry metrics, kernel;
+    s.collect_metrics(metrics);
+    out.metrics = obs::export_prometheus(metrics);
+    s.collect_kernel_metrics(kernel);
+    out.events = kernel.counter("sim_events_executed");
+    for (auto& fe : s.fes()) out.fetches.push_back(fe.server->fetch_log().size());
+    out.be_queries = s.backend().query_log().size();
+    out.spans = s.trace()->spans().size();
+    for (auto& c : clients) out.captured.push_back(c.recorder->trace().size());
+    return out;
+  };
+  const Snapshot before = snapshot();
+  ASSERT_GT(before.captured[0], 0u);
+  ASSERT_GT(before.spans, 0u);
+  const std::size_t other_fe = (clients[0].default_fe + 1) % s.fes().size();
+  for (const std::size_t fe : {clients[0].default_fe, other_fe}) {
+    SCOPED_TRACE("probing FE " + std::to_string(fe));
+    EXPECT_GT(discover_boundary(s, 0, fe), 0u);
+    const Snapshot after = snapshot();
+    EXPECT_EQ(after.now, before.now);
+    EXPECT_EQ(after.metrics, before.metrics);
+    EXPECT_EQ(after.events, before.events);
+    EXPECT_EQ(after.fetches, before.fetches);
+    EXPECT_EQ(after.be_queries, before.be_queries);
+    EXPECT_EQ(after.spans, before.spans);
+    EXPECT_EQ(after.captured, before.captured);
+  }
+
+  // Nothing to build the probe scenario from before the warm-up.
+  Scenario cold(opt);
+  EXPECT_THROW(discover_boundary(cold, 0, 0), std::logic_error);
+}
+
+TEST(Experiment, DiscoverBoundaryMatchesTheInPlaceProbe) {
+  // The throw-away probe scenario finds the boundary the probe found when
+  // it ran inside the scenario it was handed (9033 bytes for Google-like
+  // seed 77, 9031 for Bing-like), whatever the handed scenario's analysis
+  // mode and tracing, towards client 0's default FE and another. It
+  // captures for itself, so the handed scenario need not capture at all.
+  enum class Mode { kCapture, kStreaming, kNoCapture };
+  for (const bool bing : {false, true}) {
+    for (const Mode mode : {Mode::kCapture, Mode::kStreaming, Mode::kNoCapture}) {
+      for (const bool traced : {false, true}) {
+        SCOPED_TRACE(std::string(bing ? "Bing-like" : "Google-like") +
+                     (mode == Mode::kCapture     ? ", capture"
+                      : mode == Mode::kStreaming ? ", streaming"
+                                                 : ", no capture") +
+                     (traced ? ", traced" : ", untraced"));
+        ScenarioOptions opt = small_options(
+            bing ? cdn::bing_like_profile() : cdn::google_like_profile(), 5,
+            77);
+        opt.stream_analysis = mode == Mode::kStreaming;
+        opt.capture_clients = mode != Mode::kNoCapture;
+        opt.enable_tracing = traced;
+        Scenario s(opt);
+        s.warm_up();
+        const std::size_t fe = s.clients()[0].default_fe;
+        const std::size_t expected = bing ? 9031u : 9033u;
+        EXPECT_EQ(discover_boundary(s, 0, fe), expected);
+        EXPECT_EQ(discover_boundary(s, 0, (fe + 3) % s.fes().size()),
+                  expected);
+      }
+    }
+  }
+}
+
+TEST(Experiment, QueriesTakeTheDirectClientFePath) {
+  // A query to FE f travels the client's own access link to f, not a route
+  // through its default FE and the BE: its handshake RTT equals
+  // Scenario::client_fe_rtt within 0.1 ms (the SYN and SYN-ACK
+  // serialization adds 0.013 ms; the detour through client 0's default FE
+  // and the BE adds 2.1 ms). Checked for a serial and a replica campaign,
+  // the caching experiment and a query submitted by hand after
+  // discover_boundary, each towards an FE no client defaults to.
+  constexpr double kTolMs = 0.1;
+  ScenarioOptions opt = small_options(cdn::bing_like_profile(), 4, 29);
+  opt.enable_tracing = true;
+  std::size_t far_fe = 0;
+  {
+    Scenario probe(opt);
+    while (std::any_of(probe.clients().begin(), probe.clients().end(),
+                       [&](const Scenario::Client& c) {
+                         return c.default_fe == far_fe;
+                       })) {
+      ++far_fe;
+    }
+    ASSERT_LT(far_fe, probe.fes().size());
+  }
+  const auto expect_direct = [&](Scenario& s, std::size_t client,
+                                 double rtt_ms) {
+    EXPECT_NEAR(rtt_ms, s.client_fe_rtt(client, far_fe).to_milliseconds(),
+                kTolMs)
+        << "client " << client;
+  };
+
+  {
+    SCOPED_TRACE("serial campaign");
+    Scenario s(opt);
+    s.warm_up();
+    const ExperimentResult r =
+        run_fixed_fe_experiment(s, far_fe, small_experiment(2));
+    ASSERT_EQ(r.all().size(), 8u);
+    for (std::size_t i = 0; i < r.per_node_timings.size(); ++i) {
+      for (const auto& q : r.per_node_timings[i]) expect_direct(s, i, q.rtt_ms);
+    }
+  }
+  {
+    SCOPED_TRACE("replica campaign");
+    Scenario s(opt);
+    const ExperimentResult r =
+        run_fixed_fe_experiment(opt, far_fe, small_experiment(2));
+    ASSERT_EQ(r.all().size(), 8u);
+    for (std::size_t i = 0; i < r.per_node_timings.size(); ++i) {
+      for (const auto& q : r.per_node_timings[i]) expect_direct(s, i, q.rtt_ms);
+    }
+  }
+  {
+    SCOPED_TRACE("caching experiment");
+    Scenario s(opt);
+    s.warm_up();
+    run_caching_experiment(s, 0, far_fe, 3);
+    std::size_t flows = 0;
+    for (const obs::SpanRecord& span : s.trace()->spans()) {
+      if (span.name != "tcp.flow") continue;
+      sim::SimTime syn, synack;
+      for (const obs::SpanEvent& e : span.events) {
+        if (e.name == "syn") syn = e.at;
+        if (e.name == "synack") synack = e.at;
+      }
+      expect_direct(s, 0, (synack - syn).to_milliseconds());
+      ++flows;
+    }
+    EXPECT_EQ(flows, 6u);
+  }
+  {
+    SCOPED_TRACE("query submitted by hand");
+    Scenario s(opt);
+    s.warm_up();
+    const std::size_t boundary = discover_boundary(s, 0, far_fe);
+    s.connect_client_to_fe(0, far_fe);
+    auto& client = s.clients()[0];
+    client.query_client->submit(
+        s.fe_endpoint(far_fe), search::KeywordCatalog(5).figure3_keywords()[0],
+        [](const cdn::QueryResult&) {});
+    s.run();
+    const auto timelines =
+        analysis::extract_all_timelines(client.recorder->trace(), 80, boundary);
+    ASSERT_EQ(timelines.size(), 1u);
+    expect_direct(s, 0, timelines[0].rtt().to_milliseconds());
+  }
+}
+
 TEST(Experiment, FixedFeProducesValidTimingsForAllNodes) {
   Scenario s(small_options(cdn::google_like_profile(), 10, 21));
   s.warm_up();
@@ -283,19 +467,18 @@ TEST(Experiment, InferenceBoundsHoldAgainstGroundTruth) {
       run_fixed_fe_experiment(s, 0, small_experiment(4));
 
   const auto& fetch_log = s.fes()[0].server->fetch_log();
-  ASSERT_GT(fetch_log.size(), r.discovery_fetches);
+  ASSERT_EQ(fetch_log.size(), 8u * 4u);
 
   // With a single FE and interleaved per-node queries we can't match 1:1,
   // so check the aggregate envelope instead: every true fetch must lie
   // within [min T_delta, max T_dynamic], and medians must be ordered.
-  // Skip the boundary-discovery fetches — their timings were discarded.
   std::vector<double> deltas, dynamics, truths;
   for (const auto& q : r.all()) {
     deltas.push_back(q.t_delta_ms);
     dynamics.push_back(q.t_dynamic_ms);
   }
-  for (std::size_t i = r.discovery_fetches; i < fetch_log.size(); ++i) {
-    truths.push_back(fetch_log[i].true_fetch_time().to_milliseconds());
+  for (const auto& fetch : fetch_log) {
+    truths.push_back(fetch.true_fetch_time().to_milliseconds());
   }
   ASSERT_FALSE(deltas.empty());
   const double max_dynamic = *std::max_element(dynamics.begin(), dynamics.end());
@@ -318,11 +501,9 @@ TEST(Experiment, PerQueryBoundsHoldOnSingleClient) {
   const auto timings = r.per_node_timings.at(0);
   const auto& fetch_log = s.fes()[0].server->fetch_log();
   ASSERT_EQ(timings.size(), 8u);
-  ASSERT_EQ(fetch_log.size(), r.discovery_fetches + 8u);
+  ASSERT_EQ(fetch_log.size(), 8u);
   for (std::size_t i = 0; i < timings.size(); ++i) {
-    const double truth = fetch_log[r.discovery_fetches + i]
-                             .true_fetch_time()
-                             .to_milliseconds();
+    const double truth = fetch_log[i].true_fetch_time().to_milliseconds();
     const core::FetchBounds bounds = core::fetch_bounds(timings[i]);
     EXPECT_LE(bounds.lower_ms, truth + 0.5) << "query " << i;
     EXPECT_GE(bounds.upper_ms, truth - 0.5) << "query " << i;
@@ -376,7 +557,7 @@ TEST(Experiment, ZipfWorkloadRunsAndHitsHotKeywords) {
   // fraction of the base cost; with Zipf draws a substantial share of
   // queries is hot, so the minimum observed T_proc sits well below the
   // median.
-  EXPECT_GT(s.backend().query_log().size(), 60u);  // incl. discovery
+  EXPECT_EQ(s.backend().query_log().size(), 60u);  // the campaign's only
   std::vector<double> procs;
   for (const auto& rec : s.backend().query_log()) {
     procs.push_back(rec.t_proc.to_milliseconds());
