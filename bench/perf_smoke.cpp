@@ -41,6 +41,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -291,11 +292,29 @@ struct MemoryPhase {
   std::uint64_t late_packets = 0;
 };
 
+/// run_fixed_fe_experiment(sc, 0, eo) on a warmed-up scenario, timing
+/// ONLY the campaign (run_experiment_subset): the boundary probe, which
+/// builds, warms and runs a probe scenario of its own (discover_boundary),
+/// runs before the clock starts, as a replica campaign's runs before its
+/// replicas.
+testbed::ExperimentResult run_campaign_timed(
+    testbed::Scenario& sc, const testbed::ExperimentOptions& eo,
+    double& wall_ms) {
+  const std::size_t boundary = testbed::discover_boundary(sc, 0, 0);
+  std::vector<std::size_t> all(sc.clients().size());
+  std::iota(all.begin(), all.end(), std::size_t{0});
+  const auto start = std::chrono::steady_clock::now();
+  testbed::ExperimentResult result = testbed::run_experiment_subset(
+      sc, eo, all, [](std::size_t) { return std::size_t{0}; }, boundary);
+  wall_ms = wall_ms_since(start);
+  return result;
+}
+
 /// One serial campaign with the 100ms sim-time sampler on or off, timing
-/// ONLY the measurement run: scenario construction and warm-up stay
-/// outside the clock, since they are identical on both sides and their
-/// allocation noise would drown the per-tick sampling cost the telemetry
-/// overhead gate compares.
+/// ONLY the campaign: scenario construction, warm-up and the boundary
+/// probe stay outside the clock, since they are identical on both sides
+/// and their allocation noise would drown the per-tick sampling cost the
+/// telemetry overhead gate compares.
 double bench_campaign_wall_ms(const testbed::ScenarioOptions& base,
                               const testbed::ExperimentOptions& eo,
                               bool sampled) {
@@ -305,9 +324,9 @@ double bench_campaign_wall_ms(const testbed::ScenarioOptions& base,
       sampled ? sim::SimTime::milliseconds(100) : sim::SimTime::zero();
   testbed::Scenario sc(so);
   sc.warm_up();
-  const auto start = std::chrono::steady_clock::now();
-  testbed::run_fixed_fe_experiment(sc, 0, eo);
-  return wall_ms_since(start);
+  double wall_ms = 0;
+  run_campaign_timed(sc, eo, wall_ms);
+  return wall_ms;
 }
 
 MemoryPhase bench_campaign_memory(const testbed::ScenarioOptions& base,
@@ -428,7 +447,7 @@ SpillPhase bench_spill_encode(const testbed::ScenarioOptions& base,
 }
 
 /// One full-capture campaign with the given spill budget (0 = spilling
-/// off), timing only the measurement run — the telemetry-gate discipline.
+/// off), timing only the campaign — the telemetry-gate discipline.
 /// Returns the wall time plus the run's spill counters so the caller can
 /// assert the budgeted side actually spilled mid-campaign.
 struct SpillCampaignRun {
@@ -447,11 +466,9 @@ SpillCampaignRun bench_spill_campaign(const testbed::ScenarioOptions& base,
   so.capture_budget = budget;
   testbed::Scenario sc(so);
   sc.warm_up();
-  const auto start = std::chrono::steady_clock::now();
-  const testbed::ExperimentResult result =
-      testbed::run_fixed_fe_experiment(sc, 0, eo);
   SpillCampaignRun run;
-  run.wall_ms = wall_ms_since(start);
+  const testbed::ExperimentResult result =
+      run_campaign_timed(sc, eo, run.wall_ms);
   run.spill_blocks = result.metrics.counter("spill_blocks");
   run.spill_bytes = result.metrics.counter("spill_bytes_written");
   return run;

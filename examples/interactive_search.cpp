@@ -26,6 +26,7 @@ int main(int argc, char** argv) {
   opt.capture_clients = false;
   testbed::Scenario scenario(opt);
   scenario.warm_up();
+  scenario.connect_client_to_fe(0, 0);
 
   auto& client = scenario.clients().front();
   cdn::InteractiveTyper typer(*client.query_client, cdn::TypingOptions{}, 3);

@@ -14,7 +14,8 @@
 #include <cstdio>
 #include <string>
 
-#include "analysis/streaming.hpp"
+#include "analysis/boundary.hpp"
+#include "analysis/timeline.hpp"
 #include "capture/spill.hpp"
 #include "core/inference.hpp"
 #include "core/timings.hpp"
@@ -40,6 +41,7 @@ int main(int argc, char** argv) {
     scenario.warm_up();
 
     auto& client = scenario.clients().front();
+    scenario.connect_client_to_fe(0, client.default_fe);
     search::KeywordCatalog catalog(3);
     // A handful of distinct queries (for boundary discovery) plus repeats.
     for (const auto& kw : catalog.distinct_corpus(5)) {
@@ -65,8 +67,7 @@ int main(int argc, char** argv) {
   std::printf("stage 2: loaded %zu packets (node %u)\n", trace.size(),
               trace.node().value());
 
-  // Content analysis: replay the trace through the analyzer's boundary
-  // probe, which finds the common prefix of the responses.
+  // Content analysis: the common prefix of the reassembled responses.
   const analysis::ProbedBoundary probed = analysis::probe_boundary(trace, 80);
   const std::size_t boundary = probed.boundary;
   std::printf("content analysis: %zu responses, static portion = %zu "

@@ -4,6 +4,31 @@
 
 namespace dyncdn::analysis {
 
+std::size_t common_prefix_boundary(std::span<const std::string> responses) {
+  if (responses.size() < 2) return 0;
+  const std::string& first = responses.front();
+  std::size_t prefix = first.size();
+  for (std::size_t i = 1; i < responses.size() && prefix > 0; ++i) {
+    const std::string& other = responses[i];
+    const std::size_t limit = std::min(prefix, other.size());
+    std::size_t p = 0;
+    while (p < limit && first[p] == other[p]) ++p;
+    prefix = p;
+  }
+  return prefix;
+}
+
+ProbedBoundary probe_boundary(const capture::PacketTrace& trace,
+                              net::Port server_port) {
+  std::vector<std::string> responses;
+  for (const net::FlowId& flow : trace.flows()) {
+    if (flow.remote.port != server_port) continue;
+    const ReassembledStream stream = reassemble(trace, flow);
+    if (!stream.bytes().empty()) responses.push_back(stream.bytes());
+  }
+  return ProbedBoundary{common_prefix_boundary(responses), responses.size()};
+}
+
 std::vector<EventCluster> temporal_clusters(const ReassembledStream& stream,
                                             sim::SimTime min_gap) {
   std::vector<EventCluster> clusters;

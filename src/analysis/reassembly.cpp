@@ -6,17 +6,6 @@
 
 namespace dyncdn::analysis {
 
-std::optional<sim::SimTime> ReassembledStream::byte_time(
-    std::size_t offset) const {
-  std::optional<sim::SimTime> best;
-  for (const Segment& s : segments_) {
-    if (offset >= s.offset && offset < s.offset + s.length) {
-      if (!best || s.at < *best) best = s.at;
-    }
-  }
-  return best;
-}
-
 std::optional<sim::SimTime> ReassembledStream::prefix_complete_time(
     std::size_t offset) const {
   // Sweep capture order with a frontier: [0, covered) has arrived. A

@@ -1,10 +1,9 @@
 // TCP stream reassembly from captured packet traces.
 //
 // Reconstructs the application byte stream a node received on one flow,
-// together with per-byte first-arrival times. Works purely from the
-// capture records (like the paper's offline tcpdump analysis): duplicate
-// and out-of-order segments are handled, retransmitted bytes take their
-// earliest successful arrival time.
+// together with every captured segment's offset and time. Works purely
+// from the capture records (like the paper's offline tcpdump analysis):
+// duplicate, retransmitted and out-of-order segments are handled.
 #pragma once
 
 #include <cstdint>
@@ -42,10 +41,6 @@ class ReassembledStream {
   /// Total stream length implied by the captured segments (max extent);
   /// valid even without payload retention.
   std::size_t length() const { return length_; }
-
-  /// Earliest capture time of a packet carrying the byte at `offset`;
-  /// nullopt when the offset was never captured.
-  std::optional<sim::SimTime> byte_time(std::size_t offset) const;
 
   /// Earliest capture time of the packet that *completes* delivery of the
   /// prefix [0, offset]: i.e. the time at which all bytes up to `offset`

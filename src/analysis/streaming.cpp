@@ -1,7 +1,5 @@
 #include "analysis/streaming.hpp"
 
-#include <algorithm>
-#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -105,12 +103,6 @@ void StreamingAnalyzer::release_live(Slot& slot) {
 }
 
 void StreamingAnalyzer::on_packet(const capture::PacketRecord& record) {
-  if (probing_) {
-    // Probe traffic builds clipped response prefixes only; it must never
-    // surface as timelines in drain().
-    observe_probe(record);
-    return;
-  }
   const net::FlowId flow = record.flow_at_capture_node();
   if (flow.remote.port != server_port_) return;
 
@@ -188,243 +180,6 @@ void StreamingAnalyzer::on_clear() {
   index_.clear();
   live_bytes_ = 0;
   boundary_.reset();
-  reset_probe();
-}
-
-// --- Streaming boundary discovery -----------------------------------------
-
-std::size_t StreamingAnalyzer::probe_retained(const ProbeFlow& f) {
-  std::size_t n = sizeof(ProbeFlow) + f.bytes.size() +
-                  f.covered.size() * sizeof(std::pair<std::size_t, std::size_t>);
-  for (const ProbeFlow::PendingSegment& p : f.pending) {
-    n += sizeof(ProbeFlow::PendingSegment) + p.bytes.size();
-  }
-  return n;
-}
-
-void StreamingAnalyzer::begin_boundary_probe() {
-  if (probing_) {
-    throw std::logic_error("StreamingAnalyzer: boundary probe already active");
-  }
-  reset_probe();
-  probing_ = true;
-}
-
-std::size_t StreamingAnalyzer::probe_flows() const {
-  std::size_t n = 0;
-  for (const ProbeFlow& f : probe_flows_) {
-    const bool pending_payload =
-        std::any_of(f.pending.begin(), f.pending.end(),
-                    [](const auto& p) { return !p.bytes.empty(); });
-    if (f.has_payload || pending_payload) ++n;
-  }
-  return n;
-}
-
-void StreamingAnalyzer::observe_probe(const capture::PacketRecord& r) {
-  if (r.direction != capture::Direction::kReceived) return;
-  const net::FlowId flow = r.flow_at_capture_node();
-  if (flow.remote.port != server_port_) return;
-
-  const auto [entry, inserted] =
-      probe_index_.try_emplace(flow, probe_flows_.size());
-  if (inserted) {
-    probe_flows_.emplace_back();
-    probe_flows_.back().flow = flow;
-  }
-  ProbeFlow& pf = probe_flows_[*entry];
-  const std::size_t before = inserted ? 0 : probe_retained(pf);
-
-  if (r.tcp.flags.syn) {
-    // reassemble() keys the stream base off the *last* received SYN. The
-    // TCP stack never changes a connection's ISS across retransmissions,
-    // so rebasing is a no-op and pending pre-SYN data can be applied the
-    // moment the first SYN lands.
-    pf.iss = r.tcp.seq;
-    for (ProbeFlow::PendingSegment& p : pf.pending) {
-      apply_probe_segment(pf, *pf.iss + 1, p.seq, p.length, p.bytes);
-    }
-    pf.pending.clear();
-  }
-  if (r.payload_size > 0) {
-    // Single-slice payloads (the overwhelming common case) are consumed in
-    // place; chained ones are flattened into a reused scratch buffer whose
-    // capacity persists across packets.
-    std::span<const std::uint8_t> flat;
-    if (!r.payload.chained()) {
-      flat = r.payload.bytes();
-    } else {
-      probe_scratch_.clear();
-      probe_scratch_.reserve(r.payload.length);
-      r.payload.for_each_slice([this](std::span<const std::uint8_t> s) {
-        probe_scratch_.insert(probe_scratch_.end(), s.begin(), s.end());
-      });
-      flat = probe_scratch_;
-    }
-    if (!pf.iss) {
-      // Pre-SYN data must outlive this call: the segment keeps a copy.
-      pf.pending.push_back(ProbeFlow::PendingSegment{
-          r.tcp.seq, r.payload_size, {flat.begin(), flat.end()}});
-    } else {
-      apply_probe_segment(pf, *pf.iss + 1, r.tcp.seq, r.payload_size, flat);
-    }
-  }
-
-  live_bytes_ = live_bytes_ - before + probe_retained(pf);
-  bump_peak();
-  advance_probe_compare();
-}
-
-void StreamingAnalyzer::apply_probe_segment(
-    ProbeFlow& pf, std::uint64_t base, std::uint64_t seq,
-    std::size_t payload_size, std::span<const std::uint8_t> payload) {
-  if (seq < base) return;  // pre-data sequence space (SYN)
-  const std::size_t offset = static_cast<std::size_t>(seq - base);
-  pf.full_length = std::max(pf.full_length, offset + payload_size);
-  if (payload.empty()) return;
-  pf.has_payload = true;
-  if (offset >= probe_cap_) return;
-
-  // Overwrite-copy like reassemble(), clipped to the shared cap: gaps are
-  // '\0' filler until (and unless) a retransmission covers them.
-  const std::size_t end = std::min(offset + payload.size(), probe_cap_);
-  if (pf.bytes.size() < end) pf.bytes.resize(end, '\0');
-  std::copy(payload.begin(),
-            payload.begin() + static_cast<std::ptrdiff_t>(end - offset),
-            pf.bytes.begin() + static_cast<std::ptrdiff_t>(offset));
-
-  // Merge [offset, end) into the covered-interval list and refresh the
-  // contiguous-from-zero prefix length.
-  pf.covered.emplace_back(offset, end);
-  std::sort(pf.covered.begin(), pf.covered.end());
-  std::vector<std::pair<std::size_t, std::size_t>> merged;
-  for (const auto& iv : pf.covered) {
-    if (!merged.empty() && iv.first <= merged.back().second) {
-      merged.back().second = std::max(merged.back().second, iv.second);
-    } else {
-      merged.push_back(iv);
-    }
-  }
-  pf.covered.swap(merged);
-  pf.contig = (!pf.covered.empty() && pf.covered.front().first == 0)
-                  ? pf.covered.front().second
-                  : 0;
-}
-
-void StreamingAnalyzer::advance_probe_compare() {
-  // Incremental comparison against flow 0 over *covered* bytes only —
-  // '\0' filler under a still-open gap may yet be overwritten, so it is
-  // not comparable until the probe settles. If flow 0 never carries data
-  // the limits stay 0 and the cap is never tightened (the exact scan at
-  // finish then picks the first non-empty flow as reference).
-  if (probe_flows_.size() < 2) return;
-  const ProbeFlow& ref = probe_flows_[0];
-  for (std::size_t i = 1; i < probe_flows_.size(); ++i) {
-    ProbeFlow& f = probe_flows_[i];
-    if (f.mismatch) continue;
-    const std::size_t limit = std::min({ref.contig, f.contig, probe_cap_});
-    while (f.cmp < limit && ref.bytes[f.cmp] == f.bytes[f.cmp]) ++f.cmp;
-    if (f.cmp < limit) {
-      f.mismatch = f.cmp;
-      tighten_probe_cap(f.cmp + 1);
-    }
-  }
-}
-
-void StreamingAnalyzer::tighten_probe_cap(std::size_t cap) {
-  if (cap >= probe_cap_) return;
-  probe_cap_ = cap;
-  for (ProbeFlow& f : probe_flows_) {
-    const std::size_t before = probe_retained(f);
-    if (f.bytes.size() > cap) {
-      f.bytes.resize(cap);
-      f.bytes.shrink_to_fit();
-    }
-    while (!f.covered.empty() && f.covered.back().first >= cap) {
-      f.covered.pop_back();
-    }
-    if (!f.covered.empty() && f.covered.back().second > cap) {
-      f.covered.back().second = cap;
-    }
-    f.contig = std::min(f.contig, cap);
-    f.cmp = std::min(f.cmp, cap);
-    live_bytes_ -= before - probe_retained(f);
-  }
-}
-
-std::size_t StreamingAnalyzer::finish_boundary_probe() {
-  if (!probing_) {
-    throw std::logic_error(
-        "StreamingAnalyzer: finish_boundary_probe without an active probe");
-  }
-  probing_ = false;
-
-  // Flows that never saw a SYN: reassemble() falls back to the minimum
-  // data seq as the stream base. Only now is that minimum final.
-  for (ProbeFlow& f : probe_flows_) {
-    if (f.pending.empty()) continue;
-    std::uint64_t base = std::numeric_limits<std::uint64_t>::max();
-    for (const ProbeFlow::PendingSegment& p : f.pending) {
-      base = std::min(base, p.seq);
-    }
-    const std::size_t before = probe_retained(f);
-    std::vector<ProbeFlow::PendingSegment> pending;
-    pending.swap(f.pending);
-    for (ProbeFlow::PendingSegment& p : pending) {
-      apply_probe_segment(f, base, p.seq, p.length, p.bytes);
-    }
-    live_bytes_ = live_bytes_ - before + probe_retained(f);
-    bump_peak();
-  }
-
-  // Exact final scan over the settled buffers. Unlike the incremental
-  // pass this includes '\0' gap filler, exactly as a common prefix of
-  // fully reassembled strings would see it; and the reference is the
-  // first stream that carried payload bytes. Headers-only streams are no
-  // responses to compare: without them there is no boundary.
-  std::vector<const ProbeFlow*> nonempty;
-  for (const ProbeFlow& f : probe_flows_) {
-    if (f.has_payload) nonempty.push_back(&f);
-  }
-  std::size_t boundary = 0;
-  if (nonempty.size() >= 2) {
-    const ProbeFlow& ref = *nonempty.front();
-    boundary = std::numeric_limits<std::size_t>::max();
-    for (std::size_t i = 1; i < nonempty.size(); ++i) {
-      const ProbeFlow& f = *nonempty[i];
-      const std::size_t limit =
-          std::min({ref.bytes.size(), f.bytes.size(), probe_cap_});
-      std::size_t p = 0;
-      while (p < limit && ref.bytes[p] == f.bytes[p]) ++p;
-      // No divergence inside the compared window: the pair's prefix runs
-      // to the shorter full stream. (If the window was clipped by the cap,
-      // some other pair diverged below it and owns the minimum.)
-      const std::size_t cand =
-          p < limit ? p : std::min(ref.full_length, f.full_length);
-      boundary = std::min(boundary, cand);
-    }
-  }
-  reset_probe();
-  return boundary == std::numeric_limits<std::size_t>::max() ? 0 : boundary;
-}
-
-void StreamingAnalyzer::reset_probe() {
-  for (const ProbeFlow& f : probe_flows_) live_bytes_ -= probe_retained(f);
-  probe_flows_.clear();
-  probe_index_.clear();
-  probe_cap_ = std::numeric_limits<std::size_t>::max();
-  probing_ = false;
-}
-
-ProbedBoundary probe_boundary(const capture::PacketTrace& trace,
-                              net::Port server_port) {
-  StreamingAnalyzer analyzer(server_port);
-  analyzer.begin_boundary_probe();
-  capture::replay(trace, analyzer);
-  ProbedBoundary out;
-  out.responses = analyzer.probe_flows();
-  out.boundary = analyzer.finish_boundary_probe();
-  return out;
 }
 
 }  // namespace dyncdn::analysis

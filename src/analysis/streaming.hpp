@@ -1,14 +1,17 @@
-// Fig.-2 timeline and boundary reduction: the one reducer.
+// Fig.-2 timeline reduction: the one reducer.
 //
 // StreamingAnalyzer is the only code that turns captured packets into
-// QueryTimelines or a static/dynamic boundary. A StreamingTimeline keeps
-// per flow only the control-event state machine plus the received-side
-// segment list (seq, length, timestamp — never payload bytes), so analysis
-// memory is O(in-flight flows), not O(packets). Both campaign modes run it:
+// QueryTimelines. A StreamingTimeline keeps per flow only the
+// control-event state machine plus the received-side segment list (seq,
+// length, timestamp — never payload bytes), so analysis memory is
+// O(in-flight flows), not O(packets). The static/dynamic boundary comes
+// from content analysis of a retained capture (analysis/boundary.hpp).
+// Both campaign modes run the analyzer:
 //
 //   live streaming (ScenarioOptions::stream_analysis) attaches it to a
-//     recorder and sets the boundary right after discovery, so each flow
-//     collapses to its QueryTimeline the moment its teardown is captured;
+//     recorder and sets the campaign's boundary before the queries, so
+//     each flow collapses to its QueryTimeline the moment its teardown is
+//     captured;
 //   replay (capture mode, extract_all_timelines, trace_inspect, the
 //     examples) feeds a retained capture, in capture order, to a fresh
 //     analyzer that learns the boundary only at drain(), so every flow
@@ -24,9 +27,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <span>
-#include <string>
-#include <utility>
 #include <vector>
 
 #include "analysis/timeline.hpp"
@@ -86,7 +86,7 @@ class StreamingTimeline {
 ///
 /// Boundary lifecycle: until set_boundary() is called, completed flows stay
 /// buffered (their timeline depends on the static/dynamic split). After
-/// the boundary is known — immediately after discovery in an experiment —
+/// the boundary is known — an experiment sets it before its queries —
 /// every flow collapses to its timeline at teardown. drain() returns all
 /// timelines in first-appearance flow order and resets the flow table; the
 /// boundary persists across drains (multi-phase experiments reuse it) and
@@ -119,27 +119,6 @@ class StreamingAnalyzer final : public capture::PacketSink {
   /// and on_clear, so it reports the whole campaign's worst moment).
   std::size_t peak_live_bytes() const { return peak_live_bytes_; }
 
-  /// --- Streaming boundary discovery -------------------------------------
-  /// Probe mode reassembles a *clipped prefix* of every received-direction
-  /// response stream instead of building timelines, so the paper's
-  /// common-prefix boundary can be discovered without retaining a payload
-  /// trace. Memory is O(boundary): the moment two responses diverge at
-  /// byte p, every probe buffer is clipped to p + 1 and stays there.
-  ///
-  /// While a probe is active, packets do NOT feed the timeline flow table —
-  /// probe traffic must never surface in drain(). finish_boundary_probe()
-  /// returns the longest common prefix across all response streams whose
-  /// data carried payload bytes, equal to the longest common prefix of
-  /// the fully reassembled responses (including '\0' gap filler; the
-  /// tests keep that plain form as the reference in tests/harness.hpp), or
-  /// 0 when fewer than two did (a headers-only capture has no boundary).
-  void begin_boundary_probe();
-  std::size_t finish_boundary_probe();
-  bool probing() const { return probing_; }
-  /// Response streams seen by the active probe whose data carried payload
-  /// bytes (the responses finish_boundary_probe() compares).
-  std::size_t probe_flows() const;
-
   /// Flows collapsed online (at teardown, before drain).
   std::uint64_t timelines_emitted_online() const { return emitted_online_; }
 
@@ -149,38 +128,11 @@ class StreamingAnalyzer final : public capture::PacketSink {
   /// this file); a replay, which collapses only at drain(), reports 0.
   std::uint64_t late_packets() const { return late_packets_; }
 
-  net::Port server_port() const { return server_port_; }
-
  private:
   struct Slot {
     net::FlowId flow;
     StreamingTimeline* live = nullptr;  // slab-owned; null once collapsed
     std::optional<QueryTimeline> done;
-  };
-
-  /// One response stream under boundary probing: a clipped copy of the
-  /// reassembled response, plus the bookkeeping needed to compare it
-  /// incrementally against the reference flow.
-  struct ProbeFlow {
-    net::FlowId flow;
-    std::optional<std::uint64_t> iss;  // last received SYN seq
-    struct PendingSegment {
-      // Data captured before any SYN: the stream base is unknown until a
-      // SYN arrives (or, like reassemble()'s fallback, until the probe
-      // finishes and the minimum data seq becomes the base). The segment
-      // keeps its own copy of the bytes until then.
-      std::uint64_t seq;
-      std::size_t length;
-      std::vector<std::uint8_t> bytes;
-    };
-    std::vector<PendingSegment> pending;
-    std::string bytes;  // clipped mirror of ReassembledStream::bytes()
-    std::vector<std::pair<std::size_t, std::size_t>> covered;  // merged
-    std::size_t contig = 0;       // covered prefix is [0, contig)
-    std::size_t full_length = 0;  // unclipped stream length
-    bool has_payload = false;     // some data segment carried bytes
-    std::size_t cmp = 0;          // bytes matched against flow 0 so far
-    std::optional<std::size_t> mismatch;  // first divergence vs flow 0
   };
 
   void bump_peak() {
@@ -190,16 +142,6 @@ class StreamingAnalyzer final : public capture::PacketSink {
   /// Finalize-and-release for one live builder (slab storage goes back to
   /// the free list).
   void release_live(Slot& slot);
-  /// Deterministic footprint of one probe flow (buffer + interval list +
-  /// any pre-SYN pending segments). Feeds live/peak accounting.
-  static std::size_t probe_retained(const ProbeFlow& flow);
-  void observe_probe(const capture::PacketRecord& record);
-  void apply_probe_segment(ProbeFlow& flow, std::uint64_t base,
-                           std::uint64_t seq, std::size_t payload_size,
-                           std::span<const std::uint8_t> payload);
-  void advance_probe_compare();
-  void tighten_probe_cap(std::size_t cap);
-  void reset_probe();
 
   net::Port server_port_;
   std::optional<std::size_t> boundary_;
@@ -209,29 +151,10 @@ class StreamingAnalyzer final : public capture::PacketSink {
   mem::FlatMap<net::FlowId, std::size_t> index_;
   /// Builder storage: one slab block per in-flight flow.
   mem::TypedSlab<StreamingTimeline> timeline_slab_;
-  bool probing_ = false;
-  std::vector<ProbeFlow> probe_flows_;  // first-appearance order
-  mem::FlatMap<net::FlowId, std::size_t> probe_index_;
-  /// Reused flattening scratch for chained payloads (capacity persists).
-  std::vector<std::uint8_t> probe_scratch_;
-  /// Upper bound on probe buffer length: tightened to (divergence + 1) the
-  /// moment any flow mismatches the reference, clipping all buffers.
-  std::size_t probe_cap_ = static_cast<std::size_t>(-1);
   std::size_t live_bytes_ = 0;
   std::size_t peak_live_bytes_ = 0;
   std::uint64_t emitted_online_ = 0;
   std::uint64_t late_packets_ = 0;
 };
-
-/// Content-analysis boundary of a retained capture.
-struct ProbedBoundary {
-  std::size_t boundary = 0;   // 0 when fewer than two responses qualify
-  std::size_t responses = 0;  // responses whose data carried payload bytes
-};
-
-/// Replay `trace` in capture order through a fresh analyzer's boundary
-/// probe: the offline form of testbed::discover_boundary.
-ProbedBoundary probe_boundary(const capture::PacketTrace& trace,
-                              net::Port server_port);
 
 }  // namespace dyncdn::analysis

@@ -4,6 +4,7 @@
 #include <memory>
 #include <stdexcept>
 
+#include "analysis/boundary.hpp"
 #include "analysis/span_attribution.hpp"
 #include "analysis/streaming.hpp"
 #include "capture/spill.hpp"
@@ -24,8 +25,9 @@ void save_client_trace(const Scenario::Client& client, const std::string& dir) {
 }
 
 /// `base` as a scenario built only to probe the boundary: its clients
-/// stream with payload capture, so the analyzer compares response bytes
-/// live and nothing is retained or spilled; no sampler or trace session.
+/// capture payloads in streaming mode, which wires no spill writer, so no
+/// capture budget can split the probe's capture; no sampler or trace
+/// session.
 ScenarioOptions probe_options(ScenarioOptions base) {
   base.capture_clients = true;
   base.capture_payloads = true;
@@ -36,13 +38,16 @@ ScenarioOptions probe_options(ScenarioOptions base) {
 }
 
 /// The probe itself, in a probe scenario: distinct queries from client
-/// `client_index` to FE `fe_index`, run to an empty queue, compared by
-/// the client's own analyzer.
+/// `client_index` to FE `fe_index`, run to an empty queue, and the common
+/// prefix of the responses in the client's capture, kept in memory.
 std::size_t run_probe(Scenario& probe, std::size_t client_index,
                       std::size_t fe_index, std::size_t num_keywords) {
   Scenario::Client& client = probe.clients().at(client_index);
   probe.connect_client_to_fe(client_index, fe_index);
-  client.analyzer->begin_boundary_probe();
+  // The probe compares response bytes, so the capture is kept and the
+  // analyzer, whose timelines nothing drains here, is detached.
+  client.recorder->set_sink(nullptr);
+  client.recorder->set_retain_packets(true);
 
   // Distinct keywords: the paper's content analysis relies on responses to
   // *different* queries so the common prefix stops at the static portion.
@@ -53,15 +58,15 @@ std::size_t run_probe(Scenario& probe, std::size_t client_index,
   }
   probe.run();
 
-  const std::size_t response_count = client.analyzer->probe_flows();
-  const std::size_t boundary = client.analyzer->finish_boundary_probe();
-  if (response_count < 2) {
+  const analysis::ProbedBoundary probed =
+      analysis::probe_boundary(client.recorder->trace(), kServicePort);
+  if (probed.responses < 2) {
     throw std::runtime_error("discover_boundary: not enough responses");
   }
-  if (boundary == 0) {
+  if (probed.boundary == 0) {
     throw std::runtime_error("discover_boundary: no common prefix found");
   }
-  return boundary;
+  return probed.boundary;
 }
 
 }  // namespace

@@ -30,15 +30,16 @@
 namespace dyncdn::testbed {
 
 /// Discover the static/dynamic boundary the way the paper does: submit
-/// `num_keywords` distinct queries from one client to one FE with payload
-/// capture on and take the longest common prefix of the responses
-/// (StreamingAnalyzer's boundary probe). The probe runs in a throw-away
-/// probe scenario (streaming, unsampled, untraced) of the probing client,
-/// the FE and the BE, built from `scenario`'s fleet record; `scenario` is
-/// left as it was, so a caller that then sends from the client to the FE
-/// links them itself (Scenario::connect_client_to_fe). Throws
-/// std::logic_error unless `scenario` has a fleet record (it has warmed
-/// up, or shares a campaign's), drives the client and builds the FE.
+/// `num_keywords` distinct queries from one client to one FE and take the
+/// longest common prefix of the responses (analysis::probe_boundary over
+/// the client's payload capture, kept in memory whatever the capture
+/// budget). The probe runs in a throw-away probe scenario (streaming,
+/// unsampled, untraced) of the probing client, the FE and the BE, built
+/// from `scenario`'s fleet record; `scenario` is left as it was, so a
+/// caller that then sends from the client to the FE links them itself
+/// (Scenario::connect_client_to_fe). Throws std::logic_error unless
+/// `scenario` has a fleet record (it has warmed up, or shares a
+/// campaign's), drives the client and builds the FE.
 std::size_t discover_boundary(Scenario& scenario, std::size_t client_index,
                               std::size_t fe_index,
                               std::size_t num_keywords = 6);
@@ -46,7 +47,8 @@ std::size_t discover_boundary(Scenario& scenario, std::size_t client_index,
 /// A campaign's probe pass, run before any of its scenarios is built
 /// (parallel_experiment.hpp): `base` as a probe scenario driving client 0
 /// only, warmed up with `warm_up` as the floor; its fleet record, then the
-/// boundary probed from client 0 to `fixed_fe`, else to its default FE.
+/// boundary probed from client 0 to `fixed_fe`, else to its default FE,
+/// as discover_boundary probes.
 struct CampaignProbe {
   std::size_t boundary = 0;
   std::shared_ptr<const FleetWarmup> fleet;

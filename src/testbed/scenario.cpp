@@ -337,9 +337,6 @@ void Scenario::build_clients() {
     }
     c.query_client = std::make_unique<cdn::QueryClient>(*c.node, client_tcp);
     clients_.push_back(std::move(c));
-    // A fixed-FE replica may leave the default FE out; the client never
-    // sends to it there.
-    if (fes_[best].built()) connect_client_to_fe(i, best);
   }
 }
 

@@ -240,9 +240,11 @@ class Scenario {
   sim::SimTime client_fe_rtt(std::size_t client_index,
                              std::size_t fe_index) const;
 
-  /// Ensure a direct link exists between client i and FE j (Datasets B:
-  /// querying a fixed, possibly non-default FE). Throws std::logic_error
-  /// for a client that is not driven or an FE that is not built.
+  /// Ensure a direct link exists between client i and FE j. A client has
+  /// no link until it is linked here, so whatever sends from a client to
+  /// an FE links them first (the experiment runners do). Throws
+  /// std::logic_error for a client that is not driven or an FE that is not
+  /// built.
   void connect_client_to_fe(std::size_t client_index, std::size_t fe_index);
 
   /// Run the simulation until the FE fleet's persistent BE connections are

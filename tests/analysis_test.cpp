@@ -19,7 +19,6 @@
 namespace dyncdn::analysis {
 namespace {
 
-using dyncdn::testing::common_prefix_boundary;
 using dyncdn::testing::pattern_text;
 using dyncdn::testing::TwoNodeHarness;
 using dyncdn::testing::TwoNodeOptions;
@@ -112,31 +111,21 @@ TEST(Reassembly, HandlesRetransmittedSegments) {
       reassemble(f.recorder->trace(), flow, capture::Direction::kReceived);
   EXPECT_EQ(stream.bytes(), fe.static_part + fe.dynamic_part);
 
-  // The dropped byte range must carry the retransmission's (later) time,
-  // strictly after the in-order packet before it.
-  const auto t_front = stream.byte_time(0);
-  const auto t_gap = stream.byte_time(3 * 1448 + 10);
-  ASSERT_TRUE(t_front && t_gap);
-  EXPECT_GT(*t_gap, *t_front);
-}
-
-TEST(Reassembly, ByteTimeUsesEarliestArrival) {
-  AnalysisFixture f;
-  MiniFrontEnd fe;
-  fe.static_part = pattern_text(2000);
-  fe.dynamic_part = "tail";
-  const net::FlowId flow = f.run_query(fe);
-  const ReassembledStream stream =
-      reassemble(f.recorder->trace(), flow, capture::Direction::kReceived);
-  // First byte time == t3 == first segment arrival == first_packet_reaching.
-  EXPECT_EQ(stream.byte_time(0), stream.first_packet_reaching(0));
-  // Later bytes cannot precede earlier ones on a clean in-order path.
-  EXPECT_LE(*stream.byte_time(0), *stream.byte_time(1999));
+  // The dropped range (the third data segment; packet 0 is the SYN-ACK)
+  // completes only with the retransmission: after the first packet, and
+  // after the packets behind the gap first reached past it.
+  const std::size_t in_gap = 2 * 1448 + 10;
+  const auto t_front = stream.first_packet_reaching(0);
+  const auto t_past_gap = stream.first_packet_reaching(in_gap);
+  const auto t_filled = stream.prefix_complete_time(in_gap);
+  ASSERT_TRUE(t_front && t_past_gap && t_filled);
+  EXPECT_GT(*t_past_gap, *t_front);
+  EXPECT_GT(*t_filled, *t_past_gap);
 }
 
 TEST(Reassembly, PrefixCompleteAfterOutOfOrderFill) {
   TwoNodeOptions opt;
-  opt.drop_indices_s2c = {2};  // drop the first data packet (index 2)
+  opt.drop_indices_s2c = {2};  // drop the second data packet (index 2)
   AnalysisFixture f(opt);
   MiniFrontEnd fe;
   fe.static_part = pattern_text(6 * 1448);
@@ -146,10 +135,11 @@ TEST(Reassembly, PrefixCompleteAfterOutOfOrderFill) {
   const ReassembledStream stream =
       reassemble(f.recorder->trace(), flow, capture::Direction::kReceived);
   ASSERT_EQ(stream.bytes(), fe.static_part + fe.dynamic_part);
-  // The prefix completes only when the retransmitted head arrives, which
-  // is later than the first arrival of the final prefix byte.
+  // The prefix completes only when the retransmitted segment arrives,
+  // which is later than the first packet reaching the final prefix byte.
   const auto complete = stream.prefix_complete_time(6 * 1448 - 1);
-  const auto last_byte_first_arrival = stream.byte_time(6 * 1448 - 1);
+  const auto last_byte_first_arrival =
+      stream.first_packet_reaching(6 * 1448 - 1);
   ASSERT_TRUE(complete && last_byte_first_arrival);
   EXPECT_GT(*complete, *last_byte_first_arrival);
 }

@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <memory>
 #include <random>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -100,26 +99,6 @@ inline std::string pattern_text(std::size_t n) {
     s.push_back(static_cast<char>('A' + (i * 7 + i / 26) % 26));
   }
   return s;
-}
-
-/// Longest common prefix (in bytes) across response bodies of different
-/// queries; 0 for fewer than two. With responses to distinct keywords this
-/// is the static-portion length, header block included: the rule that
-/// StreamingAnalyzer's boundary probe (analysis/streaming.hpp) computes
-/// without retaining whole responses, in its plainest form.
-inline std::size_t common_prefix_boundary(
-    std::span<const std::string> responses) {
-  if (responses.size() < 2) return 0;
-  std::size_t prefix = responses.front().size();
-  const std::string& first = responses.front();
-  for (std::size_t i = 1; i < responses.size() && prefix > 0; ++i) {
-    const std::string& other = responses[i];
-    const std::size_t limit = std::min(prefix, other.size());
-    std::size_t p = 0;
-    while (p < limit && first[p] == other[p]) ++p;
-    prefix = p;
-  }
-  return prefix;
 }
 
 /// One to three bit flips, truncations or splices (a copied range

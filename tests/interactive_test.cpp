@@ -158,6 +158,7 @@ TEST(BackendCorrelation, HistoryIsBounded) {
   opt.fe_distance_sweep_miles = std::vector<double>{200.0};
   testbed::Scenario scenario(opt);
   scenario.warm_up();
+  scenario.connect_client_to_fe(0, 0);
   auto& client = scenario.clients().front();
 
   auto submit = [&](const std::string& text) {

@@ -258,14 +258,9 @@ TEST(ObsEndToEnd, SpanTimelineMatchesPacketAnalysisExactly) {
   // Boundary discovery from the capture, exactly like the offline path.
   const capture::PacketTrace web =
       client.recorder->trace().filter_remote_port(80);
-  std::vector<std::string> responses;
-  for (const auto& flow : web.flows()) {
-    auto stream = analysis::reassemble(web, flow);
-    if (!stream.bytes().empty()) responses.push_back(stream.bytes());
-  }
-  ASSERT_GE(responses.size(), 2u);
-  const std::size_t boundary =
-      dyncdn::testing::common_prefix_boundary(responses);
+  const analysis::ProbedBoundary probed = analysis::probe_boundary(web, 80);
+  ASSERT_GE(probed.responses, 2u);
+  const std::size_t boundary = probed.boundary;
   ASSERT_GT(boundary, 0u);
   const auto packet_tls = analysis::extract_all_timelines(web, 80, boundary);
 

@@ -609,6 +609,33 @@ TEST(SpillScenario, BudgetedCampaignMatchesInMemoryAtAnyThreadCount) {
   }
 }
 
+TEST(SpillScenario, BoundaryProbeIsNeverSplitByTheBudget) {
+  // The boundary probe compares six whole responses of about 30 KB each,
+  // kept in its probe scenario's memory whatever the campaign's capture
+  // budget: a 4k budget, far below one response, leaves discover_boundary,
+  // probe_campaign and a 3-replica campaign on the unbudgeted boundary.
+  testbed::ScenarioOptions budgeted = spill_scenario(4 << 10);
+  budgeted.capture_payloads = true;
+  testbed::ScenarioOptions plain = budgeted;
+  plain.capture_budget = 0;  // DYNCDN_CAPTURE_BUDGET when set
+  const std::size_t unbudgeted =
+      testbed::probe_campaign(plain, 5_s, std::size_t{0}).boundary;
+  EXPECT_EQ(unbudgeted, 9033u);
+
+  testbed::Scenario scenario(budgeted);
+  scenario.warm_up();
+  ASSERT_TRUE(scenario.spilling_active());
+  EXPECT_EQ(testbed::discover_boundary(scenario, 0, 0), unbudgeted);
+  EXPECT_EQ(testbed::probe_campaign(budgeted, 5_s, std::size_t{0}).boundary,
+            unbudgeted);
+  testbed::ReplicaPlan plan;
+  plan.shards = 3;
+  const testbed::ExperimentResult campaign =
+      testbed::run_fixed_fe_experiment(budgeted, 0, small_experiment(), plan);
+  EXPECT_EQ(campaign.boundary, unbudgeted);
+  EXPECT_GT(campaign.metrics.counter("spill_blocks"), 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Saved traces: a campaign with ExperimentOptions::save_traces writes each
 // analyzed vantage point's whole capture to DIR/<name>.dtrc just before

@@ -35,7 +35,6 @@
 namespace dyncdn::analysis {
 namespace {
 
-using dyncdn::testing::common_prefix_boundary;
 using dyncdn::testing::pattern_text;
 using dyncdn::testing::TwoNodeHarness;
 using dyncdn::testing::TwoNodeOptions;
@@ -394,17 +393,15 @@ TEST(StreamingSynthetic, OtherPortsAreIgnoredByBothPaths) {
 }
 
 // ---------------------------------------------------------------------------
-// Streaming boundary discovery: the probe must return exactly what
-// common_prefix_boundary produces over fully reassembled responses — on
-// clean, reordered, retransmitted and SYN-less inputs — while retaining
-// only O(boundary) bytes once two responses diverge.
+// Boundary discovery (analysis::probe_boundary): the common prefix of the
+// reassembled responses that carried payload bytes, on reordered,
+// retransmitted, SYN-less and headers-only captures.
 // ---------------------------------------------------------------------------
 
 struct ProbeCapture {
   net::NodeId client{10};
   net::NodeId server{20};
   capture::PacketTrace trace{net::NodeId{10}};
-  StreamingAnalyzer analyzer{kPort};
 
   capture::PacketRecord make(net::Port client_port, bool sent,
                              std::int64_t at_us, std::uint64_t seq,
@@ -430,130 +427,66 @@ struct ProbeCapture {
     return r;
   }
 
-  void feed(const capture::PacketRecord& r) {
-    analyzer.on_packet(r);
-    trace.add(r);
-  }
-
   void server_syn(net::Port client_port, std::int64_t at_us) {
-    feed(make(client_port, false, at_us, 500, 101, "",
-              {.syn = true, .ack = true}));
+    trace.add(make(client_port, false, at_us, 500, 101, "",
+                   {.syn = true, .ack = true}));
   }
 
   void data(net::Port client_port, std::int64_t at_us, std::uint64_t seq,
             const std::string& text) {
-    feed(make(client_port, false, at_us, seq, 121, text, {.ack = true}));
-  }
-
-  /// Reference: the common prefix of the fully reassembled responses that
-  /// carried payload bytes, over the identical record list.
-  std::size_t reference_boundary() const {
-    std::vector<std::string> responses;
-    for (const net::FlowId& flow : trace.flows()) {
-      if (flow.remote.port != kPort) continue;
-      ReassembledStream stream =
-          reassemble(trace, flow, capture::Direction::kReceived);
-      if (!stream.bytes().empty()) responses.push_back(stream.bytes());
-    }
-    return common_prefix_boundary(responses);
+    trace.add(make(client_port, false, at_us, seq, 121, text, {.ack = true}));
   }
 };
 
-TEST(StreamingBoundaryProbe, MatchesPostHocAndClipsMemory) {
-  ProbeCapture c;
-  c.analyzer.begin_boundary_probe();
-  const std::string common(200, 'S');
-  const std::string tail_a(5000, 'a');
-  const std::string tail_b(5000, 'b');
-
-  c.server_syn(40001, 1000);
-  c.server_syn(40002, 1100);
-  c.data(40001, 2000, 501, common + tail_a);
-  c.data(40002, 2100, 501, common + tail_b);
-  EXPECT_EQ(c.analyzer.probe_flows(), 2u);
-
-  // Divergence at byte 200 clipped every buffer: the analyzer holds a few
-  // hundred bytes of prefix, never the ~10 KB of payload that was fed.
-  EXPECT_LT(c.analyzer.live_bytes(), 2048u);
-
-  const std::size_t expected = c.reference_boundary();
-  ASSERT_EQ(expected, common.size());
-  EXPECT_EQ(c.analyzer.finish_boundary_probe(), expected);
-  EXPECT_FALSE(c.analyzer.probing());
-  EXPECT_EQ(c.analyzer.live_bytes(), 0u);
-}
-
 TEST(StreamingBoundaryProbe, OutOfOrderAndOverlappingRetransmission) {
   ProbeCapture c;
-  c.analyzer.begin_boundary_probe();
   // Flow 1 arrives in order; flow 2 delivers its head last and overlaps a
-  // retransmitted middle segment. The probe must not compare '\0' filler
-  // under the still-open head gap.
+  // retransmitted middle segment, whose 'S' bytes overwrite the 'y' bytes
+  // at [300, 340). The responses diverge at flow 1's first 'x'.
   c.server_syn(40001, 1000);
   c.server_syn(40002, 1100);
   c.data(40001, 2000, 501, std::string(300, 'S') + std::string(100, 'x'));
   c.data(40002, 2100, 801, std::string(60, 'y'));         // offset 300 first
   c.data(40002, 2200, 601, std::string(240, 'S'));        // middle, overlaps
   c.data(40002, 2300, 501, std::string(100, 'S'));        // head arrives last
-  EXPECT_EQ(c.analyzer.finish_boundary_probe(), c.reference_boundary());
+  const ProbedBoundary probed = probe_boundary(c.trace, kPort);
+  EXPECT_EQ(probed.responses, 2u);
+  EXPECT_EQ(probed.boundary, 300u);
 }
 
 TEST(StreamingBoundaryProbe, MissingSynFallsBackToMinSeq) {
   ProbeCapture c;
-  c.analyzer.begin_boundary_probe();
-  // Capture started late: neither flow has a SYN, so the stream base is
-  // the minimum data seq — only final when the probe finishes.
+  // Capture started late: neither flow has a SYN, so each stream's base is
+  // its minimum data seq, and flow 1's later segment lands at offset 1000.
   c.data(40001, 2000, 1501, std::string(50, 'D'));  // higher seq first
   c.data(40001, 2100, 501, std::string(1000, 'S'));
   c.data(40002, 2200, 501, std::string(120, 'S') + std::string(40, 'z'));
-  EXPECT_EQ(c.analyzer.finish_boundary_probe(), c.reference_boundary());
+  const ProbedBoundary probed = probe_boundary(c.trace, kPort);
+  EXPECT_EQ(probed.responses, 2u);
+  EXPECT_EQ(probed.boundary, 120u);
 }
 
 TEST(StreamingBoundaryProbe, ShorterResponseBoundsThePrefix) {
   ProbeCapture c;
-  c.analyzer.begin_boundary_probe();
-  // No byte ever diverges — the prefix is limited by the shortest stream,
-  // exactly like common_prefix_boundary's min-length clamp.
+  // No byte ever diverges: the prefix is limited by the shortest response.
   c.server_syn(40001, 1000);
   c.server_syn(40002, 1100);
   c.data(40001, 2000, 501, std::string(500, 'S'));
   c.data(40002, 2100, 501, std::string(180, 'S'));
-  const std::size_t expected = c.reference_boundary();
-  ASSERT_EQ(expected, 180u);
-  EXPECT_EQ(c.analyzer.finish_boundary_probe(), expected);
+  EXPECT_EQ(probe_boundary(c.trace, kPort).boundary, 180u);
 }
 
 TEST(StreamingBoundaryProbe, ThreeFlowsTakeTheEarliestDivergence) {
   ProbeCapture c;
-  c.analyzer.begin_boundary_probe();
   c.server_syn(40001, 1000);
   c.server_syn(40002, 1100);
   c.server_syn(40003, 1200);
   c.data(40001, 2000, 501, std::string(400, 'S') + "AAAA");
   c.data(40002, 2100, 501, std::string(400, 'S') + "BBBB");  // diverges @400
   c.data(40003, 2200, 501, std::string(90, 'S') + "CCCC");   // diverges @90
-  const std::size_t expected = c.reference_boundary();
-  ASSERT_EQ(expected, 90u);
-  EXPECT_EQ(c.analyzer.finish_boundary_probe(), expected);
-}
-
-TEST(StreamingBoundaryProbe, ProbeTrafficNeverBecomesTimelines) {
-  ProbeCapture c;
-  c.analyzer.begin_boundary_probe();
-  c.server_syn(40001, 1000);
-  c.server_syn(40002, 1100);
-  c.data(40001, 2000, 501, "STATICaaa");
-  c.data(40002, 2100, 501, "STATICbbb");
-  EXPECT_EQ(c.analyzer.finish_boundary_probe(), 6u);
-  // Fewer than two data-bearing flows -> 0, mirroring the "not enough
-  // responses" guard in discover_boundary.
-  c.analyzer.begin_boundary_probe();
-  c.server_syn(40004, 3000);
-  c.data(40004, 3100, 501, "only one response");
-  EXPECT_EQ(c.analyzer.probe_flows(), 1u);
-  EXPECT_EQ(c.analyzer.finish_boundary_probe(), 0u);
-  // None of the probe traffic reached the timeline flow table.
-  EXPECT_TRUE(c.analyzer.drain(6).empty());
+  const ProbedBoundary probed = probe_boundary(c.trace, kPort);
+  EXPECT_EQ(probed.responses, 3u);
+  EXPECT_EQ(probed.boundary, 90u);
 }
 
 TEST(StreamingBoundaryProbe, HeadersOnlyCaptureHasNoBoundary) {
@@ -561,7 +494,6 @@ TEST(StreamingBoundaryProbe, HeadersOnlyCaptureHasNoBoundary) {
   // three such flows (one without a SYN) give no boundary, not the length
   // of the shortest response.
   ProbeCapture c;
-  c.analyzer.begin_boundary_probe();
   const std::pair<net::Port, std::size_t> flows[] = {
       {40001, 1448}, {40002, 900}, {40003, 1200}};
   for (const auto& [port, size] : flows) {
@@ -569,28 +501,11 @@ TEST(StreamingBoundaryProbe, HeadersOnlyCaptureHasNoBoundary) {
     capture::PacketRecord r = c.make(port, false, 2000, 501, 121, "",
                                      {.ack = true});
     r.payload_size = size;  // headers-only capture: a size, no bytes
-    c.feed(r);
+    c.trace.add(r);
   }
-  EXPECT_EQ(c.analyzer.probe_flows(), 0u);
-  EXPECT_EQ(c.analyzer.finish_boundary_probe(), 0u);
-  EXPECT_EQ(c.reference_boundary(), 0u);
-  const ProbedBoundary replayed = probe_boundary(c.trace, kPort);
-  EXPECT_EQ(replayed.boundary, 0u);
-  EXPECT_EQ(replayed.responses, 0u);
-}
-
-TEST(StreamingBoundaryProbe, ReplayOfARetainedTraceMatchesTheLiveProbe) {
-  ProbeCapture c;
-  c.analyzer.begin_boundary_probe();
-  c.server_syn(40001, 1000);
-  c.server_syn(40002, 1100);
-  c.data(40002, 2000, 621, std::string(80, 'S') + "bbb");  // tail first
-  c.data(40001, 2100, 501, std::string(200, 'S') + "aaa");
-  c.data(40002, 2200, 501, std::string(120, 'S'));
-  const ProbedBoundary replayed = probe_boundary(c.trace, kPort);
-  EXPECT_EQ(replayed.responses, 2u);
-  EXPECT_EQ(replayed.boundary, c.reference_boundary());
-  EXPECT_EQ(c.analyzer.finish_boundary_probe(), replayed.boundary);
+  const ProbedBoundary probed = probe_boundary(c.trace, kPort);
+  EXPECT_EQ(probed.boundary, 0u);
+  EXPECT_EQ(probed.responses, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -767,10 +682,10 @@ TEST(StreamingExperiment, ByteIdenticalUnderClientLinkLoss) {
 }
 
 TEST(StreamingExperiment, DiscoverBoundaryMatchesCaptureMode) {
-  // Full-stack cross-check of the probe: discover_boundary, fed live in its
-  // streaming probe scenario, must land on the very boundary a replay of a
-  // retained payload capture of the same six queries finds
-  // (analysis::probe_boundary).
+  // Full-stack cross-check of the probe: discover_boundary, run in its
+  // throw-away probe scenario, must land on the very boundary that
+  // analysis::probe_boundary finds in a capture-mode scenario's retained
+  // payload capture of the same six queries.
   testbed::ScenarioOptions so = small_scenario(false);
   so.capture_payloads = true;
   testbed::Scenario cap(so);
@@ -811,6 +726,7 @@ TEST(StreamingExperiment, LossyCaptureReplayMatchesReferenceLiveCollapseNot) {
       search::KeywordCatalog(20).figure3_keywords();
   constexpr std::size_t kReps = 30;
   for (std::size_t i = 0; i < clients.size(); ++i) {
+    scenario.connect_client_to_fe(i, clients[i].default_fe);
     const net::Endpoint fe = scenario.default_fe_endpoint(i);
     for (std::size_t r = 0; r < kReps; ++r) {
       const search::Keyword kw = keywords[r % keywords.size()];

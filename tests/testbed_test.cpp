@@ -144,6 +144,7 @@ TEST(Scenario, WirelessVantagePointsGetLossyAccessLinks) {
   s.warm_up();
   // A query from a wireless node must still complete (TCP recovers).
   auto& c = s.clients().front();
+  s.connect_client_to_fe(0, c.default_fe);
   cdn::QueryResult result;
   c.query_client->submit(s.default_fe_endpoint(0),
                          search::Keyword{"wifi probe", {}, 100},
@@ -275,6 +276,7 @@ TEST(Experiment, DiscoverBoundaryLeavesTheScenarioUnchanged) {
   auto& clients = s.clients();
   const search::Keyword kw = search::KeywordCatalog(5).figure3_keywords()[0];
   for (const std::size_t i : {0, 1}) {
+    s.connect_client_to_fe(i, clients[i].default_fe);
     clients[i].query_client->submit(s.default_fe_endpoint(i), kw,
                                     [](const cdn::QueryResult&) {});
   }

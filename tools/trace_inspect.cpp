@@ -10,8 +10,9 @@
 // Prints the connections found in a packet capture, discovers the
 // static/dynamic boundary by cross-query content analysis (when payloads
 // were retained and at least two responses exist; otherwise pass the
-// boundary explicitly) and prints the paper's timing parameters for every
-// query. Both steps replay the capture through analysis::StreamingAnalyzer.
+// boundary explicitly; analysis::probe_boundary) and prints the paper's
+// timing parameters for every query (a replay of the capture through
+// analysis::StreamingAnalyzer).
 //
 // Span mode:
 //   trace_inspect spans <trace.json> [--diff=<capture.dtrc>]
@@ -71,8 +72,8 @@
 #include <string_view>
 #include <vector>
 
+#include "analysis/boundary.hpp"
 #include "analysis/span_attribution.hpp"
-#include "analysis/streaming.hpp"
 #include "capture/serialize.hpp"
 #include "capture/spill.hpp"
 #include "core/inference.hpp"
