@@ -21,9 +21,9 @@ std::size_t common_prefix_boundary(std::span<const std::string> responses) {
 ProbedBoundary probe_boundary(const capture::PacketTrace& trace,
                               net::Port server_port) {
   std::vector<std::string> responses;
-  for (const net::FlowId& flow : trace.flows()) {
-    if (flow.remote.port != server_port) continue;
-    const ReassembledStream stream = reassemble(trace, flow);
+  for (const capture::PacketTrace::FlowRecords& flow : trace.flow_records()) {
+    if (flow.flow.remote.port != server_port) continue;
+    const ReassembledStream stream = reassemble(trace, flow.records);
     if (!stream.bytes().empty()) responses.push_back(stream.bytes());
   }
   return ProbedBoundary{common_prefix_boundary(responses), responses.size()};

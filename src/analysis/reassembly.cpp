@@ -71,14 +71,24 @@ ReassembledStream ReassembledStream::from_segments(
 ReassembledStream reassemble(const capture::PacketTrace& trace,
                              const net::FlowId& flow,
                              capture::Direction direction) {
+  std::vector<std::size_t> records;
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    if (trace.view(i).flow_at_capture_node() == flow) records.push_back(i);
+  }
+  return reassemble(trace, records, direction);
+}
+
+ReassembledStream reassemble(const capture::PacketTrace& trace,
+                             std::span<const std::size_t> records,
+                             capture::Direction direction) {
   ReassembledStream out;
 
   // Normalizer: the sender's SYN sequence number (data begins at ISS + 1).
   std::optional<std::uint64_t> iss;
   std::optional<std::uint64_t> min_data_seq;
-  for (const auto& r : trace.records()) {
+  for (const std::size_t i : records) {
+    const capture::PacketRecordView r = trace.view(i);
     if (r.direction != direction) continue;
-    if (r.flow_at_capture_node() != flow) continue;
     if (r.tcp.flags.syn) iss = r.tcp.seq;
     if (r.payload_size > 0 && (!min_data_seq || r.tcp.seq < *min_data_seq)) {
       min_data_seq = r.tcp.seq;
@@ -88,10 +98,10 @@ ReassembledStream reassemble(const capture::PacketTrace& trace,
   const std::uint64_t base = iss ? *iss + 1 : *min_data_seq;
 
   std::string& bytes = out.bytes_;
-  for (const auto& r : trace.records()) {
+  for (const std::size_t i : records) {
+    const capture::PacketRecordView r = trace.view(i);
     if (r.direction != direction) continue;
     if (r.payload_size == 0) continue;
-    if (r.flow_at_capture_node() != flow) continue;
     if (r.tcp.seq < base) continue;  // pre-data sequence space (SYN)
     const std::size_t offset = static_cast<std::size_t>(r.tcp.seq - base);
 

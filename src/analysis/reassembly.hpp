@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -74,7 +75,7 @@ class ReassembledStream {
 
  private:
   friend ReassembledStream reassemble(const capture::PacketTrace& trace,
-                                      const net::FlowId& flow,
+                                      std::span<const std::size_t> records,
                                       capture::Direction direction);
 
   std::string bytes_;
@@ -88,6 +89,14 @@ class ReassembledStream {
 /// against the SYN of the corresponding sender.
 ReassembledStream reassemble(
     const capture::PacketTrace& trace, const net::FlowId& flow,
+    capture::Direction direction = capture::Direction::kReceived);
+
+/// The same over the records `trace` holds at `records`, which are one
+/// flow's, in capture order (PacketTrace::flow_records): a caller that
+/// split the trace by flow once reassembles each flow without rescanning
+/// the trace.
+ReassembledStream reassemble(
+    const capture::PacketTrace& trace, std::span<const std::size_t> records,
     capture::Direction direction = capture::Direction::kReceived);
 
 }  // namespace dyncdn::analysis

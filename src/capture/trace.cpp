@@ -1,7 +1,7 @@
 #include "capture/trace.hpp"
 
-#include <algorithm>
 #include <cstdio>
+#include <unordered_map>
 
 namespace dyncdn::capture {
 
@@ -56,10 +56,19 @@ PacketTrace PacketTrace::filter_remote_port(net::Port port) const {
 
 std::vector<net::FlowId> PacketTrace::flows() const {
   std::vector<net::FlowId> out;
+  for (const FlowRecords& f : flow_records()) out.push_back(f.flow);
+  return out;
+}
+
+std::vector<PacketTrace::FlowRecords> PacketTrace::flow_records() const {
+  std::vector<FlowRecords> out;
+  std::unordered_map<net::FlowId, std::size_t> position;  // index into out
   for (std::size_t i = 0; i < size(); ++i) {
     const net::FlowId f =
         flow_at_capture(directions_[i], srcs_[i], dsts_[i], tcps_[i]);
-    if (std::find(out.begin(), out.end(), f) == out.end()) out.push_back(f);
+    const auto [it, first] = position.try_emplace(f, out.size());
+    if (first) out.push_back(FlowRecords{f, {}});
+    out[it->second].records.push_back(i);
   }
   return out;
 }

@@ -206,6 +206,16 @@ class PacketTrace {
   /// in order of first appearance.
   std::vector<net::FlowId> flows() const;
 
+  /// One flow's records, both directions: indices into this trace, in
+  /// capture order.
+  struct FlowRecords {
+    net::FlowId flow;
+    std::vector<std::size_t> records;
+  };
+  /// Every record grouped by its flow, flows ordered as flows() lists
+  /// them: one pass over the trace, one hash lookup per record.
+  std::vector<FlowRecords> flow_records() const;
+
   /// Multi-line human-readable dump.
   std::string to_text() const;
 

@@ -15,12 +15,17 @@ Node& Network::add_node(const std::string& name, GeoPoint location) {
   if (by_name_.contains(name)) {
     throw std::invalid_argument("Network::add_node: duplicate name " + name);
   }
-  const NodeId id(static_cast<std::uint32_t>(nodes_.size() + 1));
-  nodes_.push_back(std::make_unique<Node>(*this, id, name, location));
+  const NodeId id = reserve_node_id();
+  nodes_.back() = std::make_unique<Node>(*this, id, name, location);
   by_name_.emplace(name, id);
+  return *nodes_.back();
+}
+
+NodeId Network::reserve_node_id() {
+  nodes_.emplace_back();
   adjacency_.resize(nodes_.size() + 1);
   routes_.resize(nodes_.size() + 1);
-  return *nodes_.back();
+  return NodeId(static_cast<std::uint32_t>(nodes_.size()));
 }
 
 void Network::connect(Node& a, Node& b, const LinkConfig& config) {
@@ -81,7 +86,9 @@ const std::vector<Link*>& Network::routes_from(std::uint32_t src) {
 }
 
 void Network::compute_routes() {
-  for (std::uint32_t src = 1; src <= nodes_.size(); ++src) build_row(src);
+  for (std::uint32_t src = 1; src <= nodes_.size(); ++src) {
+    if (nodes_[src - 1] != nullptr) build_row(src);
+  }
 }
 
 void Network::route(NodeId from, PacketPtr packet) {
@@ -102,22 +109,24 @@ void Network::route(NodeId from, PacketPtr packet) {
 
 std::uint64_t Network::packets_created() const {
   std::uint64_t total = 0;
-  for (const auto& node : nodes_) total += node->packets_created();
+  for (const auto& node : nodes_) {
+    if (node != nullptr) total += node->packets_created();
+  }
   return total;
 }
 
 Node& Network::node(NodeId id) {
-  const std::size_t idx = id.value();
-  if (idx == 0 || idx > nodes_.size()) {
-    throw std::out_of_range("Network::node: bad id");
-  }
-  return *nodes_[idx - 1];
+  return const_cast<Node&>(std::as_const(*this).node(id));
 }
 
 const Node& Network::node(NodeId id) const {
   const std::size_t idx = id.value();
   if (idx == 0 || idx > nodes_.size()) {
     throw std::out_of_range("Network::node: bad id");
+  }
+  if (nodes_[idx - 1] == nullptr) {
+    throw std::out_of_range("Network::node: id " + std::to_string(idx) +
+                            " is reserved, with no node behind it");
   }
   return *nodes_[idx - 1];
 }
@@ -140,6 +149,7 @@ sim::SimTime Network::path_delay(NodeId a, NodeId b) {
 
 Link* Network::first_hop_link(NodeId a, NodeId b) {
   if (a.value() == 0 || a.value() > nodes_.size()) return nullptr;
+  if (nodes_[a.value() - 1] == nullptr) return nullptr;
   const std::vector<Link*>& row = routes_from(a.value());
   return b.value() < row.size() ? row[b.value()] : nullptr;
 }

@@ -4,7 +4,10 @@
 // over the current topology and caches that node's next-hop row, and
 // connect() marks every row stale. A replica that drives a few dozen of
 // its few hundred nodes builds only those rows, yet any graph routes
-// exactly as an all-pairs table would route it.
+// exactly as an all-pairs table would route it. A replica also makes no
+// node for the hosts it never drives: it reserves their ids instead, so
+// the nodes it does make keep the ids, and thus the packet ids, of the
+// full fleet.
 #pragma once
 
 #include <cstdint>
@@ -29,6 +32,12 @@ class Network {
   /// Create a node. Names must be unique; they name RNG streams and traces.
   Node& add_node(const std::string& name, GeoPoint location = {});
 
+  /// Issue the next node id with no node behind it, so the nodes added
+  /// after it get the ids they would get had it been a node. node() and
+  /// find_node() refuse it; routing, compute_routes() and
+  /// packets_created() pass over it.
+  NodeId reserve_node_id();
+
   /// Connect two nodes with a bidirectional link (two unidirectional links
   /// sharing `config` but with independent loss-model instances).
   void connect(Node& a, Node& b, const LinkConfig& config);
@@ -46,12 +55,15 @@ class Network {
   /// if no route exists.
   void route(NodeId from, PacketPtr packet);
 
+  /// Throws std::out_of_range for an id that was never issued or was
+  /// only reserved.
   Node& node(NodeId id);
   const Node& node(NodeId id) const;
   Node* find_node(const std::string& name);
 
   sim::Simulator& simulator() { return simulator_; }
 
+  /// Node ids issued, reserved ones included.
   std::size_t node_count() const { return nodes_.size(); }
   std::uint64_t no_route_drops() const { return no_route_drops_; }
 
@@ -69,8 +81,9 @@ class Network {
   /// propagation delays; ignores bandwidth). Infinity if unreachable.
   sim::SimTime path_delay(NodeId a, NodeId b);
 
-  /// Link carrying traffic from `a` on the first hop toward `b`, or null.
-  /// Builds `a`'s row first if the topology changed since it was built.
+  /// Link carrying traffic from `a` on the first hop toward `b`, or null
+  /// (always null when either id is reserved). Builds `a`'s row first if
+  /// the topology changed since it was built.
   Link* first_hop_link(NodeId a, NodeId b);
 
  private:
@@ -95,7 +108,7 @@ class Network {
   void build_row(std::uint32_t src);
 
   sim::Simulator& simulator_;
-  std::vector<std::unique_ptr<Node>> nodes_;  // index = id - 1
+  std::vector<std::unique_ptr<Node>> nodes_;  // index = id - 1; null = reserved
   std::unordered_map<std::string, NodeId> by_name_;
   /// Outgoing edges and next-hop rows, both indexed by node id value (ids
   /// are 1-based; slot 0 is unused). Dense: node ids are issued

@@ -12,7 +12,7 @@
 // fleet and probes the static/dynamic boundary from client 0, once per
 // campaign; replicas get that boundary and run campaign queries only. A
 // replica builds only the vantage points of its shard
-// (ScenarioOptions::driven_clients); the others keep just their nodes. In
+// (ScenarioOptions::driven_clients); the others keep just their node ids. In
 // a plan of more than one replica, each also builds only the FEs its
 // clients query, warms up to the pass's recorded end, where the whole
 // fleet is quiet, and its exports count the other FEs' warm-up from that

@@ -223,24 +223,24 @@ void Scenario::build_frontends() {
     for (const std::size_t f : options_.queried_fes) build.at(f) = true;
   }
 
+  fes_.reserve(sites.size());
   for (std::size_t f = 0; f < sites.size(); ++f) {
-    const Site& site = sites[f];
-    FrontEnd fe;
-    fe.site_name = site.name;
-    fe.location = site.location;
-    fe.node = &network_->add_node("fe-" + site.name, site.location);
-    fe.distance_to_be_miles =
-        net::haversine_miles(site.location, p.be_location);
+    FrontEnd& fe = fes_.emplace_back();
+    fe.site_name = std::move(sites[f].name);
+    fe.location = sites[f].location;
+    fe.distance_to_be_miles = net::haversine_miles(fe.location, p.be_location);
     if (!build[f]) {
-      fes_.push_back(std::move(fe));
+      // Only the node id, so the nodes after it keep the fleet's ids.
+      network_->reserve_node_id();
       continue;
     }
+    fe.node = &network_->add_node("fe-" + fe.site_name, fe.location);
 
     // FE <-> BE path: geographic propagation over a well-provisioned (or,
     // for BingLike, public-internet) link.
     net::LinkConfig link;
     link.coalesce_deliveries = options_.link_coalescing;
-    link.propagation_delay = net::propagation_delay(site.location,
+    link.propagation_delay = net::propagation_delay(fe.location,
                                                     p.be_location);
     link.bandwidth_bps = p.fe_be_bandwidth_bps;
     if (p.fe_be_loss > 0.0) {
@@ -249,10 +249,9 @@ void Scenario::build_frontends() {
     }
     network_->connect(*fe.node, *be_node_, link);
 
-    cfg.name = "fe-" + site.name;
+    cfg.name = fe.node->name();
     fe.server =
         std::make_unique<cdn::FrontEndServer>(*fe.node, *content_, cfg);
-    fes_.push_back(std::move(fe));
   }
 }
 
@@ -288,12 +287,12 @@ std::vector<VantagePoint> Scenario::generate_vantage_points() const {
 }
 
 void Scenario::build_clients() {
-  // A replica copies the fleet's vantage points from the shared record.
+  // A replica reads the fleet's vantage points from the shared record;
+  // every client refers into the one list.
   const FleetWarmup* fleet = options_.fleet_warmup.get();
-  std::vector<VantagePoint> generated;
-  if (fleet == nullptr) generated = generate_vantage_points();
+  if (fleet == nullptr) generated_vantage_points_ = generate_vantage_points();
   const std::vector<VantagePoint>& vps =
-      fleet != nullptr ? fleet->vantage_points : generated;
+      fleet != nullptr ? fleet->vantage_points : generated_vantage_points_;
 
   tcp::TcpConfig client_tcp = options_.profile.client_tcp;
   if (options_.client_initial_cwnd) {
@@ -303,18 +302,16 @@ void Scenario::build_clients() {
   std::vector<bool> driven(vps.size(), options_.driven_clients.empty());
   for (const std::size_t i : options_.driven_clients) driven.at(i) = true;
 
+  clients_.reserve(vps.size());
   for (std::size_t i = 0; i < vps.size(); ++i) {
-    Client c;
-    c.vantage = vps[i];
+    Client& c = clients_.emplace_back(vps[i]);
     if (!driven[i]) {
-      // Only the node, for the fleet's node ids.
-      c.node = &network_->add_node(vps[i].name, vps[i].location);
-      clients_.push_back(std::move(c));
+      // Only the node id, so the nodes after it keep the fleet's ids.
+      network_->reserve_node_id();
       continue;
     }
 
-    const std::size_t best = default_fe_for(i, vps[i]);
-    c.default_fe = best;
+    c.default_fe = default_fe_for(i, vps[i]);
     c.node = &network_->add_node(vps[i].name, vps[i].location);
 
     if (options_.capture_clients) {
@@ -336,7 +333,6 @@ void Scenario::build_clients() {
       }
     }
     c.query_client = std::make_unique<cdn::QueryClient>(*c.node, client_tcp);
-    clients_.push_back(std::move(c));
   }
 }
 
@@ -507,9 +503,9 @@ std::shared_ptr<const FleetWarmup> Scenario::fleet_record() {
   collect_metrics(record->totals);
   record->backend_pool = backend_pool_total();
   record->links = network_->aggregate_link_stats();
+  record->vantage_points = generated_vantage_points_;
   for (std::size_t i = 0; i < clients_.size(); ++i) {
     const Client& c = clients_[i];
-    record->vantage_points.push_back(c.vantage);
     record->default_fe.push_back(c.driven() ? c.default_fe
                                             : default_fe_for(i, c.vantage));
   }

@@ -43,7 +43,7 @@ struct FleetWarmup {
   sim::SimTime deadline;
   /// FEs the fleet places.
   std::size_t fe_count = 0;
-  /// The fleet's vantage points, which a replica copies instead of
+  /// The fleet's vantage points, which a replica reads instead of
   /// generating them again, and the FE that DNS names for each.
   std::vector<VantagePoint> vantage_points;
   std::vector<std::size_t> default_fe;
@@ -61,19 +61,20 @@ struct ScenarioOptions {
   std::uint64_t seed = 1;
 
   /// Vantage points this scenario drives (indices into the fleet; empty =
-  /// all). Every other vantage point gets only its net::Node, so node ids,
-  /// packet ids and link names match the full fleet: no default-FE search,
-  /// access link, QueryClient, recorder, analyzer or spill writer. A
-  /// replica (parallel_experiment.hpp) lists its group only, and a probe
-  /// scenario (experiment.hpp) its probing client only. Which FEs it
-  /// builds is up to fleet_warmup.
+  /// all). Every other vantage point gets only its node id
+  /// (net::Network::reserve_node_id), so the nodes the scenario builds
+  /// keep the full fleet's node ids, packet ids and link names: no
+  /// net::Node, default-FE search, access link, QueryClient, recorder,
+  /// analyzer or spill writer. A replica (parallel_experiment.hpp) lists
+  /// its group only, and a probe scenario (experiment.hpp) its probing
+  /// client only. Which FEs it builds is up to fleet_warmup.
   std::vector<std::size_t> driven_clients;
 
   /// A campaign's shared fleet warm-up and the FEs this scenario queries
   /// (null = build every FE). When set, only the FEs in `queried_fes` get
-  /// a server and FE<->BE links; every other FE keeps only its net::Node,
-  /// so node ids, names and link RNG streams match the full fleet.
-  /// warm_up() ends at the record's deadline; from then on
+  /// a node, a server and FE<->BE links; every other FE keeps only its
+  /// node id, so the built nodes' ids, names and link RNG streams match
+  /// the full fleet. warm_up() ends at the record's deadline; from then on
   /// collect_metrics and the time series add the record's counts for the
   /// FEs left out. Set by the replica runner of multi-replica plans
   /// (parallel_experiment.hpp) and the boundary probe (experiment.hpp).
@@ -179,8 +180,12 @@ class Scenario {
   Scenario& operator=(const Scenario&) = delete;
 
   struct Client {
-    VantagePoint vantage;
-    net::Node* node = nullptr;
+    explicit Client(const VantagePoint& vp) : vantage(vp) {}
+
+    /// The scenario's entry in the fleet's vantage-point list, which it
+    /// keeps once for every client, driven or not.
+    const VantagePoint& vantage;
+    net::Node* node = nullptr;  // driven clients only
     std::unique_ptr<cdn::QueryClient> query_client;
     std::unique_ptr<capture::TraceRecorder> recorder;
     /// Online timeline reduction (ScenarioOptions::stream_analysis); wired
@@ -191,8 +196,8 @@ class Scenario {
     std::unique_ptr<capture::SpillWriter> spill;
     std::size_t default_fe = 0;  // index into fes(); driven clients only
 
-    /// False outside ScenarioOptions::driven_clients: only `vantage` and
-    /// `node` are set.
+    /// False outside ScenarioOptions::driven_clients: only `vantage` is
+    /// set, and the vantage point's node id is reserved with no node.
     bool driven() const { return query_client != nullptr; }
     /// Throws std::logic_error unless driven().
     void require_driven() const;
@@ -201,13 +206,13 @@ class Scenario {
   struct FrontEnd {
     std::string site_name;
     net::GeoPoint location;
-    net::Node* node = nullptr;
+    net::Node* node = nullptr;  // built FEs only
     std::unique_ptr<cdn::FrontEndServer> server;
     double distance_to_be_miles = 0;
 
     /// False for an FE a shared fleet warm-up left out
-    /// (ScenarioOptions::fleet_warmup): only the fields above but `server`
-    /// are set.
+    /// (ScenarioOptions::fleet_warmup): `node` and `server` are null and
+    /// the FE's node id is reserved with no node.
     bool built() const { return server != nullptr; }
     /// Throws std::logic_error unless built().
     void require_built() const;
@@ -333,6 +338,9 @@ class Scenario {
                                      const net::GeoPoint& fe_location) const;
 
   ScenarioOptions options_;
+  /// The fleet's vantage points when no shared fleet warm-up holds them:
+  /// Client::vantage refers into this list or the record's.
+  std::vector<VantagePoint> generated_vantage_points_;
   std::size_t capture_budget_ = 0;
   /// The scenario-owned spill directory ("" until a client spills).
   std::string spill_dir_;

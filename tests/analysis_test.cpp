@@ -287,6 +287,164 @@ TEST(Boundary, NoCommonPrefixIsZero) {
   EXPECT_EQ(common_prefix_boundary(responses), 0u);
 }
 
+/// A capture at node 1 of `count` interleaved HTTP exchanges, each from
+/// its own client port to port 80 of one of three servers (every fifth to
+/// port 443): SYN, SYN-ACK, request, then a response of a shared
+/// `kStatic`-byte prefix plus a per-flow dynamic part, received in 100-byte
+/// segments, partly out of order and partly retransmitted. Every seventh
+/// flow's payload bytes were not captured, and every eleventh lost its last
+/// dynamic segment.
+constexpr std::size_t kStatic = 300;
+
+capture::PacketTrace interleaved_capture(std::mt19937_64& rng,
+                                         std::size_t count) {
+  using capture::Direction;
+  const net::NodeId client{1};
+  const std::string static_part = pattern_text(kStatic);
+  std::vector<std::vector<capture::PacketRecord>> per_flow(count);
+  for (std::size_t k = 0; k < count; ++k) {
+    const net::NodeId server{static_cast<std::uint32_t>(2 + k % 3)};
+    const net::Port cport = static_cast<net::Port>(40000 + k);
+    const net::Port sport = k % 5 == 4 ? 443 : kPort;
+    const std::uint64_t iss_c = 1000 * k + 7;
+    const std::uint64_t iss_s = 5000 + 13 * k;
+    std::vector<capture::PacketRecord>& out = per_flow[k];
+    const auto sent = [&](std::uint64_t seq, std::string_view text, bool syn) {
+      capture::PacketRecord r;
+      r.direction = Direction::kSent;
+      r.src = client;
+      r.dst = server;
+      r.tcp.src_port = cport;
+      r.tcp.dst_port = sport;
+      r.tcp.seq = seq;
+      r.tcp.flags.syn = syn;
+      r.payload_size = text.size();
+      if (!text.empty()) {
+        r.payload = net::PayloadRef{net::make_buffer(text), 0, text.size()};
+      }
+      out.push_back(std::move(r));
+    };
+    const auto received = [&](std::uint64_t seq, std::string_view text,
+                              bool syn) {
+      capture::PacketRecord r;
+      r.direction = Direction::kReceived;
+      r.src = server;
+      r.dst = client;
+      r.tcp.src_port = sport;
+      r.tcp.dst_port = cport;
+      r.tcp.seq = seq;
+      r.tcp.flags.syn = syn;
+      r.tcp.flags.ack = true;
+      r.payload_size = text.size();
+      if (!text.empty() && k % 7 != 6) {
+        r.payload = net::PayloadRef{net::make_buffer(text), 0, text.size()};
+      }
+      out.push_back(std::move(r));
+    };
+    sent(iss_c, "", true);
+    received(iss_s, "", true);
+    sent(iss_c + 1, "GET /q" + std::to_string(k) + " HTTP/1.1\r\n\r\n",
+         false);
+
+    std::string response = static_part;
+    response += static_cast<char>('a' + k % 26);
+    response += pattern_text(50 + rng() % 300);
+    std::vector<std::size_t> offsets;
+    for (std::size_t off = 0; off < response.size(); off += 100) {
+      offsets.push_back(off);
+    }
+    if (k % 11 == 10 && offsets.size() > 4) offsets.pop_back();
+    for (std::size_t i = 0; i + 1 < offsets.size(); ++i) {
+      if (rng() % 4 == 0) std::swap(offsets[i], offsets[i + 1]);
+    }
+    for (std::size_t i = 0; i < offsets.size(); ++i) {
+      if (rng() % 5 != 0) continue;
+      const std::size_t at = i + 1 + rng() % (offsets.size() - i);
+      offsets.insert(offsets.begin() + static_cast<std::ptrdiff_t>(at),
+                     offsets[i]);
+    }
+    for (const std::size_t off : offsets) {
+      received(iss_s + 1 + off, std::string_view(response).substr(off, 100),
+               false);
+    }
+  }
+
+  // Interleave: each step appends the next record of a random unfinished
+  // flow, so every flow keeps its own order.
+  capture::PacketTrace trace(client);
+  std::vector<std::size_t> next(count, 0);
+  std::vector<std::size_t> open(count);
+  for (std::size_t k = 0; k < count; ++k) open[k] = k;
+  std::int64_t ms = 0;
+  while (!open.empty()) {
+    const std::size_t pick = rng() % open.size();
+    const std::size_t k = open[pick];
+    capture::PacketRecord r = per_flow[k][next[k]++];
+    r.timestamp = SimTime::milliseconds(++ms);
+    trace.add(std::move(r));
+    if (next[k] == per_flow[k].size()) open.erase(open.begin() + pick);
+  }
+  return trace;
+}
+
+TEST(Boundary, ProbeAndFlowsMatchPerFlowReassembly) {
+  using capture::Direction;
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    std::mt19937_64 rng(seed);
+    const capture::PacketTrace trace = interleaved_capture(rng, 60);
+
+    // flows(): first appearance, by a linear scan.
+    std::vector<net::FlowId> flows;
+    for (const capture::PacketRecordView r : trace.records()) {
+      const net::FlowId f = r.flow_at_capture_node();
+      if (std::find(flows.begin(), flows.end(), f) == flows.end()) {
+        flows.push_back(f);
+      }
+    }
+    ASSERT_EQ(flows.size(), 60u);
+    EXPECT_EQ(trace.flows(), flows);
+
+    // flow_records(): each flow's records, and the streams reassembled from
+    // them equal those reassemble() finds by scanning the whole trace.
+    const auto groups = trace.flow_records();
+    ASSERT_EQ(groups.size(), flows.size());
+    std::vector<std::string> responses;
+    for (std::size_t g = 0; g < groups.size(); ++g) {
+      const net::FlowId& flow = flows[g];
+      EXPECT_EQ(groups[g].flow, flow);
+      std::vector<std::size_t> records;
+      for (std::size_t i = 0; i < trace.size(); ++i) {
+        if (trace.view(i).flow_at_capture_node() == flow) records.push_back(i);
+      }
+      EXPECT_EQ(groups[g].records, records);
+      for (const Direction d : {Direction::kReceived, Direction::kSent}) {
+        const ReassembledStream whole = reassemble(trace, flow, d);
+        const ReassembledStream own = reassemble(trace, groups[g].records, d);
+        EXPECT_EQ(own.bytes(), whole.bytes());
+        EXPECT_EQ(own.length(), whole.length());
+        ASSERT_EQ(own.segments().size(), whole.segments().size());
+        for (std::size_t i = 0; i < own.segments().size(); ++i) {
+          EXPECT_EQ(own.segments()[i].offset, whole.segments()[i].offset);
+          EXPECT_EQ(own.segments()[i].length, whole.segments()[i].length);
+          EXPECT_EQ(own.segments()[i].at, whole.segments()[i].at);
+        }
+      }
+      if (flow.remote.port != kPort) continue;
+      const ReassembledStream stream = reassemble(trace, flow);
+      if (!stream.bytes().empty()) responses.push_back(stream.bytes());
+    }
+
+    // probe_boundary: the common prefix of the port-80 responses that
+    // carry payload bytes, in first-appearance order.
+    const ProbedBoundary probed = probe_boundary(trace, kPort);
+    EXPECT_EQ(probed.responses, responses.size());
+    EXPECT_GT(probed.responses, 30u);
+    EXPECT_EQ(probed.boundary, common_prefix_boundary(responses));
+    EXPECT_EQ(probed.boundary, kStatic);
+  }
+}
+
 TEST(Boundary, TemporalClustersSeparateStaticAndDynamic) {
   TwoNodeOptions opt;
   opt.one_way_delay = 5_ms;  // low RTT: clusters clearly separated

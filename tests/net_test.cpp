@@ -400,6 +400,72 @@ TEST(Network, SendTapsAndReceiveTapsFire) {
   EXPECT_EQ(recvs, 1);
 }
 
+TEST(Network, ReservedIdsHoldNoNodeAndRoutingPassesOverThem) {
+  // A network that builds every node, and one that reserves the ids of
+  // "idle" and "spare" instead: the nodes both build get the same ids.
+  const std::string names[] = {"a", "idle", "b", "spare", "c"};
+  const bool built[] = {true, false, true, false, true};
+  sim::Simulator full_sim;
+  sim::Simulator lean_sim;
+  Network full(full_sim);
+  Network lean(lean_sim);
+  std::vector<NodeId> ids;
+  for (std::size_t i = 0; i < std::size(names); ++i) {
+    const NodeId id = full.add_node(names[i]).id();
+    EXPECT_EQ(id.value(), i + 1) << "ids are dense";
+    ids.push_back(built[i] ? lean.add_node(names[i]).id()
+                           : lean.reserve_node_id());
+    EXPECT_EQ(ids.back(), id) << names[i];
+  }
+  EXPECT_EQ(lean.node_count(), full.node_count());
+  const NodeId idle = ids[1];
+  const NodeId spare = ids[3];
+
+  // No node behind a reserved id, by id or by the name it would have had.
+  EXPECT_THROW(lean.node(idle), std::out_of_range);
+  EXPECT_THROW(std::as_const(lean).node(spare), std::out_of_range);
+  EXPECT_EQ(lean.find_node("idle"), nullptr);
+  EXPECT_EQ(lean.find_node("spare"), nullptr);
+  EXPECT_THROW(lean.path_delay(idle, ids[0]), std::out_of_range);
+  EXPECT_THROW(lean.node(NodeId{6}), std::out_of_range);
+
+  // a - b - c in both networks; idle and spare stay unlinked.
+  LinkConfig cfg;
+  cfg.propagation_delay = 2_ms;
+  cfg.bandwidth_bps = 0;
+  for (Network* net : {&full, &lean}) {
+    net->connect(net->node(ids[0]), net->node(ids[2]), cfg);
+    net->connect(net->node(ids[2]), net->node(ids[4]), cfg);
+  }
+  EXPECT_EQ(lean.first_hop_link(idle, ids[4]), nullptr);
+  EXPECT_EQ(lean.first_hop_link(ids[0], spare), nullptr);
+  Link* a_to_c = lean.first_hop_link(ids[0], ids[4]);
+  ASSERT_NE(a_to_c, nullptr);
+  EXPECT_NO_THROW(lean.compute_routes());
+  EXPECT_EQ(lean.first_hop_link(ids[0], ids[4]), a_to_c);
+  EXPECT_EQ(lean.path_delay(ids[0], ids[4]), 4_ms);
+
+  // a sends to c and to the reserved id: the first arrives with the packet
+  // id the full network gives it, the second has no route, and only a's
+  // sends count as created packets.
+  std::vector<std::uint64_t> arrived;
+  for (auto [net, sim] : {std::pair{&full, &full_sim},
+                          std::pair{&lean, &lean_sim}}) {
+    Node& a = net->node(ids[0]);
+    net->node(ids[4]).set_receive_handler(
+        [&arrived](const PacketPtr& p) { arrived.push_back(p->id); });
+    a.send(make_packet(a.id(), ids[4], 10));
+    a.send(make_packet(a.id(), idle, 10));
+    sim->run();
+  }
+  ASSERT_EQ(arrived.size(), 2u);
+  EXPECT_EQ(arrived[0], arrived[1]);
+  EXPECT_EQ(lean.packets_created(), 2u);
+  EXPECT_EQ(lean.packets_created(), full.packets_created());
+  EXPECT_EQ(lean.no_route_drops(), 1u);
+  EXPECT_EQ(lean.no_route_drops(), full.no_route_drops());
+}
+
 TEST(Network, PathDelayUnreachableIsInfinite) {
   sim::Simulator simulator;
   Network network(simulator);

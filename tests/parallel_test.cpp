@@ -18,6 +18,7 @@
 
 #include "obs/export_chrome.hpp"
 #include "obs/export_prometheus.hpp"
+#include "obs/memory.hpp"
 #include "parallel/replica.hpp"
 #include "search/keywords.hpp"
 #include "testbed/experiment.hpp"
@@ -536,7 +537,7 @@ TEST(ParallelExperiment, FeAndBeCountCampaignQueriesOnly) {
   }
 }
 
-TEST(LeanReplica, IdleVantagePointsKeepTheirNodesAndCannotBeDriven) {
+TEST(LeanReplica, IdleVantagePointsHoldNoNodeAndCannotBeDriven) {
   auto options = small_scenario();
   options.driven_clients = {2, 0};
   testbed::Scenario lean(options);
@@ -545,10 +546,23 @@ TEST(LeanReplica, IdleVantagePointsKeepTheirNodesAndCannotBeDriven) {
   ASSERT_EQ(clients.size(), full.clients().size());
   for (std::size_t i = 0; i < clients.size(); ++i) {
     SCOPED_TRACE("client " + std::to_string(i));
+    const net::Node& reference = *full.clients()[i].node;
+    // Every client reads the fleet's vantage point, driven or not.
+    EXPECT_EQ(clients[i].vantage.name, full.clients()[i].vantage.name);
+    EXPECT_EQ(lean.client_fe_rtt(i, 1), full.client_fe_rtt(i, 1));
     EXPECT_EQ(clients[i].driven(), i == 0 || i == 2);
-    EXPECT_EQ(clients[i].node->id(), full.clients()[i].node->id());
-    EXPECT_EQ(clients[i].node->name(), full.clients()[i].node->name());
+    if (!clients[i].driven()) {
+      // Only the node id is reserved: no node by pointer, id or name.
+      EXPECT_EQ(clients[i].node, nullptr);
+      EXPECT_THROW(lean.network().node(reference.id()), std::out_of_range);
+      EXPECT_EQ(lean.network().find_node(reference.name()), nullptr);
+      continue;
+    }
+    ASSERT_NE(clients[i].node, nullptr);
+    EXPECT_EQ(clients[i].node->id(), reference.id());
+    EXPECT_EQ(clients[i].node->name(), reference.name());
   }
+  EXPECT_EQ(lean.network().node_count(), full.network().node_count());
   testbed::Scenario::Client& idle = clients[1];
   EXPECT_EQ(idle.recorder, nullptr);
   EXPECT_EQ(idle.analyzer, nullptr);
@@ -559,8 +573,53 @@ TEST(LeanReplica, IdleVantagePointsKeepTheirNodesAndCannotBeDriven) {
   EXPECT_THROW(testbed::analyze_client_trace(idle, 1), std::logic_error);
   EXPECT_NO_THROW(lean.connect_client_to_fe(2, 0));
 
+  // A lean scenario's own fleet record, the probe pass's, holds the whole
+  // fleet's vantage points and default FEs.
+  lean.warm_up();
+  full.warm_up();
+  const auto lean_record = lean.fleet_record();
+  const auto full_record = full.fleet_record();
+  ASSERT_EQ(lean_record->vantage_points.size(), clients.size());
+  for (std::size_t i = 0; i < clients.size(); ++i) {
+    EXPECT_EQ(lean_record->vantage_points[i].name,
+              full_record->vantage_points[i].name);
+    EXPECT_EQ(lean_record->vantage_points[i].location.lat_deg,
+              full_record->vantage_points[i].location.lat_deg);
+  }
+  EXPECT_EQ(lean_record->default_fe, full_record->default_fe);
+
   options.driven_clients = {8};  // the fleet has clients 0..7
   EXPECT_THROW({ testbed::Scenario bad(options); }, std::out_of_range);
+}
+
+TEST(LeanReplica, SetUpAllocationsDoNotGrowWithTheFleet) {
+  // A one-client replica of a 100- and a 1,600-VP fleet: client 0 is the
+  // same vantage point in both, so the replicas differ only in the ids
+  // they reserve for the vantage points they do not drive.
+  if (!obs::memory_tracking_enabled()) {
+    GTEST_SKIP() << "allocation tracking is compiled out";
+  }
+  std::vector<std::int64_t> allocations;
+  for (const std::size_t fleet_size : {100, 1600}) {
+    testbed::ScenarioOptions base;
+    base.profile = cdn::google_like_profile();
+    base.client_count = fleet_size;
+    base.seed = 5;
+    base.stream_analysis = true;
+    const auto options = testbed::replica_options(
+        base, {0}, fleet_record_of(base), std::nullopt);
+    const obs::MemorySnapshot before = obs::memory_snapshot();
+    {
+      testbed::Scenario replica(options);
+      replica.warm_up();
+    }
+    allocations.push_back(static_cast<std::int64_t>(
+        obs::memory_snapshot().allocations - before.allocations));
+  }
+  // Fewer than one more allocation per 10 more vantage points.
+  EXPECT_LT(allocations[1] - allocations[0], (1600 - 100) / 10)
+      << allocations[0] << " allocations at 100 VPs, " << allocations[1]
+      << " at 1,600";
 }
 
 // ---------------------------------------------------------------------------
@@ -703,7 +762,7 @@ TEST(FleetWarmup, ReplicaStillBusyAtTheRecordsEndThrows) {
   EXPECT_THROW(replica.warm_up(), std::logic_error);
 }
 
-TEST(FleetWarmup, IdleFesKeepTheirNodesAndCannotBeDriven) {
+TEST(FleetWarmup, IdleFesHoldNoNodeAndCannotBeDriven) {
   testbed::ScenarioOptions base;
   base.profile = cdn::bing_like_profile();
   base.client_count = 6;
@@ -720,15 +779,28 @@ TEST(FleetWarmup, IdleFesKeepTheirNodesAndCannotBeDriven) {
   std::size_t left_out = 0;
   for (std::size_t f = 0; f < fes.size(); ++f) {
     SCOPED_TRACE("fe " + fes[f].site_name);
-    EXPECT_EQ(fes[f].node->id(), full.fes()[f].node->id());
-    EXPECT_EQ(fes[f].node->name(), full.fes()[f].node->name());
+    const net::Node& reference = *full.fes()[f].node;
+    EXPECT_EQ(fes[f].site_name, full.fes()[f].site_name);
     EXPECT_EQ(fes[f].built(), std::find(queried.begin(), queried.end(), f) !=
                                   queried.end());
-    if (fes[f].built()) continue;
+    if (fes[f].built()) {
+      ASSERT_NE(fes[f].node, nullptr);
+      EXPECT_EQ(fes[f].node->id(), reference.id());
+      EXPECT_EQ(fes[f].node->name(), reference.name());
+      continue;
+    }
     ++left_out;
+    // Only the node id is reserved: no node by pointer, id or name.
+    EXPECT_EQ(fes[f].node, nullptr);
+    EXPECT_THROW(replica.network().node(reference.id()), std::out_of_range);
+    EXPECT_EQ(replica.network().find_node(reference.name()), nullptr);
     EXPECT_THROW(replica.connect_client_to_fe(3, f), std::logic_error);
     EXPECT_THROW(replica.fe_endpoint(f), std::logic_error);
   }
+  // The driven client's node, after every FE id, keeps its id too.
+  ASSERT_NE(replica.clients()[3].node, nullptr);
+  EXPECT_EQ(replica.clients()[3].node->id(), full.clients()[3].node->id());
+  EXPECT_EQ(replica.network().node_count(), full.network().node_count());
   EXPECT_GT(left_out, fes.size() / 2);
   EXPECT_NO_THROW(replica.fe_endpoint(replica.clients()[3].default_fe));
 

@@ -17,6 +17,7 @@
 #include <random>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "analysis/reassembly.hpp"
@@ -742,6 +743,36 @@ TEST(SavedTraces, SavingDoesNotPerturbTheCampaign) {
   EXPECT_EQ(saved.timeseries.to_json(), plain.timeseries.to_json());
   EXPECT_GT(plain.attribution.queries(), 0u);
   EXPECT_EQ(saved.attribution.to_json(), plain.attribution.to_json());
+  std::filesystem::remove_all(dir);
+}
+
+TEST(SavedTraces, LeanReplicaSavesTheFullScenariosBytes) {
+  // A .dtrc file carries the capture node's id and every packet's id, so a
+  // replica that reserves the ids of the vantage points and FEs it does
+  // not drive must still save its client's capture byte for byte as the
+  // full scenario does.
+  const testbed::ScenarioOptions base = saved_scenario();
+  const testbed::CampaignProbe probe =
+      testbed::probe_campaign(base, 5_s, std::nullopt);
+  const std::vector<std::size_t> group = {4};
+  const auto dir = fresh_dir("dyncdn_saved_traces_lean");
+  std::vector<std::map<std::string, std::string>> saved;
+  for (const auto& [name, options] :
+       {std::pair{"replica", testbed::replica_options(base, group, probe.fleet,
+                                                      std::nullopt)},
+        std::pair{"full", base}}) {
+    SCOPED_TRACE(name);
+    testbed::Scenario scenario(options);
+    scenario.warm_up(5_s);
+    auto& clients = scenario.clients();
+    const auto r = testbed::run_experiment_subset(
+        scenario, saved_experiment((dir / name).string()), group,
+        [&](std::size_t i) { return clients[i].default_fe; }, probe.boundary);
+    ASSERT_EQ(r.per_node_timings.front().size(), 3u);
+    saved.push_back(file_set(dir / name));
+  }
+  ASSERT_EQ(saved[0].size(), 1u);
+  EXPECT_TRUE(saved[0] == saved[1]) << "saved captures differ";
   std::filesystem::remove_all(dir);
 }
 
