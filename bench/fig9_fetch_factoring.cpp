@@ -8,6 +8,7 @@
 //
 // Paper numbers: intercept ~260ms (Bing) vs ~34ms (Google); slopes similar
 // across the services (0.08 vs 0.099 ms/mile). We match the *shape*:
+// T_dynamic grows linearly with distance (positive slopes, R^2 >= 0.5),
 // intercept ordering and slope similarity. Our slope constant C is set by
 // the internal TCP receive window (see DESIGN.md).
 //
@@ -105,6 +106,17 @@ int main() {
   const double slope_ratio = bing.factoring.slope_ms_per_mile() /
                              google.factoring.slope_ms_per_mile();
   const bool slopes_similar = slope_ratio > 0.5 && slope_ratio < 2.0;
+  // Linearity: distance explains most of the variance in the probes'
+  // median T_dynamic, and more distance costs more time.
+  const auto linear = [](const stats::LinearFit& fit) {
+    return fit.slope > 0.0 && fit.r_squared >= 0.5;
+  };
+  const bool linear_both = linear(bing.factoring.fit) &&
+                           linear(google.factoring.fit);
+  std::printf("linear in distance (slope > 0, R^2 >= 0.5): %s "
+              "(R^2 Bing-like %.3f, Google-like %.3f)\n",
+              linear_both ? "yes" : "no", bing.factoring.fit.r_squared,
+              google.factoring.fit.r_squared);
   std::printf("Bing intercept >> Google intercept: %s\n",
               intercept_order ? "yes" : "no");
   std::printf("slopes comparable across services:  %s (ratio %.2f)\n",
@@ -113,6 +125,7 @@ int main() {
               bing.factoring.implied_round_trips(),
               google.factoring.implied_round_trips());
   std::printf("paper shape %s\n",
-              intercept_order && slopes_similar ? "HOLDS" : "VIOLATED");
+              linear_both && intercept_order && slopes_similar ? "HOLDS"
+                                                               : "VIOLATED");
   return 0;
 }

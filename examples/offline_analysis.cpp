@@ -55,13 +55,11 @@ int main(int argc, char** argv) {
   }
 
   // ---- Stage 2: analyze (no simulator, only the trace file) ------------
-  // SpillReader's constructor mmaps the file and parses only the footer;
-  // read_all() then decodes the blocks. (capture::load_trace(path) does
-  // the same in one call — the explicit reader is shown here because block
-  // iteration and per-flow seeks hang off it.)
+  // SpillReader's constructor mmaps the file and checks its structure;
+  // read_all() then decodes the blocks front to back.
+  // (capture::load_trace(path) does the same in one call.)
   const capture::SpillReader reader(path);
-  std::printf("stage 2: %zu blocks, %llu records in footer index\n",
-              reader.block_count(),
+  std::printf("stage 2: %llu records in the file's tail\n",
               static_cast<unsigned long long>(reader.record_count()));
   const capture::PacketTrace trace = reader.read_all();
   std::printf("stage 2: loaded %zu packets (node %u)\n", trace.size(),

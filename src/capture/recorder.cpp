@@ -46,7 +46,6 @@ void TraceRecorder::replay(PacketSink& sink) {
 }
 
 void TraceRecorder::record(Direction direction, const net::PacketPtr& packet) {
-  if (!recording_) return;
   PacketRecord r;
   r.timestamp = simulator_.now();
   r.direction = direction;

@@ -49,7 +49,7 @@ struct RecorderOptions {
 /// Lifetime: the recorder registers taps on construction; the taps hold a
 /// pointer to it, so it must outlive the node's traffic (recorders are
 /// created once per experiment and kept until analysis completes).
-/// Recording can be paused/resumed between experiment phases.
+/// clear() separates experiment phases; the taps record every packet.
 class TraceRecorder {
  public:
   TraceRecorder(net::Node& node, sim::Simulator& simulator,
@@ -61,16 +61,11 @@ class TraceRecorder {
   const PacketTrace& trace() const { return trace_; }
   PacketTrace& trace() { return trace_; }
 
-  void pause() { recording_ = false; }
-  void resume() { recording_ = true; }
-  bool recording() const { return recording_; }
-
   /// Toggle trace-buffer retention. The sink keeps observing either way.
   void set_retain_packets(bool v) { options_.retain_packets = v; }
 
   /// Attach/detach a streaming observer (not owned; must outlive traffic).
   void set_sink(PacketSink* sink) { sink_ = sink; }
-  PacketSink* sink() const { return sink_; }
 
   /// Discard everything captured so far (e.g. between repetitions).
   /// Notifies the sink so online per-flow state resets in lockstep, and
@@ -84,8 +79,6 @@ class TraceRecorder {
   /// buffer resets — memory stays bounded by the budget while the full
   /// capture survives on disk. A budget of 0 disables spilling.
   void set_spill(SpillWriter* spill, std::size_t budget_bytes);
-  SpillWriter* spill() const { return spill_; }
-  std::size_t spill_budget() const { return spill_budget_; }
   /// True once at least one budget-triggered spill has happened since the
   /// last clear() (i.e. trace() alone is an incomplete view).
   bool has_spilled() const { return has_spilled_; }
@@ -115,7 +108,6 @@ class TraceRecorder {
   std::size_t spill_budget_ = 0;
   bool has_spilled_ = false;
   std::size_t peak_retained_bytes_ = 0;
-  bool recording_ = true;
 };
 
 }  // namespace dyncdn::capture

@@ -1,26 +1,22 @@
 #include "capture/spill.hpp"
 
-#include <algorithm>
+#include <fcntl.h>
+#include <sys/mman.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <chrono>
 #include <cstring>
 #include <stdexcept>
 #include <utility>
 
-#if defined(__unix__) || defined(__APPLE__)
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-#define DYNCDN_SPILL_HAVE_MMAP 1
-#endif
-
 namespace dyncdn::capture {
 
 namespace {
 
-constexpr char kMagic[8] = {'D', 'T', 'R', 'C', '0', '0', '0', '1'};
+constexpr char kMagic[8] = {'D', 'T', 'R', 'C', '0', '0', '0', '2'};
 constexpr char kTailMagic[8] = {'D', 'T', 'R', 'C', 'E', 'N', 'D', '1'};
-constexpr std::size_t kFileHeaderBytes = 16;  // magic + node u32 + flags u32
+constexpr std::size_t kFileHeaderBytes = 12;  // magic + node u32
 constexpr std::size_t kTailBytes = 24;        // footer off + records + magic
 constexpr std::size_t kSectionCount = 9;
 
@@ -94,6 +90,27 @@ struct Cursor {
   bool done() const { return p == end; }
 };
 
+/// A block's header: its record count and the sizes of what follows it.
+struct BlockHeader {
+  std::uint32_t records = 0;
+  std::uint32_t section_size[kSectionCount] = {};
+  std::uint32_t payload_size = 0;
+
+  static BlockHeader read(Cursor& c) {
+    BlockHeader h;
+    h.records = get_u32(c.bytes(4));
+    for (std::uint32_t& size : h.section_size) size = get_u32(c.bytes(4));
+    h.payload_size = get_u32(c.bytes(4));
+    return h;
+  }
+  /// The bytes after the header: every section, then the payload region.
+  std::uint64_t body_bytes() const {
+    std::uint64_t n = payload_size;
+    for (const std::uint32_t size : section_size) n += size;
+    return n;
+  }
+};
+
 std::uint64_t pair_key(std::uint32_t a, std::uint32_t b) {
   return (static_cast<std::uint64_t>(a) << 32) | b;
 }
@@ -105,11 +122,7 @@ std::uint64_t pair_key(std::uint32_t a, std::uint32_t b) {
 // ---------------------------------------------------------------------------
 
 SpillWriter::SpillWriter(std::string path, net::NodeId node)
-    : SpillWriter(std::move(path), node, Options{}) {}
-
-SpillWriter::SpillWriter(std::string path, net::NodeId node, Options options)
-    : path_(std::move(path)), node_(node), options_(options) {
-  if (options_.block_records == 0) options_.block_records = 4096;
+    : path_(std::move(path)), node_(node) {
   open_file();
 }
 
@@ -132,11 +145,11 @@ void SpillWriter::open_file() {
   std::vector<std::uint8_t> header;
   header.insert(header.end(), kMagic, kMagic + 8);
   put_u32(header, node_.value());
-  put_u32(header, 0);  // flags, reserved
   if (std::fwrite(header.data(), 1, header.size(), file_) != header.size()) {
     throw std::runtime_error("SpillWriter: header write failed: " + path_);
   }
   write_offset_ = header.size();
+  file_records_ = 0;
   finished_ = false;
 }
 
@@ -161,14 +174,12 @@ void SpillWriter::on_clear() {
   for (auto& s : sections_) s.clear();
   payload_region_.clear();
   pair_state_.clear();
-  block_pairs_.clear();
   block_records_ = 0;
   prev_timestamp_ = 0;
   endpoints_.clear();
   pairs_.clear();
   endpoint_lookup_.clear();
   pair_lookup_.clear();
-  index_.clear();
   open_file();
 }
 
@@ -201,8 +212,6 @@ void SpillWriter::encode(sim::SimTime timestamp, Direction direction,
   put_varint(sections_[0],
              zigzag_encode(timestamp.ns() - prev_timestamp_));
   prev_timestamp_ = timestamp.ns();
-  if (block_records_ == 0) block_first_ts_ = timestamp.ns();
-  block_last_ts_ = timestamp.ns();
 
   // 1: direction bitset.
   if (block_records_ % 8 == 0) sections_[1].push_back(0);
@@ -236,12 +245,6 @@ void SpillWriter::encode(sim::SimTime timestamp, Direction direction,
   ps.prev_seq = seq;
   delta(sections_[4], static_cast<std::int64_t>(tcp.ack), ps.prev_ack);
   delta(sections_[5], static_cast<std::int64_t>(tcp.window), ps.prev_window);
-  if (block_pairs_.empty() || !std::binary_search(block_pairs_.begin(),
-                                                  block_pairs_.end(), pair)) {
-    block_pairs_.insert(
-        std::lower_bound(block_pairs_.begin(), block_pairs_.end(), pair),
-        pair);
-  }
 
   // 6: flags nibble, two records per byte.
   const std::uint8_t nibble =
@@ -267,7 +270,7 @@ void SpillWriter::encode(sim::SimTime timestamp, Direction direction,
   ++block_records_;
   ++stats_.records;
   stats_.raw_bytes += PacketTrace::kRecordColumnBytes + payload.length;
-  if (block_records_ >= options_.block_records) flush_block();
+  if (block_records_ >= kBlockRecords) flush_block();
 }
 
 void SpillWriter::flush_block() {
@@ -301,23 +304,13 @@ void SpillWriter::flush_block() {
           std::chrono::steady_clock::now() - start)
           .count());
 
-  BlockEntry entry;
-  entry.offset = write_offset_;
-  entry.encoded_bytes = written;
-  entry.record_count = block_records_;
-  entry.payload_bytes = payload_region_.size();
-  entry.first_ts = block_first_ts_;
-  entry.last_ts = block_last_ts_;
-  entry.pair_ids = block_pairs_;
-  index_.push_back(std::move(entry));
-
   write_offset_ += written;
+  file_records_ += block_records_;
   stats_.bytes_written += written;
   ++stats_.blocks;
 
   for (auto& s : sections_) s.clear();
   payload_region_.clear();
-  block_pairs_.clear();
   pair_state_.assign(pair_state_.size(), PairState{});
   block_records_ = 0;
   prev_timestamp_ = 0;
@@ -335,27 +328,10 @@ void SpillWriter::write_footer_and_tail() {
     put_varint(footer, a);
     put_varint(footer, b);
   }
-  put_varint(footer, index_.size());
-  std::uint64_t total_records = 0;
-  for (const BlockEntry& e : index_) {
-    put_varint(footer, e.offset);
-    put_varint(footer, e.encoded_bytes);
-    put_varint(footer, e.record_count);
-    put_varint(footer, e.payload_bytes);
-    put_varint(footer, zigzag_encode(e.first_ts));
-    put_varint(footer, zigzag_encode(e.last_ts - e.first_ts));
-    put_varint(footer, e.pair_ids.size());
-    std::uint32_t prev = 0;
-    for (std::size_t i = 0; i < e.pair_ids.size(); ++i) {
-      put_varint(footer, e.pair_ids[i] - prev);  // ascending deltas
-      prev = e.pair_ids[i];
-    }
-    total_records += e.record_count;
-  }
 
   std::vector<std::uint8_t> tail;
   put_u64(tail, write_offset_);
-  put_u64(tail, total_records);
+  put_u64(tail, file_records_);
   tail.insert(tail.end(), kTailMagic, kTailMagic + 8);
 
   const auto start = std::chrono::steady_clock::now();
@@ -386,71 +362,46 @@ void SpillWriter::finish() {
 // ---------------------------------------------------------------------------
 
 SpillReader::SpillReader(const std::string& path) : path_(path) {
-#ifdef DYNCDN_SPILL_HAVE_MMAP
   const int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) throw std::runtime_error("SpillReader: cannot open " + path);
   struct stat st{};
-  if (::fstat(fd, &st) != 0) {
-    ::close(fd);
-    throw std::runtime_error("SpillReader: cannot stat " + path);
-  }
-  size_ = static_cast<std::size_t>(st.st_size);
-  if (size_ > 0) {
-    void* map = ::mmap(nullptr, size_, PROT_READ, MAP_PRIVATE, fd, 0);
-    if (map != MAP_FAILED) {
-      data_ = static_cast<const std::uint8_t*>(map);
-      mapped_ = true;
-    }
-  }
-  if (!mapped_) {
-    fallback_.resize(size_);
-    std::size_t off = 0;
-    while (off < size_) {
-      const ssize_t n = ::read(fd, fallback_.data() + off, size_ - off);
-      if (n <= 0) {
-        ::close(fd);
-        throw std::runtime_error("SpillReader: read failed: " + path);
-      }
-      off += static_cast<std::size_t>(n);
-    }
-    data_ = fallback_.data();
-  }
+  const bool sized = ::fstat(fd, &st) == 0;
+  size_ = sized ? static_cast<std::size_t>(st.st_size) : 0;
+  void* map = size_ > 0 ? ::mmap(nullptr, size_, PROT_READ, MAP_PRIVATE, fd, 0)
+                        : MAP_FAILED;
   ::close(fd);
-#else
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) throw std::runtime_error("SpillReader: cannot open " + path);
-  std::fseek(f, 0, SEEK_END);
-  size_ = static_cast<std::size_t>(std::ftell(f));
-  std::fseek(f, 0, SEEK_SET);
-  fallback_.resize(size_);
-  if (size_ > 0 && std::fread(fallback_.data(), 1, size_, f) != size_) {
-    std::fclose(f);
-    throw std::runtime_error("SpillReader: read failed: " + path);
+  if (!sized) throw std::runtime_error("SpillReader: cannot stat " + path);
+  if (size_ == 0) {
+    throw std::runtime_error("dtrc: file too short for header + tail: " +
+                             path);
   }
-  std::fclose(f);
-  data_ = fallback_.data();
-#endif
+  if (map == MAP_FAILED) {
+    throw std::runtime_error("SpillReader: cannot map " + path);
+  }
+  data_ = static_cast<const std::uint8_t*>(map);
   try {
-    parse_footer();
+    check_structure();
   } catch (...) {
-#ifdef DYNCDN_SPILL_HAVE_MMAP
-    if (mapped_) ::munmap(const_cast<std::uint8_t*>(data_), size_);
-    mapped_ = false;
-#endif
+    ::munmap(const_cast<std::uint8_t*>(data_), size_);
     throw;
   }
 }
 
 SpillReader::~SpillReader() {
-#ifdef DYNCDN_SPILL_HAVE_MMAP
-  if (mapped_) ::munmap(const_cast<std::uint8_t*>(data_), size_);
-#endif
+  ::munmap(const_cast<std::uint8_t*>(data_), size_);
 }
 
-void SpillReader::parse_footer() {
+void SpillReader::check_structure() {
   // Judge the magic before the size, so a short file of another format
   // (a text dump) is named as not a .dtrc file rather than a short one.
   if (size_ >= sizeof(kMagic) && std::memcmp(data_, kMagic, 8) != 0) {
+    const std::string magic(reinterpret_cast<const char*>(data_), 8);
+    if (magic.starts_with("DTRC") &&
+        magic.find_first_not_of("0123456789", 4) == std::string::npos) {
+      throw std::runtime_error("dtrc: unsupported format version " + magic +
+                               " (this reader reads " +
+                               std::string(kMagic, 8) + "): " + path_);
+    }
     throw std::runtime_error("dtrc: bad magic (not a .dtrc file): " + path_);
   }
   if (size_ < kFileHeaderBytes + kTailBytes) {
@@ -471,8 +422,9 @@ void SpillReader::parse_footer() {
       footer_offset > size_ - kTailBytes) {
     throw std::runtime_error("dtrc: footer offset out of range: " + path_);
   }
+  blocks_end_ = data_ + footer_offset;
 
-  Cursor c{data_ + footer_offset, data_ + size_ - kTailBytes, "footer"};
+  Cursor c{blocks_end_, tail, "footer"};
   const std::uint64_t ep_count = c.varint();
   for (std::uint64_t i = 0; i < ep_count; ++i) {
     const std::uint64_t node = c.varint();
@@ -490,84 +442,52 @@ void SpillReader::parse_footer() {
     }
     pairs_.emplace_back(static_cast<std::uint32_t>(a),
                         static_cast<std::uint32_t>(b));
-    pair_lookup_.emplace(pair_key(static_cast<std::uint32_t>(a),
-                                  static_cast<std::uint32_t>(b)),
-                         static_cast<std::uint32_t>(i));
-  }
-  const std::uint64_t block_count = c.varint();
-  std::uint64_t records_seen = 0;
-  for (std::uint64_t i = 0; i < block_count; ++i) {
-    BlockMeta m;
-    m.offset = c.varint();
-    m.encoded_bytes = c.varint();
-    m.record_count = static_cast<std::uint32_t>(c.varint());
-    m.payload_bytes = c.varint();
-    m.first_ts = zigzag_decode(c.varint());
-    m.last_ts = m.first_ts + zigzag_decode(c.varint());
-    if (m.offset < kFileHeaderBytes || m.offset > footer_offset ||
-        m.encoded_bytes == 0 || m.encoded_bytes > footer_offset - m.offset) {
-      c.fail("block extent out of range");
-    }
-    const std::uint64_t n_pairs = c.varint();
-    std::uint32_t prev = 0;
-    for (std::uint64_t p = 0; p < n_pairs; ++p) {
-      prev += static_cast<std::uint32_t>(c.varint());
-      if (prev >= pairs_.size()) c.fail("block lists unknown pair");
-      m.pair_ids.push_back(prev);
-    }
-    records_seen += m.record_count;
-    blocks_.push_back(std::move(m));
   }
   if (!c.done()) {
     throw std::runtime_error("dtrc: trailing bytes after footer: " + path_);
   }
+
+  // Walk the block headers: each block's extent must end inside the block
+  // region, the last exactly at the footer, and the records they count
+  // must be the tail's total.
+  Cursor walk{data_ + kFileHeaderBytes, blocks_end_, "block"};
+  std::uint64_t records_seen = 0;
+  while (!walk.done()) {
+    const BlockHeader h = BlockHeader::read(walk);
+    if (h.records == 0) walk.fail("empty block");
+    walk.bytes(h.body_bytes());
+    records_seen += h.records;
+  }
   if (records_seen != record_count_) {
-    throw std::runtime_error("dtrc: block index record count mismatch: " +
-                             path_);
+    throw std::runtime_error(
+        "dtrc: block record counts disagree with the tail's total: " + path_);
   }
 }
 
-SpillReader::BlockInfo SpillReader::block_info(std::size_t block) const {
-  const BlockMeta& m = blocks_.at(block);
-  BlockInfo info;
-  info.first_timestamp = sim::SimTime::nanoseconds(m.first_ts);
-  info.last_timestamp = sim::SimTime::nanoseconds(m.last_ts);
-  info.records = m.record_count;
-  info.payload_bytes = m.payload_bytes;
-  return info;
-}
-
-void SpillReader::decode_block(
-    const BlockMeta& meta,
+const std::uint8_t* SpillReader::decode_block(
+    const std::uint8_t* block,
     const std::function<void(PacketRecord&&)>& emit) const {
-  Cursor c{data_ + meta.offset, data_ + meta.offset + meta.encoded_bytes,
-           "block"};
-  const std::uint32_t n = get_u32(c.bytes(4));
-  if (n != meta.record_count) c.fail("record count disagrees with index");
-  std::uint32_t section_size[kSectionCount];
-  for (std::size_t s = 0; s < kSectionCount; ++s) {
-    section_size[s] = get_u32(c.bytes(4));
-  }
-  const std::uint32_t payload_size = get_u32(c.bytes(4));
+  Cursor c{block, blocks_end_, "block"};
+  const BlockHeader h = BlockHeader::read(c);
+  const std::uint32_t n = h.records;
   Cursor sec[kSectionCount];
   for (std::size_t s = 0; s < kSectionCount; ++s) {
-    const std::uint8_t* p = c.bytes(section_size[s]);
-    sec[s] = Cursor{p, p + section_size[s], "block column"};
+    const std::uint8_t* p = c.bytes(h.section_size[s]);
+    sec[s] = Cursor{p, p + h.section_size[s], "block column"};
   }
   // The two bit-packed columns are indexed, not cursored: validate their
   // full extent up front.
-  if (section_size[1] < (std::uint64_t{n} + 7) / 8) {
+  if (h.section_size[1] < (std::uint64_t{n} + 7) / 8) {
     sec[1].fail("direction bitset short");
   }
-  if (section_size[6] < (std::uint64_t{n} + 1) / 2) {
+  if (h.section_size[6] < (std::uint64_t{n} + 1) / 2) {
     sec[6].fail("flag nibbles short");
   }
   const std::uint8_t* dir_bits = sec[1].p;
   const std::uint8_t* flag_nibbles = sec[6].p;
-  const std::uint8_t* payload_base = c.bytes(payload_size);
-  Cursor payloads{payload_base, payload_base + payload_size,
+  const std::uint8_t* payload_base = c.bytes(h.payload_size);
+  Cursor payloads{payload_base, payload_base + h.payload_size,
                   "block payload region"};
-  if (!c.done()) c.fail("block larger than its sections");
 
   struct PairState {
     std::int64_t prev_seq = 0;
@@ -618,7 +538,7 @@ void SpillReader::decode_block(
     if (ps.prev_psize < 0) sec[7].fail("negative payload size");
     r.payload_size = static_cast<std::size_t>(ps.prev_psize);
     const std::uint64_t retained =
-        section_size[8] != 0 ? sec[8].varint() : 0;
+        h.section_size[8] != 0 ? sec[8].varint() : 0;
     if (retained > 0) {
       const std::uint8_t* bytes = payloads.bytes(
           static_cast<std::size_t>(retained));
@@ -629,61 +549,26 @@ void SpillReader::decode_block(
     }
     emit(std::move(r));
   }
+  return c.p;
 }
 
-void SpillReader::read_block(std::size_t block, PacketTrace& out) const {
-  decode_block(blocks_.at(block),
-               [&out](PacketRecord&& r) { out.add(std::move(r)); });
+void SpillReader::decode(
+    const std::function<void(PacketRecord&&)>& emit) const {
+  for (const std::uint8_t* block = data_ + kFileHeaderBytes;
+       block != blocks_end_;) {
+    block = decode_block(block, emit);
+  }
 }
 
 PacketTrace SpillReader::read_all() const {
   PacketTrace out(node_);
-  for (const BlockMeta& m : blocks_) {
-    decode_block(m, [&out](PacketRecord&& r) { out.add(std::move(r)); });
-  }
+  decode([&out](PacketRecord&& r) { out.add(std::move(r)); });
   return out;
 }
 
 void SpillReader::for_each_record(
     const std::function<void(const PacketRecord&)>& fn) const {
-  for (const BlockMeta& m : blocks_) {
-    decode_block(m, [&fn](PacketRecord&& r) { fn(r); });
-  }
-}
-
-PacketTrace SpillReader::read_flow(const net::FlowId& flow) const {
-  PacketTrace out(node_);
-  // Map the flow's endpoints back to interned ids; an unknown endpoint
-  // means the flow never appears in this file.
-  auto find_ep = [this](const net::Endpoint& e) -> std::int64_t {
-    for (std::size_t i = 0; i < endpoints_.size(); ++i) {
-      if (endpoints_[i].first == e.node.value() &&
-          endpoints_[i].second == e.port) {
-        return static_cast<std::int64_t>(i);
-      }
-    }
-    return -1;
-  };
-  const std::int64_t local = find_ep(flow.local);
-  const std::int64_t remote = find_ep(flow.remote);
-  if (local < 0 || remote < 0) return out;
-  std::uint32_t a = static_cast<std::uint32_t>(local);
-  std::uint32_t b = static_cast<std::uint32_t>(remote);
-  if (a > b) std::swap(a, b);
-  const auto it = pair_lookup_.find(pair_key(a, b));
-  if (it == pair_lookup_.end()) return out;
-  const std::uint32_t pair = it->second;
-
-  for (const BlockMeta& m : blocks_) {
-    if (!std::binary_search(m.pair_ids.begin(), m.pair_ids.end(), pair)) {
-      continue;  // the seek: skip blocks without this connection
-    }
-    decode_block(m, [&out, &flow](PacketRecord&& r) {
-      const net::FlowId f = r.flow_at_capture_node();
-      if (f == flow || f == flow.reversed()) out.add(std::move(r));
-    });
-  }
-  return out;
+  decode([&fn](PacketRecord&& r) { fn(r); });
 }
 
 // ---------------------------------------------------------------------------

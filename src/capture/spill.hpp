@@ -1,25 +1,27 @@
 // Durable traces: spill-to-disk columnar trace format (.dtrc).
 //
 // The paper's methodology is capture-then-analyze: every vantage point
-// keeps a full tcpdump and all decomposition happens offline. This module
-// is the one capture format that is stored and read back. A text dump
-// (serialize.hpp) costs ~50 bytes per headers-only record and 2x the
-// payload bytes in hex; at the 10^5..10^6-client campaign scale neither
-// the trace buffer nor such a file fits.
+// keeps a full tcpdump and all decomposition happens offline, reading
+// each capture from start to end. This module is the one capture format
+// that is stored and read back. A text dump (serialize.hpp) costs ~50
+// bytes per headers-only record and 2x the payload bytes in hex; at the
+// 10^5..10^6-client campaign scale neither the trace buffer nor such a
+// file fits.
 //
 //   SpillWriter  a capture::PacketSink that streams PacketRecords into a
-//                compact block-columnar binary file. Memory is O(one
-//                block); a TraceRecorder with a spill budget dumps its
-//                buffer here whenever retained_bytes crosses the budget.
-//   SpillReader  mmap-based consumer that can iterate blocks, decode the
-//                whole file, or seek per-flow via the block index without
-//                materializing anything it skips.
+//                compact block-columnar binary file, written once.
+//                Memory is O(one block); a TraceRecorder with a spill
+//                budget dumps its buffer here whenever retained_bytes
+//                crosses the budget.
+//   SpillReader  mmap-based consumer that decodes the blocks front to
+//                back, into one trace or record by record.
 //
-// On-disk layout (all integers little-endian; "varint" = LEB128,
-// "zigzag" = signed-to-unsigned fold before varint):
+// On-disk layout, version 2 (all integers little-endian; "varint" =
+// LEB128, "zigzag" = signed-to-unsigned fold before varint):
 //
-//   [file header]  magic "DTRC0001" | node u32 | flags u32
-//   [block]*       each block is independently decodable:
+//   [file header]  magic "DTRC0002" | node u32
+//   [block]*       each block is sized by its own header and decodes
+//                  independently:
 //                    record_count u32
 //                    section_size u32 x 9   (column sections, in order)
 //                    payload_size u32       (separate payload region)
@@ -45,18 +47,19 @@
 //                                       omitted (size 0) when the block
 //                                       retains no payload bytes at all
 //                    payload region: retained payload bytes, record order
-//   [footer]       endpoint table (varint node/port pairs), endpoint-pair
-//                  table, block index: per block {offset, encoded size,
-//                  record count, payload bytes, first/last timestamp,
-//                  ascending delta-coded list of pair ids present} — the
-//                  per-flow seek structure.
+//   [footer]       endpoint table (varint node/port pairs) and
+//                  endpoint-pair table: what the decoder needs to name
+//                  each record's endpoints.
 //   [tail]         footer offset u64 | total records u64 | "DTRCEND1"
 //
 // Pair interning and per-directed-flow deltas are what make the format
 // small: a headers-only record costs ~9 bytes (vs ~50 text), and payload
 // bytes are stored raw (vs 2x hex). The tail-anchored footer lets the
-// reader open a file without scanning it, and lets the writer restart a
-// file cheaply (truncate to header) when the recorder clears.
+// writer hold the intern tables until the end, and restart a file
+// cheaply (truncate to header) when the recorder clears. A reader opens a
+// file by checking the header, the tail and the footer, then walking the
+// block headers, which must land exactly on the footer and count the
+// tail's record total.
 #pragma once
 
 #include <cstdint>
@@ -91,22 +94,18 @@ struct SpillStats {
 /// (ExperimentOptions::save_traces).
 class SpillWriter final : public PacketSink {
  public:
-  struct Options {
-    /// Records per block. Larger blocks amortize section framing; smaller
-    /// blocks tighten the per-flow seek granularity.
-    std::size_t block_records = 4096;
-  };
+  /// Records per block: large enough to amortize section framing.
+  static constexpr std::uint32_t kBlockRecords = 4096;
 
   /// Opens (truncates) `path` and writes the file header. Throws
   /// std::runtime_error when the file cannot be created.
   SpillWriter(std::string path, net::NodeId node);
-  SpillWriter(std::string path, net::NodeId node, Options options);
   ~SpillWriter() override;
 
   SpillWriter(const SpillWriter&) = delete;
   SpillWriter& operator=(const SpillWriter&) = delete;
 
-  /// PacketSink: append one record. Flushes a block once block_records
+  /// PacketSink: append one record. Flushes a block once kBlockRecords
   /// accumulate. Throws std::logic_error after finish() (call on_clear()
   /// to restart the file).
   void on_packet(const PacketRecord& record) override;
@@ -149,7 +148,6 @@ class SpillWriter final : public PacketSink {
 
   std::string path_;
   net::NodeId node_;
-  Options options_;
   std::FILE* file_ = nullptr;
   bool finished_ = false;
   SpillStats stats_;
@@ -166,29 +164,21 @@ class SpillWriter final : public PacketSink {
   std::vector<std::uint8_t> sections_[9];
   std::vector<std::uint8_t> payload_region_;
   std::vector<PairState> pair_state_;  // indexed by directed flow id
-  std::vector<std::uint32_t> block_pairs_;  // sorted unique pair ids
   std::uint32_t block_records_ = 0;
   std::int64_t prev_timestamp_ = 0;
-  std::int64_t block_first_ts_ = 0;
-  std::int64_t block_last_ts_ = 0;
 
-  struct BlockEntry {
-    std::uint64_t offset = 0;
-    std::uint64_t encoded_bytes = 0;
-    std::uint32_t record_count = 0;
-    std::uint64_t payload_bytes = 0;
-    std::int64_t first_ts = 0;
-    std::int64_t last_ts = 0;
-    std::vector<std::uint32_t> pair_ids;
-  };
-  std::vector<BlockEntry> index_;
+  // Since the file was (re)started: the footer offset and the tail's
+  // record total.
   std::uint64_t write_offset_ = 0;
+  std::uint64_t file_records_ = 0;
 };
 
-/// mmap-backed .dtrc consumer. The constructor maps the file and parses
-/// only the tail + footer; blocks decode lazily on demand. Throws
-/// std::runtime_error with a specific message on truncated or corrupt
-/// input. Falls back to a heap copy of the file if mmap is unavailable.
+/// mmap-backed .dtrc consumer. The constructor maps the file and checks
+/// its structure (header, tail, footer, and a walk over the block
+/// headers); the blocks decode front to back on demand. Throws
+/// std::runtime_error with a specific message, naming the file, on
+/// truncated or corrupt input, on another format version, and on a file
+/// that cannot be mapped.
 class SpillReader {
  public:
   explicit SpillReader(const std::string& path);
@@ -199,18 +189,6 @@ class SpillReader {
 
   net::NodeId node() const { return node_; }
   std::uint64_t record_count() const { return record_count_; }
-  std::size_t block_count() const { return blocks_.size(); }
-
-  struct BlockInfo {
-    sim::SimTime first_timestamp;
-    sim::SimTime last_timestamp;
-    std::uint32_t records = 0;
-    std::uint64_t payload_bytes = 0;
-  };
-  BlockInfo block_info(std::size_t block) const;
-
-  /// Decode block `block` into `out` (records appended in capture order).
-  void read_block(std::size_t block, PacketTrace& out) const;
 
   /// Decode every block, in order, into one trace.
   PacketTrace read_all() const;
@@ -219,37 +197,22 @@ class SpillReader {
   void for_each_record(
       const std::function<void(const PacketRecord&)>& fn) const;
 
-  /// Per-flow seek: decode only the blocks whose index entry lists the
-  /// flow's endpoint pair, then filter to the connection. Equivalent to
-  /// read_all().filter_flow(flow) but skips unrelated blocks entirely.
-  PacketTrace read_flow(const net::FlowId& flow) const;
-
  private:
-  struct BlockMeta {
-    std::uint64_t offset = 0;
-    std::uint64_t encoded_bytes = 0;
-    std::uint32_t record_count = 0;
-    std::uint64_t payload_bytes = 0;
-    std::int64_t first_ts = 0;
-    std::int64_t last_ts = 0;
-    std::vector<std::uint32_t> pair_ids;
-  };
-
-  void parse_footer();
-  void decode_block(const BlockMeta& meta,
-                    const std::function<void(PacketRecord&&)>& emit) const;
+  void check_structure();
+  /// Decode the block at `block` and return its end.
+  const std::uint8_t* decode_block(
+      const std::uint8_t* block,
+      const std::function<void(PacketRecord&&)>& emit) const;
+  void decode(const std::function<void(PacketRecord&&)>& emit) const;
 
   std::string path_;
-  const std::uint8_t* data_ = nullptr;
+  const std::uint8_t* data_ = nullptr;  // the mapping
   std::size_t size_ = 0;
-  bool mapped_ = false;                 // data_ came from mmap
-  std::vector<std::uint8_t> fallback_;  // heap copy when mmap failed
+  const std::uint8_t* blocks_end_ = nullptr;  // where the footer starts
   net::NodeId node_;
   std::uint64_t record_count_ = 0;
   std::vector<std::pair<std::uint32_t, std::uint16_t>> endpoints_;
   std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs_;
-  std::unordered_map<std::uint64_t, std::uint32_t> pair_lookup_;
-  std::vector<BlockMeta> blocks_;
 };
 
 /// Write `trace` as a complete .dtrc file (convenience over SpillWriter).

@@ -69,34 +69,6 @@ void TimeSeriesSampler::begin_tick(std::uint64_t tick) {
   in_tick_ = true;
 }
 
-void TimeSeriesSampler::record_channel(Channel& ch, double value) {
-  // Pad up to the row before this tick, then append this tick's value.
-  if (ch.values.size() < ticks_.size() - 1) {
-    ch.values.resize(ticks_.size() - 1, 0.0);
-  }
-  if (ch.values.size() == ticks_.size() - 1) {
-    ch.values.push_back(value);
-  } else {
-    ch.values.back() += value;  // second record in one tick accumulates
-  }
-}
-
-void TimeSeriesSampler::record(const std::string& channel, double value) {
-  if (!in_tick_) return;
-  record_channel(channels_[channel], value);
-}
-
-void TimeSeriesSampler::record_cumulative(const std::string& channel,
-                                          double cumulative) {
-  if (!in_tick_) return;
-  Channel& ch = channels_[channel];
-  const double delta = ch.has_prev ? cumulative - ch.prev_cumulative
-                                   : cumulative;
-  ch.prev_cumulative = cumulative;
-  ch.has_prev = true;
-  record_channel(ch, delta);
-}
-
 TimeSeriesSampler::ChannelRef TimeSeriesSampler::channel(
     const std::string& name) {
   ChannelRef ref;
@@ -107,7 +79,14 @@ TimeSeriesSampler::ChannelRef TimeSeriesSampler::channel(
 
 void TimeSeriesSampler::record(ChannelRef ref, double value) {
   if (!in_tick_ || ref.ch == nullptr) return;
-  record_channel(*ref.ch, value);
+  std::vector<double>& values = ref.ch->values;
+  // Pad up to the row before this tick, then append this tick's value.
+  if (values.size() < ticks_.size() - 1) values.resize(ticks_.size() - 1, 0.0);
+  if (values.size() == ticks_.size() - 1) {
+    values.push_back(value);
+  } else {
+    values.back() += value;  // second record in one tick accumulates
+  }
 }
 
 void TimeSeriesSampler::record_cumulative(ChannelRef ref, double cumulative) {
@@ -117,7 +96,7 @@ void TimeSeriesSampler::record_cumulative(ChannelRef ref, double cumulative) {
                                    : cumulative;
   ch.prev_cumulative = cumulative;
   ch.has_prev = true;
-  record_channel(ch, delta);
+  record(ref, delta);
 }
 
 void TimeSeriesSampler::end_tick() {

@@ -3,11 +3,11 @@
 //
 // The sampler itself is passive — it does not know about the simulator.
 // The scenario drives it: at each tick boundary it calls begin_tick(),
-// record()s every channel, then end_tick(). Every channel is derived only
-// from simulation state (queue depths, in-flight packets, delivered-byte
-// deltas) at exact tick times, so the CSV/JSON exports are byte-identical
-// at any thread or replica-shard count — the same contract as the metrics
-// registry.
+// record()s every channel through its ChannelRef, then end_tick(). Every
+// channel is derived only from simulation state (queue depths, in-flight
+// packets, delivered-byte deltas) at exact tick times, so the CSV/JSON
+// exports are byte-identical at any thread or replica-shard count — the
+// same contract as the metrics registry.
 //
 // merge() aligns two samplers by absolute tick index and sums values, the
 // commutative rule that keeps replica merges order-independent. The series
@@ -41,17 +41,9 @@ class TimeSeriesSampler {
   // tick * interval). Ticks must be presented in increasing order.
   void begin_tick(std::uint64_t tick);
 
-  // Record an instantaneous value for `channel` at the current tick.
-  void record(const std::string& channel, double value);
-
-  // Record a monotonically increasing cumulative counter; the stored value
-  // is the delta since the previous record_cumulative on this channel.
-  void record_cumulative(const std::string& channel, double cumulative);
-
-  // Interned channel handle for the per-tick hot path: resolves the name
-  // once, then record(ref, ...) skips the string-keyed map lookup that
-  // dominates take_sample() at small tick intervals. Refs stay valid
-  // across ticks and evictions but are invalidated by merge().
+  // Channel handle: resolves (and creates) the named channel once, so the
+  // per-tick record() calls skip a string-keyed map lookup. Refs stay
+  // valid across ticks and evictions but are invalidated by merge().
   class ChannelRef {
    public:
     ChannelRef() = default;
@@ -61,7 +53,10 @@ class TimeSeriesSampler {
     Channel* ch = nullptr;
   };
   ChannelRef channel(const std::string& name);
+  // Record an instantaneous value for the channel at the current tick.
   void record(ChannelRef ref, double value);
+  // Record a monotonically increasing cumulative counter; the stored value
+  // is the delta since the previous record_cumulative on this channel.
   void record_cumulative(ChannelRef ref, double cumulative);
 
   // Close the current tick: channels not recorded this tick are padded
@@ -106,8 +101,6 @@ class TimeSeriesSampler {
     // end_tick(), shorter only mid-tick.
     std::vector<double> values;
   };
-
-  void record_channel(Channel& ch, double value);
 
   void pad_channel(Channel& ch) {
     if (ch.values.size() < ticks_.size()) {

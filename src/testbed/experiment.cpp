@@ -209,10 +209,6 @@ ExperimentResult run_experiment_subset(
     result.per_node_timings.push_back(std::move(timings));
   }
   scenario.collect_metrics(result.metrics);
-  // Budgeted capture opts its spill counters into the main registry: they
-  // are layout-invariant (see collect_spill_metrics), and runs without a
-  // budget keep the exact export of previous releases.
-  if (scenario.spilling_active()) scenario.collect_spill_metrics(result.metrics);
   scenario.collect_kernel_metrics(result.kernel_metrics);
   result.trace = scenario.shared_trace();
   result.timeseries = scenario.take_timeseries();

@@ -50,6 +50,17 @@ std::string make_temp_spill_dir() {
   return dir.string();
 }
 
+/// The deterministic durable-trace counters: functions of each client's
+/// captured record stream, so replica-additive and byte-identical at any
+/// thread or shard count for a fixed budget.
+void add_spill_counters(obs::MetricsRegistry& out,
+                        const capture::SpillStats& spill) {
+  out.add("spill_bytes_written", spill.bytes_written);
+  out.add("spill_blocks", spill.blocks);
+  out.add("spill_records", spill.records);
+  out.add("spill_raw_bytes", spill.raw_bytes);
+}
+
 }  // namespace
 
 net::GeoPoint sweep_fe_location(const cdn::ServiceProfile& profile,
@@ -500,7 +511,7 @@ std::shared_ptr<const FleetWarmup> Scenario::fleet_record() {
   auto record = std::make_shared<FleetWarmup>();
   record->deadline = *warm_end_;
   record->fe_count = fes_.size();
-  collect_metrics(record->totals);
+  collect_own_metrics(record->totals);
   record->backend_pool = backend_pool_total();
   record->links = network_->aggregate_link_stats();
   record->vantage_points = generated_vantage_points_;
@@ -527,17 +538,29 @@ void Scenario::collect_kernel_metrics(obs::MetricsRegistry& out) {
   // Like the executor stats this is runtime telemetry; it lives here — not
   // in collect_metrics/collect_memory_metrics — so the byte-identical
   // experiment exports never see wall time.
-  std::uint64_t spill_flush_ns = 0;
-  for (Client& c : clients_) {
-    if (c.spill) spill_flush_ns += c.spill->stats().flush_ns;
+  out.add("spill_flush_ns", spill_totals().flush_ns);
+}
+
+capture::SpillStats Scenario::spill_totals() const {
+  capture::SpillStats total;
+  for (const Client& c : clients_) {
+    if (!c.spill) continue;
+    const capture::SpillStats& s = c.spill->stats();
+    total.bytes_written += s.bytes_written;
+    total.blocks += s.blocks;
+    total.records += s.records;
+    total.raw_bytes += s.raw_bytes;
+    total.flush_ns += s.flush_ns;
   }
-  out.add("spill_flush_ns", spill_flush_ns);
+  return total;
 }
 
 void Scenario::collect_metrics(obs::MetricsRegistry& out) {
   require_fleet_adopted();
   collect_own_metrics(out);
   if (left_out_) out.merge(left_out_->metrics);
+  // Runs without a budget keep the export of previous releases.
+  if (spilling_active()) add_spill_counters(out, spill_totals());
 }
 
 void Scenario::collect_own_metrics(obs::MetricsRegistry& out) {
@@ -654,16 +677,11 @@ void Scenario::take_sample(std::uint64_t tick) {
   // writer stats never reset — on_clear keeps counting — so the per-tick
   // deltas recorded here stay non-negative.
   if (spilling_active()) {
-    std::uint64_t spill_bytes = 0, spill_blocks = 0;
-    for (Client& c : clients_) {
-      if (!c.spill) continue;
-      spill_bytes += c.spill->stats().bytes_written;
-      spill_blocks += c.spill->stats().blocks;
-    }
+    const capture::SpillStats spill = spill_totals();
     ts.record_cumulative(ts_channels_.capture_spill_bytes,
-                         static_cast<double>(spill_bytes));
+                         static_cast<double>(spill.bytes_written));
     ts.record_cumulative(ts_channels_.capture_spill_blocks,
-                         static_cast<double>(spill_blocks));
+                         static_cast<double>(spill.blocks));
   }
   ts.end_tick();
 }
@@ -704,38 +722,16 @@ void Scenario::collect_memory_metrics(obs::MetricsRegistry& out) {
   out.gauge_max("analyzer_live_bytes_peak", analyzer_peak);
   out.add("stream_timelines_online", emitted);
   out.add("stream_late_packets", late);
-  obs::MetricsRegistry spill;
-  collect_spill_metrics(spill);
-  out.merge(spill);
+  const capture::SpillStats spill = spill_totals();
+  add_spill_counters(out, spill);
   // The compression gauge is the ratio of the spill counters (merge rule:
   // max across replicas, so it is informational rather than
   // layout-invariant like the counters themselves).
-  if (const std::uint64_t bytes = spill.counter("spill_bytes_written")) {
-    const std::uint64_t raw = spill.counter("spill_raw_bytes");
-    out.gauge_max("spill_compression_x", static_cast<std::int64_t>(raw / bytes));
+  if (spill.bytes_written != 0) {
+    out.gauge_max("spill_compression_x",
+                  static_cast<std::int64_t>(spill.raw_bytes /
+                                            spill.bytes_written));
   }
-}
-
-void Scenario::collect_spill_metrics(obs::MetricsRegistry& out) {
-  // Durable-trace (spill) accounting. Every counter is a deterministic
-  // function of each client's captured record stream, and clients spill
-  // independently — so the replica-additive merge is byte-identical at
-  // any thread or shard count for a fixed budget; a replica drives only
-  // its own clients. (flush wall time is deliberately not here; see
-  // collect_kernel_metrics.)
-  std::uint64_t spill_bytes = 0, spill_blocks = 0, spill_records = 0;
-  std::uint64_t spill_raw = 0;
-  for (const Client& c : clients_) {
-    if (!c.spill) continue;
-    spill_bytes += c.spill->stats().bytes_written;
-    spill_blocks += c.spill->stats().blocks;
-    spill_records += c.spill->stats().records;
-    spill_raw += c.spill->stats().raw_bytes;
-  }
-  out.add("spill_bytes_written", spill_bytes);
-  out.add("spill_blocks", spill_blocks);
-  out.add("spill_records", spill_records);
-  out.add("spill_raw_bytes", spill_raw);
 }
 
 }  // namespace dyncdn::testbed

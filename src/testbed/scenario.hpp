@@ -47,7 +47,8 @@ struct FleetWarmup {
   /// generating them again, and the FE that DNS names for each.
   std::vector<VantagePoint> vantage_points;
   std::vector<std::size_t> default_fe;
-  /// The whole fleet's collect_metrics at the deadline.
+  /// The whole fleet's collect_metrics at the deadline, without the
+  /// spill counters, which count client captures and start at zero.
   obs::MetricsRegistry totals;
   /// The whole fleet's summed BE-pool size and link counters at the
   /// deadline: what the time-series sampler reads.
@@ -271,9 +272,12 @@ class Scenario {
   std::shared_ptr<obs::TraceSession> shared_trace() { return trace_; }
 
   /// Snapshot the testbed's operational counters into `out` (network, TCP
-  /// stacks, FE/BE servers). Purely additive: callers can merge registries
+  /// stacks, FE/BE servers, and under budgeted capture the durable-trace
+  /// counters spill_bytes_written / spill_blocks / spill_records /
+  /// spill_raw_bytes). Purely additive: callers can merge registries
   /// across replicas. Every counter here is invariant under the replica
-  /// layout; the kernel-level counters that depend on it live in
+  /// layout (each client spills off its own deterministic packet stream);
+  /// the kernel-level counters that depend on it live in
   /// collect_kernel_metrics. FEs left out by a shared fleet warm-up count
   /// with their recorded warm-up, so the export is the full fleet's.
   void collect_metrics(obs::MetricsRegistry& out);
@@ -307,18 +311,11 @@ class Scenario {
   void set_stream_boundary(std::size_t boundary);
 
   /// Deterministic memory accounting (capture retention and analyzer
-  /// live-state peaks, online-emission counters). Kept separate from
-  /// collect_metrics so experiment exports stay byte-identical between
-  /// streaming and capture modes — these gauges intentionally differ.
+  /// live-state peaks, online-emission counters, the spill counters and
+  /// their compression ratio). Kept separate from collect_metrics so
+  /// experiment exports stay byte-identical between streaming and capture
+  /// modes — these gauges intentionally differ.
   void collect_memory_metrics(obs::MetricsRegistry& out);
-
-  /// Deterministic durable-trace counters (spill_bytes_written /
-  /// spill_blocks / spill_records / spill_raw_bytes). Each client spills
-  /// off its own deterministic packet stream, so — unlike the rest of
-  /// collect_memory_metrics — these merge byte-identically at any
-  /// thread/shard count; budgeted experiment runs fold them into the main
-  /// metrics registry (and thus the Prometheus export).
-  void collect_spill_metrics(obs::MetricsRegistry& out);
 
  private:
   void build_backend();
@@ -333,6 +330,8 @@ class Scenario {
   /// collect_metrics without the fleet record's counts.
   void collect_own_metrics(obs::MetricsRegistry& out);
   std::int64_t backend_pool_total() const;
+  /// Every client spill writer's stats, summed.
+  capture::SpillStats spill_totals() const;
   void take_sample(std::uint64_t tick);
   net::LinkConfig client_access_link(const VantagePoint& vp,
                                      const net::GeoPoint& fe_location) const;

@@ -99,16 +99,6 @@ TEST(Recorder, HeadersOnlyModeKeepsSizesButNotBytes) {
   EXPECT_TRUE(saw_data);
 }
 
-TEST(Recorder, PauseSuppressesRecording) {
-  CaptureFixture f;
-  f.client_rec.pause();
-  f.run_one_exchange("quiet");
-  EXPECT_TRUE(f.client_rec.trace().empty());
-  f.client_rec.resume();
-  f.run_one_exchange("loud");
-  EXPECT_FALSE(f.client_rec.trace().empty());
-}
-
 TEST(Recorder, ClearDropsHistory) {
   CaptureFixture f;
   f.run_one_exchange("one");

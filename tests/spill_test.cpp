@@ -1,5 +1,5 @@
-// Durable trace pipeline tests: .dtrc round-trip byte-identity, block
-// index / per-flow seeks, corrupt-input rejection, budget-triggered spill
+// Durable trace pipeline tests: .dtrc round-trip byte-identity, multi-block
+// files read front to back, corrupt-input rejection, budget-triggered spill
 // equivalence (a campaign that spills mid-run must analyze identically to
 // one that kept everything in memory, at any thread count), saved traces
 // (ExperimentOptions::save_traces: each file holds the capture its
@@ -207,44 +207,32 @@ TEST(SpillFormat, TextAndBinaryConvergeOnTheSameRecords) {
 }
 
 // ---------------------------------------------------------------------------
-// Block structure: index metadata, iteration determinism, per-flow seek.
+// Block structure: multi-block files and iteration determinism.
 // ---------------------------------------------------------------------------
 
 TEST(SpillFormat, MultiBlockEncodingAndBlockIndex) {
-  const PacketTrace original = make_real_trace(true, 8);
-  ASSERT_GT(original.size(), 64u);
+  // More records than one block holds: the reader walks the block headers
+  // from the file header to the footer, and both read paths decode the
+  // blocks in order back to the capture.
+  const PacketTrace original = make_real_trace(true, 400);
+  ASSERT_GT(original.size(), std::size_t{SpillWriter::kBlockRecords});
   const std::string path = temp_path("spill_blocks.dtrc");
-  SpillWriter::Options wo;
-  wo.block_records = 16;  // force many blocks
   {
-    SpillWriter writer(path, original.node(), wo);
+    SpillWriter writer(path, original.node());
     writer.append_trace(original);
     writer.finish();
     EXPECT_EQ(writer.stats().records, original.size());
     EXPECT_GT(writer.stats().bytes_written, 0u);
-    EXPECT_EQ(writer.stats().blocks, (original.size() + 15) / 16);
+    EXPECT_EQ(writer.stats().blocks,
+              (original.size() + SpillWriter::kBlockRecords - 1) /
+                  SpillWriter::kBlockRecords);
   }
   SpillReader reader(path);
-  EXPECT_GT(reader.block_count(), 3u);
-  std::uint64_t indexed_records = 0;
-  SimTime prev_last = SimTime::zero();
-  for (std::size_t b = 0; b < reader.block_count(); ++b) {
-    const auto info = reader.block_info(b);
-    EXPECT_LE(info.records, 16u);
-    EXPECT_LE(info.first_timestamp, info.last_timestamp) << "block " << b;
-    EXPECT_GE(info.first_timestamp, prev_last) << "block " << b;
-    prev_last = info.last_timestamp;
-    indexed_records += info.records;
-  }
-  EXPECT_EQ(indexed_records, reader.record_count());
   EXPECT_EQ(reader.record_count(), original.size());
-
-  // Blocks decode independently and concatenate to the full capture.
-  PacketTrace concat(reader.node());
-  for (std::size_t b = 0; b < reader.block_count(); ++b) {
-    reader.read_block(b, concat);
-  }
-  expect_traces_equal(original, concat, true);
+  expect_traces_equal(original, reader.read_all(), true);
+  PacketTrace streamed(reader.node());
+  reader.for_each_record([&](const PacketRecord& r) { streamed.add(r); });
+  expect_traces_equal(original, streamed, true);
   std::remove(path.c_str());
 }
 
@@ -261,25 +249,6 @@ TEST(SpillFormat, ReaderIterationIsDeterministic) {
   PacketTrace streamed(reader.node());
   reader.for_each_record([&](const PacketRecord& r) { streamed.add(r); });
   expect_traces_equal(original, streamed, true);
-  std::remove(path.c_str());
-}
-
-TEST(SpillFormat, ReadFlowMatchesFilterFlow) {
-  const PacketTrace original = make_real_trace(true, 8);
-  ASSERT_GT(original.flows().size(), 4u);
-  const std::string path = temp_path("spill_flow.dtrc");
-  SpillWriter::Options wo;
-  wo.block_records = 16;
-  {
-    SpillWriter writer(path, original.node(), wo);
-    writer.append_trace(original);
-    writer.finish();
-  }
-  SpillReader reader(path);
-  for (const net::FlowId& flow : original.flows()) {
-    expect_traces_equal(original.filter_flow(flow), reader.read_flow(flow),
-                        true);
-  }
   std::remove(path.c_str());
 }
 
@@ -363,6 +332,54 @@ TEST(SpillFormat, CorruptMagicThrows) {
 
   EXPECT_THROW(SpillReader missing(temp_path("no_such_file.dtrc")),
                std::runtime_error);
+  std::remove(path.c_str());
+  std::remove(bad.c_str());
+}
+
+TEST(SpillFormat, OtherFormatVersionIsRefusedByName) {
+  // A version-1 file (its header carried a flags word and its footer a
+  // block index) is refused, naming its version and the file.
+  const PacketTrace original = make_real_trace(true);
+  const std::string path = temp_path("spill_version.dtrc");
+  save_trace_dtrc(original, path);
+  std::string bytes = read_file(path);
+  ASSERT_EQ(bytes.substr(0, 8), "DTRC0002");
+  bytes.replace(0, 8, "DTRC0001");
+  write_file(path, bytes);
+  try {
+    SpillReader reader(path);
+    FAIL() << "a DTRC0001 file was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("version DTRC0001"),
+              std::string::npos)
+        << e.what();
+    EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+        << e.what();
+  }
+  std::remove(path.c_str());
+}
+
+TEST(SpillFormat, BlockWalkMustLandOnTheFooter) {
+  // The blocks are sized by their own headers: a block that claims more
+  // or fewer bytes than it holds, or a record count the tail does not
+  // total, is refused when the file opens.
+  const PacketTrace original = make_real_trace(true);
+  const std::string path = temp_path("spill_walk.dtrc");
+  save_trace_dtrc(original, path);
+  const std::string bytes = read_file(path);
+  const std::string bad = temp_path("spill_walk_bad.dtrc");
+  // The first block's header follows the 12-byte file header: record
+  // count u32, nine section sizes u32, payload size u32.
+  for (const std::size_t field : {std::size_t{12}, std::size_t{16},
+                                  std::size_t{52}}) {
+    for (const char delta : {char{1}, char{-1}}) {
+      std::string mutant = bytes;
+      mutant[field] = static_cast<char>(mutant[field] + delta);
+      write_file(bad, mutant);
+      EXPECT_THROW(SpillReader reader(bad), std::runtime_error)
+          << "byte " << field << " changed by " << int{delta};
+    }
+  }
   std::remove(path.c_str());
   std::remove(bad.c_str());
 }

@@ -137,15 +137,17 @@ TEST(PrometheusHelp, EscapingRules) {
 
 TEST(TimeSeries, PadsMissingChannelsAndComputesCumulativeDeltas) {
   obs::TimeSeriesSampler ts(1'000'000);  // 1ms ticks
+  const auto depth = ts.channel("depth");
+  const auto delivered = ts.channel("delivered");
   ts.begin_tick(0);
-  ts.record("depth", 3.0);
-  ts.record_cumulative("delivered", 10.0);
+  ts.record(depth, 3.0);
+  ts.record_cumulative(delivered, 10.0);
   ts.end_tick();
   ts.begin_tick(1);
-  ts.record_cumulative("delivered", 25.0);  // delta 15
-  ts.end_tick();                            // "depth" padded with 0
+  ts.record_cumulative(delivered, 25.0);  // delta 15
+  ts.end_tick();                          // "depth" padded with 0
   ts.begin_tick(2);
-  ts.record("depth", 1.0);
+  ts.record(depth, 1.0);
   ts.end_tick();  // "delivered" padded with 0
 
   const std::string csv = ts.to_csv();
@@ -160,9 +162,10 @@ TEST(TimeSeries, PadsMissingChannelsAndComputesCumulativeDeltas) {
 TEST(TimeSeries, MergeAlignsByAbsoluteTickAndIsOrderIndependent) {
   const auto make = [](std::uint64_t first_tick, double base) {
     obs::TimeSeriesSampler ts(1'000'000);
+    const auto v = ts.channel("v");
     for (std::uint64_t t = first_tick; t < first_tick + 3; ++t) {
       ts.begin_tick(t);
-      ts.record("v", base + static_cast<double>(t));
+      ts.record(v, base + static_cast<double>(t));
       ts.end_tick();
     }
     return ts;
@@ -178,9 +181,10 @@ TEST(TimeSeries, MergeAlignsByAbsoluteTickAndIsOrderIndependent) {
 
 TEST(TimeSeries, EvictsOldestPastBound) {
   obs::TimeSeriesSampler ts(1'000'000, /*max_samples=*/4);
+  const auto v = ts.channel("v");
   for (std::uint64_t t = 0; t < 6; ++t) {
     ts.begin_tick(t);
-    ts.record("v", static_cast<double>(t));
+    ts.record(v, static_cast<double>(t));
     ts.end_tick();
   }
   EXPECT_EQ(ts.sample_count(), 4u);
@@ -326,9 +330,10 @@ TEST(TimeSeriesMutation, CsvDecodesOrRejectsAndReencodesStably) {
 // past tick 0 fixes it, and a row whose time disagrees is refused.
 TEST(TimeSeriesMutation, CsvTimeColumnMustFollowOneInterval) {
   obs::TimeSeriesSampler series(50'000'000);
+  const auto depth = series.channel("depth");
   for (const std::uint64_t tick : {0, 3, 4, 7}) {
     series.begin_tick(tick);
-    series.record("depth", static_cast<double>(tick));
+    series.record(depth, static_cast<double>(tick));
     series.end_tick();
   }
   const std::string csv = series.to_csv();
